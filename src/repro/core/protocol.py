@@ -357,9 +357,10 @@ def read_protocol(
         yield Compute("client.touch_page", len(leaves))
     yield from mark("pages_read")
 
-    # 4. assemble the requested byte range (zero payload copies: see
-    # assemble_read; a fresh-bytes materialization happens only when the
-    # caller asked for immutable bytes that more than one page must feed)
+    # 4. assemble the requested byte range (zero intermediate copies: an
+    # out= read scatters page views into the caller's buffer; a plain
+    # read whose pages tile the request joins them in one pass, and only
+    # a gapped one goes through a zero-filled scratch buffer)
     data = None
     if dst is not None:
         if zero_bytes or any(p.is_virtual for p in payloads):
@@ -370,12 +371,8 @@ def read_protocol(
         assemble_read(req, leaves, payloads, dst)
         data = dst
     elif with_data:
-        single = _single_full_page(req, leaves, payloads) if not zero_bytes else None
-        if single is not None:
-            # one immutable page exactly covers the request: alias it
-            # (write-once pages can never change under the reader)
-            data = single
-        else:
+        data = _join_pages(req, leaves, payloads) if not zero_bytes else None
+        if data is None:
             buf = bytearray(size)  # zero-filled: version-0 regions need no work
             assemble_read(req, leaves, payloads, memoryview(buf))
             data = bytes(buf)
@@ -465,20 +462,33 @@ def _zero_uncovered(
     _zero_range(dst, cursor, req.size)
 
 
-def _single_full_page(
+def _join_pages(
     req: Interval, leaves: Sequence[TreeNode], payloads: Sequence[PagePayload]
 ) -> bytes | None:
-    """The stored ``bytes`` object itself when exactly one immutable page
-    covers the whole request (the zero-copy plain-read fast path), else
-    ``None``. Memoryview payloads still materialize here because plain
-    reads promise immutable ``bytes``."""
-    if len(leaves) != 1:
+    """The request's bytes built in one pass, when real pages tile it in
+    order with no gap (the plain-read fast path), else ``None``.
+
+    One immutable ``bytes`` page covering the whole request is returned
+    itself (write-once pages can never change under the reader);
+    otherwise the page views are joined straight into the result — no
+    request-sized scratch buffer is written and then copied out.
+    """
+    pieces: list[bytes | memoryview] = []
+    cursor = req.offset
+    for leaf, payload in zip(leaves, payloads):
+        iv = leaf.interval
+        if payload.data is None or not iv.offset <= cursor < iv.end:
+            return None
+        lo = cursor - iv.offset
+        hi = min(iv.size, req.end - iv.offset)
+        whole = lo == 0 and hi == iv.size
+        pieces.append(payload.data if whole else payload.view()[lo:hi])
+        cursor = iv.offset + hi
+    if cursor != req.end:
         return None
-    payload = payloads[0]
-    if payload.data is None or leaves[0].interval != req:
-        return None
-    data = payload.data
-    return data if type(data) is bytes else bytes(data)
+    if len(pieces) == 1 and type(pieces[0]) is bytes:
+        return pieces[0]
+    return b"".join(pieces)
 
 
 # ---------------------------------------------------------------------------

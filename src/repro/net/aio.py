@@ -12,9 +12,11 @@ Nothing about the *protocol* changes, which is the point of the sans-io
 layering:
 
 - the wire format is the untouched :mod:`repro.net.codec` pickle frames,
-  fed through the same :class:`~repro.net.codec.MessageDecoder` the
-  blocking drivers use (the async reader just exercises partial-read
-  reassembly much harder — pinned by the codec fuzz test);
+  received through the same :class:`~repro.net.codec.MessageDecoder` the
+  blocking drivers use: an ``asyncio.BufferedProtocol`` hands the
+  decoder's own buffers to the transport's ``recv_into``, so no stream
+  reader allocates or copies in between (partial-read reassembly is
+  pinned by the codec fuzz test);
 - batches execute exactly the groups :func:`~repro.net.sansio.plan_wire_groups`
   plans — one frame per destination per batch — so wire-RPC counts are
   bit-equal to every other driver (pinned by the conformance suite);
@@ -25,7 +27,7 @@ layering:
   a restarted agent resumes service with no driver restart.
 
 Concurrency model: **everything about a peer is event-loop-confined.**
-Peer state (`_pending`, writer, down reason) is touched only from the
+Peer state (`_pending`, transport, down reason) is touched only from the
 loop thread, so there are no locks on the hot path; the pieces that
 cross threads — the per-batch :class:`_AioLatch` (an in-parent actor's
 service thread may complete a group) and the connected/down flags read
@@ -73,7 +75,7 @@ from repro.net.codec import (
     MessageDecoder,
     WireCodecError,
     decode_body,
-    encode_message,
+    encode_parts,
 )
 from repro.net.node import HANDSHAKE_REQ_ID, HandshakeError
 from repro.net.sansio import (
@@ -94,7 +96,6 @@ from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RECV_CHUNK,
     RemoteActorDriver,
     tune_socket,
 )
@@ -207,8 +208,47 @@ class _AioLatch:
         await self._event.wait()
 
 
+class _WireProtocol(asyncio.BufferedProtocol):
+    """Lands a connection's bytes straight in a
+    :class:`~repro.net.codec.MessageDecoder`'s buffers (the transport
+    ``recv_into``s whatever ``get_buffer`` returns) and hands each
+    completed ``(req_id, body)`` to ``on_message``. ``lost`` resolves,
+    once, with why the connection ended."""
+
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        on_message: Callable[[int, Any], None],
+    ) -> None:
+        self._decoder = MessageDecoder()
+        self._on_message = on_message
+        self.transport: asyncio.Transport | None = None
+        self.lost: asyncio.Future = loop.create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._decoder.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            for req_id, body in self._decoder.buffer_updated(nbytes):
+                self._on_message(req_id, body)
+        except WireCodecError as exc:
+            self._end(f"sent a corrupt message: {exc}")
+            self.transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._end("connection lost")
+
+    def _end(self, why: str) -> None:
+        if not self.lost.done():
+            self.lost.set_result(why)
+
+
 class AioPeer:
-    """One remote actor on the event loop: an asyncio stream when
+    """One remote actor on the event loop: an asyncio transport when
     connected, a fast-failing stub plus a backoff reconnector task when
     not. All state is loop-confined except the ``threading.Event``
     connection mirror the sync facade waits on.
@@ -231,7 +271,7 @@ class AioPeer:
         self._connect_timeout = connect_timeout
         self._backoff_initial = backoff_initial
         self._backoff_max = backoff_max
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
         self._down_reason: str | None = (
             f"peer {self.actor_name}@{self.endpoint} never connected"
         )
@@ -265,15 +305,15 @@ class AioPeer:
     # -- connector task --------------------------------------------------
 
     async def _connect_loop(self) -> None:
-        """Dial → handshake → serve the receive loop; on death, back off
-        and redial. The connector is the only task that installs writers,
-        and ``_recv_loop`` only returns after ``_mark_down`` cleared the
+        """Dial → handshake → wait for the connection to die; then back
+        off and redial. The connector is the only task that installs
+        transports, and it only moves on after ``_mark_down`` cleared the
         installed one — so at most one live connection exists at a time.
         """
         backoff = self._backoff_initial
         while not self._closed:
             try:
-                reader, writer, decoder = await self._dial()
+                proto = await self._dial()
             except (OSError, ReproError) as exc:
                 self._down_reason = (
                     f"peer {self.actor_name}@{self.endpoint} unreachable: {exc}"
@@ -282,52 +322,61 @@ class AioPeer:
                 backoff = min(backoff * 2, self._backoff_max)
                 continue
             if self._closed:
-                writer.close()
+                proto.transport.close()
                 return
-            self._writer = writer
+            self._transport = proto.transport
             self._down_reason = None
             self._connected_sync.set()
             backoff = self._backoff_initial
-            await self._recv_loop(reader, decoder)
+            why = await proto.lost
+            self._mark_down(f"peer {self.actor_name}@{self.endpoint} {why}")
 
-    async def _dial(
-        self,
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, MessageDecoder]:
+    async def _dial(self) -> _WireProtocol:
         """Async twin of :func:`repro.net.node.connect_and_handshake`.
 
-        Returns the stream pair *and* the handshake's decoder: replies
-        pipelined behind the welcome may already sit (whole or partial)
-        in its buffer, so the receive loop must resume it, never replace
-        it — the same invariant the agent honors on its side.
+        The protocol that carried the handshake keeps serving the
+        connection: replies pipelined behind the welcome may already sit
+        (whole or partial) in its decoder, so it is resumed, never
+        replaced — the same invariant the agent honors on its side.
         """
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.endpoint.host, self.endpoint.port, limit=RECV_CHUNK
+        welcome: asyncio.Future = self._loop.create_future()
+
+        def on_message(req_id: int, body: Any) -> None:
+            if not welcome.done():
+                welcome.set_result(body)
+                return
+            entry = self._pending.pop(req_id, None)
+            if entry is not None:
+                self._complete(entry, body)
+
+        def on_lost(lost: asyncio.Future) -> None:
+            if not welcome.done():
+                welcome.set_exception(
+                    HandshakeError(
+                        f"agent at {self.endpoint} closed the connection "
+                        "mid-handshake"
+                    )
+                )
+
+        transport, proto = await asyncio.wait_for(
+            self._loop.create_connection(
+                lambda: _WireProtocol(self._loop, on_message),
+                self.endpoint.host,
+                self.endpoint.port,
             ),
             self._connect_timeout,
         )
         try:
-            sock = writer.get_extra_info("socket")
+            proto.lost.add_done_callback(on_lost)
+            sock = transport.get_extra_info("socket")
             if sock is not None:
                 tune_socket(sock)
-            writer.write(
-                encode_message(HANDSHAKE_REQ_ID, ("hello", self.actor_name))
+            transport.writelines(
+                encode_parts(HANDSHAKE_REQ_ID, ("hello", self.actor_name))
             )
-            await writer.drain()
-            decoder = MessageDecoder()
-            reply = None
-            while reply is None:
-                chunk = await asyncio.wait_for(
-                    reader.read(4096), self._connect_timeout
-                )
-                if not chunk:
-                    raise HandshakeError(
-                        f"agent at {self.endpoint} closed the connection "
-                        "mid-handshake"
-                    )
-                for _req_id, body in decoder.feed(chunk):
-                    reply = decode_body(body)
-                    break
+            reply = decode_body(
+                await asyncio.wait_for(welcome, self._connect_timeout)
+            )
             if (
                 not isinstance(reply, tuple)
                 or len(reply) != 2
@@ -341,36 +390,10 @@ class AioPeer:
                     f"agent at {self.endpoint} rejected "
                     f"{self.actor_name!r}: {reply[1]}"
                 )
-            return reader, writer, decoder
+            return proto
         except BaseException:
-            writer.close()
+            transport.close()
             raise
-
-    async def _recv_loop(
-        self, reader: asyncio.StreamReader, decoder: MessageDecoder
-    ) -> None:
-        """Route raw reply bodies by header; on EOF/corruption, drain."""
-        while True:
-            try:
-                chunk = await reader.read(RECV_CHUNK)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                self._mark_down(
-                    f"peer {self.actor_name}@{self.endpoint} connection lost"
-                )
-                return
-            try:
-                for req_id, body in decoder.feed(chunk):
-                    entry = self._pending.pop(req_id, None)
-                    if entry is not None:
-                        self._complete(entry, body)
-            except WireCodecError as exc:
-                self._mark_down(
-                    f"peer {self.actor_name}@{self.endpoint} sent a corrupt "
-                    f"message: {exc}"
-                )
-                return
 
     @staticmethod
     def _complete(entry: tuple, body: Any) -> None:
@@ -395,14 +418,14 @@ class AioPeer:
             return
         self._down_reason = reason
         self._connected_sync.clear()
-        writer, self._writer = self._writer, None
+        transport, self._transport = self._transport, None
         drained = list(self._pending.values())
         self._pending.clear()
         error = RemoteError("PeerUnavailable", reason)
         for entry in drained:
             self._complete(entry, error)
-        if writer is not None:
-            writer.close()
+        if transport is not None:
+            transport.close()
 
     # -- RPC surface (the remote-handle contract, loop thread only) ------
 
@@ -422,8 +445,8 @@ class AioPeer:
         backpressure). Fails fast with a typed error while the peer is
         down.
         """
-        writer = self._writer
-        if writer is None:
+        transport = self._transport
+        if transport is None:
             slot[0] = RemoteError("PeerUnavailable", self._down_reason)
             latch.group_done(gen)
             return
@@ -431,7 +454,7 @@ class AioPeer:
         envelope = ("rpc", payload) if trace is None else ("rpc", payload, trace)
         req_id = next(self._req_ids)
         try:
-            frame = encode_message(req_id, envelope)
+            parts = encode_parts(req_id, envelope)
         except WireCodecError as exc:
             # the *request* is unpicklable: that call is broken, not the peer
             slot[0] = RemoteError.wrap(exc)
@@ -439,7 +462,7 @@ class AioPeer:
             return
         self._pending[req_id] = ("rpc", slot, latch, gen)
         try:
-            writer.write(frame)
+            transport.writelines(parts)
         except Exception as exc:  # transport already torn down under us
             if self._pending.pop(req_id, None) is not None:
                 self._mark_down(
@@ -449,13 +472,13 @@ class AioPeer:
 
     async def control(self, kind: str, timeout: float = 10.0) -> Any:
         """Round-trip one control message; raises on a down connection."""
-        writer = self._writer
-        if writer is None:
+        transport = self._transport
+        if transport is None:
             raise RemoteError("PeerUnavailable", self._down_reason)
         req_id = next(self._req_ids)
         fut: asyncio.Future = self._loop.create_future()
         self._pending[req_id] = ("ctl", fut)
-        writer.write(encode_message(req_id, (kind, ())))
+        transport.writelines(encode_parts(req_id, (kind, ())))
         try:
             body = await asyncio.wait_for(fut, timeout)
         except (asyncio.TimeoutError, TimeoutError):
@@ -490,7 +513,7 @@ class AioPeer:
         if self._closed:
             return
         self._closed = True
-        if send_shutdown and self._writer is not None:
+        if send_shutdown and self._transport is not None:
             try:
                 await self.control(CTL_SHUTDOWN, timeout=timeout)
             except (RemoteError, TimeoutError):

@@ -19,10 +19,10 @@ and ``tests/test_tcp_control_plane.py``):
   serve (``"data/3"`` — grammar in :mod:`repro.net.address`); the agent
   answers ``("welcome", actor_name)`` and binds the connection to that
   actor, or ``("reject", reason)`` and closes it. A client may pipeline
-  RPCs behind its hello without waiting for the welcome: the service
-  loop resumes the handshake's decoder, so buffered complete messages
-  and even a partial frame straddling the handshake boundary are
-  honored, never dropped.
+  RPCs behind its hello without waiting for the welcome: handshake and
+  service share one decoder, so buffered complete messages and even a
+  partial frame straddling the handshake boundary are honored, never
+  dropped.
 - **actor confinement**: every hosted actor is served by a single
   dedicated service thread with an inbox queue — actor code needs no
   locking no matter how many connections (a live driver plus a
@@ -55,15 +55,17 @@ from repro.net.codec import (
     WireCodecError,
     decode_body,
     encode_message,
+    encode_parts,
+    send_parts,
 )
 from repro.net.sansio import Actor, Address
 from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RECV_CHUNK,
     encode_reply,
     force_close,
+    parse_request,
     run_calls,
     tune_socket,
 )
@@ -82,6 +84,18 @@ class HandshakeError(ReproError):
     """The agent answered the hello with a reject (or garbage)."""
 
 
+def _recv_one(sock: socket.socket, eof_message: str):
+    """Block for the next whole message on ``sock`` and decode it (the
+    one-reply exchanges: a handshake, a registration ack)."""
+    decoder = MessageDecoder()
+    while True:
+        nbytes = sock.recv_into(decoder.get_buffer())
+        if not nbytes:
+            raise HandshakeError(eof_message)
+        for _req_id, body in decoder.buffer_updated(nbytes):
+            return decode_body(body)
+
+
 def connect_and_handshake(
     endpoint: Endpoint, actor_name: str, timeout: float
 ) -> socket.socket:
@@ -96,17 +110,9 @@ def connect_and_handshake(
     try:
         tune_socket(sock)
         sock.sendall(encode_message(HANDSHAKE_REQ_ID, ("hello", actor_name)))
-        decoder = MessageDecoder()
-        reply = None
-        while reply is None:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise HandshakeError(
-                    f"agent at {endpoint} closed the connection mid-handshake"
-                )
-            for _req_id, body in decoder.feed(chunk):
-                reply = decode_body(body)
-                break
+        reply = _recv_one(
+            sock, f"agent at {endpoint} closed the connection mid-handshake"
+        )
         if (
             not isinstance(reply, tuple)
             or len(reply) != 2
@@ -150,19 +156,13 @@ def register_providers(
         payload = [("pm.register", (i,)) for i in ids]
         sock.sendall(encode_message(1, ("rpc", payload)))
         sock.settimeout(timeout)
-        decoder = MessageDecoder()
-        while True:
-            chunk = sock.recv(RECV_CHUNK)
-            if not chunk:
-                raise HandshakeError(
-                    f"pm agent at {endpoint} closed before acking registration"
-                )
-            for _req_id, body in decoder.feed(chunk):
-                results = decode_body(body)
-                for value in results:
-                    if isinstance(value, RemoteError):
-                        raise value
-                return results
+        results = _recv_one(
+            sock, f"pm agent at {endpoint} closed before acking registration"
+        )
+        for value in results:
+            if isinstance(value, RemoteError):
+                raise value
+        return results
     finally:
         force_close(sock)
 
@@ -275,7 +275,7 @@ class _ActorService:
                 finally:
                     clear_server_context()
             elif kind == CTL_STATS:
-                reply = encode_message(
+                reply = encode_parts(
                     req_id,
                     {
                         "wire_rpcs": self.served_rpcs,
@@ -287,7 +287,7 @@ class _ActorService:
                 # thread (a coherent snapshot needs no locks — the
                 # accumulator's writer is this very thread) and deliberately
                 # NOT counted in served_rpcs/served_calls.
-                reply = encode_message(
+                reply = encode_parts(
                     req_id,
                     {
                         "wire_rpcs": self.served_rpcs,
@@ -303,24 +303,28 @@ class _ActorService:
                 close = getattr(self.actor, "close", None)
                 if callable(close):
                     close()
-                self._reply(conn, encode_message(req_id, True))
+                self._reply(conn, encode_parts(req_id, True))
                 self.stopped = True
                 self.agent._actor_done(self.name)
                 return
+            elif kind is None:  # an envelope parse_request refused
+                reply = encode_parts(
+                    req_id, RemoteError("WireProtocolError", payload)
+                )
             else:
-                reply = encode_message(
+                reply = encode_parts(
                     req_id,
                     RemoteError("UnknownControl", f"bad message kind {kind!r}"),
                 )
             self._reply(conn, reply)
 
     @staticmethod
-    def _reply(conn: socket.socket, frame: bytes) -> None:
+    def _reply(conn: socket.socket, parts: list) -> None:
         # A dead connection is the *peer's* problem: its channel drains
         # in-flight calls as RemoteError the moment it sees EOF, so the
         # reply it will never read is simply dropped here.
         try:
-            conn.sendall(frame)
+            send_parts(conn, parts)
         except (OSError, ValueError):
             pass
 
@@ -536,33 +540,38 @@ class NodeAgent:
         tune_socket(conn)
         with self._lock:
             self._conns.add(conn)
+        # One decoder for the whole connection: a client that pipelines
+        # RPCs behind its hello leaves complete messages, or a partial
+        # frame, behind the handshake — all of it is served in order.
+        decoder = MessageDecoder()
+        service: _ActorService | None = None
         try:
-            handshook = self._handshake(conn)
-            if handshook is None:
-                return
-            # keep the handshake's decoder: a client that pipelines RPCs
-            # behind its hello may have left complete messages (drained
-            # with an empty feed below) or a partial frame (must stay
-            # buffered) — a fresh decoder would desynchronize the stream
-            service, decoder = handshook
-            chunk = b""
             while True:
-                for req_id, body in decoder.feed(chunk):
+                try:
+                    nbytes = conn.recv_into(decoder.get_buffer())
+                except OSError:
+                    return
+                if not nbytes:
+                    return
+                for req_id, body in decoder.buffer_updated(nbytes):
                     decoded = decode_body(body)
-                    # arity-tolerant: ("rpc", payload) grew an optional
-                    # trace-id third field; controls stay 2-tuples
-                    kind, payload = decoded[0], decoded[1]
-                    trace = decoded[2] if len(decoded) > 2 else None
+                    if service is None:
+                        service = self._handshake(conn, req_id, decoded)
+                        if service is None:
+                            return
+                        continue
+                    try:
+                        kind, payload, trace = parse_request(decoded)
+                    except WireCodecError as exc:
+                        # well framed, wrong shape: that request fails
+                        # typed (kind None; answered by the service thread,
+                        # the connection's only writer) and the connection
+                        # and the actor keep serving
+                        kind, payload, trace = None, str(exc), None
                     service.inbox.put(
                         (conn, req_id, kind, payload, trace,
                          time.perf_counter_ns(), len(body))
                     )
-                try:
-                    chunk = conn.recv(RECV_CHUNK)
-                except OSError:
-                    return
-                if not chunk:
-                    return
         except WireCodecError:
             return  # corrupt stream: drop the connection, keep the agent
         finally:
@@ -571,31 +580,16 @@ class NodeAgent:
             force_close(conn)
 
     def _handshake(
-        self, conn: socket.socket
-    ) -> tuple[_ActorService, MessageDecoder] | None:
-        """Read ``("hello", name)``; answer welcome/reject.
-
-        Returns the bound service *and* the decoder holding whatever
-        bytes arrived behind the hello, so the caller's service loop
-        resumes the stream exactly where the handshake left it."""
-        decoder = MessageDecoder()
-        first: tuple[int, bytes] | None = None
-        while first is None:
-            try:
-                chunk = conn.recv(RECV_CHUNK)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            for msg in decoder.feed(chunk):
-                first = msg
-                break
-        req_id, body = first
-        hello = decode_body(body)
+        self, conn: socket.socket, req_id: int, hello: object
+    ) -> _ActorService | None:
+        """Answer a connection's first message, which must be
+        ``("hello", name)``, with welcome/reject; returns the service the
+        connection is now bound to (``None`` after a reject)."""
         if (
             not isinstance(hello, tuple)
             or len(hello) != 2
             or hello[0] != "hello"
+            or not isinstance(hello[1], str)
         ):
             self._reject(conn, req_id, f"expected hello handshake, got {hello!r}")
             return None
@@ -616,7 +610,7 @@ class NodeAgent:
             conn.sendall(encode_message(req_id, ("welcome", name)))
         except OSError:
             return None
-        return service, decoder
+        return service
 
     @staticmethod
     def _reject(conn: socket.socket, req_id: int, reason: str) -> None:

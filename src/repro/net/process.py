@@ -52,16 +52,22 @@ import threading
 from typing import Any, Callable, Mapping
 
 from repro.errors import RemoteError
-from repro.net.codec import MessageDecoder, decode_body, encode_message
+from repro.net.codec import (
+    MessageDecoder,
+    WireCodecError,
+    decode_body,
+    encode_parts,
+    send_parts,
+)
 from repro.net.sansio import Actor, Address
 from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RECV_CHUNK,
     RemoteActorDriver,
     RpcChannel,
     encode_reply,
+    parse_request,
     run_calls,
     tune_socket,
 )
@@ -176,72 +182,69 @@ def _worker_main(
     inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def pump() -> None:
-        while True:
-            try:
-                chunk = sock.recv(RECV_CHUNK)
-            except OSError:
-                chunk = b""
-            inbox.put(chunk)
-            if not chunk:
-                return
+        decoder = MessageDecoder()
+        try:
+            while True:
+                nbytes = sock.recv_into(decoder.get_buffer())
+                if not nbytes:
+                    break
+                for message in decoder.buffer_updated(nbytes):
+                    inbox.put(message)
+        except (OSError, WireCodecError):
+            pass  # parent gone, or a corrupt stream: stop serving either way
+        inbox.put(None)
 
     threading.Thread(target=pump, name="wire-pump", daemon=True).start()
-    decoder = MessageDecoder()
+
+    def reply(req_id: int, value: Any) -> None:
+        send_parts(sock, encode_parts(req_id, value))
+
     try:
         while True:
-            chunk = inbox.get()
-            if not chunk:
+            message = inbox.get()
+            if message is None:
                 return  # parent went away: nothing left to serve
-            for req_id, body in decoder.feed(chunk):
-                decoded = decode_body(body)
-                # arity-tolerant: rpc envelopes may carry a trace id
-                kind, payload = decoded[0], decoded[1]
-                if kind == "rpc":
-                    served_rpcs += 1
-                    served_calls += len(payload)
-                    trace = decoded[2] if len(decoded) > 2 else None
-                    # queue wait is not measurable here (the pump thread
-                    # hands over whole chunks, not stamped messages)
-                    set_server_context(trace, 0, len(body))
-                    try:
-                        sock.sendall(
-                            encode_reply(
-                                req_id, run_calls(actor, address, payload)
-                            )
-                        )
-                    finally:
-                        clear_server_context()
-                elif kind == CTL_STATS:
-                    sock.sendall(
-                        encode_message(
-                            req_id,
-                            {"wire_rpcs": served_rpcs, "sub_calls": served_calls},
-                        )
+            req_id, body = message
+            decoded = decode_body(body)
+            try:
+                kind, payload, trace = parse_request(decoded)
+            except WireCodecError as exc:
+                # well framed, wrong shape: fail that request, keep serving
+                reply(req_id, RemoteError("WireProtocolError", str(exc)))
+                continue
+            if kind == "rpc":
+                served_rpcs += 1
+                served_calls += len(payload)
+                # queue wait is not measurable here (the pump thread
+                # hands over unstamped messages)
+                set_server_context(trace, 0, len(body))
+                try:
+                    send_parts(
+                        sock,
+                        encode_reply(req_id, run_calls(actor, address, payload)),
                     )
-                elif kind == CTL_TELEMETRY:
-                    # scrape control: not counted in served_rpcs/served_calls
-                    sock.sendall(
-                        encode_message(
-                            req_id,
-                            {
-                                "wire_rpcs": served_rpcs,
-                                "sub_calls": served_calls,
-                                "telemetry": telemetry_of(actor).snapshot(),
-                            },
-                        )
-                    )
-                elif kind == CTL_SHUTDOWN:
-                    sock.sendall(encode_message(req_id, True))
-                    return
-                else:
-                    sock.sendall(
-                        encode_message(
-                            req_id,
-                            RemoteError(
-                                "UnknownControl", f"bad message kind {kind!r}"
-                            ),
-                        )
-                    )
+                finally:
+                    clear_server_context()
+            elif kind == CTL_STATS:
+                reply(req_id, {"wire_rpcs": served_rpcs, "sub_calls": served_calls})
+            elif kind == CTL_TELEMETRY:
+                # scrape control: not counted in served_rpcs/served_calls
+                reply(
+                    req_id,
+                    {
+                        "wire_rpcs": served_rpcs,
+                        "sub_calls": served_calls,
+                        "telemetry": telemetry_of(actor).snapshot(),
+                    },
+                )
+            elif kind == CTL_SHUTDOWN:
+                reply(req_id, True)
+                return
+            else:
+                reply(
+                    req_id,
+                    RemoteError("UnknownControl", f"bad message kind {kind!r}"),
+                )
     finally:
         sock.close()
 

@@ -54,7 +54,8 @@ from repro.net.codec import (
     MessageDecoder,
     WireCodecError,
     decode_body,
-    encode_message,
+    encode_parts,
+    send_parts,
 )
 from repro.net.sansio import (
     Actor,
@@ -69,10 +70,6 @@ from repro.net.sansio import (
 from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
 from repro.obs.spans import new_span_id, record_group_spans
 from repro.obs.trace import current_op_span, current_trace
-
-#: socket receive chunk: large enough to drain several page-sized messages
-#: per syscall when replies queue up
-RECV_CHUNK = 1 << 20
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation
@@ -118,6 +115,31 @@ def tune_socket(sock: socket.socket) -> None:
         pass
 
 
+def parse_request(decoded: Any) -> tuple[str, Any, Any]:
+    """``(kind, payload, trace)`` of a decoded request envelope.
+
+    Envelopes are ``(kind, payload)`` or ``("rpc", payload, trace)`` with
+    an rpc payload a list of ``(method, args)`` pairs. Anything else a
+    peer managed to frame and pickle raises :class:`WireCodecError`, so a
+    serving loop answers it typed instead of dying on an unpack.
+    """
+    if (
+        type(decoded) is tuple
+        and len(decoded) in (2, 3)
+        and type(decoded[0]) is str
+    ):
+        kind, payload = decoded[0], decoded[1]
+        if kind != "rpc" or (
+            type(payload) is list
+            and all(
+                type(call) is tuple and len(call) == 2 and type(call[0]) is str
+                for call in payload
+            )
+        ):
+            return kind, payload, decoded[2] if len(decoded) == 3 else None
+    raise WireCodecError(f"malformed request envelope: {decoded!r:.120}")
+
+
 def run_calls(actor: Actor, address: Address, payload: list) -> list:
     """Serve one ``("rpc", payload)`` message body against an actor."""
     return [
@@ -126,7 +148,7 @@ def run_calls(actor: Actor, address: Address, payload: list) -> list:
     ]
 
 
-def encode_reply(req_id: int, results: list) -> bytes:
+def encode_reply(req_id: int, results: list) -> list:
     """Encode a result list, downgrading unpicklable values to errors.
 
     ``dispatch_call`` already wraps handler exceptions in
@@ -136,12 +158,12 @@ def encode_reply(req_id: int, results: list) -> bytes:
     precisely instead of killing the connection.
     """
     try:
-        return encode_message(req_id, results)
+        return encode_parts(req_id, results)
     except WireCodecError:
         safe: list[Any] = []
         for value in results:
             try:
-                encode_message(0, value)
+                encode_parts(0, value)
                 safe.append(value)
             except WireCodecError as exc:
                 safe.append(
@@ -149,7 +171,7 @@ def encode_reply(req_id: int, results: list) -> bytes:
                         "UnpicklableResult", f"{type(value).__name__}: {exc}"
                     )
                 )
-        return encode_message(req_id, safe)
+        return encode_parts(req_id, safe)
 
 
 class RpcChannel:
@@ -232,10 +254,10 @@ class RpcChannel:
         decoder = MessageDecoder()
         while True:
             try:
-                chunk = self.sock.recv(RECV_CHUNK)
+                nbytes = self.sock.recv_into(decoder.get_buffer())
             except OSError:
-                chunk = b""
-            if not chunk:
+                nbytes = 0
+            if not nbytes:
                 # No peer-process poll here: the owner's on_down callback
                 # runs on this thread and must stay non-blocking (see the
                 # process driver for why polling from here corrupts
@@ -243,7 +265,7 @@ class RpcChannel:
                 self.mark_down(f"peer {self.peer} connection lost")
                 return
             try:
-                for req_id, body in decoder.feed(chunk):
+                for req_id, body in decoder.buffer_updated(nbytes):
                     with self._pending_lock:
                         entry = self._pending.pop(req_id, None)
                     if entry is not None:
@@ -287,7 +309,7 @@ class RpcChannel:
         # frame is bit-identical to the historical 2-tuple form.
         envelope = ("rpc", payload) if trace is None else ("rpc", payload, trace)
         try:
-            frame = encode_message(req_id, envelope)
+            frame = encode_parts(req_id, envelope)
         except WireCodecError as exc:
             # the *request* is unpicklable: that call is broken, not the
             # peer. Complete the group only if the entry is still ours —
@@ -312,7 +334,7 @@ class RpcChannel:
                 self._pending[req_id] = ("ctl", box, event)
         if reason is not None:
             raise RemoteError(self._error_label, reason)
-        self._outbox.put(encode_message(req_id, (kind, ())))
+        self._outbox.put(encode_parts(req_id, (kind, ())))
         if not event.wait(timeout):
             with self._pending_lock:
                 self._pending.pop(req_id, None)
@@ -332,7 +354,7 @@ class RpcChannel:
             if frame is None:
                 return
             try:
-                self.sock.sendall(frame)
+                send_parts(self.sock, frame)
             except (OSError, ValueError) as exc:
                 self.mark_down(f"send to peer {self.peer} failed: {exc!r}")
                 return

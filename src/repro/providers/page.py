@@ -17,9 +17,11 @@ Payloads come in two flavours:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.net.codec import BULK_BYTES
 from repro.net.message import PAGE_KEY_BYTES, estimate_size
 
 
@@ -60,18 +62,20 @@ class PagePayload:
 
     @classmethod
     def real(cls, data: bytes | bytearray | memoryview) -> "PagePayload":
-        # bytes, and byte-shaped memoryviews over bytes, are kept as-is
-        # (zero-copy). Everything else is snapshotted: a mutable source —
-        # bytearray, or any view whose *base* is mutable (a read-only view
-        # over a bytearray still aliases it) — would let a caller reusing
-        # its buffer rewrite already-published pages behind the provider's
-        # back, and non-byte-itemsize views would corrupt the length
-        # bookkeeping (len() counts elements, not bytes).
+        # bytes, and contiguous byte-shaped memoryviews over bytes, are
+        # kept as-is (zero-copy). Everything else is snapshotted: a mutable
+        # source — bytearray, or any view whose *base* is mutable (a
+        # read-only view over a bytearray still aliases it) — would let a
+        # caller reusing its buffer rewrite already-published pages behind
+        # the provider's back, non-byte-itemsize views would corrupt the
+        # length bookkeeping (len() counts elements, not bytes), and a
+        # strided view cannot be handed to pickle as a raw buffer.
         if isinstance(data, memoryview):
             if not (
                 data.obj.__class__ is bytes
                 and data.ndim == 1
                 and data.itemsize == 1
+                and data.contiguous
             ):
                 data = bytes(data)
         elif isinstance(data, bytearray):
@@ -94,29 +98,37 @@ class PagePayload:
             return bytes(self.data)
         return self.data
 
-    def __reduce__(self):
-        """Pickle support for the process-driver wire (see net/codec.py).
+    def __reduce_ex__(self, protocol: int):
+        """Pickle support (the wire codec, the journal, the disk spill).
 
-        A memoryview-backed payload cannot cross a process boundary as a
-        view — the backing buffer lives in the sending process — so it
-        materializes to immutable ``bytes`` here, exactly once, at the
-        boundary. In-process drivers never pay this copy; the receiving
-        side gets a payload that is bit-identical and already in the
-        cheapest form (``bytes``) for onward zero-copy reads. Virtual
-        payloads travel as their byte count alone.
+        Under protocol 5, contents of ``BULK_BYTES`` or more are handed to
+        pickle as a ``PickleBuffer``: the wire codec
+        (:mod:`repro.net.codec`) pickles with a ``buffer_callback``, so
+        those bytes stay out of the pickle stream and travel as a raw
+        trailing buffer — the receiver rebuilds the payload as a read-only
+        view into its own message. A pickler without a ``buffer_callback``
+        serializes the same buffer in band, and it loads back
+        ``bytes``-backed, as do smaller pages everywhere (a view is
+        snapshotted to ``bytes`` first — it cannot outlive its process).
+        Virtual payloads travel as their byte count alone.
         """
         data = self.data
-        if data is not None and type(data) is memoryview:
-            data = bytes(data)
+        if data is not None:
+            if protocol >= 5 and self.nbytes >= BULK_BYTES:
+                data = pickle.PickleBuffer(data)
+            elif type(data) is memoryview:
+                data = bytes(data)
         return (PagePayload, (self.nbytes, data))
 
     def view(self) -> memoryview | None:
         """Zero-copy view of real contents (``None`` for virtual pages).
 
-        Safe to hand out: :meth:`real` guarantees every stored payload is
-        backed by immutable ``bytes`` (mutable sources are snapshotted), so
-        a view can alias the page without risking mutation — the same
-        write-once argument that makes the paper's lock-free reads safe.
+        Safe to hand out: :meth:`real` guarantees a locally built payload
+        is backed by immutable ``bytes`` (mutable sources are snapshotted)
+        and a payload built from the wire is a read-only view of the
+        message it arrived in, which nothing else writes — so a view can
+        alias the page without risking mutation, the same write-once
+        argument that makes the paper's lock-free reads safe.
         """
         data = self.data
         if data is None:

@@ -366,9 +366,9 @@ def test_pipelined_hello_to_vm_agent_is_honored():
         seen = {}
         sock.settimeout(10)
         while len(seen) < 3:
-            chunk = sock.recv(1 << 16)
-            assert chunk, "vm agent closed a pipelined connection"
-            for req_id, body in decoder.feed(chunk):
+            nbytes = sock.recv_into(decoder.get_buffer())
+            assert nbytes, "vm agent closed a pipelined connection"
+            for req_id, body in decoder.buffer_updated(nbytes):
                 seen[req_id] = decode_body(body)
         assert seen[0] == ("welcome", "vm")
         # served in pipeline order: the vm minted sequential blob ids

@@ -445,9 +445,9 @@ def test_agent_serves_rpcs_pipelined_behind_hello():
         seen = {}
         sock.settimeout(10)
         while len(seen) < 3:
-            chunk = sock.recv(1 << 16)
-            assert chunk, "agent closed a pipelined connection"
-            for req_id, body in decoder.feed(chunk):
+            nbytes = sock.recv_into(decoder.get_buffer())
+            assert nbytes, "agent closed a pipelined connection"
+            for req_id, body in decoder.buffer_updated(nbytes):
                 seen[req_id] = decode_body(body)
         assert seen[0] == ("welcome", "data/0")
         for req_id in (1, 2):
