@@ -4,6 +4,12 @@ The paper distributes tree nodes over a DHT so metadata access scales with
 providers. Concentrating all nodes on a single metadata server leaves the
 protocol identical but turns that server's CPU into the bottleneck under
 concurrent uncached readers.
+
+Between those poles sits this repository's subtree-local routing cut ``S``
+(``DeploymentSpec.meta_subtree_bytes``): the same figure sweeps it over
+{0, 1 MB, 64 MB, whole blob} for segment readers, one-page readers and
+writers confined to one 64 MB region, and reports the per-provider skew —
+the hops-saved vs hot-spot trade the default ``SUBTREE_BYTES`` is read from.
 """
 
 import time
@@ -40,3 +46,31 @@ def test_ablation_metadata(benchmark, publish, publish_json, profile):
     assert distributed[-1] > 0.7 * distributed[0]
     # centralized degrades monotonically with concurrency
     assert all(b <= a * 1.05 for a, b in zip(centralized, centralized[1:]))
+
+    # -- the subtree-local sweep ------------------------------------------
+    def y(label):
+        return fig.series_by_label(label).y
+
+    # fine-grain reads are hop-bound: every step of S buys latency back...
+    pages = [y(f"one-page reads, S={s}") for s in ("0", "1 MB", "64 MB", "1 TB")]
+    assert pages[0][0] < pages[1][0] < pages[2][0] < pages[3][0]
+    assert pages[2][0] > 1.2 * pages[0][0]
+    # ...at S = 64 MB without a hot spot (readers spread over 16 regions),
+    # at S = whole blob with one: all readers queue on a single provider
+    assert pages[2][-1] > 0.9 * pages[2][0]
+    assert pages[3][-1] < 0.8 * pages[3][0]
+    # segment-sized reads are client-bound: the cut moves them by a few %
+    for s in ("1 MB", "64 MB", "1 TB"):
+        local = y(f"subtree-local S={s}")
+        assert all(abs(a - b) < 0.1 * b for a, b in zip(local, distributed))
+    # the price: writers confined to one region all put on its one owner
+    spread = y("writers in one 64 MB region, S=0")
+    hot = y("writers in one 64 MB region, S=64 MB")
+    assert spread[-1] > 0.9 * spread[0]
+    assert hot[-1] < 0.7 * spread[-1]
+    # and the skew an operator would see grows with S, up to "everything
+    # on one of the 20 providers"
+    for label in ("lookups max/mean by S (readers)",
+                  "puts max/mean by S (one-region writers)"):
+        skew = y(label)
+        assert skew == sorted(skew) and skew[0] < 2 and skew[-1] == 20.0

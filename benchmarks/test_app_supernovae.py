@@ -20,7 +20,8 @@ def run_campaign():
     model = SkyModel.with_random_events(
         spec, n_supernovae=5, n_variables=5, epochs=EPOCHS
     )
-    dep = build_inproc(DeploymentSpec(n_data=8, n_meta=8))
+    # the paper's per-node metadata dispersal, like every paper figure
+    dep = build_inproc(DeploymentSpec(n_data=8, n_meta=8, meta_subtree_bytes=0))
     pipe = SupernovaPipeline(model, dep.client("survey"))
     report = pipe.run_campaign(epochs=EPOCHS)
     return report

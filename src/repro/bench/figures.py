@@ -51,6 +51,19 @@ PAPER_FIG3C = {
 }
 
 
+def paper_spec(providers: int, n_clients: int = 1, **overrides) -> DeploymentSpec:
+    """The paper's testbed shape: N data + N metadata providers, no client
+    cache, and BambooDHT's per-node metadata dispersal
+    (``meta_subtree_bytes=0``) — the figures reproduce the paper, not this
+    repository's subtree-local routing, which Ablation B sweeps."""
+    fields = dict(
+        n_data=providers, n_meta=providers, n_clients=n_clients,
+        cache_capacity=0, meta_subtree_bytes=0,
+    )
+    fields.update(overrides)
+    return DeploymentSpec(**fields)
+
+
 @dataclass
 class Series:
     label: str
@@ -127,10 +140,7 @@ def fig3a_metadata_read(
         notes="metadata phase of READ = version_resolved .. metadata_read",
     )
     for n in provider_counts:
-        dep = SimDeployment(
-            DeploymentSpec(n_data=n, n_meta=n, n_clients=1, cache_capacity=0),
-            cluster=cluster,
-        )
+        dep = SimDeployment(paper_spec(n), cluster=cluster)
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
         ys = []
@@ -173,10 +183,7 @@ def fig3b_metadata_write(
         notes="metadata phase of WRITE = version_assigned .. metadata_stored",
     )
     for n in provider_counts:
-        dep = SimDeployment(
-            DeploymentSpec(n_data=n, n_meta=n, n_clients=1, cache_capacity=0),
-            cluster=cluster,
-        )
+        dep = SimDeployment(paper_spec(n), cluster=cluster)
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
         ys = []
@@ -241,12 +248,7 @@ def fig3c_throughput(
     for n in client_counts:
         picker = SegmentPicker(window=window, segment=segment)
         if "write" in kinds:
-            dep = SimDeployment(
-                DeploymentSpec(
-                    n_data=providers, n_meta=providers, n_clients=n, cache_capacity=0
-                ),
-                cluster=cluster,
-            )
+            dep = SimDeployment(paper_spec(providers, n), cluster=cluster)
             blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
             bandwidths = run_concurrent_clients(
                 dep, blob, n, iterations, picker, kind="write"
@@ -254,12 +256,7 @@ def fig3c_throughput(
             ys_by_kind["write"].append(sum(bandwidths) / len(bandwidths))
             fig.absorb_counters(dep)
         if read_kinds:
-            dep = SimDeployment(
-                DeploymentSpec(
-                    n_data=providers, n_meta=providers, n_clients=n, cache_capacity=0
-                ),
-                cluster=cluster,
-            )
+            dep = SimDeployment(paper_spec(providers, n), cluster=cluster)
             blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
             setup = dep.client(0, cached=False, name="populator")
             populate_window(setup, blob, window, segment)
@@ -323,13 +320,7 @@ def tail_latency_quantiles(
     for n in client_counts:
         picker = SegmentPicker(window=window, segment=segment)
         for kind in ("read", "write"):
-            dep = SimDeployment(
-                DeploymentSpec(
-                    n_data=providers, n_meta=providers, n_clients=n,
-                    cache_capacity=0,
-                ),
-                cluster=cluster,
-            )
+            dep = SimDeployment(paper_spec(providers, n), cluster=cluster)
             blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
             if kind == "read":
                 populate_window(dep.client(0, name="populator"), blob,
@@ -370,10 +361,7 @@ def ablation_lockfree(
     )
     lockfree, locked = [], []
     for n in client_counts:
-        dep = SimDeployment(
-            DeploymentSpec(n_data=providers, n_meta=providers, n_clients=n,
-                           cache_capacity=0)
-        )
+        dep = SimDeployment(paper_spec(providers, n))
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         picker = SegmentPicker(segment=segment)
         bw = run_concurrent_clients(dep, blob, n, iterations, picker, kind="write")
@@ -402,36 +390,91 @@ def ablation_metadata(
     segment: int = 8 * MB,
     providers: int = 20,
 ) -> FigureData:
-    """Uncached READ bandwidth: 20 metadata providers vs a single one."""
+    """Uncached READ bandwidth: 20 metadata providers vs a single one —
+    and, between those two poles, the subtree-local routing sweep.
+
+    Each doubling of ``S = meta_subtree_bytes`` takes one dependent round
+    trip off a READ and concentrates one more level of every region on
+    that region's owner. Three workloads per ``S`` show both effects:
+    segment readers over the 1 GB window (the paper's), one-page readers
+    over it (fine-grain access: hops dominate), and writers confined to
+    one 64 MB region (the worst case for concentration); the ``max/mean``
+    series report the per-provider skew of node lookups / puts.
+    """
     fig = FigureData(
         figure_id="Ablation B",
         title="Distributed vs centralized metadata (uncached reads)",
         xlabel="concurrent readers",
         ylabel="avg bandwidth per client (MB/s)",
-        notes="centralized = all tree nodes on one metadata provider",
+        notes="centralized = all tree nodes on one metadata provider; "
+        "S = subtree-local routing cut (0 = the paper's per-node dispersal, "
+        "the 'distributed' series); skew series: x = S, y = max/mean over "
+        "the 20 metadata providers",
     )
-    # Setup reuse (host-time only): the populated blob is read-only under
-    # this workload and lanes idle out between points, so one deployment
-    # per metadata layout serves every client count — per-point durations
-    # match fresh-deployment runs exactly, while the dominant populate
-    # phase runs once per layout instead of once per point.
-    for label, n_meta in (("distributed (20 providers)", providers), ("centralized (1 provider)", 1)):
+    counts = list(client_counts)
+    cuts = (0, 1 * MB, 64 * MB, PAPER_TOTAL_SIZE)
+    cut_labels = [human_size(cut) if cut else "0" for cut in cuts]
+    picker = SegmentPicker(segment=segment)
+    page_picker = SegmentPicker(segment=PAPER_PAGESIZE)
+    region_picker = SegmentPicker(window=64 * MB, segment=1 * MB)
+
+    def deployment(n_meta: int, cut: int, populate: bool) -> tuple[SimDeployment, str]:
         dep = SimDeployment(
-            DeploymentSpec(
-                n_data=providers, n_meta=n_meta, n_clients=max(client_counts),
-                cache_capacity=0, colocate=False,
+            paper_spec(
+                providers, max(client_counts), n_meta=n_meta, colocate=False,
+                meta_subtree_bytes=cut,
             )
         )
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
-        picker = SegmentPicker(segment=segment)
-        setup = dep.client(0, cached=False, name="populator")
-        populate_window(setup, blob, picker.window, segment)
+        if populate:
+            setup = dep.client(0, cached=False, name="populator")
+            populate_window(setup, blob, picker.window, segment)
+        return dep, blob
+
+    def sweep(label, dep, blob, picker, kind, iters) -> Series:
         ys = []
         for n in client_counts:
-            bw = run_concurrent_clients(dep, blob, n, iterations, picker, kind="read")
+            bw = run_concurrent_clients(dep, blob, n, iters, picker, kind=kind)
             ys.append(sum(bw) / len(bw))
+        return Series(label, counts, ys)
+
+    def skew(per_provider: list[int]) -> float:
+        return max(per_provider) * len(per_provider) / sum(per_provider)
+
+    # Setup reuse (host-time only): the populated blob is read-only under
+    # the reader workloads and lanes idle out between points, so one
+    # deployment per metadata layout serves every client count — per-point
+    # durations match fresh-deployment runs exactly, while the dominant
+    # populate phase runs once per layout instead of once per point.
+    segment_reads, page_reads, region_writes = [], [], []
+    gets_skew, puts_skew = [], []
+    for cut, cut_label in zip(cuts, cut_labels):
+        dep, blob = deployment(providers, cut, populate=True)
+        label = f"subtree-local S={cut_label}" if cut else "distributed (20 providers)"
+        segment_reads.append(sweep(label, dep, blob, picker, "read", iterations))
+        page_reads.append(sweep(
+            f"one-page reads, S={cut_label}", dep, blob, page_picker, "read",
+            4 * iterations,
+        ))
+        gets_skew.append(skew([m.gets for m in dep.meta.values()]))
         fig.absorb_counters(dep)
-        fig.series.append(Series(label, list(client_counts), ys))
+
+        dep, blob = deployment(providers, cut, populate=False)
+        region_writes.append(sweep(
+            f"writers in one 64 MB region, S={cut_label}", dep, blob,
+            region_picker, "write", iterations,
+        ))
+        puts_skew.append(skew([m.puts for m in dep.meta.values()]))
+        fig.absorb_counters(dep)
+    dep, blob = deployment(1, 0, populate=True)
+    centralized = sweep("centralized (1 provider)", dep, blob, picker, "read", iterations)
+    fig.absorb_counters(dep)
+    fig.series += [segment_reads[0], centralized, *segment_reads[1:]]
+    fig.series += page_reads + region_writes
+    fig.series.append(Series("lookups max/mean by S (readers)", cut_labels, gets_skew))
+    fig.series.append(
+        Series("puts max/mean by S (one-region writers)", cut_labels, puts_skew)
+    )
     return fig
 
 
@@ -455,9 +498,7 @@ def ablation_rpc_aggregation(
     )
     for label, aggregate in (("aggregated RPCs", True), ("one RPC per node", False)):
         dep = SimDeployment(
-            DeploymentSpec(n_data=providers, n_meta=providers, n_clients=1,
-                           cache_capacity=0),
-            cluster=ClusterSpec(aggregate=aggregate),
+            paper_spec(providers), cluster=ClusterSpec(aggregate=aggregate)
         )
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
@@ -494,10 +535,7 @@ def ablation_pagesize(
     )
     wys, rys = [], []
     for pagesize in pagesizes:
-        dep = SimDeployment(
-            DeploymentSpec(n_data=providers, n_meta=providers, n_clients=1,
-                           cache_capacity=0)
-        )
+        dep = SimDeployment(paper_spec(providers))
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, pagesize)
         client = dep.client(0, cached=False)
         wtrace: dict[str, float] = {}

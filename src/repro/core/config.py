@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.metadata.router import SUBTREE_BYTES
 from repro.metadata.tree import TreeGeometry
 from repro.util.bits import is_pow2
 from repro.util.sizes import human_size
@@ -63,6 +64,12 @@ class DeploymentSpec:
     #: data providers checksum real pages on put and verify on get
     #: (integrity mode: provider-side CPU work, see providers.page)
     page_checksums: bool = False
+    #: metadata routing cut ``S`` (0 or a power of two): tree nodes spanning
+    #: at most S bytes are placed by S-aligned region, all versions together,
+    #: so a READ walks a region in one RPC (see repro.metadata.router);
+    #: 0 = the paper's per-node DHT dispersal (the simulated figures).
+    #: A deployment property like ``n_meta``: all clients must agree on it.
+    meta_subtree_bytes: int = SUBTREE_BYTES
     #: TCP deployment only: actor name -> "host:port" of the node agent
     #: serving it (e.g. {"data/0": "10.0.0.5:7000"}). Empty = the builder
     #: launches a loopback cluster of agents itself; non-empty = connect
@@ -78,6 +85,11 @@ class DeploymentSpec:
             raise ConfigError("replication exceeds provider count")
         if self.cache_capacity < 0:
             raise ConfigError("cache_capacity must be >= 0")
+        if self.meta_subtree_bytes and not is_pow2(self.meta_subtree_bytes):
+            raise ConfigError(
+                "meta_subtree_bytes must be 0 or a power of two, got "
+                f"{self.meta_subtree_bytes}"
+            )
         for name, endpoint in self.endpoints.items():
             if not isinstance(name, str) or not isinstance(endpoint, str):
                 raise ConfigError(

@@ -7,7 +7,9 @@ Mark-and-sweep over the metadata graph:
 1. **guard** — refuse to run while writes are in flight (the paper's model
    orders GC from a quiescent client);
 2. **mark** — walk the segment trees of every kept version (shared subtrees
-   visited once), collecting reachable node keys and page keys;
+   visited once), collecting reachable node keys and page keys; below the
+   router's cut a whole subtree arrives in one ``meta.get_subtree`` reply,
+   so the mark is one batch per level *above* the cut plus one;
 3. **sweep** — ask every provider for its key inventory for the blob and
    free everything unreachable.
 
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from repro.errors import StaleWrite
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter
+from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
 from repro.net.sansio import Batch, Call
 from repro.providers.page import PageKey
@@ -66,34 +68,29 @@ def gc_protocol(
             )
 
     # -- mark: BFS over the union of kept trees, shared subtrees once -----
-    live_nodes: set[NodeKey] = set()
-    live_pages: set[PageKey] = set()
-    frontier = [
-        NodeKey(blob_id, v, 0, geom.total_size) for v in keep
-    ]
-    frontier = [k for k in frontier if k not in live_nodes]
+    live_nodes: dict[NodeKey, TreeNode] = {}
+    frontier = [NodeKey(blob_id, v, 0, geom.total_size) for v in keep]
     while frontier:
-        live_nodes.update(frontier)
-        calls = [
-            Call(router.route(key)[0], "meta.get_node", (key,)) for key in frontier
-        ]
-        nodes: list[TreeNode] = yield Batch(calls)
-        next_frontier: list[NodeKey] = []
-        seen_this_round: set[NodeKey] = set()
-        for node in nodes:
+        for node in (yield from fetch_nodes(router, frontier, within=geom.root)):
+            live_nodes[node.key] = node
+        next_frontier: dict[NodeKey, None] = {}  # ordered, deduplicated
+        for key in frontier:
+            node = live_nodes[key]
             if node.is_leaf:
-                live_pages.add(
-                    PageKey(blob_id, node.write_uid, geom.page_index(node.interval))
-                )
                 continue
             for child in node.child_keys():
-                if child.version == 0:
-                    continue  # implicit zero subtree: nothing stored
-                if child in live_nodes or child in seen_this_round:
-                    continue
-                seen_this_round.add(child)
-                next_frontier.append(child)
-        frontier = next_frontier
+                # version 0 is the implicit zero subtree: nothing stored. A
+                # child already live was either expanded in an earlier
+                # round or arrived in a subtree reply — which is complete
+                # below its key, so its descendants are live too.
+                if child.version and child not in live_nodes:
+                    next_frontier[child] = None
+        frontier = list(next_frontier)
+    live_pages = {
+        PageKey(blob_id, node.write_uid, geom.page_index(node.interval))
+        for node in live_nodes.values()
+        if node.is_leaf
+    }
 
     # -- sweep metadata -----------------------------------------------------
     meta_lists = yield Batch(

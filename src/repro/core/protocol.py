@@ -9,8 +9,10 @@ version manager (version + border refs: the only serialization) → metadata
 providers (nodes, parallel) → version manager (success report).
 
 READ: version manager (latest/validation, the only centralized touch) →
-metadata providers (tree descent, one parallel batch per level) → data
-providers (pages, parallel).
+metadata providers (tree descent: one parallel batch per level above the
+router's cut, then one ``meta.get_subtree`` batch for everything below it —
+with ``subtree_bytes = 0`` nothing is below it and this is the paper's one
+batch per level) → data providers (pages, parallel).
 
 Replica fail-over: with ``replication > 1`` every fetch tries the primary
 owner and falls back to successive replicas on failure; the final attempt
@@ -21,16 +23,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Sequence
+from typing import Any, Generator, Sequence
 
 from repro.errors import RemoteError
 from repro.metadata.build import plan_write_tree
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter
+from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
 from repro.net.message import estimate_size
-from repro.net.sansio import Address, Batch, Call, Compute, Mark, Op
+from repro.net.sansio import Address, Batch, Call, Compute, Mark, Op, gather_with_failover
 from repro.providers.page import PageKey, PagePayload
 from repro.util.intervals import Interval
 from repro.version.manager import LATEST, WriteTicket
@@ -38,11 +40,10 @@ from repro.version.manager import LATEST, WriteTicket
 ADDR_VM: Address = "vm"
 ADDR_PM: Address = "pm"
 
-# Request footprints of the per-node/per-page hot calls, precomputed once
-# from the same estimator the drivers would invoke per call. Key/node wire
-# sizes are type-constant, so resolving them per call is pure overhead on
-# the simulator's hottest path.
-_GET_NODE_REQ_BYTES = estimate_size((NodeKey("", 0, 0, 0),))
+# Request footprint of the per-page hot call, precomputed once from the
+# same estimator the drivers would invoke per call. Key wire sizes are
+# type-constant, so resolving them per call is pure overhead on the
+# simulator's hottest path.
 _GET_PAGE_REQ_BYTES = estimate_size((PageKey("", "", 0),))
 
 
@@ -308,34 +309,39 @@ def read_protocol(
             nodes_fetched=0, cache_hits=0, pages_fetched=0, zero_bytes=size,
         )
 
-    # 2. descend the segment tree, one parallel batch per level
+    # 2. descend the segment tree: a frontier key is resolved from the
+    # nodes this READ already received (a subtree reply carries the levels
+    # below its key), then the client cache, else fetched — one parallel
+    # batch per level that still has something to fetch
     nodes_fetched = 0
     cache_hits = 0
     zero_bytes = 0
     leaves: list[TreeNode] = []
+    known: dict[NodeKey, TreeNode] = {}
     frontier: list[NodeKey] = [
         NodeKey(blob_id, effective, 0, geom.total_size)
     ]
     while frontier:
-        resolved_nodes: dict[NodeKey, TreeNode] = {}
         to_fetch: list[NodeKey] = []
         for key in frontier:
+            if key in known:
+                continue
             node = cache.get(key) if cache is not None else None
             if node is not None:
                 cache_hits += 1
-                resolved_nodes[key] = node
+                known[key] = node
             else:
                 to_fetch.append(key)
         if to_fetch:
-            fetched = yield from _gather_nodes(router, to_fetch)
+            fetched = yield from fetch_nodes(router, to_fetch, within=req)
             nodes_fetched += len(fetched)
-            for key, node in zip(to_fetch, fetched):
-                resolved_nodes[key] = node
+            for node in fetched:
+                known[node.key] = node
                 if cache is not None:
                     cache.put(node)
         next_frontier: list[NodeKey] = []
         for key in frontier:
-            node = resolved_nodes[key]
+            node = known[key]
             if node.is_leaf:
                 leaves.append(node)
                 continue
@@ -496,24 +502,6 @@ def _join_pages(
 # ---------------------------------------------------------------------------
 
 
-def _gather_nodes(router: StaticRouter, keys: list[NodeKey]) -> Proto:
-    """Fetch tree nodes, falling back across replicas on failure."""
-
-    def routes_for(key: NodeKey) -> tuple[Address, ...]:
-        return router.route(key)
-
-    def call_for(key: NodeKey, owner: Address, last: bool) -> Call:
-        return Call(
-            owner,
-            "meta.get_node",
-            (key,),
-            request_bytes=_GET_NODE_REQ_BYTES,
-            allow_error=not last,
-        )
-
-    return (yield from _gather_with_failover(keys, routes_for, call_for))
-
-
 def _gather_pages(
     geom: TreeGeometry, leaves: list[TreeNode], locate_fallback: bool = False
 ) -> Proto:
@@ -541,7 +529,7 @@ def _gather_pages(
             allow_error=not last,
         )
 
-    payloads = yield from _gather_with_failover(
+    payloads = yield from gather_with_failover(
         leaves, routes_for, call_for, tolerate_exhaust=locate_fallback
     )
     if not locate_fallback:
@@ -570,60 +558,10 @@ def _gather_pages(
             allow_error=not last,
         )
 
-    fetched = yield from _gather_with_failover(retry, retry_routes, retry_call)
+    fetched = yield from gather_with_failover(retry, retry_routes, retry_call)
     for (i, _holders), payload in zip(retry, fetched):
         payloads[i] = payload
     return payloads
-
-
-def _gather_with_failover(
-    items: list,
-    routes_for: Callable[[Any], tuple[Address, ...]],
-    call_for: Callable[[Any, Address, bool], Call],
-    tolerate_exhaust: bool = False,
-) -> Proto:
-    """Fetch one value per item, retrying across each item's replica owners.
-
-    Attempt ``k`` addresses replica ``k`` of every still-unresolved item in
-    one parallel batch. The final replica's call is issued with
-    ``allow_error=False`` so an unrecoverable loss raises with its precise
-    error type — unless ``tolerate_exhaust``, where the final error is
-    returned in the item's slot instead (callers with a further fallback,
-    e.g. the pm relocation table, decide what exhaustion means).
-    """
-    if not items:
-        return []
-    out: list[Any] = [None] * len(items)
-    pending = list(range(len(items)))
-    attempt = 0
-    while pending:
-        calls = []
-        for i in pending:
-            routes = routes_for(items[i])
-            last = attempt >= len(routes) - 1
-            calls.append(
-                call_for(
-                    items[i],
-                    routes[min(attempt, len(routes) - 1)],
-                    last and not tolerate_exhaust,
-                )
-            )
-        results = yield Batch(calls)
-        still: list[int] = []
-        for i, result in zip(pending, results):
-            if isinstance(result, RemoteError):
-                if (
-                    tolerate_exhaust
-                    and attempt >= len(routes_for(items[i])) - 1
-                ):
-                    out[i] = result  # exhausted: hand the error back
-                else:
-                    still.append(i)
-            else:
-                out[i] = result
-        pending = still
-        attempt += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

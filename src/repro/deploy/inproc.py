@@ -102,7 +102,7 @@ def build_inproc(spec: DeploymentSpec | None = None, spills: dict[int, object] |
         mp = MetadataProvider(i)
         meta[i] = mp
         driver.register(("meta", i), mp)
-    router = StaticRouter(sorted(meta), replication=spec.replication)
+    router = StaticRouter(sorted(meta), spec.replication, spec.meta_subtree_bytes)
     return InprocDeployment(
         spec=spec, driver=driver, router=router, vm=vm, pm=pm, data=data, meta=meta
     )

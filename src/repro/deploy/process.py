@@ -163,7 +163,9 @@ def build_process(
         )
     for i in range(spec.n_meta):
         driver.register_process(("meta", i), MetadataProvider, i)
-    router = StaticRouter(list(range(spec.n_meta)), replication=spec.replication)
+    router = StaticRouter(
+        list(range(spec.n_meta)), spec.replication, spec.meta_subtree_bytes
+    )
     data = {i: DataProviderProxy(driver, i) for i in range(spec.n_data)}
     meta = {i: MetadataProviderProxy(driver, i) for i in range(spec.n_meta)}
     return ProcessDeployment(

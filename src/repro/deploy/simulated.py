@@ -73,7 +73,9 @@ class SimDeployment:
             for i in range(self.spec.n_meta):
                 self._add_meta(i, self.network.add_node(f"meta-{i}"))
 
-        self.router = StaticRouter(sorted(self.meta), replication=self.spec.replication)
+        self.router = StaticRouter(
+            sorted(self.meta), self.spec.replication, self.spec.meta_subtree_bytes
+        )
         self.client_nodes: list[SimNode] = [
             self.network.add_node(f"client-{i}", role="client")
             for i in range(self.spec.n_clients)

@@ -764,7 +764,9 @@ def build_tcp(
             agent.close_pipe()
         raise
 
-    router = StaticRouter(list(range(spec.n_meta)), replication=spec.replication)
+    router = StaticRouter(
+        list(range(spec.n_meta)), spec.replication, spec.meta_subtree_bytes
+    )
     data = {i: DataProviderProxy(driver, i) for i in range(spec.n_data)}
     meta = {i: MetadataProviderProxy(driver, i) for i in range(spec.n_meta)}
     return TcpDeployment(

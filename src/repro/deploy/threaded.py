@@ -117,7 +117,7 @@ def build_threaded(spec: DeploymentSpec | None = None) -> ThreadedDeployment:
         driver.register(("data", i), dp)
     for i, mp in meta.items():
         driver.register(("meta", i), mp)
-    router = StaticRouter(sorted(meta), replication=spec.replication)
+    router = StaticRouter(sorted(meta), spec.replication, spec.meta_subtree_bytes)
     return ThreadedDeployment(
         spec=spec, driver=driver, router=router, vm=vm, pm=pm, data=data, meta=meta
     )

@@ -83,7 +83,8 @@ class SingleServiceRouter(StaticRouter):
         self, address: Address = ("meta", 0), replication: int = 1
     ) -> None:
         self._address = address
-        super().__init__((address[1],), replication=replication)
+        # the ring disperses per key: nothing is co-located (meta.get_node)
+        super().__init__((address[1],), replication=replication, subtree_bytes=0)
 
     @classmethod
     def for_ring(cls, ring: ChordRing, address: Address = ("meta", 0)) -> "SingleServiceRouter":

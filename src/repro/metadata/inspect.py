@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter
+from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
-from repro.net.sansio import Batch, Call, Op
+from repro.net.sansio import Op
 from repro.util.sizes import human_size
 
 Proto = Generator[Op, Any, Any]
@@ -46,7 +46,9 @@ def walk_tree_protocol(
     """Fetch every reachable node of a snapshot (level order).
 
     Returns ``list[tuple[depth, TreeNode | None]]`` where ``None`` marks an
-    implicit zero subtree. ``max_depth`` bounds the descent for huge blobs.
+    implicit zero subtree. ``max_depth`` bounds the descent for huge blobs
+    (a bounded walk fetches level by level; an unbounded one takes whole
+    co-located subtrees in one ``meta.get_subtree`` reply each).
     """
     out: list[tuple[int, TreeNode | None, NodeKey | None]] = []
     if version == 0:
@@ -54,12 +56,15 @@ def walk_tree_protocol(
     frontier = [NodeKey(blob_id, version, 0, geom.total_size)]
     depth = 0
     limit = geom.depth if max_depth is None else min(max_depth, geom.depth)
+    within = geom.root if max_depth is None else None
+    known: dict[NodeKey, TreeNode] = {}
     while frontier and depth <= limit:
-        nodes = yield Batch(
-            [Call(router.route(k)[0], "meta.get_node", (k,)) for k in frontier]
-        )
+        missing = [k for k in frontier if k not in known]
+        for node in (yield from fetch_nodes(router, missing, within=within)):
+            known[node.key] = node
         next_frontier: list[NodeKey] = []
-        for key, node in zip(frontier, nodes):
+        for key in frontier:
+            node = known[key]
             out.append((depth, node, key))
             if node.is_leaf or depth == limit:
                 continue

@@ -11,6 +11,8 @@ RPC surface:
 
 - ``meta.put_node(node)`` -> True
 - ``meta.get_node(key)`` -> TreeNode
+- ``meta.get_subtree(key, offset, size)`` -> the node at ``key`` plus every
+  stored descendant intersecting ``[offset, offset + size)``, level order
 - ``meta.free_nodes(keys)`` -> count freed (garbage collection)
 - ``meta.list_nodes(blob_id)`` -> keys held for a blob (GC sweep)
 - ``meta.stats()`` -> counters
@@ -32,6 +34,8 @@ class MetadataProvider:
         self._nodes: dict[NodeKey, TreeNode] = {}
         self.puts = 0
         self.gets = 0
+        self.subtree_gets = 0
+        self.nodes_served = 0
         self.failed = False
 
     def put_node(self, node: TreeNode) -> bool:
@@ -52,11 +56,52 @@ class MetadataProvider:
         self._check_up()
         self.gets += 1
         try:
-            return self._nodes[key]
+            node = self._nodes[key]
         except KeyError:
             raise NodeMissing(
                 f"metadata provider {self.provider_id}: no node {key}"
             ) from None
+        self.nodes_served += 1
+        return node
+
+    def get_subtree(self, key: NodeKey, offset: int, size: int) -> list[TreeNode]:
+        """One-RPC tree descent over the local store.
+
+        Walks from ``key`` through every non-zero child whose interval
+        intersects ``[offset, offset + size)`` and returns the visited
+        nodes in level order — what a client descending level by level
+        would have fetched with one ``get_node`` each, and counted in
+        ``gets`` / ``nodes_served`` (lookups / lookups that found their
+        node) as such. The provider knows nothing about routing: a
+        wanted child it does not hold is :class:`NodeMissing`, exactly as
+        for ``get_node`` — clients only ask for subtrees their router
+        co-locates here, so absence is a genuine loss (or a concurrent GC).
+        """
+        if not isinstance(key, NodeKey) or offset < 0 or size < 0:
+            raise ValueError(
+                "get_subtree needs a NodeKey and a non-negative interval, "
+                f"got {key!r}, {offset!r}, {size!r}"
+            )
+        self.subtree_gets += 1
+        end = offset + size
+        out: list[TreeNode] = []
+        frontier = [key]
+        while frontier:
+            next_frontier: list[NodeKey] = []
+            for node_key in frontier:
+                node = self.get_node(node_key)
+                out.append(node)
+                if node.is_leaf:
+                    continue
+                for child in node.child_keys():
+                    if (
+                        child.version
+                        and child.offset < end
+                        and offset < child.offset + child.size
+                    ):
+                        next_frontier.append(child)
+            frontier = next_frontier
+        return out
 
     def has_node(self, key: NodeKey) -> bool:
         return key in self._nodes
@@ -102,6 +147,8 @@ class MetadataProvider:
             "nodes": len(self._nodes),
             "puts": self.puts,
             "gets": self.gets,
+            "subtree_gets": self.subtree_gets,
+            "nodes_served": self.nodes_served,
         }
 
     # -- failure injection -----------------------------------------------
@@ -125,6 +172,8 @@ class MetadataProvider:
             return self.put_node(*args)
         if method == "meta.get_node":
             return self.get_node(*args)
+        if method == "meta.get_subtree":
+            return self.get_subtree(*args)
         if method == "meta.free_nodes":
             return self.free_nodes(*args)
         if method == "meta.list_nodes":

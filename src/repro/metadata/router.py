@@ -11,6 +11,18 @@ digest runs for every node of every WRITE). The dynamic-membership general case
 is implemented by the Chord substrate in :mod:`repro.dht` and exercised by
 its own tests; both honour the same routing contract
 (:meth:`route` returning ``replication`` distinct owner addresses).
+
+**The cut (extension beyond the paper).** Per-node dispersal makes a READ
+pay one dependent round trip per tree level. With ``subtree_bytes = S`` a
+node spanning *at most* ``S`` bytes is routed by the S-aligned region it
+lies in — ``(blob, offset // S)``; ``version`` and ``size`` leave the
+digest — so every version of one S-aligned subtree lives on the same
+``replication`` owners, who can then walk it locally in one RPC
+(``meta.get_subtree``, see :func:`fetch_nodes`). Nodes above the cut keep
+the per-node digest. ``S = 0`` co-locates nothing: that *is* the paper's
+BambooDHT dispersal, bit-for-bit, and what the simulated figures use. ``S``
+is a deployment property like the provider set: every client (and GC) of
+one deployment must route with the same value.
 """
 
 from __future__ import annotations
@@ -18,8 +30,22 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
-from repro.metadata.node import NodeKey
-from repro.net.sansio import Address
+from repro.metadata.node import NodeKey, TreeNode
+from repro.net.message import estimate_size
+from repro.net.sansio import Address, Call, Protocol, gather_with_failover
+from repro.util.bits import is_pow2
+from repro.util.intervals import Interval
+
+#: Default ``S``: a depth-18 READ is 4 hashed levels + 1 RPC while a 1 GB
+#: working set still spans 16 regions. ``bench.figures.ablation_metadata``
+#: sweeps it: fine-grain readers gain up to here and collapse onto one
+#: provider at ``S`` = whole blob; writers confined to one region pay.
+SUBTREE_BYTES = 64 << 20
+
+# Request footprints, precomputed once from the estimator the drivers would
+# otherwise invoke per call (key wire sizes are type-constant).
+_GET_NODE_REQ_BYTES = estimate_size((NodeKey("", 0, 0, 0),))
+_GET_SUBTREE_REQ_BYTES = estimate_size((NodeKey("", 0, 0, 0), 0, 0))
 
 
 _MASK64 = (1 << 64) - 1
@@ -66,21 +92,31 @@ def _digest(key: NodeKey) -> int:
 class StaticRouter:
     """Deterministic key dispersal over a fixed metadata-provider set.
 
-    Routes are memoized per key: a WRITE resolves every node it publishes
-    and a READ every node it descends, and the same keys recur across
-    operations, clients and replicas — while the dispersal digest is
-    deterministic, so a cached answer never goes stale (the provider set
-    is fixed for the router's lifetime).
+    Routes are memoized — per key above the cut, per S-aligned region
+    below it (so the fresh keys every WRITE mints inside a region share one
+    entry): the same keys recur across operations, clients and replicas,
+    while the dispersal digest is deterministic, so a cached answer never
+    goes stale (the provider set is fixed for the router's lifetime).
     """
 
-    def __init__(self, meta_ids: Sequence[int], replication: int = 1) -> None:
+    def __init__(
+        self,
+        meta_ids: Sequence[int],
+        replication: int = 1,
+        subtree_bytes: int = SUBTREE_BYTES,
+    ) -> None:
         if not meta_ids:
             raise ValueError("need at least one metadata provider")
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
+        if subtree_bytes and not is_pow2(subtree_bytes):
+            raise ValueError(
+                f"subtree_bytes must be 0 or a power of two, got {subtree_bytes}"
+            )
         self._check_capacity(meta_ids, replication)
         self.meta_ids = tuple(meta_ids)
         self.replication = replication
+        self.subtree_bytes = subtree_bytes
         self._route_cache: dict[NodeKey, tuple[Address, ...]] = {}
 
     def _check_capacity(self, meta_ids: Sequence[int], replication: int) -> None:
@@ -95,6 +131,11 @@ class StaticRouter:
     def primary(self, key: NodeKey) -> Address:
         return self.route(key)[0]
 
+    def colocated(self, key: NodeKey) -> bool:
+        """True iff ``key`` lies below the cut: its owners also hold every
+        version of every node inside its interval."""
+        return key.size <= self.subtree_bytes
+
     #: route-cache entry bound; on overflow the cache is wholesale-cleared
     #: (writes mint fresh keys forever, so an unbounded cache would be a
     #: slow leak on long-lived clients; clearing is cheaper than LRU here)
@@ -102,6 +143,9 @@ class StaticRouter:
 
     def route(self, key: NodeKey) -> tuple[Address, ...]:
         """All owner addresses for a key: primary plus ring successors."""
+        if key.size <= self.subtree_bytes:
+            # below the cut: every node of the region routes as the region
+            key = NodeKey(key.blob_id, 0, key.offset // self.subtree_bytes, 0)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
@@ -118,3 +162,45 @@ class StaticRouter:
             )
         self._route_cache[key] = routes
         return routes
+
+
+def fetch_nodes(
+    router: StaticRouter, keys: list[NodeKey], within: Interval | None = None
+) -> Protocol[list[TreeNode]]:
+    """Fetch tree nodes, falling back across replicas on failure — the one
+    node-fetch step of every tree walker (READ, GC mark, inspect, diff).
+
+    Returns every node received, in ``keys`` order. With ``within``, a key
+    below the router's cut is fetched with ``meta.get_subtree``: its owner
+    walks its own store and the reply carries, in level order, the node
+    and every stored descendant whose interval intersects ``within`` — the
+    walker's next levels, without their round trips. Above the cut (and
+    for ``within=None``, a walker that prunes by something other than an
+    interval) each key is one ``meta.get_node``.
+    """
+
+    def call_for(key: NodeKey, owner: Address, last: bool) -> Call:
+        if within is not None and router.colocated(key):
+            return Call(
+                owner,
+                "meta.get_subtree",
+                (key, within.offset, within.size),
+                request_bytes=_GET_SUBTREE_REQ_BYTES,
+                allow_error=not last,
+            )
+        return Call(
+            owner,
+            "meta.get_node",
+            (key,),
+            request_bytes=_GET_NODE_REQ_BYTES,
+            allow_error=not last,
+        )
+
+    replies = yield from gather_with_failover(keys, router.route, call_for)
+    nodes: list[TreeNode] = []
+    for reply in replies:
+        if reply.__class__ is list:
+            nodes.extend(reply)
+        else:
+            nodes.append(reply)
+    return nodes

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import (
     Any,
+    Callable,
     Generator,
     Hashable,
     Mapping,
@@ -213,6 +214,56 @@ def deliver(call: Call, result: Any) -> Any:
     if isinstance(result, RemoteError) and not call.allow_error:
         raise result.unwrap()
     return result
+
+
+def gather_with_failover(
+    items: list,
+    routes_for: Callable[[Any], tuple[Address, ...]],
+    call_for: Callable[[Any, Address, bool], Call],
+    tolerate_exhaust: bool = False,
+) -> Protocol[list]:
+    """Fetch one value per item, retrying across each item's replica owners.
+
+    Attempt ``k`` addresses replica ``k`` of every still-unresolved item in
+    one parallel batch. The final replica's call is issued with
+    ``allow_error=False`` so an unrecoverable loss raises with its precise
+    error type — unless ``tolerate_exhaust``, where the final error is
+    returned in the item's slot instead (callers with a further fallback,
+    e.g. the pm relocation table, decide what exhaustion means).
+    """
+    if not items:
+        return []
+    out: list[Any] = [None] * len(items)
+    pending = list(range(len(items)))
+    attempt = 0
+    while pending:
+        calls = []
+        for i in pending:
+            routes = routes_for(items[i])
+            last = attempt >= len(routes) - 1
+            calls.append(
+                call_for(
+                    items[i],
+                    routes[min(attempt, len(routes) - 1)],
+                    last and not tolerate_exhaust,
+                )
+            )
+        results = yield Batch(calls)
+        still: list[int] = []
+        for i, result in zip(pending, results):
+            if isinstance(result, RemoteError):
+                if (
+                    tolerate_exhaust
+                    and attempt >= len(routes_for(items[i])) - 1
+                ):
+                    out[i] = result  # exhausted: hand the error back
+                else:
+                    still.append(i)
+            else:
+                out[i] = result
+        pending = still
+        attempt += 1
+    return out
 
 
 def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:

@@ -51,7 +51,7 @@ from repro.net.sansio import (
 from repro.obs.spans import SIM_DOMAIN, make_span, new_span_id
 from repro.obs.trace import current_op_span, current_trace
 from repro.sim.engine import Event, Simulator
-from repro.sim.network import Network, SimNode
+from repro.sim.network import PER_NODE_METHOD, PER_NODE_ROWS, Network, SimNode
 
 
 class SimRpcExecutor:
@@ -195,6 +195,7 @@ class SimRpcExecutor:
         async_sum = 0.0
         prev_method = None
         costs = (0.0, 0.0, 0.0)
+        per_node = False
         for c in calls:
             rb = c.request_bytes
             req_payload += rb if rb is not None else estimate_size(c.args)
@@ -202,6 +203,7 @@ class SimRpcExecutor:
             if method is not prev_method:
                 costs = method_costs(method)
                 prev_method = method
+                per_node = per_node or method == PER_NODE_METHOD
             service_sum += costs[0]
             reply_sum += costs[1]
             async_sum += costs[2]
@@ -252,7 +254,20 @@ class SimRpcExecutor:
         resp_bytes = spec.wire_header + spec.per_call_header * n + resp_payload
         network.messages_sent += 1
         network.bytes_sent += resp_bytes
-        resp_cpu_done = server_node.cpu.push(spec.server_byte_cpu * resp_payload)
+        resp_cpu = spec.server_byte_cpu * resp_payload
+        if per_node:
+            # a subtree reply costs what the nodes it carries would have:
+            # n × the per-node service row here (known only now that the
+            # handler ran), n × the per-node reply row on the client
+            nodes = sum(
+                len(v)
+                for c, v in zip(calls, values)
+                if c.method == PER_NODE_METHOD and v.__class__ is list
+            )
+            node_service, node_reply, _ = method_costs(PER_NODE_ROWS)
+            resp_cpu += nodes * node_service
+            reply_sum += nodes * node_reply
+        resp_cpu_done = server_node.cpu.push(resp_cpu)
         if loopback:
             yield sim.timeout(resp_cpu_done - sim.now + 1e-6)
             crx_done = 0.0

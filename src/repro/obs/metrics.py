@@ -21,7 +21,10 @@ same JSON-safe document::
                     "service_ms": ..., "bytes": ..., "error": ...}, ...],
           "slow_seen": 2, "slow_threshold_ms": 100.0,
           "spans": [...],     # traced sub-call spans (repro.spans/1 dicts)
-          "spans_seen": 0, "clock_domain": 123...
+          "spans_seen": 0, "clock_domain": 123...,
+          "stats": {"pages": ..., "puts": ..., "gets": ...}  # the actor's
+              # own counters; a metadata provider reports nodes, puts, gets,
+              # subtree_gets, nodes_served (per-shard skew at a glance)
         }, ...
       },
       "caller_rtt": {  # drivers with a wire layer: caller-side RTT rows
@@ -130,6 +133,7 @@ def actor_entry(report: Mapping[str, Any], name: str = "") -> dict[str, Any]:
         ],
         "spans_seen": snapshot.get("spans_seen", 0),
         "clock_domain": domain,
+        "stats": snapshot.get("stats", {}),
     }
 
 
@@ -254,6 +258,12 @@ def render_metrics(
                 )
                 line += f" {'+' + str(delta):>8}"
             lines.append(line)
+        stats = {
+            k: v for k, v in entry.get("stats", {}).items() if k != "provider_id"
+        }
+        if stats:
+            counters = ", ".join(f"{k} {v}" for k, v in stats.items())
+            lines.append(f"  {name:<10} {'(stats)':<22} {counters}")
         if entry.get("wire_rpcs") is not None:
             lines.append(
                 f"  {name:<10} {'(wire)':<22} {entry['wire_rpcs']:>8} rpcs, "

@@ -22,7 +22,10 @@ What it holds:
   dispatched sub-call (not just slow ones) is recorded with its span
   id, parent span, method, domain-relative start/end, queue wait and
   request bytes (:mod:`repro.obs.spans`), which is what the timeline
-  export (:mod:`repro.obs.export`) assembles across actors.
+  export (:mod:`repro.obs.export`) assembles across actors;
+- the actor's own ``stats()`` counters, when it has them (a provider's
+  stored nodes / pages, puts, gets, ...), read at snapshot time — so a
+  skewed shard shows in the same scrape as the latencies it causes.
 
 The ``telemetry`` mini-protocol RPC: ``dispatch_call`` intercepts the
 method name ``telemetry`` before the actor's own ``handle`` sees it, so
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs import spans as _spans
 from repro.obs.hist import LatencyHistogram
@@ -90,10 +93,16 @@ class ActorTelemetry:
 
     __slots__ = (
         "hists", "errors", "slow", "slow_seen", "slow_threshold_ns",
-        "spans", "spans_seen",
+        "spans", "spans_seen", "actor_stats",
     )
 
-    def __init__(self, slow_threshold_ns: int | None = None) -> None:
+    def __init__(
+        self,
+        slow_threshold_ns: int | None = None,
+        actor_stats: Callable[[], dict] | None = None,
+    ) -> None:
+        #: the actor's own ``stats`` method, read at snapshot time
+        self.actor_stats = actor_stats
         self.hists: dict[str, LatencyHistogram] = {}
         self.errors: dict[str, int] = {}
         self.slow: list[tuple] = []
@@ -180,6 +189,7 @@ class ActorTelemetry:
             "spans": list(self.spans),
             "spans_seen": self.spans_seen,
             "clock_domain": _spans.CLOCK_DOMAIN,
+            "stats": dict(self.actor_stats()) if self.actor_stats else {},
         }
 
 
@@ -210,7 +220,8 @@ def telemetry_of(actor: Any) -> ActorTelemetry:
     if tele is None:
         if not _ENABLED:
             return DISABLED
-        tele = ActorTelemetry()
+        stats = getattr(actor, "stats", None)
+        tele = ActorTelemetry(actor_stats=stats if callable(stats) else None)
         try:
             setattr(actor, _ATTR, tele)
         except (AttributeError, TypeError):

@@ -89,6 +89,15 @@ def _default_compute() -> dict[str, float]:
     }
 
 
+#: The one call whose reply is a list of tree nodes. On top of the default
+#: per-call rows, its service CPU and client reply CPU are charged per node
+#: returned at the rows of ``PER_NODE_ROWS`` (and its reply bytes are
+#: ``estimate_size`` of the list), so a subtree reply is never cheaper in
+#: the model than the nodes it carries — what it saves is round trips.
+PER_NODE_METHOD = "meta.get_subtree"
+PER_NODE_ROWS = "meta.get_node"
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Calibration constants for the simulated cluster."""

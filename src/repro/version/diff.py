@@ -22,7 +22,7 @@ from typing import Any, Generator
 from repro.errors import VersionNotPublished
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter
+from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
 from repro.net.sansio import Batch, Call, Op
 from repro.util.intervals import Interval
@@ -78,14 +78,12 @@ def diff_protocol(
                 fetched[key] = node
             else:
                 to_fetch.append(key)
-        if to_fetch:
-            results = yield Batch(
-                [Call(router.route(k)[0], "meta.get_node", (k,)) for k in to_fetch]
-            )
-            for key, node in zip(to_fetch, results):
-                fetched[key] = node
-                if cache is not None:
-                    cache.put(node)
+        # node by node (no ``within``): the walk prunes by comparing child
+        # references, which a provider's interval descent cannot do
+        for node in (yield from fetch_nodes(router, to_fetch)):
+            fetched[node.key] = node
+            if cache is not None:
+                cache.put(node)
 
         next_frontier: list[tuple[Interval, int, int]] = []
         for iv, old_ref, new_ref in frontier:

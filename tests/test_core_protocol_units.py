@@ -8,10 +8,9 @@ from repro.core.protocol import (
     split_pages,
     stat_protocol,
     virtual_pages,
-    _gather_with_failover,
 )
 from repro.errors import PageMissing, RemoteError
-from repro.net.sansio import Batch, Call, run_inproc
+from repro.net.sansio import Batch, Call, gather_with_failover, run_inproc
 from repro.util.sizes import KB
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
 
@@ -44,7 +43,7 @@ class TestGatherWithFailover:
             return Call(owner, "get", (item,), allow_error=not last)
 
         def proto():
-            out = yield from _gather_with_failover(items, routes_for, call_for)
+            out = yield from gather_with_failover(items, routes_for, call_for)
             return out
 
         return run_inproc(proto(), registry)

@@ -6,7 +6,7 @@ from repro.errors import ImmutabilityViolation, NodeMissing, ProviderUnavailable
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.provider import MetadataProvider
-from repro.metadata.router import StaticRouter
+from repro.metadata.router import StaticRouter, _digest
 
 
 def node(version=1, offset=0, size=4096, blob="b"):
@@ -99,22 +99,59 @@ class TestStaticRouter:
         start = ids[0]
         assert ids == [(start + i) % 4 for i in range(3)]
 
-    def test_dispersal_is_roughly_uniform(self):
-        r = StaticRouter(list(range(8)))
-        counts = {i: 0 for i in range(8)}
-        for v in range(2000):
-            addr = r.primary(NodeKey("b", v, v * 4096, 4096))
-            counts[addr[1]] += 1
-        # each provider within 2x of fair share
-        for c in counts.values():
-            assert 100 < c < 500
+    #: (key, parent-commit digest): with S = 0 nothing may move — every
+    #: simulated baseline hangs off these values
+    PARENT_DIGESTS = [
+        (NodeKey("b", 1, 0, 4096), 0xBF928D3DDE36C47A),
+        (NodeKey("b", 7, 1 << 30, 1 << 20), 0x4C18DFF252656F55),
+        (NodeKey("blob-1", 3, 65536, 65536), 0x65A02BB2630CC6B2),
+        (NodeKey("blob-1", 1 << 40, 0, 1 << 40), 0x5DEF754EF1498760),
+    ]
 
-    def test_version_changes_placement(self):
-        r = StaticRouter(list(range(16)))
-        placements = {
-            r.primary(NodeKey("b", v, 0, 4096)) for v in range(40)
-        }
-        assert len(placements) > 5  # different versions spread out
+    def test_no_cut_reproduces_the_parent_digests(self):
+        r = StaticRouter(list(range(8)), replication=2, subtree_bytes=0)
+        for key, digest in self.PARENT_DIGESTS:
+            assert _digest(key) == digest
+            start = digest % 8
+            assert r.route(key) == (("meta", start), ("meta", (start + 1) % 8))
+            assert not r.colocated(key)
+
+    def test_every_version_of_a_region_shares_owners(self):
+        S = 1 << 20
+        r = StaticRouter(list(range(8)), replication=2, subtree_bytes=S)
+        for region in range(32):
+            owners = r.route(NodeKey("b", 1, region * S, S))
+            size = S
+            while size >= 4096:
+                for offset in range(region * S, (region + 1) * S, max(size, S // 4)):
+                    for version in (1, 2, 977):
+                        key = NodeKey("b", version, offset, size)
+                        assert r.colocated(key)
+                        assert r.route(key) == owners
+                size //= 2
+        # one node above the cut is routed by its own key again
+        above = [NodeKey("b", v, 0, 2 * S) for v in range(40)]
+        assert not any(r.colocated(k) for k in above)
+        assert len({r.primary(k) for k in above}) > 4
+
+    def test_regions_and_top_level_nodes_spread_roughly_uniformly(self):
+        S = 1 << 20
+        r = StaticRouter(list(range(8)), subtree_bytes=S)
+        regions = {i: 0 for i in range(8)}
+        top = {i: 0 for i in range(8)}
+        for i in range(2000):
+            regions[r.primary(NodeKey("b", 1, i * S, 4096))[1]] += 1
+            top[r.primary(NodeKey("b", i, (i % 64) * 4 * S, 4 * S))[1]] += 1
+        # each provider within 2x of fair share
+        for counts in (regions, top):
+            for c in counts.values():
+                assert 100 < c < 500
+
+    def test_route_memo_is_per_region_below_the_cut(self):
+        r = StaticRouter(list(range(8)), subtree_bytes=1 << 20)
+        for version in range(500):  # a WRITE mints fresh keys forever
+            r.route(NodeKey("b", version, 8192, 4096))
+        assert len(r._route_cache) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +160,8 @@ class TestStaticRouter:
             StaticRouter([0], replication=2)
         with pytest.raises(ValueError):
             StaticRouter([0, 1], replication=0)
+        with pytest.raises(ValueError):
+            StaticRouter([0, 1], subtree_bytes=3 << 20)
 
 
 class TestMetadataCache:

@@ -21,6 +21,8 @@ import pytest
 from repro.core.config import DeploymentSpec
 from repro.deploy.tcp import build_tcp
 from repro.errors import RemoteError
+from repro.metadata.node import NodeKey, TreeNode
+from repro.metadata.provider import MetadataProvider
 from repro.net.aio import AioDriver
 from repro.net.codec import (
     BULK_BYTES,
@@ -117,6 +119,43 @@ def test_worker_answers_malformed_envelopes_typed_and_keeps_serving():
         assert not worker.is_alive()
     finally:
         parent.close()
+
+
+def test_agent_answers_malformed_get_subtree_typed_and_keeps_serving():
+    """``meta.get_subtree`` takes a key and an interval from the wire: a
+    well-formed envelope whose arguments are not a NodeKey / a
+    non-negative interval is answered with a typed error (never a
+    crashed service thread, never a hang)."""
+    provider = MetadataProvider(0)
+    leaf = TreeNode(NodeKey("b", 1, 0, 4 * KB), providers=(0,), write_uid="u")
+    provider.put_node(leaf)
+    agent = NodeAgent({("meta", 0): provider})
+    agent.start()
+    sock = socket.create_connection(
+        (agent.endpoint.host, agent.endpoint.port), timeout=10
+    )
+    bad_args = [
+        ("not-a-key", 0, 4 * KB),
+        (("b", 1, 0, 4 * KB), 0, 4 * KB),  # a plain tuple is not a NodeKey
+        (leaf.key, -1, 4 * KB),
+        (leaf.key, 0, -4 * KB),
+        (leaf.key,),  # wrong arity
+    ]
+    try:
+        messages = {0: ("hello", "meta/0")}
+        for i, args in enumerate(bad_args, start=1):
+            messages[i] = ("rpc", [("meta.get_subtree", args)])
+        messages[99] = ("rpc", [("meta.get_subtree", (leaf.key, 0, 4 * KB))])
+        seen = _exchange(sock, messages)
+        for i in range(1, len(bad_args) + 1):
+            (reply,) = seen[i]
+            assert isinstance(reply, RemoteError), (i, reply)
+            assert reply.error_type in ("ValueError", "TypeError")
+        # ...and the well-formed request pipelined behind them was served
+        assert seen[99] == [[leaf]]
+    finally:
+        sock.close()
+        agent.close()
 
 
 # ---------------------------------------------------------------------------
