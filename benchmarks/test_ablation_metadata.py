@@ -51,22 +51,35 @@ def test_ablation_metadata(benchmark, publish, publish_json, profile):
     def y(label):
         return fig.series_by_label(label).y
 
-    # fine-grain reads are hop-bound: every step of S buys latency back...
+    # fine-grain reads are hop-bound. Between the poles the vm names the
+    # region root, so a READ is three round trips whatever S is and what
+    # is left is per-node work: the fewer levels below the cut, the faster
     pages = [y(f"one-page reads, S={s}") for s in ("0", "1 MB", "64 MB", "1 TB")]
-    assert pages[0][0] < pages[1][0] < pages[2][0] < pages[3][0]
-    assert pages[2][0] > 1.2 * pages[0][0]
+    assert pages[0][0] < pages[3][0] < pages[2][0] < pages[1][0]
+    assert pages[2][0] > 2.5 * pages[0][0]
     # ...at S = 64 MB without a hot spot (readers spread over 16 regions),
     # at S = whole blob with one: all readers queue on a single provider
     assert pages[2][-1] > 0.9 * pages[2][0]
     assert pages[3][-1] < 0.8 * pages[3][0]
-    # segment-sized reads are client-bound: the cut moves them by a few %
-    for s in ("1 MB", "64 MB", "1 TB"):
+    # segment-sized reads are client-bound: the cut never costs them more
+    # than a few %, and buys some back where it skips many levels
+    # (S = whole blob only up to 8 readers: past that its one provider
+    # throttles them like the centralized layout does)
+    readers = fig.series_by_label("distributed (20 providers)").x
+    for s, limit in (("1 MB", 16), ("64 MB", 16), ("1 TB", 8)):
         local = y(f"subtree-local S={s}")
-        assert all(abs(a - b) < 0.1 * b for a, b in zip(local, distributed))
-    # the price: writers confined to one region all put on its one owner
+        assert all(
+            0.95 * b < a < 1.15 * b
+            for n, a, b in zip(readers, local, distributed) if n <= limit
+        )
+    # the price: writers confined to one region all put on its one owner.
+    # One meta.put_nodes per shard pays the DHT's async latency once, so a
+    # lone writer is within 10 % of per-node dispersal; concurrent ones
+    # still queue on that owner's per-node service time
     spread = y("writers in one 64 MB region, S=0")
     hot = y("writers in one 64 MB region, S=64 MB")
     assert spread[-1] > 0.9 * spread[0]
+    assert hot[0] > 0.9 * spread[0]
     assert hot[-1] < 0.7 * spread[-1]
     # and the skew an operator would see grows with S, up to "everything
     # on one of the 20 providers"

@@ -393,13 +393,15 @@ def ablation_metadata(
     """Uncached READ bandwidth: 20 metadata providers vs a single one —
     and, between those two poles, the subtree-local routing sweep.
 
-    Each doubling of ``S = meta_subtree_bytes`` takes one dependent round
-    trip off a READ and concentrates one more level of every region on
-    that region's owner. Three workloads per ``S`` show both effects:
-    segment readers over the 1 GB window (the paper's), one-page readers
-    over it (fine-grain access: hops dominate), and writers confined to
-    one 64 MB region (the worst case for concentration); the ``max/mean``
-    series report the per-provider skew of node lookups / puts.
+    With ``0 < S = meta_subtree_bytes < blob`` a READ is three round trips
+    (the vm names the region root) and a WRITE one ``meta.put_nodes`` per
+    region owner; each doubling of ``S`` concentrates one more level of
+    every region on that region's owner. Three workloads per ``S`` show
+    both effects: segment readers over the 1 GB window (the paper's),
+    one-page readers over it (fine-grain access: hops dominate), and
+    writers confined to one 64 MB region (the worst case for
+    concentration); the ``max/mean`` series report the per-provider skew
+    of node lookups / puts.
     """
     fig = FigureData(
         figure_id="Ablation B",

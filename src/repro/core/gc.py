@@ -14,7 +14,12 @@ Mark-and-sweep over the metadata graph:
    free everything unreachable.
 
 Versions other than the kept ones become unreadable; kept versions are
-bit-for-bit unaffected (asserted by tests).
+bit-for-bit unaffected (asserted by tests). "Unreadable" means a READ of a
+collected version is a typed ``NodeMissing`` — or, when the vm names the
+region root for it (``vm.resolve_read``) and a kept version still shares
+that whole subtree, that snapshot's exact bytes: such a READ never touches
+the collected blob root. Never wrong bytes, since nodes are immutable and
+version-addressed (a client with a warm cache could always do the same).
 """
 
 from __future__ import annotations

@@ -6,13 +6,18 @@ structure mirrors paper Figure 1 exactly:
 
 WRITE: provider manager (allocation) → data providers (pages, parallel) →
 version manager (version + border refs: the only serialization) → metadata
-providers (nodes, parallel) → version manager (success report).
+providers (nodes, one parallel batch: ``router.store_nodes`` sends each
+owner its co-located nodes in one ``meta.put_nodes``, the nodes above the
+router's cut one by one) → version manager (success report).
 
-READ: version manager (latest/validation, the only centralized touch) →
-metadata providers (tree descent: one parallel batch per level above the
-router's cut, then one ``meta.get_subtree`` batch for everything below it —
-with ``subtree_bytes = 0`` nothing is below it and this is the paper's one
-batch per level) → data providers (pages, parallel).
+READ: version manager (latest/validation, the only centralized touch — which
+also names, from its patch history, the version whose tree holds the root of
+each co-located region the request touches) → metadata providers (one
+``meta.get_subtree`` batch from those region roots; when the vm cannot say,
+or is not asked, the descent starts at the blob root: one parallel batch per
+level above the cut, then the subtree batch — with ``subtree_bytes = 0``
+nothing is below the cut and this is the paper's one batch per level) → data
+providers (pages, parallel). Three round trips at any depth.
 
 Replica fail-over: with ``replication > 1`` every fetch tries the primary
 owner and falls back to successive replicas on failure; the final attempt
@@ -29,7 +34,7 @@ from repro.errors import RemoteError
 from repro.metadata.build import plan_write_tree
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter, fetch_nodes
+from repro.metadata.router import StaticRouter, fetch_nodes, store_nodes
 from repro.metadata.tree import TreeGeometry
 from repro.net.message import estimate_size
 from repro.net.sansio import Address, Batch, Call, Compute, Mark, Op, gather_with_failover
@@ -205,13 +210,7 @@ def write_protocol(
         geom, blob_id, ticket.version, patch, ticket.refs_as_dict(), groups, write_uid
     )
     yield Compute("client.build_node", len(nodes))
-    put_node_req_bytes = estimate_size((nodes[0],))  # nodes are fixed-size
-    meta_calls = [
-        Call(owner, "meta.put_node", (node,), request_bytes=put_node_req_bytes)
-        for node in nodes
-        for owner in router.route(node.key)
-    ]
-    yield Batch(meta_calls)
+    yield from store_nodes(router, nodes)
     yield from mark("metadata_stored")
 
     # 5. report success; the VM publishes versions in order
@@ -247,6 +246,12 @@ def read_protocol(
     locate_fallback: bool = False,
 ) -> Proto:
     """The READ of paper §III.B; returns a :class:`ReadResult`.
+
+    One descent loop: from the roots of the co-located regions the request
+    touches when the vm names them (``vm.resolve_read`` with ``regions``,
+    see :meth:`StaticRouter.regions_worth_asking`), from the blob root
+    otherwise. ``nodes_fetched`` counts every node received either way; a
+    READ that starts below the cut receives, and caches, nothing above it.
 
     ``locate_fallback`` arms the elastic-cluster page fallback: when every
     provider a tree node records answers PageMissing (the page was moved
@@ -291,12 +296,17 @@ def read_protocol(
 
     yield from mark("start")
 
-    # 1. the only centralized interaction: resolve/validate the version
-    (resolved,) = yield Batch(
-        [Call(ADDR_VM, "vm.resolve_read", (blob_id, version))]
-    )
+    # 1. the only centralized interaction: resolve/validate the version —
+    # and learn, when the vm can say, which version's tree holds the root
+    # of each co-located region the request touches
+    regions = router.regions_worth_asking(geom, offset, size)
+    (resolved,) = yield Batch([Call(
+        ADDR_VM,
+        "vm.resolve_read",
+        (blob_id, version, regions) if regions else (blob_id, version),
+    )])
     yield from mark("version_resolved")
-    effective, latest = resolved
+    effective, latest = resolved[:2]
     if effective == 0:
         # Version 0 is the implicit all-zero string: nothing to fetch.
         if dst is not None:
@@ -309,19 +319,34 @@ def read_protocol(
             nodes_fetched=0, cache_hits=0, pages_fetched=0, zero_bytes=size,
         )
 
-    # 2. descend the segment tree: a frontier key is resolved from the
-    # nodes this READ already received (a subtree reply carries the levels
-    # below its key), then the client cache, else fetched — one parallel
-    # batch per level that still has something to fetch
+    # 2. descend the segment tree, from the region roots the vm named or
+    # else from the blob root: a frontier key is resolved from the nodes
+    # this READ already received (a subtree reply carries the levels below
+    # its key), then the client cache, else fetched — one parallel batch
+    # per level that still has something to fetch
     nodes_fetched = 0
     cache_hits = 0
     zero_bytes = 0
     leaves: list[TreeNode] = []
     known: dict[NodeKey, TreeNode] = {}
-    frontier: list[NodeKey] = [
-        NodeKey(blob_id, effective, 0, geom.total_size)
-    ]
-    while frontier:
+    roots = resolved[2] if regions else None
+    if roots is None:
+        wanted = [NodeKey(blob_id, effective, 0, geom.total_size)]
+    else:
+        wanted = [
+            NodeKey(blob_id, label, lo, span)
+            for (lo, span), label in zip(regions, roots)
+        ]
+    req_end = offset + size
+    while wanted:  # the keys of one level whose intervals meet the request
+        frontier: list[NodeKey] = []
+        for key in wanted:
+            if key.version:
+                frontier.append(key)
+            else:  # untouched since the initial all-zero string
+                zero_bytes += (
+                    min(key.offset + key.size, req_end) - max(key.offset, offset)
+                )
         to_fetch: list[NodeKey] = []
         for key in frontier:
             if key in known:
@@ -339,22 +364,15 @@ def read_protocol(
                 known[node.key] = node
                 if cache is not None:
                     cache.put(node)
-        next_frontier: list[NodeKey] = []
+        wanted = []
         for key in frontier:
             node = known[key]
             if node.is_leaf:
                 leaves.append(node)
                 continue
-            for child_key in node.child_keys():
-                child_iv = child_key.interval
-                if not child_iv.intersects(req):
-                    continue
-                if child_key.version == 0:
-                    # untouched since the initial all-zero string
-                    zero_bytes += child_iv.intersection(req).size
-                    continue
-                next_frontier.append(child_key)
-        frontier = next_frontier
+            for child in node.child_keys():
+                if child.offset < req_end and offset < child.offset + child.size:
+                    wanted.append(child)
     yield from mark("metadata_read")
 
     # 3. fetch the pages referenced by the leaves, in parallel

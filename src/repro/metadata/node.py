@@ -65,16 +65,28 @@ class TreeNode:
         return self.key.interval
 
     def child_keys(self) -> tuple[NodeKey, NodeKey]:
-        """Keys of both children (only meaningful for internal nodes)."""
-        if self.is_leaf:
+        """Keys of both children (only meaningful for internal nodes).
+
+        Integer arithmetic on the key, no :class:`Interval`: every tree
+        walker (READ, ``get_subtree``, GC mark) calls this once per
+        visited node."""
+        if self.left_version is None:
             raise ValueError(f"leaf {self.key} has no children")
-        iv = self.interval
-        left, right = iv.left_half(), iv.right_half()
-        assert self.left_version is not None and self.right_version is not None
+        blob_id, _, offset, size = self.key
+        half = size >> 1
         return (
-            NodeKey(self.key.blob_id, self.left_version, left.offset, left.size),
-            NodeKey(self.key.blob_id, self.right_version, right.offset, right.size),
+            NodeKey(blob_id, self.left_version, offset, half),
+            NodeKey(blob_id, self.right_version, offset + half, half),
         )
+
+    def __reduce__(self):
+        # Through the constructor, positionally: a decoded node has passed
+        # ``__post_init__``, and pickle skips the per-object ``fields()``
+        # walk of the dataclass slots get/setstate (about half the cost
+        # of shipping a WRITE's node batch, in each direction).
+        args = (self.key, self.left_version, self.right_version,
+                self.providers, self.write_uid)
+        return (TreeNode, args)
 
 
 @estimate_size.register

@@ -10,6 +10,8 @@ bugs and rejected loudly.
 RPC surface:
 
 - ``meta.put_node(node)`` -> True
+- ``meta.put_nodes(nodes)`` -> True; the nodes of one WRITE that share this
+  owner, stored all-or-nothing in one call
 - ``meta.get_node(key)`` -> TreeNode
 - ``meta.get_subtree(key, offset, size)`` -> the node at ``key`` plus every
   stored descendant intersecting ``[offset, offset + size)``, level order
@@ -33,6 +35,7 @@ class MetadataProvider:
         self.provider_id = provider_id
         self._nodes: dict[NodeKey, TreeNode] = {}
         self.puts = 0
+        self.put_batches = 0
         self.gets = 0
         self.subtree_gets = 0
         self.nodes_served = 0
@@ -50,6 +53,39 @@ class MetadataProvider:
             )
         self._nodes[node.key] = node
         self.puts += 1
+        return True
+
+    def put_nodes(self, nodes: list[TreeNode]) -> bool:
+        """Store a batch of nodes, all or nothing.
+
+        The per-shard form of :meth:`put_node` (a WRITE sends each owner
+        its co-located nodes in one call; the provider knows nothing about
+        routing and stores whatever batch it is given). Every element must
+        be a :class:`TreeNode` whose key is absent or already holds an
+        identical record (idempotent replay, not counted again in
+        ``puts``); one conflicting element is
+        :class:`ImmutabilityViolation`, one foreign element ``ValueError``,
+        and in both cases nothing of the batch is stored.
+        """
+        self._check_up()
+        if not isinstance(nodes, list):
+            raise ValueError(f"put_nodes needs a list of nodes, got {nodes!r:.80}")
+        store = self._nodes
+        fresh: dict[NodeKey, TreeNode] = {}
+        for node in nodes:
+            if not isinstance(node, TreeNode):
+                raise ValueError(f"put_nodes element is not a TreeNode: {node!r:.80}")
+            existing = store.get(node.key)
+            if existing is None:
+                existing = fresh.setdefault(node.key, node)
+            if existing is not node and existing != node:
+                raise ImmutabilityViolation(
+                    f"metadata provider {self.provider_id}: conflicting put "
+                    f"for {node.key}"
+                )
+        store.update(fresh)
+        self.puts += len(fresh)
+        self.put_batches += 1
         return True
 
     def get_node(self, key: NodeKey) -> TreeNode:
@@ -146,6 +182,7 @@ class MetadataProvider:
             "provider_id": self.provider_id,
             "nodes": len(self._nodes),
             "puts": self.puts,
+            "put_batches": self.put_batches,
             "gets": self.gets,
             "subtree_gets": self.subtree_gets,
             "nodes_served": self.nodes_served,
@@ -170,6 +207,8 @@ class MetadataProvider:
     def handle(self, method: str, args: tuple) -> Any:
         if method == "meta.put_node":
             return self.put_node(*args)
+        if method == "meta.put_nodes":
+            return self.put_nodes(*args)
         if method == "meta.get_node":
             return self.get_node(*args)
         if method == "meta.get_subtree":

@@ -18,11 +18,12 @@ node spanning *at most* ``S`` bytes is routed by the S-aligned region it
 lies in — ``(blob, offset // S)``; ``version`` and ``size`` leave the
 digest — so every version of one S-aligned subtree lives on the same
 ``replication`` owners, who can then walk it locally in one RPC
-(``meta.get_subtree``, see :func:`fetch_nodes`). Nodes above the cut keep
-the per-node digest. ``S = 0`` co-locates nothing: that *is* the paper's
-BambooDHT dispersal, bit-for-bit, and what the simulated figures use. ``S``
-is a deployment property like the provider set: every client (and GC) of
-one deployment must route with the same value.
+(``meta.get_subtree``, see :func:`fetch_nodes`) and receive a WRITE's nodes
+for it in one (``meta.put_nodes``, see :func:`store_nodes`). Nodes above the
+cut keep the per-node digest. ``S = 0`` co-locates nothing: that *is* the
+paper's BambooDHT dispersal, bit-for-bit, and what the simulated figures
+use. ``S`` is a deployment property like the provider set: every client
+(and GC) of one deployment must route with the same value.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import hashlib
 from typing import Sequence
 
 from repro.metadata.node import NodeKey, TreeNode
+from repro.metadata.tree import TreeGeometry
 from repro.net.message import estimate_size
-from repro.net.sansio import Address, Call, Protocol, gather_with_failover
+from repro.net.sansio import Address, Batch, Call, Protocol, gather_with_failover
 from repro.util.bits import is_pow2
 from repro.util.intervals import Interval
 
@@ -46,6 +48,7 @@ SUBTREE_BYTES = 64 << 20
 # otherwise invoke per call (key wire sizes are type-constant).
 _GET_NODE_REQ_BYTES = estimate_size((NodeKey("", 0, 0, 0),))
 _GET_SUBTREE_REQ_BYTES = estimate_size((NodeKey("", 0, 0, 0), 0, 0))
+_PUT_NODE_REQ_BYTES = estimate_size((TreeNode(NodeKey("", 0, 0, 2), 0, 0),))
 
 
 _MASK64 = (1 << 64) - 1
@@ -136,6 +139,28 @@ class StaticRouter:
         version of every node inside its interval."""
         return key.size <= self.subtree_bytes
 
+    def regions_worth_asking(
+        self, geom: TreeGeometry, offset: int, size: int
+    ) -> tuple[tuple[int, int], ...]:
+        """The S-aligned regions, as ``(offset, S)``, that a READ of
+        ``[offset, offset + size)`` touches — when asking the vm for their
+        roots (``vm.resolve_read``) can pay, else ``()``.
+
+        It can pay only when some but not all of the tree is co-located
+        (``pagesize <= S < total_size``: otherwise the blob root is itself
+        co-located, or nothing is), and only while the request touches no
+        more regions than there are levels above the cut: the vm then does
+        at most as many lookups as the READ saves round trips.
+        """
+        cut = self.subtree_bytes
+        if not geom.pagesize <= cut < geom.total_size:
+            return ()
+        first = offset // cut
+        last = (offset + size - 1) // cut
+        if last - first >= (geom.total_size // cut).bit_length() - 1:
+            return ()
+        return tuple((index * cut, cut) for index in range(first, last + 1))
+
     #: route-cache entry bound; on overflow the cache is wholesale-cleared
     #: (writes mint fresh keys forever, so an unbounded cache would be a
     #: slow leak on long-lived clients; clearing is cheaper than LRU here)
@@ -204,3 +229,33 @@ def fetch_nodes(
         else:
             nodes.append(reply)
     return nodes
+
+
+def store_nodes(router: StaticRouter, nodes: list[TreeNode]) -> Protocol[None]:
+    """Store a WRITE's tree nodes on all their owners, in one parallel
+    batch — the write-side twin of :func:`fetch_nodes`, and with it the
+    only place that chooses between the per-node and the per-shard verb.
+
+    Nodes below the router's cut share their region's owners, so each
+    owner gets its shard as one ``meta.put_nodes`` (all-or-nothing on the
+    provider; priced in the simulator as the nodes it carries); a node
+    above the cut is one ``meta.put_node`` per owner, as in the paper. With
+    ``subtree_bytes = 0`` nothing is co-located and the batch is exactly
+    the paper's one put per node per replica.
+    """
+    calls: list[Call] = []
+    shards: dict[Address, list[TreeNode]] = {}
+    for node in nodes:
+        owners = router.route(node.key)
+        if router.colocated(node.key):
+            for owner in owners:
+                shards.setdefault(owner, []).append(node)
+        else:
+            calls.extend(
+                Call(owner, "meta.put_node", (node,), request_bytes=_PUT_NODE_REQ_BYTES)
+                for owner in owners
+            )
+    for owner, shard in shards.items():
+        nbytes = len(shard) * _PUT_NODE_REQ_BYTES
+        calls.append(Call(owner, "meta.put_nodes", (shard,), request_bytes=nbytes))
+    yield Batch(calls)

@@ -63,9 +63,9 @@ from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
+    decode_request,
     encode_reply,
     force_close,
-    parse_request,
     run_calls,
     tune_socket,
 )
@@ -307,10 +307,8 @@ class _ActorService:
                 self.stopped = True
                 self.agent._actor_done(self.name)
                 return
-            elif kind is None:  # an envelope parse_request refused
-                reply = encode_parts(
-                    req_id, RemoteError("WireProtocolError", payload)
-                )
+            elif kind is None:  # a request decode_request refused
+                reply = encode_parts(req_id, payload)
             else:
                 reply = encode_parts(
                     req_id,
@@ -554,26 +552,24 @@ class NodeAgent:
                 if not nbytes:
                     return
                 for req_id, body in decoder.buffer_updated(nbytes):
-                    decoded = decode_body(body)
                     if service is None:
-                        service = self._handshake(conn, req_id, decoded)
+                        service = self._handshake(conn, req_id, decode_body(body))
                         if service is None:
                             return
                         continue
-                    try:
-                        kind, payload, trace = parse_request(decoded)
-                    except WireCodecError as exc:
-                        # well framed, wrong shape: that request fails
-                        # typed (kind None; answered by the service thread,
-                        # the connection's only writer) and the connection
-                        # and the actor keep serving
-                        kind, payload, trace = None, str(exc), None
+                    # well framed but undecodable or the wrong shape: that
+                    # request fails typed (kind None; answered by the
+                    # service thread, the connection's only writer) and
+                    # the connection and the actor keep serving
+                    kind, payload, trace = decode_request(body)
                     service.inbox.put(
                         (conn, req_id, kind, payload, trace,
                          time.perf_counter_ns(), len(body))
                     )
         except WireCodecError:
-            return  # corrupt stream: drop the connection, keep the agent
+            # corrupt framing (or an undecodable hello): drop the
+            # connection, keep the agent
+            return
         finally:
             with self._lock:
                 self._conns.discard(conn)

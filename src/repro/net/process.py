@@ -55,7 +55,6 @@ from repro.errors import RemoteError
 from repro.net.codec import (
     MessageDecoder,
     WireCodecError,
-    decode_body,
     encode_parts,
     send_parts,
 )
@@ -66,8 +65,8 @@ from repro.net.wire import (
     CTL_TELEMETRY,
     RemoteActorDriver,
     RpcChannel,
+    decode_request,
     encode_reply,
-    parse_request,
     run_calls,
     tune_socket,
 )
@@ -205,14 +204,12 @@ def _worker_main(
             if message is None:
                 return  # parent went away: nothing left to serve
             req_id, body = message
-            decoded = decode_body(body)
-            try:
-                kind, payload, trace = parse_request(decoded)
-            except WireCodecError as exc:
-                # well framed, wrong shape: fail that request, keep serving
-                reply(req_id, RemoteError("WireProtocolError", str(exc)))
-                continue
-            if kind == "rpc":
+            kind, payload, trace = decode_request(body)
+            if kind is None:
+                # well framed but undecodable or the wrong shape: fail
+                # that request typed, keep serving
+                reply(req_id, payload)
+            elif kind == "rpc":
                 served_rpcs += 1
                 served_calls += len(payload)
                 # queue wait is not measurable here (the pump thread

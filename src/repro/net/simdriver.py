@@ -51,7 +51,7 @@ from repro.net.sansio import (
 from repro.obs.spans import SIM_DOMAIN, make_span, new_span_id
 from repro.obs.trace import current_op_span, current_trace
 from repro.sim.engine import Event, Simulator
-from repro.sim.network import PER_NODE_METHOD, PER_NODE_ROWS, Network, SimNode
+from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
 
 class SimRpcExecutor:
@@ -195,6 +195,7 @@ class SimRpcExecutor:
         async_sum = 0.0
         prev_method = None
         costs = (0.0, 0.0, 0.0)
+        node_rows = None  # per-node rows of the current method, if it has
         per_node = False
         for c in calls:
             rb = c.request_bytes
@@ -203,10 +204,14 @@ class SimRpcExecutor:
             if method is not prev_method:
                 costs = method_costs(method)
                 prev_method = method
-                per_node = per_node or method == PER_NODE_METHOD
+                node_rows = PER_NODE_ROWS.get(method)
+                per_node = per_node or node_rows is not None
             service_sum += costs[0]
             reply_sum += costs[1]
             async_sum += costs[2]
+            if node_rows is not None and c.args[0].__class__ is list:
+                # a shard of nodes in the request: n × the per-node service
+                service_sum += len(c.args[0]) * method_costs(node_rows)[0]
 
         # The cost pipeline below is the same lane sequence as ever —
         # client CPU -> client tx -> link -> server rx -> server CPU [->
@@ -256,17 +261,15 @@ class SimRpcExecutor:
         network.bytes_sent += resp_bytes
         resp_cpu = spec.server_byte_cpu * resp_payload
         if per_node:
-            # a subtree reply costs what the nodes it carries would have:
+            # a reply carrying nodes costs what they would have one by one:
             # n × the per-node service row here (known only now that the
             # handler ran), n × the per-node reply row on the client
-            nodes = sum(
-                len(v)
-                for c, v in zip(calls, values)
-                if c.method == PER_NODE_METHOD and v.__class__ is list
-            )
-            node_service, node_reply, _ = method_costs(PER_NODE_ROWS)
-            resp_cpu += nodes * node_service
-            reply_sum += nodes * node_reply
+            for c, v in zip(calls, values):
+                rows = PER_NODE_ROWS.get(c.method)
+                if rows is not None and v.__class__ is list:
+                    node_service, node_reply, _ = method_costs(rows)
+                    resp_cpu += len(v) * node_service
+                    reply_sum += len(v) * node_reply
         resp_cpu_done = server_node.cpu.push(resp_cpu)
         if loopback:
             yield sim.timeout(resp_cpu_done - sim.now + 1e-6)

@@ -140,6 +140,27 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
     raise WireCodecError(f"malformed request envelope: {decoded!r:.120}")
 
 
+def decode_request(body: Any) -> tuple[str | None, Any, Any]:
+    """``(kind, payload, trace)`` of a request body a
+    :class:`~repro.net.codec.MessageDecoder` yielded.
+
+    The frame boundary is intact whatever the body holds, so a request
+    that cannot be served is that *request's* failure, not the
+    connection's: a body that does not unpickle (an unknown class, a tree
+    node its constructor refuses) or is not an envelope comes back as kind
+    ``None`` with the typed :class:`RemoteError` to answer its ``req_id``
+    with as payload, and the serving loop carries on.
+    """
+    try:
+        decoded = decode_body(body)
+    except WireCodecError as exc:
+        return None, RemoteError("WireCodecError", str(exc)), None
+    try:
+        return parse_request(decoded)
+    except WireCodecError as exc:
+        return None, RemoteError("WireProtocolError", str(exc)), None
+
+
 def run_calls(actor: Actor, address: Address, payload: list) -> list:
     """Serve one ``("rpc", payload)`` message body against an actor."""
     return [
@@ -521,6 +542,8 @@ class RemoteActorDriver(ThreadedDriver):
             values = decode_body(body)
         except WireCodecError as exc:
             return [RemoteError.wrap(exc)] * n
+        if isinstance(values, RemoteError):
+            return [values] * n  # the peer refused the whole request, typed
         if not isinstance(values, list) or len(values) != n:
             return [
                 RemoteError(

@@ -75,6 +75,7 @@ def _default_service_async() -> dict[str, float]:
     # twenty concurrent writers queue behind each other (Fig 3c stays flat).
     return {
         "meta.put_node": 120e-6,
+        "meta.put_nodes": 120e-6,  # once per shard, whatever it carries
     }
 
 
@@ -89,13 +90,20 @@ def _default_compute() -> dict[str, float]:
     }
 
 
-#: The one call whose reply is a list of tree nodes. On top of the default
-#: per-call rows, its service CPU and client reply CPU are charged per node
-#: returned at the rows of ``PER_NODE_ROWS`` (and its reply bytes are
-#: ``estimate_size`` of the list), so a subtree reply is never cheaper in
-#: the model than the nodes it carries — what it saves is round trips.
-PER_NODE_METHOD = "meta.get_subtree"
-PER_NODE_ROWS = "meta.get_node"
+#: The two calls that carry a list of tree nodes, each mapped to the
+#: per-node method whose rows price every node carried — on top of the
+#: call's own default per-call rows, so a batched call is never cheaper in
+#: the model than the nodes it carries. ``meta.get_subtree`` carries them in
+#: its reply: service CPU and client reply CPU per node returned, reply
+#: bytes from ``estimate_size`` of the list. ``meta.put_nodes`` carries
+#: them in its request: service CPU per node sent, request bytes per node
+#: (set by ``metadata/router.py::store_nodes``). What batching saves is
+#: round trips, sub-call framing and — for puts — the DHT's asynchronous
+#: completion latency, paid once per call (``_default_service_async``).
+PER_NODE_ROWS = {
+    "meta.get_subtree": "meta.get_node",
+    "meta.put_nodes": "meta.put_node",
+}
 
 
 @dataclass(frozen=True)

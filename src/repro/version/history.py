@@ -14,7 +14,9 @@ cost (a constant factor on the assign path, the "slight computation
 overhead on the side of the versioning manager" the paper mentions).
 
 Because versions are assigned in increasing order, stamping is a plain
-overwrite and the map always holds the maximum.
+overwrite and the map always holds the maximum — over *assigned* versions;
+:meth:`PatchHistory.label_at` turns that into the exact-or-absent answer to
+a reader's *which version's tree holds the node covering* ``I`` *at* ``v``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,27 @@ class PatchHistory:
     def latest(self, iv: Interval) -> int:
         """Most recent version whose patch intersects ``iv`` (0 = never)."""
         return self._latest.get(iv, 0)
+
+    def label_at(self, iv: Interval, snapshot: int) -> int | None:
+        """Version label of the tree node covering canonical ``iv`` in
+        snapshot ``snapshot``: ``max{w <= snapshot : patch(w) ∩ iv ≠ ∅}``
+        (0 = never written: zeros), or ``None`` when the history cannot say.
+
+        Exact or absent, never a guess. The map holds the maximum over
+        assigned versions; every assignment newer than ``snapshot`` that
+        has not published yet still has its undo record — ``(interval,
+        previous)`` per stamp — so the walk back through them ends on the
+        true label. It cannot continue past a *published* overwrite (its
+        undo is gone): only a reader of a snapshot older than that publish
+        is declined, never one at the latest published version.
+        """
+        version = self._latest.get(iv, 0)
+        while version > snapshot:
+            undo = self._undo.get(version)
+            if undo is None:
+                return None
+            version = next(prev for stamped, prev in undo if stamped == iv)
+        return version
 
     def record(self, version: int, patch: Interval) -> None:
         """Stamp ``version`` onto every canonical interval its tree covers."""

@@ -10,8 +10,11 @@ Responsibilities (paper §III.A, §IV):
   strictly in version order** — a snapshot becomes readable only once all
   earlier snapshots are complete, which is what gives every reader the
   same total order of writes (global serializability, §II);
-- ``get_latest`` / ``stat``: serve readers the latest published version
-  (the only reader interaction with any centralized entity, §IV.A).
+- ``get_latest`` / ``stat`` / ``resolve_read``: serve readers the latest
+  published version (the only reader interaction with any centralized
+  entity, §IV.A) and, from the patch history that precomputes border
+  references, the version label of the tree node covering each region a
+  reader names.
 
 The manager is deliberately a small, fast state machine: the paper's whole
 point is that this is the *only* serialization in the system, so everything
@@ -77,6 +80,25 @@ class _BlobState:
     assigned_at: dict[int, int] = field(default_factory=dict)
 
 
+def _canonical(geom: TreeGeometry, region: Any) -> Interval:
+    """A wire-supplied ``(offset, size)`` pair as an interval some node of
+    ``geom``'s tree covers; anything else is a ``ValueError``."""
+    if (
+        type(region) is tuple
+        and len(region) == 2
+        and type(region[0]) is int
+        and type(region[1]) is int
+        and 0 <= region[0] <= geom.total_size - region[1]
+    ):
+        iv = Interval(*region)
+        if iv.is_canonical(geom.pagesize):
+            return iv
+    raise ValueError(
+        f"{region!r:.80} is not a canonical in-bounds (offset, size) "
+        f"interval of a {geom.total_size} B blob"
+    )
+
+
 class VersionManager:
     """Centralized version authority (one per deployment)."""
 
@@ -85,6 +107,10 @@ class VersionManager:
         self._alloc_counter = 0
         self.assigns = 0
         self.completions = 0
+        #: READ-side counters, this incarnation only (not journaled)
+        self.resolves = 0
+        self.roots_answered = 0
+        self.roots_declined = 0
         self.journal = journal
         self.replayed_records = 0
         self.rolled_back = 0
@@ -285,18 +311,60 @@ class VersionManager:
     def get_latest(self, blob_id: str) -> int:
         return self._state(blob_id).latest_published
 
-    def resolve_read(self, blob_id: str, version: int) -> tuple[int, int]:
+    def resolve_read(
+        self, blob_id: str, version: int, regions: Any = None
+    ) -> tuple[int, int] | tuple[int, int, tuple[int, ...] | None]:
         """Validate a READ's version; returns ``(effective, latest)``.
 
         Implements the paper's contract: reading an unpublished version
         fails; ``LATEST`` resolves to the newest published snapshot.
+
+        With ``regions`` — ``(offset, size)`` canonical intervals, the
+        subtrees the reader's router co-locates — the reply is
+        ``(effective, latest, roots)``: ``roots[i]`` is the version label
+        of the tree node covering ``regions[i]`` in the effective
+        snapshot (0 = never written), so the reader fetches those nodes
+        directly instead of descending to them from the blob root.
+        ``roots`` is all-or-nothing and exact or absent
+        (:meth:`PatchHistory.label_at`): ``None`` means descend from the
+        root as ever, and only a snapshot older than a published overwrite
+        of a region gets it. Read-only and unjournaled. Regions that are
+        not canonical for the blob, out of bounds, or more than one per
+        tree level are a ``ValueError``.
         """
         st = self._state(blob_id)
         latest = st.latest_published
         effective = latest if version == LATEST else version
         if effective < 0 or effective > latest:
             raise VersionNotPublished(blob_id, version, latest)
-        return effective, latest
+        self.resolves += 1
+        if regions is None:
+            return effective, latest
+        geom = st.geom
+        if not isinstance(regions, tuple) or len(regions) > geom.depth + 1:
+            raise ValueError(
+                f"blob {blob_id}: regions must be a tuple of at most "
+                f"{geom.depth + 1} intervals, got {regions!r:.80}"
+            )
+        roots = [
+            st.history.label_at(_canonical(geom, region), effective)
+            for region in regions
+        ]
+        if None in roots:
+            self.roots_declined += 1
+            return effective, latest, None
+        self.roots_answered += 1
+        return effective, latest, tuple(roots)
+
+    def stats(self) -> dict[str, int]:
+        """Counters for the metrics scrape (``vm.stats`` over the wire)."""
+        return {
+            "assigns": self.assigns,
+            "completions": self.completions,
+            "resolves": self.resolves,
+            "roots_answered": self.roots_answered,
+            "roots_declined": self.roots_declined,
+        }
 
     # -- introspection ---------------------------------------------------------
 
@@ -362,4 +430,6 @@ class VersionManager:
             return self.stuck_writes(*args)
         if method == "vm.patches":
             return self.patches(*args)
+        if method == "vm.stats":
+            return self.stats()
         raise ValueError(f"version manager: unknown method {method!r}")

@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import DeploymentSpec
 from repro.deploy.inproc import build_inproc
 from repro.deploy.threaded import build_threaded
+from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.tree import TreeGeometry
 from repro.util.sizes import KB, MB
 
@@ -53,3 +54,14 @@ def pages(n: int, fill: bytes = b"x", pagesize: int = SMALL_PAGE) -> bytes:
     """n pages of repeated fill bytes."""
     unit = (fill * (pagesize // len(fill) + 1))[:pagesize]
     return unit * n
+
+
+def forged_leaf() -> TreeNode:
+    """A leaf without its page reference, built behind the constructor's
+    back: it pickles, and the receiving side's ``TreeNode(...)`` refuses it."""
+    forged = object.__new__(TreeNode)
+    object.__setattr__(forged, "key", NodeKey("b", 1, 0, SMALL_PAGE))
+    for field in ("left_version", "right_version", "write_uid"):
+        object.__setattr__(forged, field, None)
+    object.__setattr__(forged, "providers", ())
+    return forged

@@ -5,6 +5,7 @@ import pytest
 from repro.metadata.node import NodeKey, TreeNode
 from repro.net.message import NODE_WIRE_BYTES, estimate_size
 from repro.util.intervals import Interval
+from tests.conftest import forged_leaf
 
 
 def leaf(version=1, offset=0, size=4096):
@@ -80,3 +81,15 @@ class TestTreeNode:
             key=NodeKey("b", 1, 0, 4096), providers=(1, 2, 3), write_uid="w"
         )
         assert node.providers == (1, 2, 3)
+
+    def test_pickles_through_the_constructor(self):
+        """A decoded node has passed ``__post_init__``: a record the
+        constructor refuses cannot be smuggled in over the wire."""
+        import pickle
+
+        for node in (leaf(), internal(lv=3, rv=0)):
+            assert node.__reduce__()[0] is TreeNode
+            for protocol in (2, 5):
+                assert pickle.loads(pickle.dumps(node, protocol)) == node
+        with pytest.raises(ValueError, match="page reference"):
+            pickle.loads(pickle.dumps(forged_leaf(), 5))

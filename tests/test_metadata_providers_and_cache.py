@@ -73,12 +73,53 @@ class TestMetadataProvider:
         mp.put_node(node(blob="other"))
         assert {n.key for n in mp.iter_nodes("b")} == set(mp.list_nodes("b"))
 
+    def test_put_nodes_stores_a_batch_and_replays_idempotently(self):
+        mp = MetadataProvider(0)
+        batch = [node(version=v) for v in (1, 2, 3)]
+        assert mp.put_nodes(batch) is True
+        assert (mp.puts, mp.put_batches, mp.node_count) == (3, 1, 3)
+        # a replica retry of the same shard, one node of it fresh: only the
+        # fresh node counts in puts
+        assert mp.put_nodes(batch + [node(version=4)]) is True
+        assert (mp.puts, mp.put_batches, mp.node_count) == (4, 2, 4)
+        assert mp.get_node(batch[1].key) == batch[1]
+
+    def test_put_nodes_is_all_or_nothing(self):
+        mp = MetadataProvider(0)
+        mp.put_node(node(version=2))
+        conflicting = TreeNode(
+            key=NodeKey("b", 2, 0, 4096), providers=(9,), write_uid="other"
+        )
+        for bad, error in (
+            ([node(version=1), conflicting, node(version=3)], ImmutabilityViolation),
+            # two different records for one key inside the batch itself
+            ([node(version=5), TreeNode(NodeKey("b", 5, 0, 4096), providers=(9,),
+                                        write_uid="other")], ImmutabilityViolation),
+            ([node(version=1), "not-a-node"], ValueError),
+            ((node(version=1),), ValueError),  # not a list
+            (node(version=1), ValueError),
+        ):
+            with pytest.raises(error):
+                mp.put_nodes(bad)
+            assert (mp.puts, mp.put_batches, mp.node_count) == (1, 0, 1)
+            assert not mp.has_node(NodeKey("b", 1, 0, 4096))
+
+    def test_put_nodes_on_a_crashed_provider(self):
+        mp = MetadataProvider(0)
+        mp.crash()
+        with pytest.raises(ProviderUnavailable):
+            mp.put_nodes([node()])
+        mp.recover()
+        assert mp.put_nodes([node()]) is True
+
     def test_rpc_dispatch(self):
         mp = MetadataProvider(0)
         n = node()
+        assert mp.handle("meta.put_nodes", ([node(version=2)],)) is True
+        assert mp.handle("meta.stats", ())["put_batches"] == 1
         assert mp.handle("meta.put_node", (n,)) is True
         assert mp.handle("meta.get_node", (n.key,)) == n
-        assert mp.handle("meta.stats", ())["nodes"] == 1
+        assert mp.handle("meta.stats", ())["nodes"] == 2
         with pytest.raises(ValueError):
             mp.handle("meta.nope", ())
 

@@ -1,48 +1,64 @@
-"""Subtree-local metadata routing + one-RPC tree descent.
+"""Subtree-local metadata routing: every metadata operation pays per
+shard, not per tree level and not per node.
 
 - equivalence as a property: whatever the routing cut ``S``, a READ returns
-  what the paper's per-node descent (``S = 0``) returns, in exactly
-  ``2 + levels above the cut + 1`` batches;
+  what the paper's per-node descent (``S = 0``) returns — in 3 batches when
+  the vm names the region roots, in ``2 + levels above the cut + 1`` when
+  it declines or is not asked;
+- the vm's answer as a property: for every region and published version it
+  equals the label reached by per-node descent from the root, or is
+  ``None`` — never ``None`` at the latest published version;
+- the budget pinned as counts on inproc / threaded / tcp / aio: a cold READ
+  of a depth-18 blob is 3 batches, a WRITE's metadata batch one
+  ``meta.put_nodes`` per region owner plus one ``meta.put_node`` per node
+  above the cut;
 - failure paths of ``meta.get_subtree``: replica fail-over costs one extra
   batch, a node freed under a reader is a typed ``NodeMissing`` on every
-  driver;
+  driver; a collected version reads as ``NodeMissing`` or its exact bytes;
 - the three other tree walkers (GC mark, inspect, diff) share the READ's
   fetch helper: they survive a crashed primary, and a GC mark of a
   depth-18 blob is 5 batches, not 19;
-- ``subtree_gets`` / ``nodes_served`` reach ``meta.stats`` and the scrape.
+- the counters reach ``meta.stats`` / ``vm.stats`` and the scrape.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 
 from repro.core.config import DeploymentSpec
 from repro.core.gc import gc_protocol
-from repro.core.protocol import read_protocol
+from repro.core.journal import Journal
+from repro.core.protocol import read_protocol, split_pages, write_protocol
 from repro.deploy.inproc import build_inproc
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
 from repro.deploy.threaded import build_threaded
-from repro.errors import ConfigError, NodeMissing
+from repro.errors import ConfigError, NodeMissing, RemoteError
 from repro.metadata.cache import MetadataCache
 from repro.metadata.inspect import TreeInspector
 from repro.metadata.node import NodeKey
 from repro.metadata.router import SUBTREE_BYTES
-from repro.net.sansio import Batch, Call
+from repro.net.sansio import Batch, Call, Compute
 from repro.obs.metrics import render_metrics, scrape_driver
 from repro.util.sizes import GB, KB, MB
 from repro.version.diff import changed_ranges
+from repro.version.manager import LATEST, VersionManager
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
 
 META_READS = ("meta.get_node", "meta.get_subtree")
+META_WRITES = ("meta.put_node", "meta.put_nodes")
 
 
 def observed(proto, on_batch=None):
     """Wrap a protocol: count its batches and metadata-read batches, note
-    the page indices it fetches, and let a test act before a batch runs."""
-    seen = {"batches": 0, "meta_batches": 0, "pages": set()}
+    the page indices it fetches, the sizes of the nodes it asks for one by
+    one, whether it asked the vm for region roots and what its metadata
+    store batches hold — and let a test act before a batch runs."""
+    seen = {"batches": 0, "meta_batches": 0, "pages": set(), "node_sizes": [],
+            "asked": False, "meta_puts": []}
 
     def wrapper():
         try:
@@ -52,13 +68,18 @@ def observed(proto, on_batch=None):
                     if on_batch is not None:
                         on_batch(op)
                     seen["batches"] += 1
-                    methods = {c.method for c in op.calls}
-                    seen["meta_batches"] += bool(methods & set(META_READS))
-                    seen["pages"].update(
-                        c.args[0].index
-                        for c in op.calls
-                        if c.method == "data.get_page"
-                    )
+                    methods = [c.method for c in op.calls]
+                    seen["meta_batches"] += bool(set(methods) & set(META_READS))
+                    puts = {m: methods.count(m) for m in META_WRITES if m in methods}
+                    if puts:
+                        seen["meta_puts"].append(puts)
+                    for c in op.calls:
+                        if c.method == "data.get_page":
+                            seen["pages"].add(c.args[0].index)
+                        elif c.method == "meta.get_node":
+                            seen["node_sizes"].append(c.args[0].size)
+                        elif c.method == "vm.resolve_read":
+                            seen["asked"] = len(c.args) == 3
                 op = proto.send((yield op))
         except StopIteration as stop:
             return stop.value
@@ -114,12 +135,16 @@ def test_reads_equal_the_per_node_descent(seed, cut):
             client.write(blob, data, offset)
         deps.append((dep, blob, client.open(blob), MetadataCache()))
     latest = len(writes)
+    vm = deps[1][0].vm
+    outcomes = set()
     for _ in range(40):
         offset = rng.randrange(0, SMALL_TOTAL - 1)
         size = rng.randint(1, min(SMALL_TOTAL - offset, 96 * KB))
-        version = rng.randint(1, latest)
+        version = rng.choice((latest, rng.randint(1, latest)))
+        above = None
         for cached in (False, True):
             results = []
+            answered = vm.roots_answered
             for dep, blob, geom, cache in deps:
                 proto, seen = observed(read_protocol(
                     blob, geom, offset, size, dep.router, version=version,
@@ -127,18 +152,321 @@ def test_reads_equal_the_per_node_descent(seed, cut):
                 ))
                 results.append((dep.driver.run(proto), seen))
             (ref, ref_seen), (got, got_seen) = results
+            answered = vm.roots_answered - answered
+            assert not ref_seen["asked"] and answered <= got_seen["asked"]
             assert bytes(got.data) == bytes(ref.data)
             assert got.zero_bytes == ref.zero_bytes
             assert got.pages_fetched == ref.pages_fetched
             assert got_seen["pages"] == ref_seen["pages"]
-            assert (got.nodes_fetched + got.cache_hits
-                    == ref.nodes_fetched + ref.cache_hits)
             if not cached:
+                # an answered READ starts below the cut: it is short by
+                # exactly the nodes the per-node descent visits above it
+                above = sum(s > cut for s in ref_seen["node_sizes"]) * answered
+                outcomes.add((got_seen["asked"], bool(answered)))
                 assert got.cache_hits == 0
-                assert got.nodes_fetched == ref.nodes_fetched
+                assert got.nodes_fetched == ref.nodes_fetched - above
                 if got.pages_fetched:  # the descent reached the leaves
                     assert ref_seen["batches"] == 2 + _levels_above(0)
-                    assert got_seen["batches"] == 2 + _levels_above(cut) + 1
+                    assert got_seen["batches"] == (
+                        3 if answered else 2 + _levels_above(cut) + 1
+                    )
+            assert (got.nodes_fetched + got.cache_hits
+                    == ref.nodes_fetched + ref.cache_hits - above)
+        if version == latest and got_seen["asked"]:
+            assert answered  # never declined at the latest published version
+    # the vm is asked only where it can pay: never when the root itself is
+    # co-located, nor when a request spans more regions than levels saved
+    # (possible here only with one-page regions)
+    if cut == SMALL_TOTAL:
+        assert outcomes == {(False, False)}
+    else:
+        assert (True, True) in outcomes
+        assert ((False, False) in outcomes) == (cut == SMALL_PAGE)
+        assert (True, False) in outcomes or cut == SMALL_PAGE
+
+
+# ---------------------------------------------------------------------------
+# the vm's answer as a property
+# ---------------------------------------------------------------------------
+
+
+class SteppedWrite:
+    """A WRITE driven by hand, so it can sit between two of its batches
+    (``vm.assign`` done, metadata not stored, ``vm.complete`` not sent)."""
+
+    def __init__(self, dep, blob, geom, offset, data, uid):
+        self.dep = dep
+        self.proto = write_protocol(
+            blob, geom, offset, split_pages(data, geom.pagesize), dep.router, uid
+        )
+        self.op = next(self.proto)
+        self.result = None
+
+    def advance(self, until: str | None = None):
+        """Run on; stop right after the batch calling ``until`` (else finish)."""
+        while self.result is None:
+            op, reply = self.op, None
+            if isinstance(op, Batch):
+                reply = self.dep.driver.run(_one_batch(op))
+            else:
+                assert isinstance(op, Compute)
+            try:
+                self.op = self.proto.send(reply)
+            except StopIteration as stop:
+                self.result = stop.value
+            if until and isinstance(op, Batch) and op.calls[0].method == until:
+                break
+        return self.result
+
+
+def _one_batch(batch):
+    return (yield batch)
+
+
+def _descent_label(dep, blob, version, region):
+    """The version label of the node covering ``region`` in snapshot
+    ``version``, reached the paper's way: ``meta.get_node`` by
+    ``meta.get_node`` from the blob root."""
+    lo, span = region
+    key = NodeKey(blob, version, 0, SMALL_TOTAL)
+    while key.size > span:
+        node = dep.meta[dep.router.primary(key)[1]].get_node(key)
+        left, right = node.child_keys()
+        key = left if lo < right.offset else right
+        if key.version == 0:
+            return 0
+    return key.version
+
+
+#: canonical intervals of the small blob at several depths, written part
+#: (pages 0..511) and never-written part alike
+REGIONS = [
+    (index * span, span)
+    for span in (SMALL_PAGE, 64 * KB, 1 * MB, 2 * MB)
+    for index in range(0, SMALL_TOTAL // span, max(1, SMALL_TOTAL // span // 16))
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_vm_names_exactly_the_node_a_descent_from_the_root_reaches(seed, tmp_path):
+    rng = random.Random(f"region-roots/{seed}")
+    dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0))
+    vm = dep.vm = VersionManager(Journal(tmp_path / "vm", snapshot_every=5))
+    dep.driver.unregister("vm")
+    dep.driver.register("vm", vm)
+    client = dep.client()
+    blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
+    geom = client.open(blob)
+    parked: list[SteppedWrite] = []
+    declined = checked = 0
+
+    def check(manager):
+        nonlocal declined, checked
+        latest = manager.get_latest(blob)
+        for version in range(1, latest + 1):
+            for region in REGIONS:
+                asked = LATEST if version == latest and rng.random() < 0.5 else version
+                effective, seen_latest, roots = manager.resolve_read(
+                    blob, asked, (region,)
+                )
+                assert (effective, seen_latest) == (version, latest)
+                checked += 1
+                if roots is None:
+                    declined += 1
+                    assert version < latest  # only history is ever declined
+                else:
+                    assert roots == (_descent_label(dep, blob, version, region),)
+        return latest
+
+    for step in range(24):
+        npages = rng.choice((1, 2, 3, 8, 40, 130))
+        offset = rng.randrange(0, 512 - npages) * SMALL_PAGE
+        write = SteppedWrite(
+            dep, blob, geom, offset, pages(npages, bytes([65 + step])), f"w#{step}"
+        )
+        fate = rng.random()
+        if fate < 0.35:
+            write.advance(until="vm.assign")
+            parked.append(write)  # holds its version: later ones cannot publish
+        elif fate < 0.5:
+            write.advance(until="vm.assign")
+            vm.abandon(blob, vm.in_flight_versions(blob)[-1])
+        else:
+            write.advance()
+        if parked and rng.random() < 0.4:
+            parked.pop(rng.randrange(len(parked))).advance()
+        check(vm)
+
+    # one last writer stays in flight for good: a vm rebuilt from the
+    # journal rolls that tail back, and answers every question the live
+    # one answers, identically
+    SteppedWrite(dep, blob, geom, 0, pages(3, b"z"), "w#last").advance("vm.assign")
+    check(vm)
+    shutil.copytree(tmp_path / "vm", tmp_path / "recovered")
+    recovered = VersionManager(Journal(tmp_path / "recovered"))
+    assert recovered.rolled_back > 0
+    latest = check(recovered)
+    for version in range(1, latest + 1):
+        for region in REGIONS:
+            assert (recovered.resolve_read(blob, version, (region,))
+                    == vm.resolve_read(blob, version, (region,)))
+    assert checked > 1000 and 0 < declined < checked // 2
+
+
+# ---------------------------------------------------------------------------
+# the round-trip budget, pinned as counts
+# ---------------------------------------------------------------------------
+
+
+def _budget_on(dep):
+    """Depth-18 blob, default cut (64 MiB: 4 levels above it), no cache."""
+    client = dep.client()
+    blob = client.alloc(1 * GB, SMALL_PAGE)
+    geom = client.open(blob)
+    assert geom.depth == 18
+    proto, seen = observed(write_protocol(
+        blob, geom, 40 * MB, split_pages(pages(4, b"B"), SMALL_PAGE),
+        dep.router, "budget#1",
+    ))
+    written = dep.driver.run(proto)
+    # one metadata batch: the region's owner gets its shard in one call,
+    # each of the 4 nodes above the cut stays one put
+    assert seen["meta_puts"] == [{"meta.put_node": 4, "meta.put_nodes": 1}]
+    proto, seen = observed(
+        read_protocol(blob, geom, 40 * MB, 4 * SMALL_PAGE, dep.router)
+    )
+    got = dep.driver.run(proto)
+    assert bytes(got.data) == pages(4, b"B")
+    # version -> one get_subtree for the region -> pages
+    assert (seen["batches"], seen["meta_batches"], seen["asked"]) == (3, 1, True)
+    assert seen["node_sizes"] == []  # nothing above the cut was fetched
+    assert got.nodes_fetched == written.nodes_written - 4
+    # a request spanning two regions: still 3 batches, one walk per region
+    client.write(blob, pages(2, b"C"), 64 * MB - SMALL_PAGE)
+    proto, seen = observed(read_protocol(
+        blob, geom, 64 * MB - SMALL_PAGE, 2 * SMALL_PAGE, dep.router
+    ))
+    assert bytes(dep.driver.run(proto).data) == pages(2, b"C")
+    assert (seen["batches"], seen["meta_batches"]) == (3, 1)
+    stats = call(dep, "vm", "vm.stats")
+    assert (stats["roots_answered"], stats["roots_declined"]) == (2, 0)
+
+
+@pytest.mark.parametrize("driver", ["inproc", "threaded", "tcp", "aio"])
+def test_cold_read_is_three_batches_and_a_write_one_put_per_shard(driver):
+    spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
+    if driver == "inproc":
+        _budget_on(build_inproc(spec))
+    elif driver == "threaded":
+        with build_threaded(spec) as dep:
+            _budget_on(dep)
+    else:
+        client = "aio" if driver == "aio" else "threaded"
+        with build_tcp(spec, client=client) as dep:
+            _budget_on(dep)
+
+
+def test_every_replica_owner_gets_its_shard():
+    dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, replication=2,
+                                      cache_capacity=0))
+    client = dep.client()
+    blob = client.alloc(1 * GB, SMALL_PAGE)
+    geom = client.open(blob)
+    proto, seen = observed(write_protocol(
+        blob, geom, 40 * MB, split_pages(pages(4, b"R"), SMALL_PAGE),
+        dep.router, "replicated#1",
+    ))
+    written = dep.driver.run(proto)
+    assert seen["meta_puts"] == [{"meta.put_node": 8, "meta.put_nodes": 2}]
+    owners = dep.router.route(NodeKey(blob, 1, 40 * MB, SMALL_PAGE))
+    shards = [
+        {n.key for n in dep.meta[m].iter_nodes(blob) if dep.router.colocated(n.key)}
+        for _, m in owners
+    ]
+    assert len(owners) == 2 and shards[0] == shards[1]
+    assert len(shards[0]) == written.nodes_written - 4
+    assert [dep.meta[m].put_batches for _, m in owners] == [1, 1]
+    assert sum(m.puts for m in dep.meta.values()) == 2 * written.nodes_written
+    # and either copy serves the READ
+    dep.meta[owners[0][1]].crash()
+    assert client.read_bytes(blob, 40 * MB, 4 * SMALL_PAGE) == pages(4, b"R")
+
+
+def test_read_at_latest_beside_an_in_flight_writer_is_three_batches():
+    """A writer sitting between ``vm.assign`` and ``vm.complete`` on the
+    same region has stamped the vm's index with an unpublished version;
+    the vm walks back through its undo record instead of declining."""
+    dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0))
+    client = dep.client()
+    blob = client.alloc(1 * GB, SMALL_PAGE)
+    geom = client.open(blob)
+    client.write(blob, pages(4, b"P"), 40 * MB)
+    writer = SteppedWrite(dep, blob, geom, 40 * MB, pages(4, b"Q"), "parked#1")
+    writer.advance(until="vm.assign")
+    assert dep.vm.in_flight_versions(blob) == [2]
+    for _ in range(2):  # ...and again after the writer stored its metadata
+        proto, seen = observed(
+            read_protocol(blob, geom, 40 * MB, 4 * SMALL_PAGE, dep.router)
+        )
+        got = dep.driver.run(proto)
+        assert (got.version, bytes(got.data)) == (1, pages(4, b"P"))
+        assert (seen["batches"], seen["asked"]) == (3, True)
+        writer.advance(until="meta.put_node")
+    assert writer.advance().version == 2
+    assert client.read_bytes(blob, 40 * MB, 4 * SMALL_PAGE) == pages(4, b"Q")
+    assert (dep.vm.roots_answered, dep.vm.roots_declined) == (3, 0)
+
+
+def test_a_collected_version_reads_node_missing_or_its_exact_bytes():
+    """A hinted READ never touches the blob root, so after a GC a collected
+    version is the typed error it always was — or, where a kept version
+    still shares the whole region subtree, that snapshot's bytes."""
+    dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0))
+    client = dep.client()
+    blob = client.alloc(1 * GB, SMALL_PAGE)
+    client.write(blob, pages(4, b"1"), 40 * MB)    # v1, region 0
+    client.write(blob, pages(4, b"2"), 200 * MB)   # v2, region 3
+    client.write(blob, pages(2, b"3"), 200 * MB)   # v3 overwrites half of it
+    client.gc(blob, [3], sorted(dep.data), sorted(dep.meta))
+    # v2's region 0 is v1's subtree, which v3 still shares: exact bytes
+    assert client.read_bytes(blob, 40 * MB, 4 * SMALL_PAGE, version=2) == pages(4, b"1")
+    # v2's region 3 was overwritten by a published version: the vm declines,
+    # the READ starts at v2's root, and that was collected
+    with pytest.raises(NodeMissing):
+        client.read(blob, 200 * MB, 4 * SMALL_PAGE, version=2)
+    # a region no version ever wrote: zeros, without fetching anything
+    got = client.read(blob, 512 * MB, 4 * SMALL_PAGE, version=1)
+    assert (bytes(got.data), got.nodes_fetched) == (bytes(4 * SMALL_PAGE), 0)
+    assert client.read_bytes(blob, 200 * MB, 4 * SMALL_PAGE) == (
+        pages(2, b"3") + pages(2, b"2")
+    )
+
+
+def test_malformed_regions_are_typed_errors_and_the_vm_keeps_serving():
+    spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
+    with build_tcp(spec, control_plane="agents") as dep:
+        client = dep.client()
+        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
+        client.write(blob, pages(2, b"V"), 0)
+        page = (0, SMALL_PAGE)
+        for regions in (
+            [page],                                   # not a tuple
+            (page,) * 12,                             # more than depth + 1
+            ((0, 3 * SMALL_PAGE),),                   # not a power of two
+            ((SMALL_PAGE, 2 * SMALL_PAGE),),          # not aligned to its size
+            ((0, SMALL_PAGE // 2),),                  # below the page size
+            ((SMALL_TOTAL, SMALL_PAGE),),             # out of bounds
+            ((0, 2 * SMALL_TOTAL),),
+            ((-SMALL_PAGE, SMALL_PAGE),),
+            ((0.0, SMALL_PAGE),), ("ab",), (page + (1,),), 7,
+        ):
+            with pytest.raises(RemoteError) as refused:
+                call(dep, "vm", "vm.resolve_read", (blob, LATEST, regions))
+            assert refused.value.error_type == "ValueError", regions
+        # same connection, next call: served
+        assert call(dep, "vm", "vm.resolve_read", (blob, LATEST, (page,))) == (1, 1, (1,))
+        assert call(dep, "vm", "vm.resolve_read", (blob, LATEST)) == (1, 1)
+        assert dep.driver.peer_status()["vm"] == "connected"
 
 
 def test_spec_validates_the_cut():
@@ -324,6 +652,34 @@ def test_simulator_prices_a_subtree_reply_per_node_returned():
     assert sum(m.subtree_gets for m in dep.meta.values()) == 2
 
 
+def test_simulator_prices_a_shard_per_node_and_its_dht_latency_once():
+    """``meta.put_nodes`` is never cheaper than the service time of the
+    nodes it carries; what it saves is the per-put asynchronous latency
+    (one metadata provider, so both layouts queue on the same lane)."""
+    elapsed = {}
+    for cut in (0, SMALL_TOTAL):
+        dep = SimDeployment(DeploymentSpec(
+            n_data=1, n_meta=1, n_clients=1, cache_capacity=0,
+            meta_subtree_bytes=cut,
+        ))
+        blob = dep.alloc_blob(SMALL_TOTAL, SMALL_PAGE)
+        client = dep.client(0)
+        trace: dict[str, float] = {}
+        result = client.run(
+            client.write_virtual_proto(blob, 0, 64 * SMALL_PAGE, trace=trace)
+        )
+        elapsed[cut] = trace["metadata_stored"] - trace["version_assigned"]
+        (provider,) = dep.meta.values()
+        assert provider.put_batches == (1 if cut else 0)
+        assert provider.puts == result.nodes_written
+    spec = dep.network.spec
+    n = result.nodes_written
+    assert elapsed[SMALL_TOTAL] >= n * spec.service_time("meta.put_node")
+    assert elapsed[0] - elapsed[SMALL_TOTAL] >= (n - 1) * spec.async_latency(
+        "meta.put_node"
+    )
+
+
 # ---------------------------------------------------------------------------
 # observability of the hot spot
 # ---------------------------------------------------------------------------
@@ -341,10 +697,34 @@ def test_subtree_counters_reach_stats_and_the_scrape():
     assert stats["subtree_gets"] == 1
     assert stats["nodes_served"] == stats["gets"] == result.nodes_fetched
     assert stats["nodes"] == sum(m.node_count for m in dep.meta.values())
+    assert (stats["puts"], stats["put_batches"]) == (stats["nodes"], 1)
     doc = scrape_driver(dep.driver, source="inproc")
     name = f"meta/{owner[1]}"
     assert doc["actors"][name]["stats"] == stats
     assert doc["actors"][name]["methods"]["meta.get_subtree"]["count"] == 1
     table = render_metrics(doc)
     assert f"nodes {stats['nodes']}" in table
+    assert "put_batches 1" in table
     assert f"subtree_gets 1, nodes_served {result.nodes_fetched}" in table
+
+
+def test_vm_counters_say_why_a_read_was_slow():
+    """``roots_declined`` counts the READs that paid the descent from the
+    root: snapshots older than a published overwrite of their region."""
+    dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0))
+    client = dep.client()
+    blob = client.alloc(1 * GB, SMALL_PAGE)
+    client.write(blob, pages(2, b"1"), 0)
+    client.write(blob, pages(2, b"2"), 0)
+    client.read(blob, 0, SMALL_PAGE)                 # LATEST: answered
+    client.read(blob, 0, SMALL_PAGE, version=1)      # overwritten since: declined
+    client.read(blob, 128 * MB, SMALL_PAGE, version=1)  # untouched region: answered
+    small = client.alloc(SMALL_TOTAL, SMALL_PAGE)    # no larger than S: not asked
+    client.write(small, pages(1), 0)
+    client.read(small, 0, SMALL_PAGE)
+    stats = call(dep, "vm", "vm.stats")
+    assert stats == {"assigns": 3, "completions": 3, "resolves": 4,
+                     "roots_answered": 2, "roots_declined": 1}
+    doc = scrape_driver(dep.driver, source="inproc")
+    assert doc["actors"]["vm"]["stats"] == stats
+    assert "roots_answered 2, roots_declined 1" in render_metrics(doc)

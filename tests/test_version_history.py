@@ -141,3 +141,40 @@ def test_latest_matches_bruteforce(patches):
             (v for v, p in recorded if p.intersects(iv)), default=0
         )
         assert h.latest(iv) == expected
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=15),
+            st.integers(min_value=1, max_value=16),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=0, max_value=12),
+)
+def test_label_at_is_the_bruteforce_maximum_or_absent(patches, published):
+    """label_at(iv, v) is max{w <= v : patch(w) meets iv}, for every v at or
+    after the last published version; before it, that or ``None``."""
+    h = PatchHistory(GEOM)
+    recorded = []
+    for v, (first, npages) in enumerate(patches, start=1):
+        p = patch(first, max(1, min(npages, 16 - first)))
+        h.record(v, p)
+        recorded.append((v, p))
+    published = min(published, len(recorded))
+    for v in range(1, published + 1):
+        h.forget_undo(v)  # what publishing a version does
+    for snapshot in range(len(recorded) + 1):
+        for iv in GEOM.visit_intervals(GEOM.root):
+            expected = max(
+                (v for v, p in recorded if v <= snapshot and p.intersects(iv)),
+                default=0,
+            )
+            label = h.label_at(iv, snapshot)
+            if snapshot >= published:
+                assert label == expected
+            else:
+                assert label in (expected, None)

@@ -155,6 +155,76 @@ class TestReadResolution:
         assert latest >= effective == 2
 
 
+class TestRegionRoots:
+    """``resolve_read(blob, version, regions)``: exact or absent."""
+
+    REGION = (0, 64 * KB)  # covers pages 0..15
+
+    def test_names_the_latest_writer_of_each_region(self):
+        vm, blob = vm_with_blob()
+        for offset in (0, 64 * KB, 0):
+            vm.complete(blob, vm.assign(blob, offset, PAGE).version)
+        regions = (self.REGION, (64 * KB, 64 * KB), (128 * KB, 64 * KB))
+        assert vm.resolve_read(blob, LATEST, regions) == (3, 3, (3, 2, 0))
+        assert vm.resolve_read(blob, 2, regions[1:]) == (2, 3, (2, 0))
+        assert vm.resolve_read(blob, LATEST, ()) == (3, 3, ())
+
+    def test_declines_only_behind_a_published_overwrite(self):
+        vm, blob = vm_with_blob()
+        for _ in range(2):
+            vm.complete(blob, vm.assign(blob, 0, PAGE).version)
+        # all-or-nothing: one region the history cannot vouch for is None
+        assert vm.resolve_read(blob, 1, ((64 * KB, 64 * KB), self.REGION)) == (1, 2, None)
+        assert vm.resolve_read(blob, 1, ((64 * KB, 64 * KB),)) == (1, 2, (0,))
+
+    def test_latest_is_answered_through_in_flight_and_abandoned_writers(self):
+        vm, blob = vm_with_blob()
+        vm.complete(blob, vm.assign(blob, 0, PAGE).version)
+        vm.assign(blob, 0, PAGE)          # v2, in flight
+        vm.assign(blob, PAGE, PAGE)       # v3, in flight, same region
+        assert vm.resolve_read(blob, LATEST, (self.REGION,)) == (1, 1, (1,))
+        vm.complete(blob, 3)              # completed, not published: v2 holds it
+        assert vm.resolve_read(blob, LATEST, (self.REGION,)) == (1, 1, (1,))
+        vm.assign(blob, 0, PAGE)          # v4...
+        vm.abandon(blob, 4)               # ...backs out
+        assert vm.resolve_read(blob, LATEST, (self.REGION,)) == (1, 1, (1,))
+        vm.complete(blob, 2)              # publishes v2 and v3
+        assert vm.resolve_read(blob, LATEST, (self.REGION,)) == (3, 3, (3,))
+        assert vm.resolve_read(blob, 2, ((0, PAGE), (2 * PAGE, PAGE))) == (2, 3, (2, 0))
+        assert vm.resolve_read(blob, 2, ((PAGE, PAGE),)) == (2, 3, None)  # v3's page
+        assert vm.resolve_read(blob, 1, (self.REGION,)) == (1, 3, None)
+
+    def test_is_read_only(self):
+        vm, blob = vm_with_blob()
+        vm.complete(blob, vm.assign(blob, 0, PAGE).version)
+        vm.assign(blob, 0, PAGE)
+        before = (vm.patches(blob), vm.in_flight_versions(blob), vm.stat(blob))
+        vm.resolve_read(blob, LATEST, (self.REGION,))
+        assert (vm.patches(blob), vm.in_flight_versions(blob), vm.stat(blob)) == before
+        assert vm.abandon(blob, 2) == 2  # the undo record is intact
+
+    @pytest.mark.parametrize("regions", [
+        [(0, PAGE)], "regions", 7,
+        ((0, PAGE),) * 10,                # the blob has depth 8: at most 9
+        ((0, 3 * PAGE),), ((PAGE, 2 * PAGE),), ((0, PAGE // 2),), ((0, 0),),
+        ((TOTAL, PAGE),), ((0, 2 * TOTAL),), ((-PAGE, PAGE),), ((0, -PAGE),),
+        ((0.0, PAGE),), ((True, PAGE),), ((0, PAGE, 1),), (Interval(0, PAGE),),
+    ])
+    def test_malformed_regions_are_value_errors(self, regions):
+        vm, blob = vm_with_blob()
+        vm.complete(blob, vm.assign(blob, 0, PAGE).version)
+        with pytest.raises(ValueError):
+            vm.resolve_read(blob, LATEST, regions)
+        assert vm.stats()["roots_answered"] == vm.stats()["roots_declined"] == 0
+
+    def test_unpublished_version_fails_before_anything_is_counted(self):
+        vm, blob = vm_with_blob()
+        with pytest.raises(VersionNotPublished):
+            vm.resolve_read(blob, 1, (self.REGION,))
+        assert vm.stats() == {"assigns": 0, "completions": 0, "resolves": 0,
+                              "roots_answered": 0, "roots_declined": 0}
+
+
 class TestAbandon:
     def test_abandon_most_recent(self):
         vm, blob = vm_with_blob()
@@ -198,6 +268,11 @@ class TestDispatch:
         assert vm.handle("vm.get_latest", (blob,)) == 1
         assert vm.handle("vm.stat", (blob,)) == (TOTAL, PAGE, 1)
         assert vm.handle("vm.resolve_read", (blob, LATEST)) == (1, 1)
+        assert vm.handle("vm.resolve_read", (blob, 1, ((0, PAGE),))) == (1, 1, (1,))
+        assert vm.handle("vm.stats", ()) == {
+            "assigns": 1, "completions": 1, "resolves": 2,
+            "roots_answered": 1, "roots_declined": 0,
+        }
         assert vm.handle("vm.in_flight", (blob,)) == []
         with pytest.raises(ValueError):
             vm.handle("vm.nope", ())

@@ -1,7 +1,8 @@
 """Pins on the buffer-owning wire path (net/codec.py's ownership rule):
 
-- envelope validation: a well-framed message of the wrong shape is
-  answered typed and the agent / worker keeps serving;
+- envelope validation: a well-framed message of the wrong shape, or whose
+  body does not unpickle at all, is answered typed and the agent / worker
+  keeps serving — the connection and every other call on it survive;
 - aliasing and immutability: a page that crossed a socket never shares
   memory with the connection's reusable receive buffer, and can never be
   written through;
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 import socket
+import struct
 import threading
 import tracemalloc
 
@@ -36,6 +38,7 @@ from repro.net.tcp import TcpDriver
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB, MB
+from tests.conftest import forged_leaf
 
 #: what a peer can frame and pickle that is not a request envelope
 MALFORMED = [
@@ -49,10 +52,28 @@ MALFORMED = [
 ]
 
 
+class RawBody(bytes):
+    """A message body to frame as it is, instead of pickling an object."""
+
+
+#: well-framed bodies that do not unpickle: an unknown class, and a request
+#: carrying a tree node its constructor refuses
+UNDECODABLE = [
+    RawBody(b"\x80\x05cnonexistent_module\nNope\n)R."),
+    RawBody(encode_message(0, ("rpc", [("meta.put_node", (forged_leaf(),))]))[12:]),
+]
+
+
+def _frame(req_id: int, message: object) -> bytes:
+    if isinstance(message, RawBody):
+        return struct.pack(">IQ", 8 + len(message), req_id) + message
+    return encode_message(req_id, message)
+
+
 def _exchange(sock: socket.socket, messages: dict[int, object]) -> dict[int, object]:
     """Send every message, then read one decoded reply per request id."""
     sock.settimeout(10)
-    sock.sendall(b"".join(encode_message(i, m) for i, m in messages.items()))
+    sock.sendall(b"".join(_frame(i, m) for i, m in messages.items()))
     decoder = MessageDecoder()
     seen: dict[int, object] = {}
     while len(seen) < len(messages):
@@ -64,19 +85,22 @@ def _exchange(sock: socket.socket, messages: dict[int, object]) -> dict[int, obj
 
 
 def _assert_malformed_answered_typed(seen: dict[int, object]) -> None:
-    for req_id in range(1, len(MALFORMED) + 1):
+    for req_id, message in enumerate(MALFORMED + UNDECODABLE, start=1):
         reply = seen[req_id]
         assert isinstance(reply, RemoteError), (req_id, reply)
-        assert reply.error_type == "WireProtocolError"
+        assert reply.error_type == (
+            "WireCodecError" if isinstance(message, RawBody) else "WireProtocolError"
+        )
     # ...and the request pipelined behind them was served normally
     (stats,) = seen[99]
     assert stats["pages"] == 0
 
 
 def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
-    """At the parent commit any of these killed the connection's pump
-    thread with an uncaught TypeError/IndexError (or, for a bad call
-    list, the actor's service thread)."""
+    """Before PR 15 a malformed envelope killed the connection's pump
+    thread (or the actor's service thread); before PR 17 an undecodable
+    body dropped the whole connection, failing every other call
+    multiplexed on it as ``PeerUnavailable``."""
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
     sock = socket.create_connection(
@@ -84,7 +108,7 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
     )
     try:
         messages = {0: ("hello", "data/0")}
-        messages.update(enumerate(MALFORMED, start=1))
+        messages.update(enumerate(MALFORMED + UNDECODABLE, start=1))
         messages[99] = ("rpc", [("data.stats", ())])
         seen = _exchange(sock, messages)
         assert seen[0] == ("welcome", "data/0")
@@ -111,7 +135,9 @@ def test_worker_answers_malformed_envelopes_typed_and_keeps_serving():
     )
     worker.start()
     try:
-        messages = dict(enumerate(MALFORMED, start=1))
+        # (at the parent commit an undecodable body ended the serving loop:
+        # the worker process exited for good)
+        messages = dict(enumerate(MALFORMED + UNDECODABLE, start=1))
         messages[99] = ("rpc", [("data.stats", ())])
         _assert_malformed_answered_typed(_exchange(parent, messages))
         assert _exchange(parent, {100: ("shutdown", ())}) == {100: True}
@@ -155,6 +181,38 @@ def test_agent_answers_malformed_get_subtree_typed_and_keeps_serving():
         assert seen[99] == [[leaf]]
     finally:
         sock.close()
+        agent.close()
+
+
+@pytest.mark.parametrize("client", ["tcp", "aio"])
+def test_callers_see_an_undecodable_request_typed_and_the_connection_survives(client):
+    """A request the agent cannot unpickle is that call's typed error on
+    the caller — and the same connection serves the next call."""
+    provider = MetadataProvider(0)
+    agent = NodeAgent({("meta", 0): provider})
+    agent.start()
+    driver = TcpDriver() if client == "tcp" else AioDriver()
+    addr = ("meta", 0)
+    leaf = TreeNode(NodeKey("b", 1, 0, 4 * KB), providers=(0,), write_uid="u")
+    try:
+        driver.register_remote(addr, agent.endpoint)
+        driver.wait_connected(10)
+        for method, args in (
+            ("meta.put_node", (forged_leaf(),)),
+            ("meta.put_nodes", ([leaf, forged_leaf()],)),
+        ):
+            with pytest.raises(RemoteError) as refused:
+                driver.call(addr, method, args)
+            assert refused.value.error_type == "WireCodecError"
+            assert "page reference" in refused.value.message
+        assert provider.node_count == 0
+        assert driver.call(addr, "meta.put_nodes", ([leaf],)) is True
+        assert driver.call(addr, "meta.get_node", (leaf.key,)) == leaf
+        # never reconnected: one connection served all of it
+        assert driver.peer_status()[addr] == "connected"
+        assert agent.stats()["meta/0"] == (2, 2)
+    finally:
+        driver.abort()
         agent.close()
 
 
