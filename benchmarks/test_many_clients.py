@@ -60,5 +60,10 @@ def test_many_clients_tail_latency(benchmark, publish, publish_json, profile):
     # 1 write + 2 reads per client per tier, each op 1+ wire RPCs
     total_ops = sum(3 * n for n in profile.aio_clients)
     assert fig.counters["queue_submissions"] >= total_ops
-    assert fig.counters["wire_rpcs_served"] == fig.counters["queue_submissions"]
+    # nothing was lost: every sub-call submitted was served — in fewer
+    # frames than groups, because concurrent clients' groups to one peer
+    # share frames (queue_submissions / wire_rpcs_served is the
+    # coalescing factor, not a loss)
+    assert fig.counters["sub_calls_served"] == fig.counters["sub_calls_submitted"]
+    assert fig.counters["wire_rpcs_served"] <= fig.counters["queue_submissions"]
     assert fig.counters["completion_wakeups"] == fig.counters["batches"]

@@ -1,0 +1,156 @@
+"""``python scripts/perf_ab.py --base REV --workload W --seeds 1,7 --pairs N``
+
+The A/B runner every performance PR needs: run ``perfbench/run.py`` in a
+copy of the base revision and in this work tree, in alternating pairs
+(odd pairs run the change first), one run at a time, and write every run
+plus per-side medians, quartiles and the win count to a ``BENCH_<pr>.json``
+(``--out``; an existing file is extended, so one file can hold several
+workloads and the ``--trace 1`` ledgers). It reports; it judges nothing —
+the acceptance rule lives in ROADMAP.md and the reviewer's head.
+
+The base is materialised with ``git archive REV`` under ``--workdir``
+(default: the system temp directory), outside the repository; perfbench
+itself stays frozen and is used only through its command line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pair_schedule(pairs: int) -> list[tuple[str, str]]:
+    """The side order of each pair: even pairs parent first, odd pairs
+    change first, so neither side always runs on the warmer host."""
+    return [
+        ("change", "parent") if k % 2 else ("parent", "change")
+        for k in range(pairs)
+    ]
+
+
+def parse_run(stdout: str) -> dict:
+    """One perfbench run's output as ``{correct, attempted, failed,
+    metrics: {name: value}, host, raw}`` — the final JSON line, plus the
+    host fingerprint and raw (uncalibrated) values of the ``detail:`` line."""
+    lines = stdout.strip().splitlines()
+    final = json.loads(lines[-1])
+    run = {k: final[k] for k in ("correct", "attempted", "failed")}
+    run["metrics"] = {name: m["value"] for name, m in final["metrics"].items()}
+    for line in lines:
+        if line.strip().startswith("detail: "):
+            detail = json.loads(line.strip()[len("detail: "):])
+            run["host"], run["raw"] = detail["host"], detail["raw"]
+    return run
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
+    """Per (workload, seed, trace): each metric's median and quartiles per
+    side and the pairs the change won (ties count for neither)."""
+    cells: dict[tuple, dict[int, dict[str, dict]]] = {}
+    for run in runs:
+        key = (run["workload"], run["seed"], run["trace"])
+        cells.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = run
+    out = []
+    for (workload, seed, trace), by_pair in sorted(cells.items()):
+        pairs = [p for p in by_pair.values() if len(p) == 2]
+        row = {"workload": workload, "seed": seed, "trace": trace,
+               "pairs": len(pairs), "metrics": {},
+               "failed": {side: sum(p[side]["failed"] for p in pairs)
+                          for side in ("parent", "change")}}
+        for name in pairs[0]["parent"]["metrics"] if pairs else ():
+            sides = {side: [p[side]["metrics"][name] for p in pairs]
+                     for side in ("parent", "change")}
+            sign = -1 if better.get(name) == "lower" else 1
+            cell = {"change_wins": sum(
+                sign * c > sign * p
+                for p, c in zip(sides["parent"], sides["change"])
+            )}
+            for side, values in sides.items():
+                q1, _, q3 = (statistics.quantiles(values, n=4)
+                             if len(values) > 1 else values * 3)
+                cell[side] = {"q1": q1, "median": statistics.median(values),
+                              "q3": q3}
+            row["metrics"][name] = cell
+        out.append(row)
+    return out
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    if proc.returncode not in (0, 1):  # 1 = ran, but an op failed to verify
+        raise RuntimeError(f"perfbench exited {proc.returncode} in {tree}")
+    return parse_run(proc.stdout)
+
+
+def materialise(rev: str, workdir: Path) -> Path:
+    """``git archive REV`` unpacked under ``workdir`` (reused if present)."""
+    sha = subprocess.check_output(
+        ["git", "rev-parse", rev], cwd=ROOT, text=True
+    ).strip()
+    tree = workdir / f"base-{sha[:12]}"
+    if not tree.is_dir():
+        tree.mkdir(parents=True)
+        archive = subprocess.Popen(
+            ["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE
+        )
+        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            raise RuntimeError(f"git archive {sha} failed")
+    return tree
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument("--workload", required=True, action="append")
+    parser.add_argument("--seeds", default="1,7")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", required=True, help="BENCH_<pr>.json")
+    parser.add_argument(
+        "--workdir", default=str(Path(tempfile.gettempdir()) / "perf_ab")
+    )
+    args = parser.parse_args(argv)
+
+    trees = {"parent": materialise(args.base, Path(args.workdir)), "change": ROOT}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    doc.update(base=args.base, command=" ".join(spec["command"]) +
+               " --workload W --seed S --seconds N --trace T",
+               method="alternating parent/change pairs, odd pairs change "
+               "first, one run at a time; parent = git archive of base")
+    for workload in args.workload:
+        for seed in (int(s) for s in args.seeds.split(",")):
+            first = 1 + max((r["pair"] for r in doc["runs"] if (
+                r["workload"], r["seed"], r["trace"]
+            ) == (workload, seed, args.trace)), default=-1)
+            for k, order in enumerate(pair_schedule(args.pairs)):
+                for side in order:
+                    run = run_once(trees[side], workload, seed, args.seconds, args.trace)
+                    run.update(workload=workload, seed=seed, trace=args.trace,
+                               pair=first + k, side=side, first=order[0])
+                    doc["runs"].append(run)
+                    headline = run["metrics"].get("norm_ops_per_s", "")
+                    print(f"{workload} seed={seed} pair={first + k} {side}: "
+                          f"failed={run['failed']} {headline}", flush=True)
+                doc["summary"] = summarize(doc["runs"], better)
+                out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

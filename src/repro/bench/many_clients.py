@@ -145,15 +145,15 @@ def many_clients_quantiles(
                 for q, p in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
                     quantiles[f"{kind} {q}"].append(hist.quantile(p) / 1e6)
         transport = dep.driver.transport_stats()
-        served = sum(
-            rpcs for rpcs, _calls in dep.driver.server_stats().values()
-        )
+        served = dep.driver.server_stats().values()
     for label, ys in quantiles.items():
         fig.series.append(Series(label, list(client_counts), ys))
     fig.counters = {
-        "wire_rpcs_served": served,
+        "wire_rpcs_served": sum(rpcs for rpcs, _calls in served),
+        "sub_calls_served": sum(calls for _rpcs, calls in served),
         "batches": transport["batches"],
         "queue_submissions": transport["queue_submissions"],
+        "sub_calls_submitted": transport["sub_calls"],
         "completion_wakeups": transport["completion_wakeups"],
     }
     return fig

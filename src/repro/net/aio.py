@@ -18,8 +18,12 @@ layering:
   reader allocates or copies in between (partial-read reassembly is
   pinned by the codec fuzz test);
 - batches execute exactly the groups :func:`~repro.net.sansio.plan_wire_groups`
-  plans — one frame per destination per batch — so wire-RPC counts are
-  bit-equal to every other driver (pinned by the conformance suite);
+  plans, and a lone caller's leave one frame each, bit-equal to every
+  other driver (pinned by the conformance suite); groups that *concurrent*
+  protocols submit to one peer during one loop iteration share one frame
+  and one reply (the paper's §V.A aggregation across operations,
+  :meth:`AioPeer.submit`), per-peer FIFO kept — sub-call counts stay equal,
+  frames get fewer;
 - failure semantics mirror :class:`~repro.net.tcp.TcpPeer`: a dead
   connection drains every in-flight call as
   :class:`~repro.errors.RemoteError`, later calls fail fast while the
@@ -93,10 +97,11 @@ from repro.net.sansio import (
 from repro.net.tcp import BACKOFF_INITIAL, BACKOFF_MAX
 from repro.net.threaded import _ServerThread, dest_kind
 from repro.net.wire import (
+    COALESCE_MAX_BYTES,
+    COALESCE_MAX_CALLS,
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RemoteActorDriver,
     tune_socket,
 )
 from repro.obs.hist import LatencyHistogram, merge_all
@@ -256,7 +261,7 @@ class AioPeer:
 
     def __init__(
         self,
-        loop: asyncio.AbstractEventLoop,
+        driver: "AioDriver",
         address: Address,
         endpoint: Endpoint,
         *,
@@ -267,7 +272,8 @@ class AioPeer:
         self.address = address
         self.actor_name = format_actor(address)
         self.endpoint = parse_endpoint(endpoint)
-        self._loop = loop
+        self._driver = driver
+        self._loop = loop = driver.loop
         self._connect_timeout = connect_timeout
         self._backoff_initial = backoff_initial
         self._backoff_max = backoff_max
@@ -276,9 +282,15 @@ class AioPeer:
             f"peer {self.actor_name}@{self.endpoint} never connected"
         )
         self._closed = False
-        #: req_id -> ("rpc", slot, latch, gen) | ("ctl", future)
+        #: req_id -> ("rpc", the frame's groups) | ("ctl", future); a group
+        #: is one submit's ``(wire group, slot, latch, gen, trace)``
         self._pending: dict[int, tuple] = {}
         self._req_ids = itertools.count(1)
+        #: groups gathered for the next frame, in submission order, and
+        #: their sub-call / declared request byte totals
+        self._outbox: list[tuple] = []
+        self._outbox_calls = 0
+        self._outbox_bytes = 0
         self._connected_sync = threading.Event()  # cross-thread mirror
         self._connector = loop.create_task(
             self._connect_loop(), name=f"dial-{self.actor_name}"
@@ -395,19 +407,56 @@ class AioPeer:
             transport.close()
             raise
 
-    @staticmethod
-    def _complete(entry: tuple, body: Any) -> None:
+    def _complete(self, entry: tuple, body: Any) -> None:
         if entry[0] == "rpc":
-            _, slot, latch, gen = entry
-            slot[0] = body
-            latch.group_done(gen)
+            self._deliver(entry[1], body)
         else:
             _, fut = entry
             if not fut.done():
                 fut.set_result(body)
 
+    def _deliver(self, groups: list[tuple], body: Any) -> None:
+        """Hand one frame's outcome to its groups, in submission order:
+        the reply is decoded once, here, and each slot gets its own slice
+        of the result list — or, when the frame failed as a whole, that
+        error for every sub-call, as in a frame of its own."""
+        n_calls = sum(len(group[0].calls) for group in groups)
+        if not isinstance(body, RemoteError):
+            try:
+                body = decode_body(body)
+            except WireCodecError as exc:
+                # *this side* could not decode the reply: the calls ran
+                body = RemoteError.wrap(exc)
+            else:
+                if isinstance(body, RemoteError):
+                    if len(groups) > 1 and body.error_type in (
+                        "WireCodecError", "WireProtocolError"
+                    ):
+                        # The peer refused to decode the frame: nothing ran,
+                        # and one op's bad request must fail alone, so each
+                        # group goes again by itself (once: a lone group's
+                        # refusal is final). Nothing else is ever re-sent —
+                        # it may have run.
+                        for group in groups:
+                            self._send([group])
+                        return
+                elif not isinstance(body, list) or len(body) != n_calls:
+                    body = RemoteError(
+                        "WireProtocolError",
+                        f"peer {self.actor_name} answered {n_calls} calls "
+                        f"with {type(body).__name__}",
+                    )
+        failed = isinstance(body, RemoteError)
+        done = 0
+        for group, slot, latch, gen, _ in groups:
+            n = len(group.calls)
+            slot[0] = [body] * n if failed else body[done : done + n]
+            done += n
+            latch.group_done(gen)
+
     def _mark_down(self, reason: str) -> None:
-        """Drain-as-RemoteError, exactly once per connection (loop thread).
+        """Drain-as-RemoteError, exactly once per connection (loop thread):
+        every frame in flight, then every group still in the outbox.
 
         The guard mirrors :meth:`repro.net.wire.RpcChannel.mark_down`:
         ``_down_reason`` is None exactly while a connection is installed,
@@ -424,6 +473,7 @@ class AioPeer:
         error = RemoteError("PeerUnavailable", reason)
         for entry in drained:
             self._complete(entry, error)
+        self._flush()  # the unsent outbox fails fast: the transport is gone
         if transport is not None:
             transport.close()
 
@@ -437,41 +487,92 @@ class AioPeer:
         gen: int,
         trace: Any = None,
     ) -> None:
-        """Send one wire group; the receive loop completes the latch.
+        """Send one wire group; the receive loop completes the latch with
+        the group's result list in ``slot[0]``.
 
-        Never blocks and never awaits: frames enter the transport's write
-        buffer directly (the asyncio analogue of the blocking channels'
-        outbox queue — a submit is never stuck on a busy peer's socket
-        backpressure). Fails fast with a typed error while the peer is
-        down.
+        Never blocks and never awaits. While other protocols are in flight
+        on the driver the group joins the outbox, and what gathers there
+        during this loop iteration leaves as one frame (the first append
+        schedules the flush; reaching a ``COALESCE_MAX_*`` bound flushes at
+        once). The only protocol the driver is driving could be joined by
+        nothing, so it is sent at once: a lone caller frames exactly like
+        every other driver. Fails fast, typed, while the peer is down.
         """
+        entry = (group, slot, latch, gen, trace)
+        if self._transport is None or not (
+            self._outbox or self._driver._driving > 1
+        ):
+            self._send([entry])
+            return
+        n_calls = len(group.calls)
+        nbytes = sum(call.request_bytes or 0 for call in group.calls)
+        if self._outbox and (
+            self._outbox_calls + n_calls > COALESCE_MAX_CALLS
+            or self._outbox_bytes + nbytes > COALESCE_MAX_BYTES
+        ):
+            self._flush()  # a group is never split: it opens the next frame
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(entry)
+        self._outbox_calls += n_calls
+        self._outbox_bytes += nbytes
+        if (
+            self._outbox_calls >= COALESCE_MAX_CALLS
+            or self._outbox_bytes >= COALESCE_MAX_BYTES
+        ):
+            self._flush()
+
+    def _flush(self) -> None:
+        groups = self._outbox
+        if groups:
+            self._outbox = []
+            self._outbox_calls = self._outbox_bytes = 0
+            self._send(groups)
+
+    def _send(self, groups: list[tuple]) -> None:
+        """The one send path: ``groups`` leave as one frame under one
+        ``req_id``, sub-calls concatenated in submission order, straight
+        into the transport's write buffer (never stuck on a busy peer's
+        socket backpressure)."""
         transport = self._transport
         if transport is None:
-            slot[0] = RemoteError("PeerUnavailable", self._down_reason)
-            latch.group_done(gen)
+            error = RemoteError("PeerUnavailable", self._down_reason)
+            self._deliver(groups, error)
             return
-        payload = [(call.method, call.args) for call in group.calls]
+        payload = [(c.method, c.args) for group in groups for c in group[0].calls]
+        # one group's trace context is the third field as ever, several
+        # groups' are (n_calls, context) runs; none traced: the 2-tuple
+        if len(groups) == 1:
+            trace = groups[0][4]
+        elif any(group[4] is not None for group in groups):
+            trace = [(len(group[0].calls), group[4]) for group in groups]
+        else:
+            trace = None
         envelope = ("rpc", payload) if trace is None else ("rpc", payload, trace)
         req_id = next(self._req_ids)
         try:
             parts = encode_parts(req_id, envelope)
         except WireCodecError as exc:
-            # the *request* is unpicklable: that call is broken, not the peer
-            slot[0] = RemoteError.wrap(exc)
-            latch.group_done(gen)
+            # the *request* is unpicklable: that call is broken, not the
+            # peer — and not its neighbours, which go by themselves
+            if len(groups) > 1:
+                for group in groups:
+                    self._send([group])
+            else:
+                self._deliver(groups, RemoteError.wrap(exc))
             return
-        self._pending[req_id] = ("rpc", slot, latch, gen)
+        self._pending[req_id] = ("rpc", groups)
         try:
             transport.writelines(parts)
         except Exception as exc:  # transport already torn down under us
-            if self._pending.pop(req_id, None) is not None:
-                self._mark_down(
-                    f"send to peer {self.actor_name}@{self.endpoint} "
-                    f"failed: {exc!r}"
-                )
+            self._mark_down(
+                f"send to peer {self.actor_name}@{self.endpoint} "
+                f"failed: {exc!r}"
+            )
 
     async def control(self, kind: str, timeout: float = 10.0) -> Any:
         """Round-trip one control message; raises on a down connection."""
+        self._flush()  # per-connection FIFO: never overtake submitted work
         transport = self._transport
         if transport is None:
             raise RemoteError("PeerUnavailable", self._down_reason)
@@ -588,7 +689,9 @@ class AioDriver:
         # transport counters + RTT histograms: loop-thread writers only
         self._batches = 0
         self._submissions = 0
+        self._sub_calls = 0
         self._wakeups = 0
+        self._driving = 0  # protocols drive() is executing (peers read it)
         self._rtt: dict[str, LatencyHistogram] = {}
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -662,7 +765,7 @@ class AioDriver:
 
         async def _make() -> AioPeer:
             return AioPeer(
-                self.loop, address, endpoint,
+                self, address, endpoint,
                 connect_timeout=self._connect_timeout,
             )
 
@@ -753,6 +856,7 @@ class AioDriver:
         return {
             "batches": self._batches,
             "queue_submissions": self._submissions,
+            "sub_calls": self._sub_calls,
             "completion_wakeups": self._wakeups,
         }
 
@@ -831,6 +935,7 @@ class AioDriver:
             ctx = _task_trace.get()
             if ctx is not None:
                 trace, parent = ctx
+        self._driving += 1
         try:
             op = next(proto)
             while True:
@@ -852,13 +957,15 @@ class AioDriver:
                 op = proto.send(results)
         except StopIteration as stop:
             return stop.value
+        finally:
+            self._driving -= 1
 
     async def _execute_batch(
         self, batch: Batch, trace: Any, parent: int | None
     ) -> list[Any]:
-        # Same framing as every other real driver: one wire RPC (= one
-        # frame / queue submission) per destination, destinations resolved
-        # before anything is submitted.
+        # Same planning as every other real driver: one wire group (= one
+        # queue submission) per destination, destinations resolved before
+        # anything is submitted. How groups share frames is the peer's.
         calls = batch.calls
         if not calls:
             return []
@@ -884,6 +991,7 @@ class AioDriver:
         latch = _AioLatch(self.loop, len(groups))
         self._batches += 1
         self._submissions += len(groups)
+        self._sub_calls += len(calls)
         span_ids = None
         if trace is not None:
             span_ids = [new_span_id() for _ in groups]
@@ -924,9 +1032,7 @@ class AioDriver:
         for k, slot in enumerate(slots):
             if slot is None:
                 continue
-            group = groups[k]
-            values = RemoteActorDriver._decode_group(group, slot[0])
-            for index, value in zip(group.indices, values):
+            for index, value in zip(groups[k].indices, slot[0]):
                 results[index] = value
         return [deliver(c, r) for c, r in zip(calls, results)]
 

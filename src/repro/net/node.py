@@ -66,11 +66,10 @@ from repro.net.wire import (
     decode_request,
     encode_reply,
     force_close,
-    run_calls,
+    serve_rpc,
     tune_socket,
 )
 from repro.obs.telemetry import telemetry_of
-from repro.obs.trace import clear_server_context, set_server_context
 
 #: the reserved request id both handshake messages travel under
 HANDSHAKE_REQ_ID = 0
@@ -265,15 +264,13 @@ class _ActorService:
             if kind == "rpc":
                 self.served_rpcs += 1
                 self.served_calls += len(payload)
-                set_server_context(
-                    trace, time.perf_counter_ns() - t_enq, nbytes
+                reply = encode_reply(
+                    req_id,
+                    serve_rpc(
+                        self.actor, self.address, payload, trace,
+                        time.perf_counter_ns() - t_enq, nbytes,
+                    ),
                 )
-                try:
-                    reply = encode_reply(
-                        req_id, run_calls(self.actor, self.address, payload)
-                    )
-                finally:
-                    clear_server_context()
             elif kind == CTL_STATS:
                 reply = encode_parts(
                     req_id,

@@ -67,11 +67,10 @@ from repro.net.wire import (
     RpcChannel,
     decode_request,
     encode_reply,
-    run_calls,
+    serve_rpc,
     tune_socket,
 )
 from repro.obs.telemetry import telemetry_of
-from repro.obs.trace import clear_server_context, set_server_context
 
 #: environment override for the multiprocessing start method
 START_METHOD_ENV = "REPRO_MP_START"
@@ -214,14 +213,8 @@ def _worker_main(
                 served_calls += len(payload)
                 # queue wait is not measurable here (the pump thread
                 # hands over unstamped messages)
-                set_server_context(trace, 0, len(body))
-                try:
-                    send_parts(
-                        sock,
-                        encode_reply(req_id, run_calls(actor, address, payload)),
-                    )
-                finally:
-                    clear_server_context()
+                results = serve_rpc(actor, address, payload, trace, 0, len(body))
+                send_parts(sock, encode_reply(req_id, results))
             elif kind == CTL_STATS:
                 reply(req_id, {"wire_rpcs": served_rpcs, "sub_calls": served_calls})
             elif kind == CTL_TELEMETRY:

@@ -88,7 +88,7 @@ class _BatchLatch:
 
     __slots__ = (
         "_cond", "_pending", "_gen", "owner", "batches", "submissions",
-        "wakeups", "rtt",
+        "sub_calls", "wakeups", "rtt",
     )
 
     def __init__(self) -> None:
@@ -98,6 +98,7 @@ class _BatchLatch:
         self.owner = threading.current_thread()
         self.batches = 0  # batches executed by the owning thread
         self.submissions = 0  # inbox items enqueued (== wire RPCs issued)
+        self.sub_calls = 0  # calls those items carried
         self.wakeups = 0  # condition notifies (≤ 1 per batch)
         # per-destination-kind round-trip histograms (single writer: owner)
         self.rtt: dict[str, LatencyHistogram] = {}
@@ -108,13 +109,14 @@ class _BatchLatch:
             hist = self.rtt[kind] = LatencyHistogram()
         hist.record(rtt_ns)
 
-    def begin(self, n_groups: int) -> int:
+    def begin(self, n_groups: int, n_calls: int) -> int:
         """Arm for a new batch; returns the batch's generation stamp."""
         with self._cond:
             self._gen += 1
             self._pending = n_groups
         self.batches += 1
         self.submissions += n_groups
+        self.sub_calls += n_calls
         return self._gen
 
     def group_done(self, gen: int) -> None:
@@ -131,8 +133,8 @@ class _BatchLatch:
             while self._pending > 0:
                 self._cond.wait()
 
-    def stats(self) -> tuple[int, int, int]:
-        return (self.batches, self.submissions, self.wakeups)
+    def stats(self) -> tuple[int, int, int, int]:
+        return (self.batches, self.submissions, self.wakeups, self.sub_calls)
 
 
 class _ServerThread:
@@ -181,7 +183,7 @@ class ThreadedDriver:
         self._tls = threading.local()
         self._latches: list[_BatchLatch] = []
         # counters folded in from latches of retired caller threads
-        self._retired_stats = [0, 0, 0]
+        self._retired_stats = [0, 0, 0, 0]
         self._retired_rtt: dict[str, LatencyHistogram] = {}
         for address, actor in (registry or {}).items():
             self.register(address, actor)
@@ -211,6 +213,8 @@ class ThreadedDriver:
         - ``batches``: protocol batches executed;
         - ``queue_submissions``: inbox items enqueued — exactly one per
           destination per batch, i.e. one per wire RPC;
+        - ``sub_calls``: the calls those submissions carried (equals the
+          sub-calls the actors served, whatever frames carried them);
         - ``completion_wakeups``: condition notifies — at most one per
           batch (only the last wire group of a batch notifies).
 
@@ -223,14 +227,13 @@ class ThreadedDriver:
             totals = list(self._retired_stats)
             latches = list(self._latches)
         for latch in latches:
-            b, s, w = latch.stats()
-            totals[0] += b
-            totals[1] += s
-            totals[2] += w
+            for k, value in enumerate(latch.stats()):
+                totals[k] += value
         return {
             "batches": totals[0],
             "queue_submissions": totals[1],
             "completion_wakeups": totals[2],
+            "sub_calls": totals[3],
         }
 
     def caller_rtt(self) -> dict[str, LatencyHistogram]:
@@ -281,10 +284,8 @@ class ThreadedDriver:
                     if old.owner.is_alive():
                         alive.append(old)
                     else:
-                        b, s, w = old.stats()
-                        self._retired_stats[0] += b
-                        self._retired_stats[1] += s
-                        self._retired_stats[2] += w
+                        for k, value in enumerate(old.stats()):
+                            self._retired_stats[k] += value
                         for kind, hist in old.rtt.items():
                             merged = self._retired_rtt.get(kind)
                             if merged is None:
@@ -338,7 +339,7 @@ class ThreadedDriver:
             resolved.append(server)
         results: list[Any] = [None] * len(calls)
         latch = self._latch()
-        gen = latch.begin(len(groups))
+        gen = latch.begin(len(groups), len(calls))
         trace = current_trace()
         # With a trace open each wire group gets a span id that rides the
         # envelope (serving-side spans parent to it); untraced batches

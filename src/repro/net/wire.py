@@ -69,11 +69,23 @@ from repro.net.sansio import (
 )
 from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
 from repro.obs.spans import new_span_id, record_group_spans
-from repro.obs.trace import current_op_span, current_trace
+from repro.obs.trace import (
+    clear_server_context,
+    current_op_span,
+    current_trace,
+    set_server_context,
+)
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation
 SOCK_BUF = 1 << 20
+
+#: most sub-calls and most *declared* request bytes (``Call.request_bytes``)
+#: the aio driver gathers into one frame; one group is never split. As fast
+#: as no bound (3 alternations): ``many_clients_aio`` 3833-3986 norm ops/s
+#: (unbounded 3736-3984), 2048-client Read p50 570-705 ms (unbounded 604-738).
+COALESCE_MAX_CALLS = 64
+COALESCE_MAX_BYTES = SOCK_BUF
 
 #: control message kinds understood by worker/agent service loops.
 #: Controls are *not* counted as wire RPCs by either side, so a stats or
@@ -116,12 +128,20 @@ def tune_socket(sock: socket.socket) -> None:
 
 
 def parse_request(decoded: Any) -> tuple[str, Any, Any]:
-    """``(kind, payload, trace)`` of a decoded request envelope.
+    """``(kind, payload, trace)`` of a decoded request envelope::
 
-    Envelopes are ``(kind, payload)`` or ``("rpc", payload, trace)`` with
-    an rpc payload a list of ``(method, args)`` pairs. Anything else a
-    peer managed to frame and pickle raises :class:`WireCodecError`, so a
-    serving loop answers it typed instead of dying on an unpack.
+        (kind, payload)              a control, or an untraced rpc
+        ("rpc", payload, context)    one caller's traced wire group
+        ("rpc", payload, runs)       several callers' groups in one frame
+
+        payload = [(method, args), ...]
+        context = trace_id | (trace_id, span_id)
+        runs    = [(n_calls, context | None), ...]   covering the payload
+                  in order: positive counts summing to len(payload)
+
+    Anything else a peer managed to frame and pickle raises
+    :class:`WireCodecError`, so a serving loop answers it typed instead of
+    dying on an unpack.
     """
     if (
         type(decoded) is tuple
@@ -129,15 +149,34 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
         and type(decoded[0]) is str
     ):
         kind, payload = decoded[0], decoded[1]
+        trace = decoded[2] if len(decoded) == 3 else None
         if kind != "rpc" or (
             type(payload) is list
             and all(
                 type(call) is tuple and len(call) == 2 and type(call[0]) is str
                 for call in payload
             )
+            and (type(trace) is not list or _runs_cover(trace, len(payload)))
         ):
-            return kind, payload, decoded[2] if len(decoded) == 3 else None
+            return kind, payload, trace
     raise WireCodecError(f"malformed request envelope: {decoded!r:.120}")
+
+
+def _runs_cover(runs: list, n_calls: int) -> bool:
+    """True iff ``runs`` is a well-formed run list over ``n_calls`` calls."""
+    covered = 0
+    for run in runs:
+        if type(run) is not tuple or len(run) != 2:
+            return False
+        count, context = run
+        if type(count) is not int or count < 1:
+            return False
+        if context is not None and type(context) is not int and not (
+            type(context) is tuple and [type(x) for x in context] == [int, int]
+        ):
+            return False
+        covered += count
+    return covered == n_calls
 
 
 def decode_request(body: Any) -> tuple[str | None, Any, Any]:
@@ -161,22 +200,47 @@ def decode_request(body: Any) -> tuple[str | None, Any, Any]:
         return None, RemoteError("WireProtocolError", str(exc)), None
 
 
-def run_calls(actor: Actor, address: Address, payload: list) -> list:
-    """Serve one ``("rpc", payload)`` message body against an actor."""
-    return [
-        dispatch_call(actor, Call(address, method, call_args))
-        for method, call_args in payload
-    ]
+def serve_rpc(
+    actor: Actor, address: Address, payload: list, trace: Any,
+    queue_ns: int, nbytes: int,
+) -> list:
+    """Serve one ``("rpc", payload, trace)`` request: its sub-calls'
+    results, in order.
+
+    The server context (what serving spans and the slow-RPC log read) is
+    opened per run, so in a coalesced frame every caller's sub-calls parent
+    to that caller's own rpc span, and a later run's queue wait includes
+    the runs served ahead of it.
+    """
+    runs = trace if type(trace) is list else ((len(payload), trace),)
+    results: list[Any] = []
+    t0 = time.perf_counter_ns()
+    try:
+        for n_calls, context in runs:
+            set_server_context(
+                context, queue_ns + time.perf_counter_ns() - t0, nbytes
+            )
+            done = len(results)
+            results += [
+                dispatch_call(actor, Call(address, method, call_args))
+                for method, call_args in payload[done : done + n_calls]
+            ]
+    finally:
+        clear_server_context()
+    return results
 
 
 def encode_reply(req_id: int, results: list) -> list:
-    """Encode a result list, downgrading unpicklable values to errors.
+    """Encode a result list, downgrading what cannot cross the wire.
 
     ``dispatch_call`` already wraps handler exceptions in
     :class:`RemoteError` (whose ``__reduce__`` drops unpicklable
-    originals), so this fallback only fires when a *successful* handler
-    returns something that cannot cross the wire — a bug worth naming
-    precisely instead of killing the connection.
+    originals), so the per-value fallback only fires when a *successful*
+    handler returns something that cannot be pickled — a bug worth naming
+    precisely instead of killing the connection. If every value encodes by
+    itself and the reply still does not, its *total* exceeds
+    ``MAX_FRAME_BYTES``: the request is answered with one typed
+    ``ReplyTooLarge`` and the serving loop carries on.
     """
     try:
         return encode_parts(req_id, results)
@@ -192,7 +256,10 @@ def encode_reply(req_id: int, results: list) -> list:
                         "UnpicklableResult", f"{type(value).__name__}: {exc}"
                     )
                 )
-        return encode_parts(req_id, safe)
+        try:
+            return encode_parts(req_id, safe)
+        except WireCodecError as exc:
+            return encode_parts(req_id, RemoteError("ReplyTooLarge", str(exc)))
 
 
 class RpcChannel:
@@ -490,7 +557,7 @@ class RemoteActorDriver(ThreadedDriver):
             resolved.append((remote, None))
         results: list[Any] = [None] * len(calls)
         latch = self._latch()
-        gen = latch.begin(len(groups))
+        gen = latch.begin(len(groups), len(calls))
         trace = current_trace()
         # With a trace open each wire group gets a span id that rides the
         # envelope (serving-side spans parent to it); untraced batches

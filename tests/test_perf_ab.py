@@ -1,0 +1,75 @@
+"""scripts/perf_ab.py: the pair schedule, the output parser and the
+summary, on canned perfbench output — no cluster is launched."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perf_ab.py"
+spec = importlib.util.spec_from_file_location("perf_ab", SCRIPT)
+perf_ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(perf_ab)
+
+
+def _stdout(ops: float, rss: float, failed: int = 0) -> str:
+    """What one ``perfbench/run.py --trace 0`` run prints (abridged)."""
+    detail = {
+        "host": {"nproc": 2, "pinned_cpu": 0, "load1": 0.4, "noisy_host": False},
+        "raw": {"raw_ops_per_s": ops / 2},
+        "trials": [],
+    }
+    final = {
+        "correct": failed == 0,
+        "attempted": 11712,
+        "failed": failed,
+        "metrics": {
+            "norm_ops_per_s": {"value": ops, "unit": "1/s"},
+            "peak_rss_mb": {"value": rss, "unit": "MiB"},
+        },
+    }
+    return "\n".join([
+        "perfbench: many_clients_aio seed=1 trace=0",
+        "  why: 64 coroutine clients saturating one aio loop",
+        "  detail: " + json.dumps(detail),
+        f"  norm_ops_per_s   {ops:>14.4f}  1/s",
+        json.dumps(final),
+        "",
+    ])
+
+
+def test_pairs_alternate_which_side_runs_first():
+    assert perf_ab.pair_schedule(4) == [
+        ("parent", "change"), ("change", "parent"),
+        ("parent", "change"), ("change", "parent"),
+    ]
+    assert perf_ab.pair_schedule(0) == []
+
+
+def test_parse_run_reads_the_final_line_and_the_detail_line():
+    run = perf_ab.parse_run(_stdout(2400.5, 213.4, failed=2))
+    assert run["metrics"] == {"norm_ops_per_s": 2400.5, "peak_rss_mb": 213.4}
+    assert (run["correct"], run["attempted"], run["failed"]) == (False, 11712, 2)
+    assert run["host"]["pinned_cpu"] == 0 and run["raw"] == {"raw_ops_per_s": 1200.25}
+
+
+def test_summary_has_medians_quartiles_and_direction_aware_wins():
+    runs = []
+    pairs = [(2400, 3900, 213, 215), (2300, 3700, 214, 214), (2500, 2450, 212, 211)]
+    for k, (p_ops, c_ops, p_rss, c_rss) in enumerate(pairs):
+        for side, ops, rss in (("parent", p_ops, p_rss), ("change", c_ops, c_rss)):
+            run = perf_ab.parse_run(_stdout(ops, rss))
+            run.update(workload="w", seed=1, trace=0, pair=k, side=side)
+            runs.append(run)
+    runs.append(dict(runs[0], pair=3))  # an unfinished pair is left out
+    better = {"norm_ops_per_s": "higher", "peak_rss_mb": "lower"}
+    (row,) = perf_ab.summarize(runs, better)
+    assert (row["workload"], row["seed"], row["pairs"]) == ("w", 1, 3)
+    assert row["failed"] == {"parent": 0, "change": 0}
+    ops = row["metrics"]["norm_ops_per_s"]
+    assert ops["change_wins"] == 2  # higher is better
+    assert ops["parent"]["median"] == 2400 and ops["change"]["median"] == 3700
+    assert ops["parent"]["q1"] <= 2400 <= ops["parent"]["q3"]
+    rss = row["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 1  # lower is better; the tie counts for neither

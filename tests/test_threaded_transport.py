@@ -93,10 +93,10 @@ class TestTransportCounters:
         from repro.net.threaded import _BatchLatch
 
         latch = _BatchLatch()
-        gen1 = latch.begin(2)
+        gen1 = latch.begin(2, 2)
         latch.group_done(gen1)  # one of two groups drains...
         # ...then the caller unwinds without waiting and starts a new batch
-        gen2 = latch.begin(1)
+        gen2 = latch.begin(1, 1)
         latch.group_done(gen1)  # stale straggler from the aborted batch
         assert latch._pending == 1, "stale completion corrupted the countdown"
         latch.group_done(gen2)

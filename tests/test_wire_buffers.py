@@ -25,6 +25,7 @@ from repro.deploy.tcp import build_tcp
 from repro.errors import RemoteError
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.provider import MetadataProvider
+from repro.net import codec
 from repro.net.aio import AioDriver
 from repro.net.codec import (
     BULK_BYTES,
@@ -34,6 +35,7 @@ from repro.net.codec import (
 )
 from repro.net.node import NodeAgent
 from repro.net.process import _worker_main
+from repro.net.sansio import Batch, Call
 from repro.net.tcp import TcpDriver
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
@@ -49,7 +51,19 @@ MALFORMED = [
     ("rpc", [(None, ())]),  # method is not a name
     (3, ()),  # kind is not a name
     ("rpc", [], None, None),  # too long
+    # run lists (a coalesced frame's trace field) that do not cover the payload
+    ("rpc", [("data.stats", ())], [(2, None)]),  # counts do not sum
+    ("rpc", [("data.stats", ())], [(1, None), (0, None)]),  # zero count
+    ("rpc", [("data.stats", ())], [(2, None), (-1, None)]),  # negative count
+    ("rpc", [("data.stats", ())], [(True, None)]),  # count is not an int
+    ("rpc", [("data.stats", ())], [[1, None]]),  # run is not a pair
+    ("rpc", [("data.stats", ())], [(1, "trace")]),  # bad context type
+    ("rpc", [("data.stats", ())], [(1, (7,))]),  # context is not (int, int)
+    ("rpc", [("data.stats", ())], [(1, (7, None))]),
 ]
+
+#: a well-formed coalesced frame: an untraced run, then two traced ones
+RUNS = ("rpc", [("data.stats", ())] * 4, [(2, None), (1, 7), (1, (7, 9))])
 
 
 class RawBody(bytes):
@@ -91,7 +105,8 @@ def _assert_malformed_answered_typed(seen: dict[int, object]) -> None:
         assert reply.error_type == (
             "WireCodecError" if isinstance(message, RawBody) else "WireProtocolError"
         )
-    # ...and the request pipelined behind them was served normally
+    # ...and the requests pipelined behind them were served normally
+    assert [stats["pages"] for stats in seen[98]] == [0] * 4
     (stats,) = seen[99]
     assert stats["pages"] == 0
 
@@ -109,6 +124,7 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
     try:
         messages = {0: ("hello", "data/0")}
         messages.update(enumerate(MALFORMED + UNDECODABLE, start=1))
+        messages[98] = RUNS
         messages[99] = ("rpc", [("data.stats", ())])
         seen = _exchange(sock, messages)
         assert seen[0] == ("welcome", "data/0")
@@ -138,9 +154,90 @@ def test_worker_answers_malformed_envelopes_typed_and_keeps_serving():
         # (at the parent commit an undecodable body ended the serving loop:
         # the worker process exited for good)
         messages = dict(enumerate(MALFORMED + UNDECODABLE, start=1))
+        messages[98] = RUNS
         messages[99] = ("rpc", [("data.stats", ())])
         _assert_malformed_answered_typed(_exchange(parent, messages))
         assert _exchange(parent, {100: ("shutdown", ())}) == {100: True}
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    finally:
+        parent.close()
+
+
+# -- a reply too large to frame ---------------------------------------------
+
+BIG_PAGE = 40_000
+
+
+def _big_puts() -> dict[int, object]:
+    """Four requests storing one 40 000 B page each."""
+    return {
+        i: ("rpc", [("data.put_page",
+                     (PageKey("blob", "w#1", i), PagePayload.real(_page(i, BIG_PAGE))))])
+        for i in range(1, 5)
+    }
+
+
+BIG_GETS = [("data.get_page", (PageKey("blob", "w#1", i),)) for i in range(1, 5)]
+
+
+def test_agent_answers_an_oversized_reply_typed_and_keeps_serving(monkeypatch):
+    """Four stored pages fit a frame each, their one reply does not. At
+    the parent commit ``encode_reply`` raised out of the actor's service
+    thread: the thread died, the connection stayed up, the caller waited
+    for ever."""
+    monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 100_000)
+    agent = NodeAgent({("data", 0): DataProvider(0)})
+    agent.start()
+    driver = TcpDriver()
+    addr = ("data", 0)
+    try:
+        driver.register_remote(addr, agent.endpoint)
+        driver.wait_connected(10)
+        for (_method, args) in (m[1][0] for m in _big_puts().values()):
+            assert driver.call(addr, "data.put_page", args)
+
+        def proto():
+            return (yield Batch(
+                [Call(addr, m, a, allow_error=True) for m, a in BIG_GETS]
+            ))
+
+        future = driver.spawn(proto())
+        results = future.result(timeout=10)
+        assert len(results) == 4
+        for result in results:  # the typed error, for every sub-call
+            assert isinstance(result, RemoteError)
+            assert result.error_type == "ReplyTooLarge"
+        # same thread, same connection, next call
+        assert agent._services["data/0"].thread.is_alive()
+        assert driver.call(addr, "data.get_page", BIG_GETS[0][1]).as_bytes() == _page(
+            1, BIG_PAGE
+        )
+        assert driver.peer_status()[addr] == "connected"
+    finally:
+        driver.abort()
+        agent.close()
+
+
+def test_worker_answers_an_oversized_reply_typed_and_keeps_serving(monkeypatch):
+    monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 100_000)
+    parent, child = socket.socketpair()
+    worker = threading.Thread(
+        target=_worker_main,
+        args=(child, ("data", 0), DataProvider, (0,), {}),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        assert _exchange(parent, _big_puts()) == {i: [True] for i in range(1, 5)}
+        seen = _exchange(
+            parent, {5: ("rpc", BIG_GETS), 6: ("rpc", BIG_GETS[:1])}
+        )
+        assert isinstance(seen[5], RemoteError)
+        assert seen[5].error_type == "ReplyTooLarge"
+        (page,) = seen[6]  # pipelined behind it, served normally
+        assert page.as_bytes() == _page(1, BIG_PAGE)
+        assert _exchange(parent, {7: ("shutdown", ())}) == {7: True}
         worker.join(timeout=10)
         assert not worker.is_alive()
     finally:
