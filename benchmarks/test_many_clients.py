@@ -10,7 +10,7 @@ serves — the tail claim is measured with the instrument operators get.
 
 Tiers come from the profile: (256, 2048) by default, (256, 2048, 10240)
 under ``REPRO_BENCH_FULL=1``, overridable via a comma-separated
-``REPRO_BENCH_AIO_CLIENTS`` (CI's dedicated async step runs only 256).
+``REPRO_BENCH_AIO_CLIENTS`` (CI's dedicated step runs only 256).
 
 Numbers are host wall-clock (NOT simulated, NOT deterministic): results
 are printed and written to ``benchmarks/out`` but deliberately **never

@@ -2,8 +2,8 @@
 
 Lives at the root (not in tests/ or benchmarks/) so it covers *both*
 collected trees — the conformance/transport tests and the benchmarks that
-spawn real worker processes are exactly the places a wedged process could
-otherwise stall a run to the CI job timeout.
+launch real node-agent processes are exactly the places a wedged process
+could otherwise stall a run to the CI job timeout.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import os
 import pytest
 
 #: REPRO_TEST_TIMEOUT=<seconds> arms a hard per-test watchdog: if any
-#: single test (with real threads or worker processes) wedges for longer,
+#: single test (with real threads or agent processes) wedges for longer,
 #: faulthandler dumps every thread's traceback and kills the run. CI sets
-#: this so a hung worker process fails the workflow fast instead of
+#: this so a hung agent process fails the workflow fast instead of
 #: stalling it until the job-level timeout.
 _WATCHDOG_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or 0)
 

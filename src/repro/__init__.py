@@ -30,7 +30,6 @@ from repro.core.protocol import ReadResult, WriteResult
 from repro.metadata.inspect import TreeInspector
 from repro.version.diff import changed_ranges
 from repro.deploy.inproc import InprocDeployment, build_inproc
-from repro.deploy.process import ProcessDeployment, build_process
 from repro.deploy.simulated import SimClient, SimDeployment
 from repro.deploy.tcp import TcpDeployment, build_tcp
 from repro.deploy.threaded import ThreadedDeployment, build_threaded
@@ -71,8 +70,6 @@ __all__ = [
     "SimDeployment",
     "ThreadedDeployment",
     "build_threaded",
-    "ProcessDeployment",
-    "build_process",
     "TcpDeployment",
     "build_tcp",
     "ClusterSpec",

@@ -18,8 +18,8 @@ Orthogonally, ``control_plane`` picks where the version manager and
 provider manager — the intentional serialization points, whose RPCs are
 tiny — live:
 
-- ``"parent"``: on dedicated service threads in the driver process, as
-  in the process deployment (the historical tcp layout);
+- ``"parent"``: on dedicated service threads in the driver process (the
+  historical tcp layout);
 - ``"agents"``: on their own node agents, dialed like any other remote
   actor — the paper's deployment, where the vm and pm get dedicated
   machines and **no actor lives in the client parent**. In launched mode
@@ -32,9 +32,11 @@ tiny — live:
 
 The inspection surface (``blob_nodes``, ``total_pages_stored``,
 ``transport_stats``, ``server_stats``) is deployment-parity by
-construction: the same provider proxy classes the process deployment
-uses, plus vm/pm proxies when the control plane is remote — all fetching
-over TCP.
+construction: ``data`` and ``meta`` are dicts of *proxies* with the
+``iter_pages`` / ``iter_nodes`` / ``stats`` surface the in-process
+deployments expose from live actor objects (the conformance suite reads
+both to prove bit-identical pages and trees), plus vm/pm proxies when
+the control plane is remote — all fetching over TCP.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.core.client import AsyncBlobClient, BlobClient
 from repro.core.config import DeploymentSpec
@@ -60,12 +62,50 @@ from repro.providers.manager import ProviderManager
 from repro.providers.strategies import make_strategy
 from repro.version.manager import VersionManager
 
-# the TCP deployment reuses the process deployment's proxy classes: they
-# only need RemoteActorDriver.call, which both drivers inherit
-from repro.deploy.process import DataProviderProxy, MetadataProviderProxy
-
 #: how long the builder waits for a launched agent's READY line
 LAUNCH_TIMEOUT = 30.0
+
+
+class DataProviderProxy:
+    """Parent-side view of a data provider on a node agent."""
+
+    def __init__(
+        self, driver: Union[TcpDriver, AioDriver], provider_id: int
+    ) -> None:
+        self._driver = driver
+        self.provider_id = provider_id
+        self._address = ("data", provider_id)
+
+    def iter_pages(self, blob_id: str) -> Iterable[tuple]:
+        return iter(self._driver.call(self._address, "data.dump_pages", (blob_id,)))
+
+    def stats(self) -> dict[str, int]:
+        return self._driver.call(self._address, "data.stats")
+
+    @property
+    def page_count(self) -> int:
+        return self.stats()["pages"]
+
+
+class MetadataProviderProxy:
+    """Parent-side view of a metadata provider on a node agent."""
+
+    def __init__(
+        self, driver: Union[TcpDriver, AioDriver], provider_id: int
+    ) -> None:
+        self._driver = driver
+        self.provider_id = provider_id
+        self._address = ("meta", provider_id)
+
+    def iter_nodes(self, blob_id: str) -> Iterable:
+        return iter(self._driver.call(self._address, "meta.dump_nodes", (blob_id,)))
+
+    def stats(self) -> dict[str, int]:
+        return self._driver.call(self._address, "meta.stats")
+
+    @property
+    def node_count(self) -> int:
+        return self.stats()["nodes"]
 
 
 class VersionManagerProxy:
@@ -599,6 +639,14 @@ def build_tcp(
     :meth:`TcpDeployment.async_client` for thousands of concurrent
     client coroutines. The wire traffic is identical either way (the
     conformance suite certifies both against the same fingerprints).
+    Both shells stay because each is the faster one on a workload the
+    benchmark has, and which the caller needs (blocking callers or
+    ``async_client()``) is not observable at build time: a lone blocking
+    caller driven through the loop's sync facade measured 13-19 % slower
+    than on the thread pairs (perfbench ``norm_ops_per_s``, requester's
+    runs at PR 24: ``fine_mixed_cold`` 645.7 -> 523.4 and 662.8 -> 575.8,
+    ``seg_read_warm`` 498.8 -> 434.0), while ``many_clients_aio`` needs
+    the loop to run its 64 coroutine clients at all.
     """
     spec = spec or DeploymentSpec()
     endpoints = endpoints if endpoints is not None else (spec.endpoints or None)

@@ -3,19 +3,18 @@
 The blob protocols (READ, WRITE, ALLOC, GC) are written **once** as plain
 generators that yield :class:`~repro.net.sansio.Batch` /
 :class:`~repro.net.sansio.Compute` operations and receive results — no I/O,
-no threads, no clocks inside the protocol logic (the "sans-io" style). Three
+no threads, no clocks inside the protocol logic (the "sans-io" style). Five
 drivers execute them:
 
 - :class:`~repro.net.inproc.InprocDriver` — direct dispatch, for functional
   tests, examples and the application pipeline;
 - :class:`~repro.net.threaded.ThreadedDriver` — one service thread per actor
   with queue transports: real concurrency, used to validate lock-freedom;
-- :class:`~repro.net.process.ProcessDriver` — one OS process per provider
-  actor, length-prefixed pickle frames (:mod:`repro.net.codec`) over
-  pipes: real parallelism, no shared GIL, meaningful throughput;
 - :class:`~repro.net.tcp.TcpDriver` — actors behind ``host:port`` node
-  agents (:mod:`repro.net.node`), same frames over real TCP connections
-  with reconnect-safe fail-over: the multi-host cluster deployment;
+  agents (:mod:`repro.net.node`), one OS process each on loopback or real
+  hosts: length-prefixed pickle frames (:mod:`repro.net.codec`) over TCP
+  connections with reconnect-safe fail-over — real parallelism, no shared
+  GIL, meaningful throughput, and the multi-host cluster deployment;
 - :class:`~repro.net.aio.AioDriver` — the same TCP agents driven from a
   single asyncio event loop multiplexing every peer socket: thousands of
   concurrent client coroutines instead of one thread per client;
@@ -32,7 +31,6 @@ from repro.net.message import estimate_size
 from repro.net.address import ClusterMap, Endpoint, format_actor, parse_actor
 from repro.net.inproc import InprocDriver
 from repro.net.threaded import ThreadedDriver
-from repro.net.process import ProcessDriver
 from repro.net.node import NodeAgent
 from repro.net.tcp import TcpDriver
 from repro.net.aio import AioDriver
@@ -51,7 +49,6 @@ __all__ = [
     "parse_actor",
     "InprocDriver",
     "ThreadedDriver",
-    "ProcessDriver",
     "NodeAgent",
     "TcpDriver",
     "AioDriver",

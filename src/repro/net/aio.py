@@ -1,9 +1,9 @@
 """Asyncio client driver: one event loop multiplexing every TCP peer.
 
-The ninth certified configuration and the first driver built for *client
-scale* rather than actor placement: the blocking drivers dedicate two
-threads per connection (sender + receiver) and one caller thread per
-in-flight protocol, which tops out around the paper's 64 clients; this
+The driver built for *client scale* rather than actor placement: the
+blocking TCP driver (:mod:`repro.net.tcp`) dedicates two threads per
+connection (sender + receiver) and one caller thread per in-flight
+protocol, which tops out around the paper's 64 clients; this
 driver runs a single event-loop thread that multiplexes all peer sockets
 and any number of client coroutines — 10k concurrent client programs are
 ordinary (`benchmarks/test_many_clients.py` sweeps exactly that).
@@ -13,10 +13,10 @@ layering:
 
 - the wire format is the untouched :mod:`repro.net.codec` pickle frames,
   received through the same :class:`~repro.net.codec.MessageDecoder` the
-  blocking drivers use: an ``asyncio.BufferedProtocol`` hands the
-  decoder's own buffers to the transport's ``recv_into``, so no stream
-  reader allocates or copies in between (partial-read reassembly is
-  pinned by the codec fuzz test);
+  blocking driver and the agent use: an ``asyncio.BufferedProtocol``
+  hands the decoder's own buffers to the transport's ``recv_into``, so no
+  stream reader allocates or copies in between (partial-read reassembly
+  is pinned by the codec fuzz test);
 - batches execute exactly the groups :func:`~repro.net.sansio.plan_wire_groups`
   plans, and a lone caller's leave one frame each, bit-equal to every
   other driver (pinned by the conformance suite); groups that *concurrent*
@@ -57,7 +57,7 @@ Observability parity: caller RTT histograms fold into
 any driver's), and traced operations — either a thread-side
 :func:`repro.obs.spans.trace_operation` around the sync facade or an
 async-side :func:`trace_async_operation` around awaited ops — export
-rpc spans with the same parenting as the blocking drivers. Because the
+rpc spans with the same parenting as the threaded drivers. Because the
 wire activity happens off the calling thread, the sync facade closes the
 caller's coverage watermark over the whole driver-run window via
 :func:`repro.obs.spans.advance_op_mark`.
@@ -81,7 +81,7 @@ from repro.net.codec import (
     decode_body,
     encode_parts,
 )
-from repro.net.node import HANDSHAKE_REQ_ID, HandshakeError
+from repro.net.node import HANDSHAKE_REQ_ID, HandshakeError, check_welcome
 from repro.net.sansio import (
     Actor,
     Address,
@@ -102,6 +102,7 @@ from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
+    decode_reply,
     tune_socket,
 )
 from repro.obs.hist import LatencyHistogram, merge_all
@@ -159,7 +160,7 @@ async def trace_async_operation(
     ``contextvars.ContextVar`` instead: every batch the surrounded
     coroutine drives through :meth:`AioDriver.drive` carries the trace id
     on its wire envelopes and records rpc spans parented to the op span,
-    exactly like a traced thread on the blocking drivers. On exit the
+    exactly like a traced thread on the threaded drivers. On exit the
     op's own span is recorded into the caller buffer (or handed to
     ``collector``). Yields the trace id.
     """
@@ -189,9 +190,9 @@ class _AioLatch:
     submits) *and* from in-parent actors' service threads, so the count is
     lock-guarded and the final decrement schedules ``event.set`` onto the
     loop with ``call_soon_threadsafe`` (safe from both). The ``gen``
-    argument exists for handle-contract compatibility with
-    :class:`~repro.net.threaded._BatchLatch` (one latch per batch here, so
-    generations are moot).
+    argument is what in-parent service threads hand back, as they do to
+    a :class:`~repro.net.threaded._BatchLatch` (one latch per batch here,
+    so generations are moot).
     """
 
     __slots__ = ("_loop", "_event", "_lock", "_pending")
@@ -386,22 +387,11 @@ class AioPeer:
             transport.writelines(
                 encode_parts(HANDSHAKE_REQ_ID, ("hello", self.actor_name))
             )
-            reply = decode_body(
-                await asyncio.wait_for(welcome, self._connect_timeout)
+            check_welcome(
+                decode_body(await asyncio.wait_for(welcome, self._connect_timeout)),
+                self.endpoint,
+                self.actor_name,
             )
-            if (
-                not isinstance(reply, tuple)
-                or len(reply) != 2
-                or reply[0] not in ("welcome", "reject")
-            ):
-                raise HandshakeError(
-                    f"bad handshake reply from {self.endpoint}: {reply!r}"
-                )
-            if reply[0] == "reject":
-                raise HandshakeError(
-                    f"agent at {self.endpoint} rejected "
-                    f"{self.actor_name!r}: {reply[1]}"
-                )
             return proto
         except BaseException:
             transport.close()
@@ -421,36 +411,29 @@ class AioPeer:
         of the result list — or, when the frame failed as a whole, that
         error for every sub-call, as in a frame of its own."""
         n_calls = sum(len(group[0].calls) for group in groups)
-        if not isinstance(body, RemoteError):
-            try:
-                body = decode_body(body)
-            except WireCodecError as exc:
-                # *this side* could not decode the reply: the calls ran
-                body = RemoteError.wrap(exc)
-            else:
-                if isinstance(body, RemoteError):
-                    if len(groups) > 1 and body.error_type in (
-                        "WireCodecError", "WireProtocolError"
-                    ):
-                        # The peer refused to decode the frame: nothing ran,
-                        # and one op's bad request must fail alone, so each
-                        # group goes again by itself (once: a lone group's
-                        # refusal is final). Nothing else is ever re-sent —
-                        # it may have run.
-                        for group in groups:
-                            self._send([group])
-                        return
-                elif not isinstance(body, list) or len(body) != n_calls:
-                    body = RemoteError(
-                        "WireProtocolError",
-                        f"peer {self.actor_name} answered {n_calls} calls "
-                        f"with {type(body).__name__}",
-                    )
-        failed = isinstance(body, RemoteError)
+        result = decode_reply(body, n_calls, self.actor_name)
+        failed = isinstance(result, RemoteError)
+        if (
+            failed
+            and len(groups) > 1
+            and result.error_type in ("WireCodecError", "WireProtocolError")
+            # ...said by the peer itself: a reply this side could not decode
+            # (``original`` is set) or found misshapen (it decodes to
+            # something else) is an error made here, about calls that ran
+            and result.original is None
+            and isinstance(decode_body(body), RemoteError)
+        ):
+            # The peer refused to decode the frame: nothing ran, and one
+            # op's bad request must fail alone, so each group goes again by
+            # itself (once: a lone group's refusal is final). Nothing else
+            # is ever re-sent — it may have run.
+            for group in groups:
+                self._send([group])
+            return
         done = 0
         for group, slot, latch, gen, _ in groups:
             n = len(group.calls)
-            slot[0] = [body] * n if failed else body[done : done + n]
+            slot[0] = [result] * n if failed else result[done : done + n]
             done += n
             latch.group_done(gen)
 
@@ -477,7 +460,7 @@ class AioPeer:
         if transport is not None:
             transport.close()
 
-    # -- RPC surface (the remote-handle contract, loop thread only) ------
+    # -- RPC surface (loop thread only) ----------------------------------
 
     def submit(
         self,

@@ -6,10 +6,12 @@ endpoint and hosts any number of actors: the paper's layout colocates one
 data and one metadata provider per storage node and gives the version
 manager (``vm``) and provider manager (``pm``) dedicated machines — all
 four actor kinds are hosted by this same agent. Clients are
-:class:`~repro.net.tcp.TcpDriver` peers; the wire protocol is exactly the
-worker-process protocol (:mod:`repro.net.codec` messages carrying
-``("rpc", sub_calls)`` and ``stats``/``shutdown`` controls), prefixed by
-one handshake.
+:class:`~repro.net.tcp.TcpDriver` and :class:`~repro.net.aio.AioDriver`
+peers; the wire protocol is :mod:`repro.net.codec` messages carrying
+``("rpc", sub_calls)`` and ``stats``/``telemetry``/``shutdown`` controls
+(grammar and serving helpers in :mod:`repro.net.wire`; the loop that
+answers them, :meth:`_ActorService._loop`, is the only one), prefixed
+by one handshake.
 
 Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``
 and ``tests/test_tcp_control_plane.py``):
@@ -95,6 +97,22 @@ def _recv_one(sock: socket.socket, eof_message: str):
             return decode_body(body)
 
 
+def check_welcome(reply: object, endpoint: Endpoint, actor_name: str) -> None:
+    """Raise :class:`HandshakeError` unless the decoded answer to a
+    ``("hello", actor_name)`` is the agent's welcome (both client shells'
+    dial paths end here)."""
+    if (
+        not isinstance(reply, tuple)
+        or len(reply) != 2
+        or reply[0] not in ("welcome", "reject")
+    ):
+        raise HandshakeError(f"bad handshake reply from {endpoint}: {reply!r}")
+    if reply[0] == "reject":
+        raise HandshakeError(
+            f"agent at {endpoint} rejected {actor_name!r}: {reply[1]}"
+        )
+
+
 def connect_and_handshake(
     endpoint: Endpoint, actor_name: str, timeout: float
 ) -> socket.socket:
@@ -112,14 +130,7 @@ def connect_and_handshake(
         reply = _recv_one(
             sock, f"agent at {endpoint} closed the connection mid-handshake"
         )
-        if (
-            not isinstance(reply, tuple)
-            or len(reply) != 2
-            or reply[0] not in ("welcome", "reject")
-        ):
-            raise HandshakeError(f"bad handshake reply from {endpoint}: {reply!r}")
-        if reply[0] == "reject":
-            raise HandshakeError(f"agent at {endpoint} rejected {actor_name!r}: {reply[1]}")
+        check_welcome(reply, endpoint, actor_name)
         sock.settimeout(None)
         return sock
     except BaseException:

@@ -1,16 +1,16 @@
-"""TCP driver: actors on other hosts, reached through node agents.
+"""TCP driver: actors in other OS processes and on other hosts, reached
+through node agents.
 
-The fifth and final driver — the one that turns the reproduction from
-"one machine, many processes" into a cluster architecture. It extends
-:class:`~repro.net.threaded.ThreadedDriver` exactly the way the process
-driver does (same protocol loop, batch latch, ``plan_wire_groups``
-framing, transport counters — all inherited through
-:class:`~repro.net.wire.RemoteActorDriver`), but a remote actor lives
-behind a ``host:port`` endpoint served by a node agent
-(:mod:`repro.net.node`) instead of behind an inherited socketpair. The
-same driver therefore runs loopback CI clusters and real multi-host
-deployments: only the endpoints in the :class:`~repro.net.address.ClusterMap`
-change.
+The driver that turns the reproduction into a cluster architecture. It
+extends :class:`~repro.net.threaded.ThreadedDriver` (same protocol loop,
+batch latch, ``plan_wire_groups`` framing, transport counters): an actor
+registered with ``register`` runs on an in-parent service thread exactly
+as there, one registered with ``register_remote`` lives behind a
+``host:port`` endpoint served by a node agent (:mod:`repro.net.node`).
+The same driver therefore runs loopback clusters — one agent OS process
+per node, no shared GIL, the deployment to *time* — and real multi-host
+deployments: only the endpoints in the
+:class:`~repro.net.address.ClusterMap` change.
 
 Each registered remote actor gets a :class:`TcpPeer`:
 
@@ -27,11 +27,10 @@ Each registered remote actor gets a :class:`TcpPeer`:
   a *restarted* agent is picked up automatically: reconnect-safe
   fail-over, not fail-once-and-forget.
 
-Invariants this module guarantees (failure-mode parity with the process
-driver is pinned by ``tests/test_tcp_transport.py``, mirroring
-``test_process_transport.py``; bit-level conformance with every other
-driver — including the fully-remote control-plane configuration — by
-``tests/test_driver_conformance.py``):
+Invariants this module guarantees (pinned, for this driver and the
+asyncio one alike, by ``tests/test_tcp_transport.py``; bit-level
+conformance with every other driver — including the fully-remote
+control-plane configuration — by ``tests/test_driver_conformance.py``):
 
 - **drain-as-RemoteError**: a dead connection never strands a caller —
   in-flight calls complete with :class:`~repro.errors.RemoteError` and
@@ -50,6 +49,7 @@ driver — including the fully-remote control-plane configuration — by
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Mapping
 
 from repro.errors import RemoteError, ReproError
@@ -64,13 +64,25 @@ from repro.net.node import (  # re-exported: the public dial-an-agent surface
     HandshakeError,
     connect_and_handshake,
 )
-from repro.net.sansio import Actor, Address, WireGroup
+from repro.net.sansio import (
+    Actor,
+    Address,
+    Batch,
+    Call,
+    WireGroup,
+    deliver,
+    plan_wire_groups,
+)
+from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
 from repro.net.wire import (
     CTL_SHUTDOWN,
-    RemoteActorDriver,
+    CTL_STATS,
+    CTL_TELEMETRY,
     RpcChannel,
+    decode_reply,
 )
-from repro.net.threaded import _BatchLatch
+from repro.obs.spans import new_span_id, record_group_spans
+from repro.obs.trace import current_op_span, current_trace
 
 __all__ = [
     "BACKOFF_INITIAL",
@@ -170,10 +182,7 @@ class TcpPeer:
                 backoff = min(backoff * 2, self._backoff_max)
                 continue
             channel = RpcChannel(
-                sock,
-                f"{self.actor_name}@{self.endpoint}",
-                error_label="PeerUnavailable",
-                on_down=self._channel_down,
+                sock, f"{self.actor_name}@{self.endpoint}", self._channel_down
             )
             discard = False
             with self._lock:
@@ -201,7 +210,7 @@ class TcpPeer:
             self._connected.clear()
         self._wake.set()
 
-    # -- RPC surface (the remote-handle contract) ------------------------
+    # -- RPC surface -----------------------------------------------------
 
     def submit(
         self,
@@ -275,17 +284,17 @@ class TcpPeer:
             channel.close("connection dropped (failure injection)")
 
 
-class TcpDriver(RemoteActorDriver):
+class TcpDriver(ThreadedDriver):
     """Drives protocols against a mix of TCP-remote and in-parent actors.
 
     ``register`` places an actor on an in-parent service thread (the
     threaded driver's semantics — deployments keep the version manager
     and provider manager there); ``register_remote`` binds an address to
     a ``host:port`` endpoint served by a node agent. Everything else —
-    protocol loop, wire-group framing, one frame per destination per
-    batch, caller-side decode, transport counters — is shared with the
-    threaded and process drivers, which is what makes the five-driver
-    conformance suite's wire-RPC-count equality possible.
+    protocol loop, batch latch, ``spawn``/futures, wire-group framing,
+    transport counters — is the threaded driver's, so
+    ``transport_stats`` reads identically and the conformance suite's
+    wire-RPC-count equality holds across every real driver.
     """
 
     def __init__(
@@ -296,8 +305,14 @@ class TcpDriver(RemoteActorDriver):
     ) -> None:
         super().__init__(registry)
         self._connect_timeout = connect_timeout
+        self._remotes: dict[Address, TcpPeer] = {}
 
     # -- registration ----------------------------------------------------
+
+    def register(self, address: Address, actor: Actor) -> None:
+        if address in self._remotes:
+            raise ValueError(f"address {address!r} already registered (remote)")
+        super().register(address, actor)
 
     def register_remote(
         self, address: Address, endpoint: Endpoint | str
@@ -308,7 +323,14 @@ class TcpDriver(RemoteActorDriver):
         peer = TcpPeer(
             address, parse_endpoint(endpoint), connect_timeout=self._connect_timeout
         )
-        self._register_remote(address, peer)
+        with self._lock:
+            if self._closed:
+                peer.stop()
+                raise RuntimeError("driver is closed")
+            if address in self._servers or address in self._remotes:
+                peer.stop()
+                raise ValueError(f"address {address!r} already registered")
+            self._remotes[address] = peer
         return peer
 
     def register_map(self, cluster_map: ClusterMap) -> None:
@@ -320,13 +342,19 @@ class TcpDriver(RemoteActorDriver):
         with self._lock:
             return self._remotes[address]
 
+    def addresses(self) -> list[Address]:
+        with self._lock:
+            return list(self._servers) + list(self._remotes)
+
+    def remote_addresses(self) -> list[Address]:
+        with self._lock:
+            return list(self._remotes)
+
     # -- health ----------------------------------------------------------
 
     def wait_connected(self, timeout: float = 10.0) -> None:
         """Block until every registered peer holds a live connection;
         raises ``TimeoutError`` naming the unreachable peers."""
-        import time
-
         deadline = time.monotonic() + timeout
         with self._lock:
             peers = list(self._remotes.values())
@@ -351,7 +379,114 @@ class TcpDriver(RemoteActorDriver):
             for a, p in peers.items()
         }
 
+    # -- introspection ---------------------------------------------------
+
+    def server_stats(self) -> dict[Address, tuple[int, int]]:
+        """Per-actor ``(wire_rpcs, sub_calls)``, queried over the wire for
+        remote actors (raises ``RemoteError`` for a dead peer)."""
+        with self._lock:
+            servers = dict(self._servers)
+            remotes = dict(self._remotes)
+        stats = {a: (s.served_rpcs, s.served_calls) for a, s in servers.items()}
+        for address, peer in remotes.items():
+            reply = peer.control(CTL_STATS)
+            stats[address] = (reply["wire_rpcs"], reply["sub_calls"])
+        return stats
+
+    def telemetry(self, address: Address) -> dict[str, Any]:
+        """One actor's telemetry report (wire counters + service-time
+        snapshot), queried over the wire as a *control* for remote actors
+        — controls are not counted as wire RPCs, so scraping is invisible
+        to the workload counters."""
+        with self._lock:
+            remote = self._remotes.get(address)
+        if remote is None:
+            return super().telemetry(address)
+        return remote.control(CTL_TELEMETRY)
+
+    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
+        """One-off RPC outside any protocol (inspection surfaces)."""
+
+        def proto():
+            (result,) = yield Batch([Call(address, method, args)])
+            return result
+
+        return self.run(proto())
+
+    # -- execution -------------------------------------------------------
+
+    def _execute_batch(self, batch: Batch) -> list[Any]:
+        calls = batch.calls
+        if not calls:
+            return []
+        groups = plan_wire_groups(calls)
+        servers = self._servers
+        remotes = self._remotes
+        resolved: list[tuple[Any, Any]] = []
+        for group in groups:
+            server = servers.get(group.dest)
+            if server is not None:
+                resolved.append((None, server))
+                continue
+            remote = remotes.get(group.dest)
+            if remote is None:
+                raise KeyError(f"no actor registered at address {group.dest!r}")
+            resolved.append((remote, None))
+        results: list[Any] = [None] * len(calls)
+        latch = self._latch()
+        gen = latch.begin(len(groups), len(calls))
+        trace = current_trace()
+        # With a trace open each wire group gets a span id that rides the
+        # envelope (serving-side spans parent to it); untraced batches
+        # stay bit-identical on the wire.
+        span_ids = None
+        parent = None
+        if trace is not None:
+            parent = current_op_span()
+            span_ids = [new_span_id() for _ in groups]
+        t_enq = time.perf_counter_ns()
+        slots: list[list | None] = [None] * len(groups)
+        for k, ((remote, server), group) in enumerate(zip(resolved, groups)):
+            wire_trace = trace if span_ids is None else (trace, span_ids[k])
+            if remote is not None:
+                slot: list = [None]
+                slots[k] = slot
+                remote.submit(group, slot, latch, gen, wire_trace)
+            else:
+                server.inbox.put(
+                    (group.calls, group.indices, results, latch, gen,
+                     wire_trace, t_enq)
+                )
+        latch.wait()
+        t_done = time.perf_counter_ns()
+        rtt_ns = t_done - t_enq
+        for group in groups:
+            latch.record_rtt(dest_kind(group.dest), rtt_ns)
+        if span_ids is not None:
+            record_group_spans(trace, parent, span_ids, groups, t_enq, t_done)
+        # Decode remote replies on *this* thread: the receiver threads only
+        # routed raw bodies, so payload unpickling happens in the caller
+        # that asked for the data, concurrent across caller threads.
+        for k, slot in enumerate(slots):
+            if slot is None:
+                continue
+            group = groups[k]
+            n_calls = len(group.calls)
+            values = decode_reply(slot[0], n_calls, resolved[k][0].actor_name)
+            if isinstance(values, RemoteError):
+                values = [values] * n_calls
+            for index, value in zip(group.indices, values):
+                results[index] = value
+        return [deliver(c, r) for c, r in zip(calls, results)]
+
     # -- lifecycle -------------------------------------------------------
+
+    def close(self) -> None:
+        with self._lock:
+            peers = list(self._remotes.values())
+        for peer in peers:
+            peer.stop()
+        super().close()
 
     def abort(self) -> None:
         """Close without stopping the remote actors.
@@ -365,6 +500,6 @@ class TcpDriver(RemoteActorDriver):
             peers = list(self._remotes.values())
         for peer in peers:
             peer.abort()
-        # aborted peers make their stop() a no-op, so the inherited close
-        # only stops in-parent service threads and marks the driver closed
+        # aborted peers make their stop() a no-op, so close() only stops
+        # in-parent service threads and marks the driver closed
         self.close()

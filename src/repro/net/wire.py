@@ -1,28 +1,29 @@
-"""Shared wire machinery for the socket-backed drivers.
+"""Shared wire machinery of the socket-backed drivers and the node agent.
 
-The process driver (:mod:`repro.net.process`) and the TCP driver
-(:mod:`repro.net.tcp`) speak the same protocol — :mod:`repro.net.codec`
-messages carrying ``("rpc", sub_calls)`` requests and control messages —
-over different connection kinds (an inherited ``socketpair`` to a child
-process vs. a real TCP connection to a node agent). Everything that is
-*about the protocol* rather than the connection lives here:
+The blocking TCP driver (:mod:`repro.net.tcp`), the asyncio driver
+(:mod:`repro.net.aio`) and the node agent (:mod:`repro.net.node`) speak one
+protocol — :mod:`repro.net.codec` messages carrying ``("rpc", sub_calls)``
+requests and control messages. Everything that is *about the protocol*
+rather than about one side's connection handling lives here:
 
-- :class:`RpcChannel` — the caller side of one live connection: pending
-  request registry, a dedicated sender thread (submits never block on a
-  busy peer's socket), a receiver thread that routes replies by the
+- :class:`RpcChannel` — the blocking caller side of one live connection:
+  pending request registry, a dedicated sender thread (submits never block
+  on a busy peer's socket), a receiver thread that routes replies by the
   12-byte message header alone (bodies are decoded later, on the caller
   thread that wants the data), and drain-on-death: when the connection
   dies, every in-flight request completes with a
   :class:`~repro.errors.RemoteError` and future submissions fail fast.
-- :class:`RemoteActorDriver` — a :class:`~repro.net.threaded.ThreadedDriver`
-  whose registry is split between in-parent service threads and remote
-  handles; batches execute the exact wire groups planned by
-  :func:`~repro.net.sansio.plan_wire_groups`, one message per destination.
-- the control vocabulary (``stats``, ``shutdown``) and the reply encoder
-  shared by worker processes and node agents.
+  (:class:`~repro.net.tcp.TcpPeer` owns what outlives a connection: the
+  dial, the reconnect backoff and failing fast while down.)
+- the envelope grammar (:func:`parse_request`) and the reply check
+  (:func:`decode_reply`) both callers share;
+- the control vocabulary (``stats``, ``telemetry``, ``shutdown``) and the
+  serving helpers (:func:`decode_request`, :func:`serve_rpc`,
+  :func:`encode_reply`) the one serving loop,
+  :meth:`repro.net.node._ActorService._loop`, is made of.
 
-Invariants this module guarantees (pinned by the process- and
-tcp-transport suites):
+Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``
+and ``tests/test_wire_buffers.py``):
 
 - **submits never block**: frames leave through an outbound queue drained
   by a dedicated sender thread per channel, so a caller is never stuck on
@@ -47,7 +48,7 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.errors import RemoteError
 from repro.net.codec import (
@@ -57,24 +58,9 @@ from repro.net.codec import (
     encode_parts,
     send_parts,
 )
-from repro.net.sansio import (
-    Actor,
-    Address,
-    Batch,
-    Call,
-    WireGroup,
-    deliver,
-    dispatch_call,
-    plan_wire_groups,
-)
-from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
-from repro.obs.spans import new_span_id, record_group_spans
-from repro.obs.trace import (
-    clear_server_context,
-    current_op_span,
-    current_trace,
-    set_server_context,
-)
+from repro.net.sansio import Actor, Address, Call, WireGroup, dispatch_call
+from repro.net.threaded import _BatchLatch
+from repro.obs.trace import clear_server_context, set_server_context
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation
@@ -87,7 +73,7 @@ SOCK_BUF = 1 << 20
 COALESCE_MAX_CALLS = 64
 COALESCE_MAX_BYTES = SOCK_BUF
 
-#: control message kinds understood by worker/agent service loops.
+#: control message kinds understood by the agent's service loop.
 #: Controls are *not* counted as wire RPCs by either side, so a stats or
 #: telemetry scrape never perturbs workload counter assertions.
 CTL_STATS = "stats"
@@ -262,6 +248,32 @@ def encode_reply(req_id: int, results: list) -> list:
             return encode_parts(req_id, RemoteError("ReplyTooLarge", str(exc)))
 
 
+def decode_reply(body: Any, n_calls: int, peer: str) -> list | RemoteError:
+    """What a caller's ``n_calls`` sub-calls got back: their result list,
+    or the one :class:`RemoteError` that is every sub-call's outcome.
+
+    ``body`` is what the connection handed over: the raw reply, or the
+    ``RemoteError`` it drained the request with. A reply that decodes to a
+    ``RemoteError`` is the peer refusing the whole request, typed; one that
+    does not decode *here*, or is not a list of ``n_calls`` results, is an
+    error too — but the calls ran.
+    """
+    if isinstance(body, RemoteError):
+        return body
+    try:
+        values = decode_body(body)
+    except WireCodecError as exc:
+        return RemoteError.wrap(exc)
+    if isinstance(values, RemoteError) or (
+        isinstance(values, list) and len(values) == n_calls
+    ):
+        return values
+    return RemoteError(
+        "WireProtocolError",
+        f"peer {peer} answered {n_calls} calls with {type(values).__name__}",
+    )
+
+
 class RpcChannel:
     """Caller-side endpoint of one live RPC connection.
 
@@ -274,20 +286,14 @@ class RpcChannel:
     ``RemoteError`` and fails all future submissions fast — no caller
     ever blocks on a corpse. ``on_down`` fires exactly once, after the
     drain; it must not block (the TCP peer uses it to kick its
-    reconnector, the process driver records a terminal reason).
+    reconnector).
     """
 
     def __init__(
-        self,
-        sock: socket.socket,
-        peer: str,
-        *,
-        error_label: str = "PeerUnavailable",
-        on_down: Callable[[str], None] | None = None,
+        self, sock: socket.socket, peer: str, on_down: Callable[[str], None]
     ) -> None:
         self.peer = peer
         self.sock = sock
-        self._error_label = error_label
         self._on_down = on_down
         self._pending_lock = threading.Lock()
         #: req_id -> ("rpc", slot, latch, gen) | ("ctl", box, event);
@@ -318,11 +324,10 @@ class RpcChannel:
             self._down_reason = reason
             drained = list(self._pending.values())
             self._pending.clear()
-        error = RemoteError(self._error_label, reason)
+        error = RemoteError("PeerUnavailable", reason)
         for entry in drained:
             self._complete(entry, error)
-        if self._on_down is not None:
-            self._on_down(reason)
+        self._on_down(reason)
 
     @staticmethod
     def _complete(entry: tuple, body: Any) -> None:
@@ -346,10 +351,6 @@ class RpcChannel:
             except OSError:
                 nbytes = 0
             if not nbytes:
-                # No peer-process poll here: the owner's on_down callback
-                # runs on this thread and must stay non-blocking (see the
-                # process driver for why polling from here corrupts
-                # multiprocessing exit codes).
                 self.mark_down(f"peer {self.peer} connection lost")
                 return
             try:
@@ -376,7 +377,7 @@ class RpcChannel:
 
         ``slot`` is the batch's one-element mailbox for this group: it
         receives the raw reply body, which the *caller* decodes after the
-        latch releases (see ``RemoteActorDriver._execute_batch``).
+        latch releases (see ``TcpDriver._execute_batch``).
 
         ``trace`` is the driver-minted trace context for this group — a
         ``(trace_id, span_id)`` pair while the caller has a trace open,
@@ -389,7 +390,7 @@ class RpcChannel:
                 req_id = next(self._req_ids)
                 self._pending[req_id] = ("rpc", slot, latch, gen)
         if reason is not None:
-            slot[0] = RemoteError(self._error_label, reason)
+            slot[0] = RemoteError("PeerUnavailable", reason)
             latch.group_done(gen)
             return
         # Trace propagation: the envelope grows an optional third field
@@ -421,7 +422,7 @@ class RpcChannel:
                 req_id = next(self._req_ids)
                 self._pending[req_id] = ("ctl", box, event)
         if reason is not None:
-            raise RemoteError(self._error_label, reason)
+            raise RemoteError("PeerUnavailable", reason)
         self._outbox.put(encode_parts(req_id, (kind, ())))
         if not event.wait(timeout):
             with self._pending_lock:
@@ -456,176 +457,3 @@ class RpcChannel:
         force_close(self.sock)
         self._recv_thread.join(timeout=5)
         self._send_thread.join(timeout=5)
-
-
-class RemoteActorDriver(ThreadedDriver):
-    """Drives protocols against a mix of remote and in-parent actors.
-
-    Extends :class:`ThreadedDriver`: ``register`` places an actor on an
-    in-parent service thread (exactly the threaded driver's semantics),
-    while subclasses register *remote handles* — objects exposing
-    ``submit(group, slot, latch, gen, trace)``, ``control(kind)`` and
-    ``stop()``
-    — for actors living in worker processes or on other hosts. The
-    protocol loop, batch latch, ``spawn``/futures and transport counters
-    are shared, so ``transport_stats`` reads identically across every
-    real driver.
-    """
-
-    def __init__(self, registry: Mapping[Address, Actor] | None = None) -> None:
-        super().__init__(registry)
-        self._remotes: dict[Address, Any] = {}
-
-    # -- registration ----------------------------------------------------
-
-    def register(self, address: Address, actor: Actor) -> None:
-        if address in self._remotes:
-            raise ValueError(f"address {address!r} already registered (remote)")
-        super().register(address, actor)
-
-    def _register_remote(self, address: Address, handle: Any) -> None:
-        """Install a connected remote handle (caller holds no lock)."""
-        with self._lock:
-            if self._closed:
-                handle.stop()
-                raise RuntimeError("driver is closed")
-            if address in self._servers or address in self._remotes:
-                handle.stop()
-                raise ValueError(f"address {address!r} already registered")
-            self._remotes[address] = handle
-
-    def addresses(self) -> list[Address]:
-        with self._lock:
-            return list(self._servers) + list(self._remotes)
-
-    def remote_addresses(self) -> list[Address]:
-        with self._lock:
-            return list(self._remotes)
-
-    # -- introspection ---------------------------------------------------
-
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)``, queried over the wire for
-        remote actors (raises ``RemoteError`` for a dead peer)."""
-        with self._lock:
-            servers = dict(self._servers)
-            remotes = dict(self._remotes)
-        stats = {a: (s.served_rpcs, s.served_calls) for a, s in servers.items()}
-        for address, handle in remotes.items():
-            reply = handle.control(CTL_STATS)
-            stats[address] = (reply["wire_rpcs"], reply["sub_calls"])
-        return stats
-
-    def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report (wire counters + service-time
-        snapshot), queried over the wire as a *control* for remote actors
-        — controls are not counted as wire RPCs, so scraping is invisible
-        to the workload counters."""
-        with self._lock:
-            remote = self._remotes.get(address)
-        if remote is None:
-            return super().telemetry(address)
-        return remote.control(CTL_TELEMETRY)
-
-    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
-        """One-off RPC outside any protocol (inspection surfaces)."""
-
-        def proto():
-            (result,) = yield Batch([Call(address, method, args)])
-            return result
-
-        return self.run(proto())
-
-    # -- execution -------------------------------------------------------
-
-    def _execute_batch(self, batch: Batch) -> list[Any]:
-        calls = batch.calls
-        if not calls:
-            return []
-        groups = plan_wire_groups(calls)
-        servers = self._servers
-        remotes = self._remotes
-        resolved: list[tuple[Any, Any]] = []
-        for group in groups:
-            server = servers.get(group.dest)
-            if server is not None:
-                resolved.append((None, server))
-                continue
-            remote = remotes.get(group.dest)
-            if remote is None:
-                raise KeyError(f"no actor registered at address {group.dest!r}")
-            resolved.append((remote, None))
-        results: list[Any] = [None] * len(calls)
-        latch = self._latch()
-        gen = latch.begin(len(groups), len(calls))
-        trace = current_trace()
-        # With a trace open each wire group gets a span id that rides the
-        # envelope (serving-side spans parent to it); untraced batches
-        # stay bit-identical on the wire.
-        span_ids = None
-        parent = None
-        if trace is not None:
-            parent = current_op_span()
-            span_ids = [new_span_id() for _ in groups]
-        t_enq = time.perf_counter_ns()
-        slots: list[list | None] = [None] * len(groups)
-        for k, ((remote, server), group) in enumerate(zip(resolved, groups)):
-            wire_trace = trace if span_ids is None else (trace, span_ids[k])
-            if remote is not None:
-                slot: list = [None]
-                slots[k] = slot
-                remote.submit(group, slot, latch, gen, wire_trace)
-            else:
-                server.inbox.put(
-                    (group.calls, group.indices, results, latch, gen,
-                     wire_trace, t_enq)
-                )
-        latch.wait()
-        t_done = time.perf_counter_ns()
-        rtt_ns = t_done - t_enq
-        for group in groups:
-            latch.record_rtt(dest_kind(group.dest), rtt_ns)
-        if span_ids is not None:
-            record_group_spans(trace, parent, span_ids, groups, t_enq, t_done)
-        # Decode remote replies on *this* thread: the receiver threads only
-        # routed raw bodies, so payload unpickling happens in the caller
-        # that asked for the data, concurrent across caller threads.
-        for k, slot in enumerate(slots):
-            if slot is None:
-                continue
-            group = groups[k]
-            body = slot[0]
-            values = self._decode_group(group, body)
-            for index, value in zip(group.indices, values):
-                results[index] = value
-        return [deliver(c, r) for c, r in zip(calls, results)]
-
-    @staticmethod
-    def _decode_group(group: WireGroup, body: Any) -> list:
-        n = len(group.calls)
-        if isinstance(body, RemoteError):
-            return [body] * n
-        try:
-            values = decode_body(body)
-        except WireCodecError as exc:
-            return [RemoteError.wrap(exc)] * n
-        if isinstance(values, RemoteError):
-            return [values] * n  # the peer refused the whole request, typed
-        if not isinstance(values, list) or len(values) != n:
-            return [
-                RemoteError(
-                    "WireProtocolError",
-                    f"peer {group.dest!r} answered {n} calls with "
-                    f"{type(values).__name__}",
-                )
-            ] * n
-        return values
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            remotes = list(self._remotes.values())
-        for handle in remotes:
-            handle.stop()
-        super().close()

@@ -7,7 +7,7 @@ same JSON-safe document::
 
     {
       "schema": "repro.metrics/1",
-      "source": "tcp" | "inproc" | "threaded" | "process" | "simulated",
+      "source": "tcp" | "inproc" | "threaded" | "simulated",
       "actors": {
         "data/0": {
           "wire_rpcs": 123, "sub_calls": 456, "calls": 456,

@@ -17,11 +17,12 @@ multi-process deployment instead of only on multi-host ones. Each
 domain is named by :data:`CLOCK_DOMAIN`, a random 64-bit id minted at
 import.
 
-**Fork safety.** The process driver forks workers on Linux: a child
-would inherit the parent's epoch (collapsing the two clock domains into
-one) and the parent's PRNG state (making sibling workers mint colliding
-ids in lockstep). ``os.register_at_fork`` re-mints the epoch and domain
-in the child and clears the inherited caller buffer; ids come from
+**Fork safety.** Nothing in the package forks (node agents are launched
+with ``subprocess``), but an embedding program may: a forked child would
+inherit the parent's epoch (collapsing the two clock domains into one)
+and the parent's PRNG state (making sibling children mint colliding ids
+in lockstep). ``os.register_at_fork`` re-mints the epoch and domain in
+the child and clears the inherited caller buffer; ids come from
 ``random.SystemRandom`` (kernel entropy, no inherited state).
 
 Simulated deployments use :data:`SIM_DOMAIN` (domain 0): simulated

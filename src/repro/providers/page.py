@@ -155,7 +155,7 @@ def page_checksum(payload: PagePayload) -> int | None:
     real providers burn per page — checksumming, compression, encryption —
     *inside the interpreter*. Under the threaded driver that work
     serializes on the shared GIL no matter how many actor threads exist;
-    under the process driver it runs on worker cores. The transport-scaling
+    on a tcp deployment it runs on the node agents' cores. The transport-scaling
     benchmark measures exactly that contrast, so this function's cost is a
     feature: it stands in for the per-byte service work of a real storage
     node, in the only place Python makes the GIL effect visible.

@@ -1,21 +1,20 @@
-"""Aio-transport pins: the tcp-transport failure-mode suite replayed
-through the event-loop driver, plus the concurrency pins only an event
-loop can express.
+"""Aio-transport pins: what only an event loop can express.
 
-Failure-mode parity with the TCP transport is the point: every pin in
-``tests/test_tcp_transport.py`` that describes *transport semantics*
-(submission counts, typed errors over the wire, killed-peer fail-fast
+The transport semantics the event-loop driver shares with the thread-pair
+one (submission counts, typed errors over the wire, killed-peer fail-fast
 drain, replica fail-over, clean shutdown exit codes, reconnect to a
-restarted agent) has its mirror here, driven by the single-threaded
-asyncio driver instead of per-peer thread pairs. On top of that, the
-event loop adds what threads cannot afford: cross-operation coalescing
-(concurrent protocols' wire groups to one peer share one frame and one
-reply — pinned as behaviour: fewer frames, the same sub-calls, per-peer
-FIFO, a bad request failing alone, bounded frames, drain exactly once,
-trace contexts riding the frame) and the 1k-coroutine stress run
-— one agent SIGKILLed and restarted mid-run, every client finishing or
-failing *typed*, with asyncio debug mode and warning capture proving no
-task is orphaned and no coroutine left unawaited.
+restarted agent) have one body each, in ``tests/test_tcp_transport.py``:
+this module collects those functions again with their ``client`` fixture
+set to ``aio``, so each runs once per shell. The rest of this file is
+what the loop adds: coroutine clients interleaving on one thread,
+async-side tracing, cross-operation coalescing (concurrent protocols'
+wire groups to one peer share one frame and one reply — pinned as
+behaviour: fewer frames, the same sub-calls, per-peer FIFO, a bad request
+failing alone, bounded frames, drain exactly once, trace contexts riding
+the frame) and the 1k-coroutine stress run — one agent SIGKILLed and
+restarted mid-run, every client finishing or failing *typed*, with
+asyncio debug mode and warning capture proving no task is orphaned and no
+coroutine left unawaited.
 
 Everything here is wall-clock bounded: every blocking wait carries a
 timeout, and the module-level watchdog (conftest.py, enabled via
@@ -38,7 +37,6 @@ from repro.errors import (
     PageMissing,
     RemoteError,
     ReproError,
-    VersionNotPublished,
 )
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.provider import MetadataProvider
@@ -55,11 +53,31 @@ from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB, MB
 from tests.conftest import forged_leaf
+from tests.test_tcp_transport import (  # noqa: F401 - collected here, on the loop
+    tdep,
+    test_clean_shutdown_exits_all_agents,
+    test_driver_rejects_registration_after_close,
+    test_future_calls_fail_fast_after_agent_death,
+    test_handshake_reject_for_unknown_actor,
+    test_in_flight_calls_drain_when_connection_dies,
+    test_killed_agent_fails_over_to_replica,
+    test_killed_agent_raises_remote_error,
+    test_peer_reconnects_after_agent_restart,
+    test_semantic_errors_cross_the_wire_typed as test_semantic_errors_cross_the_async_path_typed,
+    test_serial_workload_and_submission_counts,
+    test_unknown_address_raises_before_any_submission,
+)
 
 TOTAL = 1 * MB
 PAGE = 4 * KB
 
 JOIN_TIMEOUT = 60.0
+
+
+@pytest.fixture
+def client() -> str:
+    """The shell the transport pins imported above run on."""
+    return "aio"
 
 
 @pytest.fixture
@@ -84,32 +102,8 @@ def _call_proto(address, method, args=()):
 
 
 # ---------------------------------------------------------------------------
-# functional sanity + submission counts (tcp-transport parity)
+# coroutine clients and async-side tracing
 # ---------------------------------------------------------------------------
-
-
-def test_serial_workload_and_submission_counts(adep):
-    """One queue submission (= one TCP frame for remote actors) per
-    destination per batch — the exact bound the threaded/process/tcp
-    drivers pin, now through the event loop."""
-    client = adep.client("pin")
-    blob = client.alloc(TOTAL, PAGE)
-    states = {}
-    for step in range(6):
-        data = fill(step) * 2
-        offset = (step * 2 * PAGE) % TOTAL
-        res = client.write(blob, data, offset)
-        states[res.version] = data
-        assert client.read_bytes(blob, offset, len(data), version=res.version) == data
-
-    stats = adep.driver.server_stats()
-    served_rpcs = sum(r for r, _ in stats.values())
-    served_calls = sum(c for _, c in stats.values())
-    transport = adep.transport_stats()
-    assert transport["queue_submissions"] == served_rpcs
-    assert transport["completion_wakeups"] <= transport["batches"]
-    assert served_calls >= served_rpcs
-    assert adep.total_pages_stored() == sum(len(d) // PAGE for d in states.values())
 
 
 def test_async_clients_interleave_on_one_loop(adep):
@@ -139,33 +133,6 @@ def test_async_clients_interleave_on_one_loop(adep):
     results = adep.driver.run_async(main(), timeout=JOIN_TIMEOUT)
     assert sorted(results) == list(range(n_clients))
     assert adep.vm.get_latest(blob) == n_clients * writes_each
-
-
-def test_unknown_address_raises_before_any_submission(adep):
-    def proto():
-        yield Batch([Call(("data", 99), "data.stats", ())])
-
-    before = adep.transport_stats()["queue_submissions"]
-    with pytest.raises(KeyError):
-        adep.driver.run(proto())
-    assert adep.transport_stats()["queue_submissions"] == before
-
-
-def test_semantic_errors_cross_the_async_path_typed(adep):
-    """A VersionNotPublished raised by a remote actor must come back out
-    of an *awaited* read with its precise type and payload — the async
-    mirror of the tcp-transport typed-error pin."""
-    sync_client = adep.client("err")
-    blob = sync_client.alloc(TOTAL, PAGE)
-
-    async def main():
-        client = adep.async_client("aerr")
-        with pytest.raises(VersionNotPublished) as exc_info:
-            await client.read_bytes(blob, 0, PAGE, version=5)
-        return exc_info.value
-
-    error = adep.driver.run_async(main(), timeout=JOIN_TIMEOUT)
-    assert error.requested == 5
 
 
 def test_traced_async_op_exports_parented_spans(adep):
@@ -609,30 +576,8 @@ def test_traced_and_untraced_ops_share_a_frame_and_keep_their_parents():
 
 
 # ---------------------------------------------------------------------------
-# shutdown
+# choosing the shell
 # ---------------------------------------------------------------------------
-
-
-def test_clean_shutdown_exits_all_agents():
-    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2), client="aio")
-    client = dep.client("s")
-    blob = client.alloc(TOTAL, PAGE)
-    client.write(blob, fill(1), 0)
-    dep.close()
-    codes = dep.agent_exitcodes()
-    assert len(codes) == 2  # colocated: agent i hosts data/i + meta/i
-    assert all(code == 0 for code in codes), codes
-    # closing twice is harmless
-    dep.close()
-
-
-def test_driver_rejects_registration_after_close():
-    driver = AioDriver()
-    driver.close()
-    with pytest.raises(RuntimeError):
-        driver.register_remote(("data", 0), "127.0.0.1:1")
-    with pytest.raises(RuntimeError):
-        driver.register(("data", 0), DataProvider(0))
 
 
 def test_build_tcp_rejects_unknown_client():
@@ -647,178 +592,6 @@ def test_async_client_requires_aio_driver():
             dep.async_client()
     finally:
         dep.close()
-
-
-# ---------------------------------------------------------------------------
-# crash handling: killed agent -> RemoteError -> replica fail-over
-# ---------------------------------------------------------------------------
-
-
-def test_killed_agent_raises_remote_error(adep):
-    client = adep.client("kill")
-    blob = client.alloc(TOTAL, PAGE)
-    res = client.write(blob, fill(9), 0)
-    holders = [
-        pid for pid, proxy in adep.data.items()
-        if any(True for _ in proxy.iter_pages(blob))
-    ]
-    assert len(holders) == 1
-    victim = holders[0]
-    adep.kill_agent(adep.agent_index_for(("data", victim)))
-    with pytest.raises(RemoteError) as exc_info:
-        client.read_bytes(blob, 0, PAGE, version=res.version)
-    assert "PeerUnavailable" in str(exc_info.value)
-    # vm is alive in-parent; the surviving metadata replicas still serve
-    assert adep.vm.get_latest(blob) == 1
-
-
-def test_killed_agent_fails_over_to_replica():
-    """The paper's replica fail-over through the async path: with
-    replication=2 an awaited read must survive one agent's SIGKILL via
-    the ``allow_error`` retry — no thread pool involved."""
-    dep = build_tcp(
-        DeploymentSpec(n_data=3, n_meta=2, replication=2, cache_capacity=0),
-        client="aio",
-    )
-    try:
-        client = dep.client("failover")
-        blob = client.alloc(TOTAL, PAGE)
-        data = fill(3) + fill(4)
-        res = client.write(blob, data, 0)
-        victim = next(
-            pid for pid, proxy in dep.data.items()
-            if any(True for _ in proxy.iter_pages(blob))
-        )
-        dep.kill_agent(dep.agent_index_for(("data", victim)))
-
-        async def main():
-            aclient = dep.async_client("afailover")
-            return await aclient.read_bytes(blob, 0, len(data), version=res.version)
-
-        assert dep.driver.run_async(main(), timeout=JOIN_TIMEOUT) == data
-    finally:
-        dep.close()
-
-
-def test_future_calls_fail_fast_after_agent_death():
-    """Calls against a dead peer must fail immediately with RemoteError —
-    never block behind a redial attempt (fail-over latency)."""
-    dep = build_tcp(
-        DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0), client="aio"
-    )
-    try:
-        client = dep.client("inflight")
-        blob = client.alloc(TOTAL, PAGE)
-        client.write(blob, fill(5), 0)
-        address = ("data", 0)
-        dep.kill_agent(dep.agent_index_for(address))
-        # wait (bounded) for the peer to notice the EOF
-        deadline = time.monotonic() + 10
-        while dep.driver.peer(address).connected and time.monotonic() < deadline:
-            time.sleep(0.01)
-        for _ in range(3):
-            start = time.monotonic()
-            with pytest.raises(RemoteError):
-                dep.driver.call(address, "data.stats")
-            assert time.monotonic() - start < 2.0, "dead-peer call did not fail fast"
-    finally:
-        dep.close()
-
-
-def test_in_flight_calls_drain_when_connection_dies():
-    """A call already on the wire when the connection dies mid-batch must
-    complete with RemoteError, not hang the batch latch — the loop's
-    receive-EOF drain, driven deterministically with an actor that blocks
-    until the connection is severed under it."""
-
-    class Staller:
-        def __init__(self):
-            self.entered = threading.Event()
-            self.release = threading.Event()
-
-        def handle(self, method, args):
-            if method == "stall":
-                self.entered.set()
-                self.release.wait(JOIN_TIMEOUT)
-                return "too late"
-            raise ValueError(method)
-
-    staller = Staller()
-    agent = NodeAgent({("data", 0): staller})
-    agent.start()
-    driver = AioDriver()
-    try:
-        driver.register_remote(("data", 0), agent.endpoint)
-        driver.wait_connected()
-        fut = driver.spawn(_call_proto(("data", 0), "stall"))
-        assert staller.entered.wait(JOIN_TIMEOUT), "call never reached the actor"
-        agent.drop_connections()  # sever mid-call: reply can never arrive
-        with pytest.raises(RemoteError):
-            fut.result(timeout=JOIN_TIMEOUT)
-    finally:
-        staller.release.set()
-        driver.close()
-        agent.close()
-
-
-# ---------------------------------------------------------------------------
-# reconnect: service resumes without a client restart
-# ---------------------------------------------------------------------------
-
-
-def test_peer_reconnects_after_agent_restart():
-    """While the agent is gone calls drain as RemoteError; once an agent
-    serving the same actor name is back on the same endpoint, the
-    connector task's backoff redial finds it and service resumes — no
-    driver restart, no re-register."""
-    agent = NodeAgent({("data", 0): DataProvider(0)})
-    agent.start()
-    port = agent.endpoint.port
-    driver = AioDriver()
-    try:
-        driver.register_remote(("data", 0), agent.endpoint)
-        driver.wait_connected()
-        assert driver.call(("data", 0), "data.stats")["pages"] == 0
-
-        agent.close()  # the "host went down" event: listener + conns die
-        deadline = time.monotonic() + 10
-        while driver.peer(("data", 0)).connected and time.monotonic() < deadline:
-            time.sleep(0.01)
-        with pytest.raises(RemoteError):
-            driver.call(("data", 0), "data.stats")
-        assert driver.peer_status()[("data", 0)] != "connected"
-
-        # restart: a fresh agent, same actor name, same endpoint
-        revived = NodeAgent({("data", 0): DataProvider(0)}, port=port)
-        revived.start()
-        try:
-            assert driver.peer(("data", 0)).wait_connected(timeout=15), (
-                "connector did not redial the revived agent"
-            )
-            assert driver.call(("data", 0), "data.stats")["pages"] == 0
-            assert driver.peer_status()[("data", 0)] == "connected"
-        finally:
-            revived.close()
-    finally:
-        driver.close()
-        agent.close()
-
-
-def test_handshake_reject_for_unknown_actor():
-    """An agent must reject a hello for an actor it does not host; the
-    peer stays down (fail-fast) instead of looping a broken connection."""
-    agent = NodeAgent({("data", 0): DataProvider(0)})
-    agent.start()
-    driver = AioDriver()
-    try:
-        driver.register_remote(("data", 7), agent.endpoint)
-        assert not driver.peer(("data", 7)).wait_connected(timeout=0.6)
-        with pytest.raises(RemoteError) as exc_info:
-            driver.call(("data", 7), "data.stats")
-        assert "PeerUnavailable" in str(exc_info.value)
-    finally:
-        driver.close()
-        agent.close()
 
 
 # ---------------------------------------------------------------------------

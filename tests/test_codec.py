@@ -3,8 +3,8 @@ boundary, streaming reassembly, and corruption handling.
 
 The satellite requirement pinned here: memoryview-backed (zero-copy) and
 spilled page payloads must round-trip the codec bit-identically — the
-process driver is only correct if the wire preserves exactly the bytes
-the in-process drivers carry as views.
+socket drivers are only correct if the wire preserves exactly the bytes
+the inproc and threaded drivers carry as views.
 """
 
 from __future__ import annotations

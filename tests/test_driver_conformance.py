@@ -1,19 +1,19 @@
-"""Cross-driver conformance: inproc vs threaded vs process vs TCP (both
-control-plane layouts) vs simulated.
+"""Cross-driver conformance: inproc vs threaded vs TCP (both control-plane
+layouts) vs aio vs simulated.
 
 The paper's claim only holds if the *deployment substrate* is
 interchangeable: the same sans-io WRITE/READ protocols must produce the
 same blobs whether they are dispatched directly (inproc), over real
-per-actor service threads (threaded), across per-actor OS processes
-through the pickle-frame wire codec (process), over real TCP connections
-to node-agent cluster processes (tcp — with the vm/pm in the parent, and
-again fully remote with the control plane on its own agents and zero
-in-parent actors: the sixth certified configuration), from a
-single-threaded asyncio event loop multiplexing every agent socket (aio
-— the ninth certified configuration, the high-concurrency client tier),
-or on the discrete-event cluster model (simulated). This suite replays
-identical seeded workloads — built once as driver-agnostic composite
-protocol generators — on all seven deployments and asserts:
+per-actor service threads (threaded), over real TCP connections to
+node-agent OS processes through the pickle-frame wire codec (tcp — with
+the vm/pm in the parent, and again fully remote with the control plane on
+its own agents and zero in-parent actors), from a single-threaded asyncio
+event loop multiplexing every agent socket (aio — the high-concurrency
+client tier), or on the discrete-event cluster model (simulated). This
+suite replays identical seeded workloads — built once as driver-agnostic
+composite protocol generators — on all six deployments (with the
+kill-restart-replay and elastic join/drain runs below: the eight
+certified configurations) and asserts:
 
 - **serial phase** (deterministic, single client): bit-identical page
   contents *and placement*, bit-identical metadata trees (every node
@@ -45,7 +45,6 @@ from repro.core.protocol import (
     write_protocol,
 )
 from repro.deploy.inproc import build_inproc
-from repro.deploy.process import build_process
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
 from repro.deploy.threaded import build_threaded
@@ -122,21 +121,11 @@ class ThreadedHarness:
         self.dep.close()
 
 
-class ProcessHarness(ThreadedHarness):
-    """Same driver surface as ThreadedHarness (spawn/futures/close), but
-    every provider actor is a separate OS process reached through the
-    pickle-frame wire codec."""
-
-    name = "process"
-
-    def __init__(self) -> None:
-        self.dep = build_process(SPEC)
-
-
 class TcpHarness(ThreadedHarness):
-    """Same driver surface again, but every provider actor lives in a
-    node-agent OS process behind a loopback TCP endpoint — the cluster
-    deployment, reached through connection handshakes and real sockets
+    """Same driver surface as ThreadedHarness (spawn/futures/close), but
+    every provider actor lives in a node-agent OS process behind a
+    loopback TCP endpoint — the cluster deployment, reached through
+    connection handshakes, the pickle-frame wire codec and real sockets
     (vm/pm on parent service threads, the historical tcp layout)."""
 
     name = "tcp"
@@ -146,8 +135,7 @@ class TcpHarness(ThreadedHarness):
 
 
 class AioHarness(ThreadedHarness):
-    """The asyncio client tier — the ninth certified configuration: the
-    same node-agent TCP cluster as ``tcp``, but the caller side is the
+    """The asyncio client tier: the same node-agent TCP cluster as ``tcp``, but the caller side is the
     single-threaded event-loop driver (:mod:`repro.net.aio`) instead of
     per-peer thread pairs. Serial protocols go through the sync facade,
     concurrent programs run as coroutines multiplexed on the loop
@@ -217,7 +205,6 @@ def all_harnesses():
     for cls in (
         InprocHarness,
         ThreadedHarness,
-        ProcessHarness,
         TcpHarness,
         AioHarness,
         TcpRemoteHarness,
@@ -226,7 +213,7 @@ def all_harnesses():
         yield cls()
 
 
-OTHER_DRIVERS = ("threaded", "process", "tcp", "aio", "tcp-remote", "simulated")
+OTHER_DRIVERS = ("threaded", "tcp", "aio", "tcp-remote", "simulated")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +322,7 @@ def _run_serial(harness):
     outcome = harness.run(serial_program(blob_id, harness.dep.router))
     assert outcome["errors"] == [], f"{harness.name}: {outcome['errors']}"
     # Snapshot wire counters *before* the fingerprint reads below: on the
-    # process deployment the inspection surface itself issues RPCs
+    # tcp deployments the inspection surface itself issues RPCs
     # (data.dump_pages / meta.dump_nodes), which would otherwise fold the
     # act of measuring into the measured workload.
     driver = getattr(harness.dep, "driver", None)
@@ -552,46 +539,41 @@ def test_concurrent_workload_equivalent_across_drivers():
 
 
 def test_transport_batching_equivalent_sub_calls():
-    """The threaded, process, both TCP, the aio and the simulated drivers
-    must issue identical wire-RPC and sub-call counts for an identical
-    serial workload — all six execute exactly the groups
-    `plan_wire_groups` plans (shared framing); for the process and TCP
-    drivers the counts are reported by the worker processes / node agents
-    themselves over the control channel. For the fully-remote
-    configuration this also proves the vm/pm *workload* traffic is
-    identical whether they are parent service threads or agents on other
-    machines (setup registration subtracted via the harness baseline);
-    for the aio configuration it proves the event-loop transport frames
-    nothing differently from the per-peer thread pairs."""
+    """The threaded, both TCP, the aio and the simulated drivers must issue
+    identical wire-RPC and sub-call counts for an identical serial
+    workload — all five execute exactly the groups `plan_wire_groups`
+    plans (shared framing); for the TCP and aio drivers the counts are
+    reported by the node agents themselves over the control channel. For
+    the fully-remote configuration this also proves the vm/pm *workload*
+    traffic is identical whether they are parent service threads or
+    agents on other machines (setup registration subtracted via the
+    harness baseline); for the aio configuration it proves the
+    event-loop transport frames nothing differently from the per-peer
+    thread pairs."""
     harnesses: list = []
     try:
         # construct inside the try (one by one) so a failing constructor
         # cannot leak the deployments already built
         for cls in (
-            ThreadedHarness, ProcessHarness, TcpHarness, AioHarness,
+            ThreadedHarness, TcpHarness, AioHarness,
             TcpRemoteHarness, SimulatedHarness,
         ):
             harnesses.append(cls())
-        threaded, process, tcp, aio, tcp_remote, simulated = harnesses
+        threaded, tcp, aio, tcp_remote, simulated = harnesses
         t = _run_serial(threaded)
-        p = _run_serial(process)
         n = _run_serial(tcp)
         a = _run_serial(aio)
         r = _run_serial(tcp_remote)
         s = _run_serial(simulated)
         assert (
-            t["pages"] == s["pages"] == p["pages"] == n["pages"]
-            == a["pages"] == r["pages"]
+            t["pages"] == s["pages"] == n["pages"] == a["pages"] == r["pages"]
         )
-        t_stats, p_stats, n_stats, a_stats, r_stats = (
-            t["server_stats"], p["server_stats"], n["server_stats"],
+        t_stats, n_stats, a_stats, r_stats = (
+            t["server_stats"], n["server_stats"],
             a["server_stats"], r["server_stats"],
         )
         t_rpcs = sum(rr for rr, _ in t_stats.values())
         t_calls = sum(c for _, c in t_stats.values())
-        assert t_stats == p_stats, (
-            "process and threaded drivers framed the same workload differently"
-        )
         assert t_stats == n_stats, (
             "TCP and threaded drivers framed the same workload differently"
         )
@@ -612,7 +594,7 @@ def test_transport_batching_equivalent_sub_calls():
 
 
 # ---------------------------------------------------------------------------
-# seventh configuration: durable control plane, kill + restart + replay
+# durable control plane: kill + restart + replay
 # ---------------------------------------------------------------------------
 
 N_DURABLE_STEPS = 10
@@ -629,7 +611,7 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
     (reference bytes per version), appended to in place. Returns a list of
     mismatch descriptions (empty = step verified). ``elastic`` runs the
     same workload in elastic-cluster mode (consistent-hash allocation,
-    relocation-aware reads) for the eighth configuration."""
+    relocation-aware reads) for the elastic configuration."""
     rng = random.Random(SEED ^ (0xD00B + step * 7919))
     errors = []
     npages = rng.choice((1, 1, 2, 4))
@@ -693,7 +675,7 @@ def _storage_stats(dep):
 
 
 def test_kill_restart_replay_matches_uninterrupted_run(tmp_path):
-    """The seventh certified configuration: the fully-remote TCP cluster
+    """The kill-restart-replay configuration: the fully-remote TCP cluster
     with a durable control plane (``state_dir``), its vm and pm agents
     SIGKILLed mid-workload and restarted on their state dirs. The final
     pages (content *and* placement), metadata node records and version
@@ -774,7 +756,7 @@ def test_kill_restart_replay_matches_uninterrupted_run(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# eighth configuration: elastic membership, mid-workload join + drain
+# elastic membership: mid-workload join + drain
 # ---------------------------------------------------------------------------
 
 ELASTIC_SPEC = DeploymentSpec(
@@ -798,7 +780,7 @@ def _verify_snapshots(dep, blob_id, states):
 
 
 def test_elastic_join_drain_matches_static_cluster(tmp_path):
-    """The eighth certified configuration: the fully-remote TCP cluster on
+    """The elastic configuration: the fully-remote TCP cluster on
     consistent-hash placement admits a new storage agent *mid-workload*,
     migrates pages to their new hash homes (with the pm SIGKILLed mid-
     migration and recovered from its journal), serves snapshot reads

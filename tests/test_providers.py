@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     ImmutabilityViolation,
     NotEnoughProviders,
+    PageCorrupt,
     PageMissing,
     ProviderUnavailable,
 )
@@ -211,3 +212,14 @@ class TestProviderManager:
         assert len(groups) == 2
         with pytest.raises(ValueError):
             pm.handle("pm.nope", ())
+
+
+def test_checksum_detects_corruption_inproc():
+    """The verify side of integrity mode, pinned where we can reach inside
+    the store: a flipped byte must surface as PageCorrupt."""
+    dp = DataProvider(0, checksum=True)
+    key = PageKey("b", "w", 0)
+    dp.put_page(key, PagePayload.real(b"a" * 64))
+    dp._pages[key] = PagePayload.real(b"a" * 63 + b"b")  # corrupt in place
+    with pytest.raises(PageCorrupt):
+        dp.get_page(key)

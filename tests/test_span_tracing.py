@@ -3,7 +3,7 @@
 The pins for PR 9's span layer, working outward from the primitives:
 
 - span buffers and ``trace_operation`` (client-compute coverage spans);
-- cross-process clock alignment — real worker OS processes whose raw
+- cross-process clock alignment — real node-agent OS processes whose raw
   timestamps provably do *not* nest until alignment shifts them;
 - the end-to-end ``repro.tools.trace run --check`` acceptance on a live
   TCP cluster (>= 95 % op coverage, reconciliation, Chrome validity);
@@ -29,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DeploymentSpec
-from repro.deploy.process import build_process
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
 from repro.obs.export import (
@@ -121,19 +120,19 @@ class TestPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# cross-process clock alignment (real forked worker processes)
+# cross-process clock alignment (real node-agent OS processes)
 # ---------------------------------------------------------------------------
 
 
 class TestProcessAlignment:
     def test_children_nest_only_after_alignment(self):
-        """Worker processes re-mint their span epoch at fork, so their raw
+        """Node agents mint their span epoch when they start, so their raw
         serving timestamps live in clock domains unrelated to the
         caller's. The negative control pins that the alignment step is
         load-bearing: raw server spans do NOT sit inside their parent rpc
         windows; aligned ones all do, and together the spans cover the
         traced op nearly wall-to-wall."""
-        dep = build_process(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
+        dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
         try:
             client = dep.client("span-test")
             blob = client.alloc(TOTAL, PAGE)
@@ -146,7 +145,7 @@ class TestProcessAlignment:
             dep.close()
         assert validate_spans(spans) == []
         assert {s["kind"] for s in spans} == {"op", "client", "rpc", "server"}
-        # several genuine clock domains: the caller plus worker processes
+        # several genuine clock domains: the caller plus two agent processes
         assert len({s["domain"] for s in spans}) >= 3
 
         def nested(pairs):
@@ -163,7 +162,7 @@ class TestProcessAlignment:
                 if s["kind"] == "server" and s["parent"] in by_id
             ]
 
-        # negative control: the workers' epochs were minted long after the
+        # negative control: the agents' epochs were minted long after the
         # caller's, so unaligned serving times fall far outside the rpc
         # windows — no cross-process pair nests until the clocks are
         # reconciled. (Same-process pairs — the in-process control plane —
@@ -172,7 +171,7 @@ class TestProcessAlignment:
             (p, s) for p, s in rpc_server_pairs(spans)
             if p["domain"] != s["domain"]
         ]
-        assert cross, "worker serving spans must link to caller rpc spans"
+        assert cross, "agent serving spans must link to caller rpc spans"
         assert not any(nested(cross))
 
         aligned, offsets = align_spans(spans)
@@ -181,7 +180,7 @@ class TestProcessAlignment:
         assert coverage(aligned)[tid] >= 0.95
 
     def test_chrome_export_of_aligned_timeline(self):
-        dep = build_process(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
+        dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
         try:
             client = dep.client("chrome-test")
             blob = client.alloc(TOTAL, PAGE)

@@ -1,6 +1,6 @@
 """Fully distributed control plane: vm/pm on their own node agents.
 
-These are the pins for the sixth deployment configuration — the paper's
+These are the pins for the fully-remote configuration — the paper's
 layout in full, where the version manager and provider manager run on
 dedicated hosts and *no* actor lives in the client parent:
 

@@ -1,13 +1,16 @@
 """TCP-transport pins: framing counts, clean shutdown, crash fail-over,
 reconnect-with-backoff, and the addressing/handshake layer.
 
-Failure-mode parity with the process transport is the point: every pin in
-``tests/test_process_transport.py`` that describes *transport semantics*
-(submission counts, typed errors, killed-peer drain, replica fail-over,
-clean shutdown exit codes) has its mirror here, driven by real TCP
-connections to node-agent OS processes instead of socketpairs to spawned
-workers. On top of that, TCP adds what pipes cannot: a peer that comes
-*back* — pinned by the agent-restart reconnect test.
+The pins that describe *transport semantics* (submission counts, typed
+errors, killed-peer drain, replica fail-over, clean shutdown exit codes,
+reconnect to a restarted agent) have one body each and run once per
+client shell, chosen by the ``client`` fixture: this module runs them on
+``threaded`` — :class:`~repro.net.tcp.TcpDriver`, a thread pair per peer
+— and ``tests/test_aio_transport.py`` collects the same functions with
+``client`` overridden to ``aio`` — :class:`~repro.net.aio.AioDriver`, one
+event loop. Same agents, same wire, same failure modes. Where the two
+shells' copies of a test once differed, the stricter assertion is the one
+kept (said at the spot).
 
 Everything here is wall-clock bounded: every blocking wait carries a
 timeout, and the module-level watchdog (conftest.py, enabled via
@@ -18,6 +21,8 @@ fail the suite fast, never stall it.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import threading
 import time
 
@@ -27,6 +32,7 @@ from repro.core.config import DeploymentSpec
 from repro.deploy.tcp import build_tcp, plan_loopback_nodes
 from repro.errors import ConfigError, RemoteError, VersionNotPublished
 from repro.net.address import ClusterMap, Endpoint, format_actor, parse_actor, parse_endpoint
+from repro.net.aio import AioDriver
 from repro.net.node import NodeAgent, build_actor
 from repro.net.sansio import Batch, Call
 from repro.net.tcp import TcpDriver
@@ -39,11 +45,22 @@ PAGE = 4 * KB
 JOIN_TIMEOUT = 60.0
 
 
+DRIVERS = {"threaded": TcpDriver, "aio": AioDriver}
+
+
 @pytest.fixture
-def tdep():
-    dep = build_tcp(DeploymentSpec(n_data=3, n_meta=2, cache_capacity=0))
-    yield dep
-    dep.close()
+def client() -> str:
+    """The client shell the transport pins run on (``build_tcp``'s
+    ``client=``); ``tests/test_aio_transport.py`` overrides it."""
+    return "threaded"
+
+
+@pytest.fixture
+def tdep(client):
+    with build_tcp(
+        DeploymentSpec(n_data=3, n_meta=2, cache_capacity=0), client=client
+    ) as dep:
+        yield dep
 
 
 def fill(i: int) -> bytes:
@@ -127,15 +144,16 @@ def test_build_actor_specs():
 
 
 # ---------------------------------------------------------------------------
-# functional sanity + submission counts (process-transport parity)
+# functional sanity + submission counts
 # ---------------------------------------------------------------------------
 
 
 def test_serial_workload_and_submission_counts(tdep):
     """Caller-side transport counters must equal agent/server-side wire-RPC
     counts: one queue submission (= one TCP frame for remote actors) per
-    destination per batch — the same bound the threaded and process
-    drivers pin."""
+    destination per batch — the same bound the threaded driver pins.
+    (The seeded mixed-size workload of the thread-pair copy, which covers
+    the event-loop copy's fixed two-page writes.)"""
     client = tdep.client("pin")
     blob = client.alloc(TOTAL, PAGE)
     rng = random.Random(7)
@@ -164,7 +182,9 @@ def test_serial_workload_and_submission_counts(tdep):
 
 
 def test_concurrent_clients_disjoint_ranges(tdep):
-    """Real parallel client threads against node-agent processes."""
+    """Real parallel client threads against node-agent processes (threads
+    only; the loop's counterpart, coroutine clients, is
+    ``test_aio_transport.py::test_async_clients_interleave_on_one_loop``)."""
     client = tdep.client("setup")
     blob = client.alloc(TOTAL, PAGE)
     n_clients, writes_each = 3, 4
@@ -178,6 +198,9 @@ def test_concurrent_clients_disjoint_ranges(tdep):
             offset = lo + (k * 2 * PAGE) % span
             res = own.write(blob, data, offset)
             if res.published:
+                # a completed write is only *readable* once all earlier
+                # versions have published; otherwise the paper's contract
+                # says the read must fail, so verify only published ones
                 got = own.read_bytes(blob, offset, len(data), version=res.version)
                 assert got == data
         return c
@@ -188,6 +211,8 @@ def test_concurrent_clients_disjoint_ranges(tdep):
     assert sorted(f.result(timeout=JOIN_TIMEOUT) for f in futures) == [0, 1, 2]
     assert tdep.vm.get_latest(blob) == n_clients * writes_each
 
+    # all versions published now: every client's final own-range bytes
+    # must read back exactly (deterministic replay of its writes)
     for c in range(n_clients):
         state = bytearray(span)
         for k in range(writes_each):
@@ -217,12 +242,37 @@ def test_unknown_address_raises_before_any_submission(tdep):
     assert tdep.transport_stats()["queue_submissions"] == before
 
 
-def test_semantic_errors_cross_the_wire_typed(tdep):
-    client = tdep.client("err")
-    blob = client.alloc(TOTAL, PAGE)
+def test_semantic_errors_cross_the_wire_typed(tdep, client):
+    """A VersionNotPublished raised by a remote actor comes back with its
+    precise type and payload — from a blocking read on either shell and,
+    on the loop, out of an *awaited* read too (the two copies checked one
+    path each; both are kept)."""
+    reader = tdep.client("err")
+    blob = reader.alloc(TOTAL, PAGE)
     with pytest.raises(VersionNotPublished) as exc_info:
-        client.read_bytes(blob, 0, PAGE, version=5)
+        reader.read_bytes(blob, 0, PAGE, version=5)
     assert exc_info.value.requested == 5
+    if client == "aio":
+        async def main():
+            with pytest.raises(VersionNotPublished) as awaited:
+                await tdep.async_client("aerr").read_bytes(blob, 0, PAGE, version=5)
+            return awaited.value
+
+        assert tdep.driver.run_async(main(), timeout=JOIN_TIMEOUT).requested == 5
+
+
+def test_checksum_integrity_mode_roundtrips():
+    """Integrity mode: pages checksum on put and verify on get, inside the
+    agent processes (``page_checksums`` travels on their command line); a
+    correct store round-trips transparently."""
+    with build_tcp(
+        DeploymentSpec(n_data=2, n_meta=2, page_checksums=True, cache_capacity=0)
+    ) as dep:
+        client = dep.client("sum")
+        blob = client.alloc(TOTAL, PAGE)
+        data = fill(11) * 4
+        res = client.write(blob, data, 0)
+        assert client.read_bytes(blob, 0, len(data), version=res.version) == data
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +280,11 @@ def test_semantic_errors_cross_the_wire_typed(tdep):
 # ---------------------------------------------------------------------------
 
 
-def test_clean_shutdown_exits_all_agents():
-    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2))
-    client = dep.client("s")
-    blob = client.alloc(TOTAL, PAGE)
-    client.write(blob, fill(1), 0)
+def test_clean_shutdown_exits_all_agents(client):
+    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2), client=client)
+    writer = dep.client("s")
+    blob = writer.alloc(TOTAL, PAGE)
+    writer.write(blob, fill(1), 0)
     dep.close()
     codes = dep.agent_exitcodes()
     assert len(codes) == 2  # colocated: agent i hosts data/i + meta/i
@@ -243,11 +293,36 @@ def test_clean_shutdown_exits_all_agents():
     dep.close()
 
 
-def test_driver_rejects_registration_after_close():
-    driver = TcpDriver()
+def test_driver_rejects_registration_after_close(client):
+    """Both kinds of registration are refused (the event-loop copy checked
+    the in-parent one too; kept for both shells)."""
+    driver = DRIVERS[client]()
     driver.close()
     with pytest.raises(RuntimeError):
         driver.register_remote(("data", 0), "127.0.0.1:1")
+    with pytest.raises(RuntimeError):
+        driver.register(("data", 0), DataProvider(0))
+
+
+def test_no_second_way_to_run_actors_in_their_own_processes():
+    """Loopback node agents are the one way: the package, ``repro.net`` and
+    ``repro.deploy`` export no process-deployment name (builder, deployment
+    or driver — no alias either), and never load ``multiprocessing``."""
+    import repro
+    import repro.deploy
+    import repro.net
+
+    for module in (repro, repro.net, repro.deploy):
+        assert [n for n in dir(module) if "process" in n.lower()] == []
+    probe = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.net, repro.deploy; "
+            "sys.exit('multiprocessing' in sys.modules)",
+        ],
+        timeout=JOIN_TIMEOUT,
+    )
+    assert probe.returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +347,7 @@ def test_killed_agent_raises_remote_error(tdep):
         client.read_bytes(blob, 0, PAGE, version=res.version)
     assert "PeerUnavailable" in str(exc_info.value)
     # vm is alive in-parent; the surviving metadata replicas still serve
+    # (the thread-pair copy's check, kept for both shells)
     assert tdep.vm.get_latest(blob) == 1
     surviving_meta = [
         m for m in tdep.meta
@@ -281,38 +357,47 @@ def test_killed_agent_raises_remote_error(tdep):
         list(tdep.meta[m].iter_nodes(blob))  # serves without raising
 
 
-def test_killed_agent_fails_over_to_replica():
+def test_killed_agent_fails_over_to_replica(client):
     """The paper's replica fail-over, driven by a real node-agent death:
     with replication=2 every page (and metadata node) lives on two
     agents, so SIGKILLing one must leave reads working through the
-    ``allow_error`` retry path."""
+    ``allow_error`` retry path — blocking reads on either shell and, on
+    the loop, awaited ones (no thread pool involved)."""
     dep = build_tcp(
-        DeploymentSpec(n_data=3, n_meta=2, replication=2, cache_capacity=0)
+        DeploymentSpec(n_data=3, n_meta=2, replication=2, cache_capacity=0),
+        client=client,
     )
     try:
-        client = dep.client("failover")
-        blob = client.alloc(TOTAL, PAGE)
+        writer = dep.client("failover")
+        blob = writer.alloc(TOTAL, PAGE)
         data = fill(3) + fill(4)
-        res = client.write(blob, data, 0)
+        res = writer.write(blob, data, 0)
         victim = next(
             pid for pid, proxy in dep.data.items()
             if any(True for _ in proxy.iter_pages(blob))
         )
         dep.kill_agent(dep.agent_index_for(("data", victim)))
-        back = client.read_bytes(blob, 0, len(data), version=res.version)
+        back = writer.read_bytes(blob, 0, len(data), version=res.version)
         assert back == data
+        if client == "aio":
+            awaited = dep.async_client("afailover").read_bytes(
+                blob, 0, len(data), version=res.version
+            )
+            assert dep.driver.run_async(awaited, timeout=JOIN_TIMEOUT) == data
     finally:
         dep.close()
 
 
-def test_future_calls_fail_fast_after_agent_death():
+def test_future_calls_fail_fast_after_agent_death(client):
     """Calls against a dead peer must fail immediately with RemoteError —
     never block behind a redial attempt (fail-over latency)."""
-    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0))
+    dep = build_tcp(
+        DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0), client=client
+    )
     try:
-        client = dep.client("inflight")
-        blob = client.alloc(TOTAL, PAGE)
-        client.write(blob, fill(5), 0)
+        writer = dep.client("inflight")
+        blob = writer.alloc(TOTAL, PAGE)
+        writer.write(blob, fill(5), 0)
         address = ("data", 0)
         dep.kill_agent(dep.agent_index_for(address))
         # wait (bounded) for the peer to notice the EOF
@@ -328,7 +413,7 @@ def test_future_calls_fail_fast_after_agent_death():
         dep.close()
 
 
-def test_in_flight_calls_drain_when_connection_dies():
+def test_in_flight_calls_drain_when_connection_dies(client):
     """A call already on the wire when the connection dies mid-batch must
     complete with RemoteError, not hang the batch latch. Driven
     deterministically with an in-process agent whose actor blocks until
@@ -349,7 +434,7 @@ def test_in_flight_calls_drain_when_connection_dies():
     staller = Staller()
     agent = NodeAgent({("data", 0): staller})
     agent.start()
-    driver = TcpDriver()
+    driver = DRIVERS[client]()
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
@@ -373,11 +458,11 @@ def _call_proto(address, method, args=()):
 
 
 # ---------------------------------------------------------------------------
-# reconnect: the capability pipes cannot have
+# reconnect: service resumes without a client restart
 # ---------------------------------------------------------------------------
 
 
-def test_peer_reconnects_after_agent_restart():
+def test_peer_reconnects_after_agent_restart(client):
     """Reconnect-safe fail-over: while the agent is gone calls drain as
     RemoteError (so replicas take over), and once an agent serving the
     same actor name is back on the same endpoint, the connector's backoff
@@ -385,7 +470,7 @@ def test_peer_reconnects_after_agent_restart():
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
     port = agent.endpoint.port
-    driver = TcpDriver()
+    driver = DRIVERS[client]()
     try:
         driver.register_remote(("data", 0), agent.endpoint)
         driver.wait_connected()
@@ -457,12 +542,12 @@ def test_agent_serves_rpcs_pipelined_behind_hello():
         agent.close()
 
 
-def test_handshake_reject_for_unknown_actor():
+def test_handshake_reject_for_unknown_actor(client):
     """An agent must reject a hello for an actor it does not host; the
     peer stays down (fail-fast) instead of looping a broken connection."""
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = DRIVERS[client]()
     try:
         driver.register_remote(("data", 7), agent.endpoint)
         assert not driver.peer(("data", 7)).wait_connected(timeout=0.6)
@@ -528,8 +613,6 @@ def test_supernovae_example_runs_on_loopback_cluster():
     the vm and pm on their own agents — and runs the survey over real
     sockets with zero actors in the client parent."""
     import pathlib
-    import subprocess
-    import sys
 
     root = pathlib.Path(__file__).resolve().parents[1]
     result = subprocess.run(

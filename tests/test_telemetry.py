@@ -26,7 +26,6 @@ import pytest
 
 from repro.core.config import DeploymentSpec
 from repro.deploy.inproc import build_inproc
-from repro.deploy.process import build_process
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
 from repro.deploy.threaded import build_threaded
@@ -175,18 +174,6 @@ def test_simulated_metrics_include_node_utilization():
     assert "node utilization (simulated):" in render_metrics(metrics)
 
 
-def test_process_metrics_reconcile():
-    with build_process(DeploymentSpec(n_data=2, n_meta=2)) as dep:
-        run_workload(dep, n_writes=2)
-        metrics = dep.metrics()
-        assert_metrics_shape(metrics, "process")
-        assert reconcile(metrics) == []
-        # worker actors report real wire counters over the scrape control
-        remote = metrics["actors"]["data/0"]
-        assert remote["wire_rpcs"] >= 1
-        assert remote["sub_calls"] == remote["calls"]
-
-
 # ---------------------------------------------------------------------------
 # scrape invisibility (controls are never counted)
 # ---------------------------------------------------------------------------
@@ -274,6 +261,10 @@ def test_tcp_scrape_cli_and_workload_stats(tmp_path, capsys, monkeypatch):
         metrics = dep.metrics()
         assert_metrics_shape(metrics, "tcp")
         assert reconcile(metrics) == []
+        # agent-hosted actors report real wire counters over the scrape control
+        remote = metrics["actors"]["data/0"]
+        assert remote["wire_rpcs"] >= 1
+        assert remote["sub_calls"] == remote["calls"]
         # the trace id crossed real sockets into agent processes, with
         # the request size captured from the frame
         remote_spans = [

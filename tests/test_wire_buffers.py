@@ -1,8 +1,8 @@
 """Pins on the buffer-owning wire path (net/codec.py's ownership rule):
 
 - envelope validation: a well-framed message of the wrong shape, or whose
-  body does not unpickle at all, is answered typed and the agent / worker
-  keeps serving — the connection and every other call on it survive;
+  body does not unpickle at all, is answered typed and the agent keeps
+  serving — the connection and every other call on it survive;
 - aliasing and immutability: a page that crossed a socket never shares
   memory with the connection's reusable receive buffer, and can never be
   written through;
@@ -15,7 +15,6 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-import threading
 import tracemalloc
 
 import pytest
@@ -34,7 +33,6 @@ from repro.net.codec import (
     encode_message,
 )
 from repro.net.node import NodeAgent
-from repro.net.process import _worker_main
 from repro.net.sansio import Batch, Call
 from repro.net.tcp import TcpDriver
 from repro.providers.data_provider import DataProvider
@@ -98,19 +96,6 @@ def _exchange(sock: socket.socket, messages: dict[int, object]) -> dict[int, obj
     return seen
 
 
-def _assert_malformed_answered_typed(seen: dict[int, object]) -> None:
-    for req_id, message in enumerate(MALFORMED + UNDECODABLE, start=1):
-        reply = seen[req_id]
-        assert isinstance(reply, RemoteError), (req_id, reply)
-        assert reply.error_type == (
-            "WireCodecError" if isinstance(message, RawBody) else "WireProtocolError"
-        )
-    # ...and the requests pipelined behind them were served normally
-    assert [stats["pages"] for stats in seen[98]] == [0] * 4
-    (stats,) = seen[99]
-    assert stats["pages"] == 0
-
-
 def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
     """Before PR 15 a malformed envelope killed the connection's pump
     thread (or the actor's service thread); before PR 17 an undecodable
@@ -128,7 +113,17 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
         messages[99] = ("rpc", [("data.stats", ())])
         seen = _exchange(sock, messages)
         assert seen[0] == ("welcome", "data/0")
-        _assert_malformed_answered_typed(seen)
+        for req_id, message in enumerate(MALFORMED + UNDECODABLE, start=1):
+            reply = seen[req_id]
+            assert isinstance(reply, RemoteError), (req_id, reply)
+            assert reply.error_type == (
+                "WireCodecError" if isinstance(message, RawBody)
+                else "WireProtocolError"
+            )
+        # ...and the requests pipelined behind them were served normally
+        assert [stats["pages"] for stats in seen[98]] == [0] * 4
+        (stats,) = seen[99]
+        assert stats["pages"] == 0
         # the actor's service thread survived too: a fresh connection works
         driver = TcpDriver()
         try:
@@ -140,28 +135,6 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
     finally:
         sock.close()
         agent.close()
-
-
-def test_worker_answers_malformed_envelopes_typed_and_keeps_serving():
-    parent, child = socket.socketpair()
-    worker = threading.Thread(
-        target=_worker_main,
-        args=(child, ("data", 0), DataProvider, (0,), {}),
-        daemon=True,
-    )
-    worker.start()
-    try:
-        # (at the parent commit an undecodable body ended the serving loop:
-        # the worker process exited for good)
-        messages = dict(enumerate(MALFORMED + UNDECODABLE, start=1))
-        messages[98] = RUNS
-        messages[99] = ("rpc", [("data.stats", ())])
-        _assert_malformed_answered_typed(_exchange(parent, messages))
-        assert _exchange(parent, {100: ("shutdown", ())}) == {100: True}
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-    finally:
-        parent.close()
 
 
 # -- a reply too large to frame ---------------------------------------------
@@ -217,31 +190,6 @@ def test_agent_answers_an_oversized_reply_typed_and_keeps_serving(monkeypatch):
     finally:
         driver.abort()
         agent.close()
-
-
-def test_worker_answers_an_oversized_reply_typed_and_keeps_serving(monkeypatch):
-    monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 100_000)
-    parent, child = socket.socketpair()
-    worker = threading.Thread(
-        target=_worker_main,
-        args=(child, ("data", 0), DataProvider, (0,), {}),
-        daemon=True,
-    )
-    worker.start()
-    try:
-        assert _exchange(parent, _big_puts()) == {i: [True] for i in range(1, 5)}
-        seen = _exchange(
-            parent, {5: ("rpc", BIG_GETS), 6: ("rpc", BIG_GETS[:1])}
-        )
-        assert isinstance(seen[5], RemoteError)
-        assert seen[5].error_type == "ReplyTooLarge"
-        (page,) = seen[6]  # pipelined behind it, served normally
-        assert page.as_bytes() == _page(1, BIG_PAGE)
-        assert _exchange(parent, {7: ("shutdown", ())}) == {7: True}
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-    finally:
-        parent.close()
 
 
 def test_agent_answers_malformed_get_subtree_typed_and_keeps_serving():
