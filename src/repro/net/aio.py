@@ -24,14 +24,15 @@ layering:
   and one reply (the paper's §V.A aggregation across operations,
   :meth:`AioPeer.submit`), per-peer FIFO kept — sub-call counts stay equal,
   frames get fewer;
-- failure semantics mirror :class:`~repro.net.tcp.TcpPeer`: a dead
-  connection drains every in-flight call as
-  :class:`~repro.errors.RemoteError`, later calls fail fast while the
-  peer is down, and a connector task redials with exponential backoff so
-  a restarted agent resumes service with no driver restart.
+- failure semantics are :class:`~repro.net.tcp.TcpPeer`'s, because they
+  are the same code: each :class:`AioPeer` is the asyncio I/O shell
+  around one :class:`~repro.net.wire.Connection`, the sans-io core that
+  owns req-ids, the pending registry, drain-as-``RemoteError``, the down
+  reasons, fail-fast and the redial schedule; registration, health and
+  destination resolution are :class:`~repro.net.tcp.PeerRegistry`'s.
 
 Concurrency model: **everything about a peer is event-loop-confined.**
-Peer state (`_pending`, transport, down reason) is touched only from the
+Peer state (the core, the transport, the outbox) is touched only from the
 loop thread, so there are no locks on the hot path; the pieces that
 cross threads — the per-batch :class:`_AioLatch` (an in-parent actor's
 service thread may complete a group) and the connected/down flags read
@@ -66,7 +67,6 @@ caller's coverage watermark over the whole driver-run window via
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 import time
 from contextlib import asynccontextmanager
@@ -86,7 +86,6 @@ from repro.net.sansio import (
     Actor,
     Address,
     Batch,
-    Call,
     Compute,
     Mark,
     Protocol,
@@ -94,16 +93,19 @@ from repro.net.sansio import (
     deliver,
     plan_wire_groups,
 )
-from repro.net.tcp import BACKOFF_INITIAL, BACKOFF_MAX
-from repro.net.threaded import _ServerThread, dest_kind
+from repro.net.tcp import PeerRegistry
+from repro.net.threaded import dest_kind
 from repro.net.wire import (
     COALESCE_MAX_BYTES,
     COALESCE_MAX_CALLS,
     CTL_SHUTDOWN,
-    CTL_STATS,
-    CTL_TELEMETRY,
+    Connection,
+    control_frame,
+    control_result,
     decode_reply,
+    rpc_envelope,
     tune_socket,
+    why_lost,
 )
 from repro.obs.hist import LatencyHistogram, merge_all
 from repro.obs.spans import (
@@ -115,7 +117,6 @@ from repro.obs.spans import (
     span_now,
     to_span_ns,
 )
-from repro.obs.telemetry import telemetry_of
 from repro.obs.trace import current_op_span, current_trace, new_trace_id
 
 __all__ = [
@@ -242,11 +243,11 @@ class _WireProtocol(asyncio.BufferedProtocol):
             for req_id, body in self._decoder.buffer_updated(nbytes):
                 self._on_message(req_id, body)
         except WireCodecError as exc:
-            self._end(f"sent a corrupt message: {exc}")
+            self._end(why_lost(exc))
             self.transport.close()
 
     def connection_lost(self, exc: Exception | None) -> None:
-        self._end("connection lost")
+        self._end(why_lost())
 
     def _end(self, why: str) -> None:
         if not self.lost.done():
@@ -255,7 +256,7 @@ class _WireProtocol(asyncio.BufferedProtocol):
 
 class AioPeer:
     """One remote actor on the event loop: an asyncio transport when
-    connected, a fast-failing stub plus a backoff reconnector task when
+    connected, a fast-failing stub plus a redialing connector task when
     not. All state is loop-confined except the ``threading.Event``
     connection mirror the sync facade waits on.
     """
@@ -267,8 +268,6 @@ class AioPeer:
         endpoint: Endpoint,
         *,
         connect_timeout: float = 5.0,
-        backoff_initial: float = BACKOFF_INITIAL,
-        backoff_max: float = BACKOFF_MAX,
     ) -> None:
         self.address = address
         self.actor_name = format_actor(address)
@@ -276,19 +275,13 @@ class AioPeer:
         self._driver = driver
         self._loop = loop = driver.loop
         self._connect_timeout = connect_timeout
-        self._backoff_initial = backoff_initial
-        self._backoff_max = backoff_max
-        self._transport: asyncio.Transport | None = None
-        self._down_reason: str | None = (
-            f"peer {self.actor_name}@{self.endpoint} never connected"
-        )
+        #: pending entries are ("rpc", the frame's groups) | ("ctl", future)
+        self._conn = Connection(f"{self.actor_name}@{self.endpoint}")
+        self._transport: asyncio.Transport | None = None  # set while up
         self._closed = False
-        #: req_id -> ("rpc", the frame's groups) | ("ctl", future); a group
-        #: is one submit's ``(wire group, slot, latch, gen, trace)``
-        self._pending: dict[int, tuple] = {}
-        self._req_ids = itertools.count(1)
         #: groups gathered for the next frame, in submission order, and
-        #: their sub-call / declared request byte totals
+        #: their sub-call / declared request byte totals; a group is one
+        #: submit's ``(wire group, trace, slot, latch, gen)``
         self._outbox: list[tuple] = []
         self._outbox_calls = 0
         self._outbox_bytes = 0
@@ -307,9 +300,7 @@ class AioPeer:
     @property
     def down_reason(self) -> str | None:
         """Why the peer is unreachable right now (None when connected)."""
-        if self._connected_sync.is_set():
-            return None
-        return self._down_reason
+        return self._conn.down_reason
 
     def wait_connected(self, timeout: float | None = None) -> bool:
         """Block the *calling thread* until connected (sync facade)."""
@@ -318,31 +309,24 @@ class AioPeer:
     # -- connector task --------------------------------------------------
 
     async def _connect_loop(self) -> None:
-        """Dial → handshake → wait for the connection to die; then back
-        off and redial. The connector is the only task that installs
-        transports, and it only moves on after ``_mark_down`` cleared the
-        installed one — so at most one live connection exists at a time.
+        """Dial → handshake → wait for the connection to die; then redial.
+        The connector is the only task that installs transports, and it
+        only moves on once the installed one was taken down — so at most
+        one live connection exists at a time.
         """
-        backoff = self._backoff_initial
         while not self._closed:
             try:
                 proto = await self._dial()
             except (OSError, ReproError) as exc:
-                self._down_reason = (
-                    f"peer {self.actor_name}@{self.endpoint} unreachable: {exc}"
-                )
-                await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, self._backoff_max)
+                await asyncio.sleep(self._conn.dial_failed(exc))
                 continue
             if self._closed:
                 proto.transport.close()
                 return
             self._transport = proto.transport
-            self._down_reason = None
+            self._conn.connected()
             self._connected_sync.set()
-            backoff = self._backoff_initial
-            why = await proto.lost
-            self._mark_down(f"peer {self.actor_name}@{self.endpoint} {why}")
+            self._take_down(self._conn.lost, await proto.lost)
 
     async def _dial(self) -> _WireProtocol:
         """Async twin of :func:`repro.net.node.connect_and_handshake`.
@@ -358,7 +342,7 @@ class AioPeer:
             if not welcome.done():
                 welcome.set_result(body)
                 return
-            entry = self._pending.pop(req_id, None)
+            entry = self._conn.pop(req_id)
             if entry is not None:
                 self._complete(entry, body)
 
@@ -400,10 +384,8 @@ class AioPeer:
     def _complete(self, entry: tuple, body: Any) -> None:
         if entry[0] == "rpc":
             self._deliver(entry[1], body)
-        else:
-            _, fut = entry
-            if not fut.done():
-                fut.set_result(body)
+        elif not entry[1].done():  # a control's future: not timed out
+            entry[1].set_result(body)
 
     def _deliver(self, groups: list[tuple], body: Any) -> None:
         """Hand one frame's outcome to its groups, in submission order:
@@ -431,29 +413,23 @@ class AioPeer:
                 self._send([group])
             return
         done = 0
-        for group, slot, latch, gen, _ in groups:
+        for group, _, slot, latch, gen in groups:
             n = len(group.calls)
             slot[0] = [result] * n if failed else result[done : done + n]
             done += n
             latch.group_done(gen)
 
-    def _mark_down(self, reason: str) -> None:
-        """Drain-as-RemoteError, exactly once per connection (loop thread):
-        every frame in flight, then every group still in the outbox.
-
-        The guard mirrors :meth:`repro.net.wire.RpcChannel.mark_down`:
-        ``_down_reason`` is None exactly while a connection is installed,
-        so of the racing death signals (EOF, send failure, drop, close)
-        only the first drains — no batch latch is ever released twice.
-        """
-        if self._down_reason is not None:
+    def _take_down(self, event: Callable[..., list | None], *args: Any) -> None:
+        """Take the connection down with the core's ``event`` (loop
+        thread) and complete what it drained: every frame in flight, then
+        every group still in the outbox. Of racing death signals (EOF,
+        send failure, drop, close) the core lets only the first drain."""
+        drained = event(*args)
+        if drained is None:
             return
-        self._down_reason = reason
         self._connected_sync.clear()
         transport, self._transport = self._transport, None
-        drained = list(self._pending.values())
-        self._pending.clear()
-        error = RemoteError("PeerUnavailable", reason)
+        error = self._conn.unavailable()
         for entry in drained:
             self._complete(entry, error)
         self._flush()  # the unsent outbox fails fast: the transport is gone
@@ -481,7 +457,7 @@ class AioPeer:
         nothing, so it is sent at once: a lone caller frames exactly like
         every other driver. Fails fast, typed, while the peer is down.
         """
-        entry = (group, slot, latch, gen, trace)
+        entry = (group, trace, slot, latch, gen)
         if self._transport is None or not (
             self._outbox or self._driver._driving > 1
         ):
@@ -517,65 +493,39 @@ class AioPeer:
         ``req_id``, sub-calls concatenated in submission order, straight
         into the transport's write buffer (never stuck on a busy peer's
         socket backpressure)."""
-        transport = self._transport
-        if transport is None:
-            error = RemoteError("PeerUnavailable", self._down_reason)
+        try:
+            req_id = self._conn.open(("rpc", groups))
+        except RemoteError as error:
             self._deliver(groups, error)
             return
-        payload = [(c.method, c.args) for group in groups for c in group[0].calls]
-        # one group's trace context is the third field as ever, several
-        # groups' are (n_calls, context) runs; none traced: the 2-tuple
-        if len(groups) == 1:
-            trace = groups[0][4]
-        elif any(group[4] is not None for group in groups):
-            trace = [(len(group[0].calls), group[4]) for group in groups]
-        else:
-            trace = None
-        envelope = ("rpc", payload) if trace is None else ("rpc", payload, trace)
-        req_id = next(self._req_ids)
         try:
-            parts = encode_parts(req_id, envelope)
+            parts = encode_parts(req_id, rpc_envelope(groups))
         except WireCodecError as exc:
             # the *request* is unpicklable: that call is broken, not the
             # peer — and not its neighbours, which go by themselves
+            self._conn.pop(req_id)
             if len(groups) > 1:
                 for group in groups:
                     self._send([group])
             else:
                 self._deliver(groups, RemoteError.wrap(exc))
             return
-        self._pending[req_id] = ("rpc", groups)
         try:
-            transport.writelines(parts)
+            self._transport.writelines(parts)
         except Exception as exc:  # transport already torn down under us
-            self._mark_down(
-                f"send to peer {self.actor_name}@{self.endpoint} "
-                f"failed: {exc!r}"
-            )
+            self._take_down(self._conn.send_failed, exc)
 
     async def control(self, kind: str, timeout: float = 10.0) -> Any:
         """Round-trip one control message; raises on a down connection."""
         self._flush()  # per-connection FIFO: never overtake submitted work
-        transport = self._transport
-        if transport is None:
-            raise RemoteError("PeerUnavailable", self._down_reason)
-        req_id = next(self._req_ids)
         fut: asyncio.Future = self._loop.create_future()
-        self._pending[req_id] = ("ctl", fut)
-        transport.writelines(encode_parts(req_id, (kind, ())))
+        req_id = self._conn.open(("ctl", fut))
+        self._transport.writelines(control_frame(req_id, kind))
         try:
             body = await asyncio.wait_for(fut, timeout)
         except (asyncio.TimeoutError, TimeoutError):
-            self._pending.pop(req_id, None)
-            raise TimeoutError(
-                f"peer {self.actor_name} did not answer {kind!r} in {timeout}s"
-            ) from None
-        if isinstance(body, RemoteError):
-            raise body
-        value = decode_body(body)
-        if isinstance(value, RemoteError):
-            raise value
-        return value
+            raise self._conn.timed_out(req_id, kind, timeout) from None
+        return control_result(body)
 
     # -- lifecycle (loop thread) -----------------------------------------
 
@@ -602,11 +552,7 @@ class AioPeer:
                 await self.control(CTL_SHUTDOWN, timeout=timeout)
             except (RemoteError, TimeoutError):
                 pass  # peer already dead or wedged; just hang up
-        self._mark_down(
-            "peer stopped by driver close"
-            if send_shutdown
-            else "peer aborted (driver hang-up)"
-        )
+        self._take_down(self._conn.stopped, send_shutdown)
         self._connector.cancel()
         try:
             await self._connector
@@ -615,10 +561,8 @@ class AioPeer:
 
     def drop(self) -> None:
         """Sever the current connection without closing the peer (failure
-        injection: the connector redials with backoff). Any thread."""
-        self._loop.call_soon_threadsafe(
-            self._mark_down, "connection dropped (failure injection)"
-        )
+        injection: the connector redials). Any thread."""
+        self._loop.call_soon_threadsafe(self._take_down, self._conn.dropped)
 
 
 class AioProtocolFuture:
@@ -645,7 +589,7 @@ class AioProtocolFuture:
             raise
 
 
-class AioDriver:
+class AioDriver(PeerRegistry):
     """Drives protocols against TCP-remote and in-parent actors from one
     event loop.
 
@@ -664,9 +608,8 @@ class AioDriver:
         *,
         connect_timeout: float = 5.0,
     ) -> None:
-        self._connect_timeout = connect_timeout
-        self._servers: dict[Address, _ServerThread] = {}
-        self._remotes: dict[Address, AioPeer] = {}
+        self._init_registry(connect_timeout)
+        self._servers = {}
         self._closed = False
         self._lock = threading.Lock()
         # transport counters + RTT histograms: loop-thread writers only
@@ -724,112 +667,18 @@ class AioDriver:
             raise
         return fut.result(timeout)
 
-    # -- registration ----------------------------------------------------
-
-    def register(self, address: Address, actor: Actor) -> None:
-        """Place an actor on an in-parent service thread."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("driver is closed")
-            if address in self._servers or address in self._remotes:
-                raise ValueError(f"address {address!r} already registered")
-            self._servers[address] = _ServerThread(address, actor)
-
-    def register_remote(
-        self, address: Address, endpoint: Endpoint | str
-    ) -> AioPeer:
-        """Bind ``address`` to a node-agent endpoint; dialing starts
-        immediately on the event loop (use :meth:`wait_connected` to
-        block until the cluster is reachable)."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("driver is closed")
-        endpoint = parse_endpoint(endpoint)
-
-        async def _make() -> AioPeer:
+    def _new_peer(self, address: Address, endpoint: Endpoint) -> AioPeer:
+        async def make() -> AioPeer:  # peers are born on the loop
             return AioPeer(
-                self, address, endpoint,
-                connect_timeout=self._connect_timeout,
+                self, address, endpoint, connect_timeout=self._connect_timeout
             )
 
-        peer = self.run_async(_make())
-        with self._lock:
-            duplicate = (
-                self._closed
-                or address in self._servers
-                or address in self._remotes
-            )
-            if not duplicate:
-                self._remotes[address] = peer
-        if duplicate:
-            self.run_async(peer.stop_async(send_shutdown=False))
-            if self._closed:
-                raise RuntimeError("driver is closed")
-            raise ValueError(f"address {address!r} already registered")
-        return peer
+        return self.run_async(make())
 
-    def register_map(self, cluster_map) -> None:
-        """Register every actor of a cluster map."""
-        for address, endpoint in cluster_map.items():
-            self.register_remote(address, endpoint)
-
-    def peer(self, address: Address) -> AioPeer:
-        """The :class:`AioPeer` registered at ``address``."""
-        with self._lock:
-            return self._remotes[address]
-
-    def addresses(self) -> list[Address]:
-        """Every registered address (in-parent first, then remote)."""
-        with self._lock:
-            return list(self._servers) + list(self._remotes)
-
-    def remote_addresses(self) -> list[Address]:
-        """The addresses served over the wire."""
-        with self._lock:
-            return list(self._remotes)
-
-    # -- health ----------------------------------------------------------
-
-    def wait_connected(self, timeout: float = 10.0) -> None:
-        """Block until every registered peer holds a live connection;
-        raises ``TimeoutError`` naming the unreachable peers."""
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            peers = list(self._remotes.values())
-        laggards = []
-        for peer in peers:
-            remaining = deadline - time.monotonic()
-            if not peer.wait_connected(max(0.0, remaining)):
-                laggards.append(
-                    f"{peer.actor_name}@{peer.endpoint} ({peer.down_reason})"
-                )
-        if laggards:
-            raise TimeoutError(
-                f"peers not connected within {timeout}s: " + "; ".join(laggards)
-            )
-
-    def peer_status(self) -> dict[Address, str]:
-        """``address -> "connected" | down reason`` for every peer."""
-        with self._lock:
-            peers = dict(self._remotes)
-        return {
-            a: ("connected" if p.connected else str(p.down_reason))
-            for a, p in peers.items()
-        }
+    def _control(self, peer: AioPeer, kind: str) -> Any:
+        return self.run_async(peer.control(kind))
 
     # -- introspection ---------------------------------------------------
-
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)``, queried over the wire for
-        remote actors (raises ``RemoteError`` for a dead peer)."""
-        with self._lock:
-            servers = dict(self._servers)
-            remotes = dict(self._remotes)
-        stats = {a: (s.served_rpcs, s.served_calls) for a, s in servers.items()}
-        for address, peer in remotes.items():
-            reply = self.run_async(peer.control(CTL_STATS))
-            stats[address] = (reply["wire_rpcs"], reply["sub_calls"])
-        return stats
 
     def transport_stats(self) -> dict[str, int]:
         """Aggregate transport counters (same shape and bounds as
@@ -848,32 +697,6 @@ class AioDriver:
         every protocol this driver executed. Fresh merges — safe to
         mutate; read when callers are quiescent (single-writer loop)."""
         return {kind: merge_all([hist]) for kind, hist in self._rtt.items()}
-
-    def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report, queried as a *control* for
-        remote actors (controls are not counted as wire RPCs, so scraping
-        is invisible to workload counters)."""
-        with self._lock:
-            server = self._servers.get(address)
-            remote = self._remotes.get(address)
-        if server is not None:
-            return {
-                "wire_rpcs": server.served_rpcs,
-                "sub_calls": server.served_calls,
-                "telemetry": telemetry_of(server.actor).snapshot(),
-            }
-        if remote is None:
-            raise KeyError(f"no actor registered at address {address!r}")
-        return self.run_async(remote.control(CTL_TELEMETRY))
-
-    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
-        """One-off RPC outside any protocol (inspection surfaces)."""
-
-        def proto():
-            (result,) = yield Batch([Call(address, method, args)])
-            return result
-
-        return self.run(proto())
 
     # -- execution -------------------------------------------------------
 
@@ -947,8 +770,8 @@ class AioDriver:
         self, batch: Batch, trace: Any, parent: int | None
     ) -> list[Any]:
         # Same planning as every other real driver: one wire group (= one
-        # queue submission) per destination, destinations resolved before
-        # anything is submitted. How groups share frames is the peer's.
+        # queue submission) per destination. How groups share frames is
+        # the peer's.
         calls = batch.calls
         if not calls:
             return []
@@ -958,18 +781,7 @@ class AioDriver:
                 "(enter it via AioDriver.run_async or AioDriver.spawn)"
             )
         groups = plan_wire_groups(calls)
-        servers = self._servers
-        remotes = self._remotes
-        resolved: list[tuple[AioPeer | None, _ServerThread | None]] = []
-        for group in groups:
-            server = servers.get(group.dest)
-            if server is not None:
-                resolved.append((None, server))
-                continue
-            remote = remotes.get(group.dest)
-            if remote is None:
-                raise KeyError(f"no actor registered at address {group.dest!r}")
-            resolved.append((remote, None))
+        resolved = self._resolve(groups)
         results: list[Any] = [None] * len(calls)
         latch = _AioLatch(self.loop, len(groups))
         self._batches += 1
@@ -978,19 +790,7 @@ class AioDriver:
         span_ids = None
         if trace is not None:
             span_ids = [new_span_id() for _ in groups]
-        t_enq = time.perf_counter_ns()
-        slots: list[list | None] = [None] * len(groups)
-        for k, ((remote, server), group) in enumerate(zip(resolved, groups)):
-            wire_trace = trace if span_ids is None else (trace, span_ids[k])
-            if remote is not None:
-                slot: list = [None]
-                slots[k] = slot
-                remote.submit(group, slot, latch, 0, wire_trace)
-            else:
-                server.inbox.put(
-                    (group.calls, group.indices, results, latch, 0,
-                     wire_trace, t_enq)
-                )
+        slots, t_enq = self._submit(resolved, results, latch, 0, trace, span_ids)
         await latch.wait()
         self._wakeups += 1
         t_done = time.perf_counter_ns()
@@ -1041,16 +841,6 @@ class AioDriver:
             self._thread.join(timeout=10)
         for server in servers:
             server.stop()
-
-    def close(self) -> None:
-        """Orderly teardown: every remote actor gets the shutdown control,
-        the loop drains and stops, in-parent service threads join."""
-        self._shutdown(send_shutdown=True)
-
-    def abort(self) -> None:
-        """Hang up without stopping the remote actors (the teardown for a
-        failed build against operator-run agents)."""
-        self._shutdown(send_shutdown=False)
 
     def __enter__(self) -> "AioDriver":
         return self

@@ -60,25 +60,21 @@ from repro.net.codec import (
     encode_parts,
     send_parts,
 )
-from repro.net.sansio import Actor, Address
+from repro.net.sansio import Actor, Address, Call, WireGroup
 from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
+    HANDSHAKE_REQ_ID,
+    backoff,
     decode_request,
     encode_reply,
     force_close,
+    rpc_envelope,
     serve_rpc,
     tune_socket,
 )
 from repro.obs.telemetry import telemetry_of
-
-#: the reserved request id both handshake messages travel under
-HANDSHAKE_REQ_ID = 0
-
-#: agent-start pm registration retry delays (the pm agent may come up last)
-REGISTER_BACKOFF_INITIAL = 0.1
-REGISTER_BACKOFF_MAX = 2.0
 
 
 class HandshakeError(ReproError):
@@ -163,8 +159,9 @@ def register_providers(
         # being closed must be able to cancel an in-flight registration)
         on_socket(sock)
     try:
-        payload = [("pm.register", (i,)) for i in ids]
-        sock.sendall(encode_message(1, ("rpc", payload)))
+        calls = [Call("pm", "pm.register", (i,)) for i in ids]
+        envelope = rpc_envelope([(WireGroup("pm", calls, range(len(ids))), None)])
+        sock.sendall(encode_message(1, envelope))
         sock.settimeout(timeout)
         results = _recv_one(
             sock, f"pm agent at {endpoint} closed before acking registration"
@@ -406,10 +403,11 @@ class NodeAgent:
 
         Runs from construction (an agent is dialable the moment its
         listener is bound, before ``serve_forever``), so a launcher that
-        reads the READY line never waits on the pm. Backoff covers the
-        start-order race — the pm agent may come up after this one.
-        ``close()`` cancels an in-flight attempt by severing the tracked
-        socket, so a stopped agent never registers itself afterwards."""
+        reads the READY line never waits on the pm. The client peers'
+        redial schedule covers the start-order race — the pm agent may
+        come up after this one. ``close()`` cancels an in-flight attempt
+        by severing the tracked socket, so a stopped agent never registers
+        itself afterwards."""
 
         def track(sock: socket.socket) -> None:
             with self._lock:
@@ -417,15 +415,14 @@ class NodeAgent:
             if self._stopped.is_set():  # close() raced the dial: cancel
                 force_close(sock)
 
-        backoff = REGISTER_BACKOFF_INITIAL
+        delays = backoff()
         while not self._stopped.is_set():
             try:
                 register_providers(
                     self._pm_endpoint, provider_ids, on_socket=track
                 )
             except (OSError, ReproError):
-                self._stopped.wait(backoff)
-                backoff = min(backoff * 2, REGISTER_BACKOFF_MAX)
+                self._stopped.wait(next(delays))
                 continue
             finally:
                 with self._lock:

@@ -12,42 +12,37 @@ per node, no shared GIL, the deployment to *time* — and real multi-host
 deployments: only the endpoints in the
 :class:`~repro.net.address.ClusterMap` change.
 
-Each registered remote actor gets a :class:`TcpPeer`:
+Each registered remote actor gets a :class:`TcpPeer`, the blocking I/O
+shell around one :class:`~repro.net.wire.Connection`, the sans-io core
+both client shells share (its invariants — drain-as-RemoteError,
+fail-fast while down, reconnect with backoff — are stated there). What
+the shell adds is threads:
 
-- a dedicated connector thread dials the endpoint, performs the
-  ``("hello", actor_name)`` handshake, and installs a live
-  :class:`~repro.net.wire.RpcChannel` (sender thread per peer, replies
-  routed by the 12-byte header, bodies decoded on the caller thread);
-- when the connection dies — agent killed, network partition, corrupt
-  stream — every in-flight call drains as
-  :class:`~repro.errors.RemoteError` and future calls **fail fast**
-  while the peer is down, so replica fail-over proceeds immediately
-  instead of blocking behind a dial timeout;
-- meanwhile the connector retries with exponential backoff (capped), so
-  a *restarted* agent is picked up automatically: reconnect-safe
-  fail-over, not fail-once-and-forget.
+- a connector thread dials the endpoint, performs the
+  ``("hello", actor_name)`` handshake and, while the connection lives,
+  waits for its death — then redials on the core's schedule, so a
+  restarted agent on the same endpoint resumes service with no driver
+  restart and no re-registration;
+- per connection, a sender thread drains an outbound queue (**submits
+  never block** on a busy peer's socket) and a receiver thread routes
+  replies by the 12-byte header alone (**bodies decode on the caller**
+  thread that asked for the data, concurrently across callers);
+- one lock guards the core and the live socket; requests are encoded
+  outside it, so callers pickling page payloads never queue on each other.
 
-Invariants this module guarantees (pinned, for this driver and the
-asyncio one alike, by ``tests/test_tcp_transport.py``; bit-level
-conformance with every other driver — including the fully-remote
-control-plane configuration — by ``tests/test_driver_conformance.py``):
-
-- **drain-as-RemoteError**: a dead connection never strands a caller —
-  in-flight calls complete with :class:`~repro.errors.RemoteError` and
-  future calls fail fast while the peer is down, so replica fail-over
-  proceeds immediately instead of blocking behind a dial timeout;
-- **reconnect with backoff**: each peer's connector retries its dial on
-  an exponential schedule from ``BACKOFF_INITIAL`` capped at
-  ``BACKOFF_MAX``, so a restarted agent on the same endpoint resumes
-  service with no driver restart and no re-registration;
-- **any actor kind is dialable**: ``vm`` and ``pm`` are remote actors
-  exactly like ``data/N`` and ``meta/N`` — the driver treats every
-  address uniformly, which is what lets a deployment run with *zero*
-  actors in the client parent.
+:class:`PeerRegistry` is what this driver and the asyncio one share:
+registration, health, introspection and destination resolution. **Any
+actor kind is dialable** — ``vm`` and ``pm`` are remote actors exactly
+like ``data/N`` and ``meta/N``, so a deployment can run with *zero*
+actors in the client parent. Pinned, for both shells, by
+``tests/test_tcp_transport.py``; bit-level conformance with every other
+driver by ``tests/test_driver_conformance.py``.
 """
 
 from __future__ import annotations
 
+import queue
+import socket
 import threading
 import time
 from typing import Any, Mapping
@@ -59,6 +54,7 @@ from repro.net.address import (
     format_actor,
     parse_endpoint,
 )
+from repro.net.codec import MessageDecoder, WireCodecError, encode_parts, send_parts
 from repro.net.node import (  # re-exported: the public dial-an-agent surface
     HANDSHAKE_REQ_ID,
     HandshakeError,
@@ -73,35 +69,37 @@ from repro.net.sansio import (
     deliver,
     plan_wire_groups,
 )
-from repro.net.threaded import ThreadedDriver, _BatchLatch, dest_kind
+from repro.net.threaded import ThreadedDriver, _BatchLatch, _ServerThread, dest_kind
 from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_STATS,
     CTL_TELEMETRY,
-    RpcChannel,
+    Connection,
+    control_frame,
+    control_result,
     decode_reply,
+    force_close,
+    rpc_envelope,
+    why_lost,
 )
 from repro.obs.spans import new_span_id, record_group_spans
+from repro.obs.telemetry import telemetry_of
 from repro.obs.trace import current_op_span, current_trace
 
 __all__ = [
-    "BACKOFF_INITIAL",
-    "BACKOFF_MAX",
     "HANDSHAKE_REQ_ID",
     "HandshakeError",
+    "PeerRegistry",
     "TcpDriver",
     "TcpPeer",
     "connect_and_handshake",
 ]
 
-#: first dial retry delay; doubles per failure up to BACKOFF_MAX
-BACKOFF_INITIAL = 0.05
-BACKOFF_MAX = 2.0
-
 
 class TcpPeer:
-    """One remote actor: a live channel when connected, a fast-failing
-    stub plus a backoff reconnector when not."""
+    """One remote actor on threads: a live socket with its receiver and
+    sender threads when connected, a fast-failing stub plus a redialing
+    connector thread when not."""
 
     def __init__(
         self,
@@ -109,25 +107,23 @@ class TcpPeer:
         endpoint: Endpoint,
         *,
         connect_timeout: float = 5.0,
-        backoff_initial: float = BACKOFF_INITIAL,
-        backoff_max: float = BACKOFF_MAX,
     ) -> None:
         self.address = address
         self.actor_name = format_actor(address)
         self.endpoint = parse_endpoint(endpoint)
         self._connect_timeout = connect_timeout
-        self._backoff_initial = backoff_initial
-        self._backoff_max = backoff_max
+        #: guards the core and, while it is up, the live connection's
+        #: socket, outbound queue and I/O threads (None while down)
         self._lock = threading.Lock()
-        self._channel: RpcChannel | None = None
-        self._down_reason = f"peer {self.actor_name}@{self.endpoint} never connected"
+        self._conn = Connection(f"{self.actor_name}@{self.endpoint}")
+        self._sock: socket.socket | None = None
+        self._outbox: queue.SimpleQueue | None = None
+        self._io: list[threading.Thread] = []
         self._closed = False
-        self._wake = threading.Event()
+        self._wake = threading.Event()  # the connection went down, or stop()
         self._connected = threading.Event()
         self._thread = threading.Thread(
-            target=self._connector,
-            name=f"dial-{self.actor_name}",
-            daemon=True,
+            target=self._connector, name=f"dial-{self.actor_name}", daemon=True
         )
         self._thread.start()
 
@@ -140,10 +136,7 @@ class TcpPeer:
     @property
     def down_reason(self) -> str | None:
         """Why the peer is unreachable right now (None when connected)."""
-        with self._lock:
-            if self._channel is not None:
-                return None
-            return self._down_reason
+        return self._conn.down_reason
 
     def wait_connected(self, timeout: float | None = None) -> bool:
         return self._connected.wait(timeout)
@@ -151,64 +144,100 @@ class TcpPeer:
     # -- connector -------------------------------------------------------
 
     def _connector(self) -> None:
-        """Dial → handshake → install channel; on death, back off and redial.
+        """Dial → handshake → wait for the connection to go down → redial.
 
-        The connector is the only thread that ever creates channels, and a
-        live channel's ``on_down`` is the only thing that wakes it out of
-        the connected wait — so at most one channel exists at a time and a
-        down notification always refers to the current one.
+        The only thread that installs connections, and it dials again only
+        once the last one was taken down — so at most one is up at a time.
         """
-        backoff = self._backoff_initial
-        while True:
-            with self._lock:
-                if self._closed:
-                    return
-                channel = self._channel
-            if channel is not None:
-                self._wake.wait()
-                self._wake.clear()
-                continue
+        while not self._closed:
             try:
                 sock = connect_and_handshake(
                     self.endpoint, self.actor_name, self._connect_timeout
                 )
             except (OSError, ReproError) as exc:
                 with self._lock:
-                    self._down_reason = (
-                        f"peer {self.actor_name}@{self.endpoint} unreachable: {exc}"
-                    )
-                self._wake.wait(backoff)
+                    delay = self._conn.dial_failed(exc)
+                self._wake.wait(delay)
                 self._wake.clear()
-                backoff = min(backoff * 2, self._backoff_max)
                 continue
-            channel = RpcChannel(
-                sock, f"{self.actor_name}@{self.endpoint}", self._channel_down
-            )
-            discard = False
-            with self._lock:
-                if self._closed or channel.down_reason is not None:
-                    # closed meanwhile, or dead before it was ever
-                    # installed: never expose a corpse as "connected"
-                    # (mark_down stamps down_reason before on_down runs,
-                    # so a pre-install death is always visible here)
-                    discard = True
-                else:
-                    self._channel = channel
-                    # set under the same lock _channel_down clears it
-                    # under: a death racing the install can never leave
-                    # a down peer reported as connected
+            outbox: queue.SimpleQueue = queue.SimpleQueue()
+            io = [
+                threading.Thread(target=self._recv_loop, args=(sock,),
+                                 name=f"recv-{self._conn.peer}", daemon=True),
+                threading.Thread(target=self._send_loop, args=(sock, outbox),
+                                 name=f"send-{self._conn.peer}", daemon=True),
+            ]
+            with self._lock:  # a stop() now finds the threads it joins started
+                closed = self._closed
+                if not closed:
+                    self._conn.connected()
+                    self._sock, self._outbox, self._io = sock, outbox, io
+                    for thread in io:
+                        thread.start()
                     self._connected.set()
-            if discard:
-                channel.close("connector discarded the channel")
-                continue
-            backoff = self._backoff_initial
+            if closed:
+                force_close(sock)
+                return
+            self._wake.wait()
+            self._wake.clear()
 
-    def _channel_down(self, reason: str) -> None:
+    def _lose(self, sock: socket.socket, event, *args: Any) -> None:
+        """Take the connection on ``sock`` down with the core's ``event``
+        and complete what it drained — if it is still the live one: a late
+        signal from a connection already taken down is ignored."""
         with self._lock:
-            self._channel = None
-            self._down_reason = reason
+            if self._sock is not sock:
+                return
+            drained = event(*args)
+            error = self._conn.unavailable()
+            outbox = self._outbox
+            self._sock = self._outbox = None
             self._connected.clear()
+        outbox.put(None)
+        force_close(sock)
+        for entry in drained:
+            self._complete(entry, error)
         self._wake.set()
+
+    @staticmethod
+    def _complete(entry: tuple, body: Any) -> None:
+        """Hand a raw reply body (or a RemoteError) to its waiter."""
+        if entry[0] == "rpc":
+            _, slot, latch, gen = entry
+            slot[0] = body
+            latch.group_done(gen)
+        else:
+            _, box, event = entry
+            box[0] = body
+            event.set()
+
+    def _recv_loop(self, sock: socket.socket) -> None:
+        decoder = MessageDecoder()
+        while True:
+            try:
+                nbytes = sock.recv_into(decoder.get_buffer())
+            except OSError:
+                nbytes = 0
+            if not nbytes:
+                return self._lose(sock, self._conn.lost, why_lost())
+            try:
+                for req_id, body in decoder.buffer_updated(nbytes):
+                    with self._lock:
+                        entry = self._conn.pop(req_id)
+                    if entry is not None:
+                        self._complete(entry, body)
+            except WireCodecError as exc:
+                return self._lose(sock, self._conn.lost, why_lost(exc))
+
+    def _send_loop(self, sock: socket.socket, outbox: queue.SimpleQueue) -> None:
+        while True:
+            frame = outbox.get()
+            if frame is None:
+                return
+            try:
+                send_parts(sock, frame)
+            except (OSError, ValueError) as exc:
+                return self._lose(sock, self._conn.send_failed, exc)
 
     # -- RPC surface -----------------------------------------------------
 
@@ -220,117 +249,141 @@ class TcpPeer:
         gen: int,
         trace: Any = None,
     ) -> None:
-        with self._lock:
-            channel = self._channel
-            reason = self._down_reason
-        if channel is None:
-            # fail fast while down: fail-over must not wait out a redial
-            slot[0] = RemoteError("PeerUnavailable", reason)
+        """Send one wire group; the receiver thread completes the latch.
+
+        ``slot`` is the batch's one-element mailbox for this group: it
+        receives the raw reply body, which the *caller* decodes after the
+        latch releases (see ``TcpDriver._execute_batch``). ``trace`` is the
+        driver-minted trace context for this group, or None.
+        """
+        try:
+            with self._lock:
+                req_id = self._conn.open(("rpc", slot, latch, gen))
+                outbox = self._outbox
+        except RemoteError as error:
+            slot[0] = error
             latch.group_done(gen)
             return
-        channel.submit(group, slot, latch, gen, trace)
+        try:
+            frame = encode_parts(req_id, rpc_envelope(((group, trace),)))
+        except WireCodecError as exc:
+            # the *request* is unpicklable: that call is broken, not the
+            # peer. Complete the group only if the entry is still ours —
+            # a drain may have completed it, and a second group_done would
+            # release the batch latch early.
+            with self._lock:
+                entry = self._conn.pop(req_id)
+            if entry is not None:
+                slot[0] = RemoteError.wrap(exc)
+                latch.group_done(gen)
+            return
+        outbox.put(frame)
 
     def control(self, kind: str, timeout: float = 10.0) -> Any:
+        """Round-trip one control message; raises on a down connection."""
+        box: list[Any] = [None]
+        event = threading.Event()
         with self._lock:
-            channel = self._channel
-            reason = self._down_reason
-        if channel is None:
-            raise RemoteError("PeerUnavailable", reason)
-        return channel.control(kind, timeout=timeout)
+            req_id = self._conn.open(("ctl", box, event))
+            outbox = self._outbox
+        outbox.put(control_frame(req_id, kind))
+        if not event.wait(timeout):
+            with self._lock:
+                raise self._conn.timed_out(req_id, kind, timeout)
+        return control_result(box[0])
 
     # -- lifecycle -------------------------------------------------------
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Orderly shutdown: tell the remote actor to stop, then hang up."""
-        self._shutdown(send_shutdown=True, timeout=timeout)
-
-    def abort(self) -> None:
-        """Hang up *without* stopping the remote actor.
-
-        The teardown for a failed build against operator-run agents: the
-        builder must release its connections, but sending the shutdown
-        control would stop a cluster the operator still wants running.
-        """
-        self._shutdown(send_shutdown=False, timeout=0.0)
-
-    def _shutdown(self, send_shutdown: bool, timeout: float) -> None:
+    def stop(self, send_shutdown: bool = True, timeout: float = 10.0) -> None:
+        """Orderly shutdown: tell the remote actor to stop, then hang up
+        (``send_shutdown=False`` only hangs up — the teardown against
+        operator-run agents that must keep serving)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            channel = self._channel
-            self._channel = None
+            sock, io = self._sock, self._io
         self._wake.set()
-        if channel is not None:
+        if sock is not None:
             if send_shutdown:
                 try:
-                    channel.control(CTL_SHUTDOWN, timeout=timeout)
+                    self.control(CTL_SHUTDOWN, timeout=timeout)
                 except (RemoteError, TimeoutError):
                     pass  # peer already dead or wedged; just hang up
-            channel.close(
-                "peer stopped by driver close"
-                if send_shutdown
-                else "peer aborted (driver hang-up)"
-            )
-        self._connected.clear()
+            self._lose(sock, self._conn.stopped, send_shutdown)
         self._thread.join(timeout=5)
+        for thread in io:
+            thread.join(timeout=5)
 
     def drop(self) -> None:
         """Sever the current connection without closing the peer (failure
-        injection: the connector will redial with backoff)."""
+        injection: the connector will redial)."""
         with self._lock:
-            channel = self._channel
-        if channel is not None:
-            channel.close("connection dropped (failure injection)")
+            sock = self._sock
+        if sock is not None:
+            self._lose(sock, self._conn.dropped)
 
 
-class TcpDriver(ThreadedDriver):
-    """Drives protocols against a mix of TCP-remote and in-parent actors.
+class PeerRegistry:
+    """The address book both remote drivers keep: in-parent actors on
+    service threads (``_servers``), remote ones behind peers
+    (``_remotes``), both under ``_lock``. A driver supplies the two things
+    its shell does its own way: ``_new_peer`` and ``_control``."""
 
-    ``register`` places an actor on an in-parent service thread (the
-    threaded driver's semantics — deployments keep the version manager
-    and provider manager there); ``register_remote`` binds an address to
-    a ``host:port`` endpoint served by a node agent. Everything else —
-    protocol loop, batch latch, ``spawn``/futures, wire-group framing,
-    transport counters — is the threaded driver's, so
-    ``transport_stats`` reads identically and the conformance suite's
-    wire-RPC-count equality holds across every real driver.
-    """
+    _lock: threading.Lock
+    _closed: bool
+    _servers: dict[Address, _ServerThread]
 
-    def __init__(
-        self,
-        registry: Mapping[Address, Actor] | None = None,
-        *,
-        connect_timeout: float = 5.0,
-    ) -> None:
-        super().__init__(registry)
+    def _init_registry(self, connect_timeout: float) -> None:
         self._connect_timeout = connect_timeout
-        self._remotes: dict[Address, TcpPeer] = {}
+        self._remotes: dict[Address, Any] = {}
+        #: addresses whose peer is being built (see register_remote)
+        self._reserved: set[Address] = set()
+
+    def _claim(self, address: Address) -> None:
+        """Refuse an address already taken (caller holds ``_lock``)."""
+        if self._closed:
+            raise RuntimeError("driver is closed")
+        if (
+            address in self._servers
+            or address in self._remotes
+            or address in self._reserved
+        ):
+            raise ValueError(f"address {address!r} already registered")
 
     # -- registration ----------------------------------------------------
 
     def register(self, address: Address, actor: Actor) -> None:
-        if address in self._remotes:
-            raise ValueError(f"address {address!r} already registered (remote)")
-        super().register(address, actor)
-
-    def register_remote(
-        self, address: Address, endpoint: Endpoint | str
-    ) -> TcpPeer:
-        """Bind ``address`` to a node-agent endpoint; dialing starts
-        immediately on a background thread (use :meth:`wait_connected`
-        to block until the cluster is reachable)."""
-        peer = TcpPeer(
-            address, parse_endpoint(endpoint), connect_timeout=self._connect_timeout
-        )
+        """Place an actor on an in-parent service thread."""
         with self._lock:
-            if self._closed:
-                peer.stop()
-                raise RuntimeError("driver is closed")
-            if address in self._servers or address in self._remotes:
-                peer.stop()
-                raise ValueError(f"address {address!r} already registered")
-            self._remotes[address] = peer
+            self._claim(address)
+            self._servers[address] = _ServerThread(address, actor)
+
+    def register_remote(self, address: Address, endpoint: Endpoint | str) -> Any:
+        """Bind ``address`` to a node-agent endpoint; dialing starts
+        immediately, in the background (use :meth:`wait_connected` to
+        block until the cluster is reachable).
+
+        The address is claimed before the peer exists, so a refused
+        registration never dials — a duplicate must not reach, let alone
+        stop, the actor the first registration serves.
+        """
+        endpoint = parse_endpoint(endpoint)
+        with self._lock:
+            self._claim(address)
+            self._reserved.add(address)
+        peer = None
+        try:
+            peer = self._new_peer(address, endpoint)
+        finally:
+            with self._lock:
+                self._reserved.discard(address)
+                closed = self._closed
+                if peer is not None and not closed:
+                    self._remotes[address] = peer
+        if closed:  # close() ran meanwhile: hang up, leave the actor be
+            peer.stop(send_shutdown=False)
+            raise RuntimeError("driver is closed")
         return peer
 
     def register_map(self, cluster_map: ClusterMap) -> None:
@@ -338,15 +391,18 @@ class TcpDriver(ThreadedDriver):
         for address, endpoint in cluster_map.items():
             self.register_remote(address, endpoint)
 
-    def peer(self, address: Address) -> TcpPeer:
+    def peer(self, address: Address) -> Any:
+        """The peer registered at ``address``."""
         with self._lock:
             return self._remotes[address]
 
     def addresses(self) -> list[Address]:
+        """Every registered address (in-parent first, then remote)."""
         with self._lock:
             return list(self._servers) + list(self._remotes)
 
     def remote_addresses(self) -> list[Address]:
+        """The addresses served over the wire."""
         with self._lock:
             return list(self._remotes)
 
@@ -374,10 +430,7 @@ class TcpDriver(ThreadedDriver):
         """``address -> "connected" | down reason`` for every peer."""
         with self._lock:
             peers = dict(self._remotes)
-        return {
-            a: ("connected" if p.connected else str(p.down_reason))
-            for a, p in peers.items()
-        }
+        return {a: p.down_reason or "connected" for a, p in peers.items()}
 
     # -- introspection ---------------------------------------------------
 
@@ -389,7 +442,7 @@ class TcpDriver(ThreadedDriver):
             remotes = dict(self._remotes)
         stats = {a: (s.served_rpcs, s.served_calls) for a, s in servers.items()}
         for address, peer in remotes.items():
-            reply = peer.control(CTL_STATS)
+            reply = self._control(peer, CTL_STATS)
             stats[address] = (reply["wire_rpcs"], reply["sub_calls"])
         return stats
 
@@ -399,10 +452,17 @@ class TcpDriver(ThreadedDriver):
         — controls are not counted as wire RPCs, so scraping is invisible
         to the workload counters."""
         with self._lock:
+            server = self._servers.get(address)
             remote = self._remotes.get(address)
-        if remote is None:
-            return super().telemetry(address)
-        return remote.control(CTL_TELEMETRY)
+        if remote is not None:
+            return self._control(remote, CTL_TELEMETRY)
+        if server is None:
+            raise KeyError(f"no actor registered at address {address!r}")
+        return {
+            "wire_rpcs": server.served_rpcs,
+            "sub_calls": server.served_calls,
+            "telemetry": telemetry_of(server.actor).snapshot(),
+        }
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""
@@ -415,48 +475,113 @@ class TcpDriver(ThreadedDriver):
 
     # -- execution -------------------------------------------------------
 
-    def _execute_batch(self, batch: Batch) -> list[Any]:
-        calls = batch.calls
-        if not calls:
-            return []
-        groups = plan_wire_groups(calls)
+    def _resolve(self, groups: list[WireGroup]) -> list[tuple[WireGroup, Any, Any]]:
+        """``(group, peer, None)`` or ``(group, None, service thread)`` per
+        wire group, all resolved before anything is submitted: an unknown
+        address leaves no latch armed and no group in flight."""
         servers = self._servers
         remotes = self._remotes
-        resolved: list[tuple[Any, Any]] = []
+        resolved: list[tuple[WireGroup, Any, Any]] = []
         for group in groups:
             server = servers.get(group.dest)
             if server is not None:
-                resolved.append((None, server))
+                resolved.append((group, None, server))
                 continue
             remote = remotes.get(group.dest)
             if remote is None:
                 raise KeyError(f"no actor registered at address {group.dest!r}")
-            resolved.append((remote, None))
-        results: list[Any] = [None] * len(calls)
-        latch = self._latch()
-        gen = latch.begin(len(groups), len(calls))
-        trace = current_trace()
-        # With a trace open each wire group gets a span id that rides the
-        # envelope (serving-side spans parent to it); untraced batches
-        # stay bit-identical on the wire.
-        span_ids = None
-        parent = None
-        if trace is not None:
-            parent = current_op_span()
-            span_ids = [new_span_id() for _ in groups]
+            resolved.append((group, remote, None))
+        return resolved
+
+    @staticmethod
+    def _submit(resolved, results, latch, gen, trace, span_ids):
+        """Hand every resolved wire group to its peer or in-parent service
+        thread (a traced group's span id rides its envelope). Returns each
+        group's reply slot — None where the service thread writes
+        ``results`` itself — and the submission time."""
         t_enq = time.perf_counter_ns()
-        slots: list[list | None] = [None] * len(groups)
-        for k, ((remote, server), group) in enumerate(zip(resolved, groups)):
+        slots: list[list | None] = [None] * len(resolved)
+        for k, (group, remote, server) in enumerate(resolved):
             wire_trace = trace if span_ids is None else (trace, span_ids[k])
             if remote is not None:
-                slot: list = [None]
-                slots[k] = slot
+                slots[k] = slot = [None]
                 remote.submit(group, slot, latch, gen, wire_trace)
             else:
                 server.inbox.put(
                     (group.calls, group.indices, results, latch, gen,
                      wire_trace, t_enq)
                 )
+        return slots, t_enq
+
+    # -- lifecycle -------------------------------------------------------
+
+    def close(self) -> None:
+        """Orderly teardown: every remote actor gets the ``shutdown``
+        control (its agent exits once all it hosts have), in-parent
+        service threads join."""
+        self._shutdown(send_shutdown=True)
+
+    def abort(self) -> None:
+        """Hang up without stopping the remote actors: the teardown for a
+        *failed build* against operator-run agents, which must leave the
+        operator's cluster serving."""
+        self._shutdown(send_shutdown=False)
+
+
+class TcpDriver(PeerRegistry, ThreadedDriver):
+    """Drives protocols against a mix of TCP-remote and in-parent actors.
+
+    ``register`` places an actor on an in-parent service thread (the
+    threaded driver's semantics — deployments keep the version manager
+    and provider manager there); ``register_remote`` binds an address to
+    a ``host:port`` endpoint served by a node agent. Everything else —
+    protocol loop, batch latch, ``spawn``/futures, wire-group framing,
+    transport counters — is the threaded driver's, so
+    ``transport_stats`` reads identically and the conformance suite's
+    wire-RPC-count equality holds across every real driver.
+    """
+
+    def __init__(
+        self,
+        registry: Mapping[Address, Actor] | None = None,
+        *,
+        connect_timeout: float = 5.0,
+    ) -> None:
+        self._init_registry(connect_timeout)
+        super().__init__(registry)
+
+    def _new_peer(self, address: Address, endpoint: Endpoint) -> TcpPeer:
+        return TcpPeer(address, endpoint, connect_timeout=self._connect_timeout)
+
+    @staticmethod
+    def _control(peer: TcpPeer, kind: str) -> Any:
+        return peer.control(kind)
+
+    def _shutdown(self, send_shutdown: bool) -> None:
+        with self._lock:
+            peers = list(self._remotes.values())
+        for peer in peers:
+            peer.stop(send_shutdown=send_shutdown)
+        ThreadedDriver.close(self)  # in-parent service threads; marks closed
+
+    # -- execution -------------------------------------------------------
+
+    def _execute_batch(self, batch: Batch) -> list[Any]:
+        calls = batch.calls
+        if not calls:
+            return []
+        groups = plan_wire_groups(calls)
+        resolved = self._resolve(groups)
+        results: list[Any] = [None] * len(calls)
+        latch = self._latch()
+        gen = latch.begin(len(groups), len(calls))
+        trace = current_trace()
+        span_ids = None
+        parent = None
+        if trace is not None:
+            parent = current_op_span()
+            span_ids = [new_span_id() for _ in groups]
+        slots, t_enq = self._submit(resolved, results, latch, gen, trace, span_ids)
         latch.wait()
         t_done = time.perf_counter_ns()
         rtt_ns = t_done - t_enq
@@ -472,34 +597,9 @@ class TcpDriver(ThreadedDriver):
                 continue
             group = groups[k]
             n_calls = len(group.calls)
-            values = decode_reply(slot[0], n_calls, resolved[k][0].actor_name)
+            values = decode_reply(slot[0], n_calls, resolved[k][1].actor_name)
             if isinstance(values, RemoteError):
                 values = [values] * n_calls
             for index, value in zip(group.indices, values):
                 results[index] = value
         return [deliver(c, r) for c, r in zip(calls, results)]
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            peers = list(self._remotes.values())
-        for peer in peers:
-            peer.stop()
-        super().close()
-
-    def abort(self) -> None:
-        """Close without stopping the remote actors.
-
-        ``close()`` is the orderly teardown — every hosted actor gets the
-        ``shutdown`` control and agents exit. ``abort()`` only hangs up:
-        the teardown for a *failed build* against operator-run agents,
-        which must leave the operator's cluster serving.
-        """
-        with self._lock:
-            peers = list(self._remotes.values())
-        for peer in peers:
-            peer.abort()
-        # aborted peers make their stop() a no-op, so close() only stops
-        # in-parent service threads and marks the driver closed
-        self.close()

@@ -4,38 +4,36 @@ The blocking TCP driver (:mod:`repro.net.tcp`), the asyncio driver
 (:mod:`repro.net.aio`) and the node agent (:mod:`repro.net.node`) speak one
 protocol — :mod:`repro.net.codec` messages carrying ``("rpc", sub_calls)``
 requests and control messages. Everything that is *about the protocol*
-rather than about one side's connection handling lives here:
+rather than about one side's I/O lives here:
 
-- :class:`RpcChannel` — the blocking caller side of one live connection:
-  pending request registry, a dedicated sender thread (submits never block
-  on a busy peer's socket), a receiver thread that routes replies by the
-  12-byte message header alone (bodies are decoded later, on the caller
-  thread that wants the data), and drain-on-death: when the connection
-  dies, every in-flight request completes with a
-  :class:`~repro.errors.RemoteError` and future submissions fail fast.
-  (:class:`~repro.net.tcp.TcpPeer` owns what outlives a connection: the
-  dial, the reconnect backoff and failing fast while down.)
-- the envelope grammar (:func:`parse_request`) and the reply check
-  (:func:`decode_reply`) both callers share;
+- :class:`Connection` — the sans-io core of one client peer that both
+  client shells drive (:class:`~repro.net.tcp.TcpPeer` on threads,
+  :class:`~repro.net.aio.AioPeer` on an event loop): req-ids, the pending
+  registry, up/down with every down reason, the drain, fail-fast and the
+  redial schedule (:func:`backoff`). No I/O, no locks, no threads;
+- the envelope grammar: :func:`rpc_envelope` / :func:`control_frame`
+  build what :func:`parse_request` validates, and :func:`decode_reply` /
+  :func:`control_result` check what comes back;
 - the control vocabulary (``stats``, ``telemetry``, ``shutdown``) and the
   serving helpers (:func:`decode_request`, :func:`serve_rpc`,
   :func:`encode_reply`) the one serving loop,
   :meth:`repro.net.node._ActorService._loop`, is made of.
 
-Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``
-and ``tests/test_wire_buffers.py``):
+Invariants this module guarantees (pinned without sockets by
+``tests/test_wire_connection.py``, and through both shells by
+``tests/test_tcp_transport.py``):
 
-- **submits never block**: frames leave through an outbound queue drained
-  by a dedicated sender thread per channel, so a caller is never stuck on
-  a busy peer's socket backpressure;
-- **replies route by header, decode on the caller**: the receiver thread
-  touches only the 12-byte message header — payload unpickling happens on
-  the caller thread that asked for the data, concurrently across callers;
-- **drain-as-RemoteError, exactly once**: channel death (EOF, kill, send
-  failure, codec corruption) completes every pending request with a
-  :class:`~repro.errors.RemoteError`, fails all future submissions fast,
-  and fires ``on_down`` exactly once, after the drain — no caller ever
-  blocks on a corpse, and no batch latch is ever released twice;
+- **drain-as-RemoteError, exactly once per connection**: whatever takes a
+  connection down (EOF, kill, send failure, codec corruption, drop,
+  close), the first signal drains every pending request to be completed
+  with one ``PeerUnavailable`` :class:`~repro.errors.RemoteError`, and
+  later signals drain nothing — no caller ever blocks on a corpse, and no
+  batch latch is ever released twice;
+- **fail fast while down**: a request opened on a down connection raises
+  at once, so replica fail-over never waits out a redial;
+- **reconnect with backoff**: failed dials are retried after
+  ``BACKOFF_INITIAL`` seconds, doubling up to ``BACKOFF_MAX``, and a
+  successful one starts the schedule over;
 - **a socket another thread may be blocked in ``recv`` on is severed with
   ``shutdown(SHUT_RDWR)`` before ``close()``** (:func:`force_close`) — a
   bare close neither wakes the reader nor sends FIN on Linux.
@@ -44,22 +42,17 @@ and ``tests/test_wire_buffers.py``):
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
-import threading
 import time
-from typing import Any, Callable
+from typing import Any, Iterator, Sequence
 
 from repro.errors import RemoteError
 from repro.net.codec import (
-    MessageDecoder,
     WireCodecError,
     decode_body,
     encode_parts,
-    send_parts,
 )
-from repro.net.sansio import Actor, Address, Call, WireGroup, dispatch_call
-from repro.net.threaded import _BatchLatch
+from repro.net.sansio import Actor, Address, Call, dispatch_call
 from repro.obs.trace import clear_server_context, set_server_context
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
@@ -79,6 +72,13 @@ COALESCE_MAX_BYTES = SOCK_BUF
 CTL_STATS = "stats"
 CTL_SHUTDOWN = "shutdown"
 CTL_TELEMETRY = "telemetry"
+
+#: the reserved request id both handshake messages travel under
+HANDSHAKE_REQ_ID = 0
+
+#: first redial delay after a failed dial; doubles per failure up to BACKOFF_MAX
+BACKOFF_INITIAL = 0.05
+BACKOFF_MAX = 2.0
 
 
 def force_close(sock: socket.socket) -> None:
@@ -274,186 +274,144 @@ def decode_reply(body: Any, n_calls: int, peer: str) -> list | RemoteError:
     )
 
 
-class RpcChannel:
-    """Caller-side endpoint of one live RPC connection.
+# ---------------------------------------------------------------------------
+# the client connection core
+# ---------------------------------------------------------------------------
 
-    Many caller threads submit concurrently: frames go out through an
-    outbound queue drained by a dedicated sender thread (a submit never
-    blocks on socket backpressure from a busy peer), and a receiver
-    thread routes raw reply bodies (by message header alone — no
-    unpickling) to whichever batch latch is waiting. Death (EOF, kill,
-    send failure, codec corruption) drains every pending request with a
-    ``RemoteError`` and fails all future submissions fast — no caller
-    ever blocks on a corpse. ``on_down`` fires exactly once, after the
-    drain; it must not block (the TCP peer uses it to kick its
-    reconnector).
+
+def rpc_envelope(items: Sequence[tuple]) -> tuple:
+    """The ``("rpc", …)`` envelope of one frame (grammar:
+    :func:`parse_request`). ``items`` are the frame's ``(wire group, trace
+    context, …)`` tuples in submission order: one group's context is the
+    third field; several groups' are ``(n_calls, context)`` runs; with no
+    context at all the envelope is the 2-tuple."""
+    payload = [(call.method, call.args) for item in items for call in item[0].calls]
+    if len(items) == 1:
+        trace = items[0][1]
+    elif any(item[1] is not None for item in items):
+        trace = [(len(item[0].calls), item[1]) for item in items]
+    else:
+        trace = None
+    return ("rpc", payload) if trace is None else ("rpc", payload, trace)
+
+
+def control_frame(req_id: int, kind: str) -> list:
+    """The encoded ``(kind, ())`` request of one control."""
+    return encode_parts(req_id, (kind, ()))
+
+
+def control_result(body: Any) -> Any:
+    """The value a control's reply carries. Raises the ``RemoteError`` it
+    is instead: the request drained, or the peer refused it."""
+    if isinstance(body, RemoteError):
+        raise body
+    value = decode_body(body)
+    if isinstance(value, RemoteError):
+        raise value
+    return value
+
+
+def backoff() -> Iterator[float]:
+    """The redial schedule, in seconds: ``BACKOFF_INITIAL``, doubling per
+    failure, capped at ``BACKOFF_MAX``."""
+    delay = BACKOFF_INITIAL
+    while True:
+        yield delay
+        delay = min(delay * 2, BACKOFF_MAX)
+
+
+def why_lost(exc: WireCodecError | None = None) -> str:
+    """How a live connection ended, as its down reason says it: the stream
+    closed (``exc`` None), or it carried a corrupt message."""
+    return "connection lost" if exc is None else f"sent a corrupt message: {exc}"
+
+
+class Connection:
+    """Sans-io state of one client peer, across its connections.
+
+    A shell feeds it events — a dial failed, a connection came up, the
+    connection went down and why — and asks it to open requests. It
+    answers with req-ids, the pending entry a reply or a timeout
+    completes, the entries a death drains, and the delay before the next
+    dial. Entries are the shell's ``("rpc", …)`` / ``("ctl", …)`` waiters,
+    opaque here. The blocking shell calls it under its peer lock, the
+    asyncio shell from its loop thread.
     """
 
-    def __init__(
-        self, sock: socket.socket, peer: str, on_down: Callable[[str], None]
-    ) -> None:
+    def __init__(self, peer: str) -> None:
         self.peer = peer
-        self.sock = sock
-        self._on_down = on_down
-        self._pending_lock = threading.Lock()
-        #: req_id -> ("rpc", slot, latch, gen) | ("ctl", box, event);
-        #: slot/box receive the *encoded* reply body (or a RemoteError)
+        #: why the peer is unreachable right now; None exactly while up
+        self.down_reason: str | None = f"peer {peer} never connected"
         self._pending: dict[int, tuple] = {}
-        self._req_ids = itertools.count(1)
-        self._down_reason: str | None = None
-        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._recv_thread = threading.Thread(
-            target=self._recv_loop, name=f"recv-{peer}", daemon=True
+        self._req_ids = itertools.count(HANDSHAKE_REQ_ID + 1)
+        self._delays = backoff()
+
+    # -- up / down -------------------------------------------------------
+
+    def connected(self) -> None:
+        """A dial and handshake succeeded: up, the schedule starts over."""
+        self.down_reason = None
+        self._delays = backoff()
+
+    def dial_failed(self, exc: BaseException) -> float:
+        """A dial or handshake failed: seconds to wait before the next."""
+        self.down_reason = f"peer {self.peer} unreachable: {exc}"
+        return next(self._delays)
+
+    def lost(self, why: str) -> list[tuple] | None:
+        """The connection ended by itself (:func:`why_lost`)."""
+        return self._down(f"peer {self.peer} {why}")
+
+    def send_failed(self, exc: BaseException) -> list[tuple] | None:
+        return self._down(f"send to peer {self.peer} failed: {exc!r}")
+
+    def dropped(self) -> list[tuple] | None:
+        """Failure injection severed the connection."""
+        return self._down("connection dropped (failure injection)")
+
+    def stopped(self, send_shutdown: bool) -> list[tuple] | None:
+        """The driver hung up, after stopping the actor or not."""
+        return self._down(
+            "peer stopped by driver close"
+            if send_shutdown
+            else "peer aborted (driver hang-up)"
         )
-        self._recv_thread.start()
-        self._send_thread = threading.Thread(
-            target=self._send_loop, name=f"send-{peer}", daemon=True
+
+    def _down(self, reason: str) -> list[tuple] | None:
+        """Take the connection down: every pending entry, each to be
+        completed with :meth:`unavailable` — or None if it was down
+        already, so of racing death signals only the first drains."""
+        if self.down_reason is not None:
+            return None
+        self.down_reason = reason
+        drained = list(self._pending.values())
+        self._pending.clear()
+        return drained
+
+    def unavailable(self) -> RemoteError:
+        """The error a request meets while the peer is down."""
+        return RemoteError("PeerUnavailable", self.down_reason)
+
+    # -- requests --------------------------------------------------------
+
+    def open(self, entry: tuple) -> int:
+        """Register a request's waiter under a fresh req-id; raises
+        :meth:`unavailable` while down (fail fast: fail-over must not wait
+        out a redial)."""
+        if self.down_reason is not None:
+            raise self.unavailable()
+        req_id = next(self._req_ids)
+        self._pending[req_id] = entry
+        return req_id
+
+    def pop(self, req_id: int) -> tuple | None:
+        """The entry a reply to ``req_id`` completes — None when a drain
+        or a timeout took it first."""
+        return self._pending.pop(req_id, None)
+
+    def timed_out(self, req_id: int, kind: str, timeout: float) -> TimeoutError:
+        """Forget a control that went unanswered; the error to raise."""
+        self._pending.pop(req_id, None)
+        return TimeoutError(
+            f"peer {self.peer} did not answer {kind!r} in {timeout}s"
         )
-        self._send_thread.start()
-
-    # -- health ----------------------------------------------------------
-
-    @property
-    def down_reason(self) -> str | None:
-        return self._down_reason
-
-    def mark_down(self, reason: str) -> None:
-        with self._pending_lock:
-            if self._down_reason is not None:
-                return
-            self._down_reason = reason
-            drained = list(self._pending.values())
-            self._pending.clear()
-        error = RemoteError("PeerUnavailable", reason)
-        for entry in drained:
-            self._complete(entry, error)
-        self._on_down(reason)
-
-    @staticmethod
-    def _complete(entry: tuple, body: Any) -> None:
-        """Hand a raw reply body (or a RemoteError) to its waiter."""
-        if entry[0] == "rpc":
-            _, slot, latch, gen = entry
-            slot[0] = body
-            latch.group_done(gen)
-        else:
-            _, box, event = entry
-            box[0] = body
-            event.set()
-
-    # -- receive ---------------------------------------------------------
-
-    def _recv_loop(self) -> None:
-        decoder = MessageDecoder()
-        while True:
-            try:
-                nbytes = self.sock.recv_into(decoder.get_buffer())
-            except OSError:
-                nbytes = 0
-            if not nbytes:
-                self.mark_down(f"peer {self.peer} connection lost")
-                return
-            try:
-                for req_id, body in decoder.buffer_updated(nbytes):
-                    with self._pending_lock:
-                        entry = self._pending.pop(req_id, None)
-                    if entry is not None:
-                        self._complete(entry, body)
-            except WireCodecError as exc:
-                self.mark_down(f"peer {self.peer} sent a corrupt message: {exc}")
-                return
-
-    # -- submit ----------------------------------------------------------
-
-    def submit(
-        self,
-        group: WireGroup,
-        slot: list,
-        latch: _BatchLatch,
-        gen: int,
-        trace: Any = None,
-    ) -> None:
-        """Send one wire group; the receiver thread completes the latch.
-
-        ``slot`` is the batch's one-element mailbox for this group: it
-        receives the raw reply body, which the *caller* decodes after the
-        latch releases (see ``TcpDriver._execute_batch``).
-
-        ``trace`` is the driver-minted trace context for this group — a
-        ``(trace_id, span_id)`` pair while the caller has a trace open,
-        else ``None``.
-        """
-        payload = [(call.method, call.args) for call in group.calls]
-        with self._pending_lock:
-            reason = self._down_reason
-            if reason is None:
-                req_id = next(self._req_ids)
-                self._pending[req_id] = ("rpc", slot, latch, gen)
-        if reason is not None:
-            slot[0] = RemoteError("PeerUnavailable", reason)
-            latch.group_done(gen)
-            return
-        # Trace propagation: the envelope grows an optional third field
-        # only while the calling thread has a trace open — with none, the
-        # frame is bit-identical to the historical 2-tuple form.
-        envelope = ("rpc", payload) if trace is None else ("rpc", payload, trace)
-        try:
-            frame = encode_parts(req_id, envelope)
-        except WireCodecError as exc:
-            # the *request* is unpicklable: that call is broken, not the
-            # peer. Complete the group only if the entry is still ours —
-            # a concurrent mark_down may have drained (and completed) it,
-            # and a second group_done would release the batch latch early.
-            with self._pending_lock:
-                entry = self._pending.pop(req_id, None)
-            if entry is not None:
-                slot[0] = RemoteError.wrap(exc)
-                latch.group_done(gen)
-            return
-        self._outbox.put(frame)
-
-    def control(self, kind: str, timeout: float = 10.0) -> Any:
-        """Round-trip one control message; raises on a down connection."""
-        box: list[Any] = [None]
-        event = threading.Event()
-        with self._pending_lock:
-            reason = self._down_reason
-            if reason is None:
-                req_id = next(self._req_ids)
-                self._pending[req_id] = ("ctl", box, event)
-        if reason is not None:
-            raise RemoteError("PeerUnavailable", reason)
-        self._outbox.put(encode_parts(req_id, (kind, ())))
-        if not event.wait(timeout):
-            with self._pending_lock:
-                self._pending.pop(req_id, None)
-            raise TimeoutError(
-                f"peer {self.peer} did not answer {kind!r} in {timeout}s"
-            )
-        if isinstance(box[0], RemoteError):
-            raise box[0]
-        value = decode_body(box[0])
-        if isinstance(value, RemoteError):
-            raise value
-        return value
-
-    def _send_loop(self) -> None:
-        while True:
-            frame = self._outbox.get()
-            if frame is None:
-                return
-            try:
-                send_parts(self.sock, frame)
-            except (OSError, ValueError) as exc:
-                self.mark_down(f"send to peer {self.peer} failed: {exc!r}")
-                return
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self, reason: str = "channel closed") -> None:
-        """Drain, stop both service threads, and close the socket."""
-        self.mark_down(reason)
-        self._outbox.put(None)
-        force_close(self.sock)
-        self._recv_thread.join(timeout=5)
-        self._send_thread.join(timeout=5)

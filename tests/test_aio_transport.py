@@ -55,6 +55,7 @@ from repro.util.sizes import KB, MB
 from tests.conftest import forged_leaf
 from tests.test_tcp_transport import (  # noqa: F401 - collected here, on the loop
     tdep,
+    test_calls_racing_connection_drops_each_complete_once,
     test_clean_shutdown_exits_all_agents,
     test_driver_rejects_registration_after_close,
     test_future_calls_fail_fast_after_agent_death,
@@ -63,6 +64,8 @@ from tests.test_tcp_transport import (  # noqa: F401 - collected here, on the lo
     test_killed_agent_fails_over_to_replica,
     test_killed_agent_raises_remote_error,
     test_peer_reconnects_after_agent_restart,
+    test_peer_states_read_the_same_on_both_shells,
+    test_refused_registration_never_reaches_the_live_actor,
     test_semantic_errors_cross_the_wire_typed as test_semantic_errors_cross_the_async_path_typed,
     test_serial_workload_and_submission_counts,
     test_unknown_address_raises_before_any_submission,
@@ -496,7 +499,8 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
                     driver.drive(_call_proto(cl.ADDR, method))
                 )
                 in_flight = [drive("stall"), drive("a"), drive("b")]
-                while not peer._pending:  # one coalesced frame on the wire
+                pending = peer._conn._pending  # the core's request registry
+                while not pending:  # one coalesced frame on the wire
                     await asyncio.sleep(0)
                 assert [len(f) for f in cl.frames] == [3]
                 await asyncio.get_running_loop().run_in_executor(
@@ -504,9 +508,9 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
                 )
                 gathered = [drive("c"), drive("d")]
                 await asyncio.sleep(0)  # both submitted; the flush not yet run
-                assert len(peer._outbox) == 2 and len(peer._pending) == 1
-                peer._mark_down("connection dropped (test)")
-                assert not peer._outbox and not peer._pending
+                assert len(peer._outbox) == 2 and len(pending) == 1
+                peer._take_down(peer._conn.dropped)
+                assert not peer._outbox and not pending
                 return await asyncio.gather(
                     *in_flight, *gathered, return_exceptions=True
                 )

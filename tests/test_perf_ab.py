@@ -73,3 +73,55 @@ def test_summary_has_medians_quartiles_and_direction_aware_wins():
     assert ops["parent"]["q1"] <= 2400 <= ops["parent"]["q3"]
     rss = row["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 1  # lower is better; the tie counts for neither
+
+
+BOUNDS = {"norm_ops_per_s": ("higher", 0.2), "peak_rss_mb": ("lower", 0.1)}
+
+
+def _row(pairs, failed=(0, 0)) -> dict:
+    """The summary row of canned ``(parent ops, change ops, parent rss,
+    change rss)`` pairs; ``failed`` ops per side, on the first pair."""
+    runs = []
+    for k, (p_ops, c_ops, p_rss, c_rss) in enumerate(pairs):
+        for side, ops, rss, bad in (("parent", p_ops, p_rss, failed[0]),
+                                    ("change", c_ops, c_rss, failed[1])):
+            run = perf_ab.parse_run(_stdout(ops, rss, bad if k == 0 else 0))
+            run.update(workload="w", seed=1, trace=0, pair=k, side=side)
+            runs.append(run)
+    (row,) = perf_ab.summarize(runs, {m: b for m, (b, _) in BOUNDS.items()})
+    return row
+
+
+def test_verdict_no_worse_within_the_bound():
+    row = _row([(1000, 900, 200, 210), (1010, 950, 201, 215), (990, 920, 199, 212)])
+    assert perf_ab.verdict(row, BOUNDS) == {
+        "norm_ops_per_s": "no worse", "peak_rss_mb": "no worse", "failed": "no worse",
+    }
+
+
+def test_verdict_worse_beyond_the_bound_and_on_more_failures():
+    row = _row([(1000, 700, 200, 250), (1010, 760, 201, 240), (990, 750, 199, 245)],
+               failed=(0, 3))
+    assert perf_ab.verdict(row, BOUNDS) == {
+        "norm_ops_per_s": "worse", "peak_rss_mb": "worse", "failed": "worse",
+    }
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    """The parent's quartiles are 60 % apart: a change inside them proves
+    nothing — unless every change run beats every parent run."""
+    noisy = [(600, 900, 200, 200), (1000, 950, 200, 200), (1400, 1000, 200, 200)]
+    assert perf_ab.verdict(_row(noisy), BOUNDS)["norm_ops_per_s"] == "unresolved"
+    clear = [(600, 1500, 200, 200), (1000, 1600, 200, 200), (1400, 1700, 200, 200)]
+    assert perf_ab.verdict(_row(clear), BOUNDS)["norm_ops_per_s"] == "no worse"
+
+
+def test_report_prints_a_line_per_metric_and_flags_worse(capsys):
+    good = _row([(1000, 990, 200, 200)] * 3)
+    bad = dict(_row([(1000, 500, 200, 200)] * 3), workload="v")
+    traced = dict(bad, trace=1)  # tracing off is what end-to-end means
+    assert perf_ab.report([good, traced], BOUNDS) is False
+    assert perf_ab.report([good, bad], BOUNDS) is True
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 + 3 + 3
+    assert lines[-3].startswith("v seed=1 norm_ops_per_s: worse (parent 1000")

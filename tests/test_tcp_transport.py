@@ -21,6 +21,7 @@ fail the suite fast, never stall it.
 from __future__ import annotations
 
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -33,9 +34,11 @@ from repro.deploy.tcp import build_tcp, plan_loopback_nodes
 from repro.errors import ConfigError, RemoteError, VersionNotPublished
 from repro.net.address import ClusterMap, Endpoint, format_actor, parse_actor, parse_endpoint
 from repro.net.aio import AioDriver
+from repro.net.codec import MessageDecoder, decode_body, encode_message
 from repro.net.node import NodeAgent, build_actor
 from repro.net.sansio import Batch, Call
 from repro.net.tcp import TcpDriver
+from repro.net.wire import force_close
 from repro.providers.data_provider import DataProvider
 from repro.util.sizes import KB, MB
 
@@ -302,6 +305,207 @@ def test_driver_rejects_registration_after_close(client):
         driver.register_remote(("data", 0), "127.0.0.1:1")
     with pytest.raises(RuntimeError):
         driver.register(("data", 0), DataProvider(0))
+
+
+def test_refused_registration_never_reaches_the_live_actor(client):
+    """A duplicate ``register_remote`` is refused before anything dials.
+    The blocking driver used to build (and dial) the duplicate's peer
+    first and tear it down with ``stop()`` — which, once its handshake had
+    finished, sent the ``shutdown`` control and stopped the very actor the
+    first registration serves: here (an agent hosting a second actor, so
+    it stays up) the original peer's next call would hang."""
+    agent = NodeAgent({("data", 0): DataProvider(0), ("meta", 0): build_actor("meta/0")[1]})
+    agent.start()
+    driver = DRIVERS[client]()
+    try:
+        driver.register_remote(("data", 0), agent.endpoint)
+        driver.wait_connected()
+        holding = threading.Event()
+
+        def hold_the_registry():  # long enough for any dial to finish
+            with driver._lock:
+                holding.set()
+                time.sleep(1.0)
+
+        holder = threading.Thread(target=hold_the_registry)
+        holder.start()
+        assert holding.wait(JOIN_TIMEOUT)
+        with pytest.raises(ValueError):
+            driver.register_remote(("data", 0), agent.endpoint)
+        holder.join(JOIN_TIMEOUT)
+        assert not holder.is_alive()
+        served = driver.spawn(_call_proto(("data", 0), "data.stats"))
+        assert served.result(timeout=5)["pages"] == 0
+    finally:
+        driver.close()
+        agent.close()
+
+
+def test_calls_racing_connection_drops_each_complete_once(client):
+    """Eight caller threads hammer one peer while its connection is dropped
+    and redialed again and again, under a short switch interval: replies,
+    drains and fail-fast race for every request, and each call must still
+    end exactly once — its reply, or a typed ``PeerUnavailable`` — never
+    hang (a lost completion) nor come back empty (a double one)."""
+    addr = ("data", 0)
+    agent = NodeAgent({addr: DataProvider(0)})
+    agent.start()
+    driver = DRIVERS[client]()
+    switch = sys.getswitchinterval()
+    try:
+        driver.register_remote(addr, agent.endpoint)
+        driver.wait_connected()
+        done = threading.Event()
+        outcomes: list[tuple[int, list]] = []
+
+        def caller():
+            served, odd = 0, []
+            while not done.is_set():
+                try:
+                    served += driver.call(addr, "data.stats")["pages"] == 0
+                except RemoteError as exc:
+                    if exc.error_type != "PeerUnavailable":
+                        odd.append(exc)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    odd.append(exc)
+            outcomes.append((served, odd))
+
+        sys.setswitchinterval(1e-5)
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(8)]
+        for thread in callers:
+            thread.start()
+        for _ in range(15):
+            driver.peer(addr).drop()
+            assert driver.peer(addr).wait_connected(JOIN_TIMEOUT)
+            time.sleep(0.02)
+        done.set()
+        deadline = time.monotonic() + 10
+        for thread in callers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in callers), "a call hung"
+        assert [odd for _, odd in outcomes] == [[]] * 8
+        assert sum(served for served, _ in outcomes) > 0
+    finally:
+        sys.setswitchinterval(switch)
+        driver.close()
+        agent.close()
+
+
+class _ScriptedAgent:
+    """A listener that answers each connection's hello as told — ``hold``
+    (not yet), ``reject`` or ``welcome`` — and acks every later message
+    with ``True``: a peer's states on demand."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = Endpoint("127.0.0.1", self._listener.getsockname()[1])
+        self._lock = threading.Lock()
+        self._mode = "hold"
+        self._held: list[tuple] = []
+        self._conns: list[socket.socket] = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def held(self) -> int:
+        with self._lock:
+            return len(self._held)
+
+    def set_mode(self, mode: str) -> None:
+        with self._lock:
+            self._mode = mode
+            held, self._held = self._held, []
+        for hello in held:
+            self._hello(*hello)
+
+    def _hello(self, conn, req_id, name):
+        with self._lock:
+            if self._mode == "hold":
+                self._held.append((conn, req_id, name))
+                return
+            reply = ("welcome", name) if self._mode == "welcome" else ("reject", "not yet")
+        try:
+            conn.sendall(encode_message(req_id, reply))
+        except OSError:
+            pass
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with self._lock:
+                self._conns.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        decoder = MessageDecoder()
+        greeted = False
+        try:
+            while nbytes := conn.recv_into(decoder.get_buffer()):
+                for req_id, body in decoder.buffer_updated(nbytes):
+                    if greeted:
+                        conn.sendall(encode_message(req_id, True))
+                    else:
+                        greeted = True
+                        self._hello(conn, req_id, decode_body(body)[1])
+        except OSError:
+            pass
+
+    def close(self):
+        self._listener.close()
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            force_close(conn)
+
+
+def _until(predicate, timeout: float = JOIN_TIMEOUT) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "state never reached"
+        time.sleep(0.01)
+
+
+def test_peer_states_read_the_same_on_both_shells(client):
+    """Never connected → unreachable → connected → dropped → stopped: the
+    text of each state comes from the one connection core, so
+    ``peer_status()`` and ``down_reason`` read exactly the same on either
+    shell (this body runs once per shell against the same expectations)."""
+    agent = _ScriptedAgent()
+    driver = DRIVERS[client](connect_timeout=JOIN_TIMEOUT)
+    addr, name = ("data", 0), f"data/0@{agent.endpoint}"
+
+    def state() -> str:  # read where the state holds still
+        status = driver.peer_status()[addr]
+        assert driver.peer(addr).down_reason == (
+            None if status == "connected" else status
+        )
+        return status
+
+    try:
+        driver.register_remote(addr, agent.endpoint)
+        _until(lambda: agent.held() == 1)  # dialed, handshake unanswered
+        assert state() == f"peer {name} never connected"
+        agent.set_mode("reject")
+        _until(lambda: "never" not in driver.peer_status()[addr])
+        assert state() == (
+            f"peer {name} unreachable: agent at {agent.endpoint} "
+            "rejected 'data/0': not yet"
+        )
+        agent.set_mode("welcome")
+        assert driver.peer(addr).wait_connected(JOIN_TIMEOUT)
+        assert state() == "connected"
+        agent.set_mode("hold")
+        driver.peer(addr).drop()
+        _until(lambda: agent.held() == 1)  # the redial is in, unanswered
+        assert state() == "connection dropped (failure injection)"
+        agent.set_mode("welcome")
+        assert driver.peer(addr).wait_connected(JOIN_TIMEOUT)
+        driver.close()  # the agent acks the shutdown control and stays up
+        assert state() == "peer stopped by driver close"
+    finally:
+        driver.close()
+        agent.close()
 
 
 def test_no_second_way_to_run_actors_in_their_own_processes():
