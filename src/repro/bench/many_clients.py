@@ -25,6 +25,7 @@ deliberately never pinned in ``benchmarks/baseline/``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import time
 
 from repro.bench.figures import FigureData, Series
@@ -135,10 +136,21 @@ def many_clients_quantiles(
         total = 1 << (max(client_counts) * page - 1).bit_length()
         blob = setup.alloc(total, page)
         for n_clients in client_counts:
-            read_hist, write_hist = dep.driver.run_async(
-                _run_tier(dep, n_clients, blob, page, reads_per_client),
-                timeout=TIER_TIMEOUT,
-            )
+            # Each tier starts from a collected heap with every survivor
+            # frozen, so a full collection scans only what the tier itself
+            # allocates. Otherwise the heap the calling process already
+            # holds (a pytest session's earlier tests: ~160k objects) costs
+            # one ~0.25 s gen-2 pass inside the ~0.5 s 256-client tier on a
+            # 2-vCPU VM: a stall of the caller's heap, not of the scheduler.
+            gc.collect()
+            gc.freeze()
+            try:
+                read_hist, write_hist = dep.driver.run_async(
+                    _run_tier(dep, n_clients, blob, page, reads_per_client),
+                    timeout=TIER_TIMEOUT,
+                )
+            finally:
+                gc.unfreeze()
             assert write_hist.count == n_clients
             assert read_hist.count == n_clients * reads_per_client
             for kind, hist in (("Read", read_hist), ("Write", write_hist)):

@@ -7,10 +7,8 @@ fixed provider set — matching the paper's deployments, where the provider
 set never changes during an experiment — with a deterministic 64-bit
 digest of the node key (SHA-1 seeds a per-blob salt, echoing the
 Bamboo/Pastry key space; the per-key fold is integer mixing, because this
-digest runs for every node of every WRITE). The dynamic-membership general case
-is implemented by the Chord substrate in :mod:`repro.dht` and exercised by
-its own tests; both honour the same routing contract
-(:meth:`route` returning ``replication`` distinct owner addresses).
+digest runs for every node of every WRITE). The routing contract is
+:meth:`route` returning ``replication`` distinct owner addresses.
 
 **The cut (extension beyond the paper).** Per-node dispersal makes a READ
 pay one dependent round trip per tree level. With ``subtree_bytes = S`` a
@@ -116,20 +114,14 @@ class StaticRouter:
             raise ValueError(
                 f"subtree_bytes must be 0 or a power of two, got {subtree_bytes}"
             )
-        self._check_capacity(meta_ids, replication)
-        self.meta_ids = tuple(meta_ids)
-        self.replication = replication
-        self.subtree_bytes = subtree_bytes
-        self._route_cache: dict[NodeKey, tuple[Address, ...]] = {}
-
-    def _check_capacity(self, meta_ids: Sequence[int], replication: int) -> None:
-        """Extension point: can ``replication`` copies land on distinct
-        members of ``meta_ids``? Subclasses whose single logical endpoint
-        disperses internally (the DHT adapter) relax this."""
         if replication > len(meta_ids):
             raise ValueError(
                 f"replication {replication} exceeds provider count {len(meta_ids)}"
             )
+        self.meta_ids = tuple(meta_ids)
+        self.replication = replication
+        self.subtree_bytes = subtree_bytes
+        self._route_cache: dict[NodeKey, tuple[Address, ...]] = {}
 
     def primary(self, key: NodeKey) -> Address:
         return self.route(key)[0]

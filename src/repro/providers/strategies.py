@@ -11,13 +11,27 @@ per provider.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import Hashable, Sequence
+from typing import Sequence
 
-from repro.dht.hashing import key_id, node_id
 from repro.util.rng import substream
+
+
+def _sha1_int(data: bytes) -> int:
+    return int.from_bytes(hashlib.sha1(data).digest(), "big")
+
+
+def key_id(key: object) -> int:
+    """Position of a key on the 160-bit ring (SHA-1 of its ``repr``)."""
+    return _sha1_int(repr(key).encode())
+
+
+def node_id(name: str) -> int:
+    """Position of a named ring member (SHA-1 of ``node:<name>``)."""
+    return _sha1_int(f"node:{name}".encode())
 
 
 class AllocationStrategy(ABC):
@@ -144,9 +158,10 @@ class RandomK(AllocationStrategy):
 class HashRing(AllocationStrategy):
     """Consistent-hash placement on a virtual-node ring (elastic clusters).
 
-    Each provider occupies ``vnodes`` positions on the 160-bit ring of
-    :mod:`repro.dht.hashing`; a page key's home is the first position
-    clockwise of ``key_id(key)``. Because a provider's positions depend
+    Each provider occupies ``vnodes`` positions on the 160-bit SHA-1 ring
+    (:func:`node_id`); a page key's home is the first position clockwise
+    of :func:`key_id` of the key as a plain tuple, so a ``PageKey`` and the
+    equal tuple share a home. Because a provider's positions depend
     only on its id, admitting or draining one provider moves only the keys
     whose home interval it gains or loses — the property the elastic
     rebalancer relies on to compute minimal page migrations
@@ -187,17 +202,16 @@ class HashRing(AllocationStrategy):
         return positions, owner
 
     def place_key(
-        self, key: Hashable, providers: Sequence[int], count: int = 1
+        self, key: tuple, providers: Sequence[int], count: int = 1
     ) -> list[int]:
         """``count`` distinct providers for ``key``, in ring order.
 
         Position 0 is the key's home (primary); the rest are the next
-        distinct providers clockwise — the replica set, mirroring
-        ``ChordNode.replica_targets``.
+        distinct providers clockwise — the replica set.
         """
         positions, owner = self._ring(providers)
         want = min(count, len(set(owner.values())))
-        start = bisect_right(positions, key_id(key))
+        start = bisect_right(positions, key_id(tuple(key)))
         out: list[int] = []
         for i in range(len(positions)):
             pid = owner[positions[(start + i) % len(positions)]]

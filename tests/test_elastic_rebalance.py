@@ -20,10 +20,25 @@ from repro.errors import ConfigError, NotEnoughProviders
 from repro.providers.manager import ProviderManager
 from repro.providers.page import PageKey
 from repro.providers.rebalance import drain_provider, execute_rebalance
-from repro.providers.strategies import make_strategy
+from repro.providers.strategies import HashRing, key_id, make_strategy, node_id
 from repro.util.sizes import KB
 
 PAGE = 4 * KB
+
+#: page keys whose ``hash_ring`` homes are pinned below
+GOLDEN_KEYS = [
+    ("blob-0", "w0", 0),
+    ("blob-0", "w0", 1),
+    ("blob-0", "w1", 0),
+    ("blob-0", "w1", 1),
+    ("blob-0", "w2", 0),
+    ("blob-0", "w2", 1),
+]
+GOLDEN_HOMES = [[0, 3], [1, 2], [3, 1], [2, 0], [0, 2], [1, 0]]
+
+
+def page_keys(n):
+    return [("blob-0", f"w{i // 16}", i % 16) for i in range(n)]
 
 
 def make_pm(n=4, journal=None, replication=1):
@@ -33,6 +48,58 @@ def make_pm(n=4, journal=None, replication=1):
     for i in range(n):
         pm.register(i)
     return pm
+
+
+class TestHashRingPlacement:
+    """``hash_ring`` homes are part of the durable state (journaled
+    allocations, provider manifests): any change to the hash moves pages."""
+
+    def test_golden_homes(self):
+        ring = HashRing()
+        homes = [ring.place_key(k, [0, 1, 2, 3], 2) for k in GOLDEN_KEYS]
+        assert homes == GOLDEN_HOMES
+
+    def test_golden_keyless_allocation(self):
+        assert HashRing().allocate(6, [0, 1, 2, 3], {}) == [0, 1, 2, 3, 0, 1]
+
+    def test_page_key_homes_like_its_tuple(self):
+        ring = HashRing()
+        for k in GOLDEN_KEYS:
+            assert ring.place_key(PageKey(*k), [0, 1, 2, 3], 2) == (
+                ring.place_key(k, [0, 1, 2, 3], 2)
+            )
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 40])
+    def test_balance(self, n):
+        ring = HashRing()
+        live = list(range(n))
+        keys = page_keys(10_000)
+        load = dict.fromkeys(live, 0)
+        for k in keys:
+            load[ring.place_key(k, live)[0]] += 1
+        assert max(load.values()) <= 1.5 * len(keys) / n
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 40])
+    def test_join_moves_only_to_newcomer(self, n):
+        ring = HashRing()
+        keys = page_keys(10_000)
+        before = [ring.place_key(k, list(range(n)))[0] for k in keys]
+        after = [ring.place_key(k, list(range(n + 1)))[0] for k in keys]
+        moved = [b for a, b in zip(before, after) if a != b]
+        assert set(moved) <= {n}
+        assert len(moved) <= 1.5 * len(keys) / (n + 1)
+
+    def test_ids_in_range(self):
+        assert 0 <= key_id(("blob", 1)) < 1 << 160
+        assert 0 <= node_id("n1") < 1 << 160
+
+    def test_determinism(self):
+        assert key_id(("a", 1)) == key_id(("a", 1))
+        assert node_id("x") == node_id("x")
+
+    def test_distinct_names_distinct_ids(self):
+        assert len({node_id(f"node-{i}") for i in range(64)}) == 64
+        assert len({key_id(k) for k in page_keys(64)}) == 64
 
 
 class TestHashedAllocation:
@@ -222,7 +289,7 @@ class TestExecutorEndToEnd:
         live = sorted(dep.pm.providers())
         for pid, pages in self.placements(dep, blob).items():
             for key, _data in pages:
-                assert pid in place(tuple(key), live, dep.pm.replication), (
+                assert pid in place(key, live, dep.pm.replication), (
                     f"page {key} on data/{pid}, not its hash home"
                 )
         assert client.read_bytes(blob, 0, 64 * KB) == bytes(range(256)) * 256

@@ -1,13 +1,7 @@
 """Cross-module integration scenarios."""
 
 import numpy as np
-import pytest
 
-from repro.core.client import BlobClient
-from repro.core.config import DeploymentSpec
-from repro.deploy.inproc import build_inproc
-from repro.dht.adapter import DhtMetadataService, SingleServiceRouter
-from repro.dht.ring import ChordRing
 from repro.util.rng import substream
 from repro.util.sizes import KB, MB
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
@@ -68,41 +62,6 @@ class TestFullLifecycle:
         res = client.write(blob, data, SMALL_PAGE)
         assert res.version == 6
         assert client.read_bytes(blob, SMALL_PAGE, SMALL_PAGE) == data
-
-
-class TestDhtBackedDeployment:
-    def test_full_blob_stack_over_chord(self):
-        """The general substrate: blob protocols with metadata served by
-        the Chord ring through the adapter, including churn mid-workload."""
-        dep = build_inproc(DeploymentSpec(n_data=4, n_meta=1))
-        ring = ChordRing([f"m{i}" for i in range(6)], replication=2)
-        svc = DhtMetadataService(ring)
-        dep.driver.unregister(("meta", 0))
-        dep.driver.register(("meta", 0), svc)
-        client = BlobClient(dep.driver, SingleServiceRouter())
-        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
-
-        client.write(blob, pages(4, b"1"), 0)
-        ring.add_node("late-joiner")
-        client.write(blob, pages(2, b"2"), 0)
-        ring.remove_node("m1", graceful=True)
-        # all snapshots intact across churn
-        assert client.read_bytes(blob, 0, 4 * SMALL_PAGE, version=1) == pages(4, b"1")
-        expected_v2 = pages(2, b"2") + pages(2, b"1")
-        assert client.read_bytes(blob, 0, 4 * SMALL_PAGE, version=2) == expected_v2
-
-    def test_chord_crash_with_replication_keeps_blob(self):
-        dep = build_inproc(DeploymentSpec(n_data=2, n_meta=1))
-        ring = ChordRing([f"m{i}" for i in range(5)], replication=3)
-        svc = DhtMetadataService(ring)
-        dep.driver.unregister(("meta", 0))
-        dep.driver.register(("meta", 0), svc)
-        client = BlobClient(dep.driver, SingleServiceRouter())
-        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
-        client.write(blob, pages(3, b"K"), 0)
-        loaded = max(ring.load_distribution(), key=ring.load_distribution().get)
-        ring.remove_node(loaded, graceful=False)
-        assert client.read_bytes(blob, 0, 3 * SMALL_PAGE, version=1) == pages(3, b"K")
 
 
 class TestScaleGeometry:

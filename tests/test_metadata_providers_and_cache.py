@@ -1,7 +1,11 @@
 """Metadata provider store, router dispersal, and the client cache."""
 
+import importlib
+import re
+
 import pytest
 
+import repro
 from repro.errors import ImmutabilityViolation, NodeMissing, ProviderUnavailable
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
@@ -203,6 +207,24 @@ class TestStaticRouter:
             StaticRouter([0, 1], replication=0)
         with pytest.raises(ValueError):
             StaticRouter([0, 1], subtree_bytes=3 << 20)
+
+
+class TestOneMetadataSubstrate:
+    """``StaticRouter`` over the metadata providers is the only dispersal
+    layer: no second DHT, adapter router or survey CLI beside it."""
+
+    @pytest.mark.parametrize("module", ["repro.dht", "repro.tools.campaign"])
+    def test_retired_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_no_second_substrate_names(self):
+        for namespace in (repro, repro.metadata.router):
+            for name in dir(namespace):
+                assert not re.search("chord|dht|singleservice", name, re.I), name
+
+    def test_router_has_no_capacity_hook(self):
+        assert not hasattr(StaticRouter, "_check_capacity")
 
 
 class TestMetadataCache:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
 from repro.sim.trace import hottest_nodes, render_utilization, utilization_report
-from repro.tools import campaign, figures, inspect as inspect_tool
+from repro.tools import figures, inspect as inspect_tool
 from repro.util.sizes import KB, TB
 
 
@@ -70,17 +70,6 @@ class TestFiguresCli:
         assert figures.main(["3c", "--clients", "1", "2", "--iterations", "2"]) == 0
         out = capsys.readouterr().out
         assert "Read (cached metadata)" in out
-
-
-class TestCampaignCli:
-    def test_small_campaign(self, capsys):
-        rc = campaign.main(
-            ["--tiles", "2", "2", "--epochs", "6", "--supernovae", "2",
-             "--variables", "1", "--seed", "11", "--providers", "4"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "precision" in out and "recall" in out
 
 
 class TestInspectCli:
