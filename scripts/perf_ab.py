@@ -13,7 +13,14 @@ from ``BENCHMARK.json``: *worse* (the change's median is worse than the
 parent's by more than the bound, or a larger share of operations failed),
 *unresolved* (the parent's own quartiles are further apart than the bound,
 and not every change run beats every parent run) or *no worse* — and
-exits 1 if anything is worse. Gains are not judged here.
+exits 1 if anything is worse.
+
+``--claim METRIC`` also judges a gain on that metric, per ``--workload``
+and seed, over the untraced pairs in the file: *gain* when the change wins
+at least 9 pairs in 10 (ties count for neither) and its median beats the
+parent's by more than the parent's interquartile range (as a share of its
+median, ``perfbench.noise.iqr_share``), else *not met* — and the script
+exits 2 on *not met* when nothing is worse.
 
 The base is materialised with ``git archive REV`` under ``--workdir``
 (default: the system temp directory), outside the repository; perfbench
@@ -31,6 +38,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.noise import iqr_share  # noqa: E402
+
+#: the share of pairs a claimed gain must win
+CLAIM_WINS = 0.9
 
 
 def pair_schedule(pairs: int) -> list[tuple[str, str]]:
@@ -139,6 +152,33 @@ def report(summary: list[dict], bounds: dict[str, tuple[str, float]]) -> bool:
     return worse
 
 
+def paired(runs: list[dict], workload: str, seed: int, metric: str):
+    """``(parent values, change values)`` of ``metric`` over the complete
+    untraced pairs of one workload and seed, pair by pair."""
+    by_pair: dict[int, dict[str, float]] = {}
+    for run in runs:
+        if (run["workload"], run["seed"], run["trace"]) == (workload, seed, 0):
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"][metric]
+    pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+    return [p["parent"] for p in pairs], [p["change"] for p in pairs]
+
+
+def claim(parent: list[float], change: list[float], better: str) -> tuple[str, str]:
+    """The gain rule on paired values (``parent[k]`` and ``change[k]`` ran
+    as pair ``k``): ``("gain" | "not met", how it was judged)``."""
+    if not parent:
+        return "not met", "no pairs"
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * c > sign * p for p, c in zip(parent, change))
+    base = statistics.median(parent)
+    gap = sign * (statistics.median(change) - base) / abs(base)
+    spread = iqr_share(parent)
+    met = wins >= CLAIM_WINS * len(parent) and gap > spread
+    return ("gain" if met else "not met",
+            f"{wins}/{len(parent)} pairs won, median {gap:+.1%} "
+            f"vs parent IQR {spread:.1%}")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -176,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="BENCH_<pr>.json")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="judge a gain on METRIC for each --workload")
     parser.add_argument(
         "--workdir", default=str(Path(tempfile.gettempdir()) / "perf_ab")
     )
@@ -184,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": materialise(args.base, Path(args.workdir)), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim: {args.claim!r} is not a BENCHMARK.json metric")
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
     doc.update(base=args.base, command=" ".join(spec["command"]) +
@@ -207,7 +251,16 @@ def main(argv: list[str] | None = None) -> int:
                 doc["summary"] = summarize(doc["runs"], better)
                 out.write_text(json.dumps(doc, indent=1) + "\n")
     bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    return 1 if report(summarize(doc["runs"], better), bounds) else 0
+    worse = report(summarize(doc["runs"], better), bounds)
+    not_met = False
+    if args.claim:
+        for workload in args.workload:
+            for seed in (int(s) for s in args.seeds.split(",")):
+                result, how = claim(*paired(doc["runs"], workload, seed, args.claim),
+                                    better[args.claim])
+                print(f"{workload} seed={seed} claim {args.claim}: {result} ({how})")
+                not_met = not_met or result != "gain"
+    return 1 if worse else 2 if not_met else 0
 
 
 if __name__ == "__main__":

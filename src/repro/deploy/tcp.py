@@ -285,7 +285,7 @@ class _AgentProcess:
 @dataclass
 class TcpDeployment:
     spec: DeploymentSpec
-    #: TcpDriver (one thread pair per peer) or AioDriver (one event loop
+    #: TcpDriver (one receiver thread per peer) or AioDriver (one event loop
     #: multiplexing every peer) — same registration and execution surface
     driver: Union[TcpDriver, AioDriver]
     router: StaticRouter
@@ -632,8 +632,8 @@ def build_tcp(
     so passing one here is a :class:`~repro.errors.ConfigError`.
 
     ``client`` picks the caller-side transport: ``"threaded"`` (default)
-    is the :class:`~repro.net.tcp.TcpDriver` with one sender/receiver
-    thread pair per peer; ``"aio"`` is the
+    is the :class:`~repro.net.tcp.TcpDriver`, whose callers send their own
+    frames, with one receiver thread per peer; ``"aio"`` is the
     :class:`~repro.net.aio.AioDriver`, one event loop multiplexing every
     peer socket, which additionally enables
     :meth:`TcpDeployment.async_client` for thousands of concurrent
@@ -643,7 +643,7 @@ def build_tcp(
     benchmark has, and which the caller needs (blocking callers or
     ``async_client()``) is not observable at build time: a lone blocking
     caller driven through the loop's sync facade measured 13-19 % slower
-    than on the thread pairs (perfbench ``norm_ops_per_s``, requester's
+    than on the peer threads (perfbench ``norm_ops_per_s``, requester's
     runs at PR 24: ``fine_mixed_cold`` 645.7 -> 523.4 and 662.8 -> 575.8,
     ``seg_read_warm`` 498.8 -> 434.0), while ``many_clients_aio`` needs
     the loop to run its 64 coroutine clients at all.

@@ -24,14 +24,13 @@ from repro.util.intervals import Interval
 
 # The subtree *shape* a write must build depends only on (geometry, patch)
 # — not on version, providers or refs — and benchmark workloads revisit the
-# same patch slots across iterations and clients. Both the write skeleton
-# and the border-interval set are therefore memoized on those four ints.
-# Entries can be large (proportional to the write-tree size), so on
-# overflow the caches are wholesale-cleared rather than growing forever
-# in long-lived processes writing many distinct patch shapes.
+# same patch slots across iterations and clients. The write skeleton is
+# therefore memoized on those four ints. Entries can be large
+# (proportional to the write-tree size), so on overflow the cache is
+# wholesale-cleared rather than growing forever in long-lived processes
+# writing many distinct patch shapes.
 _SHAPE_CACHE_LIMIT = 4096
 _skeleton_cache: dict[tuple[int, int, int, int], list[tuple]] = {}
-_border_cache: dict[tuple[int, int, int, int], list[Interval]] = {}
 
 
 def _write_skeleton(geom: TreeGeometry, patch: Interval) -> list[tuple]:
@@ -143,16 +142,11 @@ def border_intervals(geom: TreeGeometry, patch: Interval) -> list[Interval]:
     """Child intervals of the write subtree that lie outside the patch.
 
     This is exactly the key set ``plan_write_tree`` expects in
-    ``border_refs``; the version manager walks the same recursion when
-    precomputing references (paper §IV.C), and tests assert the two agree.
+    ``border_refs``; the version manager computes the same set by
+    arithmetic when precomputing references (paper §IV.C), and tests
+    assert the two agree.
     """
     patch = geom.check_aligned(patch.offset, patch.size)
-    cache_key = (geom.total_size, geom.pagesize, patch.offset, patch.size)
-    cached = _border_cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
-    if len(_border_cache) >= _SHAPE_CACHE_LIMIT:
-        _border_cache.clear()
     out: list[Interval] = []
     for row in _write_skeleton(geom, patch):
         if not row[0]:
@@ -161,8 +155,7 @@ def border_intervals(geom: TreeGeometry, patch: Interval) -> list[Interval]:
                 out.append(left)
             if not right_in:
                 out.append(right)
-    _border_cache[cache_key] = out
-    return list(out)
+    return out
 
 
 def count_write_nodes(geom: TreeGeometry, patch: Interval) -> int:

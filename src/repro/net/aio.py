@@ -1,9 +1,9 @@
 """Asyncio client driver: one event loop multiplexing every TCP peer.
 
 The driver built for *client scale* rather than actor placement: the
-blocking TCP driver (:mod:`repro.net.tcp`) dedicates two threads per
-connection (sender + receiver) and one caller thread per in-flight
-protocol, which tops out around the paper's 64 clients; this
+blocking TCP driver (:mod:`repro.net.tcp`) dedicates a receiver thread
+per connection and one caller thread per in-flight protocol (callers send
+their own frames), which tops out around the paper's 64 clients; this
 driver runs a single event-loop thread that multiplexes all peer sockets
 and any number of client coroutines — 10k concurrent client programs are
 ordinary (`benchmarks/test_many_clients.py` sweeps exactly that).

@@ -9,9 +9,9 @@ four actor kinds are hosted by this same agent. Clients are
 :class:`~repro.net.tcp.TcpDriver` and :class:`~repro.net.aio.AioDriver`
 peers; the wire protocol is :mod:`repro.net.codec` messages carrying
 ``("rpc", sub_calls)`` and ``stats``/``telemetry``/``shutdown`` controls
-(grammar and serving helpers in :mod:`repro.net.wire`; the loop that
-answers them, :meth:`_ActorService._loop`, is the only one), prefixed
-by one handshake.
+(grammar and serving helpers in :mod:`repro.net.wire`; the one place
+that answers them is :meth:`_ActorService.serve`), prefixed by one
+handshake.
 
 Invariants this module guarantees (pinned by ``tests/test_tcp_transport.py``
 and ``tests/test_tcp_control_plane.py``):
@@ -25,11 +25,19 @@ and ``tests/test_tcp_control_plane.py``):
   service share one decoder, so buffered complete messages and even a
   partial frame straddling the handshake boundary are honored, never
   dropped.
-- **actor confinement**: every hosted actor is served by a single
-  dedicated service thread with an inbox queue — actor code needs no
-  locking no matter how many connections (a live driver plus a
-  reconnecting one, say) feed it. Connection pump threads only decode
-  and enqueue; replies go out on the connection the request arrived on.
+- **actor confinement**: every hosted actor has one lock, and a request
+  is served on the pump thread of the connection it arrived on, with no
+  hand-off: the pump decodes it, serves it and encodes the reply under
+  the actor's lock, then sends the reply on that same connection. Actor
+  code therefore runs one call at a time and needs no locking of its own,
+  however many connections (a live driver plus a reconnecting one, say)
+  feed it; an actor wedged in a call stalls only the connections bound
+  to it. Server spans report as ``queue_ns`` the time from the read that
+  completed a request to holding the lock, less the request's own
+  decode: serving the requests ahead of it in that read, then the lock
+  wait. There is no inbox: while a pump serves, it does not read, so TCP
+  flow control bounds what a client can queue at an agent — and time
+  spent as bytes not yet read from the socket is in no span.
 - **provider registration at agent start**: given the pm's endpoint, an
   agent hosting data providers registers each of them with the provider
   manager the moment it starts serving (the paper's "each provider
@@ -44,7 +52,6 @@ and ``tests/test_tcp_control_plane.py``):
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
@@ -247,60 +254,51 @@ def build_actor(
 
 
 class _ActorService:
-    """One hosted actor: its service thread, inbox and wire counters."""
+    """One hosted actor, its lock and wire counters: whichever pump thread
+    holds :attr:`lock` is the actor's one caller (module docstring,
+    *actor confinement*), so the counters and the telemetry accumulator
+    change only under it."""
 
-    def __init__(self, agent: "NodeAgent", address: Address, actor: Actor) -> None:
-        self.agent = agent
+    def __init__(self, address: Address, actor: Actor) -> None:
         self.address = address
         self.name = format_actor(address)
         self.actor = actor
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.lock = threading.Lock()
         self.served_rpcs = 0
         self.served_calls = 0
         self.stopped = False
-        self.thread = threading.Thread(
-            target=self._loop, name=f"agent-{self.name}", daemon=True
-        )
-        self.thread.start()
 
-    def _loop(self) -> None:
-        while True:
-            item = self.inbox.get()
-            if item is None:
-                return  # force-stop from NodeAgent.close()
-            conn, req_id, kind, payload, trace, t_enq, nbytes = item
+    def serve(
+        self, req_id: int, kind: str | None, payload, trace, nbytes: int,
+        t_ready: int,
+    ) -> list | None:
+        """Answer one decoded request: the encoded reply, or None when the
+        actor is shut down. ``t_ready`` is when the read that completed the
+        request returned, plus the request's own decode time; from then
+        until the lock is held — earlier requests of the same read being
+        served, then the lock wait — is its queue wait in server spans."""
+        with self.lock:
+            if self.stopped:
+                return None
             if kind == "rpc":
                 self.served_rpcs += 1
                 self.served_calls += len(payload)
-                reply = encode_reply(
+                return encode_reply(
                     req_id,
                     serve_rpc(
                         self.actor, self.address, payload, trace,
-                        time.perf_counter_ns() - t_enq, nbytes,
+                        time.perf_counter_ns() - t_ready, nbytes,
                     ),
                 )
-            elif kind == CTL_STATS:
-                reply = encode_parts(
+            if kind == CTL_STATS:
+                return encode_parts(
                     req_id,
-                    {
-                        "wire_rpcs": self.served_rpcs,
-                        "sub_calls": self.served_calls,
-                    },
+                    {"wire_rpcs": self.served_rpcs, "sub_calls": self.served_calls},
                 )
-            elif kind == CTL_TELEMETRY:
-                # A scrape, not workload: answered in-line on the service
-                # thread (a coherent snapshot needs no locks — the
-                # accumulator's writer is this very thread) and deliberately
-                # NOT counted in served_rpcs/served_calls.
-                reply = encode_parts(
-                    req_id,
-                    {
-                        "wire_rpcs": self.served_rpcs,
-                        "sub_calls": self.served_calls,
-                        "telemetry": telemetry_of(self.actor).snapshot(),
-                    },
-                )
-            elif kind == CTL_SHUTDOWN:
+            if kind == CTL_TELEMETRY:
+                # a scrape, not workload: NOT counted in served_rpcs/calls
+                return encode_parts(req_id, self._report())
+            if kind == CTL_SHUTDOWN:
                 # Clean shutdown path: give durable actors their compaction
                 # point BEFORE acking (NodeAgent.close() deliberately does
                 # not — it models agent *loss*, and recovery must work from
@@ -308,28 +306,25 @@ class _ActorService:
                 close = getattr(self.actor, "close", None)
                 if callable(close):
                     close()
-                self._reply(conn, encode_parts(req_id, True))
                 self.stopped = True
-                self.agent._actor_done(self.name)
-                return
-            elif kind is None:  # a request decode_request refused
-                reply = encode_parts(req_id, payload)
-            else:
-                reply = encode_parts(
-                    req_id,
-                    RemoteError("UnknownControl", f"bad message kind {kind!r}"),
-                )
-            self._reply(conn, reply)
+                return encode_parts(req_id, True)
+            if kind is None:  # a request decode_request refused
+                return encode_parts(req_id, payload)
+            return encode_parts(
+                req_id, RemoteError("UnknownControl", f"bad message kind {kind!r}")
+            )
 
-    @staticmethod
-    def _reply(conn: socket.socket, parts: list) -> None:
-        # A dead connection is the *peer's* problem: its channel drains
-        # in-flight calls as RemoteError the moment it sees EOF, so the
-        # reply it will never read is simply dropped here.
-        try:
-            send_parts(conn, parts)
-        except (OSError, ValueError):
-            pass
+    def report(self) -> dict:
+        """The telemetry control's answer, read under the lock."""
+        with self.lock:
+            return self._report()
+
+    def _report(self) -> dict:
+        return {
+            "wire_rpcs": self.served_rpcs,
+            "sub_calls": self.served_calls,
+            "telemetry": telemetry_of(self.actor).snapshot(),
+        }
 
 
 class NodeAgent:
@@ -363,7 +358,7 @@ class NodeAgent:
             name = format_actor(address)
             if name in self._services:
                 raise ConfigError(f"actor {name!r} hosted twice")
-            self._services[name] = _ActorService(self, address, actor)
+            self._services[name] = _ActorService(address, actor)
         if not self._services:
             raise ConfigError("a node agent needs at least one actor")
         # validate before binding: a bad endpoint must not leak a listener
@@ -513,7 +508,7 @@ class NodeAgent:
         except OSError:
             pass
         for service in self._services.values():
-            service.inbox.put(None)
+            service.stopped = True
         self._close_conns()
         # cancel an in-flight pm registration: a stopped agent must never
         # (re-)enter the allocation pool after the operator took it down
@@ -556,21 +551,34 @@ class NodeAgent:
                     return
                 if not nbytes:
                     return
+                t_read = time.perf_counter_ns()
                 for req_id, body in decoder.buffer_updated(nbytes):
                     if service is None:
                         service = self._handshake(conn, req_id, decode_body(body))
                         if service is None:
                             return
                         continue
+                    t_decode = time.perf_counter_ns()
                     # well framed but undecodable or the wrong shape: that
-                    # request fails typed (kind None; answered by the
-                    # service thread, the connection's only writer) and
-                    # the connection and the actor keep serving
+                    # request fails typed (kind None) and the connection
+                    # and the actor keep serving
                     kind, payload, trace = decode_request(body)
-                    service.inbox.put(
-                        (conn, req_id, kind, payload, trace,
-                         time.perf_counter_ns(), len(body))
+                    # its own decode is work, not waiting
+                    t_ready = t_read + time.perf_counter_ns() - t_decode
+                    reply = service.serve(
+                        req_id, kind, payload, trace, len(body), t_ready
                     )
+                    if reply is None:
+                        return  # the actor is shut down: hang up
+                    try:
+                        send_parts(conn, reply)
+                    except (OSError, ValueError):
+                        # a dead connection is the *peer's* problem: it
+                        # drains its in-flight calls as RemoteError at EOF,
+                        # and the next recv here ends this pump
+                        pass
+                    if kind == CTL_SHUTDOWN:
+                        self._actor_done(service.name)
         except WireCodecError:
             # corrupt framing (or an undecodable hello): drop the
             # connection, keep the agent
@@ -632,11 +640,4 @@ class NodeAgent:
     def telemetry(self) -> dict[str, dict]:
         """Per-actor telemetry reports, same shape as the ``telemetry``
         control answers over the wire (in-process inspection)."""
-        return {
-            name: {
-                "wire_rpcs": s.served_rpcs,
-                "sub_calls": s.served_calls,
-                "telemetry": telemetry_of(s.actor).snapshot(),
-            }
-            for name, s in self._services.items()
-        }
+        return {name: s.report() for name, s in self._services.items()}

@@ -23,12 +23,17 @@ the shell adds is threads:
   waits for its death — then redials on the core's schedule, so a
   restarted agent on the same endpoint resumes service with no driver
   restart and no re-registration;
-- per connection, a sender thread drains an outbound queue (**submits
-  never block** on a busy peer's socket) and a receiver thread routes
-  replies by the 12-byte header alone (**bodies decode on the caller**
-  thread that asked for the data, concurrently across callers);
+- per connection, one receiver thread routes replies by the 12-byte
+  header alone (**bodies decode on the caller** thread that asked for the
+  data, concurrently across callers). There is no sender thread: **the
+  caller sends its own frame**, under the peer's send lock so frames never
+  interleave; ``SOCK_BUF`` (1 MiB) lets a page batch leave without
+  blocking on a busy peer, and a control waits for the lock and for room
+  in the socket no longer than its timeout, so ``stop`` always gets to
+  hang up on a peer that stopped reading;
 - one lock guards the core and the live socket; requests are encoded
-  outside it, so callers pickling page payloads never queue on each other.
+  outside every lock, so callers pickling page payloads never queue on
+  each other.
 
 :class:`PeerRegistry` is what this driver and the asyncio one share:
 registration, health, introspection and destination resolution. **Any
@@ -41,7 +46,7 @@ driver by ``tests/test_driver_conformance.py``.
 
 from __future__ import annotations
 
-import queue
+import select
 import socket
 import threading
 import time
@@ -97,9 +102,10 @@ __all__ = [
 
 
 class TcpPeer:
-    """One remote actor on threads: a live socket with its receiver and
-    sender threads when connected, a fast-failing stub plus a redialing
-    connector thread when not."""
+    """One remote actor on threads: a live socket with its receiver thread
+    when connected, a fast-failing stub plus a redialing connector thread
+    when not. Callers send their own frames, one at a time
+    (``_send_lock``)."""
 
     def __init__(
         self,
@@ -113,12 +119,13 @@ class TcpPeer:
         self.endpoint = parse_endpoint(endpoint)
         self._connect_timeout = connect_timeout
         #: guards the core and, while it is up, the live connection's
-        #: socket, outbound queue and I/O threads (None while down)
+        #: socket and receiver thread (None while down)
         self._lock = threading.Lock()
+        #: held by a caller for the whole of one frame's send
+        self._send_lock = threading.Lock()
         self._conn = Connection(f"{self.actor_name}@{self.endpoint}")
         self._sock: socket.socket | None = None
-        self._outbox: queue.SimpleQueue | None = None
-        self._io: list[threading.Thread] = []
+        self._receiver: threading.Thread | None = None
         self._closed = False
         self._wake = threading.Event()  # the connection went down, or stop()
         self._connected = threading.Event()
@@ -160,20 +167,16 @@ class TcpPeer:
                 self._wake.wait(delay)
                 self._wake.clear()
                 continue
-            outbox: queue.SimpleQueue = queue.SimpleQueue()
-            io = [
-                threading.Thread(target=self._recv_loop, args=(sock,),
-                                 name=f"recv-{self._conn.peer}", daemon=True),
-                threading.Thread(target=self._send_loop, args=(sock, outbox),
-                                 name=f"send-{self._conn.peer}", daemon=True),
-            ]
-            with self._lock:  # a stop() now finds the threads it joins started
+            receiver = threading.Thread(
+                target=self._recv_loop, args=(sock,),
+                name=f"recv-{self._conn.peer}", daemon=True,
+            )
+            with self._lock:  # a stop() now finds the thread it joins started
                 closed = self._closed
                 if not closed:
                     self._conn.connected()
-                    self._sock, self._outbox, self._io = sock, outbox, io
-                    for thread in io:
-                        thread.start()
+                    self._sock, self._receiver = sock, receiver
+                    receiver.start()
                     self._connected.set()
             if closed:
                 force_close(sock)
@@ -190,10 +193,8 @@ class TcpPeer:
                 return
             drained = event(*args)
             error = self._conn.unavailable()
-            outbox = self._outbox
-            self._sock = self._outbox = None
+            self._sock = None
             self._connected.clear()
-        outbox.put(None)
         force_close(sock)
         for entry in drained:
             self._complete(entry, error)
@@ -229,15 +230,32 @@ class TcpPeer:
             except WireCodecError as exc:
                 return self._lose(sock, self._conn.lost, why_lost(exc))
 
-    def _send_loop(self, sock: socket.socket, outbox: queue.SimpleQueue) -> None:
-        while True:
-            frame = outbox.get()
-            if frame is None:
-                return
-            try:
-                send_parts(sock, frame)
-            except (OSError, ValueError) as exc:
-                return self._lose(sock, self._conn.send_failed, exc)
+    def _send(
+        self, sock: socket.socket, frame: list, deadline: float | None = None
+    ) -> bool:
+        """Put one encoded frame on ``sock`` from the calling thread; a
+        failed send takes that connection down. With a ``deadline``
+        (controls), returns False having written nothing if the send lock
+        or room in the socket does not come by then: behind a peer that
+        stopped reading, another caller may sit in ``sendall`` under the
+        lock until the connection is hung up."""
+        timeout = -1 if deadline is None else max(0.0, deadline - time.monotonic())
+        if not self._send_lock.acquire(timeout=timeout):
+            return False
+        try:
+            if deadline is not None:
+                # writable means room for far more than one control frame
+                poller = select.poll()
+                poller.register(sock, select.POLLOUT)
+                remaining = max(0.0, deadline - time.monotonic())
+                if not poller.poll(remaining * 1000):
+                    return False
+            send_parts(sock, frame)
+        except (OSError, ValueError) as exc:
+            self._lose(sock, self._conn.send_failed, exc)
+        finally:
+            self._send_lock.release()
+        return True
 
     # -- RPC surface -----------------------------------------------------
 
@@ -249,7 +267,8 @@ class TcpPeer:
         gen: int,
         trace: Any = None,
     ) -> None:
-        """Send one wire group; the receiver thread completes the latch.
+        """Send one wire group from the calling thread; the receiver
+        thread completes the latch.
 
         ``slot`` is the batch's one-element mailbox for this group: it
         receives the raw reply body, which the *caller* decodes after the
@@ -259,7 +278,7 @@ class TcpPeer:
         try:
             with self._lock:
                 req_id = self._conn.open(("rpc", slot, latch, gen))
-                outbox = self._outbox
+                sock = self._sock
         except RemoteError as error:
             slot[0] = error
             latch.group_done(gen)
@@ -277,17 +296,22 @@ class TcpPeer:
                 slot[0] = RemoteError.wrap(exc)
                 latch.group_done(gen)
             return
-        outbox.put(frame)
+        self._send(sock, frame)
 
     def control(self, kind: str, timeout: float = 10.0) -> Any:
-        """Round-trip one control message; raises on a down connection."""
+        """Round-trip one control message; raises on a down connection,
+        and ``TimeoutError`` when it is neither sent nor answered within
+        ``timeout``."""
+        deadline = time.monotonic() + timeout
         box: list[Any] = [None]
         event = threading.Event()
         with self._lock:
             req_id = self._conn.open(("ctl", box, event))
-            outbox = self._outbox
-        outbox.put(control_frame(req_id, kind))
-        if not event.wait(timeout):
+            sock = self._sock
+        if not (
+            self._send(sock, control_frame(req_id, kind), deadline)
+            and event.wait(max(0.0, deadline - time.monotonic()))
+        ):
             with self._lock:
                 raise self._conn.timed_out(req_id, kind, timeout)
         return control_result(box[0])
@@ -302,7 +326,7 @@ class TcpPeer:
             if self._closed:
                 return
             self._closed = True
-            sock, io = self._sock, self._io
+            sock, receiver = self._sock, self._receiver
         self._wake.set()
         if sock is not None:
             if send_shutdown:
@@ -312,8 +336,8 @@ class TcpPeer:
                     pass  # peer already dead or wedged; just hang up
             self._lose(sock, self._conn.stopped, send_shutdown)
         self._thread.join(timeout=5)
-        for thread in io:
-            thread.join(timeout=5)
+        if receiver is not None:
+            receiver.join(timeout=5)
 
     def drop(self) -> None:
         """Sever the current connection without closing the peer (failure

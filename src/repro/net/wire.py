@@ -16,8 +16,8 @@ rather than about one side's I/O lives here:
   :func:`control_result` check what comes back;
 - the control vocabulary (``stats``, ``telemetry``, ``shutdown``) and the
   serving helpers (:func:`decode_request`, :func:`serve_rpc`,
-  :func:`encode_reply`) the one serving loop,
-  :meth:`repro.net.node._ActorService._loop`, is made of.
+  :func:`encode_reply`) the one serving path,
+  :meth:`repro.net.node._ActorService.serve`, is made of.
 
 Invariants this module guarantees (pinned without sockets by
 ``tests/test_wire_connection.py``, and through both shells by
@@ -66,7 +66,7 @@ SOCK_BUF = 1 << 20
 COALESCE_MAX_CALLS = 64
 COALESCE_MAX_BYTES = SOCK_BUF
 
-#: control message kinds understood by the agent's service loop.
+#: control message kinds a node agent answers.
 #: Controls are *not* counted as wire RPCs by either side, so a stats or
 #: telemetry scrape never perturbs workload counter assertions.
 CTL_STATS = "stats"

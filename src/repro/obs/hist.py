@@ -3,7 +3,8 @@
 The recording primitive of the telemetry subsystem: a fixed array of
 integer buckets covering the full ``uint64`` nanosecond range with
 bounded relative error, designed for the actor-confinement threading
-model — **one writer per histogram** (the actor's service thread, or the
+model — **one writer per histogram at a time** (the actor's service
+thread, whichever node-agent connection holds the actor's lock, or the
 owning caller thread), readers tolerate torn snapshots because buckets
 only ever grow.
 

@@ -61,7 +61,11 @@ SPAN_KEYS = (
     "domain",    # clock-domain id the timestamps are relative to
     "start_ns",  # domain-relative start, nanoseconds
     "end_ns",    # domain-relative end, nanoseconds
-    "queue_ns",  # queue wait preceding start_ns (server spans; else 0)
+    "queue_ns",  # queue wait preceding start_ns (server spans; else 0):
+                 # on a node agent, from the read that completed the
+                 # request to holding the actor's lock, less its own
+                 # decode (bytes still unread in socket buffers are not
+                 # measured)
     "bytes",     # request payload bytes (0 when unknown)
     "error",     # bool: did the unit end in an error
 )

@@ -2,9 +2,11 @@
 
 One :class:`ActorTelemetry` rides on every actor object
 (:func:`telemetry_of` attaches it lazily at the first dispatched call).
-Because every driver confines an actor to a single service thread, the
-accumulator is strictly single-writer — no locks anywhere on the record
-path, which is what keeps telemetry cheap enough to stay default-on.
+Because every driver confines an actor to one thread at a time — its
+service thread, or on a node agent whichever connection holds the actor's
+lock — the accumulator is strictly single-writer: no locks of its own on
+the record path, which is what keeps telemetry cheap enough to stay
+default-on.
 
 What it holds:
 

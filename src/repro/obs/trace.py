@@ -13,7 +13,10 @@ service split and its trace attribution from.
 
 Both contexts are thread-local, which is exactly right for this
 codebase's threading model: a caller thread runs one protocol at a time,
-a service thread serves one wire RPC at a time. On the in-process
+a service thread (or a node agent's connection thread, under the actor's
+lock) serves one wire RPC at a time. On a node agent the queue wait runs
+from the read that completed the request to holding that lock, less the
+request's own decode. On the in-process
 drivers (inproc, simulated) caller and server share a thread, so the
 caller's open trace is visible to the dispatch point with no envelope at
 all — propagation is the degenerate same-thread case.

@@ -52,6 +52,10 @@ logger = logging.getLogger("repro.vm")
 #: Sentinel clients pass to READ for "the latest published version".
 LATEST = -1
 
+#: layout tag of the pickled state a snapshot holds; ``_restore`` refuses
+#: any other (version 2: patch histories keyed by ``(offset, size)`` ints)
+SNAPSHOT_FORMAT = "repro.vm/2"
+
 
 @dataclass(frozen=True, slots=True)
 class WriteTicket:
@@ -121,6 +125,7 @@ class VersionManager:
 
     def _snapshot_state(self) -> dict[str, Any]:
         return {
+            "format": SNAPSHOT_FORMAT,
             "blobs": self._blobs,
             "alloc_counter": self._alloc_counter,
             "assigns": self.assigns,
@@ -128,6 +133,15 @@ class VersionManager:
         }
 
     def _restore(self, state: dict[str, Any]) -> None:
+        found = state.get("format")
+        if found != SNAPSHOT_FORMAT:
+            from repro.core.journal import JournalError
+
+            raise JournalError(
+                f"vm snapshot in {self.journal.directory} has format "
+                f"{found!r}, not {SNAPSHOT_FORMAT!r}: its patch histories "
+                "would be misread — refusing"
+            )
         self._blobs = state["blobs"]
         self._alloc_counter = state["alloc_counter"]
         self.assigns = state["assigns"]
@@ -220,20 +234,14 @@ class VersionManager:
     def _apply_assign(self, blob_id: str, offset: int, size: int) -> WriteTicket:
         st = self._state(blob_id)
         patch = st.geom.check_aligned(offset, size)
-        refs = st.history.border_refs(patch)
+        refs = st.history.ticket_refs(offset, size)
         version = st.next_version
         st.next_version += 1
         st.history.record(version, patch)
         st.in_flight[version] = patch
         st.assigned_at[version] = self.completions
         self.assigns += 1
-        return WriteTicket(
-            blob_id=blob_id,
-            version=version,
-            border_refs=tuple(
-                sorted(((iv.offset, iv.size), v) for iv, v in refs.items())
-            ),
-        )
+        return WriteTicket(blob_id=blob_id, version=version, border_refs=refs)
 
     def complete(self, blob_id: str, version: int) -> int:
         """Report success; publish in-order; return latest published."""
@@ -391,14 +399,13 @@ class VersionManager:
     def patches(self, blob_id: str) -> list[tuple[int, int, int]]:
         """Recorded patch catalog: ``(version, offset, size)`` per write
         (published and in-flight), in version order. Tooling surface."""
-        st = self._state(blob_id)
-        return [(v, p.offset, p.size) for v, p in st.history.patches]
+        return list(self._state(blob_id).history.patches)
 
     def patch_of(self, blob_id: str, version: int) -> Interval:
         st = self._state(blob_id)
-        for v, patch in st.history.patches:
+        for v, offset, size in st.history.patches:
             if v == version:
-                return patch
+                return Interval(offset, size)
         raise StaleWrite(f"blob {blob_id}: no recorded patch for version {version}")
 
     def _state(self, blob_id: str) -> _BlobState:

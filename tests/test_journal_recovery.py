@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,26 @@ def test_runtime_compaction_is_transparent(tmp_path):
     vm.journal.close()  # unclean: recovery goes through snapshot + tail
     vm2 = VersionManager(journal=Journal(tmp_path, snapshot_every=5))
     assert vm_fingerprint(vm2) == vm_fingerprint(vm)
+
+
+def test_vm_refuses_a_snapshot_of_another_layout(tmp_path):
+    """A snapshot state without the vm's ``format`` tag (the layout whose
+    patch histories were keyed by ``Interval`` objects) or with another
+    one is refused, naming the directory — never misread as a history in
+    which every lookup misses and every border ref comes back 0."""
+    vm = VersionManager(journal=Journal(tmp_path))
+    b = vm.alloc(TOTAL, PAGE)
+    vm.complete(b, vm.assign(b, 0, PAGE).version)
+    state = vm._snapshot_state()
+    vm.close()
+    untagged = {k: v for k, v in state.items() if k != "format"}
+    for stale in (untagged, dict(state, format="repro.vm/1")):
+        journal = Journal(tmp_path)
+        journal.open()
+        journal.compact(stale)
+        journal.close()
+        with pytest.raises(JournalError, match=re.escape(str(tmp_path))):
+            VersionManager(journal=Journal(tmp_path))
 
 
 # ---------------------------------------------------------------------------

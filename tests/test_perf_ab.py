@@ -116,6 +116,48 @@ def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert perf_ab.verdict(_row(clear), BOUNDS)["norm_ops_per_s"] == "no worse"
 
 
+PARENT = [1000, 1010, 990, 1005, 995, 1000, 1002, 998, 1003, 997]
+
+
+def _claimed(changes, parents=PARENT) -> tuple[str, str]:
+    """The ``--claim norm_ops_per_s`` verdict on canned pairs, read back
+    through the runs file exactly as the script does."""
+    runs = []
+    for k, (p_ops, c_ops) in enumerate(zip(parents, changes)):
+        for side, ops in (("parent", p_ops), ("change", c_ops)):
+            run = perf_ab.parse_run(_stdout(ops, 200))
+            run.update(workload="w", seed=1, trace=0, pair=k, side=side)
+            runs.append(run)
+    runs.append(dict(runs[0], trace=1))  # traced runs are not judged
+    return perf_ab.claim(*perf_ab.paired(runs, "w", 1, "norm_ops_per_s"), "higher")
+
+
+def test_claim_is_a_gain_on_nine_wins_in_ten_clear_of_the_iqr():
+    changes = [1100] * 9 + [900]
+    result, how = _claimed(changes)
+    assert result == "gain"
+    assert how.startswith("9/10 pairs won, median +")
+
+
+def test_claim_is_not_met_on_eight_wins_in_ten():
+    changes = [1100] * 8 + [900, PARENT[9]]  # the tie counts for neither
+    assert _claimed(changes)[0] == "not met"
+
+
+def test_claim_is_not_met_when_the_median_gap_is_inside_the_parent_iqr():
+    parents = [800, 850, 900, 950, 1000, 1050, 1100, 1150, 1200, 1250]
+    changes = [p + 10 for p in parents]  # 10/10 wins, 1 % against a 25 % IQR
+    result, how = _claimed(changes, parents)
+    assert result == "not met"
+    assert how.startswith("10/10 pairs won")
+
+
+def test_claim_on_lower_is_better_metrics_and_without_pairs():
+    assert perf_ab.claim([10.0] * 10, [9.0] * 10, "lower")[0] == "gain"
+    assert perf_ab.claim([10.0] * 10, [11.0] * 10, "lower")[0] == "not met"
+    assert perf_ab.claim([], [], "higher") == ("not met", "no pairs")
+
+
 def test_report_prints_a_line_per_metric_and_flags_worse(capsys):
     good = _row([(1000, 990, 200, 200)] * 3)
     bad = dict(_row([(1000, 500, 200, 200)] * 3), workload="v")

@@ -5,7 +5,7 @@ The pins that describe *transport semantics* (submission counts, typed
 errors, killed-peer drain, replica fail-over, clean shutdown exit codes,
 reconnect to a restarted agent) have one body each and run once per
 client shell, chosen by the ``client`` fixture: this module runs them on
-``threaded`` — :class:`~repro.net.tcp.TcpDriver`, a thread pair per peer
+``threaded`` — :class:`~repro.net.tcp.TcpDriver`, a receiver thread per peer
 — and ``tests/test_aio_transport.py`` collects the same functions with
 ``client`` overridden to ``aio`` — :class:`~repro.net.aio.AioDriver`, one
 event loop. Same agents, same wire, same failure modes. Where the two
