@@ -70,9 +70,7 @@ def main(argv=None) -> None:
 
         report = pipe.run_campaign(epochs=args.epochs)
     finally:
-        close = getattr(dep, "close", None)
-        if close is not None:
-            close()
+        dep.close()
 
     print("epoch -> published blob version:")
     for epoch, version in enumerate(report.epoch_versions):

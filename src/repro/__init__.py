@@ -29,10 +29,10 @@ from repro.core.gc import GCStats
 from repro.core.protocol import ReadResult, WriteResult
 from repro.metadata.inspect import TreeInspector
 from repro.version.diff import changed_ranges
-from repro.deploy.inproc import InprocDeployment, build_inproc
+from repro.deploy.inproc import Deployment, build_inproc
 from repro.deploy.simulated import SimClient, SimDeployment
 from repro.deploy.tcp import TcpDeployment, build_tcp
-from repro.deploy.threaded import ThreadedDeployment, build_threaded
+from repro.deploy.threaded import build_threaded
 from repro.errors import (
     BlobNotFound,
     ConfigError,
@@ -64,11 +64,10 @@ __all__ = [
     "GCStats",
     "ReadResult",
     "WriteResult",
-    "InprocDeployment",
+    "Deployment",
     "build_inproc",
     "SimClient",
     "SimDeployment",
-    "ThreadedDeployment",
     "build_threaded",
     "TcpDeployment",
     "build_tcp",

@@ -20,21 +20,22 @@ from repro.core.protocol import (
     virtual_pages,
     write_protocol,
 )
+from repro.deploy.inproc import _Inspection, build_control_plane, plan_loopback_nodes
 from repro.metadata.cache import MetadataCache
-from repro.metadata.provider import MetadataProvider, blob_nodes
+from repro.metadata.provider import MetadataProvider
 from repro.metadata.router import StaticRouter
 from repro.metadata.tree import TreeGeometry
+from repro.net.node import build_actor
 from repro.net.simdriver import SimRpcExecutor
 from repro.providers.data_provider import DataProvider
-from repro.providers.manager import ProviderManager
-from repro.providers.strategies import make_strategy
 from repro.sim.engine import Process, Simulator
 from repro.sim.network import ClusterSpec, Network, SimNode
-from repro.version.manager import VersionManager
 
 
-class SimDeployment:
-    """Actors placed on simulated nodes; spawn clients and run protocols."""
+class SimDeployment(_Inspection):
+    """Actors placed on simulated nodes; spawn clients and run protocols.
+    Inspection (``blob_nodes``, ``total_pages_stored``, ...) reads the
+    actors directly, in zero simulated time."""
 
     def __init__(
         self,
@@ -46,32 +47,25 @@ class SimDeployment:
         self.network = Network(self.sim, cluster)
         self.executor = SimRpcExecutor(self.sim, self.network)
 
-        self.vm = VersionManager()
-        self.pm = ProviderManager(
-            make_strategy(self.spec.strategy, **self.spec.strategy_kwargs),
-            replication=self.spec.replication,
-        )
-        vm_node = self.network.add_node("vm-node")
-        pm_node = self.network.add_node("pm-node")
-        self.executor.register("vm", self.vm, vm_node)
-        self.executor.register("pm", self.pm, pm_node)
+        self.vm, self.pm = build_control_plane(self.spec)
+        self.executor.register("vm", self.vm, self.network.add_node("vm-node"))
+        self.executor.register("pm", self.pm, self.network.add_node("pm-node"))
 
         self.data: dict[int, DataProvider] = {}
         self.meta: dict[int, MetadataProvider] = {}
-        if self.spec.colocate:
-            # One physical node hosts data provider i and metadata provider i
-            # (the layout of every experiment in the paper).
-            for i in range(max(self.spec.n_data, self.spec.n_meta)):
-                node = self.network.add_node(f"prov-{i}")
-                if i < self.spec.n_data:
-                    self._add_data(i, node)
-                if i < self.spec.n_meta:
-                    self._add_meta(i, node)
-        else:
-            for i in range(self.spec.n_data):
-                self._add_data(i, self.network.add_node(f"data-{i}"))
-            for i in range(self.spec.n_meta):
-                self._add_meta(i, self.network.add_node(f"meta-{i}"))
+        stores = {"data": self.data, "meta": self.meta}
+        # colocated, node ``prov-i`` hosts data provider i and metadata
+        # provider i (the layout of every experiment in the paper)
+        for i, names in enumerate(plan_loopback_nodes(self.spec)):
+            node = self.network.add_node(
+                f"prov-{i}" if self.spec.colocate else names[0].replace("/", "-")
+            )
+            for name in names:
+                address, actor = build_actor(
+                    name, checksum=self.spec.page_checksums
+                )
+                stores[address[0]][address[1]] = actor
+                self.executor.register(address, actor, node)
 
         self.router = StaticRouter(
             sorted(self.meta), self.spec.replication, self.spec.meta_subtree_bytes
@@ -80,18 +74,6 @@ class SimDeployment:
             self.network.add_node(f"client-{i}", role="client")
             for i in range(self.spec.n_clients)
         ]
-        self._clients: list[SimClient] = []
-
-    def _add_data(self, i: int, node: SimNode) -> None:
-        dp = DataProvider(i, checksum=self.spec.page_checksums)
-        self.data[i] = dp
-        self.executor.register(("data", i), dp, node)
-        self.pm.register(i)
-
-    def _add_meta(self, i: int, node: SimNode) -> None:
-        mp = MetadataProvider(i)
-        self.meta[i] = mp
-        self.executor.register(("meta", i), mp, node)
 
     # -- clients ----------------------------------------------------------
 
@@ -109,14 +91,12 @@ class SimDeployment:
             capacity = 1 << 20
         if cached is False:
             capacity = 0
-        client = SimClient(
+        return SimClient(
             self,
             self.client_nodes[index],
             name=name or f"sim-client-{index}",
             cache_capacity=capacity,
         )
-        self._clients.append(client)
-        return client
 
     # -- setup conveniences (zero simulated time) ---------------------------
 
@@ -128,14 +108,6 @@ class SimDeployment:
     def geometry(self, blob_id: str) -> TreeGeometry:
         total_size, pagesize, _ = self.vm.stat(blob_id)
         return TreeGeometry(total_size, pagesize)
-
-    def blob_nodes(self, blob_id: str) -> list["TreeNode"]:
-        """Every stored tree node of a blob across all metadata providers.
-
-        Setup/inspection helper (zero simulated time); computed fresh on
-        each call so it always reflects the current store.
-        """
-        return blob_nodes(self.meta.values(), blob_id)
 
     def warm_client_cache(self, client: "SimClient", blob_id: str) -> int:
         """Fill a client's metadata cache with every stored node of a blob.

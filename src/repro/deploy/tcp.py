@@ -30,10 +30,10 @@ tiny — live:
   with ``--pm``), and the builder blocks until the pm has learned every
   provider, so allocation never races registration.
 
-The inspection surface (``blob_nodes``, ``total_pages_stored``,
-``transport_stats``, ``server_stats``) is deployment-parity by
-construction: ``data`` and ``meta`` are dicts of *proxies* with the
-``iter_pages`` / ``iter_nodes`` / ``stats`` surface the in-process
+The returned :class:`TcpDeployment` is a
+:class:`~repro.deploy.inproc.Deployment` like every other builder's:
+``data`` and ``meta`` are dicts of *proxies* with the ``iter_pages`` /
+``iter_nodes`` / ``page_count`` / ``node_count`` surface the in-process
 deployments expose from live actor objects (the conformance suite reads
 both to prove bit-identical pages and trees), plus vm/pm proxies when
 the control plane is remote — all fetching over TCP.
@@ -49,116 +49,82 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
-from repro.core.client import AsyncBlobClient, BlobClient
+from repro.core.client import AsyncBlobClient
 from repro.core.config import DeploymentSpec
+from repro.deploy.inproc import Deployment, build_control_plane, plan_loopback_nodes
 from repro.errors import ConfigError
 from repro.metadata.router import StaticRouter
 from repro.net.address import CONTROL_ACTORS, ClusterMap, Endpoint, format_actor
 from repro.net.aio import AioDriver
 from repro.net.tcp import TcpDriver
-from repro.providers.manager import ProviderManager
 from repro.providers.strategies import make_strategy
-from repro.version.manager import VersionManager
 
 #: how long the builder waits for a launched agent's READY line
 LAUNCH_TIMEOUT = 30.0
 
 
-class DataProviderProxy:
+class _ActorProxy:
+    """Parent-side view of one actor on a node agent: each inspection
+    method is one RPC to it."""
+
+    def __init__(self, driver: Union[TcpDriver, AioDriver], address) -> None:
+        self._driver = driver
+        self._address = address
+
+    def _call(self, method: str, *args):
+        return self._driver.call(self._address, method, args)
+
+
+class DataProviderProxy(_ActorProxy):
     """Parent-side view of a data provider on a node agent."""
 
-    def __init__(
-        self, driver: Union[TcpDriver, AioDriver], provider_id: int
-    ) -> None:
-        self._driver = driver
-        self.provider_id = provider_id
-        self._address = ("data", provider_id)
-
     def iter_pages(self, blob_id: str) -> Iterable[tuple]:
-        return iter(self._driver.call(self._address, "data.dump_pages", (blob_id,)))
-
-    def stats(self) -> dict[str, int]:
-        return self._driver.call(self._address, "data.stats")
+        return iter(self._call("data.dump_pages", blob_id))
 
     @property
     def page_count(self) -> int:
-        return self.stats()["pages"]
+        return self._call("data.stats")["pages"]
 
 
-class MetadataProviderProxy:
+class MetadataProviderProxy(_ActorProxy):
     """Parent-side view of a metadata provider on a node agent."""
 
-    def __init__(
-        self, driver: Union[TcpDriver, AioDriver], provider_id: int
-    ) -> None:
-        self._driver = driver
-        self.provider_id = provider_id
-        self._address = ("meta", provider_id)
-
     def iter_nodes(self, blob_id: str) -> Iterable:
-        return iter(self._driver.call(self._address, "meta.dump_nodes", (blob_id,)))
-
-    def stats(self) -> dict[str, int]:
-        return self._driver.call(self._address, "meta.stats")
+        return iter(self._call("meta.dump_nodes", blob_id))
 
     @property
     def node_count(self) -> int:
-        return self.stats()["nodes"]
+        return self._call("meta.stats")["nodes"]
 
 
-class VersionManagerProxy:
+class VersionManagerProxy(_ActorProxy):
     """Parent-side view of a version manager on its own node agent.
 
     Exposes the inspection surface deployments and tests read
-    (``get_latest``, ``patches``, ``stat``, ``in_flight_versions``) with
-    the same signatures as a live :class:`VersionManager`, each fetched
-    as one ``vm.*`` RPC. Protocol traffic (assign/complete/resolve) does
-    not go through this proxy — clients reach the remote vm through the
-    driver like any other actor.
+    (``get_latest``, ``patches``) with the same signatures as a live
+    :class:`~repro.version.manager.VersionManager`, each fetched as one
+    ``vm.*`` RPC. Protocol traffic (assign/complete/resolve) does not go
+    through this proxy — clients reach the remote vm through the driver
+    like any other actor.
     """
 
-    def __init__(self, driver: TcpDriver) -> None:
-        self._driver = driver
-
     def get_latest(self, blob_id: str) -> int:
-        return self._driver.call("vm", "vm.get_latest", (blob_id,))
-
-    def stat(self, blob_id: str) -> tuple[int, int, int]:
-        return self._driver.call("vm", "vm.stat", (blob_id,))
+        return self._call("vm.get_latest", blob_id)
 
     def patches(self, blob_id: str) -> list[tuple[int, int, int]]:
-        return self._driver.call("vm", "vm.patches", (blob_id,))
-
-    def in_flight_versions(self, blob_id: str) -> list[int]:
-        return self._driver.call("vm", "vm.in_flight", (blob_id,))
+        return self._call("vm.patches", blob_id)
 
 
-class ProviderManagerProxy:
+class ProviderManagerProxy(_ActorProxy):
     """Parent-side view of a provider manager on its own node agent."""
 
-    def __init__(self, driver: TcpDriver) -> None:
-        self._driver = driver
-
     def providers(self) -> list[int]:
-        return self._driver.call("pm", "pm.providers")
-
-    @property
-    def provider_count(self) -> int:
-        return len(self.providers())
-
-    def register(self, provider_id: int) -> int:
-        return self._driver.call("pm", "pm.register", (provider_id,))
-
-    def deregister(self, provider_id: int) -> int:
-        return self._driver.call("pm", "pm.deregister", (provider_id,))
-
-    def report_usage(self, provider_id: int, nbytes: int) -> bool:
-        return self._driver.call("pm", "pm.report_usage", (provider_id, nbytes))
+        return self._call("pm.providers")
 
     def config(self) -> dict:
-        return self._driver.call("pm", "pm.config")
+        return self._call("pm.config")
 
 
 class _AgentProcess:
@@ -197,8 +163,11 @@ class _AgentProcess:
         # kept for respawn(): a restarted agent reruns the same command
         self.argv = argv
         self.env = env
+        self._spawn(argv)
+
+    def _spawn(self, argv: list[str]) -> None:
         self.proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, env=env, text=True
+            argv, stdout=subprocess.PIPE, env=self.env, text=True
         )
         self.endpoint: Endpoint | None = None
 
@@ -218,10 +187,7 @@ class _AgentProcess:
         self.close_pipe()
         argv = list(self.argv)
         argv[argv.index("--port") + 1] = str(self.endpoint.port)
-        self.proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, env=self.env, text=True
-        )
-        self.endpoint = None
+        self._spawn(argv)
 
     def wait_ready(self, deadline: float) -> Endpoint:
         """Block (bounded) for the agent's ``READY host port`` line."""
@@ -283,42 +249,23 @@ class _AgentProcess:
 
 
 @dataclass
-class TcpDeployment:
-    spec: DeploymentSpec
-    #: TcpDriver (one receiver thread per peer) or AioDriver (one event loop
-    #: multiplexing every peer) — same registration and execution surface
-    driver: Union[TcpDriver, AioDriver]
-    router: StaticRouter
-    #: live objects when the control plane is in-parent, proxies when it
-    #: runs on its own agents (same inspection surface either way)
-    vm: Union[VersionManager, VersionManagerProxy]
-    pm: Union[ProviderManager, ProviderManagerProxy]
-    data: dict[int, DataProviderProxy]
-    meta: dict[int, MetadataProviderProxy]
-    cluster_map: ClusterMap
+class TcpDeployment(Deployment):
+    """A :class:`~repro.deploy.inproc.Deployment` behind node agents, plus
+    what only a cluster of OS processes has: launched agents, the cluster
+    map, elastic membership and failure injection. ``driver`` is a
+    TcpDriver or an AioDriver; ``vm``/``pm`` are live objects in the
+    parent or proxies to their own agents. With remote vm/pm,
+    ``stats_base`` holds the registration traffic — exact for *launched*
+    clusters (the builder waits for quiescence); an operator-run agent
+    still retrying its ``--pm`` registration can land one late frame.
+    """
+
+    source: str = "tcp"
+    cluster_map: ClusterMap = field(default_factory=ClusterMap)
     #: True when vm/pm live on their own node agents (zero in-parent actors)
     remote_control_plane: bool = False
-    #: per-actor ``(wire_rpcs, sub_calls)`` already served when the build
-    #: returned — the deployment's own setup traffic (fully-remote control
-    #: plane: provider registration, both the agents' self-registration
-    #: frames and the builder's registration poll). Subtract from
-    #: ``driver.server_stats()`` to get workload-only counts. Exact for
-    #: *launched* clusters (the builder waits until registration traffic
-    #: is quiescent); for operator-run agents dialed via ``endpoints`` an
-    #: agent still retrying its own ``--pm`` registration can land one
-    #: late frame after this snapshot.
-    stats_base: dict = field(default_factory=dict)
-    #: caller-side transport counters at build time (the builder's own
-    #: calls); subtract from ``transport_stats()`` for workload-only counts
-    transport_base: dict = field(default_factory=dict)
     #: launched loopback agents (empty in connected mode)
     agents: list[_AgentProcess] = field(default_factory=list)
-    _clients: list[BlobClient] = field(default_factory=list)
-
-    @property
-    def stats_base_rpcs(self) -> int:
-        """Total setup wire RPCs (see :attr:`stats_base`)."""
-        return sum(r for r, _ in self.stats_base.values())
 
     def in_parent_actors(self) -> list:
         """Addresses served by threads inside the client parent — the
@@ -326,17 +273,6 @@ class TcpDeployment:
         list when the deployment is fully distributed."""
         remote = set(self.driver.remote_addresses())
         return [a for a in self.driver.addresses() if a not in remote]
-
-    def client(self, name: str | None = None) -> BlobClient:
-        c = BlobClient(
-            self.driver,
-            self.router,
-            name=name,
-            cache_capacity=self.spec.cache_capacity,
-            elastic=self.spec.strategy == "hash_ring",
-        )
-        self._clients.append(c)
-        return c
 
     def async_client(self, name: str | None = None) -> AsyncBlobClient:
         """A coroutine-facade client (``build_tcp(..., client="aio")``
@@ -355,56 +291,6 @@ class TcpDeployment:
             cache_capacity=self.spec.cache_capacity,
             elastic=self.spec.strategy == "hash_ring",
         )
-
-    @property
-    def data_ids(self) -> list[int]:
-        return sorted(self.data)
-
-    @property
-    def meta_ids(self) -> list[int]:
-        return sorted(self.meta)
-
-    def total_pages_stored(self) -> int:
-        return sum(p.page_count for p in self.data.values())
-
-    def blob_nodes(self, blob_id: str) -> list:
-        """Every stored tree node of a blob across all metadata providers
-        (inspection surface shared with the other deployments; the
-        cross-driver conformance suite compares these). Fetched over the
-        wire, one ``meta.dump_nodes`` RPC per provider."""
-        return [
-            node
-            for proxy in self.meta.values()
-            for node in proxy.iter_nodes(blob_id)
-        ]
-
-    def transport_stats(self) -> dict[str, int]:
-        """Batched-transport counters (see ThreadedDriver.transport_stats)."""
-        return self.driver.transport_stats()
-
-    def workload_stats(self) -> dict:
-        """Per-actor ``(wire_rpcs, sub_calls)`` with the deployment's own
-        setup traffic (:attr:`stats_base`) subtracted — the counts the
-        *workload* generated. Telemetry/stats scrapes travel as controls
-        and are invisible to these counters, so scraping between two
-        reads of this never perturbs the difference."""
-        stats = self.driver.server_stats()
-        return {
-            a: (
-                r - self.stats_base.get(a, (0, 0))[0],
-                c - self.stats_base.get(a, (0, 0))[1],
-            )
-            for a, (r, c) in stats.items()
-        }
-
-    def metrics(self) -> dict:
-        """The cluster's unified telemetry document (``repro.metrics/1``):
-        per-actor/per-method latency histograms, error counters and slow
-        spans, scraped over the wire via the ``telemetry`` control (see
-        :mod:`repro.obs.metrics`; the CLI twin is ``repro.tools.metrics``)."""
-        from repro.obs.metrics import scrape_driver
-
-        return scrape_driver(self.driver, source="tcp")
 
     # -- elastic membership ----------------------------------------------
 
@@ -447,16 +333,10 @@ class TcpDeployment:
         self.driver.register_remote(("data", new_id), endpoint)
         self.driver.peer(("data", new_id)).wait_connected(timeout)
         if self.remote_control_plane:
-            while new_id not in self.driver.call("pm", "pm.providers"):
-                if time.monotonic() > deadline:
-                    raise ConfigError(
-                        f"pm never learned new provider {new_id} "
-                        "(its agent registers at start via --pm)"
-                    )
-                time.sleep(0.05)
+            _await_pm_registration(self.driver, [new_id], deadline)
         else:
             self.pm.register(new_id)
-        self.data[new_id] = DataProviderProxy(self.driver, new_id)
+        self.data[new_id] = DataProviderProxy(self.driver, ("data", new_id))
         return new_id
 
     def rebalance(self, limit_moves: int | None = None) -> dict:
@@ -493,16 +373,11 @@ class TcpDeployment:
         address = ("data", provider_id)
         self.driver.peer(address).stop()
         self.data.pop(provider_id, None)
-        try:
-            idx = self.agent_index_for(address)
-        except KeyError:
-            idx = None
-        if idx is not None and self.agents[idx].actor_names == [
-            format_actor(address)
-        ]:
-            # the agent hosted only this actor: its serve loop exits now
-            self.agents[idx].reap()
-            self.agents[idx].close_pipe()
+        for agent in self.agents:
+            if agent.actor_names == [format_actor(address)]:
+                # the agent hosted only this actor: its serve loop exits now
+                agent.reap()
+                agent.close_pipe()
         return summary
 
     # -- failure injection ------------------------------------------------
@@ -541,42 +416,22 @@ class TcpDeployment:
 
     def close(self) -> None:
         # orderly: every peer sends its actor the shutdown control, so
-        # each agent's serve_forever returns once its last actor stops
-        self.driver.close()
+        # each agent's serve_forever returns once its last actor stops;
+        # an in-parent control plane closes after its threads joined
+        if self.remote_control_plane:
+            self.driver.close()
+        else:
+            super().close()
         for agent in self.agents:
             agent.reap()
             agent.close_pipe()
 
-    def __enter__(self) -> "TcpDeployment":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def plan_loopback_nodes(spec: DeploymentSpec) -> list[list[str]]:
-    """Actor names per launched node, the paper's colocated layout:
-    node ``i`` hosts ``data/i`` and ``meta/i`` (``spec.colocate``), or
-    one agent per actor when colocation is off."""
-    data = [format_actor(("data", i)) for i in range(spec.n_data)]
-    meta = [format_actor(("meta", i)) for i in range(spec.n_meta)]
-    if not spec.colocate:
-        return [[name] for name in data + meta]
-    nodes = []
-    for i in range(max(spec.n_data, spec.n_meta)):
-        node = []
-        if i < spec.n_data:
-            node.append(data[i])
-        if i < spec.n_meta:
-            node.append(meta[i])
-        nodes.append(node)
-    return nodes
-
 
 def _await_pm_registration(
-    driver: TcpDriver, spec: DeploymentSpec, deadline: float
+    driver: TcpDriver, provider_ids: Iterable[int], deadline: float
 ) -> None:
-    """Block until the remote pm has learned every data provider.
+    """Block until the remote pm has learned every provider in
+    ``provider_ids``.
 
     Launched data agents register themselves (they are started with
     ``--pm``, one wire RPC each); this poll turns that asynchronous
@@ -586,7 +441,7 @@ def _await_pm_registration(
     traffic trails into the workload (the conformance suite's wire-RPC
     equality depends on that quiescence).
     """
-    expected = set(range(spec.n_data))
+    expected = set(provider_ids)
     while True:
         got = set(driver.call("pm", "pm.providers"))
         if expected <= got:
@@ -626,7 +481,8 @@ def build_tcp(
     ``state_dir`` makes the control plane durable: the vm journals under
     ``<state_dir>/vm`` and the pm under ``<state_dir>/pm`` (launched
     agents are started with ``--state-dir``; an in-parent control plane
-    journals directly). Killing a control agent and calling
+    journals directly and compacts on a clean ``close()``, as an agent
+    does on the shutdown control). Killing a control agent and calling
     :meth:`TcpDeployment.restart_agent` then resumes the same version
     history. In connected mode the operator owns the agents' state dirs,
     so passing one here is a :class:`~repro.errors.ConfigError`.
@@ -726,12 +582,11 @@ def build_tcp(
                 "control plane is in-parent; name both and pass "
                 "control_plane='agents' (or drop the entries)"
             )
-        for i in range(spec.n_data):
-            if ("data", i) not in cluster_map:
-                raise ConfigError(f"no endpoint for actor 'data/{i}'")
-        for i in range(spec.n_meta):
-            if ("meta", i) not in cluster_map:
-                raise ConfigError(f"no endpoint for actor 'meta/{i}'")
+        storage = [("data", i) for i in range(spec.n_data)]
+        storage += [("meta", i) for i in range(spec.n_meta)]
+        for address in storage:
+            if address not in cluster_map:
+                raise ConfigError(f"no endpoint for actor {format_actor(address)!r}")
 
         driver: Union[TcpDriver, AioDriver]
         if client == "aio":
@@ -742,33 +597,14 @@ def build_tcp(
             if remote_cp:
                 driver.register_remote("vm", cluster_map.endpoint_for("vm"))
                 driver.register_remote("pm", cluster_map.endpoint_for("pm"))
-                vm: Union[VersionManager, VersionManagerProxy] = (
-                    VersionManagerProxy(driver)
-                )
-                pm: Union[ProviderManager, ProviderManagerProxy] = (
-                    ProviderManagerProxy(driver)
-                )
+                vm: Any = VersionManagerProxy(driver, "vm")
+                pm: Any = ProviderManagerProxy(driver, "pm")
             else:
-                vm_journal = pm_journal = None
-                if state_dir is not None:
-                    from repro.core.journal import Journal
-
-                    vm_journal = Journal(Path(state_dir) / "vm")
-                    pm_journal = Journal(Path(state_dir) / "pm")
-                vm = VersionManager(journal=vm_journal)
-                pm = ProviderManager(
-                    make_strategy(spec.strategy, **spec.strategy_kwargs),
-                    replication=spec.replication,
-                    journal=pm_journal,
-                )
-                for i in range(spec.n_data):
-                    pm.register(i)
+                vm, pm = build_control_plane(spec, state_dir)
                 driver.register("vm", vm)
                 driver.register("pm", pm)
-            for i in range(spec.n_data):
-                driver.register_remote(("data", i), cluster_map.endpoint_for(("data", i)))
-            for i in range(spec.n_meta):
-                driver.register_remote(("meta", i), cluster_map.endpoint_for(("meta", i)))
+            for address in storage:
+                driver.register_remote(address, cluster_map.endpoint_for(address))
             driver.wait_connected(timeout=max(connect_timeout, 10.0))
             if remote_cp:
                 # the remote pm must agree with the spec the clients
@@ -793,7 +629,7 @@ def build_tcp(
                     )
                 if agents:
                     # launched agents self-register; wait for quiescence
-                    _await_pm_registration(driver, spec, deadline)
+                    _await_pm_registration(driver, range(spec.n_data), deadline)
                 else:
                     # operator-run agents may predate --pm or still be
                     # registering: replay deployment-wide registration
@@ -812,24 +648,21 @@ def build_tcp(
             agent.close_pipe()
         raise
 
-    router = StaticRouter(
-        list(range(spec.n_meta)), spec.replication, spec.meta_subtree_bytes
-    )
-    data = {i: DataProviderProxy(driver, i) for i in range(spec.n_data)}
-    meta = {i: MetadataProviderProxy(driver, i) for i in range(spec.n_meta)}
     return TcpDeployment(
         spec=spec,
         driver=driver,
-        router=router,
+        router=StaticRouter(
+            list(range(spec.n_meta)), spec.replication, spec.meta_subtree_bytes
+        ),
         vm=vm,
         pm=pm,
-        data=data,
-        meta=meta,
-        cluster_map=cluster_map,
-        remote_control_plane=remote_cp,
+        data={i: DataProviderProxy(driver, ("data", i)) for i in range(spec.n_data)},
+        meta={i: MetadataProviderProxy(driver, ("meta", i)) for i in range(spec.n_meta)},
         # stats controls are not counted as wire RPCs, so this snapshot
         # is itself invisible to the counters it baselines
         stats_base=driver.server_stats(),
         transport_base=driver.transport_stats(),
+        cluster_map=cluster_map,
+        remote_control_plane=remote_cp,
         agents=agents,
     )

@@ -7,10 +7,14 @@ explicitly where it matters.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.config import DeploymentSpec
 from repro.deploy.inproc import build_inproc
+from repro.deploy.simulated import SimDeployment
+from repro.deploy.tcp import build_tcp
 from repro.deploy.threaded import build_threaded
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.tree import TreeGeometry
@@ -18,6 +22,18 @@ from repro.util.sizes import KB, MB
 
 SMALL_TOTAL = 4 * MB
 SMALL_PAGE = 4 * KB
+
+#: The deployment configurations the conformance suite certifies, by
+#: name: ``BUILDERS[name](spec)`` builds one (every entry but the
+#: simulator is a context-managed ``Deployment``).
+BUILDERS = {
+    "inproc": build_inproc,
+    "threaded": build_threaded,
+    "tcp": build_tcp,
+    "aio": partial(build_tcp, client="aio"),
+    "tcp-remote": partial(build_tcp, control_plane="agents"),
+    "simulated": SimDeployment,
+}
 
 
 @pytest.fixture

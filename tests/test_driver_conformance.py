@@ -11,14 +11,17 @@ its own agents and zero in-parent actors), from a single-threaded asyncio
 event loop multiplexing every agent socket (aio — the high-concurrency
 client tier), or on the discrete-event cluster model (simulated). This
 suite replays identical seeded workloads — built once as driver-agnostic
-composite protocol generators — on all six deployments (with the
-kill-restart-replay and elastic join/drain runs below: the eight
-certified configurations) and asserts:
+composite protocol generators — on every configuration of the
+``BUILDERS`` table (``tests/conftest.py``; with the two fault scripts
+below, kill-restart-replay and elastic join/drain, the eight certified
+configurations) and asserts:
 
 - **serial phase** (deterministic, single client): bit-identical page
   contents *and placement*, bit-identical metadata trees (every node
-  record), identical version chains (`vm.patches`), and exact
-  read-your-writes / snapshot equality against a reference replay model;
+  record), identical version chains (`vm.patches`), exact
+  read-your-writes / snapshot equality against a reference replay model,
+  and identical per-actor wire-RPC / sub-call counts on every driver
+  with a wire layer (the simulator's totals included);
 - **concurrent phase** (N clients, disjoint ranges; real threads on the
   threaded driver, simulated processes on the simulator, a seeded
   linearization on inproc): identical page dictionaries (page key ->
@@ -34,6 +37,8 @@ timeouts and name the stalled worker instead of hanging the suite.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
@@ -44,13 +49,13 @@ from repro.core.protocol import (
     split_pages,
     write_protocol,
 )
-from repro.deploy.inproc import build_inproc
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
-from repro.deploy.threaded import build_threaded
+from repro.errors import RemoteError
 from repro.metadata.tree import TreeGeometry
 from repro.util.sizes import KB
 from repro.version.manager import LATEST
+from tests.conftest import BUILDERS
 
 SEED = 0xC04F
 TOTAL = 64 * KB
@@ -67,153 +72,66 @@ JOIN_TIMEOUT = 120.0
 SPEC = DeploymentSpec(n_data=4, n_meta=3, n_clients=N_CLIENTS, cache_capacity=0)
 GEOM = TreeGeometry(TOTAL, PAGE)
 
+OTHER_DRIVERS = tuple(name for name in BUILDERS if name != "inproc")
+
 
 # ---------------------------------------------------------------------------
-# driver harnesses: uniform "run these composite protocols" facade
+# the table: one configuration at a time, run by two functions
 # ---------------------------------------------------------------------------
 
 
-class InprocHarness:
-    name = "inproc"
+def across_table(phase):
+    """``{name: phase(name, dep)}`` over every configuration of the table,
+    each closed before the next is built, so only one cluster of OS
+    processes is ever alive at once (the simulator has nothing to close)."""
+    results = {}
+    for name, build in BUILDERS.items():
+        dep = build(SPEC)
+        with dep if hasattr(dep, "close") else nullcontext(dep):
+            if name == "tcp-remote":
+                # the paper's layout in full: no actor in the client parent
+                assert dep.in_parent_actors() == []
+            results[name] = phase(name, dep)
+    return results
 
-    def __init__(self) -> None:
-        self.dep = build_inproc(SPEC)
 
-    def run(self, proto):
-        return self.dep.driver.run(proto)
+def run(dep, proto):
+    """Run one protocol to completion on any configuration."""
+    if isinstance(dep, SimDeployment):
+        return dep.client(0).run(proto)
+    return dep.driver.run(proto)
 
-    def run_concurrently(self, factories):
-        """Inproc has no concurrency: execute whole programs in a seeded
-        linearization order (any serial order is a valid linearization of
-        programs touching disjoint ranges)."""
+
+def run_concurrently(dep, factories):
+    """Run one client program per factory, concurrently where the
+    substrate has concurrency: simulated processes on the simulator,
+    ``driver.spawn`` (threads or coroutines) on threaded, tcp and aio.
+    Inproc has none: it executes whole programs in a seeded
+    linearization order (any serial order is a valid linearization of
+    programs touching disjoint ranges)."""
+    if isinstance(dep, SimDeployment):
+        procs = [
+            dep.client(i % len(dep.client_nodes)).spawn(f())
+            for i, f in enumerate(factories)
+        ]
+        dep.run()
+        return [p.value for p in procs]
+    if not hasattr(dep.driver, "spawn"):
         order = list(range(len(factories)))
         random.Random(SEED ^ 0xABCD).shuffle(order)
         results = [None] * len(factories)
         for i in order:
-            results[i] = self.dep.driver.run(factories[i]())
+            results[i] = dep.driver.run(factories[i]())
         return results
-
-    def close(self) -> None:
-        pass
-
-
-class ThreadedHarness:
-    name = "threaded"
-
-    def __init__(self) -> None:
-        self.dep = build_threaded(SPEC)
-
-    def run(self, proto):
-        return self.dep.driver.run(proto)
-
-    def run_concurrently(self, factories):
-        futures = [self.dep.driver.spawn(f()) for f in factories]
-        results, stalled = [], []
-        for i, fut in enumerate(futures):
-            try:
-                results.append(fut.result(timeout=JOIN_TIMEOUT))
-            except TimeoutError:
-                stalled.append(f"program-{i}")
-        assert not stalled, f"{self.name} programs stalled: {stalled}"
-        return results
-
-    def close(self) -> None:
-        self.dep.close()
-
-
-class TcpHarness(ThreadedHarness):
-    """Same driver surface as ThreadedHarness (spawn/futures/close), but
-    every provider actor lives in a node-agent OS process behind a
-    loopback TCP endpoint — the cluster deployment, reached through
-    connection handshakes, the pickle-frame wire codec and real sockets
-    (vm/pm on parent service threads, the historical tcp layout)."""
-
-    name = "tcp"
-
-    def __init__(self) -> None:
-        self.dep = build_tcp(SPEC)
-
-
-class AioHarness(ThreadedHarness):
-    """The asyncio client tier: the same node-agent TCP cluster as ``tcp``, but the caller side is the
-    single-threaded event-loop driver (:mod:`repro.net.aio`) instead of
-    per-peer thread pairs. Serial protocols go through the sync facade,
-    concurrent programs run as coroutines multiplexed on the loop
-    (``spawn``), so this certifies both surfaces against the blocking
-    drivers' fingerprints bit for bit."""
-
-    name = "aio"
-
-    def __init__(self) -> None:
-        self.dep = build_tcp(SPEC, client="aio")
-
-
-class TcpRemoteHarness(ThreadedHarness):
-    """The fully distributed configuration: vm and pm on their own node
-    agents too, so *no* actor lives in the client parent — the paper's
-    deployment layout in full. Setup generates real wire traffic (data
-    agents register their providers with the pm agent, and the builder
-    polls until the pm knows the cluster), so the post-build counter
-    snapshot in ``stats_base`` is subtracted before comparing workload
-    wire-RPC counts with the other drivers."""
-
-    name = "tcp-remote"
-
-    def __init__(self) -> None:
-        self.dep = build_tcp(SPEC, control_plane="agents")
+    futures = [dep.driver.spawn(f()) for f in factories]
+    results, stalled = [], []
+    for i, fut in enumerate(futures):
         try:
-            assert self.dep.in_parent_actors() == []
-            self.stats_base = self.dep.stats_base
-        except BaseException:  # never leak a cluster of OS processes
-            self.dep.close()
-            raise
-
-
-class SimulatedHarness:
-    name = "simulated"
-
-    def __init__(self) -> None:
-        self.dep = SimDeployment(SPEC)
-
-    def run(self, proto):
-        proc = self.dep.sim.process(
-            self.dep.executor.run_protocol(proto, self.dep.client_nodes[0])
-        )
-        return self.dep.sim.run(until=proc)
-
-    def run_concurrently(self, factories):
-        procs = [
-            self.dep.sim.process(
-                self.dep.executor.run_protocol(
-                    f(), self.dep.client_nodes[i % len(self.dep.client_nodes)]
-                )
-            )
-            for i, f in enumerate(factories)
-        ]
-        self.dep.sim.run()
-        return [p.value for p in procs]
-
-    def close(self) -> None:
-        pass
-
-
-def all_harnesses():
-    """Yield harnesses lazily, one at a time: the caller closes each
-    before the next is built, so a constructor failure cannot leak the
-    already-run deployments (and only one cluster of OS processes is
-    ever alive at once)."""
-    for cls in (
-        InprocHarness,
-        ThreadedHarness,
-        TcpHarness,
-        AioHarness,
-        TcpRemoteHarness,
-        SimulatedHarness,
-    ):
-        yield cls()
-
-
-OTHER_DRIVERS = ("threaded", "tcp", "aio", "tcp-remote", "simulated")
+            results.append(fut.result(timeout=JOIN_TIMEOUT))
+        except TimeoutError:
+            stalled.append(f"program-{i}")
+    assert not stalled, f"programs stalled: {stalled}"
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -317,45 +235,43 @@ def serial_program(blob_id, router):
     return {"versions": versions, "states": states, "errors": errors}
 
 
-def _run_serial(harness):
-    blob_id = harness.run(alloc_protocol(TOTAL, PAGE))
-    outcome = harness.run(serial_program(blob_id, harness.dep.router))
-    assert outcome["errors"] == [], f"{harness.name}: {outcome['errors']}"
+def _run_serial(name, dep):
+    blob_id = run(dep, alloc_protocol(TOTAL, PAGE))
+    outcome = run(dep, serial_program(blob_id, dep.router))
+    assert outcome["errors"] == [], f"{name}: {outcome['errors']}"
     # Snapshot wire counters *before* the fingerprint reads below: on the
     # tcp deployments the inspection surface itself issues RPCs
     # (data.dump_pages / meta.dump_nodes), which would otherwise fold the
-    # act of measuring into the measured workload.
-    driver = getattr(harness.dep, "driver", None)
-    server_stats = (
-        driver.server_stats() if hasattr(driver, "server_stats") else None
-    )
-    if server_stats is not None:
-        # Subtract setup traffic (fully-remote control plane: provider
-        # registration + the builder's registration poll) so only the
-        # replayed workload is compared across drivers.
-        base = getattr(harness, "stats_base", {})
-        server_stats = {
-            a: (r - base.get(a, (0, 0))[0], c - base.get(a, (0, 0))[1])
-            for a, (r, c) in server_stats.items()
-        }
+    # act of measuring into the measured workload. ``workload_stats``
+    # subtracts the build's own setup traffic (fully-remote control plane:
+    # provider registration + the builder's registration poll).
+    if isinstance(dep, SimDeployment):
+        wire = dep.counters()
+    else:
+        wire = dep.workload_stats()
     return {
-        "server_stats": server_stats,
+        "wire": wire,
         "blob_id": blob_id,
         "outcome": outcome,
-        "patches": harness.dep.vm.patches(blob_id),
-        "latest": harness.dep.vm.get_latest(blob_id),
-        "pages": page_placements(harness.dep, blob_id),
-        "nodes": node_records(harness.dep, blob_id),
+        "patches": dep.vm.patches(blob_id),
+        "latest": dep.vm.get_latest(blob_id),
+        "pages": page_placements(dep, blob_id),
+        "nodes": node_records(dep, blob_id),
     }
 
 
 def test_serial_workload_bit_identical_across_drivers():
-    results = {}
-    for harness in all_harnesses():
-        try:
-            results[harness.name] = _run_serial(harness)
-        finally:
-            harness.close()
+    """Besides the bit-identical state, the threaded, both TCP, the aio and
+    the simulated drivers must issue identical wire-RPC and sub-call
+    counts — all five execute exactly the groups `plan_wire_groups` plans
+    (shared framing); for the TCP and aio drivers the counts are reported
+    by the node agents themselves over the control channel. For the
+    fully-remote configuration this also proves the vm/pm *workload*
+    traffic is identical whether they are parent service threads or
+    agents on other machines; for the aio configuration it proves the
+    event-loop transport frames nothing differently from the per-peer
+    thread pairs."""
+    results = across_table(_run_serial)
     ref = results["inproc"]
     assert ref["latest"] == N_SERIAL_OPS
     for name in OTHER_DRIVERS:
@@ -371,6 +287,20 @@ def test_serial_workload_bit_identical_across_drivers():
             f"{name}: stored pages (content or placement) differ"
         )
         assert got["nodes"] == ref["nodes"], f"{name}: metadata tree differs"
+
+    assert ref["wire"] is None  # inproc has no wire layer
+    threaded = results["threaded"]["wire"]
+    for name in ("tcp", "aio", "tcp-remote"):
+        assert results[name]["wire"] == threaded, (
+            f"{name} and threaded drivers framed the same workload differently"
+        )
+    sim = results["simulated"]["wire"]
+    assert (
+        sum(r for r, _ in threaded.values()),
+        sum(c for _, c in threaded.values()),
+    ) == (sim["wire_rpcs"], sim["sub_calls"]), (
+        "threaded and simulated drivers framed the same workload differently"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +387,18 @@ def concurrent_program(blob_id, router, c: int):
     return prog
 
 
-def _run_concurrent(harness):
-    blob_id = harness.run(alloc_protocol(TOTAL, PAGE))
-    router = harness.dep.router
+def _run_concurrent(name, dep):
+    blob_id = run(dep, alloc_protocol(TOTAL, PAGE))
+    router = dep.router
     factories = [
         concurrent_program(blob_id, router, c) for c in range(N_CLIENTS)
     ]
-    outcomes = harness.run_concurrently(factories)
+    outcomes = run_concurrently(dep, factories)
     for outcome in outcomes:
-        assert outcome["errors"] == [], f"{harness.name}: {outcome['errors']}"
+        assert outcome["errors"] == [], f"{name}: {outcome['errors']}"
 
     total = N_CLIENTS * WRITES_PER_CLIENT
-    vm = harness.dep.vm
-    assert vm.get_latest(blob_id) == total, f"{harness.name}: not all published"
+    assert dep.vm.get_latest(blob_id) == total, f"{name}: not all published"
 
     # every version assigned exactly once, to the expected patch geometry
     version_of = {}
@@ -484,7 +413,7 @@ def _run_concurrent(harness):
     }
     assert {
         (v, off, size) for v, (off, size) in patch_geoms.items()
-    } == set(vm.patches(blob_id)), f"{harness.name}: vm patch chain disagrees"
+    } == set(dep.vm.patches(blob_id)), f"{name}: vm patch chain disagrees"
 
     # per-driver linearizable snapshots: every published version equals the
     # prefix replay of that driver's version order
@@ -493,29 +422,22 @@ def _run_concurrent(harness):
         c, k = version_of[v]
         offset, data = client_patch(c, k)
         state[offset : offset + len(data)] = data
-        snap = harness.run(
-            read_protocol(blob_id, GEOM, 0, TOTAL, router, version=v)
-        )
+        snap = run(dep, read_protocol(blob_id, GEOM, 0, TOTAL, router, version=v))
         assert snap.data == bytes(state), (
-            f"{harness.name}: snapshot v{v} != prefix replay"
+            f"{name}: snapshot v{v} != prefix replay"
         )
     final = bytes(state)
 
     return {
         "blob_id": blob_id,
         "final": final,
-        "pages": page_dict(harness.dep, blob_id),
-        "leaf_refs": leaf_page_refs(harness.dep, blob_id),
+        "pages": page_dict(dep, blob_id),
+        "leaf_refs": leaf_page_refs(dep, blob_id),
     }
 
 
 def test_concurrent_workload_equivalent_across_drivers():
-    results = {}
-    for harness in all_harnesses():
-        try:
-            results[harness.name] = _run_concurrent(harness)
-        finally:
-            harness.close()
+    results = across_table(_run_concurrent)
     ref = results["inproc"]
 
     # the final blob is fully determined by the workload (disjoint ranges),
@@ -538,67 +460,14 @@ def test_concurrent_workload_equivalent_across_drivers():
         )
 
 
-def test_transport_batching_equivalent_sub_calls():
-    """The threaded, both TCP, the aio and the simulated drivers must issue
-    identical wire-RPC and sub-call counts for an identical serial
-    workload — all five execute exactly the groups `plan_wire_groups`
-    plans (shared framing); for the TCP and aio drivers the counts are
-    reported by the node agents themselves over the control channel. For
-    the fully-remote configuration this also proves the vm/pm *workload*
-    traffic is identical whether they are parent service threads or
-    agents on other machines (setup registration subtracted via the
-    harness baseline); for the aio configuration it proves the
-    event-loop transport frames nothing differently from the per-peer
-    thread pairs."""
-    harnesses: list = []
-    try:
-        # construct inside the try (one by one) so a failing constructor
-        # cannot leak the deployments already built
-        for cls in (
-            ThreadedHarness, TcpHarness, AioHarness,
-            TcpRemoteHarness, SimulatedHarness,
-        ):
-            harnesses.append(cls())
-        threaded, tcp, aio, tcp_remote, simulated = harnesses
-        t = _run_serial(threaded)
-        n = _run_serial(tcp)
-        a = _run_serial(aio)
-        r = _run_serial(tcp_remote)
-        s = _run_serial(simulated)
-        assert (
-            t["pages"] == s["pages"] == n["pages"] == a["pages"] == r["pages"]
-        )
-        t_stats, n_stats, a_stats, r_stats = (
-            t["server_stats"], n["server_stats"],
-            a["server_stats"], r["server_stats"],
-        )
-        t_rpcs = sum(rr for rr, _ in t_stats.values())
-        t_calls = sum(c for _, c in t_stats.values())
-        assert t_stats == n_stats, (
-            "TCP and threaded drivers framed the same workload differently"
-        )
-        assert t_stats == a_stats, (
-            "aio and threaded drivers framed the same workload differently"
-        )
-        assert t_stats == r_stats, (
-            "fully-remote TCP (vm/pm on agents) framed the same workload "
-            "differently from threaded"
-        )
-        assert (t_rpcs, t_calls) == (
-            simulated.dep.executor.wire_rpcs,
-            simulated.dep.executor.sub_calls,
-        ), "threaded and simulated drivers framed the same workload differently"
-    finally:
-        for h in harnesses:
-            h.close()
-
-
 # ---------------------------------------------------------------------------
-# durable control plane: kill + restart + replay
+# fault scripts: a durable cluster interrupted between two workload phases
 # ---------------------------------------------------------------------------
 
 N_DURABLE_STEPS = 10
 KILL_AFTER_STEP = 5  # phase 1 = steps [0, 5), phase 2 = steps [5, 10)
+
+ELASTIC_SPEC = replace(SPEC, strategy="hash_ring")
 
 
 def durable_step_program(blob_id, router, states, step, elastic=False):
@@ -651,8 +520,34 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
     return errors
 
 
-def _durable_fingerprint(dep, blob_id):
+def _durable_run(dep, elastic, script, storage_untouched):
+    """Steps ``[0, KILL_AFTER_STEP)``, then ``script(dep, blob_id,
+    states)`` (unless None), then the remaining steps; returns the run's
+    fingerprint."""
+    blob_id = dep.driver.run(alloc_protocol(TOTAL, PAGE))
+    states = [bytes(TOTAL)]
+    for step in range(N_DURABLE_STEPS):
+        if step == KILL_AFTER_STEP and script is not None:
+            script(dep, blob_id, states)
+        errs = dep.driver.run(
+            durable_step_program(blob_id, dep.router, states, step, elastic)
+        )
+        assert errs == [], errs
+    storage = None
+    if storage_untouched:
+        # the *storage* actors' workload counters, taken before the
+        # fingerprint reads below add their own RPCs. Control-actor
+        # counters reset when an agent restarts, so they cannot be
+        # compared across an interrupted and an uninterrupted run
+        storage = {
+            a: counts
+            for a, counts in dep.workload_stats().items()
+            if isinstance(a, tuple)  # ("data", i) / ("meta", i)
+        }
     return {
+        "blob_id": blob_id,
+        "states": states,
+        "storage": storage,
         "patches": dep.vm.patches(blob_id),
         "latest": dep.vm.get_latest(blob_id),
         "pages": page_placements(dep, blob_id),
@@ -660,109 +555,56 @@ def _durable_fingerprint(dep, blob_id):
     }
 
 
-def _storage_stats(dep):
-    """Workload wire counters of the *storage* actors only (setup base
-    subtracted). Control-actor counters reset when an agent restarts, so
-    they cannot be compared across an interrupted and an uninterrupted
-    run — storage counters can, and killing the control plane must not
-    leak so much as one stray RPC to a storage node."""
-    base = dep.stats_base
-    return {
-        a: (r - base.get(a, (0, 0))[0], c - base.get(a, (0, 0))[1])
-        for a, (r, c) in dep.driver.server_stats().items()
-        if isinstance(a, tuple)  # ("data", i) / ("meta", i), not "vm"/"pm"
-    }
-
-
-def test_kill_restart_replay_matches_uninterrupted_run(tmp_path):
-    """The kill-restart-replay configuration: the fully-remote TCP cluster
-    with a durable control plane (``state_dir``), its vm and pm agents
-    SIGKILLed mid-workload and restarted on their state dirs. The final
-    pages (content *and* placement), metadata node records and version
-    chains must be bit-identical to the uninterrupted tcp-remote run,
-    with the outage visible to clients only as fast typed failures."""
-    from repro.errors import RemoteError
-
-    steps = list(range(N_DURABLE_STEPS))
-
-    # reference: plain tcp-remote, uninterrupted, no state dir
-    ref_h = TcpRemoteHarness()
-    try:
-        ref_blob = ref_h.run(alloc_protocol(TOTAL, PAGE))
-        ref_states = [bytes(TOTAL)]
-        for step in steps:
-            errs = ref_h.run(
-                durable_step_program(ref_blob, ref_h.dep.router, ref_states, step)
-            )
-            assert errs == [], errs
-        ref = _durable_fingerprint(ref_h.dep, ref_blob)
-        ref_storage = _storage_stats(ref_h.dep)
-    finally:
-        ref_h.close()
+def run_fault_script(spec, state_dir, script, *, storage_untouched=False):
+    """One row of the fault table: the fully-remote TCP cluster with a
+    durable control plane (``state_dir``) runs the durable workload with
+    ``script`` between its two phases. Its pages (content *and*
+    placement), metadata node records and version chains — and, with
+    ``storage_untouched``, the storage actors' wire counters — must be
+    bit-identical to an uninterrupted run of the same spec."""
+    elastic = spec.strategy == "hash_ring"
+    runs = []
+    for run_dir, run_script in ((None, None), (state_dir, script)):
+        with build_tcp(spec, control_plane="agents", state_dir=run_dir) as dep:
+            assert dep.in_parent_actors() == []
+            runs.append(_durable_run(dep, elastic, run_script, storage_untouched))
+    ref, got = runs
     assert ref["latest"] == N_DURABLE_STEPS
-
-    # durable run: same workload, control plane killed between the phases
-    dep = build_tcp(SPEC, control_plane="agents", state_dir=tmp_path)
-    try:
-        assert dep.in_parent_actors() == []
-        blob_id = dep.driver.run(alloc_protocol(TOTAL, PAGE))
-        assert blob_id == ref_blob
-        states = [bytes(TOTAL)]
-        for step in steps[:KILL_AFTER_STEP]:
-            errs = dep.driver.run(
-                durable_step_program(blob_id, dep.router, states, step)
-            )
-            assert errs == [], errs
-
-        vm_i = dep.agent_index_for("vm")
-        pm_i = dep.agent_index_for("pm")
-        dep.kill_agent(vm_i)
-        dep.kill_agent(pm_i)
-
-        # the outage is fail-fast and typed, and (because a WRITE talks to
-        # the pm before any storage node) leaves zero storage traffic
-        probe = dep.client("outage-probe")
-        with pytest.raises(RemoteError):
-            probe.write(blob_id, bytes(PAGE), 0)
-
-        dep.restart_agent(vm_i)
-        dep.restart_agent(pm_i)
-        dep.driver.peer("vm").wait_connected(timeout=JOIN_TIMEOUT)
-        dep.driver.peer("pm").wait_connected(timeout=JOIN_TIMEOUT)
-
-        # the restarted vm resumed the same incarnation: recovered history
-        # answers before any phase-2 write happens
-        assert dep.vm.get_latest(blob_id) == KILL_AFTER_STEP
-
-        for step in steps[KILL_AFTER_STEP:]:
-            errs = dep.driver.run(
-                durable_step_program(blob_id, dep.router, states, step)
-            )
-            assert errs == [], errs
-
-        assert states == ref_states
-        got = _durable_fingerprint(dep, blob_id)
-        assert got["patches"] == ref["patches"], "version chain differs"
-        assert got["latest"] == ref["latest"]
-        assert got["pages"] == ref["pages"], (
-            "stored pages (content or placement) differ from uninterrupted run"
-        )
-        assert got["nodes"] == ref["nodes"], "metadata tree differs"
-        assert _storage_stats(dep) == ref_storage, (
-            "kill/restart leaked wire traffic to storage nodes"
-        )
-    finally:
-        dep.close()
+    assert got["blob_id"] == ref["blob_id"]
+    assert got["states"] == ref["states"]
+    assert got["patches"] == ref["patches"], "version chain differs"
+    assert got["latest"] == ref["latest"]
+    assert got["pages"] == ref["pages"], (
+        "stored pages (content or placement) differ from the uninterrupted run"
+    )
+    assert got["nodes"] == ref["nodes"], "metadata tree differs"
+    assert got["storage"] == ref["storage"], (
+        "the fault leaked wire traffic to storage nodes"
+    )
 
 
-# ---------------------------------------------------------------------------
-# elastic membership: mid-workload join + drain
-# ---------------------------------------------------------------------------
+def kill_and_restart_control_plane(dep, blob_id, states):
+    """SIGKILL the vm and pm agents, then restart them on their state
+    dirs."""
+    vm_i = dep.agent_index_for("vm")
+    pm_i = dep.agent_index_for("pm")
+    dep.kill_agent(vm_i)
+    dep.kill_agent(pm_i)
 
-ELASTIC_SPEC = DeploymentSpec(
-    n_data=4, n_meta=3, n_clients=N_CLIENTS, cache_capacity=0,
-    strategy="hash_ring",
-)
+    # the outage is fail-fast and typed, and (because a WRITE talks to
+    # the pm before any storage node) leaves zero storage traffic
+    probe = dep.client("outage-probe")
+    with pytest.raises(RemoteError):
+        probe.write(blob_id, bytes(PAGE), 0)
+
+    dep.restart_agent(vm_i)
+    dep.restart_agent(pm_i)
+    dep.driver.peer("vm").wait_connected(timeout=JOIN_TIMEOUT)
+    dep.driver.peer("pm").wait_connected(timeout=JOIN_TIMEOUT)
+
+    # the restarted vm resumed the same incarnation: recovered history
+    # answers before any phase-2 write happens
+    assert dep.vm.get_latest(blob_id) == KILL_AFTER_STEP
 
 
 def _verify_snapshots(dep, blob_id, states):
@@ -779,6 +621,53 @@ def _verify_snapshots(dep, blob_id, states):
         assert res.data == want, f"snapshot v{v} diverged"
 
 
+def join_migrate_and_drain(dep, blob_id, states):
+    """A fifth storage agent joins, pages migrate with the pm SIGKILLed
+    mid-migration, and the newcomer is drained back out."""
+    # a fifth agent joins the running cluster and pages start
+    # migrating toward their new hash homes...
+    new_id = dep.add_agent()
+    assert new_id == ELASTIC_SPEC.n_data
+    partial = dep.rebalance(limit_moves=2)
+    assert partial["executed"] == 2 and not partial["committed"]
+
+    # ...when the pm is SIGKILLed mid-migration. Recovery replays the
+    # journaled plan (with the already-completed moves marked done)
+    # and the rebalance resumes instead of restarting or double-moving
+    pm_i = dep.agent_index_for("pm")
+    dep.kill_agent(pm_i)
+    dep.restart_agent(pm_i)
+    dep.driver.peer("pm").wait_connected(timeout=JOIN_TIMEOUT)
+    resumed = dep.rebalance()
+    assert resumed["committed"], "recovered pm failed to finish the plan"
+    assert resumed["plan"] == partial["plan"], "recovery lost the plan"
+
+    # the newcomer now holds real pages, and every published snapshot
+    # still reads back exactly (locate fallback covers moved pages)
+    assert dep.data[new_id].page_count > 0
+    _verify_snapshots(dep, blob_id, states)
+
+    # drain the newcomer: its pages move to their hash homes over the
+    # surviving members, it deregisters, its agent shuts down
+    drained = dep.drain_agent(new_id)
+    assert drained["committed"] and drained["drain"] == new_id
+    assert new_id not in dep.pm.providers()
+    assert new_id not in dep.data
+    _verify_snapshots(dep, blob_id, states)
+
+
+def test_kill_restart_replay_matches_uninterrupted_run(tmp_path):
+    """The kill-restart-replay configuration: the fully-remote TCP cluster
+    with a durable control plane (``state_dir``), its vm and pm agents
+    SIGKILLed mid-workload and restarted on their state dirs. The final
+    pages (content *and* placement), metadata node records and version
+    chains must be bit-identical to the uninterrupted tcp-remote run,
+    with the outage visible to clients only as fast typed failures."""
+    run_fault_script(
+        SPEC, tmp_path, kill_and_restart_control_plane, storage_untouched=True
+    )
+
+
 def test_elastic_join_drain_matches_static_cluster(tmp_path):
     """The elastic configuration: the fully-remote TCP cluster on
     consistent-hash placement admits a new storage agent *mid-workload*,
@@ -788,86 +677,4 @@ def test_elastic_join_drain_matches_static_cluster(tmp_path):
     finished workload — stored pages (content *and* placement), metadata
     node records and version chains — must be bit-identical to the same
     workload on a static cluster that never changed membership."""
-    steps = list(range(N_DURABLE_STEPS))
-
-    # reference: static hash_ring cluster, membership never changes
-    ref_dep = build_tcp(ELASTIC_SPEC, control_plane="agents")
-    try:
-        ref_blob = ref_dep.driver.run(alloc_protocol(TOTAL, PAGE))
-        ref_states = [bytes(TOTAL)]
-        for step in steps:
-            errs = ref_dep.driver.run(
-                durable_step_program(
-                    ref_blob, ref_dep.router, ref_states, step, elastic=True
-                )
-            )
-            assert errs == [], errs
-        ref = _durable_fingerprint(ref_dep, ref_blob)
-    finally:
-        ref_dep.close()
-    assert ref["latest"] == N_DURABLE_STEPS
-
-    # dynamic run: same workload, a join + drain between the phases
-    dep = build_tcp(ELASTIC_SPEC, control_plane="agents", state_dir=tmp_path)
-    try:
-        assert dep.in_parent_actors() == []
-        blob_id = dep.driver.run(alloc_protocol(TOTAL, PAGE))
-        assert blob_id == ref_blob
-        states = [bytes(TOTAL)]
-        for step in steps[:KILL_AFTER_STEP]:
-            errs = dep.driver.run(
-                durable_step_program(
-                    blob_id, dep.router, states, step, elastic=True
-                )
-            )
-            assert errs == [], errs
-
-        # a fifth agent joins the running cluster and pages start
-        # migrating toward their new hash homes...
-        new_id = dep.add_agent()
-        assert new_id == ELASTIC_SPEC.n_data
-        partial = dep.rebalance(limit_moves=2)
-        assert partial["executed"] == 2 and not partial["committed"]
-
-        # ...when the pm is SIGKILLed mid-migration. Recovery replays the
-        # journaled plan (with the already-completed moves marked done)
-        # and the rebalance resumes instead of restarting or double-moving
-        pm_i = dep.agent_index_for("pm")
-        dep.kill_agent(pm_i)
-        dep.restart_agent(pm_i)
-        dep.driver.peer("pm").wait_connected(timeout=JOIN_TIMEOUT)
-        resumed = dep.rebalance()
-        assert resumed["committed"], "recovered pm failed to finish the plan"
-        assert resumed["plan"] == partial["plan"], "recovery lost the plan"
-
-        # the newcomer now holds real pages, and every published snapshot
-        # still reads back exactly (locate fallback covers moved pages)
-        assert dep.data[new_id].page_count > 0
-        _verify_snapshots(dep, blob_id, states)
-
-        # drain the newcomer: its pages move to their hash homes over the
-        # surviving members, it deregisters, its agent shuts down
-        drained = dep.drain_agent(new_id)
-        assert drained["committed"] and drained["drain"] == new_id
-        assert new_id not in dep.pm.providers()
-        assert new_id not in dep.data
-        _verify_snapshots(dep, blob_id, states)
-
-        for step in steps[KILL_AFTER_STEP:]:
-            errs = dep.driver.run(
-                durable_step_program(
-                    blob_id, dep.router, states, step, elastic=True
-                )
-            )
-            assert errs == [], errs
-
-        assert states == ref_states
-        got = _durable_fingerprint(dep, blob_id)
-        assert got["patches"] == ref["patches"], "version chain differs"
-        assert got["latest"] == ref["latest"]
-        assert got["pages"] == ref["pages"], (
-            "stored pages (content or placement) differ from the static run"
-        )
-        assert got["nodes"] == ref["nodes"], "metadata tree differs"
-    finally:
-        dep.close()
+    run_fault_script(ELASTIC_SPEC, tmp_path, join_migrate_and_drain)

@@ -13,15 +13,18 @@ error from a torn tail.
 
 from __future__ import annotations
 
+import gc
 import logging
 import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from repro.core.config import DeploymentSpec
 from repro.core.journal import (
     Journal,
     JournalCrashed,
@@ -29,6 +32,7 @@ from repro.core.journal import (
     StateDirLock,
 )
 from repro.core.persistence import DiskSpill
+from repro.deploy.tcp import build_tcp
 from repro.errors import ConfigError
 from repro.providers.health import HealthTracker
 from repro.providers.manager import ProviderManager
@@ -357,6 +361,30 @@ def test_clean_shutdown_replays_nothing(tmp_path):
     vm2 = VersionManager(journal=Journal(tmp_path))
     assert vm2.replayed_records == 0 and vm2.rolled_back == 0
     assert vm2.get_latest(b) == 1
+
+
+def test_clean_close_of_an_in_parent_durable_control_plane(tmp_path):
+    """``build_tcp(state_dir=...)`` keeps a journaled vm and pm in the
+    parent by default. A clean close compacts and closes both, as a node
+    agent does on the shutdown control: the next incarnation replays
+    nothing, and no journal file is left open."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
+        with build_tcp(spec, state_dir=tmp_path) as dep:
+            assert dep.in_parent_actors() == ["vm", "pm"]
+            client = dep.client()
+            blob = client.alloc(TOTAL, PAGE)
+            client.write(blob, bytes(PAGE), 0)
+        del dep, client
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    vm = VersionManager(journal=Journal(tmp_path / "vm"))
+    pm = ProviderManager(journal=Journal(tmp_path / "pm"))
+    assert (vm.replayed_records, pm.replayed_records) == (0, 0)
+    assert (vm.get_latest(blob), pm.providers()) == (1, [0, 1])
+    vm.close()
+    pm.close()
 
 
 def test_runtime_compaction_is_transparent(tmp_path):

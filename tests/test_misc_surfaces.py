@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import BlobConfig, DeploymentSpec
-from repro.deploy.inproc import build_inproc
+from repro.deploy.inproc import Deployment, build_inproc
 from repro.deploy.simulated import SimDeployment
 from repro.errors import ConfigError, RemoteError, ReproError, VersionNotPublished
 from repro.net.inproc import InprocDriver
@@ -14,6 +14,7 @@ from repro.net.message import estimate_size
 from repro.util.intervals import Interval
 from repro.util.sizes import KB, MB, TB
 from repro.version.manager import VersionManager, WriteTicket
+from tests.conftest import BUILDERS
 
 
 class TestErrors:
@@ -91,6 +92,32 @@ class TestDeploymentWiring:
         assert dep.pm.providers() == [0, 1, 2]
         assert dep.meta_ids == [0, 1, 2, 3, 4]
         assert dep.router.meta_ids == (0, 1, 2, 3, 4)
+
+    def test_every_live_builder_returns_one_deployment_surface(self):
+        spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
+        actors = {"vm", "pm", ("data", 0), ("data", 1), ("meta", 0), ("meta", 1)}
+        seen = {}
+        for name in ("inproc", "threaded", "tcp", "aio"):
+            with BUILDERS[name](spec) as dep:
+                assert isinstance(dep, Deployment)
+                client = dep.client()
+                blob = client.alloc(64 * KB, 4 * KB)
+                client.write(blob, b"P" * 8 * KB, 0)
+                wire = dep.workload_stats()
+                if name == "inproc":
+                    assert wire is None  # no wire layer
+                else:
+                    assert set(wire) == actors and wire["vm"][0] > 0
+                seen[name] = (
+                    sorted(
+                        (n.key, n.left_version, n.right_version, n.providers)
+                        for n in dep.blob_nodes(blob)
+                    ),
+                    dep.total_pages_stored(),
+                    dep.data_ids,
+                )
+        assert seen["inproc"][1:] == (2, [0, 1])
+        assert all(got == seen["inproc"] for got in seen.values()), seen
 
 
 class TestSimClientModes:

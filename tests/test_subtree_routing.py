@@ -35,7 +35,6 @@ from repro.core.protocol import read_protocol, split_pages, write_protocol
 from repro.deploy.inproc import build_inproc
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
-from repro.deploy.threaded import build_threaded
 from repro.errors import ConfigError, NodeMissing, RemoteError
 from repro.metadata.cache import MetadataCache
 from repro.metadata.inspect import TreeInspector
@@ -46,7 +45,7 @@ from repro.obs.metrics import render_metrics, scrape_driver
 from repro.util.sizes import GB, KB, MB
 from repro.version.diff import changed_ranges
 from repro.version.manager import LATEST, VersionManager
-from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
+from tests.conftest import BUILDERS, SMALL_PAGE, SMALL_TOTAL, pages
 
 META_READS = ("meta.get_node", "meta.get_subtree")
 META_WRITES = ("meta.put_node", "meta.put_nodes")
@@ -354,16 +353,8 @@ def _budget_on(dep):
 
 @pytest.mark.parametrize("driver", ["inproc", "threaded", "tcp", "aio"])
 def test_cold_read_is_three_batches_and_a_write_one_put_per_shard(driver):
-    spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
-    if driver == "inproc":
-        _budget_on(build_inproc(spec))
-    elif driver == "threaded":
-        with build_threaded(spec) as dep:
-            _budget_on(dep)
-    else:
-        client = "aio" if driver == "aio" else "threaded"
-        with build_tcp(spec, client=client) as dep:
-            _budget_on(dep)
+    with BUILDERS[driver](DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)) as dep:
+        _budget_on(dep)
 
 
 def test_every_replica_owner_gets_its_shard():
@@ -540,16 +531,8 @@ def _node_missing_on(dep):
 
 @pytest.mark.parametrize("driver", ["inproc", "threaded", "tcp", "aio"])
 def test_node_freed_under_a_reader_is_node_missing(driver):
-    spec = DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)
-    if driver == "inproc":
-        _node_missing_on(build_inproc(spec))
-    elif driver == "threaded":
-        with build_threaded(spec) as dep:
-            _node_missing_on(dep)
-    else:
-        client = "aio" if driver == "aio" else "threaded"
-        with build_tcp(spec, client=client) as dep:
-            _node_missing_on(dep)
+    with BUILDERS[driver](DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)) as dep:
+        _node_missing_on(dep)
 
 
 # ---------------------------------------------------------------------------
