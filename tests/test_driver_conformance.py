@@ -260,18 +260,15 @@ def _run_serial(name, dep):
     }
 
 
-def test_serial_workload_bit_identical_across_drivers():
-    """Besides the bit-identical state, the threaded, both TCP, the aio and
-    the simulated drivers must issue identical wire-RPC and sub-call
-    counts — all five execute exactly the groups `plan_wire_groups` plans
-    (shared framing); for the TCP and aio drivers the counts are reported
-    by the node agents themselves over the control channel. For the
-    fully-remote configuration this also proves the vm/pm *workload*
-    traffic is identical whether they are parent service threads or
-    agents on other machines; for the aio configuration it proves the
-    event-loop transport frames nothing differently from the per-peer
-    thread pairs."""
-    results = across_table(_run_serial)
+@pytest.fixture(scope="module")
+def serial_results():
+    """The serial workload on every configuration, run once and shared by
+    the bit-identity and the wire-count tests."""
+    return across_table(_run_serial)
+
+
+def test_serial_workload_bit_identical_across_drivers(serial_results):
+    results = serial_results
     ref = results["inproc"]
     assert ref["latest"] == N_SERIAL_OPS
     for name in OTHER_DRIVERS:
@@ -288,7 +285,20 @@ def test_serial_workload_bit_identical_across_drivers():
         )
         assert got["nodes"] == ref["nodes"], f"{name}: metadata tree differs"
 
-    assert ref["wire"] is None  # inproc has no wire layer
+
+def test_transport_batching_equivalent_sub_calls(serial_results):
+    """The threaded, both TCP, the aio and the simulated drivers must issue
+    identical wire-RPC and sub-call counts for an identical serial
+    workload — all five execute exactly the groups `plan_wire_groups`
+    plans (shared framing); for the TCP and aio drivers the counts are
+    reported by the node agents themselves over the control channel. For
+    the fully-remote configuration this also proves the vm/pm *workload*
+    traffic is identical whether they are parent service threads or
+    agents on other machines; for the aio configuration it proves the
+    event-loop transport frames nothing differently from the per-peer
+    thread pairs."""
+    results = serial_results
+    assert results["inproc"]["wire"] is None  # inproc has no wire layer
     threaded = results["threaded"]["wire"]
     for name in ("tcp", "aio", "tcp-remote"):
         assert results[name]["wire"] == threaded, (
