@@ -147,7 +147,7 @@ class SimDeployment(_Inspection):
         """The unified telemetry document (``repro.metrics/1``) for a
         finished simulation: the same per-actor/per-method quantile shape
         the live drivers scrape, plus a ``nodes`` section re-exporting
-        the simulator's :class:`~repro.sim.trace.NodeUtilization` report.
+        the simulator's per-node cpu/tx/rx lane utilization.
         Service times are *host* nanoseconds around handler bodies (hot
         handlers), utilization is *simulated* (modelled contention)."""
         from repro.obs.metrics import scrape_driver, sim_node_entries
@@ -268,28 +268,14 @@ class SimClient:
         span, so :meth:`SimDeployment.spans` afterwards holds a complete
         modeled timeline for the operation.
         """
-        from repro.obs.spans import SIM_DOMAIN, make_span, new_span_id
-        from repro.obs.trace import end_trace, set_op_span, start_trace
+        from repro.obs.spans import SIM_DOMAIN, operation_scope
 
-        tid = start_trace()
-        sid = new_span_id()
-        prev = set_op_span(sid)
-        t0 = self.dep.sim.now
-        failed = False
-        try:
-            value = self.run(proto)
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            t1 = self.dep.sim.now
-            set_op_span(prev)
-            end_trace()
-            self.dep.executor.spans.append(
-                make_span(
-                    tid, sid, prev, "op", name, "client",
-                    int(t0 * 1e9), int(t1 * 1e9),
-                    domain=SIM_DOMAIN, error=failed,
-                )
-            )
-        return value, tid
+        sim = self.dep.sim
+        with operation_scope(
+            name,
+            collector=self.dep.executor.spans.append,
+            covered=False,
+            clock=lambda: int(sim.now * 1e9),
+            domain=SIM_DOMAIN,
+        ) as tid:
+            return self.run(proto), tid

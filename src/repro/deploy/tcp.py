@@ -371,7 +371,7 @@ class TcpDeployment(Deployment):
         if not summary["committed"]:
             return summary
         address = ("data", provider_id)
-        self.driver.peer(address).stop()
+        self.driver.unregister(address)
         self.data.pop(provider_id, None)
         for agent in self.agents:
             if agent.actor_names == [format_actor(address)]:
@@ -658,7 +658,7 @@ def build_tcp(
         pm=pm,
         data={i: DataProviderProxy(driver, ("data", i)) for i in range(spec.n_data)},
         meta={i: MetadataProviderProxy(driver, ("meta", i)) for i in range(spec.n_meta)},
-        # stats controls are not counted as wire RPCs, so this snapshot
+        # telemetry controls are not counted as wire RPCs, so this snapshot
         # is itself invisible to the counters it baselines
         stats_base=driver.server_stats(),
         transport_base=driver.transport_stats(),

@@ -54,24 +54,26 @@ Two client surfaces share the driver:
   ``client="aio"``.
 
 Observability parity: caller RTT histograms fold into
-:meth:`AioDriver.caller_rtt` (the PR 8 metrics scrape reads them like
-any driver's), and traced operations — either a thread-side
+:meth:`AioDriver.caller_rtt` (the metrics scrape reads them like any
+driver's), and traced operations — either a thread-side
 :func:`repro.obs.spans.trace_operation` around the sync facade or an
-async-side :func:`trace_async_operation` around awaited ops — export
-rpc spans with the same parenting as the threaded drivers. Because the
-wire activity happens off the calling thread, the sync facade closes the
-caller's coverage watermark over the whole driver-run window via
-:func:`repro.obs.spans.advance_op_mark`.
+async-side :func:`trace_async_operation` (re-exported here) around
+awaited ops — record rpc spans through the same
+:func:`repro.obs.spans.record_group_spans` as the threaded drivers. The
+trace context is a ``ContextVar``, and a task copies the context it is
+created in, so a thread's open operation reaches the loop with the
+protocol :meth:`AioDriver.run` hands over; :meth:`AioDriver.spawn`
+starts its protocol in an empty context, so it stays untraced like a
+``ThreadedDriver.spawn`` thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
 import time
-from contextlib import asynccontextmanager
-from contextvars import ContextVar
-from typing import Any, AsyncIterator, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import RemoteError, ReproError
 from repro.net.address import Endpoint, format_actor, parse_endpoint
@@ -109,15 +111,11 @@ from repro.net.wire import (
 )
 from repro.obs.hist import LatencyHistogram, merge_all
 from repro.obs.spans import (
-    CALLER,
-    advance_op_mark,
-    make_span,
+    current_op,
     new_span_id,
-    record_rpc_span,
-    span_now,
-    to_span_ns,
+    record_group_spans,
+    trace_async_operation,
 )
-from repro.obs.trace import current_op_span, current_trace, new_trace_id
 
 __all__ = [
     "AioDriver",
@@ -137,51 +135,6 @@ def __getattr__(name: str) -> Any:
 
         return AsyncBlobClient
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-#: (trace_id, op_span_id) of the async operation open in this task's
-#: context — the event-loop analogue of the thread-local trace context
-#: (one coroutine chain = one logical operation).
-_task_trace: ContextVar[tuple[int, int] | None] = ContextVar(
-    "repro_aio_trace", default=None
-)
-
-
-@asynccontextmanager
-async def trace_async_operation(
-    name: str,
-    trace_id: int | None = None,
-    *,
-    collector: Callable[[dict[str, Any]], None] | None = None,
-) -> AsyncIterator[int]:
-    """Trace one logical async operation (the coroutine-side twin of
-    :func:`repro.obs.spans.trace_operation`).
-
-    Thread-locals cannot carry trace context on an event loop — thousands
-    of coroutines interleave on one thread — so the context rides a
-    ``contextvars.ContextVar`` instead: every batch the surrounded
-    coroutine drives through :meth:`AioDriver.drive` carries the trace id
-    on its wire envelopes and records rpc spans parented to the op span,
-    exactly like a traced thread on the threaded drivers. On exit the
-    op's own span is recorded into the caller buffer (or handed to
-    ``collector``). Yields the trace id.
-    """
-    tid = trace_id if trace_id is not None else new_trace_id()
-    sid = new_span_id()
-    token = _task_trace.set((tid, sid))
-    t0 = span_now()
-    failed = False
-    try:
-        yield tid
-    except BaseException:
-        failed = True
-        raise
-    finally:
-        t1 = span_now()
-        _task_trace.reset(token)
-        record = collector or CALLER.record
-        record(
-            make_span(tid, sid, None, "op", name, "client", t0, t1, error=failed)
-        )
 
 
 class _AioLatch:
@@ -571,8 +524,9 @@ class AioProtocolFuture:
     ``result(timeout)``), wrapping the coroutine's cross-thread future."""
 
     def __init__(self, driver: "AioDriver", proto: Protocol[Any]) -> None:
-        self._fut = asyncio.run_coroutine_threadsafe(
-            driver.drive(proto), driver.loop
+        # an empty context: the spawner's open operation does not follow
+        self._fut = contextvars.Context().run(
+            asyncio.run_coroutine_threadsafe, driver.drive(proto), driver.loop
         )
 
     def done(self) -> bool:
@@ -701,21 +655,9 @@ class AioDriver(PeerRegistry):
     # -- execution -------------------------------------------------------
 
     def run(self, proto: Protocol[Any]) -> Any:
-        """Execute a protocol from any thread (the sync facade).
-
-        The calling thread's open trace (if any) rides along explicitly —
-        the loop thread cannot read the caller's thread-locals — and the
-        caller's span-coverage watermark is advanced over the whole
-        driver-run window afterwards, so a thread-side
-        ``trace_operation`` block around this exports cleanly.
-        """
-        trace = current_trace()
-        parent = current_op_span()
-        t0 = time.perf_counter_ns()
-        value = self.run_async(self.drive(proto, trace=trace, parent=parent))
-        if trace is not None:
-            advance_op_mark(trace, parent, t0, time.perf_counter_ns())
-        return value
+        """Execute a protocol from any thread (the sync facade); the
+        calling thread's open operation, if any, traces it."""
+        return self.run_async(self.drive(proto))
 
     def spawn(self, proto: Protocol[Any]) -> AioProtocolFuture:
         """Run a protocol concurrently on the loop; returns a waitable
@@ -723,24 +665,10 @@ class AioDriver(PeerRegistry):
         protocol does not inherit the spawning thread's trace)."""
         return AioProtocolFuture(self, proto)
 
-    async def drive(
-        self,
-        proto: Protocol[Any],
-        *,
-        trace: Any = None,
-        parent: int | None = None,
-    ) -> Any:
-        """Execute a protocol as a coroutine on the driver's loop.
-
-        The awaitable core every surface funnels into: ``run``/``spawn``
-        pass the sync caller's trace context explicitly; async-native
-        callers leave it None and the task-context trace installed by
-        :func:`trace_async_operation` applies.
-        """
-        if trace is None:
-            ctx = _task_trace.get()
-            if ctx is not None:
-                trace, parent = ctx
+    async def drive(self, proto: Protocol[Any]) -> Any:
+        """Execute a protocol as a coroutine on the driver's loop: the
+        awaitable core every surface funnels into, traced by the
+        operation open in the task's context."""
         self._driving += 1
         try:
             op = next(proto)
@@ -756,7 +684,7 @@ class AioDriver(PeerRegistry):
                         f"protocol yielded {op!r}, expected Batch or Compute"
                     )
                 try:
-                    results = await self._execute_batch(op, trace, parent)
+                    results = await self._execute_batch(op)
                 except ReproError as exc:
                     op = proto.throw(exc)
                     continue
@@ -766,9 +694,7 @@ class AioDriver(PeerRegistry):
         finally:
             self._driving -= 1
 
-    async def _execute_batch(
-        self, batch: Batch, trace: Any, parent: int | None
-    ) -> list[Any]:
+    async def _execute_batch(self, batch: Batch) -> list[Any]:
         # Same planning as every other real driver: one wire group (= one
         # queue submission) per destination. How groups share frames is
         # the peer's.
@@ -787,10 +713,9 @@ class AioDriver(PeerRegistry):
         self._batches += 1
         self._submissions += len(groups)
         self._sub_calls += len(calls)
-        span_ids = None
-        if trace is not None:
-            span_ids = [new_span_id() for _ in groups]
-        slots, t_enq = self._submit(resolved, results, latch, 0, trace, span_ids)
+        op = current_op()
+        span_ids = None if op is None else [new_span_id() for _ in groups]
+        slots, t_enq = self._submit(resolved, results, latch, 0, op, span_ids)
         await latch.wait()
         self._wakeups += 1
         t_done = time.perf_counter_ns()
@@ -800,18 +725,8 @@ class AioDriver(PeerRegistry):
             if hist is None:
                 hist = self._rtt[dest_kind(group.dest)] = LatencyHistogram()
             hist.record(rtt_ns)
-        if span_ids is not None:
-            # rpc spans with explicit parenting: the loop thread serves
-            # many interleaved operations, so the thread-local watermark
-            # dance of record_group_spans cannot apply here (the sync
-            # facade closes its caller's watermark instead).
-            start, end = to_span_ns(t_enq), to_span_ns(t_done)
-            for sid, group in zip(span_ids, groups):
-                nbytes = sum(call.payload_bytes() for call in group.calls)
-                record_rpc_span(
-                    trace, sid, parent, format_actor(group.dest),
-                    start, end, nbytes,
-                )
+        if op is not None:
+            record_group_spans(op, span_ids, groups, t_enq, t_done)
         for k, slot in enumerate(slots):
             if slot is None:
                 continue

@@ -8,7 +8,7 @@ manager (``vm``) and provider manager (``pm``) dedicated machines — all
 four actor kinds are hosted by this same agent. Clients are
 :class:`~repro.net.tcp.TcpDriver` and :class:`~repro.net.aio.AioDriver`
 peers; the wire protocol is :mod:`repro.net.codec` messages carrying
-``("rpc", sub_calls)`` and ``stats``/``telemetry``/``shutdown`` controls
+``("rpc", sub_calls)`` and ``telemetry``/``shutdown`` controls
 (grammar and serving helpers in :mod:`repro.net.wire`; the one place
 that answers them is :meth:`_ActorService.serve`), prefixed by one
 handshake.
@@ -70,7 +70,6 @@ from repro.net.codec import (
 from repro.net.sansio import Actor, Address, Call, WireGroup
 from repro.net.wire import (
     CTL_SHUTDOWN,
-    CTL_STATS,
     CTL_TELEMETRY,
     HANDSHAKE_REQ_ID,
     backoff,
@@ -290,11 +289,6 @@ class _ActorService:
                         time.perf_counter_ns() - t_ready, nbytes,
                     ),
                 )
-            if kind == CTL_STATS:
-                return encode_parts(
-                    req_id,
-                    {"wire_rpcs": self.served_rpcs, "sub_calls": self.served_calls},
-                )
             if kind == CTL_TELEMETRY:
                 # a scrape, not workload: NOT counted in served_rpcs/calls
                 return encode_parts(req_id, self._report())
@@ -366,6 +360,7 @@ class NodeAgent:
             parse_endpoint(pm_endpoint) if pm_endpoint is not None else None
         )
         self._listener = socket.create_server((host, port))
+        self._listener.settimeout(0.25)  # see serve_forever
         bound = self._listener.getsockname()
         self.endpoint = Endpoint(host, bound[1])
         self._lock = threading.Lock()
@@ -442,7 +437,6 @@ class NodeAgent:
         """
         self._serving.set()
         try:
-            self._listener.settimeout(0.25)
             while not self._stopped.is_set():
                 try:
                     conn, _peer = self._listener.accept()
@@ -629,13 +623,6 @@ class NodeAgent:
             pass
 
     # -- introspection ---------------------------------------------------
-
-    def stats(self) -> dict[str, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)`` (in-process inspection)."""
-        return {
-            name: (s.served_rpcs, s.served_calls)
-            for name, s in self._services.items()
-        }
 
     def telemetry(self) -> dict[str, dict]:
         """Per-actor telemetry reports, same shape as the ``telemetry``

@@ -48,8 +48,7 @@ from repro.net.sansio import (
     dispatch_call,
     plan_wire_groups,
 )
-from repro.obs.spans import SIM_DOMAIN, make_span, new_span_id
-from repro.obs.trace import current_op_span, current_trace
+from repro.obs.spans import SIM_DOMAIN, current_op, make_span, new_span_id
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
@@ -89,7 +88,7 @@ class SimRpcExecutor:
 
         The recorded service times are *host* nanoseconds around the
         handler body — useful for spotting hot handlers, unrelated to
-        simulated time (which :mod:`repro.sim.trace` accounts). The wire
+        simulated time (the ``nodes`` lane utilization accounts that). The wire
         counters are executor-wide here, not per-actor, so they are
         reported as ``None``.
         """
@@ -182,8 +181,8 @@ class SimRpcExecutor:
         n = len(calls)
         self.wire_rpcs += 1
         self.sub_calls += n
-        trace = current_trace()
-        t_req = sim.now if trace is not None else 0.0
+        op = current_op()
+        t_req = sim.now if op is not None else 0.0
 
         # One pass over the sub-calls resolves request payload bytes and the
         # per-method cost rows (service CPU, reply CPU, async latency).
@@ -283,9 +282,9 @@ class SimRpcExecutor:
         yield client_node.cpu.submit(
             spec.rpc_overhead + reply_sum, not_before=crx_done
         )
-        if trace is not None:
+        if op is not None:
             self._record_spans(
-                trace, dest, calls, req_bytes, t_req, rx_done, t_served,
+                op.trace, op.span, dest, calls, req_bytes, t_req, rx_done, t_served,
                 sim.now,
             )
         return values
@@ -293,6 +292,7 @@ class SimRpcExecutor:
     def _record_spans(
         self,
         trace: int,
+        parent: int,
         dest: Address,
         calls: list[Call],
         req_bytes: int,
@@ -312,7 +312,6 @@ class SimRpcExecutor:
         """
         from repro.net.address import format_actor
 
-        parent = current_op_span()
         span_id = new_span_id()
         label = format_actor(dest)
         method = calls[0].method

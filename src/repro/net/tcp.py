@@ -77,7 +77,6 @@ from repro.net.sansio import (
 from repro.net.threaded import ThreadedDriver, _BatchLatch, _ServerThread, dest_kind
 from repro.net.wire import (
     CTL_SHUTDOWN,
-    CTL_STATS,
     CTL_TELEMETRY,
     Connection,
     control_frame,
@@ -87,9 +86,7 @@ from repro.net.wire import (
     rpc_envelope,
     why_lost,
 )
-from repro.obs.spans import new_span_id, record_group_spans
-from repro.obs.telemetry import telemetry_of
-from repro.obs.trace import current_op_span, current_trace
+from repro.obs.spans import current_op, new_span_id, record_group_spans
 
 __all__ = [
     "HANDSHAKE_REQ_ID",
@@ -410,6 +407,13 @@ class PeerRegistry:
             raise RuntimeError("driver is closed")
         return peer
 
+    def unregister(self, address: Address) -> None:
+        """Retire a remote actor: it gets the ``shutdown`` control and its
+        address leaves the book (a drained provider is no longer scraped)."""
+        with self._lock:
+            peer = self._remotes.pop(address)
+        peer.stop()
+
     def register_map(self, cluster_map: ClusterMap) -> None:
         """Register every actor of a cluster map."""
         for address, endpoint in cluster_map.items():
@@ -458,17 +462,7 @@ class PeerRegistry:
 
     # -- introspection ---------------------------------------------------
 
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)``, queried over the wire for
-        remote actors (raises ``RemoteError`` for a dead peer)."""
-        with self._lock:
-            servers = dict(self._servers)
-            remotes = dict(self._remotes)
-        stats = {a: (s.served_rpcs, s.served_calls) for a, s in servers.items()}
-        for address, peer in remotes.items():
-            reply = self._control(peer, CTL_STATS)
-            stats[address] = (reply["wire_rpcs"], reply["sub_calls"])
-        return stats
+    server_stats = ThreadedDriver.server_stats
 
     def telemetry(self, address: Address) -> dict[str, Any]:
         """One actor's telemetry report (wire counters + service-time
@@ -476,17 +470,10 @@ class PeerRegistry:
         — controls are not counted as wire RPCs, so scraping is invisible
         to the workload counters."""
         with self._lock:
-            server = self._servers.get(address)
             remote = self._remotes.get(address)
         if remote is not None:
             return self._control(remote, CTL_TELEMETRY)
-        if server is None:
-            raise KeyError(f"no actor registered at address {address!r}")
-        return {
-            "wire_rpcs": server.served_rpcs,
-            "sub_calls": server.served_calls,
-            "telemetry": telemetry_of(server.actor).snapshot(),
-        }
+        return ThreadedDriver.telemetry(self, address)
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""
@@ -518,15 +505,16 @@ class PeerRegistry:
         return resolved
 
     @staticmethod
-    def _submit(resolved, results, latch, gen, trace, span_ids):
+    def _submit(resolved, results, latch, gen, op, span_ids):
         """Hand every resolved wire group to its peer or in-parent service
-        thread (a traced group's span id rides its envelope). Returns each
-        group's reply slot — None where the service thread writes
-        ``results`` itself — and the submission time."""
+        thread (under an open operation ``op``, a group's trace context
+        rides its envelope). Returns each group's reply slot — None where
+        the service thread writes ``results`` itself — and the submission
+        time."""
         t_enq = time.perf_counter_ns()
         slots: list[list | None] = [None] * len(resolved)
         for k, (group, remote, server) in enumerate(resolved):
-            wire_trace = trace if span_ids is None else (trace, span_ids[k])
+            wire_trace = None if op is None else (op.trace, span_ids[k])
             if remote is not None:
                 slots[k] = slot = [None]
                 remote.submit(group, slot, latch, gen, wire_trace)
@@ -599,20 +587,16 @@ class TcpDriver(PeerRegistry, ThreadedDriver):
         results: list[Any] = [None] * len(calls)
         latch = self._latch()
         gen = latch.begin(len(groups), len(calls))
-        trace = current_trace()
-        span_ids = None
-        parent = None
-        if trace is not None:
-            parent = current_op_span()
-            span_ids = [new_span_id() for _ in groups]
-        slots, t_enq = self._submit(resolved, results, latch, gen, trace, span_ids)
+        op = current_op()
+        span_ids = None if op is None else [new_span_id() for _ in groups]
+        slots, t_enq = self._submit(resolved, results, latch, gen, op, span_ids)
         latch.wait()
         t_done = time.perf_counter_ns()
         rtt_ns = t_done - t_enq
         for group in groups:
             latch.record_rtt(dest_kind(group.dest), rtt_ns)
-        if span_ids is not None:
-            record_group_spans(trace, parent, span_ids, groups, t_enq, t_done)
+        if op is not None:
+            record_group_spans(op, span_ids, groups, t_enq, t_done)
         # Decode remote replies on *this* thread: the receiver threads only
         # routed raw bodies, so payload unpickling happens in the caller
         # that asked for the data, concurrent across caller threads.

@@ -44,14 +44,14 @@ from repro.net.sansio import (
 )
 from repro.errors import ReproError
 from repro.obs.hist import LatencyHistogram, merge_all
-from repro.obs.spans import new_span_id, record_group_spans
-from repro.obs.telemetry import telemetry_of
-from repro.obs.trace import (
+from repro.obs.spans import (
     clear_server_context,
-    current_op_span,
-    current_trace,
+    current_op,
+    new_span_id,
+    record_group_spans,
     set_server_context,
 )
+from repro.obs.telemetry import telemetry_of
 
 _SHUTDOWN = object()
 
@@ -168,6 +168,16 @@ class _ServerThread:
                 clear_server_context()
             latch.group_done(gen)
 
+    def report(self) -> dict[str, Any]:
+        """The ``telemetry`` report: wire counters + service-time snapshot,
+        the shape a node agent's actor answers over the wire (read off
+        the service queue, so a scrape never perturbs the counters)."""
+        return {
+            "wire_rpcs": self.served_rpcs,
+            "sub_calls": self.served_calls,
+            "telemetry": telemetry_of(self.actor).snapshot(),
+        }
+
     def stop(self) -> None:
         self.inbox.put(_SHUTDOWN)
         self._thread.join(timeout=10)
@@ -201,11 +211,14 @@ class ThreadedDriver:
             return list(self._servers)
 
     def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)`` counters."""
-        with self._lock:
-            return {
-                a: (s.served_rpcs, s.served_calls) for a, s in self._servers.items()
-            }
+        """Per-actor ``(wire_rpcs, sub_calls)``: the counters of every
+        actor's :meth:`telemetry` report (over the wire, as a control, for
+        a remote actor — raising ``RemoteError`` for a dead peer)."""
+        stats = {}
+        for address in self.addresses():
+            report = self.telemetry(address)
+            stats[address] = (report["wire_rpcs"], report["sub_calls"])
+        return stats
 
     def transport_stats(self) -> dict[str, int]:
         """Aggregate transport counters across all caller threads.
@@ -256,19 +269,12 @@ class ThreadedDriver:
         return merged
 
     def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report: wire counters + service-time
-        snapshot, same shape as the remote drivers' ``telemetry`` control
-        (the scrape does not touch the actor's service queue, so it never
-        perturbs the wire counters)."""
+        """One actor's telemetry report (:meth:`_ServerThread.report`)."""
         with self._lock:
             server = self._servers.get(address)
         if server is None:
             raise KeyError(f"no actor registered at address {address!r}")
-        return {
-            "wire_rpcs": server.served_rpcs,
-            "sub_calls": server.served_calls,
-            "telemetry": telemetry_of(server.actor).snapshot(),
-        }
+        return server.report()
 
     def _latch(self) -> _BatchLatch:
         latch = getattr(self._tls, "latch", None)
@@ -340,18 +346,14 @@ class ThreadedDriver:
         results: list[Any] = [None] * len(calls)
         latch = self._latch()
         gen = latch.begin(len(groups), len(calls))
-        trace = current_trace()
-        # With a trace open each wire group gets a span id that rides the
-        # envelope (serving-side spans parent to it); untraced batches
+        # With an operation open each wire group gets a span id that rides
+        # the envelope (serving-side spans parent to it); untraced batches
         # enqueue the exact historical item shape.
-        span_ids = None
-        parent = None
-        if trace is not None:
-            parent = current_op_span()
-            span_ids = [new_span_id() for _ in groups]
+        op = current_op()
+        span_ids = None if op is None else [new_span_id() for _ in groups]
         t_enq = time.perf_counter_ns()
         for k, (server, group) in enumerate(zip(resolved, groups)):
-            wire_trace = trace if span_ids is None else (trace, span_ids[k])
+            wire_trace = None if op is None else (op.trace, span_ids[k])
             server.inbox.put(
                 (group.calls, group.indices, results, latch, gen,
                  wire_trace, t_enq)
@@ -363,8 +365,8 @@ class ThreadedDriver:
         rtt_ns = t_done - t_enq
         for group in groups:
             latch.record_rtt(dest_kind(group.dest), rtt_ns)
-        if span_ids is not None:
-            record_group_spans(trace, parent, span_ids, groups, t_enq, t_done)
+        if op is not None:
+            record_group_spans(op, span_ids, groups, t_enq, t_done)
         return [deliver(c, r) for c, r in zip(calls, results)]
 
     def spawn(self, proto: Protocol[Any]) -> "ProtocolFuture":

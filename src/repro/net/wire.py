@@ -14,7 +14,7 @@ rather than about one side's I/O lives here:
 - the envelope grammar: :func:`rpc_envelope` / :func:`control_frame`
   build what :func:`parse_request` validates, and :func:`decode_reply` /
   :func:`control_result` check what comes back;
-- the control vocabulary (``stats``, ``telemetry``, ``shutdown``) and the
+- the control vocabulary (``telemetry``, ``shutdown``) and the
   serving helpers (:func:`decode_request`, :func:`serve_rpc`,
   :func:`encode_reply`) the one serving path,
   :meth:`repro.net.node._ActorService.serve`, is made of.
@@ -53,7 +53,7 @@ from repro.net.codec import (
     encode_parts,
 )
 from repro.net.sansio import Actor, Address, Call, dispatch_call
-from repro.obs.trace import clear_server_context, set_server_context
+from repro.obs.spans import clear_server_context, set_server_context
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation
@@ -67,9 +67,8 @@ COALESCE_MAX_CALLS = 64
 COALESCE_MAX_BYTES = SOCK_BUF
 
 #: control message kinds a node agent answers.
-#: Controls are *not* counted as wire RPCs by either side, so a stats or
-#: telemetry scrape never perturbs workload counter assertions.
-CTL_STATS = "stats"
+#: Controls are *not* counted as wire RPCs by either side, so a telemetry
+#: scrape never perturbs workload counter assertions.
 CTL_SHUTDOWN = "shutdown"
 CTL_TELEMETRY = "telemetry"
 
@@ -121,7 +120,7 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
         ("rpc", payload, runs)       several callers' groups in one frame
 
         payload = [(method, args), ...]
-        context = trace_id | (trace_id, span_id)
+        context = (trace_id, span_id)
         runs    = [(n_calls, context | None), ...]   covering the payload
                   in order: positive counts summing to len(payload)
 
@@ -142,10 +141,21 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
                 type(call) is tuple and len(call) == 2 and type(call[0]) is str
                 for call in payload
             )
-            and (type(trace) is not list or _runs_cover(trace, len(payload)))
+            and (
+                _runs_cover(trace, len(payload))
+                if type(trace) is list
+                else _is_context(trace)
+            )
         ):
             return kind, payload, trace
     raise WireCodecError(f"malformed request envelope: {decoded!r:.120}")
+
+
+def _is_context(context: Any) -> bool:
+    """True iff ``context`` is a trace context or None."""
+    return context is None or (
+        type(context) is tuple and [type(x) for x in context] == [int, int]
+    )
 
 
 def _runs_cover(runs: list, n_calls: int) -> bool:
@@ -155,11 +165,7 @@ def _runs_cover(runs: list, n_calls: int) -> bool:
         if type(run) is not tuple or len(run) != 2:
             return False
         count, context = run
-        if type(count) is not int or count < 1:
-            return False
-        if context is not None and type(context) is not int and not (
-            type(context) is tuple and [type(x) for x in context] == [int, int]
-        ):
+        if type(count) is not int or count < 1 or not _is_context(context):
             return False
         covered += count
     return covered == n_calls

@@ -5,29 +5,29 @@ integer wire-RPC counters, and per-node utilization tracing exists solely
 in the simulator — this package is the missing half: *time*, measured the
 same way on every deployment substrate, cheap enough to stay default-on.
 
-Three small pieces, threaded through the RPC dispatch point that every
+Two small pieces, threaded through the RPC dispatch point that every
 driver already funnels through (:func:`repro.net.sansio.dispatch_call`):
 
 - :mod:`repro.obs.hist` — a mergeable log-bucketed latency histogram
   (fixed int-array buckets, ≤ 1/16 relative error, compact wire form).
   One per actor per method records service time; one per caller thread
   per destination kind records round-trip time.
-- :mod:`repro.obs.trace` — trace-context propagation: a trace id carried
-  in the RPC envelope from client batch to the serving actor, plus the
-  server-side context (queue wait vs service split, request bytes) that
-  the slow-RPC ring log samples from.
 - :mod:`repro.obs.telemetry` — the per-actor accumulator behind
   ``dispatch_call`` and the ``telemetry`` mini-protocol RPC every actor
   answers; :mod:`repro.obs.metrics` assembles scraped snapshots into the
-  unified schema ``repro.tools.metrics`` prints (and the simulator's
-  :class:`~repro.sim.trace.NodeUtilization` is re-exported through).
+  unified schema ``repro.tools.metrics`` prints (simulated runs add
+  per-node lane utilization under ``nodes``).
 
 On top of the scrape, span-level distributed tracing:
 
-- :mod:`repro.obs.spans` — per-process clock domains, span ids and the
-  bounded span buffers: while a trace is open every dispatched sub-call
-  and every wire RPC records a span (collected through the same
-  uncounted ``telemetry`` control);
+- :mod:`repro.obs.spans` — the trace context (one ``ContextVar`` for the
+  open operation, one for the RPC being served: trace id and parent span
+  ride the RPC envelope from client batch to serving actor, with the
+  queue-wait vs service split the slow-RPC ring log samples),
+  per-process clock domains, span ids and the bounded span buffers:
+  inside :func:`trace_operation` every dispatched sub-call and every
+  wire RPC records a span (collected through the same uncounted
+  ``telemetry`` control);
 - :mod:`repro.obs.export` — assembles spans from all actors into one
   timeline: cross-process clock alignment from RPC parent/child pairs,
   Chrome trace-event JSON (Perfetto-loadable) and per-operation
@@ -44,7 +44,7 @@ on the documented ``repro.*`` hierarchy (``repro.vm``, ``repro.pm``,
 CLI calls it, a library user may too.
 
 Overhead: two ``perf_counter_ns`` reads plus one histogram increment per
-sub-call (~1 µs); set ``REPRO_OBS=0`` to disable recording entirely.
+sub-call (~1 µs).
 """
 
 from repro.obs.export import (
@@ -68,10 +68,8 @@ from repro.obs.spans import SPAN_SCHEMA, trace_operation
 from repro.obs.telemetry import (
     ActorTelemetry,
     TELEMETRY_METHOD,
-    telemetry_enabled,
     telemetry_of,
 )
-from repro.obs.trace import current_trace, end_trace, new_trace_id, start_trace
 
 __all__ = [
     "ActorTelemetry",
@@ -85,15 +83,10 @@ __all__ = [
     "collect_spans",
     "configure_logging",
     "coverage",
-    "current_trace",
-    "end_trace",
-    "new_trace_id",
     "read_flight_records",
     "reconcile",
     "render_critical_path",
     "render_metrics",
-    "start_trace",
-    "telemetry_enabled",
     "telemetry_of",
     "trace_operation",
     "validate_chrome",

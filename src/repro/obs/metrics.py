@@ -30,7 +30,7 @@ same JSON-safe document::
       "caller_rtt": {  # drivers with a wire layer: caller-side RTT rows
         "data": {"count": ..., "mean_ms": ..., "p50_ms": ..., ...}, ...
       },
-      "nodes": {  # simulated runs only: NodeUtilization, re-exported
+      "nodes": {  # simulated runs only: per-node lane utilization
         "client-0": {"role": "client", "cpu": 0.42, "tx": 0.1, "rx": 0.3},
         ...
       }
@@ -40,8 +40,8 @@ Reconciliation invariant (pinned by ``tests/test_telemetry.py`` and the
 CLI's ``--check``): for every actor, the sum of per-method histogram
 counts equals the ``sub_calls`` wire counter — the histograms and the
 counters observe the same dispatch point, so a scrape that cannot
-reconcile means lost samples, not workload noise. (``telemetry``/
-``stats`` *controls* are invisible to both sides, which is what keeps
+reconcile means lost samples, not workload noise. (``telemetry``
+*controls* are invisible to both sides, which is what keeps
 scraping from perturbing workload-only counter assertions.)
 """
 
@@ -191,16 +191,17 @@ def collect_spans(metrics: Mapping[str, Any]) -> list[dict[str, Any]]:
 
 
 def sim_node_entries(network: Any) -> dict[str, Any]:
-    """The simulator's per-node utilization in the unified schema.
-
-    Re-exports :func:`repro.sim.trace.utilization_report` so sim and
-    real scrapes read identically (real runs simply have no ``nodes``).
-    """
-    from repro.sim.trace import utilization_report
-
+    """The simulator's per-node lane utilization over the run so far, in
+    the unified schema (real runs simply have no ``nodes``)."""
+    elapsed = network.sim.now
     return {
-        u.name: {"role": u.role, "cpu": u.cpu, "tx": u.tx, "rx": u.rx}
-        for u in utilization_report(network)
+        node.name: {
+            "role": node.role,
+            "cpu": node.cpu.utilization(elapsed),
+            "tx": node.tx.utilization(elapsed),
+            "rx": node.rx.utilization(elapsed),
+        }
+        for node in network.nodes.values()
     }
 
 

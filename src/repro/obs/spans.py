@@ -28,6 +28,26 @@ the child and clears the inherited caller buffer; ids come from
 Simulated deployments use :data:`SIM_DOMAIN` (domain 0): simulated
 event times share one global clock by construction, so they are born
 aligned.
+
+**Trace context.** Two ``contextvars.ContextVar`` carry it, so one
+mechanism serves threads and coroutines alike (a thread has its own
+context; an asyncio task copies the context it was created in — which
+is how a thread's open operation reaches :meth:`repro.net.aio.AioDriver.run`
+on the event loop with no hand-over):
+
+- the *open operation* (:func:`operation_scope`): trace id, op span id
+  and a coverage mark. Every wire group a driver executes while it is
+  open carries ``(trace_id, span_id)`` as the envelope's third field and
+  records an rpc span parented to the op span (:func:`record_group_spans`);
+  with no operation open the envelope stays the 2-tuple (bit-identical
+  wire traffic);
+- the *serving context* (:func:`set_server_context`): trace id, parent
+  span, measured queue wait and request bytes of the wire RPC a service
+  thread or agent connection is dispatching — which is where the
+  slow-RPC ring log (:mod:`repro.obs.telemetry`) gets its queue-wait vs
+  service split and its trace attribution from. On the same-thread
+  drivers (inproc, simulated) no envelope exists and the dispatch point
+  reads the caller's open operation instead.
 """
 
 from __future__ import annotations
@@ -35,17 +55,11 @@ from __future__ import annotations
 import os
 import random
 import threading
-from contextlib import contextmanager
+from contextlib import asynccontextmanager, contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Any, Callable, Iterator
-
-from repro.obs.trace import (
-    current_op_span,
-    end_trace,
-    set_op_span,
-    start_trace,
-    swap_op_mark,
-)
+from typing import Any, AsyncIterator, Callable, Iterator
 
 #: span schema tag (the export layer validates against this)
 SPAN_SCHEMA = "repro.spans/1"
@@ -179,65 +193,79 @@ def _reinit_after_fork() -> None:
 os.register_at_fork(after_in_child=_reinit_after_fork)
 
 
-def record_rpc_span(
-    trace: int,
-    span: int,
-    parent: int | None,
-    dest_label: str,
-    start_ns: int,
-    end_ns: int,
-    nbytes: int = 0,
+@dataclass(slots=True)
+class Operation:
+    """The traced operation open in a context: its trace id, its op span
+    (the parent of every rpc span recorded inside it, and of nested
+    operations), that span's own parent, and the *coverage mark* — the
+    span time up to which the op's wall clock is covered by recorded
+    spans. A mark of ``None`` records no client-gap spans (async
+    operations: their coroutines interleave on one loop thread, so gaps
+    between one op's batches are not that op's compute)."""
+
+    trace: int
+    span: int
+    parent: int | None
+    mark: int | None
+
+
+#: the operation open in this context (thread or task), or None
+_OPEN_OP: ContextVar[Operation | None] = ContextVar("repro_op", default=None)
+
+#: (trace_id, queue_wait_ns, request_bytes, parent_span) of the wire RPC
+#: being served in this context, or None
+_SERVED: ContextVar[tuple | None] = ContextVar("repro_served", default=None)
+
+
+def current_op() -> Operation | None:
+    """The operation open in the calling context, or None."""
+    return _OPEN_OP.get()
+
+
+def set_server_context(
+    context: tuple[int, int] | None, queue_ns: int, request_bytes: int
 ) -> None:
-    """Record the caller-side window of one wire RPC group."""
-    CALLER.record(
-        make_span(
-            trace, span, parent, "rpc", dest_label, "client",
-            start_ns, end_ns, nbytes=nbytes,
-        )
-    )
+    """Open the serving-side context for the wire RPC being dispatched;
+    ``context`` is the envelope's ``(trace_id, parent_span_id)`` or None."""
+    trace_id, parent = context or (None, None)
+    _SERVED.set((trace_id, queue_ns, request_bytes, parent))
 
 
-def advance_op_mark(
-    trace: int,
-    parent: int | None,
-    t_start_ns: int,
-    t_end_ns: int,
-) -> None:
-    """Advance this thread's coverage watermark over one covered window.
+def clear_server_context() -> None:
+    """Close the serving-side context (after the wire RPC's sub-calls)."""
+    _SERVED.set(None)
 
-    The watermark half of :func:`record_group_spans`, factored out for
-    drivers whose wire activity happens off the calling thread (the aio
-    driver records rpc spans from its event loop): the caller-side
-    compute gap between the thread's current watermark and
-    ``t_start_ns`` becomes a ``client`` span, and the watermark advances
-    to ``t_end_ns`` — so the window's interior counts as covered op time
-    even though its rpc spans were recorded elsewhere. Timestamps are
-    absolute ``perf_counter_ns`` readings. When no op is open on this
-    thread the watermark is left unset and nothing is recorded.
-    """
-    start = to_span_ns(t_start_ns)
-    end = to_span_ns(t_end_ns)
-    mark = swap_op_mark(end)
-    if mark is None:
-        swap_op_mark(None)  # no op open: leave the watermark unset
-    elif start > mark:
-        CALLER.record(
-            make_span(
-                trace, new_span_id(), parent, "client", "client", "client",
-                mark, start,
-            )
-        )
+
+def server_context() -> tuple:
+    """``(trace_id, queue_wait_ns, request_bytes)`` of the RPC being
+    served here; falls back to the caller's open operation (the
+    same-thread drivers) with zero queue wait."""
+    served = _SERVED.get()
+    if served is not None:
+        return served[:3]
+    op = _OPEN_OP.get()
+    return (None, 0, 0) if op is None else (op.trace, 0, 0)
+
+
+def server_span_parent() -> int | None:
+    """The span id the RPC being served should parent to: the caller's
+    rpc-group span from the wire, or — on the same-thread drivers, where
+    no envelope exists — the caller's open operation span."""
+    served = _SERVED.get()
+    if served is not None:
+        return served[3]
+    op = _OPEN_OP.get()
+    return None if op is None else op.span
 
 
 def record_group_spans(
-    trace: int,
-    parent: int | None,
+    op: Operation,
     span_ids: list[int],
     groups: list,
     t_enq_ns: int,
     t_done_ns: int,
 ) -> None:
-    """Record the caller-side rpc spans of one executed batch.
+    """Record the caller-side rpc spans of one batch executed under ``op``.
 
     Every wire group of a batch shares the batch window — the drivers
     submit all groups before waiting and the batch completes as a unit,
@@ -248,68 +276,113 @@ def record_group_spans(
 
     The client compute *between* batches (splitting pages, walking the
     version tree to build the next batch) is wall time of the traced op
-    too: when an op's coverage watermark is open on this thread, the gap
-    from the watermark to this batch's start is recorded as a ``client``
-    span and the watermark advances to the batch's end
-    (:func:`advance_op_mark`) — so a timeline accounts for (nearly)
-    every nanosecond of the op, not just the wire.
+    too: when the op has a coverage mark, the gap from the mark to this
+    batch's start is recorded as a ``client`` span and the mark advances
+    to the batch's end — so a timeline accounts for (nearly) every
+    nanosecond of the op, not just the wire.
     """
     from repro.net.address import format_actor
 
-    advance_op_mark(trace, parent, t_enq_ns, t_done_ns)
     start = to_span_ns(t_enq_ns)
     end = to_span_ns(t_done_ns)
+    mark = op.mark
+    if mark is not None:
+        if start > mark:
+            CALLER.record(
+                make_span(
+                    op.trace, new_span_id(), op.span, "client", "client",
+                    "client", mark, start,
+                )
+            )
+        op.mark = end
     for sid, group in zip(span_ids, groups):
         nbytes = sum(call.payload_bytes() for call in group.calls)
-        record_rpc_span(
-            trace, sid, parent, format_actor(group.dest), start, end, nbytes
+        CALLER.record(
+            make_span(
+                op.trace, sid, op.span, "rpc", format_actor(group.dest),
+                "client", start, end, nbytes=nbytes,
+            )
         )
 
 
 @contextmanager
+def operation_scope(
+    name: str,
+    trace_id: int | None = None,
+    *,
+    collector: Callable[[dict[str, Any]], None] | None = None,
+    covered: bool = True,
+    clock: Callable[[], int] = span_now,
+    domain: int | None = None,
+) -> Iterator[int]:
+    """Open one traced operation in the calling context; yields its
+    trace id.
+
+    Every RPC issued inside the block carries the trace and parents to
+    the op span; on exit the op's own span (parented to the enclosing
+    operation's, if any) is recorded into :data:`CALLER` or handed to
+    ``collector``. ``covered`` seeds the coverage mark at the op's
+    start, so the exit also records one final ``client`` span from the
+    last batch (or the op's start) to its end. ``clock`` and ``domain``
+    let the simulator time the op span in simulated nanoseconds.
+    """
+    outer = _OPEN_OP.get()
+    t0 = clock()
+    op = Operation(
+        new_span_id() if trace_id is None else trace_id,
+        new_span_id(),
+        None if outer is None else outer.span,
+        t0 if covered else None,
+    )
+    token = _OPEN_OP.set(op)
+    failed = False
+    try:
+        yield op.trace
+    except BaseException:
+        failed = True
+        raise
+    finally:
+        t1 = clock()
+        _OPEN_OP.reset(token)
+        record = collector or CALLER.record
+        if op.mark is not None and t1 > op.mark:
+            record(
+                make_span(
+                    op.trace, new_span_id(), op.span, "client", "client",
+                    "client", op.mark, t1, domain=domain, error=failed,
+                )
+            )
+        record(
+            make_span(
+                op.trace, op.span, op.parent, "op", name, "client", t0, t1,
+                domain=domain, error=failed,
+            )
+        )
+
+
 def trace_operation(
     name: str,
     trace_id: int | None = None,
     *,
     collector: Callable[[dict[str, Any]], None] | None = None,
-) -> Iterator[int]:
-    """Trace one logical operation on the calling thread.
+):
+    """Trace one logical operation (a context manager yielding the trace
+    id): the wire RPCs issued inside it carry the trace, record rpc spans
+    parented to the op span, and the client compute between them is
+    recorded as ``client`` spans (:func:`operation_scope`)."""
+    return operation_scope(name, trace_id, collector=collector)
 
-    Opens a trace (:func:`repro.obs.trace.start_trace`), installs an
-    *op span* as the parent of every RPC the thread issues inside the
-    block, and on exit records the op's own span into :data:`CALLER`
-    (or hands it to ``collector``). Yields the trace id.
 
-    Client compute is covered too: the block seeds the thread's coverage
-    watermark, every recorded RPC batch closes the compute gap before it
-    with a ``client`` span (:func:`record_group_spans`), and the exit
-    records one final ``client`` span from the last batch (or the op's
-    start, if no RPC ran) to the op's end.
-    """
-    tid = start_trace(trace_id)
-    sid = new_span_id()
-    prev = set_op_span(sid)
-    t0 = span_now()
-    prev_mark = swap_op_mark(t0)
-    failed = False
-    try:
+@asynccontextmanager
+async def trace_async_operation(
+    name: str,
+    trace_id: int | None = None,
+    *,
+    collector: Callable[[dict[str, Any]], None] | None = None,
+) -> AsyncIterator[int]:
+    """Trace one logical async operation: :func:`trace_operation` for a
+    coroutine (the context rides the task), without client-gap spans —
+    the loop thread's time between one op's batches belongs to whichever
+    coroutines ran meanwhile."""
+    with operation_scope(name, trace_id, collector=collector, covered=False) as tid:
         yield tid
-    except BaseException:
-        failed = True
-        raise
-    finally:
-        t1 = span_now()
-        mark = swap_op_mark(prev_mark)
-        set_op_span(prev)
-        end_trace()
-        record = collector or CALLER.record
-        if mark is not None and t1 > mark:
-            record(
-                make_span(
-                    tid, new_span_id(), sid, "client", "client", "client",
-                    mark, t1, error=failed,
-                )
-            )
-        record(
-            make_span(tid, sid, prev, "op", name, "client", t0, t1, error=failed)
-        )

@@ -34,9 +34,6 @@ method name ``telemetry`` before the actor's own ``handle`` sees it, so
 *every* actor — data, meta, vm, pm, and anything a test registers —
 answers it on every driver, returning :meth:`ActorTelemetry.snapshot`
 (plain picklable containers, histograms in wire form).
-
-``REPRO_OBS=0`` disables recording process-wide (snapshots then report
-empty); the flag is read once at import.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Any, Callable
 
 from repro.obs import spans as _spans
 from repro.obs.hist import LatencyHistogram
-from repro.obs.trace import server_context, server_span_parent
+from repro.obs.spans import server_context, server_span_parent
 
 logger = logging.getLogger("repro.obs")
 
@@ -67,14 +64,6 @@ SLOW_RING_SIZE = 64
 
 #: traced sub-call spans kept per actor (ring; older spans overwritten)
 SPAN_RING_SIZE = 2048
-
-_ENABLED = os.environ.get("REPRO_OBS", "1") != "0"
-
-
-def telemetry_enabled() -> bool:
-    """Whether recording is on (``REPRO_OBS`` != 0, read at import)."""
-    return _ENABLED
-
 
 def _slow_threshold_ns() -> int:
     try:
@@ -182,8 +171,7 @@ class ActorTelemetry:
         plain tuples. This is the ``telemetry`` RPC's reply."""
         return {
             "schema": SNAPSHOT_SCHEMA,
-            "enabled": _ENABLED,
-            "methods": {m: h.to_wire() for m, h in self.hists.items()},
+            "methods": {m: h.to_wire() for m, h in list(self.hists.items())},
             "errors": dict(self.errors),
             "slow": list(self.slow),
             "slow_seen": self.slow_seen,
@@ -196,8 +184,8 @@ class ActorTelemetry:
 
 
 class _DisabledTelemetry(ActorTelemetry):
-    """Shared no-op accumulator for actors that refuse attributes (or
-    when ``REPRO_OBS=0``): recording drops, snapshots stay empty."""
+    """Shared no-op accumulator for actors that refuse attributes:
+    recording drops, snapshots stay empty."""
 
     def record(
         self, method: str, service_ns: int, error: bool, end_ns: int = 0
@@ -220,8 +208,6 @@ def telemetry_of(actor: Any) -> ActorTelemetry:
     """
     tele = getattr(actor, _ATTR, None)
     if tele is None:
-        if not _ENABLED:
-            return DISABLED
         stats = getattr(actor, "stats", None)
         tele = ActorTelemetry(actor_stats=stats if callable(stats) else None)
         try:

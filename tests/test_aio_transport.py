@@ -46,9 +46,9 @@ from repro.net.codec import WireCodecError
 from repro.net.node import NodeAgent
 from repro.net.sansio import Batch, Call
 from repro.net.wire import COALESCE_MAX_BYTES, COALESCE_MAX_CALLS
-from repro.obs.export import validate_spans
+from repro.obs.export import coverage, validate_spans
 from repro.obs.metrics import agent_metrics, collect_spans
-from repro.obs.spans import CALLER
+from repro.obs.spans import CALLER, trace_operation
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB, MB
@@ -168,6 +168,40 @@ def test_traced_async_op_exports_parented_spans(adep):
     assert "caller_rtt" in doc and doc["caller_rtt"], "caller RTTs missing"
 
 
+def test_thread_side_op_traces_the_sync_facade(adep):
+    """A ``trace_operation`` on the calling thread reaches the loop with
+    the protocol ``AioDriver.run`` hands over (the task copies the
+    thread's context): rpc spans parent to the op, and the client
+    compute between batches is covered too."""
+    client = adep.client("sync-traced")
+    blob = client.alloc(TOTAL, PAGE)
+    CALLER.clear()
+    with trace_operation("sync-write") as tid:
+        client.write(blob, fill(2), 0)
+    spans = [s for s in CALLER.snapshot() if s["trace"] == tid]
+    assert validate_spans(spans) == []
+    (op,) = [s for s in spans if s["kind"] == "op"]
+    rpcs = [s for s in spans if s["kind"] == "rpc"]
+    assert rpcs and all(s["parent"] == op["span"] for s in rpcs)
+    assert coverage(spans)[tid] >= 0.95
+
+
+def test_spawn_inside_a_traced_block_stays_untraced(adep):
+    """Like a ``ThreadedDriver.spawn`` thread, a spawned protocol does not
+    inherit the spawner's open operation: no rpc span on the caller side,
+    no serving span on the agent."""
+    CALLER.clear()
+    with trace_operation("spawner") as tid:
+        stats = adep.driver.spawn(
+            _call_proto(("data", 0), "data.stats")
+        ).result(JOIN_TIMEOUT)
+    assert stats["pages"] == 0
+    assert [s["kind"] for s in CALLER.snapshot()] == ["client", "op"]
+    assert not [
+        s for s in collect_spans(adep.metrics()) if s["trace"] == tid
+    ]
+
+
 # ---------------------------------------------------------------------------
 # cross-operation coalescing: concurrent protocols' groups share frames
 # ---------------------------------------------------------------------------
@@ -222,7 +256,8 @@ class _Cluster:
 
     def served(self) -> tuple[int, int]:
         """``(wire_rpcs, sub_calls)`` the agent's actor served so far."""
-        return self.agent.stats()["data/0"]
+        report = self.agent.telemetry()["data/0"]
+        return report["wire_rpcs"], report["sub_calls"]
 
     def together(self, protos) -> list:
         """Drive every protocol concurrently on the loop, all started in

@@ -132,7 +132,7 @@ def test_callers_sharing_one_peer_never_interleave_frames():
         _run_threads(put_then_get, 8)
         assert wrong == []
         assert driver.peer_status()[ADDR] == "connected"
-        served_calls = agent.stats()["data/0"][1]
+        served_calls = agent.telemetry()["data/0"]["sub_calls"]
         assert served_calls == driver.transport_stats()["sub_calls"] == 8 * 4 * 2
     finally:
         driver.abort()
@@ -207,7 +207,7 @@ def test_controls_and_stop_time_out_behind_a_send_blocked_on_a_wedged_actor():
 
         t0 = time.monotonic()
         try:
-            peer.control("stats", timeout=1)
+            peer.control("telemetry", timeout=1)
         except TimeoutError:
             pass
         else:

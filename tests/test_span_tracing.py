@@ -23,6 +23,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,6 +32,7 @@ import pytest
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
+from repro.deploy.threaded import build_threaded
 from repro.obs.export import (
     align_spans,
     chrome_trace,
@@ -109,6 +111,34 @@ class TestPrimitives:
                 raise RuntimeError("boom")
         op = next(s for s in got if s["kind"] == "op")
         assert op["error"] is True and op["name"] == "doomed"
+
+    def test_an_open_op_does_not_tag_another_threads_batches(self):
+        """The open operation is per context: a thread's batches run while
+        another thread holds a ``trace_operation`` open stay untraced —
+        no rpc span on the caller side, no serving span on the actors."""
+        opened, release = threading.Event(), threading.Event()
+        tids = []
+
+        def holder():
+            with trace_operation("holder") as tid:
+                tids.append(tid)
+                opened.set()
+                release.wait(10)
+
+        with build_threaded(DeploymentSpec(n_data=2, n_meta=2)) as dep:
+            client = dep.client("bystander")
+            blob = client.alloc(TOTAL, PAGE)
+            CALLER.clear()
+            thread = threading.Thread(target=holder)
+            thread.start()
+            try:
+                assert opened.wait(10)
+                client.write(blob, b"\x05" * PAGE, 0)
+            finally:
+                release.set()
+                thread.join(10)
+            assert [s["kind"] for s in CALLER.snapshot()] == ["client", "op"]
+            assert collect_spans(dep.metrics()) == []
 
     def test_validate_span_rejects_malformed(self):
         good = make_span(1, 2, None, "rpc", "data/0", "client", 0, 5)

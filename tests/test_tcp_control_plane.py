@@ -253,6 +253,38 @@ def test_close_cancels_in_flight_registration():
         pm_agent.close()
 
 
+def test_serve_forever_on_a_closed_agent_returns():
+    """``close()`` may win the race against the serve thread: the serve
+    loop then meets a closed listener and returns, instead of raising
+    ``OSError`` (EBADF) from the serve thread."""
+    agent = NodeAgent({("data", 0): build_actor("data/0")[1]})
+    agent.close()
+    agent.serve_forever()
+    assert agent.wait_stopped(0)
+
+
+def test_scrape_after_a_committed_drain():
+    """The OPERATIONS.md scale-out/drain sequence, then every scrape
+    surface: a drained provider leaves the driver's address book, so the
+    served-side counters and the metrics document read the survivors
+    instead of raising ``PeerUnavailable`` for the retired peer."""
+    spec = DeploymentSpec(
+        n_data=2, n_meta=2, strategy="hash_ring", cache_capacity=0
+    )
+    with build_tcp(spec, control_plane="agents") as dep:
+        client = dep.client("operator")
+        blob = client.alloc(16 * PAGE, PAGE)
+        v1 = client.write(blob, fill(7) * 16, 0).version
+        new_id = dep.add_agent()
+        assert dep.rebalance()["committed"]
+        assert dep.drain_agent(new_id)["committed"]
+        drained = ("data", new_id)
+        assert drained not in dep.driver.server_stats()
+        assert drained not in dep.workload_stats()
+        assert "data/%d" % new_id not in dep.metrics()["actors"]
+        assert client.read_bytes(blob, 0, 16 * PAGE, version=v1) == fill(7) * 16
+
+
 # ---------------------------------------------------------------------------
 # vm on its own agent: kill -> typed failure -> restart -> recovery
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.obs.telemetry import (
     ActorTelemetry,
     telemetry_of,
 )
-from repro.obs.trace import current_trace, end_trace, start_trace
+from repro.obs.spans import current_op, trace_operation
 from repro.util.sizes import KB, MB
 
 TOTAL = 1 * MB
@@ -207,12 +207,9 @@ def test_trace_rides_to_service_threads(monkeypatch):
     with build_threaded(DeploymentSpec(n_data=2, n_meta=2)) as dep:
         client = dep.client("tracer")
         blob = client.alloc(TOTAL, PAGE)
-        trace_id = start_trace()
-        try:
+        with trace_operation("write") as trace_id:
             client.write(blob, b"\x01" * (2 * PAGE), 0)
-        finally:
-            end_trace()
-        assert current_trace() is None
+        assert current_op() is None
         traced = {
             span["trace"]
             for entry in dep.metrics()["actors"].values()
@@ -251,11 +248,8 @@ def test_tcp_scrape_cli_and_workload_stats(tmp_path, capsys, monkeypatch):
     with build_tcp(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)) as dep:
         client = dep.client("tcp-tracer")
         blob = client.alloc(TOTAL, PAGE)
-        trace_id = start_trace()
-        try:
+        with trace_operation("write") as trace_id:
             client.write(blob, b"\x02" * (2 * PAGE), 0)
-        finally:
-            end_trace()
 
         workload_before = dep.workload_stats()
         metrics = dep.metrics()

@@ -1,10 +1,10 @@
-"""CLI tools and simulation tracing."""
+"""CLI tools and simulated per-node utilization."""
 
 import pytest
 
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
-from repro.sim.trace import hottest_nodes, render_utilization, utilization_report
+from repro.obs.metrics import render_metrics
 from repro.tools import figures, inspect as inspect_tool
 from repro.util.sizes import KB, TB
 
@@ -22,32 +22,24 @@ class TestSimTrace:
 
     def test_utilization_report_covers_all_nodes(self):
         dep = self.run_some_traffic()
-        report = utilization_report(dep.network)
-        assert len(report) == len(dep.network.nodes)
-        for u in report:
-            assert 0.0 <= u.cpu <= 1.0
-            assert 0.0 <= u.tx <= 1.0
-            assert 0.0 <= u.rx <= 1.0
+        nodes = dep.metrics()["nodes"]
+        assert set(nodes) == set(dep.network.nodes)
+        for u in nodes.values():
+            assert 0.0 <= u["cpu"] <= 1.0
+            assert 0.0 <= u["tx"] <= 1.0
+            assert 0.0 <= u["rx"] <= 1.0
 
     def test_client_did_real_work(self):
         dep = self.run_some_traffic()
-        by_name = {u.name: u for u in utilization_report(dep.network)}
-        client = by_name["client-0"]
-        assert client.cpu > 0 and client.tx > 0 and client.rx > 0
-
-    def test_hottest_nodes_sorted(self):
-        dep = self.run_some_traffic()
-        top = hottest_nodes(dep.network, top=3)
-        assert len(top) == 3
-        values = [u.hottest[1] for u in top]
-        assert values == sorted(values, reverse=True)
+        client = dep.metrics()["nodes"]["client-0"]
+        assert client["cpu"] > 0 and client["tx"] > 0 and client["rx"] > 0
 
     def test_render_contains_every_node(self):
         dep = self.run_some_traffic()
-        text = render_utilization(dep.network)
+        text = render_metrics(dep.metrics())
         for name in dep.network.nodes:
             assert name in text
-        assert "simulated seconds" in text
+        assert "node utilization (simulated)" in text
 
 
 class TestFiguresCli:

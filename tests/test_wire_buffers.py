@@ -49,6 +49,11 @@ MALFORMED = [
     ("rpc", [(None, ())]),  # method is not a name
     (3, ()),  # kind is not a name
     ("rpc", [], None, None),  # too long
+    # one group's trace context that is not (trace_id, span_id)
+    ("rpc", [("data.stats", ())], (7,)),
+    ("rpc", [("data.stats", ())], "x"),
+    ("rpc", [("data.stats", ())], 7),
+    ("rpc", [("data.stats", ())], (7, 9, 11)),
     # run lists (a coalesced frame's trace field) that do not cover the payload
     ("rpc", [("data.stats", ())], [(2, None)]),  # counts do not sum
     ("rpc", [("data.stats", ())], [(1, None), (0, None)]),  # zero count
@@ -61,7 +66,7 @@ MALFORMED = [
 ]
 
 #: a well-formed coalesced frame: an untraced run, then two traced ones
-RUNS = ("rpc", [("data.stats", ())] * 4, [(2, None), (1, 7), (1, (7, 9))])
+RUNS = ("rpc", [("data.stats", ())] * 4, [(2, None), (1, (7, 8)), (1, (7, 9))])
 
 
 class RawBody(bytes):
@@ -132,6 +137,31 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
             assert driver.call(("data", 0), "data.stats")["pages"] == 0
         finally:
             driver.abort()
+    finally:
+        sock.close()
+        agent.close()
+
+
+def test_a_bad_single_group_trace_context_is_answered_typed():
+    """A lone group's third field gets the same ``(trace_id, span_id)``
+    check as a run's context: the request is refused typed, and the next
+    one on the same connection is served (an unchecked ``(7,)`` used to
+    kill the connection's pump with an ``IndexError``, unanswered)."""
+    agent = NodeAgent({("data", 0): DataProvider(0)})
+    agent.start()
+    sock = socket.create_connection(
+        (agent.endpoint.host, agent.endpoint.port), timeout=10
+    )
+    try:
+        seen = _exchange(sock, {
+            0: ("hello", "data/0"),
+            1: ("rpc", [("data.stats", ())], (7,)),
+            2: ("rpc", [("data.stats", ())], (7, 9)),
+        })
+        assert isinstance(seen[1], RemoteError)
+        assert seen[1].error_type == "WireProtocolError"
+        (stats,) = seen[2]
+        assert stats["pages"] == 0
     finally:
         sock.close()
         agent.close()
@@ -254,7 +284,8 @@ def test_callers_see_an_undecodable_request_typed_and_the_connection_survives(cl
         assert driver.call(addr, "meta.get_node", (leaf.key,)) == leaf
         # never reconnected: one connection served all of it
         assert driver.peer_status()[addr] == "connected"
-        assert agent.stats()["meta/0"] == (2, 2)
+        report = agent.telemetry()["meta/0"]
+        assert (report["wire_rpcs"], report["sub_calls"]) == (2, 2)
     finally:
         driver.abort()
         agent.close()

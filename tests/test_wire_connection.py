@@ -136,7 +136,6 @@ def test_control_result_raises_what_a_control_came_back_as():
 
 CONTEXTS = st.one_of(
     st.none(),
-    st.integers(min_value=0, max_value=2**64 - 1),
     st.tuples(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=0, max_value=2**64 - 1),
