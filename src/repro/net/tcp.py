@@ -74,7 +74,9 @@ from repro.net.sansio import (
     deliver,
     plan_wire_groups,
 )
-from repro.net.threaded import ThreadedDriver, _BatchLatch, _ServerThread, dest_kind
+from repro.net.threaded import (
+    ThreadedDriver, _BatchLatch, _ScrapeView, _ServerThread, dest_kind,
+)
 from repro.net.wire import (
     CTL_SHUTDOWN,
     CTL_TELEMETRY,
@@ -345,21 +347,22 @@ class TcpPeer:
             self._lose(sock, self._conn.dropped)
 
 
-class PeerRegistry:
+class PeerRegistry(_ScrapeView):
     """The address book both remote drivers keep: in-parent actors on
     service threads (``_servers``), remote ones behind peers
     (``_remotes``), both under ``_lock``. A driver supplies the two things
     its shell does its own way: ``_new_peer`` and ``_control``."""
 
-    _lock: threading.Lock
     _closed: bool
-    _servers: dict[Address, _ServerThread]
 
     def _init_registry(self, connect_timeout: float) -> None:
         self._connect_timeout = connect_timeout
         self._remotes: dict[Address, Any] = {}
         #: addresses whose peer is being built (see register_remote)
         self._reserved: set[Address] = set()
+        #: stopped peers of unregistered actors (see unregister; a
+        #: re-registration of the address shadows its entry)
+        self._retired: dict[Address, Any] = {}
 
     def _claim(self, address: Address) -> None:
         """Refuse an address already taken (caller holds ``_lock``)."""
@@ -408,10 +411,12 @@ class PeerRegistry:
         return peer
 
     def unregister(self, address: Address) -> None:
-        """Retire a remote actor: it gets the ``shutdown`` control and its
-        address leaves the book (a drained provider is no longer scraped)."""
+        """Retire a remote actor: it gets the ``shutdown`` control and
+        leaves the book (no longer scraped), but a call to it still fails
+        typed, so a read falls over to replicas or ``pm.locate``."""
         with self._lock:
             peer = self._remotes.pop(address)
+            self._retired[address] = peer
         peer.stop()
 
     def register_map(self, cluster_map: ClusterMap) -> None:
@@ -462,8 +467,6 @@ class PeerRegistry:
 
     # -- introspection ---------------------------------------------------
 
-    server_stats = ThreadedDriver.server_stats
-
     def telemetry(self, address: Address) -> dict[str, Any]:
         """One actor's telemetry report (wire counters + service-time
         snapshot), queried over the wire as a *control* for remote actors
@@ -473,7 +476,7 @@ class PeerRegistry:
             remote = self._remotes.get(address)
         if remote is not None:
             return self._control(remote, CTL_TELEMETRY)
-        return ThreadedDriver.telemetry(self, address)
+        return super().telemetry(address)
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""
@@ -498,7 +501,8 @@ class PeerRegistry:
             if server is not None:
                 resolved.append((group, None, server))
                 continue
-            remote = remotes.get(group.dest)
+            # a retired peer answers PeerUnavailable, typed
+            remote = remotes.get(group.dest) or self._retired.get(group.dest)
             if remote is None:
                 raise KeyError(f"no actor registered at address {group.dest!r}")
             resolved.append((group, remote, None))

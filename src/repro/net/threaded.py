@@ -183,7 +183,33 @@ class _ServerThread:
         self._thread.join(timeout=10)
 
 
-class ThreadedDriver:
+class _ScrapeView:
+    """The scrape surface every real driver shares: ``telemetry`` of an
+    in-parent actor, and ``server_stats`` as one view over ``telemetry``."""
+
+    _lock: threading.Lock
+    _servers: dict[Address, _ServerThread]
+
+    def telemetry(self, address: Address) -> dict[str, Any]:
+        """One actor's telemetry report (:meth:`_ServerThread.report`)."""
+        with self._lock:
+            server = self._servers.get(address)
+        if server is None:
+            raise KeyError(f"no actor registered at address {address!r}")
+        return server.report()
+
+    def server_stats(self) -> dict[Address, tuple[int, int]]:
+        """Per-actor ``(wire_rpcs, sub_calls)``: the counters of every
+        actor's :meth:`telemetry` report (over the wire, as a control, for
+        a remote actor — raising ``RemoteError`` for a dead peer)."""
+        stats = {}
+        for address in self.addresses():
+            report = self.telemetry(address)
+            stats[address] = (report["wire_rpcs"], report["sub_calls"])
+        return stats
+
+
+class ThreadedDriver(_ScrapeView):
     """Drives protocols from any number of caller threads."""
 
     def __init__(self, registry: Mapping[Address, Actor] | None = None) -> None:
@@ -209,16 +235,6 @@ class ThreadedDriver:
     def addresses(self) -> list[Address]:
         with self._lock:
             return list(self._servers)
-
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)``: the counters of every
-        actor's :meth:`telemetry` report (over the wire, as a control, for
-        a remote actor — raising ``RemoteError`` for a dead peer)."""
-        stats = {}
-        for address in self.addresses():
-            report = self.telemetry(address)
-            stats[address] = (report["wire_rpcs"], report["sub_calls"])
-        return stats
 
     def transport_stats(self) -> dict[str, int]:
         """Aggregate transport counters across all caller threads.
@@ -267,14 +283,6 @@ class ThreadedDriver:
                 else:
                     merged[kind] = merge_all([hist])
         return merged
-
-    def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report (:meth:`_ServerThread.report`)."""
-        with self._lock:
-            server = self._servers.get(address)
-        if server is None:
-            raise KeyError(f"no actor registered at address {address!r}")
-        return server.report()
 
     def _latch(self) -> _BatchLatch:
         latch = getattr(self._tls, "latch", None)

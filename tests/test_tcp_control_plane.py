@@ -267,7 +267,10 @@ def test_scrape_after_a_committed_drain():
     """The OPERATIONS.md scale-out/drain sequence, then every scrape
     surface: a drained provider leaves the driver's address book, so the
     served-side counters and the metrics document read the survivors
-    instead of raising ``PeerUnavailable`` for the retired peer."""
+    instead of raising ``PeerUnavailable`` for the retired peer. A
+    version written after the join still reads back: its leaves record
+    the drained provider, and the call there fails typed, which sends
+    the read to ``pm.locate``."""
     spec = DeploymentSpec(
         n_data=2, n_meta=2, strategy="hash_ring", cache_capacity=0
     )
@@ -277,12 +280,15 @@ def test_scrape_after_a_committed_drain():
         v1 = client.write(blob, fill(7) * 16, 0).version
         new_id = dep.add_agent()
         assert dep.rebalance()["committed"]
-        assert dep.drain_agent(new_id)["committed"]
+        v2 = client.write(blob, fill(8) * 16, 0).version
         drained = ("data", new_id)
+        assert dep.driver.telemetry(drained)["sub_calls"] > 0
+        assert dep.drain_agent(new_id)["committed"]
         assert drained not in dep.driver.server_stats()
         assert drained not in dep.workload_stats()
         assert "data/%d" % new_id not in dep.metrics()["actors"]
         assert client.read_bytes(blob, 0, 16 * PAGE, version=v1) == fill(7) * 16
+        assert client.read_bytes(blob, 0, 16 * PAGE, version=v2) == fill(8) * 16
 
 
 # ---------------------------------------------------------------------------

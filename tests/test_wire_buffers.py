@@ -61,6 +61,7 @@ MALFORMED = [
     ("rpc", [("data.stats", ())], [(True, None)]),  # count is not an int
     ("rpc", [("data.stats", ())], [[1, None]]),  # run is not a pair
     ("rpc", [("data.stats", ())], [(1, "trace")]),  # bad context type
+    ("rpc", [("data.stats", ())], [(1, 7)]),  # bare trace id, no span id
     ("rpc", [("data.stats", ())], [(1, (7,))]),  # context is not (int, int)
     ("rpc", [("data.stats", ())], [(1, (7, None))]),
 ]
