@@ -18,8 +18,9 @@ Quickstart::
     v1 = client.write(blob, b"x" * 128 * KB, offset=0).version
     print(client.read_bytes(blob, 0, 16, version=v1))
 
-See README.md for the architecture tour and EXPERIMENTS.md for the
-paper-figure reproductions.
+See README.md for the architecture tour and the paper-figure
+reproductions (its "Benchmarks" section; the tables land in
+``benchmarks/out/``).
 """
 
 from repro.core.blobfile import BlobFile, open_blob

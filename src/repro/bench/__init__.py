@@ -9,7 +9,7 @@ authors' 2008 testbed.
 
 Ablation experiments (lock-free vs global lock, distributed vs centralized
 metadata, RPC aggregation on/off, page-size sweep) quantify the design
-choices DESIGN.md calls out.
+choices the paper argues for, each against the alternative it rejects.
 """
 
 from repro.bench.workloads import SegmentPicker, populate_window

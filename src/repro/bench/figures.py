@@ -4,7 +4,7 @@ Each generator builds fresh simulated deployments, runs the paper's
 workload, and returns a :class:`FigureData` with measured series plus the
 paper's (approximately digitized) curves for side-by-side comparison. The
 bench targets under ``benchmarks/`` print these tables and assert shape
-properties; EXPERIMENTS.md records a snapshot.
+properties; ``benchmarks/out/`` records a snapshot.
 """
 
 from __future__ import annotations

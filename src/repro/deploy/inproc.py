@@ -59,7 +59,8 @@ class Deployment(_Inspection):
     or on a TCP cluster proxies with the same inspection surface."""
 
     spec: DeploymentSpec
-    #: InprocDriver, ThreadedDriver, TcpDriver or AioDriver
+    #: InprocDriver, ThreadedDriver (threaded and TCP deployments) or
+    #: AioDriver
     driver: Any
     router: StaticRouter
     vm: Any
@@ -86,8 +87,10 @@ class Deployment(_Inspection):
         )
 
     def transport_stats(self) -> dict[str, int] | None:
-        """Batched-transport counters (see ThreadedDriver.transport_stats);
-        ``None`` on inproc, which has no wire layer."""
+        """Caller-side transport counters
+        (:meth:`~repro.net.threaded.PeerRegistry.transport_stats`, one
+        implementation for every real driver); ``None`` on inproc, which
+        has no wire layer."""
         if not hasattr(self.driver, "transport_stats"):
             return None
         return self.driver.transport_stats()

@@ -58,7 +58,7 @@ from repro.errors import ConfigError
 from repro.metadata.router import StaticRouter
 from repro.net.address import CONTROL_ACTORS, ClusterMap, Endpoint, format_actor
 from repro.net.aio import AioDriver
-from repro.net.tcp import TcpDriver
+from repro.net.threaded import ThreadedDriver
 from repro.providers.strategies import make_strategy
 
 #: how long the builder waits for a launched agent's READY line
@@ -69,7 +69,7 @@ class _ActorProxy:
     """Parent-side view of one actor on a node agent: each inspection
     method is one RPC to it."""
 
-    def __init__(self, driver: Union[TcpDriver, AioDriver], address) -> None:
+    def __init__(self, driver: Union[ThreadedDriver, AioDriver], address) -> None:
         self._driver = driver
         self._address = address
 
@@ -253,7 +253,7 @@ class TcpDeployment(Deployment):
     """A :class:`~repro.deploy.inproc.Deployment` behind node agents, plus
     what only a cluster of OS processes has: launched agents, the cluster
     map, elastic membership and failure injection. ``driver`` is a
-    TcpDriver or an AioDriver; ``vm``/``pm`` are live objects in the
+    ThreadedDriver or an AioDriver; ``vm``/``pm`` are live objects in the
     parent or proxies to their own agents. With remote vm/pm,
     ``stats_base`` holds the registration traffic — exact for *launched*
     clusters (the builder waits for quiescence); an operator-run agent
@@ -428,7 +428,7 @@ class TcpDeployment(Deployment):
 
 
 def _await_pm_registration(
-    driver: TcpDriver, provider_ids: Iterable[int], deadline: float
+    driver: ThreadedDriver, provider_ids: Iterable[int], deadline: float
 ) -> None:
     """Block until the remote pm has learned every provider in
     ``provider_ids``.
@@ -488,8 +488,10 @@ def build_tcp(
     so passing one here is a :class:`~repro.errors.ConfigError`.
 
     ``client`` picks the caller-side transport: ``"threaded"`` (default)
-    is the :class:`~repro.net.tcp.TcpDriver`, whose callers send their own
-    frames, with one receiver thread per peer; ``"aio"`` is the
+    is the :class:`~repro.net.threaded.ThreadedDriver` (the threaded
+    deployment's driver, with a :class:`~repro.net.tcp.TcpPeer` per remote
+    actor), whose callers send their own frames, with one receiver thread
+    per peer; ``"aio"`` is the
     :class:`~repro.net.aio.AioDriver`, one event loop multiplexing every
     peer socket, which additionally enables
     :meth:`TcpDeployment.async_client` for thousands of concurrent
@@ -588,11 +590,11 @@ def build_tcp(
             if address not in cluster_map:
                 raise ConfigError(f"no endpoint for actor {format_actor(address)!r}")
 
-        driver: Union[TcpDriver, AioDriver]
+        driver: Union[ThreadedDriver, AioDriver]
         if client == "aio":
             driver = AioDriver(connect_timeout=connect_timeout)
         else:
-            driver = TcpDriver(connect_timeout=connect_timeout)
+            driver = ThreadedDriver(connect_timeout=connect_timeout)
         try:
             if remote_cp:
                 driver.register_remote("vm", cluster_map.endpoint_for("vm"))

@@ -1,9 +1,13 @@
 """Threaded deployment: real concurrency, one service thread per actor.
 
-This is the deployment used to *demonstrate* (not time — see DESIGN.md on
-the GIL) the paper's concurrency properties: readers and writers in
-arbitrary interleavings, writers completing out of order, in-order
-publication, and the absence of any shared lock on the data path.
+This is the deployment used to *demonstrate* the paper's concurrency
+properties: readers and writers in arbitrary interleavings, writers
+completing out of order, in-order publication, and the absence of any
+shared lock on the data path. It is not the one to *time*: every actor
+shares the client interpreter's GIL, so wall-clock numbers measure lock
+contention, not the system — :func:`repro.deploy.tcp.build_tcp` runs the
+same driver against actors in their own OS processes (README.md, "Timing
+needs separate processes").
 """
 
 from __future__ import annotations

@@ -3,18 +3,20 @@
 The blob protocols (READ, WRITE, ALLOC, GC) are written **once** as plain
 generators that yield :class:`~repro.net.sansio.Batch` /
 :class:`~repro.net.sansio.Compute` operations and receive results — no I/O,
-no threads, no clocks inside the protocol logic (the "sans-io" style). Five
+no threads, no clocks inside the protocol logic (the "sans-io" style). Four
 drivers execute them:
 
 - :class:`~repro.net.inproc.InprocDriver` — direct dispatch, for functional
   tests, examples and the application pipeline;
-- :class:`~repro.net.threaded.ThreadedDriver` — one service thread per actor
-  with queue transports: real concurrency, used to validate lock-freedom;
-- :class:`~repro.net.tcp.TcpDriver` — actors behind ``host:port`` node
-  agents (:mod:`repro.net.node`), one OS process each on loopback or real
-  hosts: length-prefixed pickle frames (:mod:`repro.net.codec`) over TCP
-  connections with reconnect-safe fail-over — real parallelism, no shared
-  GIL, meaningful throughput, and the multi-host cluster deployment;
+- :class:`~repro.net.threaded.ThreadedDriver` — caller threads against two
+  kinds of actor: in-parent ones, one service thread each with queue
+  transports (real concurrency, used to validate lock-freedom), and
+  remote ones behind ``host:port`` node agents (:mod:`repro.net.node`),
+  one OS process each on loopback or real hosts, reached through a
+  :class:`~repro.net.tcp.TcpPeer`: length-prefixed pickle frames
+  (:mod:`repro.net.codec`) over TCP connections with reconnect-safe
+  fail-over — real parallelism, no shared GIL, meaningful throughput, and
+  the multi-host cluster deployment;
 - :class:`~repro.net.aio.AioDriver` — the same TCP agents driven from a
   single asyncio event loop multiplexing every peer socket: thousands of
   concurrent client coroutines instead of one thread per client;
@@ -32,7 +34,6 @@ from repro.net.address import ClusterMap, Endpoint, format_actor, parse_actor
 from repro.net.inproc import InprocDriver
 from repro.net.threaded import ThreadedDriver
 from repro.net.node import NodeAgent
-from repro.net.tcp import TcpDriver
 from repro.net.aio import AioDriver
 from repro.net.simdriver import SimRpcExecutor
 
@@ -50,7 +51,6 @@ __all__ = [
     "InprocDriver",
     "ThreadedDriver",
     "NodeAgent",
-    "TcpDriver",
     "AioDriver",
     "SimRpcExecutor",
 ]

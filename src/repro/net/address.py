@@ -10,9 +10,10 @@ needs the same addresses in three portable forms:
   TCP handshake that tells a node agent which actor a fresh connection
   serves;
 - **endpoints**: ``host:port`` pairs naming where a node agent listens;
-- the :class:`ClusterMap`: the actor → endpoint registry a
-  :class:`~repro.net.tcp.TcpDriver` is built from, parseable from plain
-  ``{"data/0": "10.0.0.5:7000"}`` dicts (the form
+- the :class:`ClusterMap`: the actor → endpoint registry a driver's
+  remote actors are registered from
+  (:meth:`~repro.net.threaded.PeerRegistry.register_map`), parseable
+  from plain ``{"data/0": "10.0.0.5:7000"}`` dicts (the form
   :class:`~repro.core.config.DeploymentSpec.endpoints` carries) so the
   exact same deployment code drives loopback CI ports and real hosts.
 

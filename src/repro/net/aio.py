@@ -1,8 +1,9 @@
 """Asyncio client driver: one event loop multiplexing every TCP peer.
 
 The driver built for *client scale* rather than actor placement: the
-blocking TCP driver (:mod:`repro.net.tcp`) dedicates a receiver thread
-per connection and one caller thread per in-flight protocol (callers send
+blocking driver (:class:`~repro.net.threaded.ThreadedDriver`, one
+:class:`~repro.net.tcp.TcpPeer` per actor) dedicates a receiver thread per
+connection and one caller thread per in-flight protocol (callers send
 their own frames), which tops out around the paper's 64 clients; this
 driver runs a single event-loop thread that multiplexes all peer sockets
 and any number of client coroutines — 10k concurrent client programs are
@@ -28,8 +29,9 @@ layering:
   are the same code: each :class:`AioPeer` is the asyncio I/O shell
   around one :class:`~repro.net.wire.Connection`, the sans-io core that
   owns req-ids, the pending registry, drain-as-``RemoteError``, the down
-  reasons, fail-fast and the redial schedule; registration, health and
-  destination resolution are :class:`~repro.net.tcp.PeerRegistry`'s.
+  reasons, fail-fast and the redial schedule; registration, health,
+  destination resolution, the batch body and the caller-side counters
+  are :class:`~repro.net.threaded.PeerRegistry`'s.
 
 Concurrency model: **everything about a peer is event-loop-confined.**
 Peer state (the core, the transport, the outbox) is touched only from the
@@ -48,14 +50,16 @@ Two client surfaces share the driver:
   ``spawn`` put them there).
 - **sync facade**: :meth:`AioDriver.run` and :meth:`AioDriver.spawn`
   match the :class:`~repro.net.threaded.ThreadedDriver` surface exactly
-  — protocol in, result out, ``ProtocolFuture``-shaped handle — which is
+  — protocol in, result out, the same
+  :class:`~repro.net.threaded.ProtocolFuture` handle — which is
   what lets the conformance suite replay its seeded workloads unchanged
   and lets :func:`repro.deploy.tcp.build_tcp` swap this driver in with
   ``client="aio"``.
 
-Observability parity: caller RTT histograms fold into
-:meth:`AioDriver.caller_rtt` (the metrics scrape reads them like any
-driver's), and traced operations — either a thread-side
+Observability parity: ``transport_stats`` and ``caller_rtt`` are the
+ones :class:`~repro.net.threaded.PeerRegistry` keeps for every real
+driver (the metrics scrape reads them like any driver's), and traced
+operations — either a thread-side
 :func:`repro.obs.spans.trace_operation` around the sync facade or an
 async-side :func:`trace_async_operation` (re-exported here) around
 awaited ops — record rpc spans through the same
@@ -92,11 +96,8 @@ from repro.net.sansio import (
     Mark,
     Protocol,
     WireGroup,
-    deliver,
-    plan_wire_groups,
 )
-from repro.net.tcp import PeerRegistry
-from repro.net.threaded import dest_kind
+from repro.net.threaded import PeerRegistry, ProtocolFuture
 from repro.net.wire import (
     COALESCE_MAX_BYTES,
     COALESCE_MAX_CALLS,
@@ -109,18 +110,11 @@ from repro.net.wire import (
     tune_socket,
     why_lost,
 )
-from repro.obs.hist import LatencyHistogram, merge_all
-from repro.obs.spans import (
-    current_op,
-    new_span_id,
-    record_group_spans,
-    trace_async_operation,
-)
+from repro.obs.spans import trace_async_operation
 
 __all__ = [
     "AioDriver",
     "AioPeer",
-    "AioProtocolFuture",
     "AsyncBlobClient",
     "trace_async_operation",
 ]
@@ -151,11 +145,15 @@ class _AioLatch:
 
     __slots__ = ("_loop", "_event", "_lock", "_pending")
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, n_groups: int) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
         self._event = asyncio.Event()
         self._lock = threading.Lock()
+        self._pending = 0
+
+    def begin(self, n_groups: int) -> int:
         self._pending = n_groups
+        return 0
 
     def group_done(self, gen: int) -> None:
         with self._lock:
@@ -372,6 +370,11 @@ class AioPeer:
             done += n
             latch.group_done(gen)
 
+    @staticmethod
+    def reply_values(slot: list, n_calls: int) -> list:
+        """A completed group's values: the slice :meth:`_deliver` decoded."""
+        return slot[0]
+
     def _take_down(self, event: Callable[..., list | None], *args: Any) -> None:
         """Take the connection down with the core's ``event`` (loop
         thread) and complete what it drained: every frame in flight, then
@@ -518,31 +521,6 @@ class AioPeer:
         self._loop.call_soon_threadsafe(self._take_down, self._conn.dropped)
 
 
-class AioProtocolFuture:
-    """Result handle of :meth:`AioDriver.spawn` — the event-loop twin of
-    :class:`~repro.net.threaded.ProtocolFuture` (``done()`` /
-    ``result(timeout)``), wrapping the coroutine's cross-thread future."""
-
-    def __init__(self, driver: "AioDriver", proto: Protocol[Any]) -> None:
-        # an empty context: the spawner's open operation does not follow
-        self._fut = contextvars.Context().run(
-            asyncio.run_coroutine_threadsafe, driver.drive(proto), driver.loop
-        )
-
-    def done(self) -> bool:
-        """True once the protocol coroutine finished (or failed)."""
-        return self._fut.done()
-
-    def result(self, timeout: float | None = 60.0) -> Any:
-        """The protocol's return value; re-raises its error."""
-        try:
-            return self._fut.result(timeout)
-        except TimeoutError:
-            if not self._fut.done():
-                raise TimeoutError("protocol did not complete in time") from None
-            raise
-
-
 class AioDriver(PeerRegistry):
     """Drives protocols against TCP-remote and in-parent actors from one
     event loop.
@@ -562,24 +540,13 @@ class AioDriver(PeerRegistry):
         *,
         connect_timeout: float = 5.0,
     ) -> None:
-        self._init_registry(connect_timeout)
-        self._servers = {}
-        self._closed = False
-        self._lock = threading.Lock()
-        # transport counters + RTT histograms: loop-thread writers only
-        self._batches = 0
-        self._submissions = 0
-        self._sub_calls = 0
-        self._wakeups = 0
         self._driving = 0  # protocols drive() is executing (peers read it)
-        self._rtt: dict[str, LatencyHistogram] = {}
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop_main, name="aio-driver", daemon=True
         )
         self._thread.start()
-        for address, actor in (registry or {}).items():
-            self.register(address, actor)
+        super().__init__(registry, connect_timeout=connect_timeout)
 
     def _loop_main(self) -> None:
         asyncio.set_event_loop(self.loop)
@@ -614,6 +581,9 @@ class AioDriver(PeerRegistry):
             raise RuntimeError(
                 "run_async called from the event-loop thread (await instead)"
             )
+        if self._closed:
+            coro.close()
+            raise RuntimeError("driver is closed")
         try:
             fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
         except RuntimeError:  # loop already closed: don't leak the coroutine
@@ -632,26 +602,6 @@ class AioDriver(PeerRegistry):
     def _control(self, peer: AioPeer, kind: str) -> Any:
         return self.run_async(peer.control(kind))
 
-    # -- introspection ---------------------------------------------------
-
-    def transport_stats(self) -> dict[str, int]:
-        """Aggregate transport counters (same shape and bounds as
-        :meth:`repro.net.threaded.ThreadedDriver.transport_stats` — one
-        queue submission per destination per batch, at most one
-        completion wakeup per batch)."""
-        return {
-            "batches": self._batches,
-            "queue_submissions": self._submissions,
-            "sub_calls": self._sub_calls,
-            "completion_wakeups": self._wakeups,
-        }
-
-    def caller_rtt(self) -> dict[str, LatencyHistogram]:
-        """Per-destination-kind wire-RPC round-trip histograms across
-        every protocol this driver executed. Fresh merges — safe to
-        mutate; read when callers are quiescent (single-writer loop)."""
-        return {kind: merge_all([hist]) for kind, hist in self._rtt.items()}
-
     # -- execution -------------------------------------------------------
 
     def run(self, proto: Protocol[Any]) -> Any:
@@ -659,11 +609,16 @@ class AioDriver(PeerRegistry):
         calling thread's open operation, if any, traces it."""
         return self.run_async(self.drive(proto))
 
-    def spawn(self, proto: Protocol[Any]) -> AioProtocolFuture:
+    def spawn(self, proto: Protocol[Any]) -> ProtocolFuture:
         """Run a protocol concurrently on the loop; returns a waitable
         future (thread-parity with ``ThreadedDriver.spawn``: the spawned
         protocol does not inherit the spawning thread's trace)."""
-        return AioProtocolFuture(self, proto)
+        # an empty context: the spawner's open operation does not follow
+        return ProtocolFuture(
+            contextvars.Context().run(
+                asyncio.run_coroutine_threadsafe, self.drive(proto), self.loop
+            )
+        )
 
     async def drive(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol as a coroutine on the driver's loop: the
@@ -695,70 +650,32 @@ class AioDriver(PeerRegistry):
             self._driving -= 1
 
     async def _execute_batch(self, batch: Batch) -> list[Any]:
-        # Same planning as every other real driver: one wire group (= one
-        # queue submission) per destination. How groups share frames is
-        # the peer's.
-        calls = batch.calls
-        if not calls:
+        # The batch body is every real driver's (PeerRegistry); how groups
+        # share frames is the peer's.
+        if not batch.calls:
             return []
         if asyncio.get_running_loop() is not self.loop:
             raise RuntimeError(
                 "protocol coroutines must run on the driver's event loop "
                 "(enter it via AioDriver.run_async or AioDriver.spawn)"
             )
-        groups = plan_wire_groups(calls)
-        resolved = self._resolve(groups)
-        results: list[Any] = [None] * len(calls)
-        latch = _AioLatch(self.loop, len(groups))
-        self._batches += 1
-        self._submissions += len(groups)
-        self._sub_calls += len(calls)
-        op = current_op()
-        span_ids = None if op is None else [new_span_id() for _ in groups]
-        slots, t_enq = self._submit(resolved, results, latch, 0, op, span_ids)
+        latch = _AioLatch(self.loop)
+        sent = self._submit_batch(batch.calls, latch)
         await latch.wait()
-        self._wakeups += 1
-        t_done = time.perf_counter_ns()
-        rtt_ns = t_done - t_enq
-        for group in groups:
-            hist = self._rtt.get(dest_kind(group.dest))
-            if hist is None:
-                hist = self._rtt[dest_kind(group.dest)] = LatencyHistogram()
-            hist.record(rtt_ns)
-        if op is not None:
-            record_group_spans(op, span_ids, groups, t_enq, t_done)
-        for k, slot in enumerate(slots):
-            if slot is None:
-                continue
-            for index, value in zip(groups[k].indices, slot[0]):
-                results[index] = value
-        return [deliver(c, r) for c, r in zip(calls, results)]
+        return self._finish_batch(sent)
 
     # -- lifecycle -------------------------------------------------------
 
-    def _shutdown(self, send_shutdown: bool) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            servers = list(self._servers.values())
-            remotes = list(self._remotes.values())
+    def _stop_peers(self, peers: list[AioPeer], send_shutdown: bool) -> None:
+        """Hang up every peer on the loop, then stop the loop."""
 
-        async def _stop_peers() -> None:
+        async def stop_all() -> None:
             await asyncio.gather(
-                *(p.stop_async(send_shutdown=send_shutdown) for p in remotes),
+                *(p.stop_async(send_shutdown=send_shutdown) for p in peers),
                 return_exceptions=True,
             )
 
         if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(_stop_peers(), self.loop).result(60)
+            asyncio.run_coroutine_threadsafe(stop_all(), self.loop).result(60)
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join(timeout=10)
-        for server in servers:
-            server.stop()
-
-    def __enter__(self) -> "AioDriver":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -6,8 +6,10 @@ endpoint and hosts any number of actors: the paper's layout colocates one
 data and one metadata provider per storage node and gives the version
 manager (``vm``) and provider manager (``pm``) dedicated machines — all
 four actor kinds are hosted by this same agent. Clients are
-:class:`~repro.net.tcp.TcpDriver` and :class:`~repro.net.aio.AioDriver`
-peers; the wire protocol is :mod:`repro.net.codec` messages carrying
+:class:`~repro.net.tcp.TcpPeer` (a
+:class:`~repro.net.threaded.ThreadedDriver`'s) and
+:class:`~repro.net.aio.AioPeer` (an :class:`~repro.net.aio.AioDriver`'s);
+the wire protocol is :mod:`repro.net.codec` messages carrying
 ``("rpc", sub_calls)`` and ``telemetry``/``shutdown`` controls
 (grammar and serving helpers in :mod:`repro.net.wire`; the one place
 that answers them is :meth:`_ActorService.serve`), prefixed by one

@@ -26,6 +26,7 @@ fail-over (e.g. reading a page replica after a provider crash).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import (
@@ -266,15 +267,11 @@ def gather_with_failover(
     return out
 
 
-def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:
-    """Execute a protocol by direct dispatch against actor objects.
-
-    This is the reference driver: no parallelism, no timing — just the
-    protocol semantics. Both other drivers must be observationally
-    equivalent to it (asserted by tests).
-    """
-    import time
-
+def run_protocol(proto: Protocol[T], execute: Callable[[Batch], list]) -> T:
+    """The blocking protocol loop: run ``proto`` to completion, handing
+    each :class:`Batch` to ``execute`` (which returns the delivered
+    results in call order). A ``ReproError`` from ``execute`` is thrown
+    into the protocol at its ``yield``; anything else propagates."""
     try:
         op = next(proto)
         while True:
@@ -286,17 +283,31 @@ def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:
                 continue
             if not isinstance(op, Batch):
                 raise TypeError(f"protocol yielded {op!r}, expected Batch or Compute")
-            results = []
-            for call in op.calls:
-                actor = registry.get(call.dest)
-                if actor is None:
-                    raise KeyError(f"no actor registered at address {call.dest!r}")
-                results.append(dispatch_call(actor, call))
             try:
-                delivered = [deliver(c, r) for c, r in zip(op.calls, results)]
+                results = execute(op)
             except ReproError as exc:
                 op = proto.throw(exc)
                 continue
-            op = proto.send(delivered)
+            op = proto.send(results)
     except StopIteration as stop:
         return stop.value
+
+
+def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:
+    """Execute a protocol by direct dispatch against actor objects.
+
+    This is the reference driver: no parallelism, no timing — just the
+    protocol semantics. Every other driver must be observationally
+    equivalent to it (asserted by tests).
+    """
+
+    def execute(batch: Batch) -> list:
+        results = []
+        for call in batch.calls:
+            actor = registry.get(call.dest)
+            if actor is None:
+                raise KeyError(f"no actor registered at address {call.dest!r}")
+            results.append(dispatch_call(actor, call))
+        return [deliver(c, r) for c, r in zip(batch.calls, results)]
+
+    return run_protocol(proto, execute)

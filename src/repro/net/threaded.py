@@ -1,48 +1,66 @@
-"""Real-thread driver: one service thread per actor, batched queue transports.
+"""Blocking driver: caller threads, in-parent service threads, TCP peers.
 
-This driver exists to demonstrate the paper's concurrency claims with real
-parallelism (not simulated time): each actor — data provider, metadata
-provider, version manager, provider manager — runs its own service loop
-exactly like the paper's one-process-per-node deployment, and any number of
-client threads issue protocols against them concurrently.
+One driver runs every blocking deployment. An actor placed with
+``register`` runs its own service loop on an in-parent thread — data
+provider, metadata provider, version manager, provider manager — exactly
+like the paper's one-process-per-node deployment; an actor bound with
+``register_remote`` lives behind a ``host:port`` endpoint served by a
+node agent (:mod:`repro.net.node`), reached through a
+:class:`~repro.net.tcp.TcpPeer`. Any number of client threads issue
+protocols against either kind concurrently. With only in-parent actors
+this is the threaded deployment; with remote ones, the TCP cluster
+(loopback agents or real hosts — only the endpoints in the
+:class:`~repro.net.address.ClusterMap` change).
 
-Because each actor is confined to a single service thread, actor code needs
-no internal locking; the *only* serialization point in the whole data path
-is the version manager's service queue — which is precisely the design the
-paper argues for. Throughput numbers from this driver are not meaningful
-under the GIL (see DESIGN.md); correctness under concurrency is.
+Because each in-parent actor is confined to a single service thread,
+actor code needs no internal locking; the *only* serialization point in
+the whole data path is the version manager's service queue — which is
+precisely the design the paper argues for. Throughput numbers from
+in-parent actors are not meaningful: they share the client's GIL, so
+only agents in their own OS processes are timed (README.md, "Timing
+needs separate processes"). Correctness under concurrency is what the
+threaded deployment shows.
 
 Transport batching mirrors the simulated driver: both execute exactly the
 wire groups planned by :func:`repro.net.sansio.plan_wire_groups`, so a
-batch costs **one queue submission per destination** (one inbox item
-carrying all of that destination's sub-calls) and **at most one completion
-wakeup per batch** (the last destination to finish notifies the waiting
-caller; every other destination only decrements a counter). Caller threads
-reuse a thread-local :class:`_BatchLatch` across batches, so the hot path
-allocates no locks, conditions or events per batch. The counters exposed by
-:meth:`ThreadedDriver.transport_stats` make these bounds testable.
+batch costs **one queue submission per destination** (one inbox item or
+one frame carrying all of that destination's sub-calls) and **at most one
+completion wakeup per batch** (the last destination to finish notifies the
+waiting caller; every other destination only decrements a counter). Caller
+threads reuse a thread-local :class:`_BatchLatch` across batches, so the
+hot path allocates no locks, conditions or events per batch. The counters
+exposed by :meth:`PeerRegistry.transport_stats` make these bounds testable.
+
+:class:`PeerRegistry` is what this driver and the asyncio one
+(:mod:`repro.net.aio`) share: registration, health, the scrape surface,
+destination resolution, the caller-side counters and the batch body. A
+driver supplies only how it waits for a batch and how it makes, asks and
+stops peers.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import queue
 import threading
 import time
 from typing import Any, Mapping
 
+from repro.net.address import ClusterMap, Endpoint, parse_endpoint
 from repro.net.sansio import (
     Actor,
     Address,
     Batch,
-    Compute,
-    Mark,
+    Call,
     Protocol,
     deliver,
     dispatch_call,
     plan_wire_groups,
+    run_protocol,
 )
-from repro.errors import ReproError
+from repro.net.tcp import TcpPeer
+from repro.net.wire import CTL_TELEMETRY
 from repro.obs.hist import LatencyHistogram, merge_all
 from repro.obs.spans import (
     clear_server_context,
@@ -54,6 +72,10 @@ from repro.obs.spans import (
 from repro.obs.telemetry import telemetry_of
 
 _SHUTDOWN = object()
+
+#: per caller thread: its :class:`_BatchLatch` (a thread waits on one batch
+#: at a time, whichever driver runs it, so one latch serves them all)
+_caller = threading.local()
 
 
 def dest_kind(dest: Address) -> str:
@@ -72,8 +94,9 @@ class _BatchLatch:
 
     A caller thread executes one batch at a time, so the same latch (and
     its single lock) serves every batch that thread ever runs: ``begin``
-    arms it before any submission, service threads call ``group_done``
-    once per wire group, and only the final decrement pays a ``notify``.
+    arms it before any submission, service and receiver threads call
+    ``group_done`` once per wire group, and only the final decrement pays
+    a ``notify``.
 
     Every batch gets a fresh generation number, carried by its inbox items
     and handed back by ``group_done``: if a caller unwinds out of ``wait``
@@ -81,42 +104,20 @@ class _BatchLatch:
     bumps the generation and the stale groups' completions are ignored
     instead of corrupting the new batch's countdown. (Their result writes
     land in the abandoned batch's results list, which nobody reads.)
-
-    The latch also accumulates the owning thread's transport counters;
-    :meth:`ThreadedDriver.transport_stats` sums them across threads.
     """
 
-    __slots__ = (
-        "_cond", "_pending", "_gen", "owner", "batches", "submissions",
-        "sub_calls", "wakeups", "rtt",
-    )
+    __slots__ = ("_cond", "_pending", "_gen")
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._pending = 0
         self._gen = 0
-        self.owner = threading.current_thread()
-        self.batches = 0  # batches executed by the owning thread
-        self.submissions = 0  # inbox items enqueued (== wire RPCs issued)
-        self.sub_calls = 0  # calls those items carried
-        self.wakeups = 0  # condition notifies (≤ 1 per batch)
-        # per-destination-kind round-trip histograms (single writer: owner)
-        self.rtt: dict[str, LatencyHistogram] = {}
 
-    def record_rtt(self, kind: str, rtt_ns: int) -> None:
-        hist = self.rtt.get(kind)
-        if hist is None:
-            hist = self.rtt[kind] = LatencyHistogram()
-        hist.record(rtt_ns)
-
-    def begin(self, n_groups: int, n_calls: int) -> int:
+    def begin(self, n_groups: int) -> int:
         """Arm for a new batch; returns the batch's generation stamp."""
         with self._cond:
             self._gen += 1
             self._pending = n_groups
-        self.batches += 1
-        self.submissions += n_groups
-        self.sub_calls += n_calls
         return self._gen
 
     def group_done(self, gen: int) -> None:
@@ -125,16 +126,12 @@ class _BatchLatch:
                 return  # completion of an abandoned batch: ignore
             self._pending -= 1
             if self._pending <= 0:
-                self.wakeups += 1
                 self._cond.notify()
 
     def wait(self) -> None:
         with self._cond:
             while self._pending > 0:
                 self._cond.wait()
-
-    def stats(self) -> tuple[int, int, int, int]:
-        return (self.batches, self.submissions, self.wakeups, self.sub_calls)
 
 
 class _ServerThread:
@@ -183,17 +180,154 @@ class _ServerThread:
         self._thread.join(timeout=10)
 
 
-class _ScrapeView:
-    """The scrape surface every real driver shares: ``telemetry`` of an
-    in-parent actor, and ``server_stats`` as one view over ``telemetry``."""
+class PeerRegistry:
+    """The address book and batch body every real driver keeps: in-parent
+    actors on service threads (``_servers``), remote ones behind peers
+    (``_remotes``), the caller-side counters, all under ``_lock``. A
+    driver supplies how it waits for a batch (between
+    :meth:`_submit_batch` and :meth:`_finish_batch`) and how it makes,
+    asks and stops peers: ``_new_peer``, ``_control``, ``_stop_peers``.
+    A peer reads a remote group's values with ``reply_values``."""
 
-    _lock: threading.Lock
-    _servers: dict[Address, _ServerThread]
+    def __init__(
+        self,
+        registry: Mapping[Address, Actor] | None = None,
+        *,
+        connect_timeout: float = 5.0,
+    ) -> None:
+        self._lock = threading.Lock()
+        self._closed = False
+        self._connect_timeout = connect_timeout
+        self._servers: dict[Address, _ServerThread] = {}
+        self._remotes: dict[Address, Any] = {}
+        #: addresses whose peer is being built (see register_remote)
+        self._reserved: set[Address] = set()
+        #: stopped peers of unregistered actors (see unregister; a
+        #: re-registration of the address shadows its entry)
+        self._retired: dict[Address, Any] = {}
+        #: caller-side transport counters (see transport_stats) and
+        #: per-destination-kind round-trip histograms
+        self._counts = dict.fromkeys(
+            ("batches", "queue_submissions", "completion_wakeups", "sub_calls"),
+            0,
+        )
+        self._rtt: dict[str, LatencyHistogram] = {}
+        for address, actor in (registry or {}).items():
+            self.register(address, actor)
+
+    def _claim(self, address: Address) -> None:
+        """Refuse an address already taken (caller holds ``_lock``)."""
+        if self._closed:
+            raise RuntimeError("driver is closed")
+        if (
+            address in self._servers
+            or address in self._remotes
+            or address in self._reserved
+        ):
+            raise ValueError(f"address {address!r} already registered")
+
+    # -- registration ----------------------------------------------------
+
+    def register(self, address: Address, actor: Actor) -> None:
+        """Place an actor on an in-parent service thread."""
+        with self._lock:
+            self._claim(address)
+            self._servers[address] = _ServerThread(address, actor)
+
+    def register_remote(self, address: Address, endpoint: Endpoint | str) -> Any:
+        """Bind ``address`` to a node-agent endpoint; dialing starts
+        immediately, in the background (use :meth:`wait_connected` to
+        block until the cluster is reachable).
+
+        The address is claimed before the peer exists, so a refused
+        registration never dials — a duplicate must not reach, let alone
+        stop, the actor the first registration serves.
+        """
+        endpoint = parse_endpoint(endpoint)
+        with self._lock:
+            self._claim(address)
+            self._reserved.add(address)
+        peer = None
+        try:
+            peer = self._new_peer(address, endpoint)
+        finally:
+            with self._lock:
+                self._reserved.discard(address)
+                closed = self._closed
+                if peer is not None and not closed:
+                    self._remotes[address] = peer
+        if closed:  # close() ran meanwhile: hang up, leave the actor be
+            peer.stop(send_shutdown=False)
+            raise RuntimeError("driver is closed")
+        return peer
+
+    def unregister(self, address: Address) -> None:
+        """Retire a remote actor: it gets the ``shutdown`` control and
+        leaves the book (no longer scraped), but a call to it still fails
+        typed, so a read falls over to replicas or ``pm.locate``."""
+        with self._lock:
+            peer = self._remotes.pop(address)
+            self._retired[address] = peer
+        peer.stop()
+
+    def register_map(self, cluster_map: ClusterMap) -> None:
+        """Register every actor of a cluster map."""
+        for address, endpoint in cluster_map.items():
+            self.register_remote(address, endpoint)
+
+    def peer(self, address: Address) -> Any:
+        """The peer registered at ``address``."""
+        with self._lock:
+            return self._remotes[address]
+
+    def addresses(self) -> list[Address]:
+        """Every registered address (in-parent first, then remote)."""
+        with self._lock:
+            return list(self._servers) + list(self._remotes)
+
+    def remote_addresses(self) -> list[Address]:
+        """The addresses served over the wire."""
+        with self._lock:
+            return list(self._remotes)
+
+    # -- health ----------------------------------------------------------
+
+    def wait_connected(self, timeout: float = 10.0) -> None:
+        """Block until every registered peer holds a live connection;
+        raises ``TimeoutError`` naming the unreachable peers."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            peers = list(self._remotes.values())
+        laggards = []
+        for peer in peers:
+            remaining = deadline - time.monotonic()
+            if not peer.wait_connected(max(0.0, remaining)):
+                laggards.append(
+                    f"{peer.actor_name}@{peer.endpoint} ({peer.down_reason})"
+                )
+        if laggards:
+            raise TimeoutError(
+                f"peers not connected within {timeout}s: " + "; ".join(laggards)
+            )
+
+    def peer_status(self) -> dict[Address, str]:
+        """``address -> "connected" | down reason`` for every peer."""
+        with self._lock:
+            peers = dict(self._remotes)
+        return {a: p.down_reason or "connected" for a, p in peers.items()}
+
+    # -- introspection ---------------------------------------------------
 
     def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report (:meth:`_ServerThread.report`)."""
+        """One actor's telemetry report (wire counters + service-time
+        snapshot, :meth:`_ServerThread.report`), queried over the wire as
+        a *control* for remote actors — controls are not counted as wire
+        RPCs, so scraping is invisible to the workload counters."""
         with self._lock:
+            remote = self._remotes.get(address)
             server = self._servers.get(address)
+        if remote is not None:
+            return self._control(remote, CTL_TELEMETRY)
         if server is None:
             raise KeyError(f"no actor registered at address {address!r}")
         return server.report()
@@ -208,225 +342,224 @@ class _ScrapeView:
             stats[address] = (report["wire_rpcs"], report["sub_calls"])
         return stats
 
-
-class ThreadedDriver(_ScrapeView):
-    """Drives protocols from any number of caller threads."""
-
-    def __init__(self, registry: Mapping[Address, Actor] | None = None) -> None:
-        self._servers: dict[Address, _ServerThread] = {}
-        self._closed = False
-        self._lock = threading.Lock()
-        self._tls = threading.local()
-        self._latches: list[_BatchLatch] = []
-        # counters folded in from latches of retired caller threads
-        self._retired_stats = [0, 0, 0, 0]
-        self._retired_rtt: dict[str, LatencyHistogram] = {}
-        for address, actor in (registry or {}).items():
-            self.register(address, actor)
-
-    def register(self, address: Address, actor: Actor) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("driver is closed")
-            if address in self._servers:
-                raise ValueError(f"address {address!r} already registered")
-            self._servers[address] = _ServerThread(address, actor)
-
-    def addresses(self) -> list[Address]:
-        with self._lock:
-            return list(self._servers)
-
     def transport_stats(self) -> dict[str, int]:
-        """Aggregate transport counters across all caller threads.
+        """Caller-side transport counters across every caller:
 
         - ``batches``: protocol batches executed;
-        - ``queue_submissions``: inbox items enqueued — exactly one per
-          destination per batch, i.e. one per wire RPC;
+        - ``queue_submissions``: wire groups submitted — exactly one per
+          destination per batch, i.e. one per wire RPC a lone caller
+          sends (concurrent aio callers may share a frame);
         - ``sub_calls``: the calls those submissions carried (equals the
           sub-calls the actors served, whatever frames carried them);
-        - ``completion_wakeups``: condition notifies — at most one per
-          batch (only the last wire group of a batch notifies).
+        - ``completion_wakeups``: caller wake-ups — at most one per batch
+          (a thread's latch notifies only on the last wire group; the aio
+          loop resumes a batch once).
 
-        Counters survive caller-thread exit (a retired thread's latch is
-        folded into a running total). Read these when caller threads are
-        quiescent; snapshots taken mid-batch may lag by the in-flight
-        batch.
+        A batch is counted when it is submitted and its wake-up when the
+        caller resumes, so a snapshot taken mid-batch may lag by the
+        in-flight batches; read these when callers are quiescent.
         """
         with self._lock:
-            totals = list(self._retired_stats)
-            latches = list(self._latches)
-        for latch in latches:
-            for k, value in enumerate(latch.stats()):
-                totals[k] += value
-        return {
-            "batches": totals[0],
-            "queue_submissions": totals[1],
-            "completion_wakeups": totals[2],
-            "sub_calls": totals[3],
-        }
+            return dict(self._counts)
 
     def caller_rtt(self) -> dict[str, LatencyHistogram]:
-        """Per-destination-kind wire-RPC round-trip histograms, merged
-        across every caller thread this driver has served (including
-        retired ones). The returned histograms are fresh merges — safe to
-        mutate."""
+        """Per-destination-kind wire-RPC round-trip histograms across
+        every batch this driver executed. The returned histograms are
+        fresh merges — safe to mutate."""
         with self._lock:
-            latches = list(self._latches)
-            merged = {
-                kind: merge_all([hist])
-                for kind, hist in self._retired_rtt.items()
-            }
-        for latch in latches:
-            for kind, hist in latch.rtt.items():
-                if kind in merged:
-                    merged[kind].merge(hist)
-                else:
-                    merged[kind] = merge_all([hist])
-        return merged
+            return {kind: merge_all([hist]) for kind, hist in self._rtt.items()}
 
-    def _latch(self) -> _BatchLatch:
-        latch = getattr(self._tls, "latch", None)
-        if latch is None:
-            latch = self._tls.latch = _BatchLatch()
-            with self._lock:
-                # Latch registration is rare (once per caller thread), so
-                # this is the place to retire latches of dead threads —
-                # without it, spawn-per-op usage would grow the registry
-                # one Condition per protocol ever run.
-                alive: list[_BatchLatch] = []
-                for old in self._latches:
-                    if old.owner.is_alive():
-                        alive.append(old)
-                    else:
-                        for k, value in enumerate(old.stats()):
-                            self._retired_stats[k] += value
-                        for kind, hist in old.rtt.items():
-                            merged = self._retired_rtt.get(kind)
-                            if merged is None:
-                                merged = self._retired_rtt[kind] = (
-                                    LatencyHistogram()
-                                )
-                            merged.merge(hist)
-                alive.append(latch)
-                self._latches = alive
-        return latch
+    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
+        """One-off RPC outside any protocol (inspection surfaces)."""
 
-    def run(self, proto: Protocol[Any]) -> Any:
-        """Execute a protocol; may be called concurrently from many threads."""
-        try:
-            op = next(proto)
-            while True:
-                if isinstance(op, Compute):
-                    op = proto.send(None)
-                    continue
-                if isinstance(op, Mark):
-                    op = proto.send(time.monotonic())
-                    continue
-                if not isinstance(op, Batch):
-                    raise TypeError(
-                        f"protocol yielded {op!r}, expected Batch or Compute"
-                    )
-                try:
-                    results = self._execute_batch(op)
-                except ReproError as exc:
-                    op = proto.throw(exc)
-                    continue
-                op = proto.send(results)
-        except StopIteration as stop:
-            return stop.value
+        def proto():
+            (result,) = yield Batch([Call(address, method, args)])
+            return result
 
-    def _execute_batch(self, batch: Batch) -> list[Any]:
-        # Same framing as the simulated driver: one wire RPC (= one queue
-        # submission) per destination. Destinations are resolved before
-        # anything is enqueued so an unknown address cannot leave the latch
-        # armed with groups already in flight.
-        calls = batch.calls
-        if not calls:
-            return []
-        groups = plan_wire_groups(calls)
+        return self.run(proto())
+
+    # -- execution -------------------------------------------------------
+
+    def _resolve(self, groups: list) -> list[tuple[Any, Any, Any]]:
+        """``(group, peer, None)`` or ``(group, None, service thread)`` per
+        wire group, all resolved before anything is submitted: an unknown
+        address leaves no latch armed and no group in flight."""
         servers = self._servers
-        resolved = []
+        remotes = self._remotes
+        resolved: list[tuple[Any, Any, Any]] = []
         for group in groups:
             server = servers.get(group.dest)
-            if server is None:
+            if server is not None:
+                resolved.append((group, None, server))
+                continue
+            # a retired peer answers PeerUnavailable, typed
+            remote = remotes.get(group.dest) or self._retired.get(group.dest)
+            if remote is None:
                 raise KeyError(f"no actor registered at address {group.dest!r}")
-            resolved.append(server)
-        results: list[Any] = [None] * len(calls)
-        latch = self._latch()
-        gen = latch.begin(len(groups), len(calls))
-        # With an operation open each wire group gets a span id that rides
-        # the envelope (serving-side spans parent to it); untraced batches
-        # enqueue the exact historical item shape.
+            resolved.append((group, remote, None))
+        return resolved
+
+    def _submit_batch(self, calls: tuple[Call, ...], latch: Any) -> tuple:
+        """First half of a batch: plan one wire group per destination,
+        resolve every destination, count, then hand each group to its
+        peer or in-parent service thread (under an open operation a
+        group's trace context rides its envelope). ``latch`` is armed
+        here and released by the last group; the caller waits on it and
+        passes the returned state to :meth:`_finish_batch`."""
+        groups = plan_wire_groups(calls)
+        resolved = self._resolve(groups)
+        with self._lock:
+            # a closed driver's service threads have stopped: a group
+            # queued to one would never complete, and its caller would
+            # wait forever
+            if self._closed:
+                raise RuntimeError("driver is closed")
+            self._counts["batches"] += 1
+            self._counts["queue_submissions"] += len(groups)
+            self._counts["sub_calls"] += len(calls)
+        gen = latch.begin(len(groups))
         op = current_op()
         span_ids = None if op is None else [new_span_id() for _ in groups]
+        results: list[Any] = [None] * len(calls)
+        replies = []  # (group, peer, slot) per remote group
         t_enq = time.perf_counter_ns()
-        for k, (server, group) in enumerate(zip(resolved, groups)):
+        for k, (group, remote, server) in enumerate(resolved):
             wire_trace = None if op is None else (op.trace, span_ids[k])
-            server.inbox.put(
-                (group.calls, group.indices, results, latch, gen,
-                 wire_trace, t_enq)
-            )
-        latch.wait()
+            if remote is None:
+                server.inbox.put(
+                    (group.calls, group.indices, results, latch, gen,
+                     wire_trace, t_enq)
+                )
+            else:
+                slot = [None]
+                replies.append((group, remote, slot))
+                remote.submit(group, slot, latch, gen, wire_trace)
+        return calls, groups, results, replies, op, span_ids, t_enq
+
+    def _finish_batch(self, sent: tuple) -> list[Any]:
+        """Second half of a batch, once its latch released: count the
+        wake-up, record RTT and spans, gather remote values and deliver
+        the results in call order."""
+        calls, groups, results, replies, op, span_ids, t_enq = sent
         # One RTT sample per wire RPC; the batch completes as a unit, so
         # every group in it shares the batch round-trip time.
         t_done = time.perf_counter_ns()
         rtt_ns = t_done - t_enq
-        for group in groups:
-            latch.record_rtt(dest_kind(group.dest), rtt_ns)
+        with self._lock:
+            self._counts["completion_wakeups"] += 1
+            for group in groups:
+                kind = dest_kind(group.dest)
+                hist = self._rtt.get(kind)
+                if hist is None:
+                    hist = self._rtt[kind] = LatencyHistogram()
+                hist.record(rtt_ns)
         if op is not None:
             record_group_spans(op, span_ids, groups, t_enq, t_done)
+        for group, remote, slot in replies:
+            values = remote.reply_values(slot, len(group.calls))
+            for index, value in zip(group.indices, values):
+                results[index] = value
         return [deliver(c, r) for c, r in zip(calls, results)]
 
-    def spawn(self, proto: Protocol[Any]) -> "ProtocolFuture":
-        """Run a protocol on a fresh thread; returns a waitable future."""
-        return ProtocolFuture(self, proto)
+    # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
+        """Orderly teardown: every remote actor gets the ``shutdown``
+        control (its agent exits once all it hosts have), in-parent
+        service threads join."""
+        self._shutdown(send_shutdown=True)
+
+    def abort(self) -> None:
+        """Hang up without stopping the remote actors: the teardown for a
+        *failed build* against operator-run agents, which must leave the
+        operator's cluster serving."""
+        self._shutdown(send_shutdown=False)
+
+    def _shutdown(self, send_shutdown: bool) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             servers = list(self._servers.values())
+            remotes = list(self._remotes.values())
+        self._stop_peers(remotes, send_shutdown)
         for server in servers:
             server.stop()
 
-    def __enter__(self) -> "ThreadedDriver":
+    def __enter__(self) -> "PeerRegistry":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
 
+class ThreadedDriver(PeerRegistry):
+    """Drives protocols from any number of caller threads against
+    in-parent actors (``register``) and TCP-remote ones
+    (``register_remote``, one :class:`~repro.net.tcp.TcpPeer` each)."""
+
+    def _new_peer(self, address: Address, endpoint: Endpoint) -> TcpPeer:
+        return TcpPeer(address, endpoint, connect_timeout=self._connect_timeout)
+
+    @staticmethod
+    def _control(peer: TcpPeer, kind: str) -> Any:
+        return peer.control(kind)
+
+    @staticmethod
+    def _stop_peers(peers: list[TcpPeer], send_shutdown: bool) -> None:
+        for peer in peers:
+            peer.stop(send_shutdown=send_shutdown)
+
+    def run(self, proto: Protocol[Any]) -> Any:
+        """Execute a protocol; may be called concurrently from many threads."""
+        return run_protocol(proto, self._execute_batch)
+
+    def _execute_batch(self, batch: Batch) -> list[Any]:
+        if not batch.calls:
+            return []
+        latch = getattr(_caller, "latch", None)
+        if latch is None:
+            latch = _caller.latch = _BatchLatch()
+        sent = self._submit_batch(batch.calls, latch)
+        latch.wait()
+        return self._finish_batch(sent)
+
+    def spawn(self, proto: Protocol[Any]) -> "ProtocolFuture":
+        """Run a protocol on a fresh thread; returns a waitable future."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def target() -> None:
+            try:
+                future.set_result(self.run(proto))
+            except BaseException as exc:  # noqa: BLE001 - carried to result()
+                future.set_exception(exc)
+
+        threading.Thread(
+            target=target, name=f"proto-{next(_future_ids)}", daemon=True
+        ).start()
+        return ProtocolFuture(future)
+
+
 _future_ids = itertools.count(1)
 
 
 class ProtocolFuture:
-    """Result of :meth:`ThreadedDriver.spawn`."""
+    """Result handle of a driver's ``spawn``: ``done()`` /
+    ``result(timeout)`` over the spawned protocol's
+    :class:`concurrent.futures.Future`."""
 
-    def __init__(self, driver: ThreadedDriver, proto: Protocol[Any]) -> None:
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._done = threading.Event()
-
-        def _target() -> None:
-            try:
-                self._value = driver.run(proto)
-            except BaseException as exc:  # noqa: BLE001 - carried to result()
-                self._error = exc
-            finally:
-                self._done.set()
-
-        self._thread = threading.Thread(
-            target=_target, name=f"proto-{next(_future_ids)}", daemon=True
-        )
-        self._thread.start()
+    def __init__(self, future: concurrent.futures.Future) -> None:
+        self._fut = future
 
     def done(self) -> bool:
-        return self._done.is_set()
+        """True once the protocol finished (or failed)."""
+        return self._fut.done()
 
     def result(self, timeout: float | None = 60.0) -> Any:
-        if not self._done.wait(timeout):
-            raise TimeoutError("protocol did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
+        """The protocol's return value; re-raises its error."""
+        try:
+            return self._fut.result(timeout)
+        except TimeoutError:
+            if not self._fut.done():
+                raise TimeoutError("protocol did not complete in time") from None
+            raise

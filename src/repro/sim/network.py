@@ -17,7 +17,8 @@ Model structure:
 
 All calibration constants live in :class:`ClusterSpec`; the defaults were
 fitted so the protocol reproduces the *shape and magnitude* of Figures
-3(a-c) — see EXPERIMENTS.md for the paper-vs-measured comparison.
+3(a-c) — the ``benchmarks/`` targets print the paper-vs-measured
+comparison (README.md, "Benchmarks").
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ built for.
 Real survey imagery is proprietary/huge; :mod:`repro.sky.skymodel`
 synthesizes statistically realistic star fields with injected supernovae
 and variable stars (ground truth known), which is what detection quality
-metrics need (see DESIGN.md substitutions).
+metrics need: the synthetic sky substitutes for the survey data, and
+detections are scored against the injected events.
 """
 
 from repro.sky.skymodel import SkySpec, SkyModel, SupernovaEvent, VariableStar

@@ -39,7 +39,7 @@ import sys
 from repro.core.config import DeploymentSpec
 from repro.errors import RemoteError, ReproError
 from repro.net.address import ClusterMap
-from repro.net.tcp import TcpDriver
+from repro.net.threaded import ThreadedDriver
 from repro.obs.export import (
     align_spans,
     chrome_trace,
@@ -237,7 +237,7 @@ def _attach(args: argparse.Namespace) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    driver = TcpDriver(connect_timeout=args.timeout)
+    driver = ThreadedDriver(connect_timeout=args.timeout)
     try:
         driver.register_map(cluster_map)
         try:

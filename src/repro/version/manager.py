@@ -20,10 +20,10 @@ The manager is deliberately a small, fast state machine: the paper's whole
 point is that this is the *only* serialization in the system, so everything
 here is O(patch metadata) per write and O(1) per read.
 
-Extension beyond the paper (documented in DESIGN.md): ``abandon`` lets the
-most recent writer back out (e.g. client crash before publishing) by
-rolling the assignment back, preserving liveness for later writers. The
-general failed-writer recovery problem is future work in the paper as well.
+Extension beyond the paper: ``abandon`` lets the most recent writer back
+out (e.g. client crash before publishing) by rolling the assignment back,
+preserving liveness for later writers. The general failed-writer recovery
+problem is future work in the paper as well.
 
 Durability (PR 6): construct with a :class:`~repro.core.journal.Journal`
 and every mutation follows the WAL discipline — validate, **append the

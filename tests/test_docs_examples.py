@@ -66,6 +66,18 @@ class TestDocsSet:
             )
             exec(compile(block, f"<docs/{name} {first}>", "exec"), {})
 
+    def test_documents_named_in_the_source_exist(self):
+        """A module that cites a document the repository does not have
+        sends its reader nowhere: every ``*.md`` file a ``src/repro``
+        module names must exist at the repository root or under docs/."""
+        dangling = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            for name in re.findall(r"[\w./-]*\w\.md\b", path.read_text()):
+                bases = (ROOT, ROOT / "docs")
+                if not any((base / name).is_file() for base in bases):
+                    dangling.add(f"{path.relative_to(ROOT)}: {name}")
+        assert not dangling, f"documents named but missing: {sorted(dangling)}"
+
 
 class TestDocCoverage:
     """Public modules and classes of the cluster-facing packages must

@@ -31,7 +31,7 @@ from repro.metadata.provider import MetadataProvider
 from repro.net.codec import MessageDecoder, encode_message
 from repro.net.node import NodeAgent, connect_and_handshake
 from repro.net.sansio import Batch, Call, WireGroup
-from repro.net.tcp import TcpDriver
+from repro.net.threaded import ThreadedDriver
 from repro.net.wire import force_close, rpc_envelope
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
@@ -83,7 +83,7 @@ def test_an_agent_actor_is_never_reentered_by_concurrent_drivers():
     probe = _ReentryProbe()
     agent = NodeAgent({ADDR: probe})
     agent.start()
-    drivers = [TcpDriver() for _ in range(8)]
+    drivers = [ThreadedDriver() for _ in range(8)]
     wrong: list[tuple] = []
     rounds = 40
     try:
@@ -115,7 +115,7 @@ def _page(i: int, r: int) -> bytes:
 def test_callers_sharing_one_peer_never_interleave_frames():
     agent = NodeAgent({ADDR: DataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = ThreadedDriver()
     wrong: list[tuple] = []
     try:
         driver.register_remote(ADDR, agent.endpoint)
@@ -157,7 +157,7 @@ def test_a_wedged_actor_stalls_only_itself():
     meta = ("meta", 0)
     agent = NodeAgent({ADDR: wedge, meta: MetadataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = ThreadedDriver()
     try:
         driver.register_remote(ADDR, agent.endpoint)
         driver.register_remote(meta, agent.endpoint)
@@ -186,7 +186,7 @@ def test_controls_and_stop_time_out_behind_a_send_blocked_on_a_wedged_actor():
     wedge = _Wedge()
     agent = NodeAgent({ADDR: wedge})
     agent.start()
-    driver = TcpDriver()
+    driver = ThreadedDriver()
     try:
         peer = driver.register_remote(ADDR, agent.endpoint)
         driver.wait_connected(10)
@@ -269,7 +269,7 @@ def test_queue_wait_counts_requests_served_ahead_in_the_same_read():
 def test_no_hand_off_threads_on_either_side_of_the_wire():
     agent = NodeAgent({ADDR: DataProvider(0), ("meta", 0): MetadataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = ThreadedDriver()
     try:
         for address in (ADDR, ("meta", 0)):
             driver.register_remote(address, agent.endpoint)
@@ -290,7 +290,7 @@ def test_a_shut_down_actor_hangs_up_instead_of_serving():
     drains as ``PeerUnavailable``."""
     agent = NodeAgent({ADDR: DataProvider(0), ("meta", 0): MetadataProvider(0)})
     agent.start()
-    first, second = TcpDriver(), TcpDriver()
+    first, second = ThreadedDriver(), ThreadedDriver()
     try:
         for driver in (first, second):
             driver.register_remote(ADDR, agent.endpoint)

@@ -1,15 +1,17 @@
 """Driver equivalence and driver-specific behaviour.
 
 The drivers must be observationally equivalent for any protocol (the full
-five-driver certification lives in test_driver_conformance.py); the
-threaded driver must additionally survive concurrent callers, and the sim
-driver must charge simulated time.
+certification of every deployment lives in test_driver_conformance.py);
+the threaded driver must additionally survive concurrent callers, the sim
+driver must charge simulated time, and every real deployment must count
+its callers' traffic the same way and refuse work once closed.
 """
 
 import threading
 
 import pytest
 
+from repro.core.config import DeploymentSpec
 from repro.errors import RemoteError
 from repro.net.inproc import InprocDriver
 from repro.net.sansio import Batch, Call, Compute
@@ -17,6 +19,8 @@ from repro.net.simdriver import SimRpcExecutor
 from repro.net.threaded import ThreadedDriver
 from repro.sim.engine import Simulator
 from repro.sim.network import ClusterSpec, Network
+from repro.util.sizes import KB, MB
+from tests.conftest import BUILDERS
 
 
 class Counter:
@@ -286,3 +290,59 @@ class TestSimDriver:
         service = 100 * spec.service_time("add") + spec.rpc_overhead
         # 4 clients' service must stack on the single server CPU lane
         assert sim.now >= 4 * service
+
+
+# ---------------------------------------------------------------------------
+# every real deployment: one batch body, one counter surface
+# ---------------------------------------------------------------------------
+
+PAGE = 4 * KB
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp", "aio"])
+def test_closed_deployment_refuses_a_call(name):
+    """A call through a closed deployment raises instead of waiting
+    forever on a service thread (or a loop) that has stopped."""
+    dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
+    client = dep.client("late")
+    blob = client.alloc(MB, PAGE)
+    dep.close()
+    outcome: list = []
+
+    def call() -> None:
+        try:
+            client.latest(blob)
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=5)
+    assert outcome, "a call through a closed driver hung"
+    assert isinstance(outcome[0], RuntimeError), outcome[0]
+    assert "driver is closed" in str(outcome[0])
+
+
+def test_real_drivers_count_a_serial_workload_alike():
+    """The same serial workload leaves equal ``transport_stats()`` deltas
+    and RTT histograms for the same destination kinds on every real
+    deployment: one counter surface, whatever waits for the batch."""
+    deltas, kinds = {}, {}
+    for name in ("threaded", "tcp", "aio", "tcp-remote"):
+        with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+            client = dep.client("serial")
+            before = dep.transport_stats()
+            blob = client.alloc(MB, PAGE)
+            for i in range(5):
+                client.write(blob, bytes([i + 1]) * (2 * PAGE), i * PAGE)
+                client.read_bytes(blob, 0, 4 * PAGE)
+            after = dep.transport_stats()
+            deltas[name] = {k: after[k] - before[k] for k in after}
+            kinds[name] = sorted(dep.driver.caller_rtt())
+    assert all(d == deltas["threaded"] for d in deltas.values()), deltas
+    assert all(k == kinds["threaded"] for k in kinds.values()), kinds
+    stats = deltas["threaded"]
+    assert stats["completion_wakeups"] == stats["batches"] > 0
+    assert stats["sub_calls"] > stats["queue_submissions"] > stats["batches"]

