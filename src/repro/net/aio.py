@@ -143,13 +143,14 @@ class _AioLatch:
     so generations are moot).
     """
 
-    __slots__ = ("_loop", "_event", "_lock", "_pending")
+    __slots__ = ("_loop", "_event", "_lock", "_pending", "_wakeups")
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
         self._event = asyncio.Event()
         self._lock = threading.Lock()
         self._pending = 0
+        self._wakeups = 0
 
     def begin(self, n_groups: int) -> int:
         self._pending = n_groups
@@ -160,10 +161,14 @@ class _AioLatch:
             self._pending -= 1
             if self._pending > 0:
                 return
+            self._wakeups += 1
         self._loop.call_soon_threadsafe(self._event.set)
 
-    async def wait(self) -> None:
+    async def wait(self) -> int:
+        """Resume once the batch completes; returns the loop wake-ups
+        the latch scheduled for it."""
         await self._event.wait()
+        return self._wakeups
 
 
 class _WireProtocol(asyncio.BufferedProtocol):
@@ -661,8 +666,7 @@ class AioDriver(PeerRegistry):
             )
         latch = _AioLatch(self.loop)
         sent = self._submit_batch(batch.calls, latch)
-        await latch.wait()
-        return self._finish_batch(sent)
+        return self._finish_batch(sent, await latch.wait())
 
     # -- lifecycle -------------------------------------------------------
 

@@ -104,20 +104,25 @@ class _BatchLatch:
     bumps the generation and the stale groups' completions are ignored
     instead of corrupting the new batch's countdown. (Their result writes
     land in the abandoned batch's results list, which nobody reads.)
+
+    The latch counts the notifies it pays for the current batch; ``wait``
+    returns that count, which the driver adds to ``completion_wakeups``.
     """
 
-    __slots__ = ("_cond", "_pending", "_gen")
+    __slots__ = ("_cond", "_pending", "_gen", "_notifies")
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._pending = 0
         self._gen = 0
+        self._notifies = 0
 
     def begin(self, n_groups: int) -> int:
         """Arm for a new batch; returns the batch's generation stamp."""
         with self._cond:
             self._gen += 1
             self._pending = n_groups
+            self._notifies = 0
         return self._gen
 
     def group_done(self, gen: int) -> None:
@@ -126,12 +131,29 @@ class _BatchLatch:
                 return  # completion of an abandoned batch: ignore
             self._pending -= 1
             if self._pending <= 0:
+                self._notifies += 1
                 self._cond.notify()
 
-    def wait(self) -> None:
+    def wait(self) -> int:
+        """Block until the batch completes; returns the notifies it took."""
         with self._cond:
             while self._pending > 0:
                 self._cond.wait()
+            return self._notifies
+
+
+class _Tally:
+    """One caller thread's transport counters (see
+    :meth:`PeerRegistry.transport_stats`) and per-destination-kind RTT
+    histograms. Only that thread writes it, so counting takes no lock."""
+
+    COUNTERS = ("batches", "queue_submissions", "completion_wakeups", "sub_calls")
+    __slots__ = COUNTERS + ("rtt",)
+
+    def __init__(self) -> None:
+        self.batches = self.queue_submissions = 0
+        self.completion_wakeups = self.sub_calls = 0
+        self.rtt: dict[str, LatencyHistogram] = {}
 
 
 class _ServerThread:
@@ -183,7 +205,7 @@ class _ServerThread:
 class PeerRegistry:
     """The address book and batch body every real driver keeps: in-parent
     actors on service threads (``_servers``), remote ones behind peers
-    (``_remotes``), the caller-side counters, all under ``_lock``. A
+    (``_remotes``), under ``_lock``, and the caller-side counters. A
     driver supplies how it waits for a batch (between
     :meth:`_submit_batch` and :meth:`_finish_batch`) and how it makes,
     asks and stops peers: ``_new_peer``, ``_control``, ``_stop_peers``.
@@ -205,13 +227,12 @@ class PeerRegistry:
         #: stopped peers of unregistered actors (see unregister; a
         #: re-registration of the address shadows its entry)
         self._retired: dict[Address, Any] = {}
-        #: caller-side transport counters (see transport_stats) and
-        #: per-destination-kind round-trip histograms
-        self._counts = dict.fromkeys(
-            ("batches", "queue_submissions", "completion_wakeups", "sub_calls"),
-            0,
-        )
-        self._rtt: dict[str, LatencyHistogram] = {}
+        #: caller-side counters, one _Tally per caller thread id, so the
+        #: batch path shares no lock between callers. The OS hands an
+        #: ended thread's id to a new thread, which then keeps counting
+        #: into the same tally: none is lost, and the table stays about
+        #: as large as the most callers alive at once.
+        self._tallies: dict[int, _Tally] = {}
         for address, actor in (registry or {}).items():
             self.register(address, actor)
 
@@ -351,23 +372,31 @@ class PeerRegistry:
           sends (concurrent aio callers may share a frame);
         - ``sub_calls``: the calls those submissions carried (equals the
           sub-calls the actors served, whatever frames carried them);
-        - ``completion_wakeups``: caller wake-ups — at most one per batch
-          (a thread's latch notifies only on the last wire group; the aio
-          loop resumes a batch once).
+        - ``completion_wakeups``: caller wake-ups, counted by the latch
+          where it pays them — at most one per batch (a thread's latch
+          notifies only on the last wire group; the aio latch wakes the
+          loop once).
 
-        A batch is counted when it is submitted and its wake-up when the
-        caller resumes, so a snapshot taken mid-batch may lag by the
-        in-flight batches; read these when callers are quiescent.
+        A batch is counted when it is submitted and its wake-ups (as the
+        latch counted them) when the caller resumes, so a snapshot taken
+        mid-batch may lag by the in-flight batches; read these when
+        callers are quiescent.
         """
-        with self._lock:
-            return dict(self._counts)
+        tallies = list(self._tallies.values())
+        return {
+            name: sum(getattr(tally, name) for tally in tallies)
+            for name in _Tally.COUNTERS
+        }
 
     def caller_rtt(self) -> dict[str, LatencyHistogram]:
         """Per-destination-kind wire-RPC round-trip histograms across
         every batch this driver executed. The returned histograms are
         fresh merges — safe to mutate."""
-        with self._lock:
-            return {kind: merge_all([hist]) for kind, hist in self._rtt.items()}
+        by_kind: dict[str, list[LatencyHistogram]] = {}
+        for tally in list(self._tallies.values()):
+            for kind, hist in list(tally.rtt.items()):
+                by_kind.setdefault(kind, []).append(hist)
+        return {kind: merge_all(hists) for kind, hists in by_kind.items()}
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""
@@ -405,18 +434,21 @@ class PeerRegistry:
         peer or in-parent service thread (under an open operation a
         group's trace context rides its envelope). ``latch`` is armed
         here and released by the last group; the caller waits on it and
-        passes the returned state to :meth:`_finish_batch`."""
+        passes the returned state, with the wake-ups ``wait`` returned, to
+        :meth:`_finish_batch`."""
+        # a closed driver's service threads have stopped: a group queued
+        # to one would never complete, and its caller would wait forever
+        if self._closed:
+            raise RuntimeError("driver is closed")
         groups = plan_wire_groups(calls)
         resolved = self._resolve(groups)
-        with self._lock:
-            # a closed driver's service threads have stopped: a group
-            # queued to one would never complete, and its caller would
-            # wait forever
-            if self._closed:
-                raise RuntimeError("driver is closed")
-            self._counts["batches"] += 1
-            self._counts["queue_submissions"] += len(groups)
-            self._counts["sub_calls"] += len(calls)
+        ident = threading.get_ident()
+        tally = self._tallies.get(ident)
+        if tally is None:
+            tally = self._tallies[ident] = _Tally()
+        tally.batches += 1
+        tally.queue_submissions += len(groups)
+        tally.sub_calls += len(calls)
         gen = latch.begin(len(groups))
         op = current_op()
         span_ids = None if op is None else [new_span_id() for _ in groups]
@@ -434,25 +466,30 @@ class PeerRegistry:
                 slot = [None]
                 replies.append((group, remote, slot))
                 remote.submit(group, slot, latch, gen, wire_trace)
-        return calls, groups, results, replies, op, span_ids, t_enq
+        # close() set _closed before stopping any service thread, so if
+        # it is still unset here every group above is queued ahead of
+        # the shutdown; if set, a group may sit behind it, never served
+        if self._closed:
+            raise RuntimeError("driver is closed")
+        return calls, groups, results, replies, op, span_ids, t_enq, tally
 
-    def _finish_batch(self, sent: tuple) -> list[Any]:
-        """Second half of a batch, once its latch released: count the
-        wake-up, record RTT and spans, gather remote values and deliver
-        the results in call order."""
-        calls, groups, results, replies, op, span_ids, t_enq = sent
+    def _finish_batch(self, sent: tuple, wakeups: int) -> list[Any]:
+        """Second half of a batch, once its latch released after
+        ``wakeups`` notifies: count them, record RTT and spans, gather
+        remote values and deliver the results in call order."""
+        calls, groups, results, replies, op, span_ids, t_enq, tally = sent
         # One RTT sample per wire RPC; the batch completes as a unit, so
         # every group in it shares the batch round-trip time.
         t_done = time.perf_counter_ns()
         rtt_ns = t_done - t_enq
-        with self._lock:
-            self._counts["completion_wakeups"] += 1
-            for group in groups:
-                kind = dest_kind(group.dest)
-                hist = self._rtt.get(kind)
-                if hist is None:
-                    hist = self._rtt[kind] = LatencyHistogram()
-                hist.record(rtt_ns)
+        tally.completion_wakeups += wakeups
+        rtt = tally.rtt
+        for group in groups:
+            kind = dest_kind(group.dest)
+            hist = rtt.get(kind)
+            if hist is None:
+                hist = rtt[kind] = LatencyHistogram()
+            hist.record(rtt_ns)
         if op is not None:
             record_group_spans(op, span_ids, groups, t_enq, t_done)
         for group, remote, slot in replies:
@@ -521,8 +558,7 @@ class ThreadedDriver(PeerRegistry):
         if latch is None:
             latch = _caller.latch = _BatchLatch()
         sent = self._submit_batch(batch.calls, latch)
-        latch.wait()
-        return self._finish_batch(sent)
+        return self._finish_batch(sent, latch.wait())
 
     def spawn(self, proto: Protocol[Any]) -> "ProtocolFuture":
         """Run a protocol on a fresh thread; returns a waitable future."""

@@ -325,6 +325,57 @@ def test_closed_deployment_refuses_a_call(name):
     assert "driver is closed" in str(outcome[0])
 
 
+class _ClosingInbox:
+    """A service thread's inbox whose first ``put`` lets a concurrent
+    ``close()`` finish first: the submission lands behind the shutdown of
+    a service thread that has already exited."""
+
+    def __init__(self, inbox, dep):
+        self._inbox = inbox
+        self._dep = dep
+        self._raced = False
+
+    def get(self):
+        return self._inbox.get()
+
+    def put(self, item):
+        if not self._raced:
+            self._raced = True
+            closer = threading.Thread(target=self._dep.close)
+            closer.start()
+            closer.join(timeout=30)
+        self._inbox.put(item)
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp"])
+def test_close_racing_a_call_refuses_it(name):
+    """``close()`` between a batch's closed check and its submission to
+    an in-parent service thread: the call raises, it does not wait on a
+    service thread that stopped."""
+    dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
+    client = dep.client("racer")
+    blob = client.alloc(MB, PAGE)
+    server = dep.driver._servers["vm"]
+    server.inbox = _ClosingInbox(server.inbox, dep)
+    outcome: list = []
+
+    def call() -> None:
+        try:
+            client.latest(blob)
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    dep.close()
+    assert outcome, "a call racing close() hung"
+    assert isinstance(outcome[0], RuntimeError), outcome[0]
+    assert "driver is closed" in str(outcome[0])
+
+
 def test_real_drivers_count_a_serial_workload_alike():
     """The same serial workload leaves equal ``transport_stats()`` deltas
     and RTT histograms for the same destination kinds on every real

@@ -102,6 +102,42 @@ class TestTransportCounters:
         latch.group_done(gen2)
         latch.wait()  # must return immediately
 
+    def test_wakeups_are_the_notifies_the_latch_paid(self):
+        """``wait`` reports the notifies of its own batch: one for a batch
+        whose last group completes once, more for a group completed twice
+        (a bug the ``completion_wakeups <= batches`` bound must catch)."""
+        from repro.net.threaded import _BatchLatch
+
+        latch = _BatchLatch()
+        gen = latch.begin(3)
+        for _ in range(3):
+            latch.group_done(gen)
+        assert latch.wait() == 1
+        gen = latch.begin(1)
+        latch.group_done(gen)
+        latch.group_done(gen)  # duplicate completion: notifies again
+        assert latch.wait() == 2
+
+    def test_a_twice_completed_group_shows_in_the_counters(self, monkeypatch):
+        """``completion_wakeups`` is measured at the latch, so a driver
+        whose groups complete twice breaks the one-wakeup bound."""
+        from repro.net import threaded
+
+        group_done = threaded._BatchLatch.group_done
+
+        def twice(latch, gen):
+            with latch._cond:  # both notifies before the caller resumes
+                group_done(latch, gen)
+                group_done(latch, gen)
+
+        monkeypatch.setattr(threaded._BatchLatch, "group_done", twice)
+        with ThreadedDriver() as driver:
+            driver.register(("data", 0), DataProvider(0))
+            driver.call(("data", 0), "data.stats")
+            stats = driver.transport_stats()
+        assert stats["batches"] == 1
+        assert stats["completion_wakeups"] == 2
+
     def test_retired_caller_threads_fold_into_stats(self):
         """Counters of dead caller threads must survive their exit."""
         with build_threaded(DeploymentSpec(n_data=2, n_meta=2)) as dep:
