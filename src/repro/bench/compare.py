@@ -242,6 +242,7 @@ def compare_dirs(
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry: diff two bench output dirs; the exit code is the verdict."""
     import argparse
 
     parser = argparse.ArgumentParser(

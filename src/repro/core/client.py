@@ -1,23 +1,23 @@
-"""Client facades over the sans-io protocols.
+"""The client facade over the sans-io protocols.
 
-A :class:`BlobClient` binds a driver (in-process or threaded), a metadata
-router and a private metadata cache, and exposes the paper's primitives as
-ordinary methods. Many clients may share one driver — each keeps its own
-cache and write-uid sequence, exactly like independent client processes in
-the paper's deployment.
-
-:class:`AsyncBlobClient` is the coroutine twin for the aio driver
-(:mod:`repro.net.aio`): same protocols, same cache and write-uid
-semantics, but every primitive is awaitable, so thousands of client
-coroutines can share one event loop — the many-open-connections shape
-the paper's 64-thread client tier cannot express.
+A :class:`BlobClient` binds a driver, a metadata router and a private
+metadata cache, and exposes the paper's primitives as ordinary methods.
+Many clients may share one driver — each keeps its own cache and
+write-uid sequence, exactly like independent client processes in the
+paper's deployment. Each primitive is one private protocol that resolves
+the blob's geometry itself, and :meth:`BlobClient._run` is the one place
+a client meets its driver — all :class:`AsyncBlobClient` changes: it
+awaits the aio driver's ``drive`` (:mod:`repro.net.aio`), so thousands of
+client coroutines share one event loop, a shape the paper's 64-thread
+client tier cannot express.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Sequence
+from functools import partial
+from typing import Any, Awaitable, Callable, Sequence
 
 from repro.core.protocol import (
     LATEST,
@@ -35,6 +35,7 @@ from repro.core.gc import GCStats, gc_protocol
 from repro.metadata.cache import DEFAULT_CAPACITY, MetadataCache
 from repro.metadata.router import StaticRouter
 from repro.metadata.tree import TreeGeometry
+from repro.net.sansio import Protocol
 from repro.providers.page import PagePayload
 from repro.util.bits import align_down, align_up
 
@@ -67,55 +68,43 @@ class BlobClient:
         self._geoms: dict[str, TreeGeometry] = {}
         self._geom_lock = threading.Lock()
 
+    def _run(self, proto: Protocol[Any]) -> Any:
+        """Run one primitive's protocol (blocking; awaitable in the subclass)."""
+        return self.driver.run(proto)
+
     # -- blob lifecycle ---------------------------------------------------
 
     def alloc(self, total_size: int, pagesize: int) -> str:
         """Create a blob (paper's ALLOC); returns its globally unique id."""
-        blob_id = self.driver.run(alloc_protocol(total_size, pagesize))
-        with self._geom_lock:
-            self._geoms[blob_id] = TreeGeometry(total_size, pagesize)
-        return blob_id
+        return self._run(self._alloc(total_size, pagesize))
 
     def open(self, blob_id: str) -> TreeGeometry:
         """Learn (and cache) the geometry of an existing blob."""
-        with self._geom_lock:
-            geom = self._geoms.get(blob_id)
-        if geom is None:
-            total_size, pagesize, _ = self.driver.run(stat_protocol(blob_id))
-            geom = TreeGeometry(total_size, pagesize)
-            with self._geom_lock:
-                self._geoms[blob_id] = geom
-        return geom
+        return self._run(self._geometry(blob_id))
 
-    def geometry(self, blob_id: str) -> TreeGeometry:
-        return self.open(blob_id)
+    geometry = open
 
     def latest(self, blob_id: str) -> int:
         """Latest published version number."""
-        return self.driver.run(stat_protocol(blob_id))[2]
+        return self._run(self._latest(blob_id))
 
     # -- WRITE -----------------------------------------------------------
 
     def write(self, blob_id: str, data: bytes, offset: int) -> WriteResult:
         """Page-aligned WRITE of real bytes; returns the assigned version."""
-        geom = self.open(blob_id)
-        return self.write_pages(blob_id, offset, split_pages(data, geom.pagesize))
+        pages = partial(split_pages, data)
+        return self._run(self._write(blob_id, offset, pages))
 
     def write_pages(
         self, blob_id: str, offset: int, payloads: Sequence[PagePayload]
     ) -> WriteResult:
-        geom = self.open(blob_id)
-        return self.driver.run(
-            write_protocol(
-                blob_id, geom, offset, payloads, self.router,
-                fresh_write_uid(self.name), hashed_alloc=self.elastic,
-            )
-        )
+        """WRITE pre-split page payloads at a page-aligned offset."""
+        return self._run(self._write(blob_id, offset, lambda _: payloads))
 
     def write_virtual(self, blob_id: str, offset: int, size: int) -> WriteResult:
         """WRITE with virtual payloads (protocol exercised, no real bytes)."""
-        geom = self.open(blob_id)
-        return self.write_pages(blob_id, offset, virtual_pages(size, geom.pagesize))
+        pages = partial(virtual_pages, size)
+        return self._run(self._write(blob_id, offset, pages))
 
     def write_unaligned(
         self,
@@ -132,16 +121,7 @@ class BlobClient:
         granularity. Snapshot semantics of the *aligned* region are
         unchanged.
         """
-        geom = self.open(blob_id)
-        if not data:
-            raise ValueError("write_unaligned requires non-empty data")
-        lo = align_down(offset, geom.pagesize)
-        hi = align_up(offset + len(data), geom.pagesize)
-        base = self.read(blob_id, lo, hi - lo, version=base_version)
-        assert base.data is not None
-        merged = bytearray(base.data)
-        merged[offset - lo : offset - lo + len(data)] = data
-        return self.write(blob_id, bytes(merged), lo)
+        return self._run(self._write_unaligned(blob_id, data, offset, base_version))
 
     # -- READ ------------------------------------------------------------
 
@@ -154,21 +134,14 @@ class BlobClient:
         with_data: bool = True,
     ) -> ReadResult:
         """READ a segment out of snapshot ``version`` (default: latest)."""
-        geom = self.open(blob_id)
-        return self.driver.run(
-            read_protocol(
-                blob_id, geom, offset, size, self.router,
-                version=version, cache=self.cache, with_data=with_data,
-                locate_fallback=self.elastic,
-            )
-        )
+        proto = self._read(blob_id, offset, size, version, with_data=with_data)
+        return self._run(proto)
 
     def read_bytes(
         self, blob_id: str, offset: int, size: int, version: int = LATEST
     ) -> bytes:
-        result = self.read(blob_id, offset, size, version=version)
-        assert result.data is not None
-        return result.data
+        """READ and return the segment's bytes."""
+        return self._run(self._read_bytes(blob_id, offset, size, version))
 
     def read_into(
         self,
@@ -186,15 +159,8 @@ class BlobClient:
         never aliased by ``out``, so mutating the buffer afterwards cannot
         disturb any published snapshot.
         """
-        geom = self.open(blob_id)
         size = memoryview(out).nbytes
-        return self.driver.run(
-            read_protocol(
-                blob_id, geom, offset, size, self.router,
-                version=version, cache=self.cache, out=out,
-                locate_fallback=self.elastic,
-            )
-        )
+        return self._run(self._read(blob_id, offset, size, version, out=out))
 
     # -- garbage collection ------------------------------------------------
 
@@ -207,165 +173,98 @@ class BlobClient:
     ) -> GCStats:
         """Client-ordered GC: drop everything unreachable from the kept
         snapshots (paper lists GC as client-ordered; see repro.core.gc)."""
-        geom = self.open(blob_id)
-        return self.driver.run(
-            gc_protocol(
-                blob_id, geom, tuple(keep_versions), self.router,
-                tuple(data_ids), tuple(meta_ids),
-            )
-        )
+        return self._run(self._gc(blob_id, keep_versions, data_ids, meta_ids))
 
+    # -- the protocols: one body for both facades --------------------------
+    # The geometry lock is never held across a yield: a protocol may be
+    # suspended on another thread's batch or on the event loop.
 
-class AsyncBlobClient:
-    """One logical client of the blob service, as awaitable coroutines.
-
-    Binds an :class:`repro.net.aio.AioDriver` (any driver exposing an
-    awaitable ``drive(proto)``) and runs the *same* sans-io protocols as
-    :class:`BlobClient` — a method here and its blocking twin produce
-    bit-identical wire traffic. Methods must be awaited from coroutines
-    running on the driver's event loop (``driver.run_async`` /
-    ``driver.spawn`` put them there). The geometry map and metadata
-    cache are shared safely because all awaiting coroutines interleave
-    on that single loop thread.
-    """
-
-    def __init__(
-        self,
-        driver,
-        router: StaticRouter,
-        *,
-        name: str | None = None,
-        cache_capacity: int = DEFAULT_CAPACITY,
-        elastic: bool = False,
-    ) -> None:
-        self.driver = driver
-        self.router = router
-        self.elastic = elastic
-        self.name = name or f"client-{next(_client_seq)}"
-        self.cache: MetadataCache | None = (
-            MetadataCache(cache_capacity) if cache_capacity > 0 else None
-        )
-        self._geoms: dict[str, TreeGeometry] = {}
-
-    # -- blob lifecycle ---------------------------------------------------
-
-    async def alloc(self, total_size: int, pagesize: int) -> str:
-        """Create a blob (paper's ALLOC); returns its globally unique id."""
-        blob_id = await self.driver.drive(alloc_protocol(total_size, pagesize))
-        self._geoms[blob_id] = TreeGeometry(total_size, pagesize)
-        return blob_id
-
-    async def open(self, blob_id: str) -> TreeGeometry:
-        """Learn (and cache) the geometry of an existing blob."""
-        geom = self._geoms.get(blob_id)
+    def _geometry(self, blob_id: str) -> Protocol[TreeGeometry]:
+        with self._geom_lock:
+            geom = self._geoms.get(blob_id)
         if geom is None:
-            total_size, pagesize, _ = await self.driver.drive(
-                stat_protocol(blob_id)
-            )
+            total_size, pagesize, _ = yield from stat_protocol(blob_id)
             geom = TreeGeometry(total_size, pagesize)
-            self._geoms[blob_id] = geom
+            with self._geom_lock:
+                self._geoms[blob_id] = geom
         return geom
 
-    async def geometry(self, blob_id: str) -> TreeGeometry:
-        """Alias of :meth:`open` (matches the blocking facade)."""
-        return await self.open(blob_id)
+    def _alloc(self, total_size: int, pagesize: int) -> Protocol[str]:
+        blob_id = yield from alloc_protocol(total_size, pagesize)
+        with self._geom_lock:
+            self._geoms[blob_id] = TreeGeometry(total_size, pagesize)
+        return blob_id
 
-    async def latest(self, blob_id: str) -> int:
-        """Latest published version number."""
-        return (await self.driver.drive(stat_protocol(blob_id)))[2]
+    def _latest(self, blob_id: str) -> Protocol[int]:
+        return (yield from stat_protocol(blob_id))[2]
 
-    # -- WRITE -----------------------------------------------------------
-
-    async def write(self, blob_id: str, data: bytes, offset: int) -> WriteResult:
-        """Page-aligned WRITE of real bytes; returns the assigned version."""
-        geom = await self.open(blob_id)
-        return await self.write_pages(
-            blob_id, offset, split_pages(data, geom.pagesize)
-        )
-
-    async def write_pages(
-        self, blob_id: str, offset: int, payloads: Sequence[PagePayload]
-    ) -> WriteResult:
-        """WRITE pre-split page payloads at a page-aligned offset."""
-        geom = await self.open(blob_id)
-        return await self.driver.drive(
-            write_protocol(
-                blob_id, geom, offset, payloads, self.router,
-                fresh_write_uid(self.name), hashed_alloc=self.elastic,
-            )
-        )
-
-    async def write_virtual(
-        self, blob_id: str, offset: int, size: int
-    ) -> WriteResult:
-        """WRITE with virtual payloads (protocol exercised, no real bytes)."""
-        geom = await self.open(blob_id)
-        return await self.write_pages(
-            blob_id, offset, virtual_pages(size, geom.pagesize)
-        )
-
-    # -- READ ------------------------------------------------------------
-
-    async def read(
+    def _write(
         self,
         blob_id: str,
         offset: int,
-        size: int,
-        version: int = LATEST,
-        with_data: bool = True,
-    ) -> ReadResult:
-        """READ a segment out of snapshot ``version`` (default: latest)."""
-        geom = await self.open(blob_id)
-        return await self.driver.drive(
-            read_protocol(
-                blob_id, geom, offset, size, self.router,
-                version=version, cache=self.cache, with_data=with_data,
-                locate_fallback=self.elastic,
-            )
-        )
+        pages: Callable[[int], Sequence[PagePayload]],
+    ) -> Protocol[WriteResult]:
+        """WRITE the payloads ``pages(pagesize)`` builds at ``offset``."""
+        geom = yield from self._geometry(blob_id)
+        return (yield from write_protocol(
+            blob_id, geom, offset, pages(geom.pagesize), self.router,
+            fresh_write_uid(self.name), hashed_alloc=self.elastic,
+        ))
 
-    async def read_bytes(
-        self, blob_id: str, offset: int, size: int, version: int = LATEST
-    ) -> bytes:
-        """READ and return the segment's bytes."""
-        result = await self.read(blob_id, offset, size, version=version)
+    def _write_unaligned(
+        self, blob_id: str, data: bytes, offset: int, base_version: int
+    ) -> Protocol[WriteResult]:
+        geom = yield from self._geometry(blob_id)
+        if not data:
+            raise ValueError("write_unaligned requires non-empty data")
+        lo = align_down(offset, geom.pagesize)
+        hi = align_up(offset + len(data), geom.pagesize)
+        base = yield from self._read(blob_id, lo, hi - lo, base_version)
+        assert base.data is not None
+        merged = bytearray(base.data)
+        merged[offset - lo : offset - lo + len(data)] = data
+        pages = partial(split_pages, bytes(merged))
+        return (yield from self._write(blob_id, lo, pages))
+
+    def _read(
+        self, blob_id: str, offset: int, size: int, version: int, **how: Any
+    ) -> Protocol[ReadResult]:
+        """READ; ``how`` is ``with_data=`` or ``out=`` of read_protocol."""
+        geom = yield from self._geometry(blob_id)
+        return (yield from read_protocol(
+            blob_id, geom, offset, size, self.router, version=version,
+            cache=self.cache, locate_fallback=self.elastic, **how,
+        ))
+
+    def _read_bytes(
+        self, blob_id: str, offset: int, size: int, version: int
+    ) -> Protocol[bytes]:
+        result = yield from self._read(blob_id, offset, size, version)
         assert result.data is not None
         return result.data
 
-    async def read_into(
-        self,
-        blob_id: str,
-        out: bytearray | memoryview,
-        offset: int,
-        version: int = LATEST,
-    ) -> ReadResult:
-        """READ ``len(out)`` bytes at ``offset`` straight into ``out``
-        (same zero-copy scatter as the blocking facade)."""
-        geom = await self.open(blob_id)
-        size = memoryview(out).nbytes
-        return await self.driver.drive(
-            read_protocol(
-                blob_id, geom, offset, size, self.router,
-                version=version, cache=self.cache, out=out,
-                locate_fallback=self.elastic,
-            )
-        )
-
-    # -- garbage collection ------------------------------------------------
-
-    async def gc(
+    def _gc(
         self,
         blob_id: str,
         keep_versions: Sequence[int],
         data_ids: Sequence[int],
         meta_ids: Sequence[int],
-    ) -> GCStats:
-        """Client-ordered GC: drop everything unreachable from the kept
-        snapshots (paper lists GC as client-ordered; see repro.core.gc)."""
-        geom = await self.open(blob_id)
-        return await self.driver.drive(
-            gc_protocol(
-                blob_id, geom, tuple(keep_versions), self.router,
-                tuple(data_ids), tuple(meta_ids),
-            )
-        )
+    ) -> Protocol[GCStats]:
+        geom = yield from self._geometry(blob_id)
+        return (yield from gc_protocol(
+            blob_id, geom, tuple(keep_versions), self.router,
+            tuple(data_ids), tuple(meta_ids),
+        ))
+
+
+class AsyncBlobClient(BlobClient):
+    """:class:`BlobClient` whose every public method returns an awaitable.
+
+    It runs the *same* protocols through an :class:`repro.net.aio.AioDriver`
+    (any driver with an awaitable ``drive(proto)``), so a method here and
+    its blocking twin produce bit-identical wire traffic. Await them from
+    coroutines on the driver's loop (``run_async`` / ``spawn`` enter it).
+    """
+
+    def _run(self, proto: Protocol[Any]) -> Awaitable[Any]:
+        return self.driver.drive(proto)

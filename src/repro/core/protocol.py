@@ -53,6 +53,7 @@ _GET_PAGE_REQ_BYTES = estimate_size((PageKey("", "", 0),))
 
 
 def data_addr(provider_id: int) -> Address:
+    """The actor address of data provider ``provider_id``."""
     return ("data", provider_id)
 
 

@@ -78,7 +78,12 @@ class Deployment(_Inspection):
     transport_base: dict = field(default_factory=dict)
 
     def client(self, name: str | None = None) -> BlobClient:
-        return BlobClient(
+        """A blocking client sharing the deployment's driver."""
+        return self._client(BlobClient, name)
+
+    def _client(self, cls: type[BlobClient], name: str | None) -> BlobClient:
+        # the one constructor body: the aio deployment's async_client too
+        return cls(
             self.driver,
             self.router,
             name=name,

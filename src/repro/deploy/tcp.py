@@ -276,21 +276,15 @@ class TcpDeployment(Deployment):
 
     def async_client(self, name: str | None = None) -> AsyncBlobClient:
         """A coroutine-facade client (``build_tcp(..., client="aio")``
-        deployments only): awaitable read/write/read_into sharing the
-        deployment's event-loop driver. Any number of these can run
+        deployments only): :meth:`client` with every method awaitable, on
+        the deployment's event-loop driver. Any number of these can run
         concurrently as coroutines — the high-concurrency client tier."""
         if not hasattr(self.driver, "drive"):
             raise ConfigError(
                 "async_client() needs the aio driver; build the deployment "
                 "with build_tcp(..., client='aio')"
             )
-        return AsyncBlobClient(
-            self.driver,
-            self.router,
-            name=name,
-            cache_capacity=self.spec.cache_capacity,
-            elastic=self.spec.strategy == "hash_ring",
-        )
+        return self._client(AsyncBlobClient, name)
 
     # -- elastic membership ----------------------------------------------
 

@@ -44,10 +44,10 @@ by the sync facade — use a lock plus ``call_soon_threadsafe`` and
 Two client surfaces share the driver:
 
 - **async-native**: :meth:`AioDriver.drive` is an awaitable protocol
-  executor; :class:`~repro.core.client.AsyncBlobClient` (re-exported
-  here) wraps it in awaitable ``read``/``write``/``read_into`` methods.
-  Client coroutines must run on the driver's loop (``run_async`` /
-  ``spawn`` put them there).
+  executor (stepping by :func:`~repro.net.sansio.step`, as the blocking
+  loop does); :class:`~repro.core.client.AsyncBlobClient` (re-exported
+  here) is the blocking client with ``drive`` as its runner. Client
+  coroutines must run on the driver's loop (``run_async`` / ``spawn``).
 - **sync facade**: :meth:`AioDriver.run` and :meth:`AioDriver.spawn`
   match the :class:`~repro.net.threaded.ThreadedDriver` surface exactly
   — protocol in, result out, the same
@@ -74,9 +74,9 @@ starts its protocol in an empty context, so it stays untraced like a
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextvars
 import threading
-import time
 from typing import Any, Callable, Mapping
 
 from repro.errors import RemoteError, ReproError
@@ -92,10 +92,9 @@ from repro.net.sansio import (
     Actor,
     Address,
     Batch,
-    Compute,
-    Mark,
     Protocol,
     WireGroup,
+    step,
 )
 from repro.net.threaded import PeerRegistry, ProtocolFuture
 from repro.net.wire import (
@@ -586,15 +585,27 @@ class AioDriver(PeerRegistry):
             raise RuntimeError(
                 "run_async called from the event-loop thread (await instead)"
             )
-        if self._closed:
-            coro.close()
-            raise RuntimeError("driver is closed")
-        try:
-            fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        except RuntimeError:  # loop already closed: don't leak the coroutine
-            coro.close()
-            raise
-        return fut.result(timeout)
+        return self._submit(coro).result(timeout)
+
+    def _submit(
+        self, coro: Any, context: contextvars.Context | None = None
+    ) -> concurrent.futures.Future:
+        """Hand ``coro`` to the loop, in ``context`` if given (else the
+        caller's): the one entry ``run_async`` and ``spawn`` share. A
+        closed driver, or a loop that closes under the call, refuses with
+        ``RuntimeError("driver is closed")`` and closes the coroutine, so
+        none is left never-awaited."""
+        if not self._closed:
+            try:
+                if context is None:
+                    return asyncio.run_coroutine_threadsafe(coro, self.loop)
+                return context.run(
+                    asyncio.run_coroutine_threadsafe, coro, self.loop
+                )
+            except RuntimeError:  # the loop closed under the call
+                pass
+        coro.close()
+        raise RuntimeError("driver is closed")
 
     def _new_peer(self, address: Address, endpoint: Endpoint) -> AioPeer:
         async def make() -> AioPeer:  # peers are born on the loop
@@ -620,9 +631,7 @@ class AioDriver(PeerRegistry):
         protocol does not inherit the spawning thread's trace)."""
         # an empty context: the spawner's open operation does not follow
         return ProtocolFuture(
-            contextvars.Context().run(
-                asyncio.run_coroutine_threadsafe, self.drive(proto), self.loop
-            )
+            self._submit(self.drive(proto), contextvars.Context())
         )
 
     async def drive(self, proto: Protocol[Any]) -> Any:
@@ -631,24 +640,14 @@ class AioDriver(PeerRegistry):
         operation open in the task's context."""
         self._driving += 1
         try:
-            op = next(proto)
+            batch = step(proto)
             while True:
-                if isinstance(op, Compute):
-                    op = proto.send(None)
-                    continue
-                if isinstance(op, Mark):
-                    op = proto.send(time.monotonic())
-                    continue
-                if not isinstance(op, Batch):
-                    raise TypeError(
-                        f"protocol yielded {op!r}, expected Batch or Compute"
-                    )
                 try:
-                    results = await self._execute_batch(op)
+                    results = await self._execute_batch(batch)
                 except ReproError as exc:
-                    op = proto.throw(exc)
-                    continue
-                op = proto.send(results)
+                    batch = step(proto, error=exc)
+                else:
+                    batch = step(proto, results)
         except StopIteration as stop:
             return stop.value
         finally:

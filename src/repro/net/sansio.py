@@ -267,28 +267,40 @@ def gather_with_failover(
     return out
 
 
+def step(
+    proto: Protocol[Any], results: list | None = None, error: ReproError | None = None
+) -> Batch:
+    """Resume ``proto`` and run it to its next :class:`Batch` — the one
+    stepping rule every real loop shares. ``error`` is thrown in at the
+    ``yield``, else ``results`` are sent (``None`` starts a fresh
+    protocol); a :class:`Compute` resumes with ``None``, a :class:`Mark`
+    with ``time.monotonic()``, anything else is a ``TypeError``. A
+    finished protocol raises ``StopIteration`` carrying its value."""
+    op = proto.send(results) if error is None else proto.throw(error)
+    while not isinstance(op, Batch):
+        if isinstance(op, Compute):
+            op = proto.send(None)
+        elif isinstance(op, Mark):
+            op = proto.send(time.monotonic())
+        else:
+            raise TypeError(f"protocol yielded {op!r}, expected Batch or Compute")
+    return op
+
+
 def run_protocol(proto: Protocol[T], execute: Callable[[Batch], list]) -> T:
     """The blocking protocol loop: run ``proto`` to completion, handing
     each :class:`Batch` to ``execute`` (which returns the delivered
     results in call order). A ``ReproError`` from ``execute`` is thrown
     into the protocol at its ``yield``; anything else propagates."""
     try:
-        op = next(proto)
+        batch = step(proto)
         while True:
-            if isinstance(op, Compute):
-                op = proto.send(None)
-                continue
-            if isinstance(op, Mark):
-                op = proto.send(time.monotonic())
-                continue
-            if not isinstance(op, Batch):
-                raise TypeError(f"protocol yielded {op!r}, expected Batch or Compute")
             try:
-                results = execute(op)
+                results = execute(batch)
             except ReproError as exc:
-                op = proto.throw(exc)
-                continue
-            op = proto.send(results)
+                batch = step(proto, error=exc)
+            else:
+                batch = step(proto, results)
     except StopIteration as stop:
         return stop.value
 

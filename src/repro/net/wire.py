@@ -1,6 +1,6 @@
 """Shared wire machinery of the socket-backed drivers and the node agent.
 
-The blocking TCP driver (:mod:`repro.net.tcp`), the asyncio driver
+The blocking shell (:class:`repro.net.tcp.TcpPeer`), the asyncio driver
 (:mod:`repro.net.aio`) and the node agent (:mod:`repro.net.node`) speak one
 protocol — :mod:`repro.net.codec` messages carrying ``("rpc", sub_calls)``
 requests and control messages. Everything that is *about the protocol*

@@ -34,6 +34,7 @@ class PageKey(NamedTuple):
 
 
 def page_key_for(blob_id: str, write_uid: str, index: int) -> PageKey:
+    """The key of page ``index`` of one WRITE; rejects a negative index."""
     if index < 0:
         raise ValueError(f"page index must be >= 0, got {index}")
     return PageKey(blob_id, write_uid, index)

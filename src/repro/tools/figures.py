@@ -70,6 +70,7 @@ RUNNERS: dict[str, Callable[[argparse.Namespace], str]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.figures``."""
     parser = argparse.ArgumentParser(
         prog="repro.tools.figures",
         description="Regenerate the paper's evaluation figures on the "
@@ -97,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (regenerate paper figures); returns the exit code."""
     args = build_parser().parse_args(argv)
     targets = list(RUNNERS) if args.figure == "all" else [args.figure]
     for name in targets:

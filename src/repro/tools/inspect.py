@@ -23,6 +23,7 @@ from repro.version.diff import changed_ranges
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.inspect``."""
     parser = argparse.ArgumentParser(
         prog="repro.tools.inspect",
         description="Dump segment trees and sharing stats for a scripted "
@@ -110,6 +111,7 @@ def show_rebalance(dep) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (dump a scripted blob's trees); returns the exit code."""
     args = build_parser().parse_args(argv)
     pagesize = 4 * KB
     total = args.pages * pagesize

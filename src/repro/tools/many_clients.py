@@ -31,6 +31,7 @@ from repro.util.sizes import KB
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.many_clients``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.many_clients",
         description="Measure asyncio-client tail latency against a real "
@@ -71,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (measure aio-client tail latency); returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
         tiers = tuple(int(part) for part in args.clients.split(","))

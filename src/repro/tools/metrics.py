@@ -38,6 +38,7 @@ from repro.obs.metrics import reconcile, render_metrics, scrape_driver
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.metrics``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.metrics",
         description="Scrape per-RPC latency telemetry from a live cluster.",
@@ -106,6 +107,7 @@ def load_endpoints(spec: str) -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (scrape a live cluster's telemetry); returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
         cluster_map = ClusterMap.from_spec(load_endpoints(args.endpoints))

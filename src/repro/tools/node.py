@@ -43,6 +43,7 @@ from repro.obs.logconfig import configure_logging
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.node``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.node",
         description="Serve blob-store actors on one TCP endpoint.",
@@ -149,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (serve actors on one TCP endpoint); returns the exit code."""
     args = build_parser().parse_args(argv)
     if not args.actors:
         print("error: at least one --actor is required", file=sys.stderr)

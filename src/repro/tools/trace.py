@@ -58,6 +58,7 @@ COVERAGE_FLOOR = 0.95
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``python -m repro.tools.trace``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.trace",
         description="Span-trace operations and export cross-process "
@@ -267,6 +268,7 @@ def _attach(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Command-line entry (span-trace operations); returns the exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _run(args)

@@ -24,12 +24,14 @@ timeout, and the module-level watchdog (conftest.py, enabled via
 from __future__ import annotations
 
 import asyncio
+import inspect
 import threading
 import time
 import warnings
 
 import pytest
 
+from repro.core.client import BlobClient
 from repro.core.config import DeploymentSpec
 from repro.deploy.tcp import build_tcp
 from repro.errors import (
@@ -631,6 +633,57 @@ def test_async_client_requires_aio_driver():
             dep.async_client()
     finally:
         dep.close()
+
+
+def _every_primitive(call, dep) -> list:
+    """One serial workload through every public client method, each made
+    by ``call(method, *args)``; returns what the workload observed."""
+    blob = call("alloc", TOTAL, PAGE)
+    seen = [call("open", blob).pagesize, call("geometry", blob).total_size]
+    seen.append(call("write", blob, fill(1) * 2, 0).version)
+    seen.append(call("write_pages", blob, 2 * PAGE, [PagePayload.real(fill(2))]).version)
+    seen.append(call("write_virtual", blob, 4 * PAGE, PAGE).version)
+    seen.append(call("write_unaligned", blob, b"xyz", PAGE - 1).version)
+    seen.append(bytes(call("read", blob, 0, 3 * PAGE).data))
+    seen.append(call("read_bytes", blob, PAGE - 2, 8, 3))
+    out = bytearray(2 * PAGE)
+    seen.append((call("read_into", blob, out, PAGE).version, bytes(out)))
+    latest = call("latest", blob)
+    stats = call("gc", blob, [latest], dep.data_ids, dep.meta_ids)
+    seen.append((latest, stats.kept_versions, stats.nodes_freed, stats.pages_freed))
+    return seen
+
+
+def test_blocking_and_async_clients_are_one_surface():
+    """``client()`` and ``async_client()`` are one facade run two ways:
+    the same serial workload, each on its own blob, observes the same
+    versions and bytes and leaves equal ``transport_stats()`` deltas, and
+    every public method of the async client returns an awaitable."""
+    with build_tcp(DeploymentSpec(n_data=2, n_meta=2), client="aio") as dep:
+        blocking, coroutine = dep.client("sync"), dep.async_client("async")
+        called: set[str] = set()
+
+        def awaited(method, *args):
+            called.add(method)
+            pending = getattr(coroutine, method)(*args)
+            assert inspect.isawaitable(pending), method
+
+            async def wait():
+                return await pending
+
+            return dep.driver.run_async(wait(), timeout=JOIN_TIMEOUT)
+
+        seen, deltas = [], []
+        for call in (lambda m, *a: getattr(blocking, m)(*a), awaited):
+            before = dep.transport_stats()
+            seen.append(_every_primitive(call, dep))
+            after = dep.transport_stats()
+            deltas.append({k: after[k] - before[k] for k in after})
+    assert seen[0] == seen[1]
+    assert seen[0][2:6] == [1, 2, 3, 4]
+    assert deltas[0] == deltas[1] and deltas[0]["batches"] > 0
+    public = {n for n in vars(BlobClient) if not n.startswith("_")}
+    assert called == public
 
 
 # ---------------------------------------------------------------------------

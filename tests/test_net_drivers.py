@@ -7,11 +7,14 @@ driver must charge simulated time, and every real deployment must count
 its callers' traffic the same way and refuse work once closed.
 """
 
+import gc
 import threading
+import warnings
 
 import pytest
 
 from repro.core.config import DeploymentSpec
+from repro.core.protocol import stat_protocol
 from repro.errors import RemoteError
 from repro.net.inproc import InprocDriver
 from repro.net.sansio import Batch, Call, Compute
@@ -323,6 +326,20 @@ def test_closed_deployment_refuses_a_call(name):
     assert outcome, "a call through a closed driver hung"
     assert isinstance(outcome[0], RuntimeError), outcome[0]
     assert "driver is closed" in str(outcome[0])
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp", "aio"])
+def test_closed_deployment_refuses_a_spawn(name):
+    """A protocol spawned on a closed deployment fails like a call does,
+    and leaves no coroutine that was never awaited."""
+    dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
+    dep.close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="driver is closed"):
+            dep.driver.spawn(stat_protocol("late")).result(5)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class _ClosingInbox:

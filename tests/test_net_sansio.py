@@ -1,10 +1,13 @@
-"""Sans-io vocabulary and the reference in-process runner."""
+"""Sans-io vocabulary, the reference in-process runner, and the stepping
+rule every real driver's loop shares with it."""
 
 import pytest
 
 from repro.errors import RemoteError, VersionNotPublished
 from repro.net.message import estimate_size
+from repro.net.aio import AioDriver
 from repro.net.sansio import Batch, Call, Compute, Mark, dispatch_call, run_inproc
+from repro.net.threaded import ThreadedDriver
 
 
 class Echo:
@@ -66,15 +69,9 @@ class TestDispatch:
         assert res.unwrap() is res
 
 
-class TestRunInproc:
-    def test_simple_protocol(self):
-        def proto():
-            (a, b) = yield Batch(
-                [Call("svc", "echo", (1,)), Call(("svc", 2), "double", (2,))]
-            )
-            return a + b
-
-        assert run_inproc(proto(), REG) == 5
+class _SteppingRule:
+    """The stepping rule every real loop shares (``sansio.step``): a
+    subclass supplies ``run(proto)``, and each runner must agree."""
 
     def test_compute_is_noop(self):
         def proto():
@@ -82,7 +79,7 @@ class TestRunInproc:
             (v,) = yield Batch([Call("svc", "echo", ("ok",))])
             return v
 
-        assert run_inproc(proto(), REG) == "ok"
+        assert self.run(proto()) == "ok"
 
     def test_mark_returns_time(self):
         def proto():
@@ -90,7 +87,7 @@ class TestRunInproc:
             t2 = yield Mark("b")
             return t1, t2
 
-        t1, t2 = run_inproc(proto(), {})
+        t1, t2 = self.run(proto())
         assert isinstance(t1, float) and t2 >= t1
 
     def test_error_raised_at_yield_point(self):
@@ -100,7 +97,7 @@ class TestRunInproc:
             except RemoteError as exc:
                 return f"caught {exc.error_type}"
 
-        assert run_inproc(proto(), REG) == "caught RuntimeError"
+        assert self.run(proto()) == "caught RuntimeError"
 
     def test_semantic_error_typed_at_yield_point(self):
         def proto():
@@ -109,7 +106,36 @@ class TestRunInproc:
             except VersionNotPublished as exc:
                 return exc.latest
 
-        assert run_inproc(proto(), REG) == 2
+        assert self.run(proto()) == 2
+
+    def test_bad_yield_type_raises(self):
+        def proto():
+            yield 42  # type: ignore[misc]
+
+        with pytest.raises(TypeError):
+            self.run(proto())
+
+    def test_non_op_after_a_batch_raises(self):
+        def proto():
+            yield Batch([Call("svc", "echo", (1,))])
+            yield "not an op"  # type: ignore[misc]
+
+        with pytest.raises(TypeError, match="expected Batch or Compute"):
+            self.run(proto())
+
+
+class TestRunInproc(_SteppingRule):
+    def run(self, proto):
+        return run_inproc(proto, REG)
+
+    def test_simple_protocol(self):
+        def proto():
+            (a, b) = yield Batch(
+                [Call("svc", "echo", (1,)), Call(("svc", 2), "double", (2,))]
+            )
+            return a + b
+
+        assert run_inproc(proto(), REG) == 5
 
     def test_allow_error_delivers_wrapper(self):
         def proto():
@@ -125,13 +151,6 @@ class TestRunInproc:
         with pytest.raises(KeyError):
             run_inproc(proto(), REG)
 
-    def test_bad_yield_type_raises(self):
-        def proto():
-            yield 42  # type: ignore[misc]
-
-        with pytest.raises(TypeError):
-            run_inproc(proto(), REG)
-
     def test_results_in_call_order(self):
         def proto():
             results = yield Batch(
@@ -140,3 +159,24 @@ class TestRunInproc:
             return results
 
         assert run_inproc(proto(), REG) == list(range(10))
+
+
+class _OnARealDriver(_SteppingRule):
+    """The rule on a real driver's loop, with the actors in-parent."""
+
+    @pytest.fixture(autouse=True)
+    def driver(self):
+        self._driver = self.driver_class(REG)
+        yield
+        self._driver.close()
+
+    def run(self, proto):
+        return self._driver.run(proto)
+
+
+class TestThreadedDriverRun(_OnARealDriver):
+    driver_class = ThreadedDriver
+
+
+class TestAioDriverRun(_OnARealDriver):
+    driver_class = AioDriver
