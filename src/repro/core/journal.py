@@ -31,6 +31,16 @@ and every later append fails too (the process is "dead"). Sweeping ``N``
 across record boundaries is how ``tests/test_journal_recovery.py``
 proves recovery always lands on a clean prefix state.
 
+:class:`Journaled` is the one body both durable actors (vm and pm) run
+on a journal. An actor supplies ``_snapshot_state``, ``_restore``, one
+``_apply_<tag>`` per record tag, a ``_recovered(fresh)`` step run after
+replay (``fresh``: the directory was empty) and its ``kind`` (its name
+in errors); the body owns recovery, the append-then-apply rule
+(:meth:`Journaled._log_and_apply`, the one record boundary a crash can
+fall on) and the clean-close compaction. The actor validates and
+normalises a request *before* it is logged, so a logged record always
+replays: a request the actor refuses leaves no record.
+
 ``StateDirLock`` (flock-based) and the shared fsync helpers used by
 :class:`~repro.core.persistence.DiskSpill` live here too, so every
 durability knob in the system spells fsync policy the same way.
@@ -378,3 +388,54 @@ class Journal:
                 return
             yield int.from_bytes(body[:8], "little"), pickle.loads(body[8:])
             pos += _HEADER.size + length
+
+
+class Journaled:
+    """The WAL state machine the vm and pm share (module docstring); a
+    subclass calls :meth:`_attach` last in its constructor, and with
+    ``journal=None`` its records are applied, never logged."""
+
+    def _attach(self, journal: Journal | None) -> None:
+        """Adopt ``journal`` and recover: snapshot, replay, the
+        :meth:`_recovered` hook, then a compaction (the hook's work is
+        durable, and the incarnation starts from an empty log)."""
+        self.journal = journal
+        if journal is None:
+            return
+        state, records = journal.open()
+        if state is not None:
+            self._restore(state)
+        for record in records:
+            self._apply(record)
+        self._recovered(state is None and not records)
+        journal.compact(self._snapshot_state())
+
+    @property
+    def replayed_records(self) -> int:
+        """Log records the last recovery replayed (0 without a journal)."""
+        return 0 if self.journal is None else self.journal.replayed_records
+
+    def _log_and_apply(self, record: tuple) -> Any:
+        """WAL discipline: append first, apply second, reply third."""
+        journal = self.journal
+        if journal is not None:
+            journal.append(record)
+        result = self._apply(record)
+        if journal is not None and journal.should_compact():
+            journal.compact(self._snapshot_state())
+        return result
+
+    def _apply(self, record: tuple) -> Any:
+        apply = getattr(self, f"_apply_{record[0]}", None)
+        if apply is None:
+            raise ValueError(f"{self.kind}: unknown journal record {record[0]!r}")
+        return apply(*record[1:])
+
+    def close(self) -> None:
+        """Clean shutdown: compact so the next incarnation replays nothing."""
+        if self.journal is not None:
+            try:
+                self.journal.compact(self._snapshot_state())
+            except JournalError:
+                pass  # a crashed (fault-injected) journal stays as-is
+            self.journal.close()

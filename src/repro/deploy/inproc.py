@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.core.client import BlobClient
@@ -19,9 +18,9 @@ from repro.metadata.provider import MetadataProvider, blob_nodes
 from repro.metadata.router import StaticRouter
 from repro.net.address import format_actor
 from repro.net.inproc import InprocDriver
+from repro.net.node import build_actor
 from repro.providers.data_provider import DataProvider
 from repro.providers.manager import ProviderManager
-from repro.providers.strategies import make_strategy
 from repro.version.manager import VersionManager
 
 
@@ -155,21 +154,18 @@ class Deployment(_Inspection):
 def build_control_plane(
     spec: DeploymentSpec, state_dir: str | os.PathLike | None = None
 ) -> tuple[VersionManager, ProviderManager]:
-    """The version manager and provider manager for ``spec``, the pm
-    already knowing data providers ``0 .. n_data-1``. With ``state_dir``
-    both are durable: the vm journals under ``<state_dir>/vm``, the pm
-    under ``<state_dir>/pm``."""
-    vm_journal = pm_journal = None
-    if state_dir is not None:
-        from repro.core.journal import Journal
-
-        vm_journal = Journal(Path(state_dir) / "vm")
-        pm_journal = Journal(Path(state_dir) / "pm")
-    vm = VersionManager(journal=vm_journal)
-    pm = ProviderManager(
-        make_strategy(spec.strategy, **spec.strategy_kwargs),
+    """The version manager and provider manager for ``spec``
+    (:func:`~repro.net.node.build_actor` builds both), the pm already
+    knowing data providers ``0 .. n_data-1``. With ``state_dir`` both are
+    durable: the vm journals under ``<state_dir>/vm``, the pm under
+    ``<state_dir>/pm``."""
+    _, vm = build_actor("vm", state_dir=state_dir)
+    _, pm = build_actor(
+        "pm",
+        strategy=spec.strategy,
+        strategy_kwargs=spec.strategy_kwargs,
         replication=spec.replication,
-        journal=pm_journal,
+        state_dir=state_dir,
     )
     for i in range(spec.n_data):
         pm.register(i)

@@ -7,25 +7,16 @@ key-dispersal role. Nodes are write-once; duplicate puts of an *identical*
 record are idempotent (replication retries), conflicting puts are protocol
 bugs and rejected loudly.
 
-RPC surface:
-
-- ``meta.put_node(node)`` -> True
-- ``meta.put_nodes(nodes)`` -> True; the nodes of one WRITE that share this
-  owner, stored all-or-nothing in one call
-- ``meta.get_node(key)`` -> TreeNode
-- ``meta.get_subtree(key, offset, size)`` -> the node at ``key`` plus every
-  stored descendant intersecting ``[offset, offset + size)``, level order
-- ``meta.free_nodes(keys)`` -> count freed (garbage collection)
-- ``meta.list_nodes(blob_id)`` -> keys held for a blob (GC sweep)
-- ``meta.stats()`` -> counters
+RPC surface: the ``handle`` table at the end of :class:`MetadataProvider`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.errors import ImmutabilityViolation, NodeMissing, ProviderUnavailable
 from repro.metadata.node import NodeKey, TreeNode
+from repro.net.sansio import rpc_handler
 
 
 class MetadataProvider:
@@ -42,6 +33,7 @@ class MetadataProvider:
         self.failed = False
 
     def put_node(self, node: TreeNode) -> bool:
+        """Store one node, write-once; returns ``True``."""
         self._check_up()
         existing = self._nodes.get(node.key)
         if existing is not None:
@@ -56,7 +48,7 @@ class MetadataProvider:
         return True
 
     def put_nodes(self, nodes: list[TreeNode]) -> bool:
-        """Store a batch of nodes, all or nothing.
+        """Store a batch of nodes, all or nothing; returns ``True``.
 
         The per-shard form of :meth:`put_node` (a WRITE sends each owner
         its co-located nodes in one call; the provider knows nothing about
@@ -89,6 +81,7 @@ class MetadataProvider:
         return True
 
     def get_node(self, key: NodeKey) -> TreeNode:
+        """The stored node at ``key``."""
         self._check_up()
         self.gets += 1
         try:
@@ -162,6 +155,7 @@ class MetadataProvider:
         return list(self.iter_nodes(blob_id))
 
     def free_nodes(self, keys: Iterable[NodeKey]) -> int:
+        """Drop nodes (garbage collection); returns the number freed."""
         self._check_up()
         freed = 0
         for key in keys:
@@ -170,6 +164,7 @@ class MetadataProvider:
         return freed
 
     def list_nodes(self, blob_id: str) -> list[NodeKey]:
+        """Every key held for a blob (the GC sweep's input)."""
         self._check_up()
         return [k for k in self._nodes if k.blob_id == blob_id]
 
@@ -178,6 +173,7 @@ class MetadataProvider:
         return len(self._nodes)
 
     def stats(self) -> dict[str, int]:
+        """Storage counters."""
         return {
             "provider_id": self.provider_id,
             "nodes": len(self._nodes),
@@ -202,26 +198,19 @@ class MetadataProvider:
                 f"metadata provider {self.provider_id} is down"
             )
 
-    # -- RPC dispatch ------------------------------------------------------
-
-    def handle(self, method: str, args: tuple) -> Any:
-        if method == "meta.put_node":
-            return self.put_node(*args)
-        if method == "meta.put_nodes":
-            return self.put_nodes(*args)
-        if method == "meta.get_node":
-            return self.get_node(*args)
-        if method == "meta.get_subtree":
-            return self.get_subtree(*args)
-        if method == "meta.free_nodes":
-            return self.free_nodes(*args)
-        if method == "meta.list_nodes":
-            return self.list_nodes(*args)
-        if method == "meta.dump_nodes":
-            return self.dump_nodes(*args)
-        if method == "meta.stats":
-            return self.stats()
-        raise ValueError(f"metadata provider: unknown method {method!r}")
+    handle = rpc_handler(
+        "metadata provider",
+        {
+            "meta.put_node": put_node,
+            "meta.put_nodes": put_nodes,
+            "meta.get_node": get_node,
+            "meta.get_subtree": get_subtree,
+            "meta.free_nodes": free_nodes,
+            "meta.list_nodes": list_nodes,
+            "meta.dump_nodes": dump_nodes,
+            "meta.stats": stats,
+        },
+    )
 
 
 def blob_nodes(

@@ -12,6 +12,7 @@ are at depth ``log2(total_size / pagesize)`` and cover single pages.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,7 +54,9 @@ class TreeGeometry:
     # -- validation ------------------------------------------------------
 
     def check_bounds(self, offset: int, size: int) -> Interval:
-        """Validate a byte range against the blob extent; return it."""
+        """Validate a byte range against the blob extent; return it as
+        plain ints (a non-integer offset or size is a ``TypeError``)."""
+        offset, size = operator.index(offset), operator.index(size)
         if size <= 0:
             raise OutOfBounds(f"size must be positive, got {size}")
         if offset < 0 or offset + size > self.total_size:
@@ -66,7 +69,7 @@ class TreeGeometry:
     def check_aligned(self, offset: int, size: int) -> Interval:
         """Validate a page-aligned byte range (the WRITE contract)."""
         iv = self.check_bounds(offset, size)
-        if offset % self.pagesize or size % self.pagesize:
+        if iv.offset % self.pagesize or iv.size % self.pagesize:
             raise OutOfBounds(
                 f"range [{offset}, {offset + size}) not aligned to pagesize "
                 f"{self.pagesize}; use write_unaligned() for read-modify-write"

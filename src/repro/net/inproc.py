@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.net.sansio import Actor, Address, Protocol, run_inproc
-from repro.obs.telemetry import telemetry_of
+from repro.obs.telemetry import telemetry_report
 
 
 class InprocDriver:
@@ -43,11 +43,7 @@ class InprocDriver:
         """One actor's telemetry report, same shape as the concurrent
         drivers' (this driver has no wire layer, so the wire counters are
         ``None``)."""
-        return {
-            "wire_rpcs": None,
-            "sub_calls": None,
-            "telemetry": telemetry_of(self._registry[address]).snapshot(),
-        }
+        return telemetry_report(self._registry[address])
 
     def run(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol to completion and return its value."""

@@ -54,6 +54,7 @@ and ``tests/test_tcp_control_plane.py``):
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -82,7 +83,7 @@ from repro.net.wire import (
     serve_rpc,
     tune_socket,
 )
-from repro.obs.telemetry import telemetry_of
+from repro.obs.telemetry import telemetry_report
 
 
 class HandshakeError(ReproError):
@@ -189,7 +190,7 @@ def build_actor(
     strategy: str = "round_robin",
     strategy_kwargs: Mapping | None = None,
     replication: int = 1,
-    state_dir: str | None = None,
+    state_dir: str | os.PathLike | None = None,
     fsync: str = "never",
     snapshot_every: int | None = 1024,
 ) -> tuple[Address, Actor]:
@@ -212,20 +213,15 @@ def build_actor(
     durability tier is :class:`~repro.core.persistence.DiskSpill`.
     """
     address = parse_actor(name)
-
-    def journal_for(actor_name: str):
-        if state_dir is None:
-            return None
-        from pathlib import Path
-
+    journal = None
+    if state_dir is not None and address in ("vm", "pm"):
         from repro.core.journal import Journal
 
-        return Journal(
-            Path(state_dir) / actor_name,
+        journal = Journal(
+            os.path.join(state_dir, address),
             fsync=fsync,
             snapshot_every=snapshot_every,
         )
-
     if isinstance(address, tuple):
         kind, index = address
         if kind == "data":
@@ -239,7 +235,7 @@ def build_actor(
     elif address == "vm":
         from repro.version.manager import VersionManager
 
-        return address, VersionManager(journal=journal_for("vm"))
+        return address, VersionManager(journal=journal)
     elif address == "pm":
         from repro.providers.manager import ProviderManager
         from repro.providers.strategies import make_strategy
@@ -247,7 +243,7 @@ def build_actor(
         return address, ProviderManager(
             make_strategy(strategy, **dict(strategy_kwargs or {})),
             replication=replication,
-            journal=journal_for("pm"),
+            journal=journal,
         )
     raise ConfigError(
         f"cannot build actor {name!r}: expected data/N, meta/N, vm or pm"
@@ -316,11 +312,7 @@ class _ActorService:
             return self._report()
 
     def _report(self) -> dict:
-        return {
-            "wire_rpcs": self.served_rpcs,
-            "sub_calls": self.served_calls,
-            "telemetry": telemetry_of(self.actor).snapshot(),
-        }
+        return telemetry_report(self.actor, self.served_rpcs, self.served_calls)
 
 
 class NodeAgent:

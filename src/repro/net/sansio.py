@@ -180,6 +180,20 @@ class Actor(TypingProtocol):
     def handle(self, method: str, args: tuple) -> Any: ...
 
 
+def rpc_handler(kind: str, table: Mapping[str, Callable]) -> Callable:
+    """An actor's ``handle``: ``table`` (wire name -> method) is its whole
+    RPC surface, so a method missing from it cannot be reached from the
+    wire, and any other name is a ``ValueError`` naming ``kind``."""
+
+    def _handle(self, method: str, args: tuple) -> Any:
+        fn = table.get(method)
+        if fn is None:
+            raise ValueError(f"{kind}: unknown method {method!r}")
+        return fn(self, *args)
+
+    return _handle
+
+
 def dispatch_call(actor: Actor, call: Call) -> Any:
     """Invoke a handler, converting exceptions into :class:`RemoteError`.
 

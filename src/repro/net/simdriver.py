@@ -92,14 +92,9 @@ class SimRpcExecutor:
         counters are executor-wide here, not per-actor, so they are
         reported as ``None``.
         """
-        from repro.obs.telemetry import telemetry_of
+        from repro.obs.telemetry import telemetry_report
 
-        actor, _node = self._actors[address]
-        return {
-            "wire_rpcs": None,
-            "sub_calls": None,
-            "telemetry": telemetry_of(actor).snapshot(),
-        }
+        return telemetry_report(self._actors[address][0])
 
     # -- protocol execution ----------------------------------------------
 

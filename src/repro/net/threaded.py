@@ -69,7 +69,7 @@ from repro.obs.spans import (
     record_group_spans,
     set_server_context,
 )
-from repro.obs.telemetry import telemetry_of
+from repro.obs.telemetry import telemetry_report
 
 _SHUTDOWN = object()
 
@@ -191,11 +191,7 @@ class _ServerThread:
         """The ``telemetry`` report: wire counters + service-time snapshot,
         the shape a node agent's actor answers over the wire (read off
         the service queue, so a scrape never perturbs the counters)."""
-        return {
-            "wire_rpcs": self.served_rpcs,
-            "sub_calls": self.served_calls,
-            "telemetry": telemetry_of(self.actor).snapshot(),
-        }
+        return telemetry_report(self.actor, self.served_rpcs, self.served_calls)
 
     def stop(self) -> None:
         self.inbox.put(_SHUTDOWN)

@@ -215,3 +215,16 @@ def telemetry_of(actor: Any) -> ActorTelemetry:
         except (AttributeError, TypeError):
             return DISABLED
     return tele
+
+
+def telemetry_report(
+    actor: Any, wire_rpcs: int | None = None, sub_calls: int | None = None
+) -> dict[str, Any]:
+    """An actor's ``telemetry`` report, one shape on every driver: the
+    wire RPCs and sub-calls it served (``None`` where the driver has no
+    per-actor wire layer) and its :meth:`ActorTelemetry.snapshot`."""
+    return {
+        "wire_rpcs": wire_rpcs,
+        "sub_calls": sub_calls,
+        "telemetry": telemetry_of(actor).snapshot(),
+    }

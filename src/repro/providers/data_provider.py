@@ -6,18 +6,12 @@ access efficiency, persistence delegated to a lower tier — see
 the provider enforces immutability, which is what makes lock-free reads
 safe — a published page can never change under a reader.
 
-RPC surface (see :class:`repro.net.sansio.Actor`):
-
-- ``data.put_page(key, payload)`` -> ``True``
-- ``data.get_page(key)`` -> :class:`~repro.providers.page.PagePayload`
-- ``data.free_pages(keys)`` -> number actually freed (garbage collection)
-- ``data.list_pages(blob_id)`` -> all keys held for a blob (GC sweep)
-- ``data.stats()`` -> storage counters
+RPC surface: the ``handle`` table at the end of :class:`DataProvider`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.errors import (
     ImmutabilityViolation,
@@ -25,6 +19,7 @@ from repro.errors import (
     PageMissing,
     ProviderUnavailable,
 )
+from repro.net.sansio import rpc_handler
 from repro.providers.page import PageKey, PagePayload, page_checksum
 
 
@@ -65,11 +60,15 @@ class DataProvider:
     # -- storage operations ------------------------------------------------
 
     def put_page(self, key: PageKey, payload: PagePayload) -> bool:
+        """Store a page, write-once; returns ``True``."""
         self._check_up()
         if key in self._pages:
             raise ImmutabilityViolation(
                 f"provider {self.provider_id}: page {key} already stored"
             )
+        return self._store(key, payload)
+
+    def _store(self, key: PageKey, payload: PagePayload) -> bool:
         self._pages[key] = _owned(payload)
         self.bytes_stored += payload.nbytes
         self.puts += 1
@@ -82,6 +81,7 @@ class DataProvider:
         return True
 
     def get_page(self, key: PageKey) -> PagePayload:
+        """The stored page, checksum-verified in integrity mode."""
         self._check_up()
         self.gets += 1
         payload = self._pages.get(key)
@@ -102,6 +102,7 @@ class DataProvider:
         return key in self._pages
 
     def free_pages(self, keys: Iterable[PageKey]) -> int:
+        """Drop pages (garbage collection); returns the number freed."""
         self._check_up()
         freed = 0
         for key in keys:
@@ -115,6 +116,7 @@ class DataProvider:
         return freed
 
     def list_pages(self, blob_id: str) -> list[PageKey]:
+        """Every key held for a blob (the GC sweep's input)."""
         self._check_up()
         return [k for k in self._pages if k.blob_id == blob_id]
 
@@ -157,16 +159,7 @@ class DataProvider:
         self._check_up()
         if key in self._pages:
             return False
-        self._pages[key] = _owned(payload)
-        self.bytes_stored += payload.nbytes
-        self.puts += 1
-        if self.checksum:
-            digest = page_checksum(payload)
-            if digest is not None:
-                self._checksums[key] = digest
-        if self._spill is not None:
-            self._spill.store(key, payload)
-        return True
+        return self._store(key, payload)
 
     def evict_to_spill(self) -> int:
         """Drop in-RAM copies that are safely persisted (needs a spill)."""
@@ -184,6 +177,7 @@ class DataProvider:
         return len(self._pages)
 
     def stats(self) -> dict[str, int]:
+        """Storage counters."""
         return {
             "provider_id": self.provider_id,
             "pages": len(self._pages),
@@ -204,23 +198,16 @@ class DataProvider:
         if self.failed:
             raise ProviderUnavailable(f"data provider {self.provider_id} is down")
 
-    # -- RPC dispatch ----------------------------------------------------------
-
-    def handle(self, method: str, args: tuple) -> Any:
-        if method == "data.put_page":
-            return self.put_page(*args)
-        if method == "data.get_page":
-            return self.get_page(*args)
-        if method == "data.free_pages":
-            return self.free_pages(*args)
-        if method == "data.list_pages":
-            return self.list_pages(*args)
-        if method == "data.dump_pages":
-            return self.dump_pages(*args)
-        if method == "data.stats":
-            return self.stats()
-        if method == "data.manifest":
-            return self.manifest()
-        if method == "data.migrate_in":
-            return self.migrate_in(*args)
-        raise ValueError(f"data provider: unknown method {method!r}")
+    handle = rpc_handler(
+        "data provider",
+        {
+            "data.put_page": put_page,
+            "data.get_page": get_page,
+            "data.free_pages": free_pages,
+            "data.list_pages": list_pages,
+            "data.dump_pages": dump_pages,
+            "data.stats": stats,
+            "data.manifest": manifest,
+            "data.migrate_in": migrate_in,
+        },
+    )

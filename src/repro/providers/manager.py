@@ -6,14 +6,7 @@ provider per fresh page — or ``replication`` providers per page when page
 replication is enabled (our implementation of the paper's future-work fault
 tolerance item).
 
-RPC surface:
-
-- ``pm.register(provider_id)`` -> current provider count
-- ``pm.deregister(provider_id)`` -> remaining count
-- ``pm.get_providers(blob_id, npages, pagesize)`` -> list of provider-id
-  groups, ``npages`` entries of ``replication`` ids each
-- ``pm.providers()`` -> sorted live provider ids
-- ``pm.report_usage(provider_id, bytes)`` -> ack (keeps load view honest)
+RPC surface: the ``handle`` table at the end of :class:`ProviderManager`.
 
 Elastic membership (PR 7): with a hash-aware strategy
 (``strategies.HashRing``), ``pm.get_providers_hashed`` places each page at
@@ -28,8 +21,9 @@ keeps draining providers out of fresh allocations until their last
 replica is handed off and they deregister.
 
 Durability (PR 6): with a :class:`~repro.core.journal.Journal` attached,
-membership and allocation follow the same WAL discipline as the version
-manager. Allocation records log only the *inputs* (blob, page count,
+membership and allocation follow the WAL discipline of
+:class:`~repro.core.journal.Journaled`, the body it shares with the
+version manager. Allocation records log only the *inputs* (blob, page count,
 pagesize, and the live-provider list the strategy saw); replay re-drives
 the strategy, which reproduces the exact placement **and** the strategy's
 internal state (round-robin cursor, rng stream) for the next incarnation.
@@ -44,16 +38,21 @@ providers re-enter the tracker fresh.
 from __future__ import annotations
 
 import logging
+import operator
 from typing import Any
 
+from repro.core.journal import Journaled
 from repro.errors import ConfigError, NotEnoughProviders
+from repro.net.sansio import rpc_handler
 from repro.providers.strategies import AllocationStrategy, RoundRobin
 
 logger = logging.getLogger("repro.pm")
 
 
-class ProviderManager:
+class ProviderManager(Journaled):
     """Tracks providers and allocates storage targets for fresh pages."""
+
+    kind = "provider manager"
 
     def __init__(
         self,
@@ -77,10 +76,7 @@ class ProviderManager:
         self._migration: dict[str, Any] | None = None
         self._draining: set[int] = set()
         self._plan_seq = 0
-        self.journal = journal
-        self.replayed_records = 0
-        if journal is not None:
-            self._recover()
+        self._attach(journal)
 
     # -- durability -----------------------------------------------------
 
@@ -124,71 +120,26 @@ class ProviderManager:
                 f"({origin}); placement would desynchronize — refusing"
             )
 
-    def _recover(self) -> None:
-        state, records = self.journal.open()
-        if state is not None:
-            self._restore(state)
-        for record in records:
-            if record[0] == "config":
-                self._check_config(record[1], "log")
-            else:
-                self._apply(record)
-        self.replayed_records = len(records)
-        if state is None and not records:
-            # fresh state dir: pin the settings before anything else
+    def _apply_config(self, recorded: tuple) -> None:
+        self._check_config(recorded, "log")
+
+    def _recovered(self, fresh: bool) -> None:
+        """Pin the settings on a fresh directory, re-enter health."""
+        if fresh:
             self.journal.append(("config", self._config_tuple()))
         if self.health is not None:
             for pid in self._providers:
                 self.health.register(pid)
         logger.info(
             "pm recovery: %d provider(s), %d log record(s) replayed",
-            len(self._providers), len(records),
+            len(self._providers), self.replayed_records,
         )
-        self.journal.compact(self._snapshot_state())
-
-    def _log_and_apply(self, record: tuple) -> Any:
-        """WAL discipline: append first, apply second, reply third."""
-        if self.journal is not None:
-            self.journal.append(record)
-        result = self._apply(record)
-        if self.journal is not None and self.journal.should_compact():
-            self.journal.compact(self._snapshot_state())
-        return result
-
-    def _apply(self, record: tuple) -> Any:
-        op = record[0]
-        if op == "register":
-            return self._apply_register(*record[1:])
-        if op == "deregister":
-            return self._apply_deregister(*record[1:])
-        if op == "alloc":
-            return self._apply_alloc(*record[1:])
-        if op == "usage":
-            return self._apply_usage(*record[1:])
-        if op == "alloch":
-            return self._apply_alloch(*record[1:])
-        if op == "mig_plan":
-            return self._apply_mig_plan(*record[1:])
-        if op == "mig_done":
-            return self._apply_mig_done(*record[1:])
-        if op == "mig_commit":
-            return self._apply_mig_commit(*record[1:])
-        raise ValueError(f"provider manager: unknown journal record {op!r}")
-
-    def close(self) -> None:
-        """Clean shutdown: compact so the next incarnation replays nothing."""
-        if self.journal is not None:
-            from repro.core.journal import JournalError
-
-            try:
-                self.journal.compact(self._snapshot_state())
-            except JournalError:
-                pass  # a crashed (fault-injected) journal stays as-is
-            self.journal.close()
 
     # -- membership -----------------------------------------------------
 
     def register(self, provider_id: int) -> int:
+        """Admit a provider; returns the provider count."""
+        provider_id = operator.index(provider_id)
         if self.health is not None:
             self.health.register(provider_id)
         return self._log_and_apply(("register", provider_id))
@@ -199,6 +150,8 @@ class ProviderManager:
         return len(self._providers)
 
     def deregister(self, provider_id: int) -> int:
+        """Remove a provider; returns the remaining count."""
+        provider_id = operator.index(provider_id)
         if self.health is not None:
             self.health.deregister(provider_id)
         return self._log_and_apply(("deregister", provider_id))
@@ -244,6 +197,7 @@ class ProviderManager:
         return [(pid, state.value) for pid, state in transitions]
 
     def providers(self) -> list[int]:
+        """The live provider ids, sorted."""
         return sorted(self._providers)
 
     @property
@@ -252,27 +206,31 @@ class ProviderManager:
 
     # -- allocation ------------------------------------------------------
 
-    def _live_for_allocation(self) -> list[int]:
-        """Providers eligible for fresh pages: healthy and not draining."""
+    def _allocation(self, npages, pagesize) -> tuple[int, int, tuple[int, ...]]:
+        """Validate an allocation request: ``(npages, pagesize)`` as ints
+        and the providers eligible for fresh pages (healthy, not
+        draining)."""
+        npages, pagesize = operator.index(npages), operator.index(pagesize)
+        if npages < 1:
+            raise ValueError(f"npages must be >= 1, got {npages}")
         if self.health is not None:
             live = [p for p in self.health.allocatable() if p in self._providers]
         else:
             live = sorted(self._providers)
-        return [p for p in live if p not in self._draining]
-
-    def get_providers(
-        self, blob_id: str, npages: int, pagesize: int
-    ) -> list[tuple[int, ...]]:
-        """Choose ``replication`` distinct providers for each fresh page."""
-        if npages < 1:
-            raise ValueError(f"npages must be >= 1, got {npages}")
-        live = self._live_for_allocation()
+        live = tuple(p for p in live if p not in self._draining)
         if len(live) < self.replication:
             raise NotEnoughProviders(
                 f"need {self.replication} providers, have {len(live)}"
             )
+        return npages, pagesize, live
+
+    def get_providers(
+        self, blob_id: str, npages: int, pagesize: int
+    ) -> list[tuple[int, ...]]:
+        """Choose ``replication`` distinct providers for each fresh page:
+        ``npages`` tuples of ``replication`` provider ids."""
         return self._log_and_apply(
-            ("alloc", blob_id, npages, pagesize, tuple(live))
+            ("alloc", blob_id, *self._allocation(npages, pagesize))
         )
 
     def _apply_alloc(
@@ -296,7 +254,8 @@ class ProviderManager:
         return groups
 
     def report_usage(self, provider_id: int, nbytes: int) -> bool:
-        """Correct the load view (e.g. after garbage collection freed pages)."""
+        """Correct the load view (e.g. after garbage collection freed
+        pages); returns ``True``."""
         if provider_id in self._providers:
             return self._log_and_apply(("usage", provider_id, int(nbytes)))
         return True
@@ -332,16 +291,11 @@ class ProviderManager:
         key and the live set — not on allocation order — which is what
         makes membership changes computable as page moves.
         """
-        if npages < 1:
-            raise ValueError(f"npages must be >= 1, got {npages}")
         self._place_key()  # fail before journaling if not hash-aware
-        live = self._live_for_allocation()
-        if len(live) < self.replication:
-            raise NotEnoughProviders(
-                f"need {self.replication} providers, have {len(live)}"
-            )
+        first_page = operator.index(first_page)
         return self._log_and_apply(
-            ("alloch", blob_id, write_uid, first_page, npages, pagesize, tuple(live))
+            ("alloch", blob_id, write_uid, first_page,
+             *self._allocation(npages, pagesize))
         )
 
     def _apply_alloch(
@@ -395,8 +349,10 @@ class ProviderManager:
         if self._migration is not None:
             return self.pending_rebalance()
         place = self._place_key()
-        if drain is not None and drain not in self._providers:
-            raise ConfigError(f"cannot drain unknown provider {drain}")
+        if drain is not None:
+            drain = operator.index(drain)
+            if drain not in self._providers:
+                raise ConfigError(f"cannot drain unknown provider {drain}")
         live = sorted(
             p
             for p in self._providers
@@ -470,8 +426,14 @@ class ProviderManager:
         """Record one completed move (idempotent — safe to re-report
         after an executor or pm restart; duplicates are not re-journaled)."""
         mig = self._migration
+        index = operator.index(index)
         if mig is None or mig["id"] != plan_id or index in mig["done"]:
             return True
+        if not 0 <= index < len(mig["moves"]):
+            raise ValueError(
+                f"migration plan {plan_id} has no move {index} "
+                f"(it has {len(mig['moves'])})"
+            )
         return self._log_and_apply(("mig_done", plan_id, index))
 
     def _apply_mig_done(self, plan_id: int, index: int) -> bool:
@@ -550,37 +512,23 @@ class ProviderManager:
             "strategy_kwargs": self.strategy.params(),
         }
 
-    # -- RPC dispatch -----------------------------------------------------
-
-    def handle(self, method: str, args: tuple) -> Any:
-        if method == "pm.get_providers":
-            return self.get_providers(*args)
-        if method == "pm.register":
-            return self.register(*args)
-        if method == "pm.deregister":
-            return self.deregister(*args)
-        if method == "pm.providers":
-            return self.providers()
-        if method == "pm.report_usage":
-            return self.report_usage(*args)
-        if method == "pm.heartbeat":
-            return self.heartbeat(*args)
-        if method == "pm.tick":
-            return self.tick(*args)
-        if method == "pm.config":
-            return self.config()
-        if method == "pm.get_providers_hashed":
-            return self.get_providers_hashed(*args)
-        if method == "pm.locate":
-            return self.locate(*args)
-        if method == "pm.plan_rebalance":
-            return self.plan_rebalance(*args)
-        if method == "pm.migration_done":
-            return self.migration_done(*args)
-        if method == "pm.migration_commit":
-            return self.migration_commit(*args)
-        if method == "pm.pending_rebalance":
-            return self.pending_rebalance()
-        if method == "pm.draining":
-            return self.draining()
-        raise ValueError(f"provider manager: unknown method {method!r}")
+    handle = rpc_handler(
+        kind,
+        {
+            "pm.get_providers": get_providers,
+            "pm.register": register,
+            "pm.deregister": deregister,
+            "pm.providers": providers,
+            "pm.report_usage": report_usage,
+            "pm.heartbeat": heartbeat,
+            "pm.tick": tick,
+            "pm.config": config,
+            "pm.get_providers_hashed": get_providers_hashed,
+            "pm.locate": locate,
+            "pm.plan_rebalance": plan_rebalance,
+            "pm.migration_done": migration_done,
+            "pm.migration_commit": migration_commit,
+            "pm.pending_rebalance": pending_rebalance,
+            "pm.draining": draining,
+        },
+    )

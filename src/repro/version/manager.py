@@ -25,10 +25,14 @@ out (e.g. client crash before publishing) by rolling the assignment back,
 preserving liveness for later writers. The general failed-writer recovery
 problem is future work in the paper as well.
 
+The RPC surface is the ``handle`` table at the end of
+:class:`VersionManager`.
+
 Durability (PR 6): construct with a :class:`~repro.core.journal.Journal`
-and every mutation follows the WAL discipline — validate, **append the
-record, then apply it** — so the reply a client sees is always backed by
-the log. Recovery replays the log into ``_BlobState`` and then *resolves*
+and every mutation follows the WAL discipline of
+:class:`~repro.core.journal.Journaled` — validate, **append the record,
+then apply it** — so the reply a client sees is always backed by the
+log. Recovery replays the log into ``_BlobState`` and then *resolves*
 the interrupted tail: every version newer than ``latest_published``
 (in-flight or completed-but-unpublished) is rolled back top-down, so the
 publish order stays total and the next writer starts from a clean chain.
@@ -39,11 +43,14 @@ undo as its version actually *publishes*.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.journal import Journaled, JournalError
 from repro.errors import BlobNotFound, StaleWrite, VersionNotPublished
 from repro.metadata.tree import TreeGeometry
+from repro.net.sansio import rpc_handler
 from repro.util.intervals import Interval
 from repro.version.history import PatchHistory
 
@@ -103,8 +110,10 @@ def _canonical(geom: TreeGeometry, region: Any) -> Interval:
     )
 
 
-class VersionManager:
+class VersionManager(Journaled):
     """Centralized version authority (one per deployment)."""
+
+    kind = "version manager"
 
     def __init__(self, journal=None) -> None:
         self._blobs: dict[str, _BlobState] = {}
@@ -115,11 +124,8 @@ class VersionManager:
         self.resolves = 0
         self.roots_answered = 0
         self.roots_declined = 0
-        self.journal = journal
-        self.replayed_records = 0
         self.rolled_back = 0
-        if journal is not None:
-            self._recover()
+        self._attach(journal)
 
     # -- durability ---------------------------------------------------------
 
@@ -135,8 +141,6 @@ class VersionManager:
     def _restore(self, state: dict[str, Any]) -> None:
         found = state.get("format")
         if found != SNAPSHOT_FORMAT:
-            from repro.core.journal import JournalError
-
             raise JournalError(
                 f"vm snapshot in {self.journal.directory} has format "
                 f"{found!r}, not {SNAPSHOT_FORMAT!r}: its patch histories "
@@ -147,62 +151,20 @@ class VersionManager:
         self.assigns = state["assigns"]
         self.completions = state["completions"]
 
-    def _recover(self) -> None:
-        """Replay snapshot + log, then roll back the unpublished tail."""
-        state, records = self.journal.open()
-        if state is not None:
-            self._restore(state)
-        for record in records:
-            self._apply(record)
-        self.replayed_records = len(records)
-        self.rolled_back = self._apply(("resolve",))
+    def _recovered(self, fresh: bool) -> None:
+        """After replay, roll back the unpublished tail."""
+        self.rolled_back = self._apply_resolve()
         logger.info(
             "vm recovery: %d blob(s), %d log record(s) replayed, "
             "%d unpublished assignment(s) rolled back",
-            len(self._blobs), len(records), self.rolled_back,
+            len(self._blobs), self.replayed_records, self.rolled_back,
         )
-        # Start the new incarnation from a clean snapshot: makes the
-        # resolve above durable and drops the replayed log.
-        self.journal.compact(self._snapshot_state())
-
-    def _log_and_apply(self, record: tuple) -> Any:
-        """WAL discipline: append first, apply second, reply third."""
-        if self.journal is not None:
-            self.journal.append(record)
-        result = self._apply(record)
-        if self.journal is not None and self.journal.should_compact():
-            self.journal.compact(self._snapshot_state())
-        return result
-
-    def _apply(self, record: tuple) -> Any:
-        op = record[0]
-        if op == "alloc":
-            return self._apply_alloc(*record[1:])
-        if op == "assign":
-            return self._apply_assign(*record[1:])
-        if op == "complete":
-            return self._apply_complete(*record[1:])
-        if op == "abandon":
-            return self._apply_abandon(*record[1:])
-        if op == "resolve":
-            return self._apply_resolve()
-        raise ValueError(f"version manager: unknown journal record {op!r}")
-
-    def close(self) -> None:
-        """Clean shutdown: compact so the next incarnation replays nothing."""
-        if self.journal is not None:
-            from repro.core.journal import JournalError
-
-            try:
-                self.journal.compact(self._snapshot_state())
-            except JournalError:
-                pass  # a crashed (fault-injected) journal stays as-is
-            self.journal.close()
 
     # -- blob lifecycle -----------------------------------------------------
 
     def alloc(self, total_size: int, pagesize: int) -> str:
         """Create a blob; returns its globally unique id (paper's ALLOC)."""
+        total_size, pagesize = operator.index(total_size), operator.index(pagesize)
         TreeGeometry(total_size, pagesize)  # validates geometry before logging
         return self._log_and_apply(("alloc", total_size, pagesize))
 
@@ -227,9 +189,8 @@ class VersionManager:
 
     def assign(self, blob_id: str, offset: int, size: int) -> WriteTicket:
         """Serialize this WRITE: next version number + border references."""
-        st = self._state(blob_id)
-        st.geom.check_aligned(offset, size)  # validate before logging
-        return self._log_and_apply(("assign", blob_id, offset, size))
+        iv = self._state(blob_id).geom.check_aligned(offset, size)
+        return self._log_and_apply(("assign", blob_id, iv.offset, iv.size))
 
     def _apply_assign(self, blob_id: str, offset: int, size: int) -> WriteTicket:
         st = self._state(blob_id)
@@ -245,11 +206,8 @@ class VersionManager:
 
     def complete(self, blob_id: str, version: int) -> int:
         """Report success; publish in-order; return latest published."""
-        st = self._state(blob_id)
-        if version not in st.in_flight:
-            raise StaleWrite(
-                f"blob {blob_id}: completion for unknown version {version}"
-            )
+        version = operator.index(version)
+        self._in_flight(blob_id, version, "completion")
         return self._log_and_apply(("complete", blob_id, version))
 
     def _apply_complete(self, blob_id: str, version: int) -> int:
@@ -270,11 +228,8 @@ class VersionManager:
 
     def abandon(self, blob_id: str, version: int) -> int:
         """Back out the *most recent* assignment (extension, see module doc)."""
-        st = self._state(blob_id)
-        if version not in st.in_flight:
-            raise StaleWrite(
-                f"blob {blob_id}: abandon for unknown version {version}"
-            )
+        version = operator.index(version)
+        st = self._in_flight(blob_id, version, "abandon")
         if version != st.next_version - 1:
             raise StaleWrite(
                 f"blob {blob_id}: only the most recently assigned version "
@@ -408,35 +363,31 @@ class VersionManager:
                 return Interval(offset, size)
         raise StaleWrite(f"blob {blob_id}: no recorded patch for version {version}")
 
+    def _in_flight(self, blob_id: str, version: int, what: str) -> _BlobState:
+        st = self._state(blob_id)
+        if version not in st.in_flight:
+            raise StaleWrite(f"blob {blob_id}: {what} for unknown version {version}")
+        return st
+
     def _state(self, blob_id: str) -> _BlobState:
         try:
             return self._blobs[blob_id]
         except KeyError:
             raise BlobNotFound(f"unknown blob id {blob_id!r}") from None
 
-    # -- RPC dispatch ----------------------------------------------------------
-
-    def handle(self, method: str, args: tuple) -> Any:
-        if method == "vm.get_latest":
-            return self.get_latest(*args)
-        if method == "vm.resolve_read":
-            return self.resolve_read(*args)
-        if method == "vm.assign":
-            return self.assign(*args)
-        if method == "vm.complete":
-            return self.complete(*args)
-        if method == "vm.alloc":
-            return self.alloc(*args)
-        if method == "vm.stat":
-            return self.stat(*args)
-        if method == "vm.abandon":
-            return self.abandon(*args)
-        if method == "vm.in_flight":
-            return self.in_flight_versions(*args)
-        if method == "vm.stuck_writes":
-            return self.stuck_writes(*args)
-        if method == "vm.patches":
-            return self.patches(*args)
-        if method == "vm.stats":
-            return self.stats()
-        raise ValueError(f"version manager: unknown method {method!r}")
+    handle = rpc_handler(
+        kind,
+        {
+            "vm.get_latest": get_latest,
+            "vm.resolve_read": resolve_read,
+            "vm.assign": assign,
+            "vm.complete": complete,
+            "vm.alloc": alloc,
+            "vm.stat": stat,
+            "vm.abandon": abandon,
+            "vm.in_flight": in_flight_versions,
+            "vm.stuck_writes": stuck_writes,
+            "vm.patches": patches,
+            "vm.stats": stats,
+        },
+    )

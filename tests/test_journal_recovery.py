@@ -17,12 +17,22 @@ import gc
 import logging
 import random
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core.config import DeploymentSpec
 from repro.core.journal import (
@@ -33,7 +43,7 @@ from repro.core.journal import (
 )
 from repro.core.persistence import DiskSpill
 from repro.deploy.tcp import build_tcp
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.providers.health import HealthTracker
 from repro.providers.manager import ProviderManager
 from repro.providers.page import PageKey, PagePayload
@@ -500,6 +510,265 @@ class TestProviderManagerRecovery:
         assert pm2.providers() == [0, 1], "a dead provider was resurrected"
         # recovered members are re-registered with the fresh detector
         assert set(pm2.health.allocatable()) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# validate before append: a refused request leaves no record, and a
+# restart answers like the live actor
+# ---------------------------------------------------------------------------
+
+
+def durable_vm(directory) -> VersionManager:
+    return VersionManager(journal=Journal(directory))
+
+
+def durable_pm(directory) -> ProviderManager:
+    return ProviderManager(make_strategy("hash_ring"), journal=Journal(directory))
+
+
+def pm_fingerprint(pm: ProviderManager) -> tuple:
+    return (
+        pm.providers(),
+        pm.load_view(),
+        pm.pending_rebalance(),
+        pm.draining(),
+        pm.config(),
+    )
+
+
+def published_vm(directory) -> tuple[VersionManager, str]:
+    """A durable vm holding one published write and nothing in flight."""
+    vm = durable_vm(directory)
+    blob = vm.alloc(TOTAL, PAGE)
+    vm.complete(blob, vm.assign(blob, 0, PAGE).version)
+    return vm, blob
+
+
+def draining_pm(directory) -> tuple[ProviderManager, int]:
+    """A durable hash-ring pm with an active plan draining provider 3."""
+    pm = durable_pm(directory)
+    for i in range(4):
+        pm.register(i)
+    manifests: dict[int, list] = {i: [] for i in range(4)}
+    for page, group in enumerate(pm.get_providers_hashed("b", "u", 0, 80, PAGE)):
+        for pid in group:
+            manifests[pid].append((("b", "u", page), PAGE))
+    plan = pm.plan_rebalance(sorted(manifests.items()), 3)
+    assert plan["total"] >= 20
+    return pm, plan["plan"]
+
+
+@pytest.mark.parametrize(
+    "setup, refused, error",
+    [
+        pytest.param(
+            published_vm, lambda vm, blob: vm.assign(blob, 0, 4096.0),
+            TypeError, id="vm.assign-float-size",
+        ),
+        pytest.param(
+            draining_pm, lambda pm, _: pm.get_providers("b", 2.0, 4096),
+            TypeError, id="pm.get_providers-float-npages",
+        ),
+        pytest.param(
+            draining_pm, lambda pm, _: pm.register([1]),
+            TypeError, id="pm.register-list",
+        ),
+        pytest.param(
+            draining_pm, lambda pm, plan: pm.migration_done(plan, 999),
+            ValueError, id="pm.migration_done-out-of-range",
+        ),
+    ],
+)
+def test_a_refused_request_leaves_no_record(tmp_path, setup, refused, error):
+    """A journaled entry point validates its arguments before it appends:
+    a request it refuses raises a typed error and logs nothing, so the
+    next incarnation on the state dir starts, with the state unchanged.
+    (A record that failed to apply stayed in the log and failed again at
+    every restart.)"""
+    actor, arg = setup(tmp_path)
+    is_vm = isinstance(actor, VersionManager)
+    fingerprint = vm_fingerprint if is_vm else pm_fingerprint
+    before, tail = fingerprint(actor), actor.journal.tail_offset
+    with pytest.raises(error):
+        refused(actor, arg)
+    assert actor.journal.tail_offset == tail
+    actor.journal.close()  # crash: the restart replays the raw log
+    reopened = (durable_vm if is_vm else durable_pm)(tmp_path)
+    assert fingerprint(reopened) == before
+    reopened.close()
+
+
+#: argument pools mixing well-formed values with floats, strings, lists,
+#: negatives and out-of-range values
+PAGES = st.integers(0, NPAGES - 1).map(lambda n: n * PAGE)
+OFFSETS = st.one_of(PAGES, PAGES, st.sampled_from([TOTAL, -PAGE, 1.0, None]))
+SIZES = st.one_of(
+    st.sampled_from([PAGE, 2 * PAGE]),
+    st.sampled_from([PAGE, 2 * PAGE]),
+    st.sampled_from([0, -PAGE, 3, 4096.0, "4096", [PAGE]]),
+)
+VERSIONS = st.one_of(st.integers(-1, 6), st.sampled_from([1.0, "1", [1]]))
+PIDS = st.one_of(st.integers(0, 5), st.sampled_from([1.0, "1", [1], None]))
+COUNTS = st.one_of(
+    st.integers(1, 4), st.integers(-1, 4), st.sampled_from([1, 2.0, "2", [2]])
+)
+RESTART_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    stateful_step_count=20,
+    deadline=None,
+)
+
+
+class RestartMachine(RuleBasedStateMachine):
+    """Well-formed and malformed RPCs from one durable actor's table;
+    after every step, the actor recovered from a copy of its state dir
+    answers like the live one (``Journal.open`` compacts and truncates,
+    so the live files are never reopened)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="restart-"))
+        self.actor = self.durable(self.root / "live")
+
+    def call(self, method: str, *args):
+        """Serve one RPC; a refusal must be a typed error (an IndexError
+        or KeyError would be an argument the actor failed to check)."""
+        try:
+            return self.actor.handle(method, args)
+        except (ReproError, TypeError, ValueError):
+            return None
+
+    @invariant()
+    def a_restart_answers_like_the_live_actor(self) -> None:
+        copy = self.root / "copy"
+        shutil.copytree(self.root / "live", copy)
+        restarted = self.durable(copy)
+        try:
+            self.check_alike(restarted)
+        finally:
+            restarted.close()
+            shutil.rmtree(copy)
+
+    def teardown(self) -> None:
+        self.actor.close()
+        shutil.rmtree(self.root)
+
+
+class VmRestart(RestartMachine):
+    durable = staticmethod(durable_vm)
+
+    @initialize()
+    def populate(self) -> None:
+        self.blobs = [self.actor.alloc(TOTAL, PAGE)]
+
+    # one rule that draws the wire name: hypothesis switches whole rules
+    # off per example, and every example should mix every RPC
+    @rule(
+        method=st.sampled_from(
+            ["vm.alloc", "vm.assign", "vm.assign", "vm.complete", "vm.abandon"]
+        ),
+        pick=st.integers(0, 3),
+        total=st.sampled_from([TOTAL, 4096.0, 3, "x"]),
+        offset=OFFSETS,
+        size=SIZES,
+        version=VERSIONS,
+        live=st.booleans(),
+    )
+    def rpc(self, method, pick, total, offset, size, version, live) -> None:
+        """``pick`` 3 names an unknown blob; ``live`` completes the oldest
+        or abandons the newest version in flight, when there is one."""
+        if method == "vm.alloc":
+            blob = self.call(method, total, PAGE)
+            if blob is not None:
+                self.blobs.append(blob)
+            return
+        blob = "blob-none" if pick == 3 else self.blobs[pick % len(self.blobs)]
+        if method == "vm.assign":
+            self.call(method, blob, offset, size)
+            return
+        in_flight = self.actor.in_flight_versions(blob) if pick < 3 else []
+        if live and in_flight:
+            version = in_flight[0 if method == "vm.complete" else -1]
+        self.call(method, blob, version)
+
+    def check_alike(self, vm: VersionManager) -> None:
+        """``stat``, ``get_latest`` and the patches up to the latest
+        published version, with nothing in flight after the restart."""
+        live = self.actor
+        assert vm.blob_ids() == live.blob_ids()
+        for blob in live.blob_ids():
+            latest = live.get_latest(blob)
+            assert vm.stat(blob) == live.stat(blob)
+            assert vm.get_latest(blob) == latest
+            assert vm.patches(blob) == [
+                p for p in live.patches(blob) if p[0] <= latest
+            ]
+            assert vm.in_flight_versions(blob) == []
+
+
+class PmRestart(RestartMachine):
+    durable = staticmethod(durable_pm)
+
+    @initialize()
+    def populate(self) -> None:
+        self.pages: dict[tuple, tuple] = {}  # hashed page key -> holders
+        for pid in range(4):
+            self.actor.register(pid)
+
+    @rule(
+        method=st.sampled_from(
+            ["pm.register", "pm.deregister", "pm.report_usage",
+             "pm.get_providers", "pm.get_providers_hashed",
+             "pm.plan_rebalance", "pm.migration_done", "pm.migration_done",
+             "pm.migration_commit"]
+        ),
+        pid=PIDS,
+        nbytes=st.sampled_from([0, PAGE, 2.5, "x", -1]),
+        first=COUNTS,
+        npages=COUNTS,
+        pagesize=st.sampled_from([PAGE, PAGE, PAGE, 4096.0]),
+        index=st.one_of(st.integers(-1, 12), st.sampled_from([999, 1.0, "1", [1]])),
+        live=st.booleans(),
+    )
+    def rpc(self, method, pid, nbytes, first, npages, pagesize, index, live) -> None:
+        """``live`` names the active plan and its first pending move;
+        otherwise the plan id is the next one, which does not exist."""
+        pending = self.actor.pending_rebalance()
+        plan = pending["plan"] if pending else 1
+        if method in ("pm.register", "pm.deregister"):
+            self.call(method, pid)
+        elif method == "pm.report_usage":
+            self.call(method, pid, nbytes)
+        elif method == "pm.get_providers":
+            self.call(method, "b", npages, pagesize)
+        elif method == "pm.get_providers_hashed":
+            groups = self.call(method, "b", "u", first, npages, pagesize)
+            for i, group in enumerate(groups or ()):
+                self.pages[("b", "u", first + i)] = group
+        elif method == "pm.plan_rebalance":
+            manifests: dict[int, list] = {}
+            for key, group in self.pages.items():
+                for holder in group:
+                    manifests.setdefault(holder, []).append((key, PAGE))
+            drain = pid if live else None
+            self.call(method, sorted(manifests.items()), drain)
+        elif method == "pm.migration_done":
+            if live and pending and pending["moves"]:
+                index = pending["moves"][0][0]
+            self.call(method, plan if live else plan + 1, index)
+        else:
+            self.call(method, plan if live else plan + 1)
+
+    def check_alike(self, pm: ProviderManager) -> None:
+        assert pm_fingerprint(pm) == pm_fingerprint(self.actor)
+
+
+TestVmRestart = VmRestart.TestCase
+TestVmRestart.settings = RESTART_SETTINGS
+TestPmRestart = PmRestart.TestCase
+TestPmRestart.settings = RESTART_SETTINGS
 
 
 # ---------------------------------------------------------------------------

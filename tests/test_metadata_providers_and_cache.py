@@ -124,8 +124,10 @@ class TestMetadataProvider:
         assert mp.handle("meta.put_node", (n,)) is True
         assert mp.handle("meta.get_node", (n.key,)) == n
         assert mp.handle("meta.stats", ())["nodes"] == 2
-        with pytest.raises(ValueError):
-            mp.handle("meta.nope", ())
+        for method in ("meta.nope", "meta.crash"):
+            with pytest.raises(ValueError, match="metadata provider: unknown method"):
+                mp.handle(method, ())
+        assert mp.handle("meta.get_node", (n.key,)) == n  # not crashed
 
 
 class TestStaticRouter:

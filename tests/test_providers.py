@@ -97,8 +97,11 @@ class TestDataProvider:
         assert stats == {
             "provider_id": 3, "pages": 1, "bytes": 64, "puts": 1, "gets": 0,
         }
-        with pytest.raises(ValueError):
-            dp.handle("data.nope", ())
+        for method in ("data.nope", "data.crash", "data.evict_to_spill"):
+            with pytest.raises(ValueError, match="data provider: unknown method"):
+                dp.handle(method, ())
+        # still up, page still held
+        assert dp.handle("data.get_page", (self.key(),)).nbytes == 64
 
 
 class TestStrategies:
@@ -210,8 +213,10 @@ class TestProviderManager:
         assert pm.handle("pm.providers", ()) == [7]
         groups = pm.handle("pm.get_providers", ("b", 2, 4096))
         assert len(groups) == 2
-        with pytest.raises(ValueError):
-            pm.handle("pm.nope", ())
+        for method in ("pm.nope", "pm.load_view"):
+            with pytest.raises(ValueError, match="provider manager: unknown method"):
+                pm.handle(method, ())
+        assert pm.handle("pm.providers", ()) == [7]
 
 
 def test_checksum_detects_corruption_inproc():

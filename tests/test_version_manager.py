@@ -274,5 +274,15 @@ class TestDispatch:
             "roots_answered": 1, "roots_declined": 0,
         }
         assert vm.handle("vm.in_flight", (blob,)) == []
-        with pytest.raises(ValueError):
-            vm.handle("vm.nope", ())
+
+    def test_only_the_table_is_reachable(self):
+        """Public methods that are not RPCs are unknown on the wire, and
+        asking for one leaves the vm serving: nothing closed, nothing
+        rolled back."""
+        vm, blob = vm_with_blob()
+        ticket = vm.handle("vm.assign", (blob, 0, PAGE))
+        for method in ("vm.nope", "vm.close", "vm.rollback_unpublished"):
+            with pytest.raises(ValueError, match="version manager: unknown method"):
+                vm.handle(method, ())
+        assert vm.handle("vm.in_flight", (blob,)) == [ticket.version]
+        assert vm.handle("vm.complete", (blob, ticket.version)) == 1
