@@ -1,22 +1,15 @@
-"""Global reader-writer-lock baseline.
+"""Global reader-writer-lock baseline on the simulated cluster.
 
-Two artifacts:
-
-- :class:`InMemoryLockedBlob`: the conventional shared-string design in
-  one process — a single RW lock, in-place updates, no versions. Used by
-  tests and examples to contrast semantics (readers observe torn history
-  ordering-wise: only the newest state exists).
-- :class:`LockedClusterSim`: the performance baseline on the simulated
-  cluster. Data movement is identical to the lock-free system's data phase
-  (pages striped over providers, NIC-accurate transfers); the difference
-  is a global lock around every access. Writers serialize end-to-end, so
-  aggregate write bandwidth is one client's bandwidth regardless of client
-  count — the collapse ablation bench A measures.
+:class:`LockedClusterSim` is the performance baseline. Data movement is
+identical to the lock-free system's data phase (pages striped over
+providers, NIC-accurate transfers); the difference is a global lock
+(:class:`SimRWLock`) around every access. Writers serialize end-to-end, so
+aggregate write bandwidth is one client's bandwidth regardless of client
+count — the collapse ablation bench A measures.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Generator, Literal
 
@@ -25,71 +18,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.network import ClusterSpec, Network, SimNode
 
 Kind = Literal["read", "write"]
-
-
-# ---------------------------------------------------------------------------
-# functional baseline
-# ---------------------------------------------------------------------------
-
-
-class InMemoryLockedBlob:
-    """A flat byte array behind one reader-writer lock. No versioning.
-
-    The RW lock is writer-preferring and fair enough for tests; the point
-    is the *model*: one mutable string, exclusive writes, no snapshots.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._buf = bytearray(size)
-        self._mutex = threading.Lock()
-        self._readers_done = threading.Condition(self._mutex)
-        self._writers_done = threading.Condition(self._mutex)
-        self._active_readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        self.reads = 0
-        self.writes = 0
-
-    @property
-    def size(self) -> int:
-        return len(self._buf)
-
-    def read(self, offset: int, size: int) -> bytes:
-        with self._mutex:
-            while self._writer_active or self._writers_waiting:
-                self._writers_done.wait()
-            self._active_readers += 1
-        try:
-            # shared section: concurrent readers copy freely
-            return bytes(self._buf[offset : offset + size])
-        finally:
-            with self._mutex:
-                self._active_readers -= 1
-                self.reads += 1
-                if self._active_readers == 0:
-                    self._readers_done.notify_all()
-
-    def write(self, data: bytes, offset: int) -> None:
-        with self._mutex:
-            self._writers_waiting += 1
-            while self._writer_active or self._active_readers:
-                self._readers_done.wait()
-            self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            # exclusive section: in-place update, history destroyed
-            self._buf[offset : offset + len(data)] = data
-        finally:
-            with self._mutex:
-                self._writer_active = False
-                self.writes += 1
-                self._writers_done.notify_all()
-                self._readers_done.notify_all()
-
-
-# ---------------------------------------------------------------------------
-# simulated baseline
-# ---------------------------------------------------------------------------
 
 
 class SimRWLock:

@@ -5,7 +5,8 @@ protocol generators — the algorithms of paper §III.B, executable on any
 driver. :mod:`repro.core.client` wraps them in the blocking
 :class:`~repro.core.client.BlobClient` facade used by applications;
 :mod:`repro.core.gc` implements client-ordered garbage collection and
-:mod:`repro.core.persistence` the optional spill-to-disk page backend.
+:mod:`repro.core.journal` the write-ahead log that makes the vm and pm
+durable.
 """
 
 from repro.core.config import BlobConfig, DeploymentSpec

@@ -41,9 +41,7 @@ fall on) and the clean-close compaction. The actor validates and
 normalises a request *before* it is logged, so a logged record always
 replays: a request the actor refuses leaves no record.
 
-``StateDirLock`` (flock-based) and the shared fsync helpers used by
-:class:`~repro.core.persistence.DiskSpill` live here too, so every
-durability knob in the system spells fsync policy the same way.
+``StateDirLock`` (flock-based) and the fsync helpers live here too.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from repro.errors import ConfigError, ReproError
 
 logger = logging.getLogger("repro.journal")
 
-#: accepted fsync policies, shared by the journal and DiskSpill:
+#: accepted fsync policies:
 #: ``"never"`` (flush to the OS only — survives SIGKILL, the test
 #: default) and ``"always"`` (fsync every append/publish — survives
 #: power loss, the production setting).

@@ -124,12 +124,12 @@ class Deployment(_Inspection):
 
         return scrape_driver(self.driver, source=self.source)
 
-    def add_data_provider(self, spill=None) -> int:
+    def add_data_provider(self) -> int:
         """A provider joining the running system in this process (paper:
         providers may dynamically join); pair with
         :mod:`repro.providers.rebalance` to migrate pages to it."""
         new_id = max(self.data, default=-1) + 1
-        dp = DataProvider(new_id, spill=spill, checksum=self.spec.page_checksums)
+        dp = DataProvider(new_id, checksum=self.spec.page_checksums)
         self.data[new_id] = dp
         self.driver.register(("data", new_id), dp)
         self.pm.register(new_id)
@@ -192,22 +192,15 @@ def plan_loopback_nodes(spec: DeploymentSpec) -> list[list[str]]:
     return nodes
 
 
-def assemble(
-    spec: DeploymentSpec | None,
-    driver: Any,
-    source: str,
-    spills: dict[int, object] | None = None,
-) -> Deployment:
+def assemble(spec: DeploymentSpec | None, driver: Any, source: str) -> Deployment:
     """Every actor of ``spec`` registered with one in-process ``driver``
     (the body ``build_inproc`` and ``build_threaded`` share)."""
     spec = spec or DeploymentSpec()
-    spills = spills or {}
     vm, pm = build_control_plane(spec)
     driver.register("vm", vm)
     driver.register("pm", pm)
     data = {
-        i: DataProvider(i, spill=spills.get(i), checksum=spec.page_checksums)
-        for i in range(spec.n_data)
+        i: DataProvider(i, checksum=spec.page_checksums) for i in range(spec.n_data)
     }
     meta = {i: MetadataProvider(i) for i in range(spec.n_meta)}
     for i, dp in data.items():
@@ -221,10 +214,8 @@ def assemble(
     )
 
 
-def build_inproc(
-    spec: DeploymentSpec | None = None, spills: dict[int, object] | None = None
-) -> Deployment:
+def build_inproc(spec: DeploymentSpec | None = None) -> Deployment:
     """Assemble an in-process deployment from a topology spec: every actor
     dispatched directly on the caller's thread (the functional substrate
     for tests, examples and the sky pipeline)."""
-    return assemble(spec, InprocDriver(), "inproc", spills)
+    return assemble(spec, InprocDriver(), "inproc")

@@ -126,7 +126,3 @@ class RemoteError(ReproError):
             except Exception:
                 original = None
         return (RemoteError, (self.error_type, self.message, original))
-
-
-class GCInProgress(ReproError):
-    """A second garbage collection was ordered while one is running."""

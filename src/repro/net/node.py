@@ -209,8 +209,10 @@ def build_actor(
     :class:`~repro.core.journal.Journal` under ``<state_dir>/<actor>``
     and a rebuilt actor pointed at the same directory resumes its
     incarnation (replaying the log and, for the vm, rolling back
-    unpublished assignments). Storage actors ignore it — their
-    durability tier is :class:`~repro.core.persistence.DiskSpill`.
+    unpublished assignments). Storage actors ignore it: they keep pages
+    and nodes in RAM only, so a restarted storage agent comes back empty,
+    re-registers with the pm, and its data survives only through replicas
+    (``replication > 1``).
     """
     address = parse_actor(name)
     journal = None

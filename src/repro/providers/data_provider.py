@@ -1,10 +1,11 @@
 """RAM-based data provider.
 
-Stores pages in local memory (the paper's design point: RAM storage for
-access efficiency, persistence delegated to a lower tier — see
-:mod:`repro.core.persistence` for the optional spill). Pages are write-once:
-the provider enforces immutability, which is what makes lock-free reads
-safe — a published page can never change under a reader.
+Stores pages in local memory only (the paper's design point: RAM storage
+for access efficiency, persistence left to a lower tier). A provider that
+restarts comes back empty; its pages survive only through replicas
+(``replication > 1``). Pages are write-once: the provider enforces
+immutability, which is what makes lock-free reads safe — a published page
+can never change under a reader.
 
 RPC surface: the ``handle`` table at the end of :class:`DataProvider`.
 """
@@ -44,14 +45,13 @@ def _owned(payload: PagePayload) -> PagePayload:
 class DataProvider:
     """One data-provider process (one per node in the paper's deployment)."""
 
-    def __init__(self, provider_id: int, spill=None, checksum: bool = False) -> None:
+    def __init__(self, provider_id: int, checksum: bool = False) -> None:
         self.provider_id = provider_id
         self._pages: dict[PageKey, PagePayload] = {}
         self.bytes_stored = 0
         self.puts = 0
         self.gets = 0
         self.failed = False  # failure injection: refuse all service
-        self._spill = spill  # optional persistence backend
         #: integrity mode: checksum every real page on put, verify on get
         #: (storage-tier CPU work; virtual pages have no bytes to sum)
         self.checksum = checksum
@@ -76,8 +76,6 @@ class DataProvider:
             digest = page_checksum(payload)
             if digest is not None:
                 self._checksums[key] = digest
-        if self._spill is not None:
-            self._spill.store(key, payload)
         return True
 
     def get_page(self, key: PageKey) -> PagePayload:
@@ -85,12 +83,8 @@ class DataProvider:
         self._check_up()
         self.gets += 1
         payload = self._pages.get(key)
-        if payload is None and self._spill is not None:
-            payload = self._spill.load(key)
         if payload is None:
             raise PageMissing(f"provider {self.provider_id}: no page {key}")
-        # Verify RAM *and* spill loads: the persistence tier is the path
-        # most exposed to corruption (torn/misdirected writes on disk).
         expected = self._checksums.get(key)
         if expected is not None and page_checksum(payload) != expected:
             raise PageCorrupt(
@@ -111,8 +105,6 @@ class DataProvider:
                 self.bytes_stored -= payload.nbytes
                 self._checksums.pop(key, None)
                 freed += 1
-                if self._spill is not None:
-                    self._spill.drop(key)
         return freed
 
     def list_pages(self, blob_id: str) -> list[PageKey]:
@@ -121,7 +113,7 @@ class DataProvider:
         return [k for k in self._pages if k.blob_id == blob_id]
 
     def iter_pages(self, blob_id: str) -> Iterable[tuple[PageKey, PagePayload]]:
-        """``(key, payload)`` for every RAM-resident page of a blob.
+        """``(key, payload)`` for every page held for a blob.
 
         Inspection surface (no RPC, no failure injection): the
         cross-driver conformance suite uses it to compare stored page
@@ -141,7 +133,7 @@ class DataProvider:
         return list(self.iter_pages(blob_id))
 
     def manifest(self) -> list[tuple[PageKey, int]]:
-        """``(key, nbytes)`` for every RAM-resident page — the rebalance
+        """``(key, nbytes)`` for every page held — the rebalance
         planner's input (what this provider *actually* holds, which after
         crashes or partial migrations may differ from what was allocated)."""
         self._check_up()
@@ -160,17 +152,6 @@ class DataProvider:
         if key in self._pages:
             return False
         return self._store(key, payload)
-
-    def evict_to_spill(self) -> int:
-        """Drop in-RAM copies that are safely persisted (needs a spill)."""
-        if self._spill is None:
-            return 0
-        evicted = 0
-        for key in list(self._pages):
-            payload = self._pages.pop(key)
-            self.bytes_stored -= payload.nbytes
-            evicted += 1
-        return evicted
 
     @property
     def page_count(self) -> int:

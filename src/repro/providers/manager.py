@@ -200,10 +200,6 @@ class ProviderManager(Journaled):
         """The live provider ids, sorted."""
         return sorted(self._providers)
 
-    @property
-    def provider_count(self) -> int:
-        return len(self._providers)
-
     # -- allocation ------------------------------------------------------
 
     def _allocation(self, npages, pagesize) -> tuple[int, int, tuple[int, ...]]:

@@ -100,7 +100,7 @@ class PagePayload:
         return self.data
 
     def __reduce_ex__(self, protocol: int):
-        """Pickle support (the wire codec, the journal, the disk spill).
+        """Pickle support (the wire codec, the journal).
 
         Under protocol 5, contents of ``BULK_BYTES`` or more are handed to
         pickle as a ``PickleBuffer``: the wire codec

@@ -12,26 +12,23 @@ Layers:
 
 - :mod:`repro.sim.engine` — generator-based event loop (processes, timeouts,
   event composition), in the style of SimPy but self-contained.
-- :mod:`repro.sim.resources` — FIFO resources and serialized rate lanes used
-  to model CPUs and NICs.
+- :mod:`repro.sim.resources` — serialized rate lanes used to model CPUs
+  and NICs.
 - :mod:`repro.sim.network` — cluster/node/NIC model plus the calibrated
   :class:`~repro.sim.network.ClusterSpec` constants.
 """
 
-from repro.sim.engine import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
-from repro.sim.resources import RateLane, Resource
+from repro.sim.engine import AllOf, Event, Process, Simulator, Timeout
+from repro.sim.resources import RateLane
 from repro.sim.network import ClusterSpec, Network, SimNode
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timeout",
     "RateLane",
-    "Resource",
     "ClusterSpec",
     "Network",
     "SimNode",

@@ -36,14 +36,6 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (double trigger, yielding non-events, ...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupts."""
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence with a value or an exception.
 
@@ -76,10 +68,6 @@ class Event:
         if self._exc is not None:
             raise self._exc
         return self._value
-
-    @property
-    def exception(self) -> BaseException | None:
-        return self._exc
 
     def defuse(self) -> None:
         """Mark a failure as handled so it does not crash the run loop."""
@@ -155,12 +143,11 @@ class Timeout(Event):
 class Process(Event):
     """A running generator; as an Event it triggers on process completion."""
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, sim: "Simulator", gen: SimGenerator, name: str = "?") -> None:
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Event | None = None
         self.name = name
         sim._now.append(self._start)
 
@@ -168,30 +155,15 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            return
-        self._waiting_on = None
-        self.sim._now.append(lambda: self._throw(Interrupt(cause)))
-
     def _start(self) -> None:
         self._advance(False, None)
 
     def _on_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up after an interrupt
-        self._waiting_on = None
         if event._exc is None:
             self._advance(False, event._value)
         else:
             event.defuse()
             self._advance(True, event._exc)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._triggered:
-            return
-        self._advance(True, exc)
 
     def _advance(self, throwing: bool, arg: Any) -> None:
         gen = self._gen
@@ -210,7 +182,6 @@ class Process(Event):
                 )
             )
             return
-        self._waiting_on = target
         target.add_callback(self._on_event)
 
 
@@ -246,32 +217,6 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self._children])
-
-
-class AnyOf(Event):
-    """Triggers when the first child does; value is ``(index, value)``."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf requires at least one event")
-        for i, ev in enumerate(self._children):
-            ev.add_callback(lambda event, i=i: self._on_child(i, event))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self._triggered:
-            if not event.ok:
-                event.defuse()
-            return
-        if not event.ok:
-            event.defuse()
-            assert event._exc is not None
-            self.fail(event._exc)
-            return
-        self.succeed((index, event._value))
 
 
 class _JoinChild:
@@ -385,24 +330,10 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def join(self, gens: Iterable[SimGenerator]) -> Join:
         return Join(self, gens)
 
     # -- running ---------------------------------------------------------
-
-    def step(self) -> None:
-        """Execute the next scheduled callback, advancing the clock."""
-        now_q = self._now
-        if now_q:
-            fn = now_q.popleft()
-        else:
-            when, _, fn = heapq.heappop(self._queue)
-            self.now = when
-        self.events_processed += 1
-        fn()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.

@@ -1,85 +1,18 @@
-"""Simulated resources: FIFO semaphores and serialized rate lanes.
+"""Simulated resources: serialized rate lanes.
 
-Two primitives cover everything the cluster model needs:
-
-- :class:`Resource` — a counted semaphore with FIFO granting, used for
-  bounded server worker pools.
-- :class:`RateLane` — a work-conserving FIFO pipe with a fixed service rate
-  (bytes/second or operations/second), used to model NIC transmit/receive
-  sides and per-node CPUs. A job of size ``n`` occupies the lane for
-  ``n / rate`` seconds *after* all previously queued work; this serializes
-  concurrent transfers exactly like a full-duplex Ethernet adapter
-  serializes frames, and yields the aggregate-bandwidth behaviour the
-  paper's throughput experiment depends on.
+One primitive covers everything the cluster model needs:
+:class:`RateLane`, a work-conserving FIFO pipe with a fixed service rate
+(bytes/second or operations/second), used to model NIC transmit/receive
+sides and per-node CPUs. A job of size ``n`` occupies the lane for
+``n / rate`` seconds *after* all previously queued work; this serializes
+concurrent transfers exactly like a full-duplex Ethernet adapter
+serializes frames, and yields the aggregate-bandwidth behaviour the
+paper's throughput experiment depends on.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
-
-from repro.sim.engine import Event, SimulationError, Simulator, Timeout
-
-
-class Request(Event):
-    """Pending acquisition of a :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-
-
-class Resource:
-    """Counted semaphore with FIFO granting.
-
-    Usage inside a process::
-
-        req = pool.request()
-        yield req
-        try:
-            ...
-        finally:
-            pool.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: Deque[Request] = deque()
-        self.max_in_use = 0  # high-water mark, handy for assertions
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiting)
-
-    def request(self) -> Request:
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._grant(req)
-        else:
-            self._waiting.append(req)
-        return req
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        self._in_use -= 1
-        if self._waiting:
-            self._grant(self._waiting.popleft())
-
-    def _grant(self, req: Request) -> None:
-        self._in_use += 1
-        self.max_in_use = max(self.max_in_use, self._in_use)
-        req.succeed(None)
+from repro.sim.engine import Event, Simulator, Timeout
 
 
 class RateLane:

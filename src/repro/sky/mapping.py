@@ -22,7 +22,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sky.skymodel import SkySpec
 from repro.util.bits import align_up, ceil_pow2
-from repro.util.intervals import Interval
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class SkyMapping:
         if not (0 <= tx < self.spec.tiles_x and 0 <= ty < self.spec.tiles_y):
             raise ConfigError(f"tile {tile} outside sky grid")
         return (ty * self.spec.tiles_x + tx) * self.tile_slot_bytes
-
-    def tile_interval(self, tile: tuple[int, int]) -> Interval:
-        return Interval(self.tile_offset(tile), self.tile_slot_bytes)
 
     def tile_of_offset(self, offset: int) -> tuple[int, int]:
         index = offset // self.tile_slot_bytes

@@ -27,11 +27,13 @@ up with ``abort()`` — the operator's agents keep serving::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+from typing import Iterator
 
-from repro.errors import RemoteError, ReproError
+from repro.errors import ConfigError, RemoteError
 from repro.net.address import ClusterMap
 from repro.net.threaded import ThreadedDriver
 from repro.obs.metrics import reconcile, render_metrics, scrape_driver
@@ -106,19 +108,35 @@ def load_endpoints(spec: str) -> dict[str, str]:
     return endpoints
 
 
+@contextlib.contextmanager
+def attach(endpoints: str, timeout: float) -> Iterator[ThreadedDriver]:
+    """A read-only session on a live cluster: a driver connected to every
+    actor of the ``--endpoints`` map, hung up with ``abort()`` on exit —
+    no shutdown controls, so the operator's agents keep serving.
+
+    A bad map raises :class:`~repro.errors.ConfigError` before anything
+    is dialed (the tools exit 2); a peer that never answers raises
+    ``TimeoutError`` (the tools exit 1, as for a ``RemoteError`` while
+    scraping).
+    """
+    try:
+        cluster_map = ClusterMap.from_spec(load_endpoints(endpoints))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    driver = ThreadedDriver(connect_timeout=timeout)
+    try:
+        driver.register_map(cluster_map)
+        driver.wait_connected(timeout=timeout)
+        yield driver
+    finally:
+        driver.abort()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Command-line entry (scrape a live cluster's telemetry); returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cluster_map = ClusterMap.from_spec(load_endpoints(args.endpoints))
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    driver = ThreadedDriver(connect_timeout=args.timeout)
-    try:
-        driver.register_map(cluster_map)
-        try:
-            driver.wait_connected(timeout=args.timeout)
+        with attach(args.endpoints, args.timeout) as driver:
             metrics = scrape_driver(driver, source="tcp")
             if args.as_json:
                 json.dump(metrics, sys.stdout, indent=2)
@@ -147,15 +165,14 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 if iterations is not None:
                     iterations -= 1
-        except (TimeoutError, RemoteError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except KeyboardInterrupt:
-            pass  # Ctrl-C ends a --watch session cleanly
-    finally:
-        # hang up without shutdown controls: scraping an operator's
-        # cluster must never stop it
-        driver.abort()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (TimeoutError, RemoteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        pass  # Ctrl-C ends a --watch session cleanly
     if args.check:
         problems = reconcile(metrics)
         for problem in problems:

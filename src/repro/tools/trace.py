@@ -37,9 +37,7 @@ import json
 import sys
 
 from repro.core.config import DeploymentSpec
-from repro.errors import RemoteError, ReproError
-from repro.net.address import ClusterMap
-from repro.net.threaded import ThreadedDriver
+from repro.errors import ConfigError, RemoteError
 from repro.obs.export import (
     align_spans,
     chrome_trace,
@@ -51,7 +49,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import collect_spans, reconcile, scrape_driver
 from repro.obs.spans import CALLER, trace_operation
-from repro.tools.metrics import load_endpoints
+from repro.tools.metrics import attach
 
 #: the acceptance bar --check enforces on the traced op's coverage
 COVERAGE_FLOOR = 0.95
@@ -234,21 +232,14 @@ def _check(
 
 def _attach(args: argparse.Namespace) -> int:
     try:
-        cluster_map = ClusterMap.from_spec(load_endpoints(args.endpoints))
-    except (OSError, ValueError, ReproError) as exc:
+        with attach(args.endpoints, args.timeout) as driver:
+            doc = scrape_driver(driver, source="tcp")
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    driver = ThreadedDriver(connect_timeout=args.timeout)
-    try:
-        driver.register_map(cluster_map)
-        try:
-            driver.wait_connected(timeout=args.timeout)
-            doc = scrape_driver(driver, source="tcp")
-        except (TimeoutError, RemoteError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        driver.abort()  # read-only: never stop the operator's cluster
+    except (TimeoutError, RemoteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     spans = collect_spans(doc)
     domains = {s["domain"] for s in spans}
     traces = {s["trace"] for s in spans}

@@ -1,58 +1,11 @@
-"""Lock-based baselines: semantics and the writer-collapse behaviour."""
-
-import threading
+"""Lock-based baseline: the simulated RW lock and the writer-collapse behaviour."""
 
 import pytest
 
-from repro.baselines.locked import InMemoryLockedBlob, LockedClusterSim, SimRWLock
+from repro.baselines.locked import LockedClusterSim, SimRWLock
 from repro.core.config import DeploymentSpec
 from repro.sim.engine import Simulator
 from repro.util.sizes import KB, MB
-
-
-class TestInMemoryLockedBlob:
-    def test_read_write(self):
-        blob = InMemoryLockedBlob(1024)
-        blob.write(b"hello", 10)
-        assert blob.read(10, 5) == b"hello"
-        assert blob.read(0, 5) == bytes(5)
-
-    def test_no_versioning_history_destroyed(self):
-        """The semantic gap vs the paper's system: old states are gone."""
-        blob = InMemoryLockedBlob(16)
-        blob.write(b"aaaa", 0)
-        blob.write(b"bbbb", 0)
-        assert blob.read(0, 4) == b"bbbb"  # 'aaaa' is unrecoverable
-
-    def test_threaded_consistency(self):
-        blob = InMemoryLockedBlob(4096)
-        errors = []
-
-        def writer(tag):
-            for _ in range(50):
-                blob.write(bytes([tag]) * 4096, 0)
-
-        def reader():
-            for _ in range(100):
-                got = blob.read(0, 4096)
-                if len(set(got)) > 1:
-                    errors.append("torn read under RW lock")
-
-        threads = [
-            threading.Thread(target=writer, args=(t,)) for t in (1, 2)
-        ] + [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert errors == []
-        assert blob.writes == 100
-
-    def test_counters(self):
-        blob = InMemoryLockedBlob(64)
-        blob.write(b"x", 0)
-        blob.read(0, 1)
-        assert blob.writes == 1 and blob.reads == 1
 
 
 class TestSimRWLock:

@@ -1,10 +1,10 @@
 """Wire codec: frame round-trips for everything that crosses a process
 boundary, streaming reassembly, and corruption handling.
 
-The satellite requirement pinned here: memoryview-backed (zero-copy) and
-spilled page payloads must round-trip the codec bit-identically — the
-socket drivers are only correct if the wire preserves exactly the bytes
-the inproc and threaded drivers carry as views.
+The requirement pinned here: memoryview-backed (zero-copy) page payloads
+must round-trip the codec bit-identically — the socket drivers are only
+correct if the wire preserves exactly the bytes the inproc and threaded
+drivers carry as views.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import socket
 
 import pytest
 
-from repro.core.persistence import DiskSpill
 from repro.errors import (
     PageMissing,
     RemoteError,
@@ -55,7 +54,7 @@ def feed(decoder: MessageDecoder, data: bytes, step: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# payload round-trips (satellite: viewed/spilled payloads, bit-identical)
+# payload round-trips (real and viewed payloads, bit-identical)
 # ---------------------------------------------------------------------------
 
 
@@ -90,20 +89,6 @@ def test_memoryview_backed_payload_roundtrips_bit_identical():
         assert page_checksum(back) == page_checksum(payload)
 
 
-def test_spilled_payload_roundtrips_bit_identical(tmp_path):
-    # a payload stored through the disk spill as an unmaterialized view,
-    # loaded back, then shipped through the codec
-    spill = DiskSpill(tmp_path)
-    data = b"\xa5" * 4096
-    key = PageKey("blob-x", "w#1", 3)
-    spill.store(key, PagePayload.real(memoryview(data)[:]))
-    loaded = spill.load(key)
-    assert loaded is not None
-    back = roundtrip(loaded)
-    assert back.as_bytes() == data
-    assert back.nbytes == 4096
-
-
 def test_virtual_payload_travels_as_count_only():
     back = roundtrip(PagePayload.virtual(1 << 20))
     assert back.is_virtual
@@ -114,8 +99,8 @@ def test_virtual_payload_travels_as_count_only():
 
 @pytest.mark.parametrize("protocol", [2, 4, 5])
 def test_in_band_pickle_of_payloads_loads_bytes_backed(protocol):
-    # __reduce_ex__ serves any pickler, not just the codec: the journal,
-    # the disk spill and mp.Pipe pickle without a buffer_callback, and
+    # __reduce_ex__ serves any pickler, not just the codec: the journal
+    # and mp.Pipe pickle without a buffer_callback, and
     # what they load back must be plain bytes-backed payloads
     for payload in (
         PagePayload.real(memoryview(b"z" * 128)),

@@ -1,5 +1,5 @@
 """Durable control plane: journal framing, crash-point fault injection,
-vm/pm recovery semantics, state-dir locking, and the DiskSpill fsyncs.
+vm/pm recovery semantics and state-dir locking.
 
 The centerpiece is the crash-point sweep: a seeded random vm workload is
 journaled once to learn every record boundary, then re-run with the
@@ -41,12 +41,10 @@ from repro.core.journal import (
     JournalError,
     StateDirLock,
 )
-from repro.core.persistence import DiskSpill
 from repro.deploy.tcp import build_tcp
 from repro.errors import ConfigError, ReproError
 from repro.providers.health import HealthTracker
 from repro.providers.manager import ProviderManager
-from repro.providers.page import PageKey, PagePayload
 from repro.providers.strategies import make_strategy
 from repro.tools.node import main as node_main
 from repro.util.sizes import KB
@@ -843,24 +841,3 @@ class TestNodeCliStateDir:
             first.kill()
             first.wait(10)
 
-
-# ---------------------------------------------------------------------------
-# DiskSpill durability knob
-# ---------------------------------------------------------------------------
-
-
-class TestDiskSpillFsync:
-    def test_default_never_policy_does_not_fsync(self, tmp_path):
-        spill = DiskSpill(tmp_path)
-        spill.store(PageKey("b", "w", 0), PagePayload.real(b"x" * 64))
-        assert spill.fsyncs == 0
-
-    def test_always_policy_fsyncs_file_and_directory(self, tmp_path):
-        spill = DiskSpill(tmp_path, fsync="always")
-        spill.store(PageKey("b", "w", 0), PagePayload.real(b"x" * 64))
-        assert spill.fsyncs == 2  # tmp file before rename + parent dir after
-        assert spill.load(PageKey("b", "w", 0)).as_bytes() == b"x" * 64
-
-    def test_policy_knob_shares_the_journal_vocabulary(self, tmp_path):
-        with pytest.raises(ConfigError, match="fsync"):
-            DiskSpill(tmp_path, fsync="usually")

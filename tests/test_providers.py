@@ -97,7 +97,7 @@ class TestDataProvider:
         assert stats == {
             "provider_id": 3, "pages": 1, "bytes": 64, "puts": 1, "gets": 0,
         }
-        for method in ("data.nope", "data.crash", "data.evict_to_spill"):
+        for method in ("data.nope", "data.crash", "data.iter_pages"):
             with pytest.raises(ValueError, match="data provider: unknown method"):
                 dp.handle(method, ())
         # still up, page still held

@@ -4,8 +4,6 @@ import pytest
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -145,27 +143,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run(until=p)
 
-    def test_interrupt(self):
-        sim = Simulator()
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                log.append(i.cause)
-            return "out"
-
-        def attacker(p):
-            yield sim.timeout(1.0)
-            p.interrupt("stop now")
-
-        p = sim.process(victim())
-        sim.process(attacker(p))
-        assert sim.run(until=p) == "out"
-        assert log == ["stop now"]
-        assert sim.now == pytest.approx(1.0)
-
     def test_run_until_event_with_drained_queue(self):
         sim = Simulator()
         orphan = sim.event()  # never triggered
@@ -198,18 +175,6 @@ class TestCompositions:
         sim._schedule(1.0, lambda: bad.fail(RuntimeError("x")))
         sim.run()
         assert all_ev.triggered and not all_ev.ok
-
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        a = sim.timeout(3.0, value="slow")
-        b = sim.timeout(1.0, value="fast")
-        any_ev = AnyOf(sim, [a, b])
-        sim.run()
-        assert any_ev.value == (1, "fast")
-
-    def test_any_of_requires_children(self):
-        with pytest.raises(SimulationError):
-            AnyOf(Simulator(), [])
 
 
 class TestDeterminism:

@@ -1,77 +1,9 @@
-"""Simulated resources: semaphores and rate lanes."""
+"""Simulated resources: rate lanes."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import RateLane, Resource
-
-
-class TestResource:
-    def test_grant_within_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        sim.run()
-        assert r1.triggered and r2.triggered
-        assert res.in_use == 2
-
-    def test_queueing_beyond_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        r1 = res.request()
-        r2 = res.request()
-        sim.run()
-        assert r1.triggered and not r2.triggered
-        assert res.queued == 1
-        res.release()
-        sim.run()
-        assert r2.triggered
-
-    def test_fifo_granting(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        order = []
-        for i in range(3):
-            res.request().add_callback(lambda _, i=i: order.append(i))
-        for _ in range(3):
-            res.release()
-        sim.run()
-        assert order == [0, 1, 2]
-
-    def test_release_without_request_rejected(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        with pytest.raises(Exception):
-            res.release()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), 0)
-
-    def test_high_water_mark(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=3)
-        for _ in range(3):
-            res.request()
-        assert res.max_in_use == 3
-
-    def test_full_cycle_in_process(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        held = []
-
-        def worker(i):
-            req = res.request()
-            yield req
-            held.append((sim.now, i))
-            yield sim.timeout(2.0)
-            res.release()
-
-        procs = [sim.process(worker(i)) for i in range(3)]
-        sim.run(until=sim.all_of(procs))
-        # strictly serialized: entries 2 time units apart
-        assert [t for t, _ in held] == [0.0, 2.0, 4.0]
+from repro.sim.resources import RateLane
 
 
 class TestRateLane:

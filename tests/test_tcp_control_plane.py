@@ -8,6 +8,8 @@ dedicated hosts and *no* actor lives in the client parent:
   its providers with the pm agent at start (``--pm`` / ``pm_endpoint``),
   retrying with backoff, and does so again after a restart — the replay
   that lets a storage node rejoin the allocation pool by itself;
+- a restarted storage agent comes back empty: its pages and nodes lived
+  in RAM only, so a read of what it held fails typed;
 - vm on its own agent: killing it turns publishes into *typed* fast
   failures (``RemoteError``), and a restarted vm agent on the same
   endpoint resumes service through the driver's reconnect backoff with
@@ -43,6 +45,7 @@ from repro.errors import (
     ConfigError,
     ImmutabilityViolation,
     RemoteError,
+    ReproError,
 )
 from repro.net.address import ClusterMap
 from repro.net.codec import MessageDecoder, decode_body, encode_message
@@ -180,6 +183,29 @@ def test_data_agent_registers_with_pm_at_start_and_after_restart():
         first.close()
         driver.close()
         pm_agent.close()
+
+
+def test_restarted_storage_agent_comes_back_empty():
+    """A storage agent keeps pages and nodes in RAM only: a restarted one
+    serves again but holds nothing, and a read of what it held fails
+    typed (its data survives only through replicas, none here)."""
+    dep = build_tcp(DeploymentSpec(n_data=2, n_meta=1, cache_capacity=0))
+    try:
+        client = dep.client("storage-restart")
+        blob = client.alloc(TOTAL, PAGE)
+        res = client.write(blob, fill(5) * 2, 0)
+        assert dep.data[0].page_count > 0
+
+        index = dep.agent_index_for(("data", 0))
+        dep.kill_agent(index)
+        dep.restart_agent(index)
+        dep.driver.wait_connected(timeout=15)
+
+        assert dep.data[0].page_count == 0
+        with pytest.raises(ReproError):
+            client.read_bytes(blob, 0, 2 * PAGE, version=res.version)
+    finally:
+        dep.close()
 
 
 def test_registration_retries_until_pm_comes_up():

@@ -345,7 +345,7 @@ def test_pages_never_alias_the_connection_buffer(client, size):
             assert view.readonly
             with pytest.raises(TypeError):
                 view[0] = 0xFF
-        # the in-band form (journal / disk spill) is plain bytes-backed
+        # the in-band form (the journal) is plain bytes-backed
         for payload in (stored, fetched_early):
             back = pickle.loads(pickle.dumps(payload, protocol=5))
             assert type(back.data) is bytes and back.data == original
