@@ -42,7 +42,6 @@ from repro.errors import (
     NotEnoughProviders,
     OutOfBounds,
     PageMissing,
-    ProviderUnavailable,
     RemoteError,
     ReproError,
     StaleWrite,
@@ -86,7 +85,6 @@ __all__ = [
     "ImmutabilityViolation",
     "PageMissing",
     "NodeMissing",
-    "ProviderUnavailable",
     "NotEnoughProviders",
     "StaleWrite",
     "RemoteError",

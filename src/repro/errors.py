@@ -68,10 +68,6 @@ class NodeMissing(ReproError):
     """A metadata provider was asked for a tree node it does not hold."""
 
 
-class ProviderUnavailable(ReproError):
-    """A provider is down (failure injection or simulated crash)."""
-
-
 class NotEnoughProviders(ReproError):
     """The provider manager cannot satisfy an allocation request."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import ImmutabilityViolation, NodeMissing, ProviderUnavailable
+from repro.errors import ImmutabilityViolation, NodeMissing
 from repro.metadata.node import NodeKey, TreeNode
 from repro.net.sansio import rpc_handler
 
@@ -30,11 +30,9 @@ class MetadataProvider:
         self.gets = 0
         self.subtree_gets = 0
         self.nodes_served = 0
-        self.failed = False
 
     def put_node(self, node: TreeNode) -> bool:
         """Store one node, write-once; returns ``True``."""
-        self._check_up()
         existing = self._nodes.get(node.key)
         if existing is not None:
             if existing == node:
@@ -59,7 +57,6 @@ class MetadataProvider:
         :class:`ImmutabilityViolation`, one foreign element ``ValueError``,
         and in both cases nothing of the batch is stored.
         """
-        self._check_up()
         if not isinstance(nodes, list):
             raise ValueError(f"put_nodes needs a list of nodes, got {nodes!r:.80}")
         store = self._nodes
@@ -82,7 +79,6 @@ class MetadataProvider:
 
     def get_node(self, key: NodeKey) -> TreeNode:
         """The stored node at ``key``."""
-        self._check_up()
         self.gets += 1
         try:
             node = self._nodes[key]
@@ -139,24 +135,20 @@ class MetadataProvider:
         """All stored nodes of a blob, without per-node key lookups.
 
         Local bulk access for setup/inspection helpers (cache warming, GC
-        sweeps); it bypasses the ``gets`` counter but still honours
-        failure injection — reading from a crashed provider must raise
-        exactly as the per-node path would.
+        sweeps); it bypasses the ``gets`` counter.
         """
-        self._check_up()  # eager, like list_nodes: raise at call time
         return (
             node for key, node in self._nodes.items() if key.blob_id == blob_id
         )
 
     def dump_nodes(self, blob_id: str) -> list[TreeNode]:
-        """:meth:`iter_nodes` as an RPC-shaped list (same failure
-        semantics), so out-of-process deployments expose the inspection
-        surface the conformance suite compares."""
+        """:meth:`iter_nodes` as an RPC-shaped list, so out-of-process
+        deployments expose the inspection surface the conformance suite
+        compares."""
         return list(self.iter_nodes(blob_id))
 
     def free_nodes(self, keys: Iterable[NodeKey]) -> int:
         """Drop nodes (garbage collection); returns the number freed."""
-        self._check_up()
         freed = 0
         for key in keys:
             if self._nodes.pop(key, None) is not None:
@@ -165,7 +157,6 @@ class MetadataProvider:
 
     def list_nodes(self, blob_id: str) -> list[NodeKey]:
         """Every key held for a blob (the GC sweep's input)."""
-        self._check_up()
         return [k for k in self._nodes if k.blob_id == blob_id]
 
     @property
@@ -183,20 +174,6 @@ class MetadataProvider:
             "subtree_gets": self.subtree_gets,
             "nodes_served": self.nodes_served,
         }
-
-    # -- failure injection -----------------------------------------------
-
-    def crash(self) -> None:
-        self.failed = True
-
-    def recover(self) -> None:
-        self.failed = False
-
-    def _check_up(self) -> None:
-        if self.failed:
-            raise ProviderUnavailable(
-                f"metadata provider {self.provider_id} is down"
-            )
 
     handle = rpc_handler(
         "metadata provider",

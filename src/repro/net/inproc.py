@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.net.sansio import Actor, Address, Protocol, run_inproc
+from repro.net.sansio import Actor, Address, FaultInjection, Protocol, run_inproc
 from repro.obs.telemetry import telemetry_report
 
 
-class InprocDriver:
+class InprocDriver(FaultInjection):
     """Driver facade over :func:`repro.net.sansio.run_inproc`.
 
     Also the place where deployments register/unregister actors; the
@@ -24,6 +24,7 @@ class InprocDriver:
 
     def __init__(self, registry: Mapping[Address, Actor] | None = None) -> None:
         self._registry: dict[Address, Actor] = dict(registry or {})
+        self._down: dict[Address, str] = {}
 
     def register(self, address: Address, actor: Actor) -> None:
         if address in self._registry:
@@ -43,8 +44,9 @@ class InprocDriver:
         """One actor's telemetry report, same shape as the concurrent
         drivers' (this driver has no wire layer, so the wire counters are
         ``None``)."""
+        self._raise_if_failed(address)
         return telemetry_report(self._registry[address])
 
     def run(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol to completion and return its value."""
-        return run_inproc(proto, self._registry)
+        return run_inproc(proto, self._registry, self._down)

@@ -21,7 +21,8 @@ Failure semantics: a handler exception is wrapped in
 :class:`~repro.errors.RemoteError`. By default the driver raises it at the
 protocol's ``yield`` point. Calls created with ``allow_error=True`` instead
 deliver the error object in the result slot, which lets protocols implement
-fail-over (e.g. reading a page replica after a provider crash).
+fail-over (e.g. reading a page replica while a provider is down: a dead
+peer, or one :class:`FaultInjection` failed).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import (
 )
 
 from repro.errors import RemoteError, ReproError
+from repro.net.address import format_actor
 from repro.net.message import estimate_size
 from repro.obs.telemetry import TELEMETRY_METHOD, telemetry_of
 
@@ -194,6 +196,33 @@ def rpc_handler(kind: str, table: Mapping[str, Callable]) -> Callable:
     return _handle
 
 
+class FaultInjection:
+    """The fault surface every driver shares. After ``fail(address)``
+    every call to ``address`` answers ``RemoteError("PeerUnavailable")``
+    in its result slot, the error a dead TCP peer gives, without reaching
+    the actor; ``heal(address)`` restores service. A driver keeps the
+    failed addresses in ``_down`` (address -> reason) and consults it
+    where it resolves a destination. The fault is client-side: the
+    address is unreachable *from this driver*."""
+
+    _down: dict[Address, str]
+
+    def fail(self, address: Address) -> None:
+        """Make a registered ``address`` unreachable until :meth:`heal`."""
+        if address not in self.addresses():
+            raise KeyError(f"no actor registered at address {address!r}")
+        self._down[address] = f"{format_actor(address)} failed (injected)"
+
+    def heal(self, address: Address) -> None:
+        """Undo :meth:`fail` (a no-op for an address that is up)."""
+        self._down.pop(address, None)
+
+    def _raise_if_failed(self, address: Address) -> None:
+        reason = self._down.get(address)
+        if reason is not None:
+            raise RemoteError("PeerUnavailable", reason)
+
+
 def dispatch_call(actor: Actor, call: Call) -> Any:
     """Invoke a handler, converting exceptions into :class:`RemoteError`.
 
@@ -319,8 +348,12 @@ def run_protocol(proto: Protocol[T], execute: Callable[[Batch], list]) -> T:
         return stop.value
 
 
-def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:
-    """Execute a protocol by direct dispatch against actor objects.
+def run_inproc(
+    proto: Protocol[T], registry: Mapping[Address, Actor], down: Mapping | None = None
+) -> T:
+    """Execute a protocol by direct dispatch against actor objects; a
+    call to an address in ``down`` (failed address -> reason, see
+    :class:`FaultInjection`) answers ``PeerUnavailable`` instead.
 
     This is the reference driver: no parallelism, no timing — just the
     protocol semantics. Every other driver must be observationally
@@ -330,6 +363,10 @@ def run_inproc(proto: Protocol[T], registry: Mapping[Address, Actor]) -> T:
     def execute(batch: Batch) -> list:
         results = []
         for call in batch.calls:
+            reason = down.get(call.dest) if down else None
+            if reason is not None:
+                results.append(RemoteError("PeerUnavailable", reason))
+                continue
             actor = registry.get(call.dest)
             if actor is None:
                 raise KeyError(f"no actor registered at address {call.dest!r}")

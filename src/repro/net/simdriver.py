@@ -12,7 +12,8 @@ accounting:
    lane is shared by all clients of that server, which is exactly where
    contention appears in the concurrent-clients experiment;
 4. handler execution (state mutation) at the simulated completion instant,
-   so e.g. version-number assignment is serialized in simulated time;
+   so e.g. version-number assignment is serialized in simulated time (a
+   failed address answers ``PeerUnavailable`` at that instant instead);
 5. the response travels back the same way; the client pays a per-reply
    processing cost (tree-node decoding dominates READs, per the paper).
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.errors import ReproError
+from repro.errors import RemoteError, ReproError
 from repro.net.message import estimate_size
 from repro.net.sansio import (
     Actor,
@@ -42,6 +43,7 @@ from repro.net.sansio import (
     Batch,
     Call,
     Compute,
+    FaultInjection,
     Mark,
     Protocol,
     deliver,
@@ -53,7 +55,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
 
-class SimRpcExecutor:
+class SimRpcExecutor(FaultInjection):
     """Registry of simulated actors plus the protocol runner."""
 
     def __init__(self, sim: Simulator, network: Network) -> None:
@@ -61,6 +63,7 @@ class SimRpcExecutor:
         self.network = network
         self.spec = network.spec
         self._actors: dict[Address, tuple[Actor, SimNode]] = {}
+        self._down: dict[Address, str] = {}
         self.wire_rpcs = 0
         self.sub_calls = 0
         #: modeled-timeline spans (``repro.spans/1`` dicts, sim-time ns,
@@ -94,6 +97,7 @@ class SimRpcExecutor:
         """
         from repro.obs.telemetry import telemetry_report
 
+        self._raise_if_failed(address)
         return telemetry_report(self._actors[address][0])
 
     # -- protocol execution ----------------------------------------------
@@ -245,7 +249,11 @@ class SimRpcExecutor:
         )
         t_served = sim.now
         # 4. handler execution at the simulated completion instant
-        values = [dispatch_call(actor, c) for c in calls]
+        reason = self._down.get(dest)
+        if reason is None:
+            values = [dispatch_call(actor, c) for c in calls]
+        else:
+            values = [RemoteError("PeerUnavailable", reason) for _ in calls]
         # 5. response: server reply-handling CPU, tx, link, client rx
         resp_payload = 0
         for v in values:

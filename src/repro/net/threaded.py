@@ -32,10 +32,10 @@ hot path allocates no locks, conditions or events per batch. The counters
 exposed by :meth:`PeerRegistry.transport_stats` make these bounds testable.
 
 :class:`PeerRegistry` is what this driver and the asyncio one
-(:mod:`repro.net.aio`) share: registration, health, the scrape surface,
-destination resolution, the caller-side counters and the batch body. A
-driver supplies only how it waits for a batch and how it makes, asks and
-stops peers.
+(:mod:`repro.net.aio`) share: registration, health, fault injection, the
+scrape surface, destination resolution, the caller-side counters and the
+batch body. A driver supplies only how it waits for a batch and how it
+makes, asks and stops peers.
 """
 
 from __future__ import annotations
@@ -45,14 +45,16 @@ import itertools
 import queue
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
+from repro.errors import RemoteError
 from repro.net.address import ClusterMap, Endpoint, parse_endpoint
 from repro.net.sansio import (
     Actor,
     Address,
     Batch,
     Call,
+    FaultInjection,
     Protocol,
     deliver,
     dispatch_call,
@@ -198,7 +200,23 @@ class _ServerThread:
         self._thread.join(timeout=10)
 
 
-class PeerRegistry:
+class _FailedPeer(NamedTuple):
+    """What a failed address (:class:`~repro.net.sansio.FaultInjection`)
+    resolves to: a peer answering every group at submit with ``error``,
+    as a :class:`~repro.net.tcp.TcpPeer` that is down does."""
+
+    error: RemoteError
+
+    def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
+        slot[0] = self.error
+        latch.group_done(gen)
+
+    @staticmethod
+    def reply_values(slot: list, n_calls: int) -> list:
+        return [slot[0]] * n_calls
+
+
+class PeerRegistry(FaultInjection):
     """The address book and batch body every real driver keeps: in-parent
     actors on service threads (``_servers``), remote ones behind peers
     (``_remotes``), under ``_lock``, and the caller-side counters. A
@@ -223,6 +241,7 @@ class PeerRegistry:
         #: stopped peers of unregistered actors (see unregister; a
         #: re-registration of the address shadows its entry)
         self._retired: dict[Address, Any] = {}
+        self._down: dict[Address, str] = {}
         #: caller-side counters, one _Tally per caller thread id, so the
         #: batch path shares no lock between callers. The OS hands an
         #: ended thread's id to a new thread, which then keeps counting
@@ -339,7 +358,9 @@ class PeerRegistry:
         """One actor's telemetry report (wire counters + service-time
         snapshot, :meth:`_ServerThread.report`), queried over the wire as
         a *control* for remote actors — controls are not counted as wire
-        RPCs, so scraping is invisible to the workload counters."""
+        RPCs, so scraping is invisible to the workload counters. A failed
+        address raises its ``PeerUnavailable``, as a dead peer does."""
+        self._raise_if_failed(address)
         with self._lock:
             remote = self._remotes.get(address)
             server = self._servers.get(address)
@@ -408,11 +429,18 @@ class PeerRegistry:
     def _resolve(self, groups: list) -> list[tuple[Any, Any, Any]]:
         """``(group, peer, None)`` or ``(group, None, service thread)`` per
         wire group, all resolved before anything is submitted: an unknown
-        address leaves no latch armed and no group in flight."""
+        address leaves no latch armed and no group in flight. A failed
+        address resolves to a :class:`_FailedPeer`."""
         servers = self._servers
         remotes = self._remotes
+        down = self._down
         resolved: list[tuple[Any, Any, Any]] = []
         for group in groups:
+            reason = down.get(group.dest)
+            if reason is not None:
+                error = RemoteError("PeerUnavailable", reason)
+                resolved.append((group, _FailedPeer(error), None))
+                continue
             server = servers.get(group.dest)
             if server is not None:
                 resolved.append((group, None, server))

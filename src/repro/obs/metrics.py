@@ -25,7 +25,9 @@ same JSON-safe document::
           "stats": {"pages": ..., "puts": ..., "gets": ...}  # the actor's
               # own counters; a metadata provider reports nodes, puts, gets,
               # subtree_gets, nodes_served (per-shard skew at a glance)
-        }, ...
+        },
+        "data/1": {"down": "PeerUnavailable: ..."},  # unreachable: why
+        ...
       },
       "caller_rtt": {  # drivers with a wire layer: caller-side RTT rows
         "data": {"count": ..., "mean_ms": ..., "p50_ms": ..., ...}, ...
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.errors import RemoteError
 from repro.net.address import format_actor
 from repro.obs.hist import LatencyHistogram
 
@@ -154,13 +157,21 @@ def caller_rtt_rows(driver: Any) -> dict[str, Any] | None:
 def scrape_driver(
     driver: Any, addresses: list | None = None, source: str = "live"
 ) -> dict[str, Any]:
-    """Scrape every actor of a driver exposing ``telemetry(address)``."""
+    """Scrape every actor of a driver exposing ``telemetry(address)``.
+    An unreachable actor (a dead or failed peer, or one that does not
+    answer in time) is kept as ``{"down": reason}``: one down node never
+    blanks the rest of the scrape."""
     if addresses is None:
         addresses = driver.addresses()
     actors = {}
     for address in addresses:
         name = format_actor(address)
-        actors[name] = actor_entry(driver.telemetry(address), name)
+        try:
+            report = driver.telemetry(address)
+        except (RemoteError, TimeoutError) as exc:
+            actors[name] = {"down": str(exc)}
+            continue
+        actors[name] = actor_entry(report, name)
     doc = {"schema": METRICS_SCHEMA, "source": source, "actors": actors}
     rtt = caller_rtt_rows(driver)
     if rtt is not None:
@@ -208,7 +219,7 @@ def sim_node_entries(network: Any) -> dict[str, Any]:
 def reconcile(metrics: Mapping[str, Any]) -> list[str]:
     """Check the histogram-vs-counter invariant; returns problem strings
     (empty = every actor reconciles). Actors scraped without wire
-    counters (``sub_calls`` None, e.g. inproc) are skipped."""
+    counters (``sub_calls`` None, e.g. inproc, or down) are skipped."""
     problems = []
     for name, entry in metrics.get("actors", {}).items():
         sub_calls = entry.get("sub_calls")
@@ -245,6 +256,9 @@ def render_metrics(
     prev_actors = (prev or {}).get("actors", {})
     for name in sorted(metrics.get("actors", {})):
         entry = metrics["actors"][name]
+        if "down" in entry:
+            lines.append(f"  {name:<10} {'(down)':<22} {entry['down']}")
+            continue
         prev_methods = prev_actors.get(name, {}).get("methods", {})
         for method, row in entry.get("methods", {}).items():
             line = (

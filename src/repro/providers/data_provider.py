@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import (
-    ImmutabilityViolation,
-    PageCorrupt,
-    PageMissing,
-    ProviderUnavailable,
-)
+from repro.errors import ImmutabilityViolation, PageCorrupt, PageMissing
 from repro.net.sansio import rpc_handler
 from repro.providers.page import PageKey, PagePayload, page_checksum
 
@@ -51,7 +46,6 @@ class DataProvider:
         self.bytes_stored = 0
         self.puts = 0
         self.gets = 0
-        self.failed = False  # failure injection: refuse all service
         #: integrity mode: checksum every real page on put, verify on get
         #: (storage-tier CPU work; virtual pages have no bytes to sum)
         self.checksum = checksum
@@ -61,7 +55,6 @@ class DataProvider:
 
     def put_page(self, key: PageKey, payload: PagePayload) -> bool:
         """Store a page, write-once; returns ``True``."""
-        self._check_up()
         if key in self._pages:
             raise ImmutabilityViolation(
                 f"provider {self.provider_id}: page {key} already stored"
@@ -80,7 +73,6 @@ class DataProvider:
 
     def get_page(self, key: PageKey) -> PagePayload:
         """The stored page, checksum-verified in integrity mode."""
-        self._check_up()
         self.gets += 1
         payload = self._pages.get(key)
         if payload is None:
@@ -97,7 +89,6 @@ class DataProvider:
 
     def free_pages(self, keys: Iterable[PageKey]) -> int:
         """Drop pages (garbage collection); returns the number freed."""
-        self._check_up()
         freed = 0
         for key in keys:
             payload = self._pages.pop(key, None)
@@ -109,13 +100,12 @@ class DataProvider:
 
     def list_pages(self, blob_id: str) -> list[PageKey]:
         """Every key held for a blob (the GC sweep's input)."""
-        self._check_up()
         return [k for k in self._pages if k.blob_id == blob_id]
 
     def iter_pages(self, blob_id: str) -> Iterable[tuple[PageKey, PagePayload]]:
         """``(key, payload)`` for every page held for a blob.
 
-        Inspection surface (no RPC, no failure injection): the
+        Inspection surface (no RPC): the
         cross-driver conformance suite uses it to compare stored page
         contents across deployments.
         """
@@ -136,7 +126,6 @@ class DataProvider:
         """``(key, nbytes)`` for every page held — the rebalance
         planner's input (what this provider *actually* holds, which after
         crashes or partial migrations may differ from what was allocated)."""
-        self._check_up()
         return [(key, payload.nbytes) for key, payload in self._pages.items()]
 
     def migrate_in(self, key: PageKey, payload: PagePayload) -> bool:
@@ -148,7 +137,6 @@ class DataProvider:
         ImmutabilityViolation. Write-once discipline is preserved because
         the payload for a given key is immutable cluster-wide.
         """
-        self._check_up()
         if key in self._pages:
             return False
         return self._store(key, payload)
@@ -166,18 +154,6 @@ class DataProvider:
             "puts": self.puts,
             "gets": self.gets,
         }
-
-    # -- failure injection ---------------------------------------------------
-
-    def crash(self) -> None:
-        self.failed = True
-
-    def recover(self) -> None:
-        self.failed = False
-
-    def _check_up(self) -> None:
-        if self.failed:
-            raise ProviderUnavailable(f"data provider {self.provider_id} is down")
 
     handle = rpc_handler(
         "data provider",

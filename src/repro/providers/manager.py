@@ -30,9 +30,7 @@ internal state (round-robin cursor, rng stream) for the next incarnation.
 The strategy object itself is pickled into snapshots, and a ``config``
 record pins strategy/replication so a restart with different settings
 fails loudly (:class:`~repro.errors.ConfigError`) instead of silently
-desynchronizing placement. Failure-detector state is deliberately *not*
-journaled — health is a property of the running incarnation, so recovered
-providers re-enter the tracker fresh.
+desynchronizing placement.
 """
 
 from __future__ import annotations
@@ -58,14 +56,12 @@ class ProviderManager(Journaled):
         self,
         strategy: AllocationStrategy | None = None,
         replication: int = 1,
-        health=None,
         journal=None,
     ) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.strategy = strategy or RoundRobin()
         self.replication = replication
-        self.health = health  # optional repro.providers.health.HealthTracker
         self._providers: set[int] = set()
         self._load: dict[int, int] = {}  # allocated bytes per provider
         self.allocations = 0
@@ -124,12 +120,9 @@ class ProviderManager(Journaled):
         self._check_config(recorded, "log")
 
     def _recovered(self, fresh: bool) -> None:
-        """Pin the settings on a fresh directory, re-enter health."""
+        """Pin the settings on a fresh directory."""
         if fresh:
             self.journal.append(("config", self._config_tuple()))
-        if self.health is not None:
-            for pid in self._providers:
-                self.health.register(pid)
         logger.info(
             "pm recovery: %d provider(s), %d log record(s) replayed",
             len(self._providers), self.replayed_records,
@@ -139,10 +132,7 @@ class ProviderManager(Journaled):
 
     def register(self, provider_id: int) -> int:
         """Admit a provider; returns the provider count."""
-        provider_id = operator.index(provider_id)
-        if self.health is not None:
-            self.health.register(provider_id)
-        return self._log_and_apply(("register", provider_id))
+        return self._log_and_apply(("register", operator.index(provider_id)))
 
     def _apply_register(self, provider_id: int) -> int:
         self._providers.add(provider_id)
@@ -151,50 +141,13 @@ class ProviderManager(Journaled):
 
     def deregister(self, provider_id: int) -> int:
         """Remove a provider; returns the remaining count."""
-        provider_id = operator.index(provider_id)
-        if self.health is not None:
-            self.health.deregister(provider_id)
-        return self._log_and_apply(("deregister", provider_id))
+        return self._log_and_apply(("deregister", operator.index(provider_id)))
 
     def _apply_deregister(self, provider_id: int) -> int:
         self._providers.discard(provider_id)
         self._draining.discard(provider_id)
         self._load.pop(provider_id, None)
         return len(self._providers)
-
-    def heartbeat(self, provider_id: int, now: float | None = None) -> str:
-        """Record a provider heartbeat (requires a health tracker).
-
-        The beat is credited to the reporting provider *before* the clock
-        advances (a beat arriving exactly at the eviction boundary keeps
-        membership — the old order churned it through a journaled
-        deregister/register cycle); evictions of *other* providers
-        implied by the new time are then reconciled and journaled.
-        """
-        if self.health is None:
-            return "untracked"
-        if provider_id not in self._providers:
-            self.register(provider_id)
-        state = self.health.heartbeat(provider_id, now)
-        if now is not None:
-            members = set(self.health.members())
-            for pid in sorted(self._providers - members):
-                self._log_and_apply(("deregister", pid))
-        return state.value
-
-    def tick(self, now: float) -> list[tuple[int, str]]:
-        """Advance the failure detector; evicts DEAD providers.
-
-        Evictions are journaled as deregistrations — a pm restart must
-        not resurrect a provider the detector already declared dead.
-        """
-        if self.health is None:
-            return []
-        transitions = self.health.advance(now)
-        for pid, state in transitions:
-            if state.value == "dead" and pid in self._providers:
-                self._log_and_apply(("deregister", pid))
-        return [(pid, state.value) for pid, state in transitions]
 
     def providers(self) -> list[int]:
         """The live provider ids, sorted."""
@@ -204,16 +157,12 @@ class ProviderManager(Journaled):
 
     def _allocation(self, npages, pagesize) -> tuple[int, int, tuple[int, ...]]:
         """Validate an allocation request: ``(npages, pagesize)`` as ints
-        and the providers eligible for fresh pages (healthy, not
+        and the providers eligible for fresh pages (registered, not
         draining)."""
         npages, pagesize = operator.index(npages), operator.index(pagesize)
         if npages < 1:
             raise ValueError(f"npages must be >= 1, got {npages}")
-        if self.health is not None:
-            live = [p for p in self.health.allocatable() if p in self._providers]
-        else:
-            live = sorted(self._providers)
-        live = tuple(p for p in live if p not in self._draining)
+        live = tuple(p for p in sorted(self._providers) if p not in self._draining)
         if len(live) < self.replication:
             raise NotEnoughProviders(
                 f"need {self.replication} providers, have {len(live)}"
@@ -516,8 +465,6 @@ class ProviderManager(Journaled):
             "pm.deregister": deregister,
             "pm.providers": providers,
             "pm.report_usage": report_usage,
-            "pm.heartbeat": heartbeat,
-            "pm.tick": tick,
             "pm.config": config,
             "pm.get_providers_hashed": get_providers_hashed,
             "pm.locate": locate,

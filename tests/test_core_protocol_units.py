@@ -132,6 +132,6 @@ class TestGCWithReplication:
         assert stats.pages_freed == 2 * 2 * 2  # 2 dead versions x 2 pages x r=2
         assert dep.total_pages_stored() == 2 * 2  # live pages x 2 replicas
         # the kept version still reads with a crashed replica
-        dep.data[0].crash()
+        dep.driver.fail(("data", 0))
         got = client.read_bytes(blob, 0, 2 * SMALL_PAGE, version=3)
         assert got == pages(2, bytes([3]))

@@ -43,7 +43,6 @@ from repro.core.journal import (
 )
 from repro.deploy.tcp import build_tcp
 from repro.errors import ConfigError, ReproError
-from repro.providers.health import HealthTracker
 from repro.providers.manager import ProviderManager
 from repro.providers.strategies import make_strategy
 from repro.tools.node import main as node_main
@@ -483,31 +482,6 @@ class TestProviderManagerRecovery:
                 replication=2,
                 journal=Journal(tmp_path),
             )
-
-    def test_health_evictions_survive_a_restart(self, tmp_path):
-        pm = ProviderManager(
-            make_strategy("round_robin"),
-            health=HealthTracker(suspect_after=5.0, evict_after=10.0),
-            journal=Journal(tmp_path),
-        )
-        for i in range(3):
-            pm.register(i)
-        pm.tick(5.0)  # provider 2 never beats: SUSPECT from t=5
-        pm.heartbeat(0, now=8.0)
-        pm.heartbeat(1, now=8.0)
-        # silent >= evict_after AND a full SUSPECT dwell served: DEAD,
-        # journaled as deregister
-        pm.tick(11.0)
-        assert pm.providers() == [0, 1]
-        pm.journal.close()  # crash
-        pm2 = ProviderManager(
-            make_strategy("round_robin"),
-            health=HealthTracker(suspect_after=5.0, evict_after=10.0),
-            journal=Journal(tmp_path),
-        )
-        assert pm2.providers() == [0, 1], "a dead provider was resurrected"
-        # recovered members are re-registered with the fresh detector
-        assert set(pm2.health.allocatable()) == {0, 1}
 
 
 # ---------------------------------------------------------------------------

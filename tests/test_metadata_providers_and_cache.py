@@ -6,7 +6,7 @@ import re
 import pytest
 
 import repro
-from repro.errors import ImmutabilityViolation, NodeMissing, ProviderUnavailable
+from repro.errors import ImmutabilityViolation, NodeMissing
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.provider import MetadataProvider
@@ -57,18 +57,6 @@ class TestMetadataProvider:
         assert mp.free_nodes([n1.key, NodeKey("b", 99, 0, 4096)]) == 1
         assert mp.node_count == 2
 
-    def test_failure_injection(self):
-        mp = MetadataProvider(0)
-        mp.crash()
-        with pytest.raises(ProviderUnavailable):
-            mp.get_node(NodeKey("b", 1, 0, 4096))
-        with pytest.raises(ProviderUnavailable):
-            mp.put_node(node())
-        with pytest.raises(ProviderUnavailable):
-            mp.iter_nodes("b")  # bulk path honours crash at call time too
-        mp.recover()
-        mp.put_node(node())
-
     def test_iter_nodes_matches_list_nodes(self):
         mp = MetadataProvider(0)
         n1, n2 = node(version=1), node(version=2)
@@ -107,14 +95,6 @@ class TestMetadataProvider:
                 mp.put_nodes(bad)
             assert (mp.puts, mp.put_batches, mp.node_count) == (1, 0, 1)
             assert not mp.has_node(NodeKey("b", 1, 0, 4096))
-
-    def test_put_nodes_on_a_crashed_provider(self):
-        mp = MetadataProvider(0)
-        mp.crash()
-        with pytest.raises(ProviderUnavailable):
-            mp.put_nodes([node()])
-        mp.recover()
-        assert mp.put_nodes([node()]) is True
 
     def test_rpc_dispatch(self):
         mp = MetadataProvider(0)

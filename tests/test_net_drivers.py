@@ -9,6 +9,7 @@ its callers' traffic the same way and refuse work once closed.
 
 import gc
 import threading
+import time
 import warnings
 
 import pytest
@@ -20,6 +21,7 @@ from repro.net.inproc import InprocDriver
 from repro.net.sansio import Batch, Call, Compute
 from repro.net.simdriver import SimRpcExecutor
 from repro.net.threaded import ThreadedDriver
+from repro.obs.metrics import render_metrics
 from repro.sim.engine import Simulator
 from repro.sim.network import ClusterSpec, Network
 from repro.util.sizes import KB, MB
@@ -414,3 +416,85 @@ def test_real_drivers_count_a_serial_workload_alike():
     stats = deltas["threaded"]
     assert stats["completion_wakeups"] == stats["batches"] > 0
     assert stats["sub_calls"] > stats["queue_submissions"] > stats["batches"]
+
+
+def _stats(*dests):
+    """One parallel batch of ``<kind>.stats`` calls, errors delivered."""
+    results = yield Batch(
+        [Call(d, f"{d[0]}.stats", allow_error=True) for d in dests]
+    )
+    return results
+
+
+def _wait_peer_down(dep, address, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while dep.driver.peer_status()[address] == "connected":
+        assert time.monotonic() < deadline, f"{address} never went down"
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("name", ["inproc", "threaded", "tcp", "aio", "simulated"])
+def test_fault_surface_contract(name):
+    """``fail`` / ``heal`` mean one thing on every driver: a failed
+    address answers ``PeerUnavailable`` in its own result slots (the
+    rest of the batch is served), a batch to failed addresses only
+    returns, the scrape keeps it as ``down``, ``heal`` restores service
+    and an unregistered address is a ``KeyError``. On tcp, a failed
+    group counts exactly as a killed agent's group does, and a scrape
+    keeps every actor the killed agent did not host."""
+    dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
+    surface = dep.executor if name == "simulated" else dep.driver
+
+    def run(proto):
+        if name == "simulated":
+            return dep.client().run(proto)
+        if name == "inproc":
+            return dep.driver.run(proto)
+        return dep.driver.spawn(proto).result(10)  # a hang fails the test
+
+    live, failed = ("data", 0), ("data", 1)
+    try:
+        surface.fail(failed)
+        error, value = run(_stats(failed, live))
+        assert isinstance(error, RemoteError)
+        assert error.error_type == "PeerUnavailable"
+        assert value["provider_id"] == 0
+        surface.fail(("meta", 1))
+        assert [r.error_type for r in run(_stats(failed, ("meta", 1)))] == [
+            "PeerUnavailable"
+        ] * 2
+        actors = dep.metrics()["actors"]
+        assert actors["data/1"] == {"down": str(error)}
+        assert "methods" in actors["data/0"]
+        surface.heal(failed)
+        surface.heal(("meta", 1))
+        assert [r["provider_id"] for r in run(_stats(failed, live))] == [1, 0]
+        with pytest.raises(KeyError):
+            surface.fail(("data", 9))
+        if name != "tcp":
+            return
+
+        def one_call():
+            before = dep.transport_stats()
+            (result,) = run(_stats(failed))
+            after = dep.transport_stats()
+            return result.error_type, {k: after[k] - before[k] for k in after}
+
+        surface.fail(failed)
+        injected = one_call()
+        surface.heal(failed)
+        dep.kill_agent(dep.agent_index_for(failed))
+        _wait_peer_down(dep, failed)
+        assert one_call() == injected
+        _wait_peer_down(dep, ("meta", 1))  # the same agent hosted it
+        metrics = dep.metrics()
+        actors = metrics["actors"]
+        assert actors["data/1"]["down"].startswith("PeerUnavailable: ")
+        assert actors["meta/1"]["down"].startswith("PeerUnavailable: ")
+        for kept in ("vm", "pm", "data/0", "meta/0"):
+            assert "methods" in actors[kept]
+        table = render_metrics(metrics)  # what repro.tools.metrics prints
+        assert "(down)" in table and actors["data/1"]["down"] in table
+    finally:
+        if name != "simulated":
+            dep.close()

@@ -7,7 +7,6 @@ from repro.errors import (
     NotEnoughProviders,
     PageCorrupt,
     PageMissing,
-    ProviderUnavailable,
 )
 from repro.net.message import estimate_size
 from repro.providers.data_provider import DataProvider
@@ -81,14 +80,6 @@ class TestDataProvider:
         dp.put_page(PageKey("a", "w", 0), PagePayload.virtual(1))
         dp.put_page(PageKey("b", "w", 0), PagePayload.virtual(1))
         assert dp.list_pages("a") == [PageKey("a", "w", 0)]
-
-    def test_crash_recover(self):
-        dp = DataProvider(0)
-        dp.crash()
-        with pytest.raises(ProviderUnavailable):
-            dp.put_page(self.key(), PagePayload.virtual(1))
-        dp.recover()
-        dp.put_page(self.key(), PagePayload.virtual(1))
 
     def test_stats_and_dispatch(self):
         dp = DataProvider(3)

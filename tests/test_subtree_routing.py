@@ -379,7 +379,7 @@ def test_every_replica_owner_gets_its_shard():
     assert [dep.meta[m].put_batches for _, m in owners] == [1, 1]
     assert sum(m.puts for m in dep.meta.values()) == 2 * written.nodes_written
     # and either copy serves the READ
-    dep.meta[owners[0][1]].crash()
+    dep.driver.fail(owners[0])
     assert client.read_bytes(blob, 40 * MB, 4 * SMALL_PAGE) == pages(4, b"R")
 
 
@@ -498,20 +498,21 @@ def test_subtree_primary_crashed_mid_read_costs_one_extra_batch():
 
     healthy, healthy_seen = read()
 
+    failed = []
+
     def crash_the_owner(batch):
         # the READ is under way (vm already answered) when the subtree's
         # primary owner dies, just before its get_subtree is sent
         for c in batch.calls:
-            if c.method == "meta.get_subtree" and not any(
-                m.failed for m in dep.meta.values()
-            ):
-                dep.meta[c.dest[1]].crash()
+            if c.method == "meta.get_subtree" and not failed:
+                dep.driver.fail(c.dest)
+                failed.append(c.dest)
 
     got, seen = read(crash_the_owner)
     assert bytes(got.data) == bytes(healthy.data) == pages(8, b"S")
     assert got.nodes_fetched == healthy.nodes_fetched
     assert seen["batches"] == healthy_seen["batches"] + 1
-    assert sum(m.failed for m in dep.meta.values()) == 1
+    assert len(failed) == 1
 
 
 def _node_missing_on(dep):
@@ -554,7 +555,7 @@ def crashed_primary(request):
     client.write(blob, pages(2, b"2"), 2 * SMALL_PAGE)
     client.write(blob, pages(1, b"3"), 16 * SMALL_PAGE)
     primary = dep.router.primary(NodeKey(blob, 3, 0, SMALL_TOTAL))
-    dep.meta[primary[1]].crash()
+    dep.driver.fail(primary)
     return dep, client, blob, primary[1]
 
 
