@@ -1,0 +1,90 @@
+"""``python scripts/cpu_split.py [--workload W] [--seed N] [--rounds N] [--smoke]``
+
+Where one perfbench trial's CPU goes: it builds the trial exactly as
+``perfbench/run.py`` does (one CPU, the same cluster, populate and warm-up
+round), then prints CPU µs per timed op for each thread of this process
+(``MainThread``, ``aio-driver``, ``actor-vm``, ``actor-pm``, ``recv-*``, ...)
+and for each agent process, from utime + stime in
+``/proc/<pid>/task/*/stat`` read before and after the timed rounds.
+
+``MainThread`` also runs the calibration kernel that brackets every round,
+so its row is not all client work. utime and stime count whole clock
+ticks (10 ms at the usual 100 Hz), so run enough rounds that every row
+you read spans many ticks. perfbench is only imported, never edited.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from perfbench.harness import Trial, TrialConfig, pin_one_cpu  # noqa: E402
+
+TICK_S = 1 / os.sysconf("SC_CLK_TCK")
+
+
+def task_ticks(pid: int) -> dict[int, int]:
+    """utime + stime, in clock ticks, of every thread of ``pid``."""
+    ticks = {}
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+def snapshot(trial: Trial) -> dict[str, int]:
+    """Ticks per row: this process's threads by name, agents by actors."""
+    names = {t.native_id: t.name for t in threading.enumerate()}
+    rows: dict[str, int] = {}
+    for tid, ticks in task_ticks(os.getpid()).items():
+        name = names.get(tid, f"tid-{tid}")
+        rows[name] = rows.get(name, 0) + ticks
+    for agent in trial.dep.agents:
+        label = "agent " + "+".join(agent.actor_names)
+        rows[label] = sum(task_ticks(agent.proc.pid).values())
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="many_clients_aio")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--smoke", action="store_true", help="2 small rounds")
+    args = parser.parse_args(argv)
+    pin_one_cpu()
+    n_rounds = 2 if args.smoke else args.rounds
+    with tempfile.TemporaryDirectory(prefix="cpu-split-") as tmp:
+        trial = Trial(TrialConfig(args.workload, args.seed, n_rounds, tmp,
+                                  time.monotonic() + 600, smoke=args.smoke))
+        try:
+            trial.launch()
+            trial.populate()
+            trial.run_round(trial.plan.rounds[0])  # warm-up, not counted
+            before, ops0 = snapshot(trial), trial.attempted
+            for ops in trial.plan.rounds[1:]:
+                trial.run_round(ops)
+            after, n_ops = snapshot(trial), trial.attempted - ops0
+        finally:
+            trial.close()
+    print(f"{args.workload} seed={args.seed}: {n_ops} timed ops, "
+          f"{trial.failed} failed; clock tick {TICK_S * 1e3:g} ms; "
+          "MainThread includes the calibration kernel")
+    print(f"{'process / thread':<40} {'cpu_us_per_op':>14}")
+    for name in sorted(after, key=lambda k: after[k] - before.get(k, 0), reverse=True):
+        us = (after[name] - before.get(name, 0)) * TICK_S * 1e6 / max(n_ops, 1)
+        print(f"{name:<40} {us:>14.1f}")
+    return 1 if trial.failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

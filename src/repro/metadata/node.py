@@ -80,13 +80,28 @@ class TreeNode:
         )
 
     def __reduce__(self):
-        # Through the constructor, positionally: a decoded node has passed
-        # ``__post_init__``, and pickle skips the per-object ``fields()``
-        # walk of the dataclass slots get/setstate (about half the cost
-        # of shipping a WRITE's node batch, in each direction).
-        args = (self.key, self.left_version, self.right_version,
-                self.providers, self.write_uid)
-        return (TreeNode, args)
+        # Flat, through a module-level restore: the key's four fields ride
+        # inline (no nested NodeKey pickled through ``__getnewargs__``), and
+        # the restore still runs ``__post_init__``, so a decoded node has
+        # been validated like a constructed one.
+        blob_id, version, offset, size = self.key
+        return (_restore_node, (blob_id, version, offset, size,
+                                self.left_version, self.right_version,
+                                self.providers, self.write_uid))
+
+
+def _restore_node(blob_id, version, offset, size, left_version,
+                  right_version, providers, write_uid) -> TreeNode:
+    """Unpickle one :class:`TreeNode` from its flat wire form."""
+    node = object.__new__(TreeNode)
+    setattr_ = object.__setattr__
+    setattr_(node, "key", tuple.__new__(NodeKey, (blob_id, version, offset, size)))
+    setattr_(node, "left_version", left_version)
+    setattr_(node, "right_version", right_version)
+    setattr_(node, "providers", providers)
+    setattr_(node, "write_uid", write_uid)
+    node.__post_init__()
+    return node
 
 
 @estimate_size.register

@@ -108,24 +108,35 @@ class MetadataProvider:
                 f"got {key!r}, {offset!r}, {size!r}"
             )
         self.subtree_gets += 1
+        nodes = self._nodes
         end = offset + size
+        # one pass over a FIFO that grows behind the cursor: level order
         out: list[TreeNode] = []
-        frontier = [key]
-        while frontier:
-            next_frontier: list[NodeKey] = []
-            for node_key in frontier:
-                node = self.get_node(node_key)
+        wanted = [key]
+        try:
+            for node_key in wanted:
+                node = nodes[node_key]
                 out.append(node)
-                if node.is_leaf:
+                left = node.left_version
+                if left is None:
                     continue
-                for child in node.child_keys():
-                    if (
-                        child.version
-                        and child.offset < end
-                        and offset < child.offset + child.size
-                    ):
-                        next_frontier.append(child)
-            frontier = next_frontier
+                blob_id, _, lo, span = node_key
+                half = span >> 1
+                mid = lo + half
+                if left and lo < end and offset < mid:
+                    wanted.append(tuple.__new__(NodeKey, (blob_id, left, lo, half)))
+                right = node.right_version
+                if right and mid < end and offset < mid + half:
+                    wanted.append(tuple.__new__(NodeKey, (blob_id, right, mid, half)))
+        except KeyError:
+            raise NodeMissing(
+                f"metadata provider {self.provider_id}: no node {node_key}"
+            ) from None
+        finally:
+            # booked once: the lookups made (a failed one is the last of
+            # them) and those that found their node
+            self.gets += len(out) + (len(out) < len(wanted))
+            self.nodes_served += len(out)
         return out
 
     def has_node(self, key: NodeKey) -> bool:

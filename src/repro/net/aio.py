@@ -38,8 +38,11 @@ Peer state (the core, the transport, the outbox) is touched only from the
 loop thread, so there are no locks on the hot path; the pieces that
 cross threads — the per-batch :class:`_AioLatch` (an in-parent actor's
 service thread may complete a group) and the connected/down flags read
-by the sync facade — use a lock plus ``call_soon_threadsafe`` and
-``threading.Event`` mirrors respectively.
+by the sync facade — use a lock plus a loop future and
+``threading.Event`` mirrors respectively. A batch whose last group
+completes on the loop thread (every remote reply does) resolves its
+future in place; only a completion from a service thread crosses over
+with ``call_soon_threadsafe``.
 
 Two client surfaces share the driver:
 
@@ -131,22 +134,26 @@ def __getattr__(name: str) -> Any:
 
 
 class _AioLatch:
-    """Per-batch countdown releasing an asyncio event.
+    """Per-batch countdown resolving one loop future.
 
     Group completions arrive from the loop thread (peer replies, fail-fast
     submits) *and* from in-parent actors' service threads, so the count is
-    lock-guarded and the final decrement schedules ``event.set`` onto the
-    loop with ``call_soon_threadsafe`` (safe from both). The ``gen``
-    argument is what in-parent service threads hand back, as they do to
-    a :class:`~repro.net.threaded._BatchLatch` (one latch per batch here,
-    so generations are moot).
+    lock-guarded. The final decrement resolves the future directly when it
+    runs on the loop thread (where every remote group completes: no
+    self-pipe write, no extra loop wake-up) and through
+    ``call_soon_threadsafe`` when a service thread makes it. A future
+    already done belongs to a cancelled waiter and is left alone. The
+    ``gen`` argument is what in-parent service threads hand back, as they
+    do to a :class:`~repro.net.threaded._BatchLatch` (one latch per batch
+    here, so generations are moot).
     """
 
-    __slots__ = ("_loop", "_event", "_lock", "_pending", "_wakeups")
+    __slots__ = ("_loop", "_owner", "_future", "_lock", "_pending", "_wakeups")
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self._event = asyncio.Event()
+        self._owner = threading.get_ident()  # made on the loop thread
+        self._future = loop.create_future()
         self._lock = threading.Lock()
         self._pending = 0
         self._wakeups = 0
@@ -161,12 +168,19 @@ class _AioLatch:
             if self._pending > 0:
                 return
             self._wakeups += 1
-        self._loop.call_soon_threadsafe(self._event.set)
+        if threading.get_ident() == self._owner:
+            self._release()
+        else:
+            self._loop.call_soon_threadsafe(self._release)
+
+    def _release(self) -> None:
+        if not self._future.done():
+            self._future.set_result(None)
 
     async def wait(self) -> int:
-        """Resume once the batch completes; returns the loop wake-ups
-        the latch scheduled for it."""
-        await self._event.wait()
+        """Resume once the batch completes; returns the caller wake-ups
+        the latch paid for it."""
+        await self._future
         return self._wakeups
 
 

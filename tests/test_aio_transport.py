@@ -54,6 +54,7 @@ from repro.obs.spans import CALLER, trace_operation
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB, MB
+from repro.version.manager import VersionManager
 from tests.conftest import forged_leaf
 from tests.test_tcp_transport import (  # noqa: F401 - collected here, on the loop
     tdep,
@@ -419,6 +420,90 @@ def test_semantic_error_in_one_op_fails_only_that_op():
                 assert isinstance(result, PageMissing)
             else:
                 assert result == _page(i).as_bytes()
+
+
+def test_cancelling_one_reader_leaves_the_shared_frame_to_the_others():
+    """A reader cancelled after its group joined a frame: the reply still
+    completes the other groups (their verified bytes), the cancelled one
+    raises ``CancelledError``, and completing its latch is a no-op — the
+    loop's exception handler records nothing."""
+    n, victim = 8, 3
+
+    def get(i):
+        (page,) = yield Batch([Call(_Cluster.ADDR, "data.get_page", (_key(i),))])
+        return page.as_bytes()
+
+    with _Cluster(DataProvider(0)) as cl:
+        puts = [_call_proto(cl.ADDR, "data.put_page", (_key(i), _page(i)))
+                for i in range(n)]
+        assert cl.together(puts) == [True] * n
+        errors = []
+
+        async def main():
+            cl.driver.loop.set_exception_handler(lambda loop, ctx: errors.append(ctx))
+            tasks = [asyncio.ensure_future(cl.driver.drive(get(i))) for i in range(n)]
+            await asyncio.sleep(0)  # every reader ran up to its submit
+            assert len(cl.peer._outbox) == n
+            tasks[victim].cancel()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.sleep(0.05)  # room for a late callback to misfire
+            return results
+
+        results = cl.driver.run_async(main(), timeout=JOIN_TIMEOUT)
+        assert [len(f) for f in cl.frames] == [n, n]
+        for i, result in enumerate(results):
+            if i == victim:
+                assert isinstance(result, asyncio.CancelledError)
+            else:
+                assert result == _page(i).as_bytes()
+        assert errors == []
+        assert cl.driver.call(cl.ADDR, "data.get_page", (_key(0),)).as_bytes() == (
+            _page(0).as_bytes()
+        )
+
+
+def test_remote_batches_resume_without_crossing_threads():
+    """A batch whose last group completes on the loop thread — every
+    remote reply — resolves its latch in place: no
+    ``call_soon_threadsafe`` (no self-pipe write, no extra loop wake-up).
+    A batch to an in-parent actor completes on its service thread and
+    crosses over exactly once."""
+    n = 12
+    agent = NodeAgent({_Cluster.ADDR: DataProvider(0)})
+    agent.start()
+    driver = AioDriver()
+    try:
+        driver.register("vm", VersionManager())
+        driver.register_remote(_Cluster.ADDR, agent.endpoint)
+        driver.wait_connected()
+        crossings = []
+        call_soon_threadsafe = driver.loop.call_soon_threadsafe
+
+        def counted(*args, **kwargs):
+            crossings.append(args[0])
+            return call_soon_threadsafe(*args, **kwargs)
+
+        driver.loop.call_soon_threadsafe = counted
+
+        async def main():
+            marks = [len(crossings)]
+            for i in range(n):
+                proto = _call_proto(_Cluster.ADDR, "data.put_page", (_key(i), _page(i)))
+                assert await driver.drive(proto) is True
+            marks.append(len(crossings))
+            for _ in range(n):
+                assert (await driver.drive(_call_proto("vm", "vm.stats")))["assigns"] == 0
+            marks.append(len(crossings))
+            return marks
+
+        before, remote, vm = driver.run_async(main(), timeout=JOIN_TIMEOUT)
+        assert remote - before == 0
+        assert vm - remote == n
+        stats = driver.transport_stats()
+        assert stats["batches"] == stats["completion_wakeups"] == 2 * n
+    finally:
+        driver.close()
+        agent.close()
 
 
 @pytest.mark.parametrize("bad", ["unpicklable", "forged"])

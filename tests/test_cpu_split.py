@@ -1,0 +1,24 @@
+"""scripts/cpu_split.py: one smoke-shaped trial prints a CPU row for the
+aio loop thread and one per agent."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_smoke_trial_prints_the_loop_thread_and_every_agent():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cpu_split.py"), "--smoke"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, _, *rows = proc.stdout.splitlines()
+    assert "0 failed" in header and "clock tick" in header
+    names = [row.rsplit(None, 1)[0].strip() for row in rows]
+    assert "aio-driver" in names
+    assert sum(name.startswith("agent ") for name in names) == 4
+    assert all(float(row.rsplit(None, 1)[1]) >= 0 for row in rows)

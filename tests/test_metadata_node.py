@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metadata.node import NodeKey, TreeNode
+from repro.metadata.node import _restore_node
 from repro.net.message import NODE_WIRE_BYTES, estimate_size
 from repro.util.intervals import Interval
 from tests.conftest import forged_leaf
@@ -88,8 +89,23 @@ class TestTreeNode:
         import pickle
 
         for node in (leaf(), internal(lv=3, rv=0)):
-            assert node.__reduce__()[0] is TreeNode
+            assert node.__reduce__()[0] is _restore_node
             for protocol in (2, 5):
                 assert pickle.loads(pickle.dumps(node, protocol)) == node
         with pytest.raises(ValueError, match="page reference"):
             pickle.loads(pickle.dumps(forged_leaf(), 5))
+        with pytest.raises(ValueError, match="cannot carry a page ref"):
+            pickle.loads(pickle.dumps(forged(lv=1, rv=2, providers=(3,)), 5))
+        with pytest.raises(ValueError, match="must link both children"):
+            pickle.loads(pickle.dumps(forged(lv=1, rv=None), 5))
+
+
+def forged(lv, rv, providers=(), write_uid=None):
+    """An internal node built behind the constructor's back (it pickles;
+    the receiving side's restore must refuse it)."""
+    node = object.__new__(TreeNode)
+    fields = {"key": NodeKey("b", 1, 0, 8192), "left_version": lv,
+              "right_version": rv, "providers": providers, "write_uid": write_uid}
+    for field, value in fields.items():
+        object.__setattr__(node, field, value)
+    return node

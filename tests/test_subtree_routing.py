@@ -39,6 +39,7 @@ from repro.errors import ConfigError, NodeMissing, RemoteError
 from repro.metadata.cache import MetadataCache
 from repro.metadata.inspect import TreeInspector
 from repro.metadata.node import NodeKey
+from repro.metadata.provider import MetadataProvider
 from repro.metadata.router import SUBTREE_BYTES
 from repro.net.sansio import Batch, Call, Compute
 from repro.obs.metrics import render_metrics, scrape_driver
@@ -182,6 +183,80 @@ def test_reads_equal_the_per_node_descent(seed, cut):
         assert (True, True) in outcomes
         assert ((False, False) in outcomes) == (cut == SMALL_PAGE)
         assert (True, False) in outcomes or cut == SMALL_PAGE
+
+
+def _descend(provider, key, offset, size):
+    """The reference walk: level by level, one ``get_node`` per wanted
+    node, booked as one subtree read — what ``get_subtree`` must equal."""
+    provider.subtree_gets += 1
+    end = offset + size
+    out, frontier = [], [key]
+    while frontier:
+        level = [provider.get_node(k) for k in frontier]
+        out += level
+        frontier = [
+            child
+            for node in level if not node.is_leaf
+            for child in node.child_keys()
+            if child.version and child.offset < end
+            and offset < child.offset + child.size
+        ]
+    return out
+
+
+def _walked(walk, provider, key, offset, size):
+    """``walk``'s nodes (or its ``NodeMissing``) and counter deltas."""
+    before = provider.stats()
+    try:
+        outcome = walk(provider, key, offset, size)
+    except NodeMissing as exc:
+        outcome = ("NodeMissing", str(exc))
+    after = provider.stats()
+    deltas = {k: after[k] - before[k] for k in ("gets", "nodes_served", "subtree_gets")}
+    return outcome, deltas
+
+
+@pytest.mark.parametrize(
+    "version, first, npages, drop",
+    [
+        ("latest", 0, 1024, None),  # the whole blob, zero children included
+        ("latest", 100, 1, None),  # one written page
+        ("latest", 600, 3, None),  # inside pages never written: a version-0 child
+        ("latest", 500, 40, None),  # straddles written and never-written pages
+        (1, 0, 1024, None),  # an older version's tree
+        ("latest", 7, 0, None),  # an empty interval: the root alone
+        ("latest", 0, 1024, 5),  # the sixth node in level order is missing
+        ("latest", 100, 1, -1),  # the leaf is missing
+        (99, 0, 1024, None),  # no such version: the root is missing
+    ],
+)
+def test_get_subtree_equals_the_level_by_level_descent(version, first, npages, drop):
+    """The one-loop ``get_subtree`` against the ``get_node`` descent over
+    the same store: the same nodes in the same order, the same counter
+    deltas and the same ``NodeMissing``."""
+    _, writes = _history(0)
+    dep = build_inproc(DeploymentSpec(n_data=2, n_meta=1))
+    client = dep.client()
+    blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
+    for offset, data in writes:
+        client.write(blob, data, offset)
+    (provider,) = dep.meta.values()
+    version = len(writes) if version == "latest" else version
+    args = (NodeKey(blob, version, 0, SMALL_TOTAL), first * SMALL_PAGE,
+            npages * SMALL_PAGE)
+    if drop is not None:
+        victim = _descend(provider, *args)[drop]
+        assert provider.free_nodes([victim.key]) == 1
+    got = _walked(MetadataProvider.get_subtree, provider, *args)
+    want = _walked(_descend, provider, *args)
+    assert got == want
+    nodes, deltas = got
+    assert deltas["subtree_gets"] == 1
+    if drop is None and version != 99:
+        assert deltas["gets"] == deltas["nodes_served"] == len(nodes) > 0
+    else:
+        assert nodes[0] == "NodeMissing"
+        assert deltas["gets"] == deltas["nodes_served"] + 1
 
 
 # ---------------------------------------------------------------------------
