@@ -100,6 +100,18 @@ class ReadResult:
 Proto = Generator[Op, Any, Any]
 
 
+def _marker(trace: dict[str, float] | None) -> Any:
+    """A protocol's ``mark(name)``: a :class:`Mark` whose timestamp lands
+    in ``trace[name]``, or, untraced, nothing to resume at all."""
+    if trace is None:
+        return lambda name: ()
+
+    def mark(name: str) -> Proto:
+        trace[name] = yield Mark(name)
+
+    return mark
+
+
 # ---------------------------------------------------------------------------
 # ALLOC / stat
 # ---------------------------------------------------------------------------
@@ -160,10 +172,7 @@ def write_protocol(
     patch = geom.check_aligned(offset, size)
     first_page = offset // geom.pagesize
 
-    def mark(name: str):
-        if trace is not None:
-            t = yield Mark(name)
-            trace[name] = t
+    mark = _marker(trace)
 
     yield from mark("start")
 
@@ -290,10 +299,7 @@ def read_protocol(
             )
         dst = dst[:size]
 
-    def mark(name: str):
-        if trace is not None:
-            t = yield Mark(name)
-            trace[name] = t
+    mark = _marker(trace)
 
     yield from mark("start")
 
@@ -320,36 +326,29 @@ def read_protocol(
             nodes_fetched=0, cache_hits=0, pages_fetched=0, zero_bytes=size,
         )
 
-    # 2. descend the segment tree, from the region roots the vm named or
-    # else from the blob root: a frontier key is resolved from the nodes
-    # this READ already received (a subtree reply carries the levels below
-    # its key), then the client cache, else fetched — one parallel batch
-    # per level that still has something to fetch
+    # 2. descend the segment tree on the keys' ints, from the region roots
+    # the vm named or else from the blob root: a key is resolved from the
+    # nodes this READ already received (a subtree reply carries the levels
+    # below its key), the client cache, else one parallel batch per level;
+    # a child key is minted only when it meets the request and is not 0
     nodes_fetched = 0
     cache_hits = 0
     zero_bytes = 0
     leaves: list[TreeNode] = []
     known: dict[NodeKey, TreeNode] = {}
+    req_end = offset + size
     roots = resolved[2] if regions else None
     if roots is None:
-        wanted = [NodeKey(blob_id, effective, 0, geom.total_size)]
-    else:
-        wanted = [
-            NodeKey(blob_id, label, lo, span)
-            for (lo, span), label in zip(regions, roots)
-        ]
-    req_end = offset + size
-    while wanted:  # the keys of one level whose intervals meet the request
-        frontier: list[NodeKey] = []
-        for key in wanted:
-            if key.version:
-                frontier.append(key)
-            else:  # untouched since the initial all-zero string
-                zero_bytes += (
-                    min(key.offset + key.size, req_end) - max(key.offset, offset)
-                )
+        regions, roots = ((0, geom.total_size),), (effective,)
+    level: list[NodeKey] = []
+    for (lo, span), label in zip(regions, roots):
+        if label:
+            level.append(tuple.__new__(NodeKey, (blob_id, label, lo, span)))
+        else:  # untouched since the initial all-zero string
+            zero_bytes += min(lo + span, req_end) - max(lo, offset)
+    while level:
         to_fetch: list[NodeKey] = []
-        for key in frontier:
+        for key in level:
             if key in known:
                 continue
             node = cache.get(key) if cache is not None else None
@@ -365,15 +364,28 @@ def read_protocol(
                 known[node.key] = node
                 if cache is not None:
                     cache.put(node)
-        wanted = []
-        for key in frontier:
+        below: list[NodeKey] = []
+        for key in level:
             node = known[key]
-            if node.is_leaf:
+            left = node.left_version
+            if left is None:
                 leaves.append(node)
                 continue
-            for child in node.child_keys():
-                if child.offset < req_end and offset < child.offset + child.size:
-                    wanted.append(child)
+            _, _, lo, span = key
+            half = span >> 1
+            mid = lo + half
+            if lo < req_end and offset < mid:
+                if left:
+                    below.append(tuple.__new__(NodeKey, (blob_id, left, lo, half)))
+                else:
+                    zero_bytes += min(mid, req_end) - max(lo, offset)
+            if mid < req_end and offset < mid + half:
+                right = node.right_version
+                if right:
+                    below.append(tuple.__new__(NodeKey, (blob_id, right, mid, half)))
+                else:
+                    zero_bytes += min(mid + half, req_end) - max(mid, offset)
+        level = below
     yield from mark("metadata_read")
 
     # 3. fetch the pages referenced by the leaves, in parallel
@@ -437,12 +449,12 @@ def assemble_read(
         src = payload.view()
         if src is None:
             continue
-        iv = leaf.interval
-        src_lo = max(0, req_offset - iv.offset)
-        src_hi = min(iv.size, req_end - iv.offset)
+        _, _, lo, span = leaf.key
+        src_lo = max(0, req_offset - lo)
+        src_hi = min(span, req_end - lo)
         if src_hi <= src_lo:
             continue
-        dst_lo = iv.offset + src_lo - req_offset
+        dst_lo = lo + src_lo - req_offset
         dst[dst_lo : dst_lo + (src_hi - src_lo)] = src[src_lo:src_hi]
         written += src_hi - src_lo
     return written
@@ -472,9 +484,9 @@ def _zero_uncovered(
     for leaf, payload in zip(leaves, payloads):
         if payload.data is None:
             continue
-        iv = leaf.interval
-        lo = max(iv.offset, req_offset) - req_offset
-        hi = min(iv.end, req_end) - req_offset
+        _, _, offset, span = leaf.key
+        lo = max(offset, req_offset) - req_offset
+        hi = min(offset + span, req_end) - req_offset
         if hi > lo:
             spans.append((lo, hi))
     spans.sort()
@@ -501,14 +513,14 @@ def _join_pages(
     pieces: list[bytes | memoryview] = []
     cursor = req.offset
     for leaf, payload in zip(leaves, payloads):
-        iv = leaf.interval
-        if payload.data is None or not iv.offset <= cursor < iv.end:
+        _, _, offset, span = leaf.key
+        if payload.data is None or not offset <= cursor < offset + span:
             return None
-        lo = cursor - iv.offset
-        hi = min(iv.size, req.end - iv.offset)
-        whole = lo == 0 and hi == iv.size
+        lo = cursor - offset
+        hi = min(span, req.end - offset)
+        whole = lo == 0 and hi == span
         pieces.append(payload.data if whole else payload.view()[lo:hi])
-        cursor = iv.offset + hi
+        cursor = offset + hi
     if cursor != req.end:
         return None
     if len(pieces) == 1 and type(pieces[0]) is bytes:
@@ -531,10 +543,11 @@ def _gather_pages(
     for all still-missing pages, and the fetch retried against the
     current holders (the elastic-membership read path)."""
 
+    pagesize = geom.pagesize
+
     def key_for(leaf: TreeNode) -> PageKey:
-        return PageKey(
-            leaf.key.blob_id, leaf.write_uid, geom.page_index(leaf.interval)
-        )
+        blob_id, _, offset, _ = leaf.key
+        return PageKey(blob_id, leaf.write_uid, offset // pagesize)
 
     def routes_for(leaf: TreeNode) -> tuple[Address, ...]:
         return tuple(data_addr(p) for p in leaf.providers)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.metadata.node import NodeKey, TreeNode
+from repro.metadata.node import TreeNode, _restore_node
 from repro.metadata.tree import TreeGeometry
 from repro.util.intervals import Interval
 
@@ -34,11 +34,12 @@ _skeleton_cache: dict[tuple[int, int, int, int], list[tuple]] = {}
 
 
 def _write_skeleton(geom: TreeGeometry, patch: Interval) -> list[tuple]:
-    """DFS-ordered shape rows for a write of ``patch``.
+    """DFS-ordered shape rows for a write of ``patch``, on plain ints.
 
     Leaf row: ``(True, offset, size, page_index)``. Internal row:
-    ``(False, offset, size, left_in, right_in, left_iv, right_iv)`` where
-    ``*_in`` says whether that child intersects the patch.
+    ``(False, offset, size, left, right)`` where a child that intersects
+    the patch is ``None`` and one outside it is its ``(offset, size)``,
+    the key its border reference is looked up by.
     """
     cache_key = (geom.total_size, geom.pagesize, patch.offset, patch.size)
     skeleton = _skeleton_cache.get(cache_key)
@@ -47,21 +48,25 @@ def _write_skeleton(geom: TreeGeometry, patch: Interval) -> list[tuple]:
     if len(_skeleton_cache) >= _SHAPE_CACHE_LIMIT:
         _skeleton_cache.clear()
     skeleton = []
-    stack: list[Interval] = [geom.root]
+    pagesize = geom.pagesize
+    patch_lo, patch_end = patch.offset, patch.offset + patch.size
+    stack = [(0, geom.total_size)]
     while stack:
-        iv = stack.pop()
-        if geom.is_leaf(iv):
-            skeleton.append((True, iv.offset, iv.size, geom.page_index(iv)))
+        lo, span = stack.pop()
+        if span == pagesize:
+            skeleton.append((True, lo, span, lo // pagesize))
             continue
-        left, right = geom.children(iv)
-        left_in = left.intersects(patch)
-        right_in = right.intersects(patch)
-        skeleton.append((False, iv.offset, iv.size, left_in, right_in, left, right))
+        half = span >> 1
+        mid = lo + half
+        left_in = lo < patch_end and patch_lo < mid
+        right_in = mid < patch_end and patch_lo < mid + half
+        skeleton.append((False, lo, span, None if left_in else (lo, half),
+                         None if right_in else (mid, half)))
         # push right first so left is processed first (stable DFS order)
         if right_in:
-            stack.append(right)
+            stack.append((mid, half))
         if left_in:
-            stack.append(left)
+            stack.append((lo, half))
     _skeleton_cache[cache_key] = skeleton
     return skeleton
 
@@ -71,7 +76,7 @@ def plan_write_tree(
     blob_id: str,
     version: int,
     patch: Interval,
-    border_refs: Mapping[Interval, int],
+    border_refs: Mapping[tuple[int, int], int],
     page_providers: Sequence[tuple[int, ...]],
     write_uid: str,
 ) -> list[TreeNode]:
@@ -82,9 +87,10 @@ def plan_write_tree(
         blob_id: blob identity.
         version: the version number assigned to this write.
         patch: the page-aligned byte range being written.
-        border_refs: interval -> version for every child interval of the
-            new subtree that does *not* intersect the patch (version 0
-            means the interval was never written: zero-fill).
+        border_refs: ``(offset, size)`` -> version for every child interval
+            of the new subtree that does *not* intersect the patch (version
+            0 means the interval was never written: zero-fill) — the form
+            :meth:`~repro.version.manager.WriteTicket.refs_as_dict` returns.
         page_providers: provider group per patched page, in page order.
         write_uid: unique id of this write (page addressing).
 
@@ -102,38 +108,37 @@ def plan_write_tree(
 
     nodes: list[TreeNode] = []
     append = nodes.append
+    mint = _restore_node
     for row in _write_skeleton(geom, patch):
         if row[0]:  # leaf
             _, offset, size, page = row
-            append(
-                TreeNode(
-                    key=NodeKey(blob_id, version, offset, size),
-                    providers=tuple(page_providers[page - first_page]),
-                    write_uid=write_uid,
-                )
-            )
+            append(mint(blob_id, version, offset, size, None, None,
+                        tuple(page_providers[page - first_page]), write_uid))
         else:
-            _, offset, size, left_in, right_in, left, right = row
-            append(
-                TreeNode(
-                    key=NodeKey(blob_id, version, offset, size),
-                    left_version=version if left_in else _ref(border_refs, left, version),
-                    right_version=version if right_in else _ref(border_refs, right, version),
-                )
-            )
+            _, offset, size, left, right = row
+            append(mint(
+                blob_id, version, offset, size,
+                version if left is None else _ref(border_refs, left, version),
+                version if right is None else _ref(border_refs, right, version),
+                (), None,
+            ))
     return nodes
 
 
-def _ref(border_refs: Mapping[Interval, int], iv: Interval, version: int) -> int:
+def _ref(
+    border_refs: Mapping[tuple[int, int], int], key: tuple[int, int], version: int
+) -> int:
     try:
-        ref = border_refs[iv]
+        ref = border_refs[key]
     except KeyError:
         raise KeyError(
-            f"missing border reference for interval {iv} (write version {version})"
+            f"missing border reference for interval {Interval(*key)} "
+            f"(write version {version})"
         ) from None
     if not 0 <= ref < version:
         raise ValueError(
-            f"border reference for {iv} is version {ref}, expected < {version}"
+            f"border reference for {Interval(*key)} is version {ref}, "
+            f"expected < {version}"
         )
     return ref
 
@@ -150,11 +155,9 @@ def border_intervals(geom: TreeGeometry, patch: Interval) -> list[Interval]:
     out: list[Interval] = []
     for row in _write_skeleton(geom, patch):
         if not row[0]:
-            _, _, _, left_in, right_in, left, right = row
-            if not left_in:
-                out.append(left)
-            if not right_in:
-                out.append(right)
+            for border in row[3:]:
+                if border is not None:
+                    out.append(Interval(*border))
     return out
 
 

@@ -47,7 +47,7 @@ class TreeNode:
     write_uid: str | None = None
 
     def __post_init__(self) -> None:
-        if self.is_leaf:
+        if self.left_version is None and self.right_version is None:  # a leaf
             if not self.providers or self.write_uid is None:
                 raise ValueError(f"leaf {self.key} must carry a page reference")
         else:
@@ -90,16 +90,23 @@ class TreeNode:
                                 self.providers, self.write_uid))
 
 
+#: the slots' own setters: no per-field attribute-name lookup on a frozen class
+_set_key, _set_left, _set_right, _set_providers, _set_write_uid = (
+    TreeNode.__dict__[name].__set__
+    for name in ("key", "left_version", "right_version", "providers", "write_uid")
+)
+
+
 def _restore_node(blob_id, version, offset, size, left_version,
                   right_version, providers, write_uid) -> TreeNode:
-    """Unpickle one :class:`TreeNode` from its flat wire form."""
+    """The one flat, still validating (``__post_init__``) constructor of a
+    :class:`TreeNode`: the wire decodes and ``plan_write_tree`` mints by it."""
     node = object.__new__(TreeNode)
-    setattr_ = object.__setattr__
-    setattr_(node, "key", tuple.__new__(NodeKey, (blob_id, version, offset, size)))
-    setattr_(node, "left_version", left_version)
-    setattr_(node, "right_version", right_version)
-    setattr_(node, "providers", providers)
-    setattr_(node, "write_uid", write_uid)
+    _set_key(node, tuple.__new__(NodeKey, (blob_id, version, offset, size)))
+    _set_left(node, left_version)
+    _set_right(node, right_version)
+    _set_providers(node, providers)
+    _set_write_uid(node, write_uid)
     node.__post_init__()
     return node
 

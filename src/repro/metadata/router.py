@@ -237,15 +237,23 @@ def store_nodes(router: StaticRouter, nodes: list[TreeNode]) -> Protocol[None]:
     """
     calls: list[Call] = []
     shards: dict[Address, list[TreeNode]] = {}
+    # region index -> the shards of its owners (each region routed once)
+    regions: dict[int, list[list[TreeNode]]] = {}
+    cut = router.subtree_bytes
     for node in nodes:
-        owners = router.route(node.key)
-        if router.colocated(node.key):
-            for owner in owners:
-                shards.setdefault(owner, []).append(node)
+        key = node.key
+        if key.size <= cut:
+            region = regions.get(key.offset // cut)
+            if region is None:
+                region = regions[key.offset // cut] = [
+                    shards.setdefault(owner, []) for owner in router.route(key)
+                ]
+            for shard in region:
+                shard.append(node)
         else:
             calls.extend(
                 Call(owner, "meta.put_node", (node,), request_bytes=_PUT_NODE_REQ_BYTES)
-                for owner in owners
+                for owner in router.route(key)
             )
     for owner, shard in shards.items():
         nbytes = len(shard) * _PUT_NODE_REQ_BYTES

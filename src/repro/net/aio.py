@@ -94,7 +94,6 @@ from repro.net.node import HANDSHAKE_REQ_ID, HandshakeError, check_welcome
 from repro.net.sansio import (
     Actor,
     Address,
-    Batch,
     Protocol,
     WireGroup,
     step,
@@ -138,25 +137,28 @@ class _AioLatch:
 
     Group completions arrive from the loop thread (peer replies, fail-fast
     submits) *and* from in-parent actors' service threads, so the count is
-    lock-guarded. The final decrement resolves the future directly when it
+    lock-guarded (one lock for every latch: it is held for a decrement and
+    a compare). The final decrement resolves ``future`` directly when it
     runs on the loop thread (where every remote group completes: no
     self-pipe write, no extra loop wake-up) and through
     ``call_soon_threadsafe`` when a service thread makes it. A future
-    already done belongs to a cancelled waiter and is left alone. The
+    already done belongs to a cancelled waiter and is left alone, and so
+    is a loop that ``close()`` closed meanwhile: nobody waits on that
+    batch any more. ``wakeups`` counts the resumptions the latch paid. The
     ``gen`` argument is what in-parent service threads hand back, as they
     do to a :class:`~repro.net.threaded._BatchLatch` (one latch per batch
     here, so generations are moot).
     """
 
-    __slots__ = ("_loop", "_owner", "_future", "_lock", "_pending", "_wakeups")
+    __slots__ = ("_loop", "_owner", "future", "_pending", "wakeups")
+    _lock = threading.Lock()
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
         self._loop = loop
-        self._owner = threading.get_ident()  # made on the loop thread
-        self._future = loop.create_future()
-        self._lock = threading.Lock()
+        self._owner = owner  # the loop thread's ident
+        self.future = loop.create_future()
         self._pending = 0
-        self._wakeups = 0
+        self.wakeups = 0
 
     def begin(self, n_groups: int) -> int:
         self._pending = n_groups
@@ -167,21 +169,18 @@ class _AioLatch:
             self._pending -= 1
             if self._pending > 0:
                 return
-            self._wakeups += 1
+            self.wakeups += 1
         if threading.get_ident() == self._owner:
             self._release()
         else:
-            self._loop.call_soon_threadsafe(self._release)
+            try:
+                self._loop.call_soon_threadsafe(self._release)
+            except RuntimeError:  # the loop is closed
+                pass
 
     def _release(self) -> None:
-        if not self._future.done():
-            self._future.set_result(None)
-
-    async def wait(self) -> int:
-        """Resume once the batch completes; returns the caller wake-ups
-        the latch paid for it."""
-        await self._future
-        return self._wakeups
+        if not self.future.done():
+            self.future.set_result(None)
 
 
 class _WireProtocol(asyncio.BufferedProtocol):
@@ -438,7 +437,9 @@ class AioPeer:
             self._send([entry])
             return
         n_calls = len(group.calls)
-        nbytes = sum(call.request_bytes or 0 for call in group.calls)
+        nbytes = 0
+        for call in group.calls:
+            nbytes += call.request_bytes or 0
         if self._outbox and (
             self._outbox_calls + n_calls > COALESCE_MAX_CALLS
             or self._outbox_bytes + nbytes > COALESCE_MAX_BYTES
@@ -651,13 +652,28 @@ class AioDriver(PeerRegistry):
     async def drive(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol as a coroutine on the driver's loop: the
         awaitable core every surface funnels into, traced by the
-        operation open in the task's context."""
+        operation open in the task's context. The batch body is every
+        real driver's (PeerRegistry); how groups share frames is the
+        peer's."""
+        loop = self.loop
+        if asyncio.get_running_loop() is not loop:
+            raise RuntimeError(
+                "protocol coroutines must run on the driver's event loop "
+                "(enter it via AioDriver.run_async or AioDriver.spawn)"
+            )
+        owner = self._thread.ident
         self._driving += 1
         try:
             batch = step(proto)
             while True:
                 try:
-                    results = await self._execute_batch(batch)
+                    if batch.calls:
+                        latch = _AioLatch(loop, owner)
+                        sent = self._submit_batch(batch.calls, latch)
+                        await latch.future
+                        results = self._finish_batch(sent, latch.wakeups)
+                    else:
+                        results = []
                 except ReproError as exc:
                     batch = step(proto, error=exc)
                 else:
@@ -666,20 +682,6 @@ class AioDriver(PeerRegistry):
             return stop.value
         finally:
             self._driving -= 1
-
-    async def _execute_batch(self, batch: Batch) -> list[Any]:
-        # The batch body is every real driver's (PeerRegistry); how groups
-        # share frames is the peer's.
-        if not batch.calls:
-            return []
-        if asyncio.get_running_loop() is not self.loop:
-            raise RuntimeError(
-                "protocol coroutines must run on the driver's event loop "
-                "(enter it via AioDriver.run_async or AioDriver.spawn)"
-            )
-        latch = _AioLatch(self.loop)
-        sent = self._submit_batch(batch.calls, latch)
-        return self._finish_batch(sent, await latch.wait())
 
     # -- lifecycle -------------------------------------------------------
 

@@ -249,15 +249,15 @@ def dispatch_call(actor: Actor, call: Call) -> Any:
     return result
 
 
-def deliver(call: Call, result: Any) -> Any:
-    """Apply the error-delivery policy for one call result.
-
-    Semantic errors (``ReproError`` subclasses) re-raise with their precise
-    type; infrastructure failures raise as :class:`RemoteError`.
-    """
-    if isinstance(result, RemoteError) and not call.allow_error:
-        raise result.unwrap()
-    return result
+def deliver(calls: Sequence[Call], results: list) -> list:
+    """Apply the error-delivery policy to a batch's results (call order)
+    and return them: semantic errors (``ReproError`` subclasses) re-raise
+    with their precise type; infrastructure failures raise as
+    :class:`RemoteError`; a call with ``allow_error`` gets the error."""
+    for call, result in zip(calls, results):
+        if isinstance(result, RemoteError) and not call.allow_error:
+            raise result.unwrap()
+    return results
 
 
 def gather_with_failover(
@@ -371,6 +371,6 @@ def run_inproc(
             if actor is None:
                 raise KeyError(f"no actor registered at address {call.dest!r}")
             results.append(dispatch_call(actor, call))
-        return [deliver(c, r) for c, r in zip(batch.calls, results)]
+        return deliver(batch.calls, results)
 
     return run_protocol(proto, execute)

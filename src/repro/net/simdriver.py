@@ -150,7 +150,7 @@ class SimRpcExecutor(FaultInjection):
         if len(groups) == 1:
             dest, group_calls, _ = groups[0]
             values = yield from self._execute_group(client_node, dest, group_calls)
-            return [deliver(c, v) for c, v in zip(calls, values)]
+            return deliver(calls, values)
 
         # Counter-based fan-out: one Join event drives every group
         # generator in place of a Process + AllOf per destination.
@@ -163,7 +163,7 @@ class SimRpcExecutor(FaultInjection):
         for group, values in zip(groups, all_values):
             for index, value in zip(group.indices, values):
                 results[index] = value
-        return [deliver(c, r) for c, r in zip(calls, results)]
+        return deliver(calls, results)
 
     def _execute_group(
         self, client_node: SimNode, dest: Address, calls: list[Call]

@@ -177,17 +177,24 @@ class _ServerThread:
             item = self.inbox.get()
             if item is _SHUTDOWN:
                 return
-            calls, indices, results, latch, gen, trace, t_enq = item
+            calls, slot, latch, gen, trace, t_enq = item
             # One inbox item == one wire RPC carrying aggregated sub-calls.
             self.served_rpcs += 1
             self.served_calls += len(calls)
             set_server_context(trace, time.perf_counter_ns() - t_enq, 0)
             try:
-                for call, index in zip(calls, indices):
-                    results[index] = dispatch_call(self.actor, call)
+                slot[0] = [dispatch_call(self.actor, call) for call in calls]
             finally:
                 clear_server_context()
             latch.group_done(gen)
+
+    def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
+        """Queue one wire group (a peer's contract: values in ``slot[0]``)."""
+        self.inbox.put((group.calls, slot, latch, gen, trace, time.perf_counter_ns()))
+
+    @staticmethod
+    def reply_values(slot: list, n_calls: int) -> list:
+        return slot[0]
 
     def report(self) -> dict[str, Any]:
         """The ``telemetry`` report: wire counters + service-time snapshot,
@@ -427,31 +434,29 @@ class PeerRegistry(FaultInjection):
 
     # -- execution -------------------------------------------------------
 
-    def _resolve(self, groups: list) -> list[tuple[Any, Any, Any]]:
-        """``(group, peer, None)`` or ``(group, None, service thread)`` per
-        wire group, all resolved before anything is submitted: an unknown
-        address leaves no latch armed and no group in flight. A failed
-        address resolves to a :class:`_FailedPeer`."""
+    def _resolve(self, groups: list) -> list[Any]:
+        """The target of each wire group — its peer or in-parent service
+        thread, both taking ``submit`` and answering ``reply_values`` —
+        all resolved before anything is submitted: an unknown address
+        leaves no latch armed and no group in flight. A failed address
+        resolves to a :class:`_FailedPeer`."""
         servers = self._servers
         remotes = self._remotes
         down = self._down
-        resolved: list[tuple[Any, Any, Any]] = []
+        targets: list[Any] = []
         for group in groups:
-            reason = down.get(group.dest)
+            dest = group.dest
+            target = servers.get(dest)
+            reason = down.get(dest)
             if reason is not None:
-                error = RemoteError("PeerUnavailable", reason)
-                resolved.append((group, _FailedPeer(error), None))
-                continue
-            server = servers.get(group.dest)
-            if server is not None:
-                resolved.append((group, None, server))
-                continue
-            # a retired peer answers PeerUnavailable, typed
-            remote = remotes.get(group.dest) or self._retired.get(group.dest)
-            if remote is None:
-                raise KeyError(f"no actor registered at address {group.dest!r}")
-            resolved.append((group, remote, None))
-        return resolved
+                target = _FailedPeer(RemoteError("PeerUnavailable", reason))
+            elif target is None:
+                # a retired peer answers PeerUnavailable, typed
+                target = remotes.get(dest) or self._retired.get(dest)
+                if target is None:
+                    raise KeyError(f"no actor registered at address {dest!r}")
+            targets.append(target)
+        return targets
 
     def _submit_batch(self, calls: tuple[Call, ...], latch: Any) -> tuple:
         """First half of a batch: plan one wire group per destination,
@@ -466,7 +471,7 @@ class PeerRegistry(FaultInjection):
         if self._closed:
             raise RuntimeError("driver is closed")
         groups = plan_wire_groups(calls)
-        resolved = self._resolve(groups)
+        targets = self._resolve(groups)
         ident = threading.get_ident()
         tally = self._tallies.get(ident)
         if tally is None:
@@ -477,32 +482,25 @@ class PeerRegistry(FaultInjection):
         gen = latch.begin(len(groups))
         op = current_op()
         span_ids = None if op is None else [new_span_id() for _ in groups]
-        results: list[Any] = [None] * len(calls)
-        replies = []  # (group, peer, slot) per remote group
+        slots = [[None] for _ in groups]  # each group's one-element mailbox
         t_enq = time.perf_counter_ns()
-        for k, (group, remote, server) in enumerate(resolved):
-            wire_trace = None if op is None else (op.trace, span_ids[k])
-            if remote is None:
-                server.inbox.put(
-                    (group.calls, group.indices, results, latch, gen,
-                     wire_trace, t_enq)
-                )
-            else:
-                slot = [None]
-                replies.append((group, remote, slot))
-                remote.submit(group, slot, latch, gen, wire_trace)
+        for k, group in enumerate(groups):
+            targets[k].submit(
+                group, slots[k], latch, gen,
+                None if op is None else (op.trace, span_ids[k]),
+            )
         # close() set _closed before stopping any service thread, so if
         # it is still unset here every group above is queued ahead of
         # the shutdown; if set, a group may sit behind it, never served
         if self._closed:
             raise RuntimeError("driver is closed")
-        return calls, groups, results, replies, op, span_ids, t_enq, tally
+        return calls, groups, targets, slots, op, span_ids, t_enq, tally
 
     def _finish_batch(self, sent: tuple, wakeups: int) -> list[Any]:
         """Second half of a batch, once its latch released after
         ``wakeups`` notifies: count them, record RTT and spans, gather
-        remote values and deliver the results in call order."""
-        calls, groups, results, replies, op, span_ids, t_enq, tally = sent
+        each group's values and deliver the results in call order."""
+        calls, groups, targets, slots, op, span_ids, t_enq, tally = sent
         # One RTT sample per wire RPC; the batch completes as a unit, so
         # every group in it shares the batch round-trip time.
         t_done = time.perf_counter_ns()
@@ -517,11 +515,12 @@ class PeerRegistry(FaultInjection):
             hist.record(rtt_ns)
         if op is not None:
             record_group_spans(op, span_ids, groups, t_enq, t_done)
-        for group, remote, slot in replies:
-            values = remote.reply_values(slot, len(group.calls))
+        results: list[Any] = [None] * len(calls)
+        for group, target, slot in zip(groups, targets, slots):
+            values = target.reply_values(slot, len(group.calls))
             for index, value in zip(group.indices, values):
                 results[index] = value
-        return [deliver(c, r) for c, r in zip(calls, results)]
+        return deliver(calls, results)
 
     # -- lifecycle -------------------------------------------------------
 

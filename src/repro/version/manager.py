@@ -73,8 +73,10 @@ class WriteTicket:
     #: ((offset, size), version) for every border child interval
     border_refs: tuple[tuple[tuple[int, int], int], ...]
 
-    def refs_as_dict(self) -> dict[Interval, int]:
-        return {Interval(o, s): v for (o, s), v in self.border_refs}
+    def refs_as_dict(self) -> dict[tuple[int, int], int]:
+        """``(offset, size) -> version``: the lookup ``plan_write_tree``
+        weaves by."""
+        return dict(self.border_refs)
 
 
 @dataclass

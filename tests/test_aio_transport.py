@@ -506,6 +506,33 @@ def test_remote_batches_resume_without_crossing_threads():
         agent.close()
 
 
+def test_a_group_completing_after_close_raises_nothing_on_its_service_thread(
+    monkeypatch,
+):
+    """An in-parent actor that completes a group after ``close()`` closed
+    the loop: nobody waits on that batch any more, so the latch drops the
+    release instead of raising ``Event loop is closed`` from
+    ``call_soon_threadsafe`` on the service thread."""
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", lambda hook: raised.append(hook))
+    parker = _Parker()
+    driver = AioDriver()
+    driver.register("parked", parker)
+    future = driver.spawn(_call_proto("parked", "park"))
+    assert parker.entered.wait(JOIN_TIMEOUT)
+    closer = threading.Thread(target=driver.close)
+    closer.start()
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while not driver.loop.is_closed():
+        assert time.monotonic() < deadline, "close() never closed the loop"
+        time.sleep(0.01)
+    parker.release.set()  # the group completes now, on the service thread
+    closer.join(JOIN_TIMEOUT)  # close() joins that thread last
+    assert not closer.is_alive()
+    assert future.done()
+    assert raised == []
+
+
 @pytest.mark.parametrize("bad", ["unpicklable", "forged"])
 def test_a_bad_request_in_a_coalesced_frame_fails_alone(bad):
     """One op's request cannot be encoded here (an unpicklable argument) or

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metadata.build import border_intervals, count_write_nodes, plan_write_tree
-from repro.metadata.node import NodeKey
+from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.tree import TreeGeometry
 from repro.util.intervals import Interval
 from repro.util.sizes import KB, MB
@@ -18,7 +18,7 @@ def groups(n):
 
 
 def refs_for(patch, version=2, value=1):
-    return {iv: value for iv in border_intervals(GEOM, patch)}
+    return {(iv.offset, iv.size): value for iv in border_intervals(GEOM, patch)}
 
 
 class TestPlanWriteTree:
@@ -76,7 +76,7 @@ class TestPlanWriteTree:
 
     def test_future_border_ref_rejected(self):
         patch = Interval(0, 4 * KB)
-        bad = {iv: 2 for iv in border_intervals(GEOM, patch)}  # >= version
+        bad = refs_for(patch, value=2)  # >= version
         with pytest.raises(ValueError, match="expected < 2"):
             plan_write_tree(GEOM, "b", 2, patch, bad, groups(1), "w")
 
@@ -157,6 +157,92 @@ class TestBorderIntervals:
             def __missing__(self, key):  # pragma: no cover
                 raise KeyError(key)
 
-        refs = Tracker({iv: 0 for iv in border_intervals(GEOM, patch)})
+        refs = Tracker(refs_for(patch, value=0))
         plan_write_tree(GEOM, "b", 1, patch, refs, groups(npages), "w")
-        assert consumed == set(border_intervals(GEOM, patch))
+        assert consumed == set(refs_for(patch))
+
+
+def reference_plan(geom, blob_id, version, patch, border_refs, page_providers, write_uid):
+    """The weave as it was, on :class:`Interval` rows and refs keyed by
+    :class:`Interval`, nodes built by the dataclass constructor."""
+    patch = geom.check_aligned(patch.offset, patch.size)
+    first_page = patch.offset // geom.pagesize
+
+    def ref(iv):
+        try:
+            value = border_refs[iv]
+        except KeyError:
+            raise KeyError(
+                f"missing border reference for interval {iv} (write version {version})"
+            ) from None
+        if not 0 <= value < version:
+            raise ValueError(
+                f"border reference for {iv} is version {value}, expected < {version}"
+            )
+        return value
+
+    nodes = []
+    stack = [geom.root]
+    while stack:
+        iv = stack.pop()
+        key = NodeKey(blob_id, version, iv.offset, iv.size)
+        if geom.is_leaf(iv):
+            providers = tuple(page_providers[geom.page_index(iv) - first_page])
+            nodes.append(TreeNode(key=key, providers=providers, write_uid=write_uid))
+            continue
+        left, right = geom.children(iv)
+        left_in, right_in = left.intersects(patch), right.intersects(patch)
+        nodes.append(TreeNode(
+            key=key,
+            left_version=version if left_in else ref(left),
+            right_version=version if right_in else ref(right),
+        ))
+        if right_in:
+            stack.append(right)
+        if left_in:
+            stack.append(left)
+    return nodes
+
+
+@st.composite
+def weave_cases(draw):
+    pagesize = 1 << draw(st.integers(0, 12))
+    geom = TreeGeometry(pagesize << draw(st.integers(0, 10)), pagesize)
+    first = draw(st.integers(0, geom.page_count - 1))
+    npages = draw(st.integers(1, min(geom.page_count - first, 64)))
+    patch = Interval(first * pagesize, npages * pagesize)
+    version = draw(st.integers(1, 1 << 40))
+    borders = border_intervals(geom, patch)
+    values = draw(st.lists(st.integers(0, version - 1), min_size=len(borders),
+                           max_size=len(borders)))
+    groups = draw(st.lists(st.tuples(st.integers(0, 99)), min_size=npages,
+                           max_size=npages))
+    return geom, version, patch, dict(zip(borders, values)), groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(weave_cases(), st.sampled_from(["ok", "missing", "future"]))
+def test_the_int_weave_mints_what_the_interval_weave_did(case, refs_kind):
+    geom, version, patch, refs, groups = case
+    int_refs = {(iv.offset, iv.size): value for iv, value in refs.items()}
+    if refs_kind != "ok" and refs:
+        victim = sorted(refs, key=lambda iv: (iv.offset, iv.size))[len(refs) // 2]
+        if refs_kind == "missing":
+            del refs[victim]
+            del int_refs[(victim.offset, victim.size)]
+        else:
+            refs[victim] = int_refs[(victim.offset, victim.size)] = version
+    try:
+        expected = reference_plan(geom, "b", version, patch, refs, groups, "w")
+    except (KeyError, ValueError) as error:
+        with pytest.raises(type(error)) as raised:
+            plan_write_tree(geom, "b", version, patch, int_refs, groups, "w")
+        assert str(raised.value) == str(error)
+        return
+    nodes = plan_write_tree(geom, "b", version, patch, int_refs, groups, "w")
+    assert nodes == expected
+    for node, want in zip(nodes, expected):
+        assert type(node.key) is NodeKey
+        assert (node.key, node.left_version, node.right_version, node.providers,
+                node.write_uid) == (want.key, want.left_version, want.right_version,
+                                    want.providers, want.write_uid)

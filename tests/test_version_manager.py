@@ -51,7 +51,7 @@ class TestAssign:
         refs = t.refs_as_dict()
         # first write: every border reference is version 0
         assert set(refs.values()) == {0}
-        assert Interval(PAGE, PAGE) in refs
+        assert (PAGE, PAGE) in refs
 
     def test_refs_reference_in_flight_writer(self):
         """Writer isolation (paper §IV.C): v2's refs point at v1 even
@@ -59,7 +59,7 @@ class TestAssign:
         vm, blob = vm_with_blob()
         vm.assign(blob, 0, PAGE)  # v1, in flight
         t2 = vm.assign(blob, PAGE, PAGE)
-        assert t2.refs_as_dict()[Interval(0, PAGE)] == 1
+        assert t2.refs_as_dict()[(0, PAGE)] == 1
 
     def test_unaligned_patch_rejected(self):
         vm, blob = vm_with_blob()
