@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 from repro.metadata.router import SUBTREE_BYTES
 from repro.metadata.tree import TreeGeometry
+from repro.providers.strategies import STRATEGIES
 from repro.util.bits import is_pow2
 from repro.util.sizes import human_size
 
@@ -54,9 +55,8 @@ class DeploymentSpec:
     n_clients: int = 1
     #: copies of each page / metadata node (1 = the paper's setting)
     replication: int = 1
-    #: page allocation strategy name (see repro.providers.strategies)
+    #: page placement rule, one of repro.providers.strategies.STRATEGIES
     strategy: str = "round_robin"
-    strategy_kwargs: dict = field(default_factory=dict)
     #: client metadata cache capacity in nodes; 0 disables caching
     cache_capacity: int = 1 << 20
     #: host data+meta provider i on the same simulated node (paper's layout)
@@ -83,6 +83,10 @@ class DeploymentSpec:
             raise ConfigError("replication must be >= 1")
         if self.replication > min(self.n_data, self.n_meta):
             raise ConfigError("replication exceeds provider count")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(
+                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
+            )
         if self.cache_capacity < 0:
             raise ConfigError("cache_capacity must be >= 0")
         if self.meta_subtree_bytes and not is_pow2(self.meta_subtree_bytes):

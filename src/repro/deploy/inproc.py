@@ -163,7 +163,6 @@ def build_control_plane(
     _, pm = build_actor(
         "pm",
         strategy=spec.strategy,
-        strategy_kwargs=spec.strategy_kwargs,
         replication=spec.replication,
         state_dir=state_dir,
     )

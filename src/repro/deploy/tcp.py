@@ -41,7 +41,6 @@ the control plane is remote — all fetching over TCP.
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import subprocess
@@ -59,7 +58,6 @@ from repro.metadata.router import StaticRouter
 from repro.net.address import CONTROL_ACTORS, ClusterMap, Endpoint, format_actor
 from repro.net.aio import AioDriver
 from repro.net.threaded import ThreadedDriver
-from repro.providers.strategies import make_strategy
 
 #: how long the builder waits for a launched agent's READY line
 LAUNCH_TIMEOUT = 30.0
@@ -532,9 +530,6 @@ def build_tcp(
                 vm_args: list[str] = []
                 pm_args = ["--strategy", spec.strategy,
                            "--replication", str(spec.replication)]
-                if spec.strategy_kwargs:
-                    pm_args += ["--strategy-kwargs",
-                                json.dumps(spec.strategy_kwargs)]
                 if state_dir is not None:
                     # one subdirectory (and one agent lock) per agent
                     vm_args += ["--state-dir", str(Path(state_dir) / "vm")]
@@ -608,14 +603,7 @@ def build_tcp(
                 # only as data loss at the first storage-node failure
                 pm_config = driver.call("pm", "pm.config")
                 expected = {
-                    "replication": spec.replication,
-                    "strategy": spec.strategy,
-                    # build the spec's strategy locally to resolve
-                    # constructor defaults, so {} == {"k": 2, "seed": 0}
-                    # compares as the placement-equivalence it is
-                    "strategy_kwargs": make_strategy(
-                        spec.strategy, **spec.strategy_kwargs
-                    ).params(),
+                    "replication": spec.replication, "strategy": spec.strategy
                 }
                 if pm_config != expected:
                     raise ConfigError(

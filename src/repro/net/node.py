@@ -188,7 +188,6 @@ def build_actor(
     *,
     checksum: bool = False,
     strategy: str = "round_robin",
-    strategy_kwargs: Mapping | None = None,
     replication: int = 1,
     state_dir: str | os.PathLike | None = None,
     fsync: str = "never",
@@ -240,12 +239,9 @@ def build_actor(
         return address, VersionManager(journal=journal)
     elif address == "pm":
         from repro.providers.manager import ProviderManager
-        from repro.providers.strategies import make_strategy
 
         return address, ProviderManager(
-            make_strategy(strategy, **dict(strategy_kwargs or {})),
-            replication=replication,
-            journal=journal,
+            strategy, replication=replication, journal=journal
         )
     raise ConfigError(
         f"cannot build actor {name!r}: expected data/N, meta/N, vm or pm"

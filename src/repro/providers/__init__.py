@@ -3,19 +3,14 @@
 Pages are the unit of striping (paper §II): fixed-size, immutable, labeled
 by the write that created them. Data providers store pages in local memory;
 the provider manager tracks the live provider set and allocates one
-provider per fresh page of each WRITE under a load-balancing strategy.
+provider per fresh page of each WRITE, by round robin or, on an elastic
+cluster, by consistent hash (``strategies.STRATEGIES``).
 """
 
 from repro.providers.page import PageKey, PagePayload, page_key_for
 from repro.providers.data_provider import DataProvider
 from repro.providers.manager import ProviderManager
-from repro.providers.strategies import (
-    AllocationStrategy,
-    LeastLoaded,
-    RandomK,
-    RoundRobin,
-    make_strategy,
-)
+from repro.providers.strategies import STRATEGIES, HashRing
 
 __all__ = [
     "PageKey",
@@ -23,9 +18,6 @@ __all__ = [
     "page_key_for",
     "DataProvider",
     "ProviderManager",
-    "AllocationStrategy",
-    "LeastLoaded",
-    "RandomK",
-    "RoundRobin",
-    "make_strategy",
+    "STRATEGIES",
+    "HashRing",
 ]

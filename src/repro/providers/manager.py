@@ -8,29 +8,32 @@ tolerance item).
 
 RPC surface: the ``handle`` table at the end of :class:`ProviderManager`.
 
-Elastic membership (PR 7): with a hash-aware strategy
-(``strategies.HashRing``), ``pm.get_providers_hashed`` places each page at
-its consistent-hash home, so admitting or draining a provider implies a
-computable, minimal set of page moves. The pm plans those moves from
-provider manifests (``pm.plan_rebalance`` / ``pm.plan_drain``), journals
-the plan and every completed move (idempotent, resumable — a pm crash
-mid-rebalance recovers the plan from its WAL and the executor finishes
-it), tracks moved pages in a relocation table served via ``pm.locate``
-(the read path's fallback when a page left its recorded provider), and
-keeps draining providers out of fresh allocations until their last
-replica is handed off and they deregister.
+Placement (:mod:`repro.providers.strategies`): keyless
+``pm.get_providers`` cycles a round-robin cursor over the sorted live set
+on every pm, the successors of each primary holding its replicas.
+
+Elastic membership (PR 7): on a ``hash_ring`` pm,
+``pm.get_providers_hashed`` places each page at its consistent-hash home
+(:class:`~repro.providers.strategies.HashRing`), so admitting or draining
+a provider implies a computable, minimal set of page moves. The pm plans
+those moves from provider manifests (``pm.plan_rebalance``, whose
+``drain`` empties one provider), journals the plan and every completed move
+(idempotent, resumable — a pm crash mid-rebalance recovers the plan from
+its WAL and the executor finishes it), tracks moved pages in a relocation
+table served via ``pm.locate`` (the read path's fallback when a page left
+its recorded provider), and keeps draining providers out of fresh
+allocations until their last replica is handed off and they deregister.
 
 Durability (PR 6): with a :class:`~repro.core.journal.Journal` attached,
 membership and allocation follow the WAL discipline of
 :class:`~repro.core.journal.Journaled`, the body it shares with the
 version manager. Allocation records log only the *inputs* (blob, page count,
-pagesize, and the live-provider list the strategy saw); replay re-drives
-the strategy, which reproduces the exact placement **and** the strategy's
-internal state (round-robin cursor, rng stream) for the next incarnation.
-The strategy object itself is pickled into snapshots, and a ``config``
-record pins strategy/replication so a restart with different settings
-fails loudly (:class:`~repro.errors.ConfigError`) instead of silently
-desynchronizing placement.
+pagesize, and the live-provider list placement saw); replay re-drives
+placement, which reproduces the exact groups **and** the round-robin
+cursor for the next incarnation. Snapshots carry the cursor, and a
+``config`` record pins strategy/replication so a restart with different
+settings fails loudly (:class:`~repro.errors.ConfigError`) instead of
+silently desynchronizing placement.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Any
 from repro.core.journal import Journaled
 from repro.errors import ConfigError, NotEnoughProviders
 from repro.net.sansio import rpc_handler
-from repro.providers.strategies import AllocationStrategy, RoundRobin
+from repro.providers.strategies import STRATEGIES, HashRing
 
 logger = logging.getLogger("repro.pm")
 
@@ -54,16 +57,21 @@ class ProviderManager(Journaled):
 
     def __init__(
         self,
-        strategy: AllocationStrategy | None = None,
+        strategy: str = "round_robin",
         replication: int = 1,
         journal=None,
     ) -> None:
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        self.strategy = strategy or RoundRobin()
+        self.strategy = strategy
         self.replication = replication
+        self._ring = HashRing() if strategy == "hash_ring" else None
         self._providers: set[int] = set()
-        self._load: dict[int, int] = {}  # allocated bytes per provider
+        self._cursor = 0  # round-robin position of the next keyless page
         self.allocations = 0
         # elastic membership: pages whose holders differ from the groups
         # recorded in metadata (moved by a rebalance), the active
@@ -77,18 +85,13 @@ class ProviderManager(Journaled):
     # -- durability -----------------------------------------------------
 
     def _config_tuple(self) -> tuple:
-        return (
-            self.strategy.name or type(self.strategy).__name__,
-            self.strategy.params(),
-            self.replication,
-        )
+        return (self.strategy, self.replication)
 
     def _snapshot_state(self) -> dict[str, Any]:
         return {
             "providers": self._providers,
-            "load": self._load,
             "allocations": self.allocations,
-            "strategy": self.strategy,
+            "cursor": self._cursor,
             "config": self._config_tuple(),
             "relocated": self._relocated,
             "migration": self._migration,
@@ -99,14 +102,12 @@ class ProviderManager(Journaled):
     def _restore(self, state: dict[str, Any]) -> None:
         self._check_config(state["config"], "snapshot")
         self._providers = state["providers"]
-        self._load = state["load"]
         self.allocations = state["allocations"]
-        self.strategy = state["strategy"]
-        # .get: snapshots written before elastic membership lack these
-        self._relocated = state.get("relocated", {})
-        self._migration = state.get("migration")
-        self._draining = state.get("draining", set())
-        self._plan_seq = state.get("plan_seq", 0)
+        self._cursor = state["cursor"]
+        self._relocated = state["relocated"]
+        self._migration = state["migration"]
+        self._draining = state["draining"]
+        self._plan_seq = state["plan_seq"]
 
     def _check_config(self, recorded: tuple, origin: str) -> None:
         if tuple(recorded) != self._config_tuple():
@@ -136,7 +137,6 @@ class ProviderManager(Journaled):
 
     def _apply_register(self, provider_id: int) -> int:
         self._providers.add(provider_id)
-        self._load.setdefault(provider_id, 0)
         return len(self._providers)
 
     def deregister(self, provider_id: int) -> int:
@@ -146,7 +146,6 @@ class ProviderManager(Journaled):
     def _apply_deregister(self, provider_id: int) -> int:
         self._providers.discard(provider_id)
         self._draining.discard(provider_id)
-        self._load.pop(provider_id, None)
         return len(self._providers)
 
     def providers(self) -> list[int]:
@@ -181,46 +180,29 @@ class ProviderManager(Journaled):
     def _apply_alloc(
         self, blob_id: str, npages: int, pagesize: int, live: tuple[int, ...]
     ) -> list[tuple[int, ...]]:
-        live = list(live)
+        m = len(live)
         groups: list[tuple[int, ...]] = []
         for _ in range(npages):
-            primary = self.strategy.allocate(1, live, self._load)[0]
-            chosen = [primary]
-            if self.replication > 1:
-                # Replicas on the ring successors of the primary: distinct,
-                # deterministic, and spread independently of the strategy.
-                idx = live.index(primary)
-                for step in range(1, self.replication):
-                    chosen.append(live[(idx + step) % len(live)])
-            for p in chosen:
-                self._load[p] = self._load.get(p, 0) + pagesize
-            groups.append(tuple(chosen))
+            # the primary at the cursor, its replicas on the successors:
+            # distinct and deterministic
+            first = self._cursor % m
+            self._cursor += 1
+            groups.append(
+                tuple(live[(first + step) % m] for step in range(self.replication))
+            )
         self.allocations += npages
         return groups
-
-    def report_usage(self, provider_id: int, nbytes: int) -> bool:
-        """Correct the load view (e.g. after garbage collection freed
-        pages); returns ``True``."""
-        if provider_id in self._providers:
-            return self._log_and_apply(("usage", provider_id, int(nbytes)))
-        return True
-
-    def _apply_usage(self, provider_id: int, nbytes: int) -> bool:
-        if provider_id in self._providers:
-            self._load[provider_id] = max(0, nbytes)
-        return True
 
     # -- elastic membership: hash placement, rebalance, drain ------------
 
     def _place_key(self):
-        place = getattr(self.strategy, "place_key", None)
-        if place is None:
+        if self._ring is None:
             raise ConfigError(
-                f"strategy {self.strategy.name!r} is not hash-aware; elastic "
+                f"strategy {self.strategy!r} is not hash-aware; elastic "
                 "rebalancing requires a key-addressable placement "
                 "(strategy 'hash_ring')"
             )
-        return place
+        return self._ring.place_key
 
     def get_providers_hashed(
         self,
@@ -257,10 +239,7 @@ class ProviderManager(Journaled):
         groups: list[tuple[int, ...]] = []
         for i in range(npages):
             key = (blob_id, write_uid, first_page + i)
-            chosen = place(key, live, self.replication)
-            for p in chosen:
-                self._load[p] = self._load.get(p, 0) + pagesize
-            groups.append(tuple(chosen))
+            groups.append(tuple(place(key, live, self.replication)))
         self.allocations += npages
         return groups
 
@@ -385,13 +364,8 @@ class ProviderManager(Journaled):
         mig = self._migration
         if mig is None or mig["id"] != plan_id or index in mig["done"]:
             return True
-        kind, key, src, dst, nbytes, holders_after = mig["moves"][index]
-        k = tuple(key)
-        if kind == "copy":
-            self._load[dst] = self._load.get(dst, 0) + nbytes
-        else:  # free
-            self._load[src] = max(0, self._load.get(src, 0) - nbytes)
-        self._relocated[k] = tuple(holders_after)
+        _kind, key, _src, _dst, _nbytes, holders_after = mig["moves"][index]
+        self._relocated[tuple(key)] = tuple(holders_after)
         mig["done"].add(index)
         return True
 
@@ -437,9 +411,6 @@ class ProviderManager(Journaled):
     def draining(self) -> list[int]:
         return sorted(self._draining)
 
-    def load_view(self) -> dict[int, int]:
-        return dict(self._load)
-
     def config(self) -> dict[str, Any]:
         """Deployment-visible allocation settings.
 
@@ -449,13 +420,7 @@ class ProviderManager(Journaled):
         replication mismatch would surface only as data loss at the
         first storage-node failure.
         """
-        return {
-            "replication": self.replication,
-            "strategy": self.strategy.name or type(self.strategy).__name__,
-            # effective params (defaults resolved), so a kwargs mismatch
-            # that would desynchronize placement is caught too
-            "strategy_kwargs": self.strategy.params(),
-        }
+        return {"replication": self.replication, "strategy": self.strategy}
 
     handle = rpc_handler(
         kind,
@@ -464,7 +429,6 @@ class ProviderManager(Journaled):
             "pm.register": register,
             "pm.deregister": deregister,
             "pm.providers": providers,
-            "pm.report_usage": report_usage,
             "pm.config": config,
             "pm.get_providers_hashed": get_providers_hashed,
             "pm.locate": locate,

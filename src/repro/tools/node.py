@@ -33,13 +33,13 @@ without a subprocess.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
 from repro.errors import ConfigError
 from repro.net.node import NodeAgent, build_actor
 from repro.obs.logconfig import configure_logging
+from repro.providers.strategies import STRATEGIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,16 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy",
         default="round_robin",
-        help="page-allocation strategy for a hosted pm actor "
-        "(round_robin / least_loaded / random_k / hash_ring — hash_ring "
-        "enables elastic membership; default: round_robin)",
-    )
-    parser.add_argument(
-        "--strategy-kwargs",
-        metavar="JSON",
-        default="{}",
-        help="JSON keyword arguments for --strategy "
-        "(e.g. '{\"k\": 2, \"seed\": 7}' for random_k)",
+        choices=STRATEGIES,
+        help="page placement of a hosted pm actor (hash_ring enables "
+        "elastic membership; default: round_robin)",
     )
     parser.add_argument(
         "--replication",
@@ -183,17 +176,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"({exc})"
                 ) from None
             lock = StateDirLock(state_path).acquire()
-        strategy_kwargs = json.loads(args.strategy_kwargs)
-        if not isinstance(strategy_kwargs, dict):
-            raise ConfigError(
-                f"--strategy-kwargs must be a JSON object, got {args.strategy_kwargs!r}"
-            )
         actors = dict(
             build_actor(
                 name,
                 checksum=args.checksum,
                 strategy=args.strategy,
-                strategy_kwargs=strategy_kwargs,
                 replication=args.replication,
                 state_dir=args.state_dir,
                 fsync=args.fsync,
@@ -206,9 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         agent = NodeAgent(
             actors, host=args.host, port=args.port, pm_endpoint=args.pm
         )
-    except (ConfigError, TypeError, ValueError, OSError) as exc:
-        # TypeError covers --strategy-kwargs that do not fit the chosen
-        # strategy's constructor (e.g. '{"k": 2}' with round_robin)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if lock is not None:
             lock.release()

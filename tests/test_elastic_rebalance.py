@@ -20,7 +20,7 @@ from repro.errors import ConfigError, NotEnoughProviders
 from repro.providers.manager import ProviderManager
 from repro.providers.page import PageKey
 from repro.providers.rebalance import drain_provider, execute_rebalance
-from repro.providers.strategies import HashRing, key_id, make_strategy, node_id
+from repro.providers.strategies import HashRing, key_id, node_id
 from repro.util.sizes import KB
 
 PAGE = 4 * KB
@@ -43,7 +43,7 @@ def page_keys(n):
 
 def make_pm(n=4, journal=None, replication=1):
     pm = ProviderManager(
-        make_strategy("hash_ring"), replication=replication, journal=journal
+        "hash_ring", replication=replication, journal=journal
     )
     for i in range(n):
         pm.register(i)
@@ -58,9 +58,6 @@ class TestHashRingPlacement:
         ring = HashRing()
         homes = [ring.place_key(k, [0, 1, 2, 3], 2) for k in GOLDEN_KEYS]
         assert homes == GOLDEN_HOMES
-
-    def test_golden_keyless_allocation(self):
-        assert HashRing().allocate(6, [0, 1, 2, 3], {}) == [0, 1, 2, 3, 0, 1]
 
     def test_page_key_homes_like_its_tuple(self):
         ring = HashRing()
@@ -115,7 +112,7 @@ class TestHashedAllocation:
         )
 
     def test_requires_hash_aware_strategy(self):
-        pm = ProviderManager(make_strategy("round_robin"))
+        pm = ProviderManager("round_robin")
         pm.register(0)
         with pytest.raises(ConfigError, match="not hash-aware"):
             pm.get_providers_hashed("b", "u", 0, 1, PAGE)
@@ -221,9 +218,7 @@ class TestMigrationStateMachine:
 
 class TestMigrationRecovery:
     def test_pm_rebuilt_mid_plan_resumes_with_remaining_moves(self, tmp_path):
-        pm = ProviderManager(
-            make_strategy("hash_ring"), journal=Journal(tmp_path)
-        )
+        pm = ProviderManager("hash_ring", journal=Journal(tmp_path))
         for i in range(4):
             pm.register(i)
         helper = TestMigrationStateMachine()
@@ -236,9 +231,7 @@ class TestMigrationRecovery:
         located = pm.locate([m[2] for m in first])
         pm.journal.close()  # crash
 
-        pm2 = ProviderManager(
-            make_strategy("hash_ring"), journal=Journal(tmp_path)
-        )
+        pm2 = ProviderManager("hash_ring", journal=Journal(tmp_path))
         resumed = pm2.pending_rebalance()
         assert resumed["plan"] == plan["plan"]
         assert resumed["done"] == 2 and resumed["total"] == plan["total"]
@@ -285,7 +278,7 @@ class TestExecutorEndToEnd:
         assert partial["executed"] == 1 and not partial["committed"]
         done = execute_rebalance(dep.driver, sorted(dep.data))
         assert done["committed"] and done["plan"] == partial["plan"]
-        place = dep.pm.strategy.place_key
+        place = HashRing().place_key
         live = sorted(dep.pm.providers())
         for pid, pages in self.placements(dep, blob).items():
             for key, _data in pages:

@@ -44,7 +44,6 @@ from repro.core.journal import (
 from repro.deploy.tcp import build_tcp
 from repro.errors import ConfigError, ReproError
 from repro.providers.manager import ProviderManager
-from repro.providers.strategies import make_strategy
 from repro.tools.node import main as node_main
 from repro.util.sizes import KB
 from repro.version.manager import VersionManager
@@ -432,10 +431,8 @@ def test_vm_refuses_a_snapshot_of_another_layout(tmp_path):
 
 
 class TestProviderManagerRecovery:
-    def make(self, d, strategy="round_robin", **kw):
-        return ProviderManager(
-            make_strategy(strategy, **kw), journal=Journal(d)
-        )
+    def make(self, d):
+        return ProviderManager(journal=Journal(d))
 
     def test_membership_load_and_cursor_survive(self, tmp_path):
         pm = self.make(tmp_path)
@@ -445,7 +442,7 @@ class TestProviderManagerRecovery:
         first = pm.get_providers("b", 5, PAGE)
         pm.journal.close()  # crash
 
-        ref = ProviderManager(make_strategy("round_robin"))
+        ref = ProviderManager("round_robin")
         for i in range(5):
             ref.register(i)
         ref.deregister(4)
@@ -453,33 +450,25 @@ class TestProviderManagerRecovery:
 
         pm2 = self.make(tmp_path)
         assert pm2.providers() == [0, 1, 2, 3]
-        assert pm2.load_view() == ref.load_view()
         # the round-robin cursor resumed: placement continues where the
         # dead incarnation stopped, not from provider 0
         assert pm2.get_providers("b", 3, PAGE) == ref.get_providers("b", 3, PAGE)
 
-    def test_rng_strategy_stream_survives(self, tmp_path):
-        pm = self.make(tmp_path, "random_k", k=2, seed=11)
-        for i in range(6):
-            pm.register(i)
-        a = pm.get_providers("b", 4, PAGE)
-        pm.journal.close()
-        pm2 = self.make(tmp_path, "random_k", k=2, seed=11)
-        b = pm2.get_providers("b", 4, PAGE)
-        ref = ProviderManager(make_strategy("random_k", k=2, seed=11))
-        for i in range(6):
-            ref.register(i)
-        assert a == ref.get_providers("b", 4, PAGE)
-        assert b == ref.get_providers("b", 4, PAGE)
-
-    def test_settings_mismatch_refuses_loudly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "strategy, replication",
+        [("round_robin", 2), ("hash_ring", 1)],
+        ids=["replication", "strategy"],
+    )
+    def test_settings_mismatch_refuses_loudly(
+        self, tmp_path, strategy, replication
+    ):
         pm = self.make(tmp_path)
         pm.register(0)
         pm.journal.close()
         with pytest.raises(ConfigError, match="refusing"):
             ProviderManager(
-                make_strategy("round_robin"),
-                replication=2,
+                strategy,
+                replication=replication,
                 journal=Journal(tmp_path),
             )
 
@@ -495,13 +484,13 @@ def durable_vm(directory) -> VersionManager:
 
 
 def durable_pm(directory) -> ProviderManager:
-    return ProviderManager(make_strategy("hash_ring"), journal=Journal(directory))
+    return ProviderManager("hash_ring", journal=Journal(directory))
 
 
 def pm_fingerprint(pm: ProviderManager) -> tuple:
     return (
         pm.providers(),
-        pm.load_view(),
+        pm.allocations,
         pm.pending_rebalance(),
         pm.draining(),
         pm.config(),
@@ -691,28 +680,25 @@ class PmRestart(RestartMachine):
 
     @rule(
         method=st.sampled_from(
-            ["pm.register", "pm.deregister", "pm.report_usage",
+            ["pm.register", "pm.deregister",
              "pm.get_providers", "pm.get_providers_hashed",
              "pm.plan_rebalance", "pm.migration_done", "pm.migration_done",
              "pm.migration_commit"]
         ),
         pid=PIDS,
-        nbytes=st.sampled_from([0, PAGE, 2.5, "x", -1]),
         first=COUNTS,
         npages=COUNTS,
         pagesize=st.sampled_from([PAGE, PAGE, PAGE, 4096.0]),
         index=st.one_of(st.integers(-1, 12), st.sampled_from([999, 1.0, "1", [1]])),
         live=st.booleans(),
     )
-    def rpc(self, method, pid, nbytes, first, npages, pagesize, index, live) -> None:
+    def rpc(self, method, pid, first, npages, pagesize, index, live) -> None:
         """``live`` names the active plan and its first pending move;
         otherwise the plan id is the next one, which does not exist."""
         pending = self.actor.pending_rebalance()
         plan = pending["plan"] if pending else 1
         if method in ("pm.register", "pm.deregister"):
             self.call(method, pid)
-        elif method == "pm.report_usage":
-            self.call(method, pid, nbytes)
         elif method == "pm.get_providers":
             self.call(method, "b", npages, pagesize)
         elif method == "pm.get_providers_hashed":

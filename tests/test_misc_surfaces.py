@@ -58,6 +58,8 @@ class TestDeploymentSpec:
             DeploymentSpec(n_data=2, n_meta=2, replication=3)
         with pytest.raises(ConfigError):
             DeploymentSpec(cache_capacity=-1)
+        with pytest.raises(ConfigError, match="round_robin.*hash_ring"):
+            DeploymentSpec(strategy="hashring")
 
 
 class TestInprocDriverRegistry:

@@ -139,7 +139,7 @@ def test_replication_transparent_to_semantics(writes, replication):
 @settings(max_examples=20, deadline=None)
 @given(
     writes=st.lists(write_strategy, min_size=1, max_size=6),
-    strategy=st.sampled_from(["round_robin", "least_loaded", "random_k"]),
+    strategy=st.sampled_from(["round_robin", "hash_ring"]),
 )
 def test_allocation_strategy_transparent_to_semantics(writes, strategy):
     dep = build_inproc(

@@ -12,7 +12,6 @@ from repro.net.message import estimate_size
 from repro.providers.data_provider import DataProvider
 from repro.providers.manager import ProviderManager
 from repro.providers.page import PageKey, PagePayload, page_key_for
-from repro.providers.strategies import LeastLoaded, RandomK, RoundRobin, make_strategy
 
 
 class TestPagePayload:
@@ -96,54 +95,22 @@ class TestDataProvider:
 
 
 class TestStrategies:
+    @staticmethod
+    def pm(n):
+        pm = ProviderManager()
+        for i in range(n):
+            pm.register(i)
+        return pm
+
     def test_round_robin_cycles(self):
-        s = RoundRobin()
-        assert s.allocate(5, [0, 1, 2], {}) == [0, 1, 2, 0, 1]
-        assert s.allocate(2, [0, 1, 2], {}) == [2, 0]
-        s.reset()
-        assert s.allocate(1, [0, 1, 2], {}) == [0]
+        pm = self.pm(3)
+        assert pm.get_providers("b", 5, 4096) == [(0,), (1,), (2,), (0,), (1,)]
+        assert pm.get_providers("b", 2, 4096) == [(2,), (0,)]
+        assert self.pm(3).get_providers("b", 1, 4096) == [(0,)]
 
     def test_round_robin_distinct_when_enough(self):
-        s = RoundRobin()
-        got = s.allocate(4, list(range(8)), {})
+        got = self.pm(8).get_providers("b", 4, 4096)
         assert len(set(got)) == 4
-
-    def test_least_loaded_prefers_empty(self):
-        s = LeastLoaded(pagesize_hint=10)
-        got = s.allocate(2, [0, 1, 2], {0: 100, 1: 0, 2: 50})
-        assert got[0] == 1
-        assert got[1] in (1, 2)  # 1 now has 10, still least
-
-    def test_least_loaded_balances_within_request(self):
-        s = LeastLoaded(pagesize_hint=1)
-        got = s.allocate(9, [0, 1, 2], {})
-        assert sorted(got.count(i) for i in range(3)) == [3, 3, 3]
-
-    def test_random_k_deterministic_per_seed(self):
-        a = RandomK(k=2, seed=5).allocate(20, list(range(8)), {})
-        b = RandomK(k=2, seed=5).allocate(20, list(range(8)), {})
-        assert a == b
-
-    def test_random_k_balance_beats_k1(self):
-        def spread(k):
-            s = RandomK(k=k, seed=7)
-            load: dict[int, int] = {}
-            for p in s.allocate(400, list(range(10)), load):
-                load[p] = load.get(p, 0) + 1
-            return max(load.values()) - min(load.values())
-
-        assert spread(2) <= spread(1)
-
-    def test_random_k_validation(self):
-        with pytest.raises(ValueError):
-            RandomK(k=0)
-
-    def test_factory(self):
-        assert isinstance(make_strategy("round_robin"), RoundRobin)
-        assert isinstance(make_strategy("least_loaded"), LeastLoaded)
-        assert isinstance(make_strategy("random_k", k=3), RandomK)
-        with pytest.raises(ValueError):
-            make_strategy("magic")
 
 
 class TestProviderManager:
@@ -161,14 +128,6 @@ class TestProviderManager:
         groups = pm.get_providers("b", 6, 4096)
         assert len(groups) == 6
         assert all(len(g) == 1 for g in groups)
-
-    def test_allocation_tracks_load(self):
-        pm = ProviderManager()
-        pm.register(0)
-        pm.register(1)
-        pm.get_providers("b", 4, 100)
-        load = pm.load_view()
-        assert sum(load.values()) == 400
 
     def test_replication_groups_distinct(self):
         pm = ProviderManager(replication=3)
@@ -190,13 +149,6 @@ class TestProviderManager:
         pm.register(0)
         with pytest.raises(ValueError):
             pm.get_providers("b", 0, 4096)
-
-    def test_report_usage(self):
-        pm = ProviderManager()
-        pm.register(0)
-        pm.get_providers("b", 2, 100)
-        pm.report_usage(0, 50)
-        assert pm.load_view()[0] == 50
 
     def test_dispatch(self):
         pm = ProviderManager()

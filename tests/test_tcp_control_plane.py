@@ -558,21 +558,20 @@ def test_pm_config_mismatch_fails_the_build():
             DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0,
                            endpoints=endpoints)
         )
-        assert dep.pm.config() == {
-            "replication": 1, "strategy": "round_robin", "strategy_kwargs": {},
-        }
+        assert dep.pm.config() == {"replication": 1, "strategy": "round_robin"}
         dep.close()
     finally:
         for a in agents:
             a.close()
 
 
-def test_node_cli_rejects_mismatched_strategy_kwargs(capsys):
-    """Config mistakes exit 2 with a one-line error — including kwargs
-    that do not fit the chosen strategy's constructor."""
+def test_node_cli_rejects_an_unknown_strategy(capsys):
+    """A mistyped placement rule exits 2 with a one-line error before any
+    actor is built."""
     from repro.tools.node import main
 
-    rc = main(["--port", "0", "--actor", "pm",
-               "--strategy", "round_robin", "--strategy-kwargs", '{"k": 2}'])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--port", "0", "--actor", "pm", "--strategy", "hashring"])
+    assert exc_info.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error: argument --strategy: invalid choice: 'hashring'" in error

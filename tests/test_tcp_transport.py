@@ -137,13 +137,13 @@ def test_build_actor_specs():
     assert address == "pm"
     assert pm.replication == 2
     assert pm.providers() == []  # starts empty: agents register at start
-    _, pm_rk = build_actor(
-        "pm", strategy="random_k", strategy_kwargs={"k": 2, "seed": 7}
-    )
-    assert callable(pm_rk.handle)
+    _, pm_hr = build_actor("pm", strategy="hash_ring")
+    assert pm_hr.config() == {"replication": 1, "strategy": "hash_ring"}
     for bad in ("unknown/1", "data"):
         with pytest.raises(ConfigError):
             build_actor(bad)
+    with pytest.raises(ValueError, match="unknown strategy 'least_loaded'"):
+        build_actor("pm", strategy="least_loaded")
 
 
 # ---------------------------------------------------------------------------

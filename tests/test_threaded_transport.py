@@ -29,7 +29,6 @@ from repro.net.sansio import Batch, Call
 from repro.net.threaded import ThreadedDriver
 from repro.providers.data_provider import DataProvider
 from repro.providers.manager import ProviderManager
-from repro.providers.strategies import make_strategy
 from repro.util.sizes import KB, MB
 from repro.version.manager import VersionManager
 
@@ -216,7 +215,7 @@ def build_delayed_deployment(n_data: int, n_meta: int, seed: int):
     """A threaded deployment whose every actor has injected delays."""
     spec = DeploymentSpec(n_data=n_data, n_meta=n_meta)
     vm = VersionManager()
-    pm = ProviderManager(make_strategy(spec.strategy), replication=1)
+    pm = ProviderManager(spec.strategy, replication=1)
     driver = ThreadedDriver()
     driver.register("vm", DelayedActor(vm, seed ^ 1))
     driver.register("pm", DelayedActor(pm, seed ^ 2))
