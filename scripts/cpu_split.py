@@ -11,11 +11,18 @@ and for each agent process, from utime + stime in
 so its row is not all client work. utime and stime count whole clock
 ticks (10 ms at the usual 100 Hz), so run enough rounds that every row
 you read spans many ticks. perfbench is only imported, never edited.
+
+The ``gc`` rows are this process's cyclic collections during the timed
+rounds (thread CPU from each collection's ``gc.callbacks`` start to its
+stop), in all and by generation with the runs and objects collected. That CPU is
+already inside the row of the thread that collected; the ``gc`` rows say
+how much of it the collector took.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -54,6 +61,29 @@ def snapshot(trial: Trial) -> dict[str, int]:
     return rows
 
 
+class GcLedger:
+    """A ``gc.callbacks`` hook: runs, thread CPU ns and objects collected
+    of this process's cyclic collections by generation, while ``active``."""
+
+    def __init__(self) -> None:
+        self.active = False
+        self.runs = [0, 0, 0]
+        self.cpu_ns = [0, 0, 0]
+        self.collected = [0, 0, 0]
+        self._start_ns = 0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if not self.active:
+            return
+        if phase == "start":
+            self._start_ns = time.thread_time_ns()
+        else:  # a collection holds the GIL from its start to its stop
+            gen = info["generation"]
+            self.runs[gen] += 1
+            self.cpu_ns[gen] += time.thread_time_ns() - self._start_ns
+            self.collected[gen] += info["collected"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="many_clients_aio")
@@ -63,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     pin_one_cpu()
     n_rounds = 2 if args.smoke else args.rounds
+    collections = GcLedger()
+    gc.callbacks.append(collections)
     with tempfile.TemporaryDirectory(prefix="cpu-split-") as tmp:
         trial = Trial(TrialConfig(args.workload, args.seed, n_rounds, tmp,
                                   time.monotonic() + 600, smoke=args.smoke))
@@ -71,18 +103,29 @@ def main(argv: list[str] | None = None) -> int:
             trial.populate()
             trial.run_round(trial.plan.rounds[0])  # warm-up, not counted
             before, ops0 = snapshot(trial), trial.attempted
+            collections.active = True
             for ops in trial.plan.rounds[1:]:
                 trial.run_round(ops)
+            collections.active = False
             after, n_ops = snapshot(trial), trial.attempted - ops0
         finally:
+            gc.callbacks.remove(collections)
             trial.close()
+    per_op = max(n_ops, 1)
     print(f"{args.workload} seed={args.seed}: {n_ops} timed ops, "
           f"{trial.failed} failed; clock tick {TICK_S * 1e3:g} ms; "
-          "MainThread includes the calibration kernel")
+          "MainThread includes the calibration kernel; the gc rows are "
+          "inside the thread rows")
     print(f"{'process / thread':<40} {'cpu_us_per_op':>14}")
     for name in sorted(after, key=lambda k: after[k] - before.get(k, 0), reverse=True):
-        us = (after[name] - before.get(name, 0)) * TICK_S * 1e6 / max(n_ops, 1)
+        us = (after[name] - before.get(name, 0)) * TICK_S * 1e6 / per_op
         print(f"{name:<40} {us:>14.1f}")
+    print(f"{'gc':<40} {sum(collections.cpu_ns) / 1e3 / per_op:>14.1f}")
+    for gen, (runs, ns, found) in enumerate(zip(
+        collections.runs, collections.cpu_ns, collections.collected
+    )):
+        label = f"gc gen{gen} ({runs} runs, {found} collected)"
+        print(f"{label:<40} {ns / 1e3 / per_op:>14.1f}")
     return 1 if trial.failed else 0
 
 

@@ -34,8 +34,10 @@ proves recovery always lands on a clean prefix state.
 :class:`Journaled` is the one body both durable actors (vm and pm) run
 on a journal. An actor supplies ``_snapshot_state``, ``_restore``, one
 ``_apply_<tag>`` per record tag, a ``_recovered(fresh)`` step run after
-replay (``fresh``: the directory was empty) and its ``kind`` (its name
-in errors); the body owns recovery, the append-then-apply rule
+replay (``fresh``: the directory was empty), its ``kind`` (its name in
+errors) and its ``snapshot_format`` (the layout tag its snapshots carry:
+recovery refuses a snapshot with another tag, or none, rather than
+misread it); the body owns recovery, the append-then-apply rule
 (:meth:`Journaled._log_and_apply`, the one record boundary a crash can
 fall on) and the clean-close compaction. The actor validates and
 normalises a request *before* it is logged, so a logged record always
@@ -393,6 +395,9 @@ class Journaled:
     subclass calls :meth:`_attach` last in its constructor, and with
     ``journal=None`` its records are applied, never logged."""
 
+    kind: str
+    snapshot_format: str
+
     def _attach(self, journal: Journal | None) -> None:
         """Adopt ``journal`` and recover: snapshot, replay, the
         :meth:`_recovered` hook, then a compaction (the hook's work is
@@ -402,11 +407,23 @@ class Journaled:
             return
         state, records = journal.open()
         if state is not None:
+            found = state.get("format")
+            if found != self.snapshot_format:
+                raise JournalError(
+                    f"{self.kind} snapshot in {journal.directory} has format "
+                    f"{found!r}, not {self.snapshot_format!r}: its state would "
+                    "be misread — refusing"
+                )
             self._restore(state)
         for record in records:
             self._apply(record)
         self._recovered(state is None and not records)
-        journal.compact(self._snapshot_state())
+        journal.compact(self._snapshot())
+
+    def _snapshot(self) -> dict[str, Any]:
+        """What a compaction stores: the actor's state, tagged with its
+        layout."""
+        return {"format": self.snapshot_format, **self._snapshot_state()}
 
     @property
     def replayed_records(self) -> int:
@@ -420,7 +437,7 @@ class Journaled:
             journal.append(record)
         result = self._apply(record)
         if journal is not None and journal.should_compact():
-            journal.compact(self._snapshot_state())
+            journal.compact(self._snapshot())
         return result
 
     def _apply(self, record: tuple) -> Any:
@@ -433,7 +450,7 @@ class Journaled:
         """Clean shutdown: compact so the next incarnation replays nothing."""
         if self.journal is not None:
             try:
-                self.journal.compact(self._snapshot_state())
+                self.journal.compact(self._snapshot())
             except JournalError:
                 pass  # a crashed (fault-injected) journal stays as-is
             self.journal.close()

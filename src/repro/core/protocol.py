@@ -27,7 +27,7 @@ raises normally so genuine losses surface.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Generator, Sequence
 
 from repro.errors import RemoteError
@@ -95,6 +95,44 @@ class ReadResult:
     cache_hits: int
     pages_fetched: int
     zero_bytes: int  # bytes satisfied from the implicit all-zero version 0
+
+
+#: each record's slot setters, in field order: built through them, as
+#: ``metadata/node.py::_restore_node`` builds a TreeNode, a record skips the
+#: frozen ``__init__``'s per-field ``object.__setattr__`` by name
+_WRITE_SLOTS = tuple(WriteResult.__dict__[f.name].__set__ for f in fields(WriteResult))
+_READ_SLOTS = tuple(ReadResult.__dict__[f.name].__set__ for f in fields(ReadResult))
+
+
+def _write_result(blob_id, version, latest_published, offset, size,
+                  pages_written, nodes_written) -> WriteResult:
+    result = object.__new__(WriteResult)
+    s0, s1, s2, s3, s4, s5, s6 = _WRITE_SLOTS
+    s0(result, blob_id)
+    s1(result, version)
+    s2(result, latest_published)
+    s3(result, offset)
+    s4(result, size)
+    s5(result, pages_written)
+    s6(result, nodes_written)
+    return result
+
+
+def _read_result(blob_id, version, latest, offset, size, data,
+                 nodes_fetched, cache_hits, pages_fetched, zero_bytes) -> ReadResult:
+    result = object.__new__(ReadResult)
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 = _READ_SLOTS
+    s0(result, blob_id)
+    s1(result, version)
+    s2(result, latest)
+    s3(result, offset)
+    s4(result, size)
+    s5(result, data)
+    s6(result, nodes_fetched)
+    s7(result, cache_hits)
+    s8(result, pages_fetched)
+    s9(result, zero_bytes)
+    return result
 
 
 Proto = Generator[Op, Any, Any]
@@ -226,7 +264,7 @@ def write_protocol(
     # 5. report success; the VM publishes versions in order
     (latest,) = yield Batch([Call(ADDR_VM, "vm.complete", (blob_id, ticket.version))])
     yield from mark("done")
-    return WriteResult(
+    return _write_result(
         blob_id=blob_id,
         version=ticket.version,
         latest_published=latest,
@@ -321,7 +359,7 @@ def read_protocol(
             data = dst
         else:
             data = bytes(size) if with_data else None
-        return ReadResult(
+        return _read_result(
             blob_id, 0, latest, offset, size, data,
             nodes_fetched=0, cache_hits=0, pages_fetched=0, zero_bytes=size,
         )
@@ -414,7 +452,7 @@ def read_protocol(
             assemble_read(req, leaves, payloads, memoryview(buf))
             data = bytes(buf)
     yield from mark("done")
-    return ReadResult(
+    return _read_result(
         blob_id=blob_id,
         version=effective,
         latest=latest,

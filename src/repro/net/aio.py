@@ -35,14 +35,15 @@ layering:
 
 Concurrency model: **everything about a peer is event-loop-confined.**
 Peer state (the core, the transport, the outbox) is touched only from the
-loop thread, so there are no locks on the hot path; the pieces that
-cross threads — the per-batch :class:`_AioLatch` (an in-parent actor's
-service thread may complete a group) and the connected/down flags read
-by the sync facade — use a lock plus a loop future and
-``threading.Event`` mirrors respectively. A batch whose last group
-completes on the loop thread (every remote reply does) resolves its
-future in place; only a completion from a service thread crosses over
-with ``call_soon_threadsafe``.
+loop thread, so there are no locks on the hot path. Each protocol is one
+:class:`_Stepper`, the latch of every batch it yields and the one future
+its waiter awaits: the callback that completes a batch's last group on
+the loop thread (every remote reply does) also finishes that batch,
+steps the protocol and submits its next one. The pieces that cross
+threads — a group an in-parent actor's service thread completes, and the
+connected/down flags read by the sync facade — use a lock-guarded wake
+list (one ``call_soon_threadsafe`` per burst) and ``threading.Event``
+mirrors respectively.
 
 Two client surfaces share the driver:
 
@@ -77,6 +78,7 @@ starts its protocol in an empty context, so it stays untraced like a
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import contextvars
 import threading
@@ -132,55 +134,84 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _AioLatch:
-    """Per-batch countdown resolving one loop future.
+class _Stepper:
+    """One protocol on the loop, and the latch of each batch it yields.
 
-    Group completions arrive from the loop thread (peer replies, fail-fast
-    submits) *and* from in-parent actors' service threads, so the count is
-    lock-guarded (one lock for every latch: it is held for a decrement and
-    a compare). The final decrement resolves ``future`` directly when it
-    runs on the loop thread (where every remote group completes: no
-    self-pipe write, no extra loop wake-up) and through
-    ``call_soon_threadsafe`` when a service thread makes it. A future
-    already done belongs to a cancelled waiter and is left alone, and so
-    is a loop that ``close()`` closed meanwhile: nobody waits on that
-    batch any more. ``wakeups`` counts the resumptions the latch paid. The
-    ``gen`` argument is what in-parent service threads hand back, as they
-    do to a :class:`~repro.net.threaded._BatchLatch` (one latch per batch
-    here, so generations are moot).
+    Targets complete groups through the contract every latch keeps
+    (``begin`` arms a batch, ``group_done(gen)`` once per wire group; a
+    protocol has one batch in flight at a time, so generations are moot).
+    Completions on the loop thread (every remote reply, every fail-fast
+    submit) count down here; one from an in-parent actor's service thread
+    crosses over first (:meth:`AioDriver._cross`). When the batch's last
+    group lands, the stepper is handed to :meth:`AioDriver._resume`, which
+    finishes the batch, steps the protocol and submits its next batch in
+    that same callback, inside the context ``drive`` was entered with — no
+    future, no task wake-up per batch. ``future`` settles once, with the
+    protocol's value or error; a batch released after the waiter was
+    cancelled steps nothing.
     """
 
-    __slots__ = ("_loop", "_owner", "future", "_pending", "wakeups")
-    _lock = threading.Lock()
+    __slots__ = ("_driver", "_proto", "_context", "future", "_pending", "_sent")
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, owner: int) -> None:
-        self._loop = loop
-        self._owner = owner  # the loop thread's ident
-        self.future = loop.create_future()
+    def __init__(self, driver: "AioDriver", proto: Protocol[Any]) -> None:
+        self._driver = driver
+        self._proto: Protocol[Any] | None = proto
+        self._context = contextvars.copy_context()
+        self.future = driver.loop.create_future()
         self._pending = 0
-        self.wakeups = 0
+        self._sent: tuple | None = None  # the batch in flight
 
     def begin(self, n_groups: int) -> int:
         self._pending = n_groups
         return 0
 
     def group_done(self, gen: int) -> None:
-        with self._lock:
-            self._pending -= 1
-            if self._pending > 0:
-                return
-            self.wakeups += 1
-        if threading.get_ident() == self._owner:
-            self._release()
+        if threading.get_ident() == self._driver._owner:
+            self._count_down()
         else:
-            try:
-                self._loop.call_soon_threadsafe(self._release)
-            except RuntimeError:  # the loop is closed
-                pass
+            self._driver._cross(self)
 
-    def _release(self) -> None:
-        if not self.future.done():
-            self.future.set_result(None)
+    def _count_down(self) -> None:
+        self._pending -= 1
+        if not self._pending:
+            self._driver._resume(self)
+
+    def _step(self) -> None:
+        """Finish the released batch (none before the first step) — a
+        ``ReproError`` is thrown in at the ``yield`` —, run the protocol
+        to its next non-empty batch and submit it, or settle ``future``
+        when the protocol returns or fails."""
+        if self.future.done():
+            return  # the waiter was cancelled: nobody wants the results
+        driver = self._driver
+        sent, self._sent = self._sent, None
+        try:
+            if sent is None:
+                batch = step(self._proto)
+            else:
+                try:
+                    results = driver._finish_batch(sent, 1)
+                except ReproError as exc:
+                    batch = step(self._proto, error=exc)
+                else:
+                    batch = step(self._proto, results)
+            while not batch.calls:
+                batch = step(self._proto, [])
+            self._sent = driver._submit_batch(batch.calls, self)
+        except StopIteration as stop:
+            self.end()
+            self.future.set_result(stop.value)
+        except BaseException as exc:  # noqa: BLE001 - carried to the waiter
+            self.end()
+            self.future.set_exception(exc)
+
+    def end(self) -> None:
+        """The protocol is over: close its generator (a no-op once it
+        returned or failed) and stop counting it as driven."""
+        if self._proto is not None:
+            proto, self._proto = self._proto, None
+            self._driver._driving -= 1
+            proto.close()
 
 
 class _WireProtocol(asyncio.BufferedProtocol):
@@ -415,7 +446,7 @@ class AioPeer:
         self,
         group: WireGroup,
         slot: list,
-        latch: _AioLatch,
+        latch: _Stepper,
         gen: int,
         trace: Any = None,
     ) -> None:
@@ -560,11 +591,18 @@ class AioDriver(PeerRegistry):
         connect_timeout: float = 5.0,
     ) -> None:
         self._driving = 0  # protocols drive() is executing (peers read it)
+        #: released steppers the running :meth:`_resume` has yet to step
+        self._runnable: collections.deque = collections.deque()
+        self._stepping = False
+        #: service-thread completions waiting for the loop, and its lock
+        self._crossed: list[_Stepper] = []
+        self._cross_lock = threading.Lock()
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop_main, name="aio-driver", daemon=True
         )
         self._thread.start()
+        self._owner = self._thread.ident
         super().__init__(registry, connect_timeout=connect_timeout)
 
     def _loop_main(self) -> None:
@@ -654,34 +692,59 @@ class AioDriver(PeerRegistry):
         awaitable core every surface funnels into, traced by the
         operation open in the task's context. The batch body is every
         real driver's (PeerRegistry); how groups share frames is the
-        peer's."""
-        loop = self.loop
-        if asyncio.get_running_loop() is not loop:
+        peer's. One future per protocol: its batches are stepped from
+        the completions that release them (:class:`_Stepper`); a
+        cancelled waiter's generator is closed."""
+        if asyncio.get_running_loop() is not self.loop:
             raise RuntimeError(
                 "protocol coroutines must run on the driver's event loop "
                 "(enter it via AioDriver.run_async or AioDriver.spawn)"
             )
-        owner = self._thread.ident
+        stepper = _Stepper(self, proto)
         self._driving += 1
         try:
-            batch = step(proto)
-            while True:
-                try:
-                    if batch.calls:
-                        latch = _AioLatch(loop, owner)
-                        sent = self._submit_batch(batch.calls, latch)
-                        await latch.future
-                        results = self._finish_batch(sent, latch.wakeups)
-                    else:
-                        results = []
-                except ReproError as exc:
-                    batch = step(proto, error=exc)
-                else:
-                    batch = step(proto, results)
-        except StopIteration as stop:
-            return stop.value
+            self._resume(stepper)
+            return await stepper.future
         finally:
-            self._driving -= 1
+            stepper.end()
+
+    def _resume(self, stepper: _Stepper) -> None:
+        """Step ``stepper``'s protocol (loop thread), as a trampoline: a
+        batch released while a step runs — a group completed inside
+        ``_submit_batch``, or another protocol's in a frame a submit
+        flushed — is stepped after it, never inside it, so no chain of
+        synchronous completions grows the stack."""
+        runnable = self._runnable
+        runnable.append(stepper)
+        if self._stepping:
+            return
+        self._stepping = True
+        try:
+            while runnable:
+                stepper = runnable.popleft()
+                stepper._context.run(stepper._step)
+        finally:
+            self._stepping = False
+
+    def _cross(self, stepper: _Stepper) -> None:
+        """A group completed on a service thread: queue it for the loop,
+        which one ``call_soon_threadsafe`` per burst wakes to count the
+        queue down. Dropped once the loop is closed: nobody waits."""
+        with self._cross_lock:
+            crossed = self._crossed
+            crossed.append(stepper)
+            if len(crossed) > 1:
+                return  # the wake-up is already on its way
+        try:
+            self.loop.call_soon_threadsafe(self._count_crossed)
+        except RuntimeError:  # the loop is closed
+            pass
+
+    def _count_crossed(self) -> None:
+        with self._cross_lock:
+            crossed, self._crossed = self._crossed, []
+        for stepper in crossed:
+            stepper._count_down()
 
     # -- lifecycle -------------------------------------------------------
 

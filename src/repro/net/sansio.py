@@ -274,12 +274,31 @@ def gather_with_failover(
     error type — unless ``tolerate_exhaust``, where the final error is
     returned in the item's slot instead (callers with a further fallback,
     e.g. the pm relocation table, decide what exhaustion means).
+
+    The first attempt — almost always the only one — is built from each
+    item's routes, computed once, and when no slot failed its result list
+    is returned as is.
     """
     if not items:
         return []
-    out: list[Any] = [None] * len(items)
-    pending = list(range(len(items)))
-    attempt = 0
+    first = [routes_for(item) for item in items]
+    results = yield Batch([
+        call_for(item, routes[0], len(routes) == 1 and not tolerate_exhaust)
+        for item, routes in zip(items, first)
+    ])
+    for result in results:
+        if isinstance(result, RemoteError):
+            break
+    else:
+        return results
+    out: list[Any] = list(results)
+    pending = [
+        i
+        for i, result in enumerate(results)
+        if isinstance(result, RemoteError)
+        and not (tolerate_exhaust and len(first[i]) == 1)
+    ]
+    attempt = 1
     while pending:
         calls = []
         for i in pending:

@@ -398,9 +398,9 @@ class PeerRegistry(FaultInjection):
           sub-calls the actors served, whatever frames carried them);
         - ``completion_wakeups``: caller wake-ups, counted by the latch
           where it pays them — at most one per batch (a thread's latch
-          notifies only on the last wire group; the aio latch resumes
-          the batch once, in place when its last group completes on the
-          loop thread).
+          notifies only on the last wire group; an aio protocol's
+          stepper resumes it once, in the callback that completes its
+          last group).
 
         A batch is counted when it is submitted and its wake-ups (as the
         latch counted them) when the caller resumes, so a snapshot taken

@@ -54,6 +54,8 @@ class ProviderManager(Journaled):
     """Tracks providers and allocates storage targets for fresh pages."""
 
     kind = "provider manager"
+    #: version 2: the round-robin cursor as an int, no load view
+    snapshot_format = "repro.pm/2"
 
     def __init__(
         self,

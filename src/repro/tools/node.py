@@ -36,6 +36,7 @@ import argparse
 import logging
 import sys
 
+from repro.core.journal import JournalError
 from repro.errors import ConfigError
 from repro.net.node import NodeAgent, build_actor
 from repro.obs.logconfig import configure_logging
@@ -193,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         agent = NodeAgent(
             actors, host=args.host, port=args.port, pm_endpoint=args.pm
         )
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, JournalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if lock is not None:
             lock.release()

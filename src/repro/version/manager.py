@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.journal import Journaled, JournalError
+from repro.core.journal import Journaled
 from repro.errors import BlobNotFound, StaleWrite, VersionNotPublished
 from repro.metadata.tree import TreeGeometry
 from repro.net.sansio import rpc_handler
@@ -58,11 +58,6 @@ logger = logging.getLogger("repro.vm")
 
 #: Sentinel clients pass to READ for "the latest published version".
 LATEST = -1
-
-#: layout tag of the pickled state a snapshot holds; ``_restore`` refuses
-#: any other (version 2: patch histories keyed by ``(offset, size)`` ints)
-SNAPSHOT_FORMAT = "repro.vm/2"
-
 
 @dataclass(frozen=True, slots=True)
 class WriteTicket:
@@ -116,6 +111,8 @@ class VersionManager(Journaled):
     """Centralized version authority (one per deployment)."""
 
     kind = "version manager"
+    #: version 2: patch histories keyed by ``(offset, size)`` ints
+    snapshot_format = "repro.vm/2"
 
     def __init__(self, journal=None) -> None:
         self._blobs: dict[str, _BlobState] = {}
@@ -133,7 +130,6 @@ class VersionManager(Journaled):
 
     def _snapshot_state(self) -> dict[str, Any]:
         return {
-            "format": SNAPSHOT_FORMAT,
             "blobs": self._blobs,
             "alloc_counter": self._alloc_counter,
             "assigns": self.assigns,
@@ -141,13 +137,6 @@ class VersionManager(Journaled):
         }
 
     def _restore(self, state: dict[str, Any]) -> None:
-        found = state.get("format")
-        if found != SNAPSHOT_FORMAT:
-            raise JournalError(
-                f"vm snapshot in {self.journal.directory} has format "
-                f"{found!r}, not {SNAPSHOT_FORMAT!r}: its patch histories "
-                "would be misread — refusing"
-            )
         self._blobs = state["blobs"]
         self._alloc_counter = state["alloc_counter"]
         self.assigns = state["assigns"]

@@ -533,6 +533,148 @@ def test_a_group_completing_after_close_raises_nothing_on_its_service_thread(
     assert raised == []
 
 
+def test_a_protocol_of_many_batches_awaits_one_loop_future():
+    """Batches are stepped from the completions that release them, remote
+    and in-parent alike: a protocol of k batches creates one loop future
+    (its waiter's), not one per batch, and still counts one wake-up per
+    batch."""
+    k = 6
+    agent = NodeAgent({_Cluster.ADDR: DataProvider(0)})
+    agent.start()
+    driver = AioDriver()
+    try:
+        driver.register("vm", VersionManager())
+        driver.register_remote(_Cluster.ADDR, agent.endpoint)
+        driver.wait_connected()
+
+        def proto():
+            seen = []
+            for i in range(k):
+                dest, method = (("vm", "vm.stats") if i % 2
+                                else (_Cluster.ADDR, "data.stats"))
+                (result,) = yield Batch([Call(dest, method)])
+                seen.append(type(result).__name__)
+            return seen
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            created = []
+            create_future = loop.create_future
+
+            def counted():
+                created.append(1)
+                return create_future()
+
+            loop.create_future = counted
+            try:
+                seen = await driver.drive(proto())
+            finally:
+                del loop.create_future
+            return seen, len(created)
+
+        seen, futures = driver.run_async(main(), timeout=JOIN_TIMEOUT)
+        assert seen == ["dict"] * k
+        assert futures == 1
+        stats = driver.transport_stats()
+        assert stats["batches"] == stats["completion_wakeups"] == k
+    finally:
+        driver.close()
+        agent.close()
+
+
+def test_thousands_of_chained_batches_to_a_failed_address_do_not_recurse():
+    """Every group to a failed address completes inside its submit, so
+    each batch is released while its step still runs: the trampoline
+    steps it next, at the same stack depth, for any chain length."""
+    n = 5000
+    driver = AioDriver()
+    try:
+        driver.register(("data", 0), DataProvider(0))
+        driver.fail(("data", 0))
+
+        def proto():
+            for _ in range(n):
+                (result,) = yield Batch(
+                    [Call(("data", 0), "data.stats", allow_error=True)]
+                )
+                assert result.error_type == "PeerUnavailable"
+            return n
+
+        assert driver.run(proto()) == n
+        stats = driver.transport_stats()
+        assert stats["batches"] == stats["completion_wakeups"] == n
+    finally:
+        driver.close()
+
+
+def test_a_type_error_mid_protocol_fails_its_op_while_a_frame_mate_completes():
+    """A protocol that breaks while being stepped from a shared frame's
+    reply fails alone, with its own error at its ``await``: the frame's
+    other group is still delivered, and nothing escapes into the loop."""
+
+    def broken():
+        yield Batch([Call(_Cluster.ADDR, "data.stats")])
+        yield "not an op"
+
+    def sound():
+        (stats,) = yield Batch([Call(_Cluster.ADDR, "data.stats")])
+        return stats["pages"]
+
+    with _Cluster(DataProvider(0)) as cl:
+        errors = []
+        cl.driver.loop.call_soon_threadsafe(
+            cl.driver.loop.set_exception_handler,
+            lambda loop, ctx: errors.append(ctx),
+        )
+        failed, done = cl.together([broken(), sound()])
+        assert [len(f) for f in cl.frames] == [2]
+        assert isinstance(failed, TypeError) and "not an op" in str(failed)
+        assert done == 0
+        assert errors == []
+
+
+def test_a_cancelled_waiter_closes_its_protocol_and_stops_counting_it():
+    """Cancelling ``drive`` closes the protocol's generator and leaves
+    ``_driving`` at 0 (peers coalesce by it); the abandoned group, when
+    its service thread completes it later, steps nothing."""
+    parker = _Parker()
+    driver = AioDriver()
+    closed = []
+
+    def proto():
+        try:
+            yield Batch([Call("parked", "park")])
+        finally:
+            closed.append(True)
+
+    try:
+        driver.register("parked", parker)
+        errors = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, ctx: errors.append(ctx))
+            task = asyncio.ensure_future(driver.drive(proto()))
+            await loop.run_in_executor(None, parker.entered.wait, JOIN_TIMEOUT)
+            assert driver._driving == 1
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert closed == [True] and driver._driving == 0
+            parker.release.set()  # the abandoned group completes now...
+            # ...ahead of this call on the same service thread
+            return await loop.run_in_executor(
+                None, driver.call, "parked", "again"
+            )
+
+        assert driver.run_async(main(), timeout=JOIN_TIMEOUT) is True
+        assert errors == [] and closed == [True]
+        assert driver._driving == 0
+    finally:
+        parker.release.set()
+        driver.close()
+
+
 @pytest.mark.parametrize("bad", ["unpicklable", "forged"])
 def test_a_bad_request_in_a_coalesced_frame_fails_alone(bad):
     """One op's request cannot be encoded here (an unpicklable argument) or
@@ -632,13 +774,13 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
             return method
 
     releases: dict[int, int] = {}
-    group_done = aio._AioLatch.group_done
+    group_done = aio._Stepper.group_done
 
-    def counting_group_done(latch, gen):
-        releases[id(latch)] = releases.get(id(latch), 0) + 1
-        group_done(latch, gen)
+    def counting_group_done(stepper, gen):
+        releases[id(stepper)] = releases.get(id(stepper), 0) + 1
+        group_done(stepper, gen)
 
-    monkeypatch.setattr(aio._AioLatch, "group_done", counting_group_done)
+    monkeypatch.setattr(aio._Stepper, "group_done", counting_group_done)
 
     with _Cluster(Staller()) as cl:
         driver, peer = cl.driver, cl.peer

@@ -10,7 +10,13 @@ from repro.core.protocol import (
     virtual_pages,
 )
 from repro.errors import PageMissing, RemoteError
-from repro.net.sansio import Batch, Call, gather_with_failover, run_inproc
+from repro.net.sansio import (
+    Batch,
+    Call,
+    gather_with_failover,
+    run_inproc,
+    run_protocol,
+)
 from repro.util.sizes import KB
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
 
@@ -56,6 +62,29 @@ class TestGatherWithFailover:
         routes = {"a": ("s0",), "b": ("s0",)}
         got = self.drive(["a", "b"], {"s0": store}, routes)
         assert got == ["value-a", "value-b"]
+
+    def test_one_route_fetch_is_one_batch_returning_its_results(self):
+        """No slot failed: one batch, and its result list comes back as is."""
+        batches, delivered = [], []
+
+        def execute(batch):
+            batches.append(batch)
+            results = [f"value-{call.args[0]}" for call in batch.calls]
+            delivered.append(results)
+            return results
+
+        def proto():
+            return (yield from gather_with_failover(
+                ["a", "b"],
+                lambda item: ("s0",),
+                lambda item, owner, last: Call(owner, "get", (item,), allow_error=not last),
+            ))
+
+        got = run_protocol(proto(), execute)
+        assert got == ["value-a", "value-b"]
+        assert got is delivered[0]
+        assert [call.allow_error for call in batches[0].calls] == [False, False]
+        assert len(batches) == 1
 
     def test_failover_to_second_replica(self):
         primary = FlakyStore(permanent={"a"})

@@ -1,5 +1,5 @@
 """scripts/cpu_split.py: one smoke-shaped trial prints a CPU row for the
-aio loop thread and one per agent."""
+aio loop thread, one per agent and the client's cyclic collections."""
 
 from __future__ import annotations
 
@@ -21,4 +21,8 @@ def test_smoke_trial_prints_the_loop_thread_and_every_agent():
     names = [row.rsplit(None, 1)[0].strip() for row in rows]
     assert "aio-driver" in names
     assert sum(name.startswith("agent ") for name in names) == 4
+    assert "gc" in names
+    assert [name.split(" (")[0] for name in names if name.startswith("gc ")] == [
+        "gc gen0", "gc gen1", "gc gen2"
+    ]
     assert all(float(row.rsplit(None, 1)[1]) >= 0 for row in rows)

@@ -425,6 +425,35 @@ def test_vm_refuses_a_snapshot_of_another_layout(tmp_path):
             VersionManager(journal=Journal(tmp_path))
 
 
+def test_pm_refuses_a_snapshot_of_another_layout(tmp_path, capsys):
+    """A pm snapshot state without the pm's ``format`` tag or with
+    another one is refused, naming the directory and the format found —
+    never restored as a placement that would desynchronize; a pm agent
+    started on it exits 2 with that one line."""
+    pm_dir = tmp_path / "pm"
+    pm = ProviderManager(journal=Journal(pm_dir))
+    for i in range(3):
+        pm.register(i)
+    pm.get_providers("b", 4, PAGE)
+    state = pm._snapshot()
+    pm.close()
+    assert state["format"] == "repro.pm/2"
+    untagged = {k: v for k, v in state.items() if k != "format"}
+    for stale, found in ((untagged, "None"), (dict(state, format="repro.pm/1"),
+                                              "'repro.pm/1'")):
+        journal = Journal(pm_dir)
+        journal.open()
+        journal.compact(stale)
+        journal.close()
+        with pytest.raises(JournalError, match=re.escape(str(pm_dir))) as err:
+            ProviderManager(journal=Journal(pm_dir))
+        assert f"format {found}" in str(err.value)
+        assert node_main(["--actor", "pm", "--state-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: provider manager snapshot in")
+        assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # provider manager recovery
 # ---------------------------------------------------------------------------

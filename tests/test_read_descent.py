@@ -12,12 +12,15 @@ in the same order and return the same result.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import ReadResult, read_protocol
+from repro.core import protocol
+from repro.core.protocol import ReadResult, WriteResult, read_protocol
 from repro.metadata.build import plan_write_tree
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
@@ -245,3 +248,20 @@ def test_named_shapes_read_as_the_level_walker_did():
     batches, result = compare(GEOM, 0, [(0, 40), (7, 30)], 5, 900, LATEST,
                               "warm", rnd)
     assert result.cache_hits and result.nodes_fetched
+
+
+def test_result_records_built_by_slot_stay_frozen_and_equal():
+    """READ and WRITE build their records through the slot setters, not
+    ``__init__``: a built record still refuses a field assignment, and
+    equals, hashes and prints as the constructor-built one."""
+    _, read = compare(GEOM, 0, [(0, 64)], 0, 1024, LATEST, "cold", random.Random(5))
+    write = protocol._write_result("b", 3, 2, 0, 64, 4, 9)
+    for built, cls in ((read, ReadResult), (write, WriteResult)):
+        assert type(built) is cls
+        constructed = cls(**{f.name: getattr(built, f.name)
+                             for f in dataclasses.fields(cls)})
+        assert built == constructed and hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.version = 7
+    assert write == WriteResult("b", 3, 2, 0, 64, 4, 9) and not write.published
