@@ -64,12 +64,16 @@ def test_ablation_metadata(benchmark, publish, publish_json, profile):
     # segment-sized reads are client-bound: the cut never costs them more
     # than a few %, and buys some back where it skips many levels
     # (S = whole blob only up to 8 readers: past that its one provider
-    # throttles them like the centralized layout does)
+    # throttles them like the centralized layout does). These readers keep
+    # no cache, so below the cut they receive the leaves only: at S = 1 MB,
+    # where every level but the top ones is below it, they read about a
+    # quarter faster than with per-node dispersal
     readers = fig.series_by_label("distributed (20 providers)").x
-    for s, limit in (("1 MB", 16), ("64 MB", 16), ("1 TB", 8)):
+    for s, limit, lo, hi in (("1 MB", 16, 1.15, 1.35), ("64 MB", 16, 0.95, 1.15),
+                             ("1 TB", 8, 0.95, 1.15)):
         local = y(f"subtree-local S={s}")
         assert all(
-            0.95 * b < a < 1.15 * b
+            lo * b < a < hi * b
             for n, a, b in zip(readers, local, distributed) if n <= limit
         )
     # the price: writers confined to one region all put on its one owner.

@@ -4,13 +4,13 @@ Where one perfbench trial's CPU goes: it builds the trial exactly as
 ``perfbench/run.py`` does (one CPU, the same cluster, populate and warm-up
 round), then prints CPU µs per timed op for each thread of this process
 (``MainThread``, ``aio-driver``, ``actor-vm``, ``actor-pm``, ``recv-*``, ...)
-and for each agent process, from utime + stime in
-``/proc/<pid>/task/*/stat`` read before and after the timed rounds.
+and for each agent process, from the nanosecond run time the scheduler
+keeps per thread (the first field of ``/proc/<pid>/task/<tid>/schedstat``),
+read before and after the timed rounds.
 
 ``MainThread`` also runs the calibration kernel that brackets every round,
-so its row is not all client work. utime and stime count whole clock
-ticks (10 ms at the usual 100 Hz), so run enough rounds that every row
-you read spans many ticks. perfbench is only imported, never edited.
+so its row is not all client work. perfbench is only imported, never
+edited.
 
 The ``gc`` rows are this process's cyclic collections during the timed
 rounds (thread CPU from each collection's ``gc.callbacks`` start to its
@@ -35,29 +35,28 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.harness import Trial, TrialConfig, pin_one_cpu  # noqa: E402
 
-TICK_S = 1 / os.sysconf("SC_CLK_TCK")
-
-
-def task_ticks(pid: int) -> dict[int, int]:
-    """utime + stime, in clock ticks, of every thread of ``pid``."""
-    ticks = {}
+def task_cpu_ns(pid: int) -> dict[int, int]:
+    """CPU time on the clock, in ns, of every thread of ``pid``."""
+    cpu_ns = {}
     for tid in os.listdir(f"/proc/{pid}/task"):
-        with open(f"/proc/{pid}/task/{tid}/stat") as fh:
-            fields = fh.read().rpartition(")")[2].split()
-        ticks[int(tid)] = int(fields[11]) + int(fields[12])
-    return ticks
+        try:
+            with open(f"/proc/{pid}/task/{tid}/schedstat") as fh:
+                cpu_ns[int(tid)] = int(fh.read().split()[0])
+        except FileNotFoundError:  # the thread exited since the listing
+            continue
+    return cpu_ns
 
 
 def snapshot(trial: Trial) -> dict[str, int]:
-    """Ticks per row: this process's threads by name, agents by actors."""
+    """CPU ns per row: this process's threads by name, agents by actors."""
     names = {t.native_id: t.name for t in threading.enumerate()}
     rows: dict[str, int] = {}
-    for tid, ticks in task_ticks(os.getpid()).items():
+    for tid, ns in task_cpu_ns(os.getpid()).items():
         name = names.get(tid, f"tid-{tid}")
-        rows[name] = rows.get(name, 0) + ticks
+        rows[name] = rows.get(name, 0) + ns
     for agent in trial.dep.agents:
         label = "agent " + "+".join(agent.actor_names)
-        rows[label] = sum(task_ticks(agent.proc.pid).values())
+        rows[label] = sum(task_cpu_ns(agent.proc.pid).values())
     return rows
 
 
@@ -113,12 +112,12 @@ def main(argv: list[str] | None = None) -> int:
             trial.close()
     per_op = max(n_ops, 1)
     print(f"{args.workload} seed={args.seed}: {n_ops} timed ops, "
-          f"{trial.failed} failed; clock tick {TICK_S * 1e3:g} ms; "
+          f"{trial.failed} failed; thread CPU from schedstat (ns); "
           "MainThread includes the calibration kernel; the gc rows are "
           "inside the thread rows")
     print(f"{'process / thread':<40} {'cpu_us_per_op':>14}")
     for name in sorted(after, key=lambda k: after[k] - before.get(k, 0), reverse=True):
-        us = (after[name] - before.get(name, 0)) * TICK_S * 1e6 / per_op
+        us = (after[name] - before.get(name, 0)) / 1e3 / per_op
         print(f"{name:<40} {us:>14.1f}")
     print(f"{'gc':<40} {sum(collections.cpu_ns) / 1e3 / per_op:>14.1f}")
     for gen, (runs, ns, found) in enumerate(zip(

@@ -13,11 +13,16 @@ router's cut one by one) → version manager (success report).
 READ: version manager (latest/validation, the only centralized touch — which
 also names, from its patch history, the version whose tree holds the root of
 each co-located region the request touches) → metadata providers (one
-``meta.get_subtree`` batch from those region roots; when the vm cannot say,
-or is not asked, the descent starts at the blob root: one parallel batch per
-level above the cut, then the subtree batch — with ``subtree_bytes = 0``
-nothing is below the cut and this is the paper's one batch per level) → data
-providers (pages, parallel). Three round trips at any depth.
+subtree batch from those region roots; when the vm cannot say, or is not
+asked, the descent starts at the blob root: one parallel batch of
+``meta.get_node`` per level above the cut, then the subtree batch — with
+``subtree_bytes = 0`` nothing is below the cut and this is the paper's one
+batch per level) → data providers (pages, parallel). Three round trips at
+any depth. A READ whose client keeps a metadata cache asks each co-located
+key for its subtree (``meta.get_subtree``) and caches every node; one
+without a cache asks for the leaves only (``meta.get_leaves``: the same
+walk on the provider, only the leaves shipped), which go straight to the
+page fetch.
 
 Replica fail-over: with ``replication > 1`` every fetch tries the primary
 owner and falls back to successive replicas on failure; the final attempt
@@ -299,7 +304,8 @@ def read_protocol(
     touches when the vm names them (``vm.resolve_read`` with ``regions``,
     see :meth:`StaticRouter.regions_worth_asking`), from the blob root
     otherwise. ``nodes_fetched`` counts every node received either way; a
-    READ that starts below the cut receives, and caches, nothing above it.
+    READ that starts below the cut receives, and caches, nothing above it,
+    and one with no ``cache`` receives only the leaves below the cut.
 
     ``locate_fallback`` arms the elastic-cluster page fallback: when every
     provider a tree node records answers PageMissing (the page was moved
@@ -385,6 +391,20 @@ def read_protocol(
         else:  # untouched since the initial all-zero string
             zero_bytes += min(lo + span, req_end) - max(lo, offset)
     while level:
+        if cache is None and router.colocated(level[0]):
+            # nothing keeps the inner nodes: the owners of this level's
+            # co-located keys reply with the leaves their walk reaches, in
+            # ascending offset order; what those leaves leave uncovered of
+            # each key's part of the request is the zero string
+            fetched = yield from fetch_nodes(router, level, req, leaves_only=True)
+            nodes_fetched += len(fetched)
+            leaves.extend(fetched)
+            for _, _, lo, span in level:
+                zero_bytes += min(lo + span, req_end) - max(lo, offset)
+            for leaf in fetched:
+                _, _, lo, span = leaf.key
+                zero_bytes -= min(lo + span, req_end) - max(lo, offset)
+            break
         to_fetch: list[NodeKey] = []
         for key in level:
             if key in known:

@@ -132,7 +132,9 @@ class Deployment(_Inspection):
         dp = DataProvider(new_id, checksum=self.spec.page_checksums)
         self.data[new_id] = dp
         self.driver.register(("data", new_id), dp)
-        self.pm.register(new_id)
+        # through the driver: an in-parent pm is served (and its journal
+        # appended) by one thread only
+        self.driver.call("pm", "pm.register", (new_id,))
         return new_id
 
     def close(self) -> None:

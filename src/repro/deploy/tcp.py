@@ -327,7 +327,7 @@ class TcpDeployment(Deployment):
         if self.remote_control_plane:
             _await_pm_registration(self.driver, [new_id], deadline)
         else:
-            self.pm.register(new_id)
+            self.driver.call("pm", "pm.register", (new_id,))
         self.data[new_id] = DataProviderProxy(self.driver, ("data", new_id))
         return new_id
 
@@ -338,7 +338,8 @@ class TcpDeployment(Deployment):
         from repro.providers.rebalance import execute_rebalance
 
         return execute_rebalance(
-            self.driver, self.pm.providers(), limit_moves=limit_moves
+            self.driver, self.driver.call("pm", "pm.providers"),
+            limit_moves=limit_moves,
         )
 
     def drain_agent(
@@ -356,7 +357,7 @@ class TcpDeployment(Deployment):
 
         summary = drain_provider(
             self.driver,
-            self.pm.providers(),
+            self.driver.call("pm", "pm.providers"),
             provider_id,
             limit_moves=limit_moves,
         )

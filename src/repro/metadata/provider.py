@@ -102,24 +102,48 @@ class MetadataProvider:
         for ``get_node`` — clients only ask for subtrees their router
         co-locates here, so absence is a genuine loss (or a concurrent GC).
         """
+        return self._walk(key, offset, size, True)
+
+    def get_leaves(self, key: NodeKey, offset: int, size: int) -> list[TreeNode]:
+        """:meth:`get_subtree`'s walk, replying with its leaves only.
+
+        The same walk, booked the same way (one ``subtree_gets``, every
+        visited node in ``gets`` / ``nodes_served``, an absent descendant
+        :class:`NodeMissing`), but the reply keeps only the leaves that
+        meet ``[offset, offset + size)``, in ascending offset order: all
+        a reader with no metadata cache uses of the nodes it walks.
+        """
+        return self._walk(key, offset, size, False)
+
+    def _walk(
+        self, key: NodeKey, offset: int, size: int, inner: bool
+    ) -> list[TreeNode]:
+        """The walk both subtree verbs run; ``inner`` keeps the inner nodes
+        in the reply (level order) besides the leaves."""
         if not isinstance(key, NodeKey) or offset < 0 or size < 0:
             raise ValueError(
-                "get_subtree needs a NodeKey and a non-negative interval, "
+                "a subtree walk needs a NodeKey and a non-negative interval, "
                 f"got {key!r}, {offset!r}, {size!r}"
             )
         self.subtree_gets += 1
         nodes = self._nodes
         end = offset + size
         # one pass over a FIFO that grows behind the cursor: level order
+        # (every leaf of a balanced tree sits on its last level, so the
+        # leaves come out in ascending offset order)
         out: list[TreeNode] = []
         wanted = [key]
+        served = 0
         try:
             for node_key in wanted:
                 node = nodes[node_key]
-                out.append(node)
+                served += 1
                 left = node.left_version
                 if left is None:
+                    out.append(node)
                     continue
+                if inner:
+                    out.append(node)
                 blob_id, _, lo, span = node_key
                 half = span >> 1
                 mid = lo + half
@@ -135,8 +159,8 @@ class MetadataProvider:
         finally:
             # booked once: the lookups made (a failed one is the last of
             # them) and those that found their node
-            self.gets += len(out) + (len(out) < len(wanted))
-            self.nodes_served += len(out)
+            self.gets += served + (served < len(wanted))
+            self.nodes_served += served
         return out
 
     def has_node(self, key: NodeKey) -> bool:
@@ -193,6 +217,7 @@ class MetadataProvider:
             "meta.put_nodes": put_nodes,
             "meta.get_node": get_node,
             "meta.get_subtree": get_subtree,
+            "meta.get_leaves": get_leaves,
             "meta.free_nodes": free_nodes,
             "meta.list_nodes": list_nodes,
             "meta.dump_nodes": dump_nodes,

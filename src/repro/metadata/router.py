@@ -16,7 +16,8 @@ node spanning *at most* ``S`` bytes is routed by the S-aligned region it
 lies in — ``(blob, offset // S)``; ``version`` and ``size`` leave the
 digest — so every version of one S-aligned subtree lives on the same
 ``replication`` owners, who can then walk it locally in one RPC
-(``meta.get_subtree``, see :func:`fetch_nodes`) and receive a WRITE's nodes
+(``meta.get_subtree``, or ``meta.get_leaves`` for a reader that keeps
+only the leaves, see :func:`fetch_nodes`) and receive a WRITE's nodes
 for it in one (``meta.put_nodes``, see :func:`store_nodes`). Nodes above the
 cut keep the per-node digest. ``S = 0`` co-locates nothing: that *is* the
 paper's BambooDHT dispersal, bit-for-bit, and what the simulated figures
@@ -182,7 +183,10 @@ class StaticRouter:
 
 
 def fetch_nodes(
-    router: StaticRouter, keys: list[NodeKey], within: Interval | None = None
+    router: StaticRouter,
+    keys: list[NodeKey],
+    within: Interval | None = None,
+    leaves_only: bool = False,
 ) -> Protocol[list[TreeNode]]:
     """Fetch tree nodes, falling back across replicas on failure — the one
     node-fetch step of every tree walker (READ, GC mark, inspect, diff).
@@ -191,16 +195,20 @@ def fetch_nodes(
     below the router's cut is fetched with ``meta.get_subtree``: its owner
     walks its own store and the reply carries, in level order, the node
     and every stored descendant whose interval intersects ``within`` — the
-    walker's next levels, without their round trips. Above the cut (and
-    for ``within=None``, a walker that prunes by something other than an
-    interval) each key is one ``meta.get_node``.
+    walker's next levels, without their round trips. A walker that keeps
+    only the leaves (a READ with no metadata cache) passes ``leaves_only``
+    and such a key is ``meta.get_leaves`` instead: the same walk, whose
+    reply carries only the leaves that meet ``within``, in ascending offset
+    order. Above the cut (and for ``within=None``, a walker that prunes by
+    something other than an interval) each key is one ``meta.get_node``.
     """
+    walk = "meta.get_leaves" if leaves_only else "meta.get_subtree"
 
     def call_for(key: NodeKey, owner: Address, last: bool) -> Call:
         if within is not None and router.colocated(key):
             return Call(
                 owner,
-                "meta.get_subtree",
+                walk,
                 (key, within.offset, within.size),
                 request_bytes=_GET_SUBTREE_REQ_BYTES,
                 allow_error=not last,

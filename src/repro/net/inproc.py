@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.net.sansio import Actor, Address, FaultInjection, Protocol, run_inproc
+from repro.net.sansio import (
+    Actor,
+    Address,
+    FaultInjection,
+    Protocol,
+    one_call,
+    run_inproc,
+)
 from repro.obs.telemetry import telemetry_report
 
 
@@ -50,3 +57,7 @@ class InprocDriver(FaultInjection):
     def run(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol to completion and return its value."""
         return run_inproc(proto, self._registry, self._down)
+
+    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
+        """One-off RPC outside any protocol (inspection surfaces)."""
+        return self.run(one_call(address, method, args))

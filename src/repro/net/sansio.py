@@ -114,6 +114,12 @@ Op = Union[Batch, Compute, Mark]
 Protocol = Generator[Op, Any, T]
 
 
+def one_call(address: Address, method: str, args: tuple = ()) -> Protocol[Any]:
+    """The protocol of one RPC outside any other (a driver's ``call``)."""
+    (result,) = yield Batch([Call(address, method, args)])
+    return result
+
+
 class WireGroup(NamedTuple):
     """One wire RPC: the sub-calls bound for a single destination.
 

@@ -54,6 +54,9 @@ from repro.obs.spans import SIM_DOMAIN, current_op, make_span, new_span_id
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
+#: the node-carrying calls that walk the provider's store
+_WALKS = frozenset(("meta.get_subtree", "meta.get_leaves"))
+
 
 class SimRpcExecutor(FaultInjection):
     """Registry of simulated actors plus the protocol runner."""
@@ -194,7 +197,7 @@ class SimRpcExecutor(FaultInjection):
         prev_method = None
         costs = (0.0, 0.0, 0.0)
         node_rows = None  # per-node rows of the current method, if it has
-        per_node = False
+        walks = False
         for c in calls:
             rb = c.request_bytes
             req_payload += rb if rb is not None else estimate_size(c.args)
@@ -203,7 +206,7 @@ class SimRpcExecutor(FaultInjection):
                 costs = method_costs(method)
                 prev_method = method
                 node_rows = PER_NODE_ROWS.get(method)
-                per_node = per_node or node_rows is not None
+                walks = walks or method in _WALKS
             service_sum += costs[0]
             reply_sum += costs[1]
             async_sum += costs[2]
@@ -250,10 +253,20 @@ class SimRpcExecutor(FaultInjection):
         t_served = sim.now
         # 4. handler execution at the simulated completion instant
         reason = self._down.get(dest)
-        if reason is None:
-            values = [dispatch_call(actor, c) for c in calls]
-        else:
+        walked: list[int] | None = None
+        if reason is not None:
             values = [RemoteError("PeerUnavailable", reason) for _ in calls]
+        elif walks:
+            # a walk's service is priced per node it visited, which only
+            # the provider knows: its ``nodes_served`` moves by exactly that
+            values = []
+            walked = []
+            for c in calls:
+                served = actor.nodes_served
+                values.append(dispatch_call(actor, c))
+                walked.append(actor.nodes_served - served)
+        else:
+            values = [dispatch_call(actor, c) for c in calls]
         # 5. response: server reply-handling CPU, tx, link, client rx
         resp_payload = 0
         for v in values:
@@ -262,15 +275,15 @@ class SimRpcExecutor(FaultInjection):
         network.messages_sent += 1
         network.bytes_sent += resp_bytes
         resp_cpu = spec.server_byte_cpu * resp_payload
-        if per_node:
+        if walked is not None:
             # a reply carrying nodes costs what they would have one by one:
-            # n × the per-node service row here (known only now that the
-            # handler ran), n × the per-node reply row on the client
-            for c, v in zip(calls, values):
-                rows = PER_NODE_ROWS.get(c.method)
-                if rows is not None and v.__class__ is list:
-                    node_service, node_reply, _ = method_costs(rows)
-                    resp_cpu += len(v) * node_service
+            # the per-node service row for each node the walk visited here
+            # (known only now that the handler ran), the per-node reply row
+            # on the client for each node returned
+            for c, v, visited in zip(calls, values, walked):
+                if v.__class__ is list and c.method in _WALKS:
+                    node_service, node_reply, _ = method_costs(PER_NODE_ROWS[c.method])
+                    resp_cpu += visited * node_service
                     reply_sum += len(v) * node_reply
         resp_cpu_done = server_node.cpu.push(resp_cpu)
         if loopback:

@@ -58,6 +58,7 @@ from repro.net.sansio import (
     Protocol,
     deliver,
     dispatch_call,
+    one_call,
     plan_wire_groups,
     run_protocol,
 )
@@ -425,12 +426,7 @@ class PeerRegistry(FaultInjection):
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""
-
-        def proto():
-            (result,) = yield Batch([Call(address, method, args)])
-            return result
-
-        return self.run(proto())
+        return self.run(one_call(address, method, args))
 
     # -- execution -------------------------------------------------------
 

@@ -91,18 +91,22 @@ def _default_compute() -> dict[str, float]:
     }
 
 
-#: The two calls that carry a list of tree nodes, each mapped to the
-#: per-node method whose rows price every node carried — on top of the
-#: call's own default per-call rows, so a batched call is never cheaper in
-#: the model than the nodes it carries. ``meta.get_subtree`` carries them in
-#: its reply: service CPU and client reply CPU per node returned, reply
-#: bytes from ``estimate_size`` of the list. ``meta.put_nodes`` carries
-#: them in its request: service CPU per node sent, request bytes per node
-#: (set by ``metadata/router.py::store_nodes``). What batching saves is
-#: round trips, sub-call framing and — for puts — the DHT's asynchronous
+#: The calls that carry a list of tree nodes, each mapped to the per-node
+#: method whose rows price every node carried — on top of the call's own
+#: default per-call rows, so a batched call is never cheaper in the model
+#: than the nodes it carries. ``meta.get_subtree`` and ``meta.get_leaves``
+#: carry them in their reply: service CPU per node the provider's walk
+#: visited (read off its ``nodes_served``: every node for the subtree, the
+#: inner nodes too for the leaves-only reply), client reply CPU per node
+#: returned, reply bytes from ``estimate_size`` of the list.
+#: ``meta.put_nodes`` carries them in its request: service CPU per node
+#: sent, request bytes per node (set by
+#: ``metadata/router.py::store_nodes``). What batching saves is round
+#: trips, sub-call framing and — for puts — the DHT's asynchronous
 #: completion latency, paid once per call (``_default_service_async``).
 PER_NODE_ROWS = {
     "meta.get_subtree": "meta.get_node",
+    "meta.get_leaves": "meta.get_node",
     "meta.put_nodes": "meta.put_node",
 }
 

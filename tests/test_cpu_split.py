@@ -17,7 +17,7 @@ def test_smoke_trial_prints_the_loop_thread_and_every_agent():
     )
     assert proc.returncode == 0, proc.stderr
     header, _, *rows = proc.stdout.splitlines()
-    assert "0 failed" in header and "clock tick" in header
+    assert "0 failed" in header and "schedstat" in header
     names = [row.rsplit(None, 1)[0].strip() for row in rows]
     assert "aio-driver" in names
     assert sum(name.startswith("agent ") for name in names) == 4

@@ -1,13 +1,16 @@
 """The READ descent on plain ints against the level-by-level walker it
 replaced.
 
-``reference_read`` keeps that walker: every level is filtered for
+``reference_read`` keeps that walker (with ``meta.get_subtree`` below the
+cut even when no cache keeps its inner nodes): every level is filtered for
 version-0 keys, resolved from the nodes received, the cache or a fetch,
 and expanded through ``TreeNode.child_keys``, and each page key comes from
 ``geom.page_index(leaf.interval)``. Both READs are driven with the same
 canned replies (a version manager and one metadata store holding the
 trees of random writes) and must yield the same batches, visit the leaves
-in the same order and return the same result.
+in the same order and return the same result — a READ with no cache
+asks for the leaves only (``meta.get_leaves``), so there it receives only
+the nodes above the cut and the leaves.
 """
 
 from __future__ import annotations
@@ -207,6 +210,21 @@ def compare(geom, cut, writes, offset, size, version, cache_kind, rnd):
     batches, result = canned.run(read_protocol(
         canned.blob, geom, offset, size, router, version=version, cache=caches[1]
     ))
+    if cache_kind == "none":
+        # a READ with no cache asks the co-located keys' owners for their
+        # leaves only: the walker's batches with that verb, and of the
+        # nodes it received, those above the cut and the leaves below it
+        ref_batches = [
+            [(dest, "meta.get_leaves" if method == "meta.get_subtree" else method,
+              args) for dest, method, args in batch]
+            for batch in ref_batches
+        ]
+        above = sum(
+            call[1] == "meta.get_node" for batch in ref_batches for call in batch
+        )
+        leaves_below = router.colocated(NodeKey("", 0, 0, geom.pagesize))
+        below = ref.pages_fetched if leaves_below else 0
+        ref = dataclasses.replace(ref, nodes_fetched=above + below)
     assert batches == ref_batches  # the page batch is the leaf order
     assert result == ref
     if cache_kind != "none":
@@ -237,6 +255,8 @@ def test_named_shapes_read_as_the_level_walker_did():
     # cut inside: the vm names three region roots; two are version 0
     batches, result = compare(GEOM, 128, [(9, 2)], 100, 250, LATEST, "none", rnd)
     assert len(batches[0][0][2][2]) == 3 and result.zero_bytes == 250 - 32
+    assert [call[1] for call in batches[1]] == ["meta.get_leaves"]
+    assert result.nodes_fetched == result.pages_fetched == 2
     # the vm declines: version 1 was overwritten by version 2
     batches, result = compare(GEOM, 128, [(0, 64), (0, 64)], 0, 300, 1, "cold", rnd)
     assert batches[1][0][1] == "meta.get_node"

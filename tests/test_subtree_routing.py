@@ -48,17 +48,18 @@ from repro.version.diff import changed_ranges
 from repro.version.manager import LATEST, VersionManager
 from tests.conftest import BUILDERS, SMALL_PAGE, SMALL_TOTAL, pages
 
-META_READS = ("meta.get_node", "meta.get_subtree")
+META_READS = ("meta.get_node", "meta.get_subtree", "meta.get_leaves")
 META_WRITES = ("meta.put_node", "meta.put_nodes")
 
 
 def observed(proto, on_batch=None):
     """Wrap a protocol: count its batches and metadata-read batches, note
     the page indices it fetches, the sizes of the nodes it asks for one by
-    one, whether it asked the vm for region roots and what its metadata
-    store batches hold — and let a test act before a batch runs."""
+    one, the subtree walks it asks for, whether it asked the vm for region
+    roots and what its metadata store batches hold — and let a test act
+    before a batch runs."""
     seen = {"batches": 0, "meta_batches": 0, "pages": set(), "node_sizes": [],
-            "asked": False, "meta_puts": []}
+            "asked": False, "meta_puts": [], "walks": []}
 
     def wrapper():
         try:
@@ -80,6 +81,8 @@ def observed(proto, on_batch=None):
                             seen["node_sizes"].append(c.args[0].size)
                         elif c.method == "vm.resolve_read":
                             seen["asked"] = len(c.args) == 3
+                        elif c.method in ("meta.get_subtree", "meta.get_leaves"):
+                            seen["walks"].append(c.method)
                 op = proto.send((yield op))
         except StopIteration as stop:
             return stop.value
@@ -160,18 +163,23 @@ def test_reads_equal_the_per_node_descent(seed, cut):
             assert got_seen["pages"] == ref_seen["pages"]
             if not cached:
                 # an answered READ starts below the cut: it is short by
-                # exactly the nodes the per-node descent visits above it
-                above = sum(s > cut for s in ref_seen["node_sizes"]) * answered
+                # exactly the nodes the per-node descent visits above it;
+                # below the cut a READ with no cache receives the leaves only
+                ref_above = sum(s > cut for s in ref_seen["node_sizes"])
+                above = ref_above * answered
                 outcomes.add((got_seen["asked"], bool(answered)))
                 assert got.cache_hits == 0
-                assert got.nodes_fetched == ref.nodes_fetched - above
+                assert got.nodes_fetched == ref_above - above + got.pages_fetched
+                assert set(got_seen["walks"]) <= {"meta.get_leaves"}
                 if got.pages_fetched:  # the descent reached the leaves
                     assert ref_seen["batches"] == 2 + _levels_above(0)
                     assert got_seen["batches"] == (
                         3 if answered else 2 + _levels_above(cut) + 1
                     )
-            assert (got.nodes_fetched + got.cache_hits
-                    == ref.nodes_fetched + ref.cache_hits - above)
+            else:
+                assert (got.nodes_fetched + got.cache_hits
+                        == ref.nodes_fetched + ref.cache_hits - above)
+                assert set(got_seen["walks"]) <= {"meta.get_subtree"}
         if version == latest and got_seen["asked"]:
             assert answered  # never declined at the latest published version
     # the vm is asked only where it can pay: never when the root itself is
@@ -204,6 +212,12 @@ def _descend(provider, key, offset, size):
     return out
 
 
+def _descend_to_leaves(provider, key, offset, size):
+    """The reference walk, keeping its leaves: what ``get_leaves`` must
+    equal (the same lookups, so the same counters)."""
+    return [node for node in _descend(provider, key, offset, size) if node.is_leaf]
+
+
 def _walked(walk, provider, key, offset, size):
     """``walk``'s nodes (or its ``NodeMissing``) and counter deltas."""
     before = provider.stats()
@@ -216,7 +230,7 @@ def _walked(walk, provider, key, offset, size):
     return outcome, deltas
 
 
-@pytest.mark.parametrize(
+WALK_CASES = pytest.mark.parametrize(
     "version, first, npages, drop",
     [
         ("latest", 0, 1024, None),  # the whole blob, zero children included
@@ -230,10 +244,29 @@ def _walked(walk, provider, key, offset, size):
         (99, 0, 1024, None),  # no such version: the root is missing
     ],
 )
+
+
+@WALK_CASES
 def test_get_subtree_equals_the_level_by_level_descent(version, first, npages, drop):
     """The one-loop ``get_subtree`` against the ``get_node`` descent over
     the same store: the same nodes in the same order, the same counter
     deltas and the same ``NodeMissing``."""
+    _walk_equals(MetadataProvider.get_subtree, _descend, version, first, npages, drop)
+
+
+@WALK_CASES
+def test_get_leaves_equals_the_leaves_of_the_level_by_level_descent(
+    version, first, npages, drop
+):
+    """``get_leaves`` runs ``get_subtree``'s walk: the descent's leaves in
+    the same order, the same counter deltas for every node walked, the
+    same ``NodeMissing`` for an absent descendant."""
+    _walk_equals(
+        MetadataProvider.get_leaves, _descend_to_leaves, version, first, npages, drop
+    )
+
+
+def _walk_equals(walk, reference, version, first, npages, drop):
     _, writes = _history(0)
     dep = build_inproc(DeploymentSpec(n_data=2, n_meta=1))
     client = dep.client()
@@ -247,13 +280,16 @@ def test_get_subtree_equals_the_level_by_level_descent(version, first, npages, d
     if drop is not None:
         victim = _descend(provider, *args)[drop]
         assert provider.free_nodes([victim.key]) == 1
-    got = _walked(MetadataProvider.get_subtree, provider, *args)
-    want = _walked(_descend, provider, *args)
+    got = _walked(walk, provider, *args)
+    want = _walked(reference, provider, *args)
     assert got == want
     nodes, deltas = got
     assert deltas["subtree_gets"] == 1
     if drop is None and version != 99:
-        assert deltas["gets"] == deltas["nodes_served"] == len(nodes) > 0
+        # every node walked is booked, whichever of them the reply keeps
+        walked = len(_descend(provider, *args))
+        assert deltas["gets"] == deltas["nodes_served"] == walked >= len(nodes)
+        assert walk is MetadataProvider.get_leaves or walked == len(nodes)
     else:
         assert nodes[0] == "NodeMissing"
         assert deltas["gets"] == deltas["nodes_served"] + 1
@@ -411,10 +447,13 @@ def _budget_on(dep):
     )
     got = dep.driver.run(proto)
     assert bytes(got.data) == pages(4, b"B")
-    # version -> one get_subtree for the region -> pages
+    # version -> one get_leaves for the region -> pages
     assert (seen["batches"], seen["meta_batches"], seen["asked"]) == (3, 1, True)
     assert seen["node_sizes"] == []  # nothing above the cut was fetched
-    assert got.nodes_fetched == written.nodes_written - 4
+    assert seen["walks"] == ["meta.get_leaves"]
+    # no cache keeps the region's inner nodes: only its 4 leaves come back
+    assert got.nodes_fetched == got.pages_fetched == 4
+    assert written.nodes_written > 4 + got.nodes_fetched
     # a request spanning two regions: still 3 batches, one walk per region
     client.write(blob, pages(2, b"C"), 64 * MB - SMALL_PAGE)
     proto, seen = observed(read_protocol(
@@ -424,6 +463,14 @@ def _budget_on(dep):
     assert (seen["batches"], seen["meta_batches"]) == (3, 1)
     stats = call(dep, "vm", "vm.stats")
     assert (stats["roots_answered"], stats["roots_declined"]) == (2, 0)
+    # a one-page READ: one get_leaves, one node received
+    proto, seen = observed(
+        read_protocol(blob, geom, 40 * MB + SMALL_PAGE, SMALL_PAGE, dep.router)
+    )
+    got = dep.driver.run(proto)
+    assert bytes(got.data) == pages(1, b"B")
+    assert seen["walks"] == ["meta.get_leaves"] and seen["batches"] == 3
+    assert got.nodes_fetched == got.pages_fetched == 1
 
 
 @pytest.mark.parametrize("driver", ["inproc", "threaded", "tcp", "aio"])
@@ -558,6 +605,18 @@ def test_no_cut_never_issues_get_subtree():
 
 
 def test_subtree_primary_crashed_mid_read_costs_one_extra_batch():
+    """A READ with a cache walks with ``get_subtree``: a dead primary
+    costs one extra batch."""
+    _primary_crashed_mid_read("meta.get_subtree")
+
+
+def test_leaves_primary_crashed_mid_read_costs_one_extra_batch():
+    """A READ with no cache walks with ``get_leaves``: a dead primary
+    costs one extra batch too."""
+    _primary_crashed_mid_read("meta.get_leaves")
+
+
+def _primary_crashed_mid_read(walk):
     dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, replication=2,
                                       cache_capacity=0))
     client = dep.client()
@@ -566,8 +625,10 @@ def test_subtree_primary_crashed_mid_read_costs_one_extra_batch():
     geom = client.open(blob)
 
     def read(on_batch=None):
+        cache = MetadataCache() if walk == "meta.get_subtree" else None
         proto, seen = observed(
-            read_protocol(blob, geom, 0, 8 * SMALL_PAGE, dep.router), on_batch
+            read_protocol(blob, geom, 0, 8 * SMALL_PAGE, dep.router, cache=cache),
+            on_batch,
         )
         return dep.driver.run(proto), seen
 
@@ -577,9 +638,9 @@ def test_subtree_primary_crashed_mid_read_costs_one_extra_batch():
 
     def crash_the_owner(batch):
         # the READ is under way (vm already answered) when the subtree's
-        # primary owner dies, just before its get_subtree is sent
+        # primary owner dies, just before its walk is sent
         for c in batch.calls:
-            if c.method == "meta.get_subtree" and not failed:
+            if c.method == walk and not failed:
                 dep.driver.fail(c.dest)
                 failed.append(c.dest)
 
@@ -588,6 +649,7 @@ def test_subtree_primary_crashed_mid_read_costs_one_extra_batch():
     assert got.nodes_fetched == healthy.nodes_fetched
     assert seen["batches"] == healthy_seen["batches"] + 1
     assert len(failed) == 1
+    assert set(seen["walks"]) == set(healthy_seen["walks"]) == {walk}
 
 
 def _node_missing_on(dep):
@@ -711,6 +773,52 @@ def test_simulator_prices_a_subtree_reply_per_node_returned():
     assert sum(m.subtree_gets for m in dep.meta.values()) == 2
 
 
+def test_simulator_prices_a_leaves_reply_per_node_walked_and_per_leaf_returned():
+    """``meta.get_leaves`` walks what ``meta.get_subtree`` walks: the
+    model charges the provider the service row for every node visited,
+    the client the reply row only for the leaves it receives."""
+    spec = None
+    phases = {}
+    for cached in (True, False):
+        dep = SimDeployment(DeploymentSpec(
+            n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
+            meta_subtree_bytes=SMALL_TOTAL,
+        ))
+        spec = dep.network.spec
+        blob = dep.alloc_blob(SMALL_TOTAL, SMALL_PAGE)
+        client = dep.client(0, cached=cached)
+        client.write_virtual(blob, 0, 64 * SMALL_PAGE)
+        served = sum(m.nodes_served for m in dep.meta.values())
+        trace: dict[str, float] = {}
+        proto, seen = observed(
+            client.read_virtual_proto(blob, 0, 64 * SMALL_PAGE, trace=trace)
+        )
+        result = client.run(proto)
+        walked = sum(m.nodes_served for m in dep.meta.values()) - served
+        phases[cached] = (trace["metadata_read"] - trace["version_resolved"],
+                          walked, result.nodes_fetched, seen["walks"])
+    (t_sub, walked, n_sub, walks_sub) = phases[True]
+    (t_leaves, walked_leaves, n_leaves, walks_leaves) = phases[False]
+    assert (walks_sub, walks_leaves) == (["meta.get_subtree"], ["meta.get_leaves"])
+    assert walked == walked_leaves == n_sub > n_leaves == 64
+    service, reply = spec.service_time("meta.get_node"), spec.reply_cpu("meta.get_node")
+    assert t_leaves >= walked * service + n_leaves * reply
+    assert t_sub - t_leaves >= (n_sub - n_leaves) * reply
+
+
+def test_simulator_one_page_cacheless_read_receives_one_node():
+    dep = SimDeployment(DeploymentSpec(
+        n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
+    ))
+    blob = dep.alloc_blob(1 * GB, SMALL_PAGE)
+    client = dep.client(0)
+    client.write_virtual(blob, 40 * MB, 4 * SMALL_PAGE)
+    proto, seen = observed(client.read_virtual_proto(blob, 40 * MB, SMALL_PAGE))
+    result = client.run(proto)
+    assert seen["walks"] == ["meta.get_leaves"] and seen["batches"] == 3
+    assert result.nodes_fetched == result.pages_fetched == 1
+
+
 def test_simulator_prices_a_shard_per_node_and_its_dht_latency_once():
     """``meta.put_nodes`` is never cheaper than the service time of the
     nodes it carries; what it saves is the per-put asynchronous latency
@@ -748,23 +856,25 @@ def test_subtree_counters_reach_stats_and_the_scrape():
     dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0))
     client = dep.client()
     blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
-    client.write(blob, pages(8), 0)
+    written = client.write(blob, pages(8), 0)
     result = client.read(blob, 0, 8 * SMALL_PAGE)
     owner = dep.router.primary(NodeKey(blob, 1, 0, SMALL_TOTAL))
     # a blob no larger than S lives on one metadata provider, by design
     stats = call(dep, owner, "meta.stats")
     assert stats["subtree_gets"] == 1
-    assert stats["nodes_served"] == stats["gets"] == result.nodes_fetched
+    # the leaves-only walk visits the whole written tree, returns its leaves
+    assert stats["nodes_served"] == stats["gets"] == written.nodes_written
+    assert result.nodes_fetched == result.pages_fetched == 8
     assert stats["nodes"] == sum(m.node_count for m in dep.meta.values())
     assert (stats["puts"], stats["put_batches"]) == (stats["nodes"], 1)
     doc = scrape_driver(dep.driver, source="inproc")
     name = f"meta/{owner[1]}"
     assert doc["actors"][name]["stats"] == stats
-    assert doc["actors"][name]["methods"]["meta.get_subtree"]["count"] == 1
+    assert doc["actors"][name]["methods"]["meta.get_leaves"]["count"] == 1
     table = render_metrics(doc)
     assert f"nodes {stats['nodes']}" in table
     assert "put_batches 1" in table
-    assert f"subtree_gets 1, nodes_served {result.nodes_fetched}" in table
+    assert f"subtree_gets 1, nodes_served {written.nodes_written}" in table
 
 
 def test_vm_counters_say_why_a_read_was_slow():

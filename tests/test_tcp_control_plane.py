@@ -51,7 +51,9 @@ from repro.net.address import ClusterMap
 from repro.net.codec import MessageDecoder, decode_body, encode_message
 from repro.net.node import NodeAgent, build_actor
 from repro.net.threaded import ThreadedDriver
+from repro.providers.manager import ProviderManager
 from repro.util.sizes import KB, MB
+from tests.conftest import BUILDERS
 
 TOTAL = 1 * MB
 PAGE = 4 * KB
@@ -575,3 +577,51 @@ def test_node_cli_rejects_an_unknown_strategy(capsys):
     assert exc_info.value.code == 2
     error = capsys.readouterr().err.strip().splitlines()[-1]
     assert "error: argument --strategy: invalid choice: 'hashring'" in error
+
+
+# ---------------------------------------------------------------------------
+# an in-parent pm is served by one thread
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("driver", ["inproc", "threaded", "tcp", "aio"])
+def test_an_in_parent_pm_is_touched_only_by_its_serving_thread(driver, monkeypatch):
+    """A provider joining and a rebalance or drain reach an in-parent pm
+    through the driver, as every client call does: its journal appends
+    (``_apply_register``) and its provider-set walks (``pm.providers``)
+    run on ``actor-pm`` on a concurrent driver, never beside it on the
+    caller's thread. On inproc the caller's thread is the pm's."""
+    seen: list[tuple[str, str]] = []
+    apply_register = ProviderManager._apply_register
+
+    def spy_register(self, provider_id):
+        seen.append(("register", threading.current_thread().name))
+        return apply_register(self, provider_id)
+
+    class WatchedSet(set):
+        def __iter__(self):
+            seen.append(("iterate", threading.current_thread().name))
+            return super().__iter__()
+
+    monkeypatch.setattr(ProviderManager, "_apply_register", spy_register)
+    spec = DeploymentSpec(n_data=2, n_meta=1, strategy="hash_ring",
+                          cache_capacity=0)
+    with BUILDERS[driver](spec) as dep:
+        dep.pm._providers = WatchedSet(dep.pm._providers)
+        client = dep.client("joiner")
+        blob = client.alloc(16 * PAGE, PAGE)
+        client.write(blob, fill(5) * 16, 0)
+        seen.clear()  # building registered the first providers, on MainThread
+        if driver in ("tcp", "aio"):
+            new_id = dep.add_agent()
+            assert dep.rebalance()["committed"]
+            assert dep.drain_agent(new_id)["committed"]
+        else:
+            new_id = dep.add_data_provider()
+        assert client.read_bytes(blob, 0, 16 * PAGE) == fill(5) * 16
+    assert new_id == 2 and ("register", "MainThread" if driver == "inproc"
+                            else "actor-pm") in seen
+    assert {name for _, name in seen} == {
+        "MainThread" if driver == "inproc" else "actor-pm"
+    }
+    assert driver in ("inproc", "threaded") or ("iterate", "actor-pm") in seen
