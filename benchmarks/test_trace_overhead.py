@@ -6,10 +6,12 @@ and no span buffer is touched — and (b) a traced operation pays a
 bounded, small cost for its timeline. Two pins:
 
 - **Simulated: tracing is invisible to the model.** The identical
-  workload with and without a trace open finishes at the identical
-  simulated instant — span recording schedules no events and perturbs no
-  modeled timing, so every published figure in this suite is unaffected
-  by whether anyone was watching. The published series are bit-stable
+  workload — WRITEs, and READs of what they wrote — with and without a
+  trace open finishes at the identical simulated instant after the
+  identical number of events — span recording schedules no events and
+  perturbs no modeled timing, so every published figure in this suite
+  (the phase figures run every measured op traced) is unaffected by
+  whether anyone was watching. The published series are bit-stable
   (``repro.bench.compare`` gates them at rtol 1e-9).
 - **Threaded: bounded wall overhead.** Per-op wall time with a trace
   open stays within a generous factor of the untraced baseline on a real
@@ -34,35 +36,45 @@ OPS = 20
 OVERHEAD_FACTOR = 5.0
 
 
-def _sim_op_ms(traced: bool, ops: int = 8) -> list[float]:
+def _sim_op_ms(traced: bool, kind: str, ops: int = 8) -> tuple[list[float], float, int]:
+    """Per-op simulated ms of ``ops`` WRITEs (``kind="write"``) or of READs
+    of what as many untraced WRITEs stored, then the final simulated
+    instant and the events processed."""
     dep = SimDeployment(
         DeploymentSpec(n_data=4, n_meta=4, n_clients=1, cache_capacity=0)
     )
-    blob = dep.alloc_blob(1 * TB, PAGE)
     client = dep.client(0)
+    blob = client.alloc(1 * TB, PAGE)
+    if kind == "read":
+        for i in range(ops):
+            client.write_virtual(blob, i * 8 * PAGE, 8 * PAGE)
+    op = client.write_virtual if kind == "write" else client.read_virtual
     durations = []
     for i in range(ops):
         t0 = dep.sim.now
-        proto = client.write_virtual_proto(blob, i * 8 * PAGE, 8 * PAGE)
         if traced:
-            client.traced(proto, name=f"write-{i}")
+            with dep.traced(f"{kind}-{i}"):
+                op(blob, i * 8 * PAGE, 8 * PAGE)
         else:
-            client.run(proto)
+            op(blob, i * 8 * PAGE, 8 * PAGE)
         durations.append((dep.sim.now - t0) * 1e3)
     if traced:
         assert dep.spans(), "traced sim runs must record a timeline"
     else:
         assert dep.spans() == []
-    return durations
+    return durations, dep.sim.now, dep.sim.events_processed
 
 
 def test_sim_tracing_is_invisible_to_the_model(publish, publish_json):
     t0 = time.perf_counter()
-    untraced = _sim_op_ms(traced=False)
-    traced = _sim_op_ms(traced=True)
-    wall = time.perf_counter() - t0
+    untraced, *untraced_end = _sim_op_ms(traced=False, kind="write")
+    traced, *traced_end = _sim_op_ms(traced=True, kind="write")
     # the whole point: bit-identical modeled time, span-for-span work
-    assert traced == untraced
+    assert traced == untraced and traced_end == untraced_end
+    assert _sim_op_ms(traced=True, kind="read") == _sim_op_ms(
+        traced=False, kind="read"
+    )
+    wall = time.perf_counter() - t0
     fig = FigureData(
         figure_id="trace-overhead-sim",
         title="Simulated write duration, tracing off vs on",

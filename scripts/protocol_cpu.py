@@ -14,20 +14,18 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from repro.core.protocol import read_protocol, write_protocol  # noqa: E402
 from repro.metadata import MetadataCache, MetadataProvider, StaticRouter, TreeGeometry  # noqa: E402
-from repro.net.sansio import Batch, Mark  # noqa: E402
+from repro.net.sansio import step  # noqa: E402
 from repro.providers.page import PagePayload  # noqa: E402
 from repro.version.manager import VersionManager  # noqa: E402
 
 
 def run(make, answer) -> list:  # each Batch answered by answer(calls); returns the replies
-    proto, replies, value = make(), [], None
+    proto, replies = make(), []
     try:
+        batch = step(proto)
         while True:
-            op = proto.send(value)
-            if op.__class__ is Batch:
-                replies.append(value := answer(op.calls))
-            else:
-                value = 0.0 if op.__class__ is Mark else None
+            replies.append(value := answer(batch.calls))
+            batch = step(proto, value)
     except StopIteration:
         return replies
 

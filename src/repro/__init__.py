@@ -31,7 +31,7 @@ from repro.core.protocol import ReadResult, WriteResult
 from repro.metadata.inspect import TreeInspector
 from repro.version.diff import changed_ranges
 from repro.deploy.inproc import Deployment, build_inproc
-from repro.deploy.simulated import SimClient, SimDeployment
+from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import TcpDeployment, build_tcp
 from repro.deploy.threaded import build_threaded
 from repro.errors import (
@@ -66,7 +66,6 @@ __all__ = [
     "WriteResult",
     "Deployment",
     "build_inproc",
-    "SimClient",
     "SimDeployment",
     "build_threaded",
     "TcpDeployment",

@@ -10,6 +10,7 @@ properties; ``benchmarks/out/`` records a snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.baselines.locked import LockedClusterSim
 from repro.bench.workloads import (
@@ -115,6 +116,30 @@ def render_series_table(fig: FigureData, x_format=str, y_format=None) -> str:
     return "\n".join(lines)
 
 
+def traced_phase(
+    dep: SimDeployment, op: Callable[[], Any], whole: bool = False
+) -> tuple[Any, float]:
+    """Run ``op()`` traced on ``dep``'s simulated clock and read its phase
+    off the modeled spans of that one trace; returns ``(op(), seconds)``.
+
+    The phase is the metadata phase of the paper's Figure 3(a)/(b): from
+    the end of the first ``vm`` rpc span (a READ's ``vm.resolve_read``, a
+    WRITE's ``vm.assign``) to the end of the last ``meta/*`` rpc span —
+    or, with ``whole``, the op span's duration. Span times are integer
+    nanoseconds, so a phase is exact to within 1 ns.
+    """
+    with dep.traced("phase") as tid:
+        value = op()
+    spans = [s for s in dep.spans() if s["trace"] == tid]
+    if whole:
+        (span,) = [s for s in spans if s["kind"] == "op"]
+        return value, (span["end_ns"] - span["start_ns"]) / 1e9
+    rpcs = [s for s in spans if s["kind"] == "rpc"]
+    start = min(s["end_ns"] for s in rpcs if s["name"] == "vm")
+    end = max(s["end_ns"] for s in rpcs if s["name"].startswith("meta/"))
+    return value, (end - start) / 1e9
+
+
 # ---------------------------------------------------------------------------
 # Figure 3(a): metadata overhead, single client, READs
 # ---------------------------------------------------------------------------
@@ -130,26 +155,27 @@ def fig3a_metadata_read(
     Workload (paper §V.C): 1 TB blob, 64 KB pages, a single client, N
     nodes each hosting one data and one metadata provider; the client
     writes then reads segments of growing size; we plot the tree-descent
-    phase of the READ.
+    phase of the READ, read off its modeled spans (:func:`traced_phase`).
     """
     fig = FigureData(
         figure_id="Fig 3(a)",
         title="Metadata overhead, single client: reads",
         xlabel="segment size",
         ylabel="time (s)",
-        notes="metadata phase of READ = version_resolved .. metadata_read",
+        notes="metadata phase of READ = end of the vm rpc span .. end of "
+        "the last meta rpc span",
     )
     for n in provider_counts:
         dep = SimDeployment(paper_spec(n), cluster=cluster)
-        blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
+        blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
             offset = i * GB  # independent regions of the 1 TB blob
             client.write_virtual(blob, offset, size)
-            trace: dict[str, float] = {}
-            client.run(client.read_virtual_proto(blob, offset, size, trace=trace))
-            ys.append(trace["metadata_read"] - trace["version_resolved"])
+            ys.append(traced_phase(
+                dep, lambda: client.read_virtual(blob, offset, size)
+            )[1])
         fig.series.append(Series(f"{n} providers", list(sizes), ys))
         fig.absorb_counters(dep)
     for n, ys in PAPER_FIG3A.items():
@@ -171,7 +197,8 @@ def fig3b_metadata_write(
     """Time for metadata to be completely written, vs segment size.
 
     The measured phase is version assignment → all tree nodes stored
-    (includes building the woven subtree client-side). More metadata
+    (includes building the woven subtree client-side), read off the
+    WRITE's modeled spans (:func:`traced_phase`). More metadata
     providers *reduce* this cost: the aggregated node puts spread over
     more nodes working in parallel (paper §V.C).
     """
@@ -180,18 +207,19 @@ def fig3b_metadata_write(
         title="Metadata overhead, single client: writes",
         xlabel="segment size",
         ylabel="time (s)",
-        notes="metadata phase of WRITE = version_assigned .. metadata_stored",
+        notes="metadata phase of WRITE = end of the vm.assign rpc span .. "
+        "end of the last meta rpc span",
     )
     for n in provider_counts:
         dep = SimDeployment(paper_spec(n), cluster=cluster)
-        blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
+        blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
             offset = i * GB
-            trace: dict[str, float] = {}
-            client.run(client.write_virtual_proto(blob, offset, size, trace=trace))
-            ys.append(trace["metadata_stored"] - trace["version_assigned"])
+            ys.append(traced_phase(
+                dep, lambda: client.write_virtual(blob, offset, size)
+            )[1])
         fig.series.append(Series(f"{n} providers", list(sizes), ys))
         fig.absorb_counters(dep)
     for n, ys in PAPER_FIG3B.items():
@@ -490,7 +518,8 @@ def ablation_rpc_aggregation(
     providers: int = 20,
 ) -> FigureData:
     """Metadata-write time with and without the aggregating RPC framework
-    (the 'tradeoff between striping and streaming' of paper §V.A)."""
+    (the 'tradeoff between striping and streaming' of paper §V.A): the
+    Figure 3(b) phase, read off the WRITE's modeled spans."""
     fig = FigureData(
         figure_id="Ablation C",
         title="RPC aggregation on/off (metadata write phase)",
@@ -502,13 +531,13 @@ def ablation_rpc_aggregation(
         dep = SimDeployment(
             paper_spec(providers), cluster=ClusterSpec(aggregate=aggregate)
         )
-        blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         client = dep.client(0, cached=False)
+        blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
-            trace: dict[str, float] = {}
-            client.run(client.write_virtual_proto(blob, i * GB, size, trace=trace))
-            ys.append(trace["metadata_stored"] - trace["version_assigned"])
+            ys.append(traced_phase(
+                dep, lambda: client.write_virtual(blob, i * GB, size)
+            )[1])
         fig.series.append(Series(label, list(sizes), ys))
         fig.absorb_counters(dep)
     return fig
@@ -528,7 +557,7 @@ def ablation_pagesize(
 
     Finer pages disperse better but multiply metadata; coarser pages do
     the opposite — the striping-grain tradeoff behind the paper's choice
-    of 64 KB."""
+    of 64 KB. Each time is its op span's duration."""
     fig = FigureData(
         figure_id="Ablation D",
         title="Page-size sweep (8 MB segment, end-to-end)",
@@ -538,14 +567,14 @@ def ablation_pagesize(
     wys, rys = [], []
     for pagesize in pagesizes:
         dep = SimDeployment(paper_spec(providers))
-        blob = dep.alloc_blob(PAPER_TOTAL_SIZE, pagesize)
         client = dep.client(0, cached=False)
-        wtrace: dict[str, float] = {}
-        client.run(client.write_virtual_proto(blob, 0, segment, trace=wtrace))
-        wys.append(wtrace["done"] - wtrace["start"])
-        rtrace: dict[str, float] = {}
-        client.run(client.read_virtual_proto(blob, 0, segment, trace=rtrace))
-        rys.append(rtrace["done"] - rtrace["start"])
+        blob = client.alloc(PAPER_TOTAL_SIZE, pagesize)
+        wys.append(traced_phase(
+            dep, lambda: client.write_virtual(blob, 0, segment), whole=True
+        )[1])
+        rys.append(traced_phase(
+            dep, lambda: client.read_virtual(blob, 0, segment), whole=True
+        )[1])
         fig.absorb_counters(dep)
     fig.series.append(Series("WRITE", list(pagesizes), wys))
     fig.series.append(Series("READ (uncached)", list(pagesizes), rys))

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.deploy.simulated import SimClient, SimDeployment
+from repro.core.client import AsyncBlobClient, BlobClient
+from repro.deploy.simulated import SimDeployment
 from repro.sim.engine import Event
 from repro.util.rng import substream
 from repro.util.sizes import GB
@@ -43,7 +44,7 @@ class SegmentPicker:
 
 
 def populate_window(
-    client: SimClient, blob_id: str, window: int, segment: int, base: int = 0
+    client: BlobClient, blob_id: str, window: int, segment: int, base: int = 0
 ) -> int:
     """Pre-write a window so reads have data under them; returns versions
     written. Runs synchronously on the simulated clock (setup phase)."""
@@ -56,7 +57,7 @@ def populate_window(
 
 def client_access_loop(
     dep: SimDeployment,
-    client: SimClient,
+    client: AsyncBlobClient,
     blob_id: str,
     picker: SegmentPicker,
     client_index: int,
@@ -73,12 +74,11 @@ def client_access_loop(
         offset = next(offsets)
         start = dep.sim.now
         if kind == "write":
-            proto = client.write_virtual_proto(blob_id, offset, picker.segment)
+            yield from client.write_virtual(blob_id, offset, picker.segment)
         elif kind == "read":
-            proto = client.read_virtual_proto(blob_id, offset, picker.segment)
+            yield from client.read_virtual(blob_id, offset, picker.segment)
         else:
             raise ValueError(f"unknown access kind {kind!r}")
-        yield from dep.executor.run_protocol(proto, client.node)
         durations.append(dep.sim.now - start)
 
 
@@ -123,9 +123,13 @@ def run_concurrent_client_durations(
     distribution that a mean throws away.
     """
     clients = [
-        dep.client(i, cached=cached, name=f"{kind}-client-{i}")
+        dep.async_client(i, cached=cached, name=f"{kind}-client-{i}")
         for i in range(n_clients)
     ]
+    # every client learns the geometry (one vm.stat) before the loops
+    # start: the lanes idle out after, so no measured op contains it
+    opens = [dep.sim.process(client.open(blob_id)) for client in clients]
+    dep.sim.run(until=dep.sim.all_of(opens))
     if cached and kind == "read":
         # Steady-state cached reads: warm each client's cache out of band
         # (zero simulated time; the paper measures the warm regime). One

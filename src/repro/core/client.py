@@ -7,9 +7,10 @@ write-uid sequence, exactly like independent client processes in the
 paper's deployment. Each primitive is one private protocol that resolves
 the blob's geometry itself, and :meth:`BlobClient._run` is the one place
 a client meets its driver — all :class:`AsyncBlobClient` changes: it
-awaits the aio driver's ``drive`` (:mod:`repro.net.aio`), so thousands of
-client coroutines share one event loop, a shape the paper's 64-thread
-client tier cannot express.
+returns the driver's ``drive``, which the aio driver (:mod:`repro.net.aio`)
+makes an awaitable, so thousands of client coroutines share one event
+loop, a shape the paper's 64-thread client tier cannot express, and the
+simulator (:mod:`repro.net.simdriver`) a simulated process body.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import threading
 from functools import partial
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Awaitable, Callable, Generator, Sequence
 
 from repro.core.protocol import (
     LATEST,
@@ -136,6 +137,12 @@ class BlobClient:
         """READ a segment out of snapshot ``version`` (default: latest)."""
         proto = self._read(blob_id, offset, size, version, with_data=with_data)
         return self._run(proto)
+
+    def read_virtual(
+        self, blob_id: str, offset: int, size: int, version: int = LATEST
+    ) -> ReadResult:
+        """READ without assembling bytes (the twin of :meth:`write_virtual`)."""
+        return self.read(blob_id, offset, size, version, with_data=False)
 
     def read_bytes(
         self, blob_id: str, offset: int, size: int, version: int = LATEST
@@ -258,13 +265,15 @@ class BlobClient:
 
 
 class AsyncBlobClient(BlobClient):
-    """:class:`BlobClient` whose every public method returns an awaitable.
+    """:class:`BlobClient` whose every public method returns what its
+    driver's ``drive(proto)`` returns, so a method here and its blocking
+    twin run the *same* protocols with bit-identical wire traffic.
 
-    It runs the *same* protocols through an :class:`repro.net.aio.AioDriver`
-    (any driver with an awaitable ``drive(proto)``), so a method here and
-    its blocking twin produce bit-identical wire traffic. Await them from
-    coroutines on the driver's loop (``run_async`` / ``spawn`` enter it).
+    On an :class:`repro.net.aio.AioDriver` that is an awaitable: await it
+    from coroutines on the driver's loop (``run_async`` / ``spawn`` enter
+    it). On a :class:`repro.net.simdriver.SimDriver` it is a process body:
+    ``yield from`` it inside a simulated process.
     """
 
-    def _run(self, proto: Protocol[Any]) -> Awaitable[Any]:
+    def _run(self, proto: Protocol[Any]) -> Awaitable[Any] | Generator:
         return self.driver.drive(proto)

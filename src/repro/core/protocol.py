@@ -42,7 +42,7 @@ from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.router import StaticRouter, fetch_nodes, store_nodes
 from repro.metadata.tree import TreeGeometry
 from repro.net.message import estimate_size
-from repro.net.sansio import Address, Batch, Call, Compute, Mark, Op, gather_with_failover
+from repro.net.sansio import Address, Batch, Call, Compute, Op, gather_with_failover
 from repro.providers.page import PageKey, PagePayload
 from repro.util.intervals import Interval
 from repro.version.manager import LATEST, WriteTicket
@@ -143,18 +143,6 @@ def _read_result(blob_id, version, latest, offset, size, data,
 Proto = Generator[Op, Any, Any]
 
 
-def _marker(trace: dict[str, float] | None) -> Any:
-    """A protocol's ``mark(name)``: a :class:`Mark` whose timestamp lands
-    in ``trace[name]``, or, untraced, nothing to resume at all."""
-    if trace is None:
-        return lambda name: ()
-
-    def mark(name: str) -> Proto:
-        trace[name] = yield Mark(name)
-
-    return mark
-
-
 # ---------------------------------------------------------------------------
 # ALLOC / stat
 # ---------------------------------------------------------------------------
@@ -184,7 +172,6 @@ def write_protocol(
     payloads: Sequence[PagePayload],
     router: StaticRouter,
     write_uid: str,
-    trace: dict[str, float] | None = None,
     hashed_alloc: bool = False,
 ) -> Proto:
     """The WRITE of paper §III.B; returns a :class:`WriteResult`.
@@ -196,11 +183,10 @@ def write_protocol(
     Off by default — the paper's strategies and their wire behavior are
     untouched.
 
-    When ``trace`` is supplied it is filled with phase timestamps
-    (``start``, ``providers_allocated``, ``pages_stored``,
-    ``version_assigned``, ``metadata_stored``, ``done``) in the driver's
-    clock — simulated seconds under the simulator. Figure 3(b) plots
-    ``metadata_stored - version_assigned`` (building + storing metadata).
+    Its phases are its batches, so a traced WRITE's spans time them:
+    Figure 3(b) plots building + storing the metadata, from the end of the
+    ``vm`` rpc span of ``vm.assign`` (the op's first ``vm`` span) to the
+    end of its last ``meta/*`` rpc span.
     """
     npages = len(payloads)
     if npages == 0:
@@ -215,10 +201,6 @@ def write_protocol(
     patch = geom.check_aligned(offset, size)
     first_page = offset // geom.pagesize
 
-    mark = _marker(trace)
-
-    yield from mark("start")
-
     # 1. ask the provider manager where the fresh pages should live
     if hashed_alloc:
         (groups,) = yield Batch(
@@ -232,7 +214,6 @@ def write_protocol(
         (groups,) = yield Batch(
             [Call(ADDR_PM, "pm.get_providers", (blob_id, npages, geom.pagesize))]
         )
-    yield from mark("providers_allocated")
 
     # 2. store all pages in parallel (every replica of every page at once)
     yield Compute("client.touch_page", npages)
@@ -251,12 +232,10 @@ def write_protocol(
                 )
             )
     yield Batch(page_calls)
-    yield from mark("pages_stored")
 
     # 3. the only serialization point: get a version number + border refs
     (ticket,) = yield Batch([Call(ADDR_VM, "vm.assign", (blob_id, offset, size))])
     assert isinstance(ticket, WriteTicket)
-    yield from mark("version_assigned")
 
     # 4. weave and publish the metadata subtree — in complete isolation
     nodes = plan_write_tree(
@@ -264,11 +243,9 @@ def write_protocol(
     )
     yield Compute("client.build_node", len(nodes))
     yield from store_nodes(router, nodes)
-    yield from mark("metadata_stored")
 
     # 5. report success; the VM publishes versions in order
     (latest,) = yield Batch([Call(ADDR_VM, "vm.complete", (blob_id, ticket.version))])
-    yield from mark("done")
     return _write_result(
         blob_id=blob_id,
         version=ticket.version,
@@ -295,7 +272,6 @@ def read_protocol(
     cache: MetadataCache | None = None,
     with_data: bool = True,
     out: Any | None = None,
-    trace: dict[str, float] | None = None,
     locate_fallback: bool = False,
 ) -> Proto:
     """The READ of paper §III.B; returns a :class:`ReadResult`.
@@ -322,10 +298,10 @@ def read_protocol(
     intermediate copies — and ``ReadResult.data`` is a view over ``out``
     trimmed to ``size``.
 
-    When ``trace`` is supplied it is filled with phase timestamps
-    (``start``, ``version_resolved``, ``metadata_read``, ``pages_read``,
-    ``done``). Figure 3(a) plots ``metadata_read - version_resolved``
-    (the complete tree descent).
+    Its phases are its batches, so a traced READ's spans time them:
+    Figure 3(a) plots the complete tree descent, from the end of the
+    ``vm`` rpc span of ``vm.resolve_read`` to the end of the last
+    ``meta/*`` rpc span.
     """
     req = geom.check_bounds(offset, size)
     dst: memoryview | None = None
@@ -343,10 +319,6 @@ def read_protocol(
             )
         dst = dst[:size]
 
-    mark = _marker(trace)
-
-    yield from mark("start")
-
     # 1. the only centralized interaction: resolve/validate the version —
     # and learn, when the vm can say, which version's tree holds the root
     # of each co-located region the request touches
@@ -356,7 +328,6 @@ def read_protocol(
         "vm.resolve_read",
         (blob_id, version, regions) if regions else (blob_id, version),
     )])
-    yield from mark("version_resolved")
     effective, latest = resolved[:2]
     if effective == 0:
         # Version 0 is the implicit all-zero string: nothing to fetch.
@@ -444,13 +415,11 @@ def read_protocol(
                 else:
                     zero_bytes += min(mid + half, req_end) - max(mid, offset)
         level = below
-    yield from mark("metadata_read")
 
     # 3. fetch the pages referenced by the leaves, in parallel
     payloads = yield from _gather_pages(geom, leaves, locate_fallback)
     if leaves:
         yield Compute("client.touch_page", len(leaves))
-    yield from mark("pages_read")
 
     # 4. assemble the requested byte range (zero intermediate copies: an
     # out= read scatters page views into the caller's buffer; a plain
@@ -471,7 +440,6 @@ def read_protocol(
             buf = bytearray(size)  # zero-filled: version-0 regions need no work
             assemble_read(req, leaves, payloads, memoryview(buf))
             data = bytes(buf)
-    yield from mark("done")
     return _read_result(
         blob_id=blob_id,
         version=effective,

@@ -21,13 +21,14 @@ differ only in the driver behind it; ``build_tcp`` serves both the
   ``dep.async_client()`` — for thousands of concurrent client programs.
 - :class:`~repro.deploy.simulated.SimDeployment` — actors on simulated
   cluster nodes with calibrated costs; the benchmark substrate. It
-  shares the vm/pm builder and the node layout with the others.
+  shares the vm/pm builder, the node layout and the clients
+  (``dep.client()`` / ``dep.async_client()``) with the others.
 """
 
 from repro.deploy.inproc import Deployment, build_inproc
 from repro.deploy.threaded import build_threaded
 from repro.deploy.tcp import TcpDeployment, build_tcp
-from repro.deploy.simulated import SimClient, SimDeployment
+from repro.deploy.simulated import SimDeployment
 
 __all__ = [
     "Deployment",
@@ -36,5 +37,4 @@ __all__ = [
     "TcpDeployment",
     "build_tcp",
     "SimDeployment",
-    "SimClient",
 ]

@@ -3,39 +3,35 @@
 Builds the paper's topology on the discrete-event cluster: N provider
 nodes (each hosting one data provider and one metadata provider, colocated
 exactly like the paper's experiments), dedicated version-manager and
-provider-manager nodes, and a set of client nodes. Protocols run as
-simulated processes; all times are simulated seconds.
+provider-manager nodes, and a set of client nodes, each with its own
+:class:`~repro.net.simdriver.SimDriver`. Clients are the
+:class:`~repro.core.client.BlobClient` of every deployment; protocols run
+as simulated processes; all times are simulated seconds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, ContextManager
 
+from repro.core.client import AsyncBlobClient, BlobClient
 from repro.core.config import DeploymentSpec
-from repro.core.protocol import (
-    LATEST,
-    alloc_protocol,
-    fresh_write_uid,
-    read_protocol,
-    virtual_pages,
-    write_protocol,
-)
 from repro.deploy.inproc import _Inspection, build_control_plane, plan_loopback_nodes
-from repro.metadata.cache import MetadataCache
 from repro.metadata.provider import MetadataProvider
 from repro.metadata.router import StaticRouter
-from repro.metadata.tree import TreeGeometry
 from repro.net.node import build_actor
-from repro.net.simdriver import SimRpcExecutor
+from repro.net.simdriver import SimDriver, SimRpcExecutor
+from repro.obs.spans import SIM_DOMAIN, operation_scope
 from repro.providers.data_provider import DataProvider
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import ClusterSpec, Network, SimNode
 
 
 class SimDeployment(_Inspection):
-    """Actors placed on simulated nodes; spawn clients and run protocols.
-    Inspection (``blob_nodes``, ``total_pages_stored``, ...) reads the
-    actors directly, in zero simulated time."""
+    """Actors placed on simulated nodes, and one driver per client node
+    (``driver`` is client node 0's, so ``dep.driver.run(proto)`` works as
+    on every deployment). Inspection (``blob_nodes``,
+    ``total_pages_stored``, ...) reads the actors directly, in zero
+    simulated time."""
 
     def __init__(
         self,
@@ -74,28 +70,61 @@ class SimDeployment(_Inspection):
             self.network.add_node(f"client-{i}", role="client")
             for i in range(self.spec.n_clients)
         ]
+        self.drivers = [SimDriver(self.executor, node) for node in self.client_nodes]
+        self.driver = self.drivers[0]
 
     # -- clients ----------------------------------------------------------
 
     def client(
         self, index: int = 0, *, cached: bool | None = None, name: str | None = None
-    ) -> "SimClient":
-        """A logical client bound to client node ``index``.
+    ) -> BlobClient:
+        """A blocking client on client node ``index``'s driver: each call
+        runs the simulation until its op ends.
 
         ``cached`` overrides the spec: True gives the client a metadata
         cache (the "Read (cached metadata)" series), False disables it
-        (the paper's worst-case uncached experiment).
+        (the paper's worst-case uncached experiment). A client learns a
+        blob's geometry with one ``vm.stat`` on first use: open the blob
+        (or alloc through the client) before any measured window.
         """
+        return self._client(BlobClient, index, cached, name)
+
+    def async_client(
+        self, index: int = 0, *, cached: bool | None = None, name: str | None = None
+    ) -> AsyncBlobClient:
+        """:meth:`client` whose methods return process bodies, to
+        ``yield from`` inside simulated processes (concurrent clients)."""
+        return self._client(AsyncBlobClient, index, cached, name)
+
+    def _client(
+        self, cls: type[BlobClient], index: int, cached: bool | None, name: str | None
+    ) -> BlobClient:
         capacity = self.spec.cache_capacity
         if cached is True and capacity == 0:
             capacity = 1 << 20
         if cached is False:
             capacity = 0
-        return SimClient(
-            self,
-            self.client_nodes[index],
+        return cls(
+            self.drivers[index],
+            self.router,
             name=name or f"sim-client-{index}",
             cache_capacity=capacity,
+            elastic=self.spec.strategy == "hash_ring",
+        )
+
+    def traced(self, name: str = "op") -> ContextManager[int]:
+        """Trace the ops run inside the block on the simulated clock (a
+        context manager yielding the trace id): every wire group records
+        its modeled rpc + server spans and the block its op span, so
+        :meth:`spans` afterwards holds the ops' complete modeled timeline.
+        Recording schedules no events: tracing never moves the model."""
+        sim = self.sim
+        return operation_scope(
+            name,
+            collector=self.executor.spans.append,
+            covered=False,
+            clock=lambda: int(sim.now * 1e9),
+            domain=SIM_DOMAIN,
         )
 
     # -- setup conveniences (zero simulated time) ---------------------------
@@ -105,11 +134,7 @@ class SimDeployment(_Inspection):
         not part of any timed experiment)."""
         return self.vm.alloc(total_size, pagesize)
 
-    def geometry(self, blob_id: str) -> TreeGeometry:
-        total_size, pagesize, _ = self.vm.stat(blob_id)
-        return TreeGeometry(total_size, pagesize)
-
-    def warm_client_cache(self, client: "SimClient", blob_id: str) -> int:
+    def warm_client_cache(self, client: BlobClient, blob_id: str) -> int:
         """Fill a client's metadata cache with every stored node of a blob.
 
         Setup helper for the "Read (cached metadata)" series: the paper
@@ -168,114 +193,3 @@ class SimDeployment(_Inspection):
     def clear_spans(self) -> None:
         """Drop recorded simulated spans (between traced experiments)."""
         self.executor.spans.clear()
-
-
-class SimClient:
-    """Client facade over the simulated executor.
-
-    ``*_proto`` methods build protocol generators for spawning as
-    concurrent processes; the plain methods run one protocol to completion
-    synchronously (advancing the simulation).
-    """
-
-    def __init__(
-        self,
-        deployment: SimDeployment,
-        node: SimNode,
-        name: str,
-        cache_capacity: int,
-    ) -> None:
-        self.dep = deployment
-        self.node = node
-        self.name = name
-        self.cache: MetadataCache | None = (
-            MetadataCache(cache_capacity) if cache_capacity > 0 else None
-        )
-
-    # -- protocol factories ------------------------------------------------
-
-    def write_virtual_proto(
-        self,
-        blob_id: str,
-        offset: int,
-        size: int,
-        trace: dict[str, float] | None = None,
-    ):
-        geom = self.dep.geometry(blob_id)
-        return write_protocol(
-            blob_id, geom, offset, virtual_pages(size, geom.pagesize),
-            self.dep.router, fresh_write_uid(self.name), trace=trace,
-        )
-
-    def read_virtual_proto(
-        self,
-        blob_id: str,
-        offset: int,
-        size: int,
-        version: int = LATEST,
-        trace: dict[str, float] | None = None,
-    ):
-        geom = self.dep.geometry(blob_id)
-        return read_protocol(
-            blob_id, geom, offset, size, self.dep.router,
-            version=version, cache=self.cache, with_data=False, trace=trace,
-        )
-
-    # -- process spawning ---------------------------------------------------
-
-    def spawn(self, proto) -> Process:
-        """Run a protocol as a concurrent simulated process."""
-        return self.dep.sim.process(
-            self.dep.executor.run_protocol(proto, self.node), name=self.name
-        )
-
-    def spawn_timed(self, proto) -> Process:
-        """Like :meth:`spawn`; the process returns ``(value, duration)``."""
-
-        def timed() -> Generator:
-            start = self.dep.sim.now
-            value = yield from self.dep.executor.run_protocol(proto, self.node)
-            return value, self.dep.sim.now - start
-
-        return self.dep.sim.process(timed(), name=f"{self.name}-timed")
-
-    # -- synchronous helpers ---------------------------------------------------
-
-    def run(self, proto) -> Any:
-        proc = self.spawn(proto)
-        return self.dep.sim.run(until=proc)
-
-    def alloc(self, total_size: int, pagesize: int) -> str:
-        return self.run(alloc_protocol(total_size, pagesize))
-
-    def write_virtual(self, blob_id: str, offset: int, size: int):
-        return self.run(self.write_virtual_proto(blob_id, offset, size))
-
-    def read_virtual(self, blob_id: str, offset: int, size: int, version: int = LATEST):
-        return self.run(self.read_virtual_proto(blob_id, offset, size, version))
-
-    def timed(self, proto) -> tuple[Any, float]:
-        """Run a protocol synchronously; returns ``(value, sim_duration)``."""
-        proc = self.spawn_timed(proto)
-        return self.dep.sim.run(until=proc)
-
-    def traced(self, proto, name: str = "op") -> tuple[Any, int]:
-        """Run a protocol synchronously under a trace; returns
-        ``(value, trace_id)``.
-
-        The executor records every wire group's rpc + serving spans in
-        simulated time, and this helper adds the operation's own root
-        span, so :meth:`SimDeployment.spans` afterwards holds a complete
-        modeled timeline for the operation.
-        """
-        from repro.obs.spans import SIM_DOMAIN, operation_scope
-
-        sim = self.dep.sim
-        with operation_scope(
-            name,
-            collector=self.dep.executor.spans.append,
-            covered=False,
-            clock=lambda: int(sim.now * 1e9),
-            domain=SIM_DOMAIN,
-        ) as tid:
-            return self.run(proto), tid

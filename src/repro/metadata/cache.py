@@ -11,47 +11,61 @@ we default to the same capacity.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.metadata.node import NodeKey, TreeNode
-from repro.util.lru import LRUCache
 
 DEFAULT_CAPACITY = 1 << 20
 
 
 class MetadataCache:
-    """LRU cache of tree nodes keyed by :class:`NodeKey`."""
+    """LRU cache of tree nodes keyed by :class:`NodeKey`.
 
-    __slots__ = ("_lru",)
+    Not thread-safe by itself: a client's cache is private to it, and
+    ``ReadResult.cache_hits`` counts its hits per READ.
+    """
+
+    __slots__ = ("_capacity", "_nodes")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._lru: LRUCache[NodeKey, TreeNode] = LRUCache(capacity)
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self._capacity = capacity
+        self._nodes: OrderedDict[NodeKey, TreeNode] = OrderedDict()
 
     def get(self, key: NodeKey) -> TreeNode | None:
-        return self._lru.get(key)
+        """The cached node (refreshing its recency), or ``None``."""
+        node = self._nodes.get(key)
+        if node is not None:
+            self._nodes.move_to_end(key)
+        return node
 
     def put(self, node: TreeNode) -> None:
-        self._lru.put(node.key, node)
+        """Insert or refresh a node, evicting the least recently used one
+        if full."""
+        nodes = self._nodes
+        key = node.key
+        if key in nodes:
+            nodes.move_to_end(key)
+        elif len(nodes) >= self._capacity:
+            nodes.popitem(last=False)
+        nodes[key] = node
 
     def preload_from(self, other: "MetadataCache") -> None:
-        """Bulk-adopt another cache's nodes (warm-up helper, C-speed)."""
-        self._lru.load_from(other._lru)
+        """Bulk-adopt another cache's nodes: one C-level dict update — a
+        warmed template stamped onto many fresh clients. Into an empty
+        cache this keeps the source's recency order; overflow evicts the
+        least recent first."""
+        nodes = self._nodes
+        nodes.update(other._nodes)
+        while len(nodes) > self._capacity:
+            nodes.popitem(last=False)
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._nodes)
 
     def __contains__(self, key: NodeKey) -> bool:
-        return key in self._lru
+        return key in self._nodes
 
     def clear(self) -> None:
-        self._lru.clear()
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self._lru.hit_ratio
+        self._nodes.clear()

@@ -17,6 +17,10 @@ Operations:
   buffers). Non-simulated drivers treat it as a no-op, because there the
   work is actually performed by the surrounding Python code.
 
+Nothing else: a protocol never asks for the time. Every driver records
+the span schema (:mod:`repro.obs.spans`) around the batches of a traced
+op, and the paper's phase figures read their phases off those spans.
+
 Failure semantics: a handler exception is wrapped in
 :class:`~repro.errors.RemoteError`. By default the driver raises it at the
 protocol's ``yield`` point. Calls created with ``allow_error=True`` instead
@@ -27,7 +31,6 @@ peer, or one :class:`FaultInjection` failed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import (
@@ -96,21 +99,7 @@ class Compute:
     units: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class Mark:
-    """Ask the driver for the current time (phase instrumentation).
-
-    The driver resumes the protocol with a float timestamp: simulated
-    seconds under the simulator, ``time.monotonic()`` elsewhere. Protocols
-    use it to fill caller-supplied trace dicts so benches can separate
-    metadata-phase from data-phase time, matching what the paper's Figure
-    3(a)/(b) actually plot.
-    """
-
-    name: str
-
-
-Op = Union[Batch, Compute, Mark]
+Op = Union[Batch, Compute]
 Protocol = Generator[Op, Any, T]
 
 
@@ -341,17 +330,14 @@ def step(
     """Resume ``proto`` and run it to its next :class:`Batch` — the one
     stepping rule every real loop shares. ``error`` is thrown in at the
     ``yield``, else ``results`` are sent (``None`` starts a fresh
-    protocol); a :class:`Compute` resumes with ``None``, a :class:`Mark`
-    with ``time.monotonic()``, anything else is a ``TypeError``. A
-    finished protocol raises ``StopIteration`` carrying its value."""
+    protocol); a :class:`Compute` resumes with ``None``, anything else is
+    a ``TypeError``. A finished protocol raises ``StopIteration`` carrying
+    its value."""
     op = proto.send(results) if error is None else proto.throw(error)
     while not isinstance(op, Batch):
-        if isinstance(op, Compute):
-            op = proto.send(None)
-        elif isinstance(op, Mark):
-            op = proto.send(time.monotonic())
-        else:
+        if not isinstance(op, Compute):
             raise TypeError(f"protocol yielded {op!r}, expected Batch or Compute")
+        op = proto.send(None)
     return op
 
 

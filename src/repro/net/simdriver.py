@@ -1,7 +1,9 @@
 """Simulated RPC driver: runs sans-io protocols on the cluster model.
 
 Each protocol instance becomes a process on its client's
-:class:`~repro.sim.network.SimNode`. Batches are executed with full cost
+:class:`~repro.sim.network.SimNode`; a :class:`SimDriver` is the driver
+of one such node, so a :class:`~repro.core.client.BlobClient` runs on the
+simulator as on any other deployment. Batches are executed with full cost
 accounting:
 
 1. client CPU: connection management per destination, per-wire-RPC fixed
@@ -44,10 +46,10 @@ from repro.net.sansio import (
     Call,
     Compute,
     FaultInjection,
-    Mark,
     Protocol,
     deliver,
     dispatch_call,
+    one_call,
     plan_wire_groups,
 )
 from repro.obs.spans import SIM_DOMAIN, current_op, make_span, new_span_id
@@ -65,7 +67,8 @@ class SimRpcExecutor(FaultInjection):
         self.sim = sim
         self.network = network
         self.spec = network.spec
-        self._actors: dict[Address, tuple[Actor, SimNode]] = {}
+        #: address -> (actor, its node, its served [wire RPCs, sub-calls])
+        self._actors: dict[Address, tuple[Actor, SimNode, list[int]]] = {}
         self._down: dict[Address, str] = {}
         self.wire_rpcs = 0
         self.sub_calls = 0
@@ -78,7 +81,7 @@ class SimRpcExecutor(FaultInjection):
     def register(self, address: Address, actor: Actor, node: SimNode) -> None:
         if address in self._actors:
             raise ValueError(f"address {address!r} already registered")
-        self._actors[address] = (actor, node)
+        self._actors[address] = (actor, node, [0, 0])
 
     def actor(self, address: Address) -> Actor:
         return self._actors[address][0]
@@ -95,13 +98,14 @@ class SimRpcExecutor(FaultInjection):
         The recorded service times are *host* nanoseconds around the
         handler body — useful for spotting hot handlers, unrelated to
         simulated time (the ``nodes`` lane utilization accounts that). The wire
-        counters are executor-wide here, not per-actor, so they are
-        reported as ``None``.
+        counters are the wire RPCs and sub-calls this actor served (a
+        failed address serves none).
         """
         from repro.obs.telemetry import telemetry_report
 
         self._raise_if_failed(address)
-        return telemetry_report(self._actors[address][0])
+        actor, _, (wire_rpcs, sub_calls) = self._actors[address]
+        return telemetry_report(actor, wire_rpcs, sub_calls)
 
     # -- protocol execution ----------------------------------------------
 
@@ -126,9 +130,6 @@ class SimRpcExecutor(FaultInjection):
                     if cost > 0:
                         yield client_node.cpu.submit(cost)
                     op = proto.send(None)
-                    continue
-                if cls is Mark:
-                    op = proto.send(self.sim.now)
                     continue
                 raise TypeError(
                     f"protocol yielded {op!r}, expected Batch or Compute"
@@ -175,7 +176,7 @@ class SimRpcExecutor(FaultInjection):
         entry = self._actors.get(dest)
         if entry is None:
             raise KeyError(f"no actor registered at address {dest!r}")
-        actor, server_node = entry
+        actor, server_node, served = entry
         sim = self.sim
         spec = self.spec
         network = self.network
@@ -256,17 +257,20 @@ class SimRpcExecutor(FaultInjection):
         walked: list[int] | None = None
         if reason is not None:
             values = [RemoteError("PeerUnavailable", reason) for _ in calls]
-        elif walks:
-            # a walk's service is priced per node it visited, which only
-            # the provider knows: its ``nodes_served`` moves by exactly that
-            values = []
-            walked = []
-            for c in calls:
-                served = actor.nodes_served
-                values.append(dispatch_call(actor, c))
-                walked.append(actor.nodes_served - served)
         else:
-            values = [dispatch_call(actor, c) for c in calls]
+            served[0] += 1
+            served[1] += n
+            if walks:
+                # a walk's service is priced per node it visited, which only
+                # the provider knows: its ``nodes_served`` moves by exactly that
+                values = []
+                walked = []
+                for c in calls:
+                    before = actor.nodes_served
+                    values.append(dispatch_call(actor, c))
+                    walked.append(actor.nodes_served - before)
+            else:
+                values = [dispatch_call(actor, c) for c in calls]
         # 5. response: server reply-handling CPU, tx, link, client rx
         resp_payload = 0
         for v in values:
@@ -348,3 +352,28 @@ class SimRpcExecutor(FaultInjection):
                 domain=SIM_DOMAIN, nbytes=req_bytes,
             )
         )
+
+
+class SimDriver:
+    """The driver of one simulated client node: ``run`` / ``call`` as on
+    every driver, plus ``drive`` for protocols that run inside another
+    simulated process (the concurrent-clients loops)."""
+
+    def __init__(self, executor: SimRpcExecutor, node: SimNode) -> None:
+        self.executor = executor
+        self.node = node
+
+    def drive(self, proto: Protocol[Any]) -> Generator[Event, Any, Any]:
+        """The process body running ``proto`` on this node, for
+        ``yield from`` inside a simulated process."""
+        return self.executor.run_protocol(proto, self.node)
+
+    def run(self, proto: Protocol[Any]) -> Any:
+        """Run ``proto`` as a simulated process on this node, advancing the
+        simulation until the process ends; returns its value."""
+        sim = self.executor.sim
+        return sim.run(until=sim.process(self.drive(proto), name=self.node.name))
+
+    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
+        """One-off RPC outside any protocol (inspection surfaces)."""
+        return self.run(one_call(address, method, args))

@@ -2,9 +2,8 @@
 
 This package groups small, dependency-free helpers used across the whole
 system: power-of-two arithmetic for page geometry, canonical interval algebra
-for the segment tree, an LRU map for the client-side metadata cache, human
-readable size formatting, and deterministic per-stream random number
-generators for reproducible workloads.
+for the segment tree, human readable size formatting, and deterministic
+per-stream random number generators for reproducible workloads.
 """
 
 from repro.util.bits import (
@@ -17,7 +16,6 @@ from repro.util.bits import (
     log2_exact,
 )
 from repro.util.intervals import Interval, canonical_cover, page_span
-from repro.util.lru import LRUCache
 from repro.util.sizes import MB, GB, KB, TB, human_size, parse_size
 from repro.util.rng import substream
 
@@ -32,7 +30,6 @@ __all__ = [
     "Interval",
     "canonical_cover",
     "page_span",
-    "LRUCache",
     "KB",
     "MB",
     "GB",

@@ -902,6 +902,8 @@ def _every_primitive(call, dep) -> list:
     seen.append(call("read_bytes", blob, PAGE - 2, 8, 3))
     out = bytearray(2 * PAGE)
     seen.append((call("read_into", blob, out, PAGE).version, bytes(out)))
+    virtual = call("read_virtual", blob, 0, 2 * PAGE)
+    seen.append((virtual.version, virtual.data, virtual.pages_fetched))
     latest = call("latest", blob)
     stats = call("gc", blob, [latest], dep.data_ids, dep.meta_ids)
     seen.append((latest, stats.kept_versions, stats.nodes_freed, stats.pages_freed))

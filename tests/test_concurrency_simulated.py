@@ -9,7 +9,6 @@ concurrent workloads (and failures are replayable).
 import pytest
 
 from repro.core.config import DeploymentSpec
-from repro.core.protocol import read_protocol, write_protocol, virtual_pages, fresh_write_uid
 from repro.deploy.simulated import SimDeployment
 from repro.util.rng import substream
 from repro.util.sizes import KB, MB, TB
@@ -35,10 +34,9 @@ class TestConcurrentWritersSim:
         versions: list[int] = []
 
         def writer(i):
-            client = dep.client(i)
+            client = dep.async_client(i)
             for k in range(per):
-                proto = client.write_virtual_proto(blob, (i * per + k) * PAGE, PAGE)
-                res = yield from dep.executor.run_protocol(proto, client.node)
+                res = yield from client.write_virtual(blob, (i * per + k) * PAGE, PAGE)
                 versions.append(res.version)
 
         procs = [dep.sim.process(writer(i)) for i in range(n)]
@@ -51,13 +49,12 @@ class TestConcurrentWritersSim:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.client(i)
+            client = dep.async_client(i)
             rng = substream(4, "sim-writer", i)
             for _ in range(4):
                 offset = int(rng.integers(0, 64)) * PAGE
                 npages = int(rng.integers(1, 8))
-                proto = client.write_virtual_proto(blob, offset, npages * PAGE)
-                yield from dep.executor.run_protocol(proto, client.node)
+                yield from client.write_virtual(blob, offset, npages * PAGE)
 
         procs = [dep.sim.process(writer(i)) for i in range(n)]
         dep.sim.run(until=dep.sim.all_of(procs))
@@ -71,16 +68,14 @@ class TestConcurrentWritersSim:
         observed: list[tuple[int, int]] = []
 
         def writer(i):
-            client = dep.client(i)
+            client = dep.async_client(i)
             for k in range(6):
-                proto = client.write_virtual_proto(blob, (i * 6 + k) * PAGE, PAGE)
-                yield from dep.executor.run_protocol(proto, client.node)
+                yield from client.write_virtual(blob, (i * 6 + k) * PAGE, PAGE)
 
         def reader(i):
-            client = dep.client(i)
+            client = dep.async_client(i)
             for _ in range(12):
-                proto = client.read_virtual_proto(blob, 0, PAGE)
-                res = yield from dep.executor.run_protocol(proto, client.node)
+                res = yield from client.read_virtual(blob, 0, PAGE)
                 observed.append((res.version, res.latest))
 
         procs = [dep.sim.process(writer(i)) for i in range(2)]
@@ -95,10 +90,9 @@ class TestConcurrentWritersSim:
             log = []
 
             def writer(i):
-                client = dep.client(i)
+                client = dep.async_client(i)
                 for k in range(3):
-                    proto = client.write_virtual_proto(blob, (i * 3 + k) * PAGE, PAGE)
-                    res = yield from dep.executor.run_protocol(proto, client.node)
+                    res = yield from client.write_virtual(blob, (i * 3 + k) * PAGE, PAGE)
                     log.append((round(dep.sim.now, 9), res.version))
 
             procs = [dep.sim.process(writer(i)) for i in range(16)]
@@ -116,12 +110,11 @@ class TestMetadataConsistencyUnderConcurrency:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.client(i)
+            client = dep.async_client(i)
             rng = substream(9, "weave", i)
             offset = int(rng.integers(0, 32)) * PAGE
             npages = int(rng.integers(1, 16))
-            proto = client.write_virtual_proto(blob, offset, npages * PAGE)
-            yield from dep.executor.run_protocol(proto, client.node)
+            yield from client.write_virtual(blob, offset, npages * PAGE)
 
         procs = [dep.sim.process(writer(i)) for i in range(n)]
         dep.sim.run(until=dep.sim.all_of(procs))
@@ -140,9 +133,8 @@ class TestMetadataConsistencyUnderConcurrency:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.client(i)
-            proto = client.write_virtual_proto(blob, (i % 4) * PAGE, 2 * PAGE)
-            yield from dep.executor.run_protocol(proto, client.node)
+            client = dep.async_client(i)
+            yield from client.write_virtual(blob, (i % 4) * PAGE, 2 * PAGE)
 
         procs = [dep.sim.process(writer(i)) for i in range(n)]
         dep.sim.run(until=dep.sim.all_of(procs))

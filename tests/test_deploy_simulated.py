@@ -78,15 +78,38 @@ class TestFunctional:
             dep.warm_client_cache(client, blob)
 
 
+def timed(dep, op):
+    """``(op(), the simulated seconds it took)``."""
+    start = dep.now
+    value = op()
+    return value, dep.now - start
+
+
+def trace_names(dep, op):
+    """Run ``op`` traced; its op span and the actor kinds of its rpc spans,
+    in completion order with repeats of one batch's kind collapsed."""
+    with dep.traced() as tid:
+        op()
+    spans = [s for s in dep.spans() if s["trace"] == tid]
+    (op_span,) = [s for s in spans if s["kind"] == "op"]
+    rpcs = [s for s in spans if s["kind"] == "rpc"]
+    ends = [s["end_ns"] for s in rpcs]
+    assert ends == sorted(ends)
+    assert all(
+        op_span["start_ns"] <= s["start_ns"] <= s["end_ns"] <= op_span["end_ns"]
+        for s in rpcs
+    )
+    kinds = [s["name"].split("/")[0] for s in rpcs]
+    return [k for i, k in enumerate(kinds) if i == 0 or kinds[i - 1] != k]
+
+
 class TestTimingSanity:
     def test_durations_positive_and_ordered(self):
         dep = make()
-        blob = dep.alloc_blob(1 * TB, PAGE)
         client = dep.client(0)
-        _, small = client.timed(client.write_virtual_proto(blob, 0, PAGE))
-        _, large = client.timed(
-            client.write_virtual_proto(blob, 1 * MB, 64 * PAGE)
-        )
+        blob = client.alloc(1 * TB, PAGE)
+        _, small = timed(dep, lambda: client.write_virtual(blob, 0, PAGE))
+        _, large = timed(dep, lambda: client.write_virtual(blob, 1 * MB, 64 * PAGE))
         assert 0 < small < large
 
     def test_cached_read_faster_than_uncached(self):
@@ -95,27 +118,21 @@ class TestTimingSanity:
         writer = dep.client(0)
         writer.write_virtual(blob, 0, 32 * PAGE)
         reader = dep.client(1, cached=True)
-        _, cold = reader.timed(reader.read_virtual_proto(blob, 0, 32 * PAGE))
-        _, warm = reader.timed(reader.read_virtual_proto(blob, 0, 32 * PAGE))
+        reader.open(blob)
+        _, cold = timed(dep, lambda: reader.read_virtual(blob, 0, 32 * PAGE))
+        _, warm = timed(dep, lambda: reader.read_virtual(blob, 0, 32 * PAGE))
         assert warm < cold
 
     def test_trace_marks_monotone(self):
+        """A traced op's rpc spans follow its batches in protocol order,
+        inside its op span."""
         dep = make()
-        blob = dep.alloc_blob(1 * TB, PAGE)
         client = dep.client(0)
-        wtrace: dict[str, float] = {}
-        client.run(client.write_virtual_proto(blob, 0, 4 * PAGE, trace=wtrace))
-        order = [
-            "start", "providers_allocated", "pages_stored",
-            "version_assigned", "metadata_stored", "done",
-        ]
-        values = [wtrace[k] for k in order]
-        assert values == sorted(values)
-        rtrace: dict[str, float] = {}
-        client.run(client.read_virtual_proto(blob, 0, 4 * PAGE, trace=rtrace))
-        rorder = ["start", "version_resolved", "metadata_read", "pages_read", "done"]
-        rvalues = [rtrace[k] for k in rorder]
-        assert rvalues == sorted(rvalues)
+        blob = client.alloc(1 * TB, PAGE)
+        write = trace_names(dep, lambda: client.write_virtual(blob, 0, 4 * PAGE))
+        assert write == ["pm", "data", "vm", "meta", "vm"]
+        read = trace_names(dep, lambda: client.read_virtual(blob, 0, 4 * PAGE))
+        assert read == ["vm", "meta", "data"]
 
     def test_latency_scaling(self):
         """10x link latency must slow a small read (RTT-dominated)."""
@@ -124,7 +141,7 @@ class TestTimingSanity:
             blob = dep.alloc_blob(1 * TB, PAGE)
             client = dep.client(0)
             client.write_virtual(blob, 0, PAGE)
-            _, dur = client.timed(client.read_virtual_proto(blob, 0, PAGE))
+            _, dur = timed(dep, lambda: client.read_virtual(blob, 0, PAGE))
             return dur
 
         assert read_time(1e-3) > read_time(0.1e-3) * 2
@@ -139,14 +156,14 @@ class TestTimingSanity:
             durations = []
 
             def loop(client):
+                yield from client.open(blob)
                 for _ in range(5):
                     start = dep.sim.now
-                    proto = client.read_virtual_proto(blob, 0, 64 * PAGE)
-                    yield from dep.executor.run_protocol(proto, client.node)
+                    yield from client.read_virtual(blob, 0, 64 * PAGE)
                     durations.append(dep.sim.now - start)
 
             procs = [
-                dep.sim.process(loop(dep.client(i))) for i in range(n_clients)
+                dep.sim.process(loop(dep.async_client(i))) for i in range(n_clients)
             ]
             dep.sim.run(until=dep.sim.all_of(procs))
             return sum(durations) / len(durations)
@@ -159,7 +176,7 @@ class TestTimingSanity:
             blob = dep.alloc_blob(1 * TB, PAGE)
             client = dep.client(0)
             client.write_virtual(blob, 0, 16 * PAGE)
-            _, dur = client.timed(client.read_virtual_proto(blob, 0, 16 * PAGE))
+            _, dur = timed(dep, lambda: client.read_virtual(blob, 0, 16 * PAGE))
             return dur
 
         assert once() == once()

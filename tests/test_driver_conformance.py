@@ -97,8 +97,6 @@ def across_table(phase):
 
 def run(dep, proto):
     """Run one protocol to completion on any configuration."""
-    if isinstance(dep, SimDeployment):
-        return dep.client(0).run(proto)
     return dep.driver.run(proto)
 
 
@@ -111,7 +109,7 @@ def run_concurrently(dep, factories):
     programs touching disjoint ranges)."""
     if isinstance(dep, SimDeployment):
         procs = [
-            dep.client(i % len(dep.client_nodes)).spawn(f())
+            dep.sim.process(dep.drivers[i % len(dep.drivers)].drive(f()))
             for i, f in enumerate(factories)
         ]
         dep.run()

@@ -131,13 +131,14 @@ def test_simulated_failover_read_keeps_its_duration():
     again when a reader with no cache started receiving only the leaves of
     its subtree walk (no reply CPU for the walk's 14 inner nodes)."""
     dep = SimDeployment(DeploymentSpec(n_data=4, n_meta=4, replication=2))
-    writer = dep.client()
-    blob = writer.alloc(SMALL_TOTAL, SMALL_PAGE)
-    writer.run(writer.write_virtual_proto(blob, 0, 8 * SMALL_PAGE))
+    client = dep.client(cached=False)
+    blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
+    client.write_virtual(blob, 0, 8 * SMALL_PAGE)
     dep.executor.fail(("data", 1))
     dep.executor.fail(("meta", 2))
-    reader = dep.client(cached=False)
-    _, duration = reader.timed(reader.read_virtual_proto(blob, 0, 8 * SMALL_PAGE))
+    start = dep.now
+    client.read_virtual(blob, 0, 8 * SMALL_PAGE)
+    duration = dep.now - start
     assert duration == 0.003950451610438827
     assert (dep.executor.wire_rpcs, dep.executor.sub_calls) == (17, 34)
 

@@ -34,8 +34,8 @@ class TestManyClientsOneDriver:
         w.write(blob, pages(2, b"p"), 0)
         r1, r2 = dep.client("r1"), dep.client("r2")
         r1.read(blob, 0, SMALL_PAGE)
-        assert len(r1.cache._lru) > 0
-        assert len(r2.cache._lru) == 0
+        assert len(r1.cache) > 0
+        assert len(r2.cache) == 0
 
     def test_write_uids_never_collide(self, dep, blob):
         clients = [dep.client(f"c{i}") for i in range(4)]

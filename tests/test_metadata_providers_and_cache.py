@@ -2,8 +2,11 @@
 
 import importlib
 import re
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import ImmutabilityViolation, NodeMissing
@@ -221,7 +224,20 @@ class TestMetadataCache:
     def test_miss(self):
         cache = MetadataCache(4)
         assert cache.get(NodeKey("b", 1, 0, 4096)) is None
-        assert cache.misses == 1
+        assert len(cache) == 0
+
+    def test_rejects_zero_capacity(self):
+        with pytest.raises(ValueError):
+            MetadataCache(0)
+
+    def test_update_existing(self):
+        cache = MetadataCache(2)
+        first = node()
+        again = TreeNode(key=first.key, providers=(9,), write_uid="w")
+        cache.put(first)
+        cache.put(again)
+        assert cache.get(first.key) is again
+        assert len(cache) == 1
 
     def test_eviction_at_capacity(self):
         cache = MetadataCache(2)
@@ -230,21 +246,106 @@ class TestMetadataCache:
             cache.put(n)
         assert len(cache) == 2
         assert cache.get(nodes[0].key) is None
+        assert nodes[2].key in cache
 
-    def test_stats(self):
-        cache = MetadataCache(4)
-        n = node()
-        cache.put(n)
-        cache.get(n.key)
-        cache.get(NodeKey("x", 1, 0, 4096))
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_ratio == 0.5
+    def test_lru_evicted_first(self):
+        cache = MetadataCache(2)
+        a, b, c = (node(version=v) for v in (1, 2, 3))
+        cache.put(a)
+        cache.put(b)
+        cache.put(c)  # evicts a
+        assert a.key not in cache
+        assert cache.get(b.key) is b and cache.get(c.key) is c
+
+    def test_get_refreshes_recency(self):
+        cache = MetadataCache(2)
+        a, b, c = (node(version=v) for v in (1, 2, 3))
+        cache.put(a)
+        cache.put(b)
+        cache.get(a.key)  # a is now most recent
+        cache.put(c)  # evicts b
+        assert a.key in cache and b.key not in cache
+
+    def test_put_refreshes_recency(self):
+        cache = MetadataCache(2)
+        a, b, c = (node(version=v) for v in (1, 2, 3))
+        cache.put(a)
+        cache.put(b)
+        cache.put(a)
+        cache.put(c)  # evicts b
+        assert a.key in cache and b.key not in cache
+
+    def test_update_existing_never_evicts(self):
+        cache = MetadataCache(2)
+        a, b = node(version=1), node(version=2)
+        cache.put(a)
+        cache.put(b)
+        cache.put(a)  # refresh, not insert
+        assert len(cache) == 2 and a.key in cache and b.key in cache
+
+    def test_capacity_never_exceeded(self):
+        cache = MetadataCache(5)
+        nodes = [node(version=v) for v in range(100)]
+        for n in nodes:
+            cache.put(n)
+        assert len(cache) == 5
+        assert [n.key in cache for n in nodes] == [False] * 95 + [True] * 5
+
+    def test_preload_keeps_recency_and_evicts_least_recent_first(self):
+        template = MetadataCache(4)
+        a, b, c = (node(version=v) for v in (1, 2, 3))
+        for n in (a, b, c):
+            template.put(n)
+        template.get(a.key)  # recency: b, c, a
+        cache = MetadataCache(2)
+        cache.preload_from(template)  # overflow drops b, the least recent
+        assert len(cache) == 2 and b.key not in cache
+        cache.put(node(version=4))  # then c, the next least recent
+        assert c.key not in cache and a.key in cache
+        assert len(template) == 3  # the template is only read
 
     def test_clear(self):
         cache = MetadataCache(4)
-        cache.put(node())
+        n = node()
+        cache.put(n)
         cache.clear()
         assert len(cache) == 0
+        assert n.key not in cache and cache.get(n.key) is None
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("pg"), st.integers(min_value=0, max_value=20)),
+            max_size=200,
+        ),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_model_equivalence(self, ops, capacity):
+        """The cache behaves exactly like an ordered-dict reference model,
+        down to its final recency order (read off by evicting it)."""
+        cache = MetadataCache(capacity)
+        model: OrderedDict = OrderedDict()
+        for op, version in ops:
+            n = node(version=version)
+            if op == "p":
+                if n.key in model:
+                    model.move_to_end(n.key)
+                elif len(model) >= capacity:
+                    model.popitem(last=False)
+                model[n.key] = n
+                cache.put(n)
+            else:
+                expected = model.get(n.key)
+                if n.key in model:
+                    model.move_to_end(n.key)
+                assert cache.get(n.key) == expected
+        assert len(cache) == len(model)
+        fresh = iter(range(100, 200))
+        for _ in range(capacity - len(model)):
+            cache.put(node(version=next(fresh)))  # fills up, evicts nothing
+        for key in model:
+            assert key in cache
+            cache.put(node(version=next(fresh)))
+            assert key not in cache  # the least recent goes first
 
     def test_versioned_keys_never_alias(self):
         """The coherence-for-free property: distinct versions, distinct keys."""

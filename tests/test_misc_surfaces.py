@@ -1,5 +1,5 @@
 """Coverage of smaller public surfaces: errors, driver registries,
-deployment wiring, SimClient cache modes, ticket serialization."""
+deployment wiring, simulated client cache modes, ticket serialization."""
 
 import pytest
 from hypothesis import given

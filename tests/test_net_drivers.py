@@ -446,9 +446,7 @@ def test_fault_surface_contract(name):
     surface = dep.executor if name == "simulated" else dep.driver
 
     def run(proto):
-        if name == "simulated":
-            return dep.client().run(proto)
-        if name == "inproc":
+        if name in ("inproc", "simulated"):
             return dep.driver.run(proto)
         return dep.driver.spawn(proto).result(10)  # a hang fails the test
 

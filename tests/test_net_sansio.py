@@ -6,7 +6,7 @@ import pytest
 from repro.errors import RemoteError, VersionNotPublished
 from repro.net.message import estimate_size
 from repro.net.aio import AioDriver
-from repro.net.sansio import Batch, Call, Compute, Mark, dispatch_call, run_inproc
+from repro.net.sansio import Batch, Call, Compute, dispatch_call, run_inproc
 from repro.net.threaded import ThreadedDriver
 
 
@@ -80,15 +80,6 @@ class _SteppingRule:
             return v
 
         assert self.run(proto()) == "ok"
-
-    def test_mark_returns_time(self):
-        def proto():
-            t1 = yield Mark("a")
-            t2 = yield Mark("b")
-            return t1, t2
-
-        t1, t2 = self.run(proto())
-        assert isinstance(t1, float) and t2 >= t1
 
     def test_error_raised_at_yield_point(self):
         def proto():

@@ -31,10 +31,15 @@ def _run_mixed_workload() -> dict:
         dep, blob, n_clients=3, iterations=4, picker=picker, kind="read"
     )
 
-    # one traced read so per-phase timestamps are part of the fingerprint
-    trace: dict[str, float] = {}
+    # one traced read so its modeled span times are part of the fingerprint
     reader = dep.client(1, cached=False, name="traced")
-    result = reader.run(reader.read_virtual_proto(blob, 0, 1 * MB, trace=trace))
+    with dep.traced("read") as tid:
+        result = reader.read_virtual(blob, 0, 1 * MB)
+    trace = [
+        (s["kind"], s["name"], s["start_ns"], s["end_ns"])
+        for s in dep.spans()
+        if s["trace"] == tid
+    ]
 
     return {
         "write_done_at": write_done_at,
@@ -79,11 +84,11 @@ class TestEngineDeterminism:
 
     def test_mixed_workload_trace_timestamps_are_exact(self):
         trace = _run_mixed_workload()["trace"]
-        # phase marks exist and are strictly ordered in simulated time
-        names = ["start", "version_resolved", "metadata_read", "pages_read", "done"]
-        assert all(name in trace for name in names)
-        times = [trace[n] for n in names]
-        assert times == sorted(times)
+        # the op and its rpc + serving spans exist; the rpc spans (the
+        # READ's batches) end in order in simulated time
+        assert {kind for kind, *_ in trace} == {"op", "rpc", "server"}
+        ends = [end for kind, _, _, end in trace if kind == "rpc"]
+        assert len(ends) >= 3 and ends == sorted(ends)
         # and they are bit-identical on a re-run (not just approximately)
         assert _run_mixed_workload()["trace"] == trace
 

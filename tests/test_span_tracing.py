@@ -308,12 +308,11 @@ class TestSimSpans:
         )
 
     def run_traced(self, dep):
-        blob = dep.alloc_blob(1 * TB, 64 * KB)
         client = dep.client(0)
+        blob = client.alloc(1 * TB, 64 * KB)
         dep.clear_spans()
-        _, tid = client.traced(
-            client.write_virtual_proto(blob, 0, 8 * 64 * KB), name="sim-write"
-        )
+        with dep.traced("sim-write") as tid:
+            client.write_virtual(blob, 0, 8 * 64 * KB)
         return dep.spans(), tid
 
     def test_sim_spans_share_the_real_schema(self):
@@ -347,9 +346,8 @@ class TestSimSpans:
         blob_p = dep_plain.alloc_blob(1 * TB, 64 * KB)
         blob_t = dep_traced.alloc_blob(1 * TB, 64 * KB)
         dep_plain.client(0).write_virtual(blob_p, 0, 8 * 64 * KB)
-        dep_traced.client(0).traced(
-            dep_traced.client(0).write_virtual_proto(blob_t, 0, 8 * 64 * KB)
-        )
+        with dep_traced.traced():
+            dep_traced.client(0).write_virtual(blob_t, 0, 8 * 64 * KB)
         assert dep_plain.sim.now == dep_traced.sim.now
 
 

@@ -28,6 +28,7 @@ import shutil
 
 import pytest
 
+from repro.bench.figures import traced_phase
 from repro.core.config import DeploymentSpec
 from repro.core.gc import gc_protocol
 from repro.core.journal import Journal
@@ -753,18 +754,16 @@ def test_simulator_prices_a_subtree_reply_per_node_returned():
         n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
         meta_subtree_bytes=SMALL_TOTAL,
     ))
-    blob = dep.alloc_blob(SMALL_TOTAL, SMALL_PAGE)
     client = dep.client(0)
+    blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
     client.write_virtual(blob, 0, 64 * SMALL_PAGE)
     spec = dep.network.spec
     per_node = spec.service_time("meta.get_node") + spec.reply_cpu("meta.get_node")
     points = []
     for npages in (1, 64):
-        trace: dict[str, float] = {}
-        result = client.run(
-            client.read_virtual_proto(blob, 0, npages * SMALL_PAGE, trace=trace)
+        result, elapsed = traced_phase(
+            dep, lambda: client.read_virtual(blob, 0, npages * SMALL_PAGE)
         )
-        elapsed = trace["metadata_read"] - trace["version_resolved"]
         assert elapsed >= result.nodes_fetched * per_node
         points.append((elapsed, result.nodes_fetched))
     (t_small, n_small), (t_big, n_big) = points
@@ -785,18 +784,17 @@ def test_simulator_prices_a_leaves_reply_per_node_walked_and_per_leaf_returned()
             meta_subtree_bytes=SMALL_TOTAL,
         ))
         spec = dep.network.spec
-        blob = dep.alloc_blob(SMALL_TOTAL, SMALL_PAGE)
         client = dep.client(0, cached=cached)
+        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
         client.write_virtual(blob, 0, 64 * SMALL_PAGE)
         served = sum(m.nodes_served for m in dep.meta.values())
-        trace: dict[str, float] = {}
-        proto, seen = observed(
-            client.read_virtual_proto(blob, 0, 64 * SMALL_PAGE, trace=trace)
-        )
-        result = client.run(proto)
+        proto, seen = observed(read_protocol(
+            blob, client.open(blob), 0, 64 * SMALL_PAGE, dep.router,
+            cache=client.cache, with_data=False,
+        ))
+        result, elapsed = traced_phase(dep, lambda: dep.driver.run(proto))
         walked = sum(m.nodes_served for m in dep.meta.values()) - served
-        phases[cached] = (trace["metadata_read"] - trace["version_resolved"],
-                          walked, result.nodes_fetched, seen["walks"])
+        phases[cached] = (elapsed, walked, result.nodes_fetched, seen["walks"])
     (t_sub, walked, n_sub, walks_sub) = phases[True]
     (t_leaves, walked_leaves, n_leaves, walks_leaves) = phases[False]
     assert (walks_sub, walks_leaves) == (["meta.get_subtree"], ["meta.get_leaves"])
@@ -810,11 +808,13 @@ def test_simulator_one_page_cacheless_read_receives_one_node():
     dep = SimDeployment(DeploymentSpec(
         n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
     ))
-    blob = dep.alloc_blob(1 * GB, SMALL_PAGE)
     client = dep.client(0)
+    blob = client.alloc(1 * GB, SMALL_PAGE)
     client.write_virtual(blob, 40 * MB, 4 * SMALL_PAGE)
-    proto, seen = observed(client.read_virtual_proto(blob, 40 * MB, SMALL_PAGE))
-    result = client.run(proto)
+    proto, seen = observed(read_protocol(
+        blob, client.open(blob), 40 * MB, SMALL_PAGE, dep.router, with_data=False
+    ))
+    result = dep.driver.run(proto)
     assert seen["walks"] == ["meta.get_leaves"] and seen["batches"] == 3
     assert result.nodes_fetched == result.pages_fetched == 1
 
@@ -829,13 +829,11 @@ def test_simulator_prices_a_shard_per_node_and_its_dht_latency_once():
             n_data=1, n_meta=1, n_clients=1, cache_capacity=0,
             meta_subtree_bytes=cut,
         ))
-        blob = dep.alloc_blob(SMALL_TOTAL, SMALL_PAGE)
         client = dep.client(0)
-        trace: dict[str, float] = {}
-        result = client.run(
-            client.write_virtual_proto(blob, 0, 64 * SMALL_PAGE, trace=trace)
+        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
+        result, elapsed[cut] = traced_phase(
+            dep, lambda: client.write_virtual(blob, 0, 64 * SMALL_PAGE)
         )
-        elapsed[cut] = trace["metadata_stored"] - trace["version_assigned"]
         (provider,) = dep.meta.values()
         assert provider.put_batches == (1 if cut else 0)
         assert provider.puts == result.nodes_written

@@ -174,6 +174,27 @@ def test_simulated_metrics_include_node_utilization():
     assert "node utilization (simulated):" in render_metrics(metrics)
 
 
+def test_simulated_scrape_reconciles():
+    """The simulator counts what each actor served, so its scrape is
+    checked like the live drivers': calls to a failed address reach no
+    actor and are counted nowhere."""
+    dep = SimDeployment(DeploymentSpec(n_data=2, n_meta=2, n_clients=1, replication=2))
+    client = dep.client(0)
+    blob = client.alloc(TOTAL, PAGE)
+    client.write_virtual(blob, 0, 8 * PAGE)
+    dep.executor.fail(("data", 1))
+    client.read_virtual(blob, 0, 8 * PAGE)
+    dep.executor.heal(("data", 1))
+    metrics = dep.metrics()
+    touched = {
+        name: entry for name, entry in metrics["actors"].items() if entry["calls"]
+    }
+    assert set(touched) == {"vm", "pm", "data/0", "data/1", "meta/0", "meta/1"}
+    for entry in touched.values():
+        assert entry["sub_calls"] == entry["calls"]
+    assert reconcile(metrics) == []
+
+
 # ---------------------------------------------------------------------------
 # scrape invisibility (controls are never counted)
 # ---------------------------------------------------------------------------
