@@ -221,6 +221,21 @@ class TestMetadataCache:
         assert n.key in cache
         assert len(cache) == 1
 
+    def test_get_after_put(self):
+        cache = MetadataCache(2)
+        a, b = node(version=1), node(version=2)
+        cache.put(a)
+        assert cache.get(a.key) is a
+        assert cache.get(b.key) is None
+
+    def test_len_and_contains(self):
+        cache = MetadataCache(3)
+        a, b, c = (node(version=v) for v in (1, 2, 3))
+        cache.put(a)
+        cache.put(b)
+        assert len(cache) == 2
+        assert a.key in cache and b.key in cache and c.key not in cache
+
     def test_miss(self):
         cache = MetadataCache(4)
         assert cache.get(NodeKey("b", 1, 0, 4096)) is None
@@ -246,6 +261,14 @@ class TestMetadataCache:
             cache.put(n)
         assert len(cache) == 2
         assert cache.get(nodes[0].key) is None
+
+    def test_eviction_bounded_by_capacity(self):
+        cache = MetadataCache(2)
+        nodes = [node(version=v) for v in (1, 2, 3)]
+        for n in nodes:
+            cache.put(n)
+        assert len(cache) == 2
+        assert nodes[0].key not in cache  # LRU evicted
         assert nodes[2].key in cache
 
     def test_lru_evicted_first(self):
@@ -306,11 +329,25 @@ class TestMetadataCache:
 
     def test_clear(self):
         cache = MetadataCache(4)
+        cache.put(node())
+        cache.clear()
+        assert len(cache) == 0
+
+    def test_clear_forgets_entries(self):
+        cache = MetadataCache(2)
         n = node()
         cache.put(n)
         cache.clear()
         assert len(cache) == 0
-        assert n.key not in cache and cache.get(n.key) is None
+        assert cache.get(n.key) is None
+
+    def test_len_contains_and_clear(self):
+        cache = MetadataCache(4)
+        n = node()
+        cache.put(n)
+        assert len(cache) == 1 and n.key in cache
+        cache.clear()
+        assert len(cache) == 0 and n.key not in cache
 
     @given(
         st.lists(
