@@ -43,7 +43,7 @@ def _sim_op_ms(traced: bool, kind: str, ops: int = 8) -> tuple[list[float], floa
     dep = SimDeployment(
         DeploymentSpec(n_data=4, n_meta=4, n_clients=1, cache_capacity=0)
     )
-    client = dep.client(0)
+    client = dep.client()
     blob = client.alloc(1 * TB, PAGE)
     if kind == "read":
         for i in range(ops):

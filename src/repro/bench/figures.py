@@ -167,7 +167,7 @@ def fig3a_metadata_read(
     )
     for n in provider_counts:
         dep = SimDeployment(paper_spec(n), cluster=cluster)
-        client = dep.client(0, cached=False)
+        client = dep.client(cached=False)
         blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
@@ -212,7 +212,7 @@ def fig3b_metadata_write(
     )
     for n in provider_counts:
         dep = SimDeployment(paper_spec(n), cluster=cluster)
-        client = dep.client(0, cached=False)
+        client = dep.client(cached=False)
         blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
@@ -286,7 +286,7 @@ def fig3c_throughput(
         if read_kinds:
             dep = SimDeployment(paper_spec(providers, n), cluster=cluster)
             blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
-            setup = dep.client(0, cached=False, name="populator")
+            setup = dep.client("populator", cached=False)
             populate_window(setup, blob, window, segment)
             for kind in read_kinds:
                 bandwidths = run_concurrent_clients(
@@ -351,7 +351,7 @@ def tail_latency_quantiles(
             dep = SimDeployment(paper_spec(providers, n), cluster=cluster)
             blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
             if kind == "read":
-                populate_window(dep.client(0, name="populator"), blob,
+                populate_window(dep.client("populator"), blob,
                                 window, segment)
             durations = run_concurrent_client_durations(
                 dep, blob, n, iterations, picker, kind=kind
@@ -457,7 +457,7 @@ def ablation_metadata(
         )
         blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         if populate:
-            setup = dep.client(0, cached=False, name="populator")
+            setup = dep.client("populator", cached=False)
             populate_window(setup, blob, picker.window, segment)
         return dep, blob
 
@@ -531,7 +531,7 @@ def ablation_rpc_aggregation(
         dep = SimDeployment(
             paper_spec(providers), cluster=ClusterSpec(aggregate=aggregate)
         )
-        client = dep.client(0, cached=False)
+        client = dep.client(cached=False)
         blob = client.alloc(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
         ys = []
         for i, size in enumerate(sizes):
@@ -567,7 +567,7 @@ def ablation_pagesize(
     wys, rys = [], []
     for pagesize in pagesizes:
         dep = SimDeployment(paper_spec(providers))
-        client = dep.client(0, cached=False)
+        client = dep.client(cached=False)
         blob = client.alloc(PAPER_TOTAL_SIZE, pagesize)
         wys.append(traced_phase(
             dep, lambda: client.write_virtual(blob, 0, segment), whole=True

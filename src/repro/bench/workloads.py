@@ -123,7 +123,7 @@ def run_concurrent_client_durations(
     distribution that a mean throws away.
     """
     clients = [
-        dep.async_client(i, cached=cached, name=f"{kind}-client-{i}")
+        dep.async_client(f"{kind}-client-{i}", index=i, cached=cached)
         for i in range(n_clients)
     ]
     # every client learns the geometry (one vm.stat) before the loops

@@ -1,9 +1,9 @@
 """Deployment builders: wire actors, drivers and clients together.
 
-Three builders return one :class:`~repro.deploy.inproc.Deployment`
-surface (clients, inspection, wire counters, telemetry, close) and
-differ only in the driver behind it; ``build_tcp`` serves both the
-``tcp`` and the ``aio`` driver:
+Every deployment is one :class:`~repro.deploy.inproc.Deployment`
+surface (clients, inspection, wire counters, the fault surface on
+``dep.driver``, telemetry, close) and differs only in the driver behind
+it; ``build_tcp`` serves both the ``tcp`` and the ``aio`` driver:
 
 - :func:`~repro.deploy.inproc.build_inproc` — everything in one thread;
   the functional substrate for tests, examples and the sky pipeline.
@@ -20,9 +20,9 @@ differ only in the driver behind it; ``build_tcp`` serves both the
   loop multiplexing every peer socket, awaitable clients via
   ``dep.async_client()`` — for thousands of concurrent client programs.
 - :class:`~repro.deploy.simulated.SimDeployment` — actors on simulated
-  cluster nodes with calibrated costs; the benchmark substrate. It
-  shares the vm/pm builder, the node layout and the clients
-  (``dep.client()`` / ``dep.async_client()``) with the others.
+  cluster nodes with calibrated costs; the benchmark substrate. A
+  ``Deployment`` with one driver per client node
+  (``dep.client(name, index=i)`` / ``dep.async_client(...)``).
 """
 
 from repro.deploy.inproc import Deployment, build_inproc

@@ -1,7 +1,8 @@
 """The deployment assembly every builder shares, and the in-process builder.
 
 ``build_inproc``, ``build_threaded`` and ``build_tcp`` all return a
-:class:`Deployment`. :func:`build_control_plane` (the vm and pm) and
+:class:`Deployment`, and ``SimDeployment`` is one.
+:func:`build_control_plane` (the vm and pm) and
 :func:`plan_loopback_nodes` (which actors share a node) serve every
 builder, the simulator included.
 """
@@ -24,12 +25,31 @@ from repro.providers.manager import ProviderManager
 from repro.version.manager import VersionManager
 
 
-class _Inspection:
-    """Read-only views over the ``data`` and ``meta`` providers, shared by
-    every deployment (simulated ones included)."""
+@dataclass
+class Deployment:
+    """All actors plus the driver that reaches them and the router clients
+    plan with. ``data``/``meta`` (and ``vm``/``pm``) are the live actors,
+    or on a TCP cluster proxies with the same inspection surface, which
+    reads them directly."""
 
+    spec: DeploymentSpec
+    #: InprocDriver, ThreadedDriver (threaded and TCP deployments),
+    #: AioDriver or SimDriver
+    driver: Any
+    router: StaticRouter
+    vm: Any
+    pm: Any
     data: dict[int, Any]
     meta: dict[int, Any]
+    #: ``metrics()["source"]``: which builder assembled the deployment
+    source: str = "inproc"
+    #: per-actor ``(wire_rpcs, sub_calls)`` already served when the build
+    #: returned — the deployment's own setup traffic, which
+    #: :meth:`workload_stats` subtracts (empty where there was none)
+    stats_base: dict = field(default_factory=dict)
+    #: caller-side transport counters at build time (the builder's own
+    #: calls); subtract from ``transport_stats()`` for workload-only counts
+    transport_base: dict = field(default_factory=dict)
 
     @property
     def data_ids(self) -> list[int]:
@@ -50,51 +70,29 @@ class _Inspection:
         (the cross-driver conformance suite compares these)."""
         return blob_nodes(self.meta.values(), blob_id)
 
-
-@dataclass
-class Deployment(_Inspection):
-    """All actors plus the driver that reaches them and the router clients
-    plan with. ``data``/``meta`` (and ``vm``/``pm``) are the live actors,
-    or on a TCP cluster proxies with the same inspection surface."""
-
-    spec: DeploymentSpec
-    #: InprocDriver, ThreadedDriver (threaded and TCP deployments) or
-    #: AioDriver
-    driver: Any
-    router: StaticRouter
-    vm: Any
-    pm: Any
-    data: dict[int, Any]
-    meta: dict[int, Any]
-    #: ``metrics()["source"]``: which builder assembled the deployment
-    source: str = "inproc"
-    #: per-actor ``(wire_rpcs, sub_calls)`` already served when the build
-    #: returned — the deployment's own setup traffic, which
-    #: :meth:`workload_stats` subtracts (empty where there was none)
-    stats_base: dict = field(default_factory=dict)
-    #: caller-side transport counters at build time (the builder's own
-    #: calls); subtract from ``transport_stats()`` for workload-only counts
-    transport_base: dict = field(default_factory=dict)
-
     def client(self, name: str | None = None) -> BlobClient:
         """A blocking client sharing the deployment's driver."""
         return self._client(BlobClient, name)
 
-    def _client(self, cls: type[BlobClient], name: str | None) -> BlobClient:
-        # the one constructor body: the aio deployment's async_client too
+    def _client(
+        self, cls: type[BlobClient], name: str | None, driver: Any = None,
+        capacity: int | None = None,
+    ) -> BlobClient:
+        # the one constructor body: the aio deployment's async_client and
+        # the simulator's clients (one driver per client node) too
         return cls(
-            self.driver,
+            driver or self.driver,
             self.router,
             name=name,
-            cache_capacity=self.spec.cache_capacity,
+            cache_capacity=self.spec.cache_capacity if capacity is None else capacity,
             elastic=self.spec.strategy == "hash_ring",
         )
 
     def transport_stats(self) -> dict[str, int] | None:
         """Caller-side transport counters
         (:meth:`~repro.net.threaded.PeerRegistry.transport_stats`, one
-        implementation for every real driver); ``None`` on inproc, which
-        has no wire layer."""
+        implementation for every real driver); ``None`` on inproc and the
+        simulator, which have no caller-side transport."""
         if not hasattr(self.driver, "transport_stats"):
             return None
         return self.driver.transport_stats()

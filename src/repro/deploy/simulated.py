@@ -4,18 +4,21 @@ Builds the paper's topology on the discrete-event cluster: N provider
 nodes (each hosting one data provider and one metadata provider, colocated
 exactly like the paper's experiments), dedicated version-manager and
 provider-manager nodes, and a set of client nodes, each with its own
-:class:`~repro.net.simdriver.SimDriver`. Clients are the
-:class:`~repro.core.client.BlobClient` of every deployment; protocols run
-as simulated processes; all times are simulated seconds.
+:class:`~repro.net.simdriver.SimDriver`. It is a
+:class:`~repro.deploy.inproc.Deployment` like every other: clients are
+the :class:`~repro.core.client.BlobClient` of every deployment, and the
+fault surface, wire counters, telemetry and ``close`` are theirs.
+Protocols run as simulated processes; all times are simulated seconds.
 """
 
 from __future__ import annotations
 
-from typing import Any, ContextManager
+from typing import ContextManager
 
 from repro.core.client import AsyncBlobClient, BlobClient
 from repro.core.config import DeploymentSpec
-from repro.deploy.inproc import _Inspection, build_control_plane, plan_loopback_nodes
+from repro.deploy.inproc import Deployment, build_control_plane, plan_loopback_nodes
+from repro.errors import ConfigError
 from repro.metadata.provider import MetadataProvider
 from repro.metadata.router import StaticRouter
 from repro.net.node import build_actor
@@ -26,60 +29,60 @@ from repro.sim.engine import Simulator
 from repro.sim.network import ClusterSpec, Network, SimNode
 
 
-class SimDeployment(_Inspection):
+class SimDeployment(Deployment):
     """Actors placed on simulated nodes, and one driver per client node
-    (``driver`` is client node 0's, so ``dep.driver.run(proto)`` works as
-    on every deployment). Inspection (``blob_nodes``,
-    ``total_pages_stored``, ...) reads the actors directly, in zero
-    simulated time."""
+    (``driver`` is client node 0's). The drivers share one executor, so
+    ``fail`` / ``heal`` through any of them holds for every client.
+    Inspection (``blob_nodes``, ``total_pages_stored``, ...) reads the
+    actors directly, in zero simulated time."""
 
     def __init__(
         self,
         spec: DeploymentSpec | None = None,
         cluster: ClusterSpec | None = None,
     ) -> None:
-        self.spec = spec or DeploymentSpec()
+        spec = spec or DeploymentSpec()
         self.sim = Simulator()
         self.network = Network(self.sim, cluster)
         self.executor = SimRpcExecutor(self.sim, self.network)
 
-        self.vm, self.pm = build_control_plane(self.spec)
-        self.executor.register("vm", self.vm, self.network.add_node("vm-node"))
-        self.executor.register("pm", self.pm, self.network.add_node("pm-node"))
+        vm, pm = build_control_plane(spec)
+        self.executor.register("vm", vm, self.network.add_node("vm-node"))
+        self.executor.register("pm", pm, self.network.add_node("pm-node"))
 
-        self.data: dict[int, DataProvider] = {}
-        self.meta: dict[int, MetadataProvider] = {}
-        stores = {"data": self.data, "meta": self.meta}
+        data: dict[int, DataProvider] = {}
+        meta: dict[int, MetadataProvider] = {}
+        stores = {"data": data, "meta": meta}
         # colocated, node ``prov-i`` hosts data provider i and metadata
         # provider i (the layout of every experiment in the paper)
-        for i, names in enumerate(plan_loopback_nodes(self.spec)):
+        for i, names in enumerate(plan_loopback_nodes(spec)):
             node = self.network.add_node(
-                f"prov-{i}" if self.spec.colocate else names[0].replace("/", "-")
+                f"prov-{i}" if spec.colocate else names[0].replace("/", "-")
             )
             for name in names:
-                address, actor = build_actor(
-                    name, checksum=self.spec.page_checksums
-                )
+                address, actor = build_actor(name, checksum=spec.page_checksums)
                 stores[address[0]][address[1]] = actor
                 self.executor.register(address, actor, node)
 
-        self.router = StaticRouter(
-            sorted(self.meta), self.spec.replication, self.spec.meta_subtree_bytes
-        )
         self.client_nodes: list[SimNode] = [
             self.network.add_node(f"client-{i}", role="client")
-            for i in range(self.spec.n_clients)
+            for i in range(spec.n_clients)
         ]
         self.drivers = [SimDriver(self.executor, node) for node in self.client_nodes]
-        self.driver = self.drivers[0]
+        router = StaticRouter(sorted(meta), spec.replication, spec.meta_subtree_bytes)
+        super().__init__(
+            spec=spec, driver=self.drivers[0], router=router, vm=vm, pm=pm,
+            data=data, meta=meta, source="simulated",
+        )
 
     # -- clients ----------------------------------------------------------
 
     def client(
-        self, index: int = 0, *, cached: bool | None = None, name: str | None = None
+        self, name: str | None = None, *, index: int = 0, cached: bool | None = None
     ) -> BlobClient:
         """A blocking client on client node ``index``'s driver: each call
-        runs the simulation until its op ends.
+        runs the simulation until its op ends. ``name`` defaults to
+        ``sim-client-<index>`` (write uids derive from it).
 
         ``cached`` overrides the spec: True gives the client a metadata
         cache (the "Read (cached metadata)" series), False disables it
@@ -87,30 +90,28 @@ class SimDeployment(_Inspection):
         blob's geometry with one ``vm.stat`` on first use: open the blob
         (or alloc through the client) before any measured window.
         """
-        return self._client(BlobClient, index, cached, name)
+        return self._sim_client(BlobClient, name, index, cached)
 
     def async_client(
-        self, index: int = 0, *, cached: bool | None = None, name: str | None = None
+        self, name: str | None = None, *, index: int = 0, cached: bool | None = None
     ) -> AsyncBlobClient:
         """:meth:`client` whose methods return process bodies, to
         ``yield from`` inside simulated processes (concurrent clients)."""
-        return self._client(AsyncBlobClient, index, cached, name)
+        return self._sim_client(AsyncBlobClient, name, index, cached)
 
-    def _client(
-        self, cls: type[BlobClient], index: int, cached: bool | None, name: str | None
+    def _sim_client(
+        self, cls: type[BlobClient], name: str | None, index: int, cached: bool | None
     ) -> BlobClient:
         capacity = self.spec.cache_capacity
         if cached is True and capacity == 0:
             capacity = 1 << 20
         if cached is False:
             capacity = 0
-        return cls(
-            self.drivers[index],
-            self.router,
-            name=name or f"sim-client-{index}",
-            cache_capacity=capacity,
-            elastic=self.spec.strategy == "hash_ring",
-        )
+        name = name or f"sim-client-{index}"
+        return self._client(cls, name, self.drivers[index], capacity)
+
+    def add_data_provider(self) -> int:
+        raise ConfigError("the simulator's providers are fixed by its DeploymentSpec")
 
     def traced(self, name: str = "op") -> ContextManager[int]:
         """Trace the ops run inside the block on the simulated clock (a
@@ -150,9 +151,6 @@ class SimDeployment(_Inspection):
             put(node)
         return len(nodes)
 
-    def run(self, until: Any = None) -> Any:
-        return self.sim.run(until)
-
     @property
     def now(self) -> float:
         return self.sim.now
@@ -169,15 +167,13 @@ class SimDeployment(_Inspection):
         }
 
     def metrics(self) -> dict:
-        """The unified telemetry document (``repro.metrics/1``) for a
-        finished simulation: the same per-actor/per-method quantile shape
-        the live drivers scrape, plus a ``nodes`` section re-exporting
-        the simulator's per-node cpu/tx/rx lane utilization.
-        Service times are *host* nanoseconds around handler bodies (hot
-        handlers), utilization is *simulated* (modelled contention)."""
-        from repro.obs.metrics import scrape_driver, sim_node_entries
+        """:meth:`Deployment.metrics` plus a ``nodes`` section re-exporting
+        the simulator's per-node cpu/tx/rx lane utilization. Service times
+        are *host* nanoseconds around handler bodies (hot handlers),
+        utilization is *simulated* (modelled contention)."""
+        from repro.obs.metrics import sim_node_entries
 
-        doc = scrape_driver(self.executor, source="simulated")
+        doc = super().metrics()
         doc["nodes"] = sim_node_entries(self.network)
         return doc
 

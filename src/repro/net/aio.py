@@ -179,7 +179,7 @@ class _Stepper:
     def _step(self) -> None:
         """Finish the released batch (none before the first step) — a
         ``ReproError`` is thrown in at the ``yield`` —, run the protocol
-        to its next non-empty batch and submit it, or settle ``future``
+        to its next batch and submit it, or settle ``future``
         when the protocol returns or fails."""
         if self.future.done():
             return  # the waiter was cancelled: nobody wants the results
@@ -195,8 +195,6 @@ class _Stepper:
                     batch = step(self._proto, error=exc)
                 else:
                     batch = step(self._proto, results)
-            while not batch.calls:
-                batch = step(self._proto, [])
             self._sent = driver._submit_batch(batch.calls, self)
         except StopIteration as stop:
             self.end()

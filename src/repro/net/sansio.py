@@ -9,13 +9,16 @@ regardless of deployment.
 Operations:
 
 - :class:`Batch` — a set of RPCs to execute **in parallel**; the driver
-  resumes the protocol with the list of results in call order. Calls to the
-  same destination are aggregated into one wire message by every driver.
+  resumes the protocol with the list of results in call order (``[]`` for
+  an empty batch, which reaches no driver). Calls to the same destination
+  are aggregated into one wire message by every driver.
 - :class:`Compute` — a declaration of pure client-side work (``units`` of a
   named cost), so the simulator can charge client CPU for work that in a
   real deployment happens between RPCs (building tree nodes, assembling
   buffers). Non-simulated drivers treat it as a no-op, because there the
   work is actually performed by the surrounding Python code.
+
+Every driver runs a protocol by one stepping rule, :func:`step`.
 
 Nothing else: a protocol never asks for the time. Every driver records
 the span schema (:mod:`repro.obs.spans`) around the batches of a traced
@@ -325,20 +328,29 @@ def gather_with_failover(
 
 
 def step(
-    proto: Protocol[Any], results: list | None = None, error: ReproError | None = None
-) -> Batch:
-    """Resume ``proto`` and run it to its next :class:`Batch` — the one
-    stepping rule every real loop shares. ``error`` is thrown in at the
-    ``yield``, else ``results`` are sent (``None`` starts a fresh
-    protocol); a :class:`Compute` resumes with ``None``, anything else is
-    a ``TypeError``. A finished protocol raises ``StopIteration`` carrying
-    its value."""
+    proto: Protocol[Any], results: list | None = None,
+    error: ReproError | None = None, compute: bool = False,
+) -> Op:
+    """Resume ``proto`` and run it to its next non-empty :class:`Batch` —
+    the one stepping rule every driver shares. ``error`` is thrown in at
+    the ``yield``, else ``results`` are sent (``None`` starts a fresh
+    protocol). An empty batch resumes with ``[]``; a :class:`Compute`
+    with ``None``, unless ``compute=True`` returns it for the caller (the
+    simulator) to price and resume with ``step(proto)``. Anything else is
+    a ``TypeError``; a finished protocol raises ``StopIteration``."""
     op = proto.send(results) if error is None else proto.throw(error)
-    while not isinstance(op, Batch):
-        if not isinstance(op, Compute):
+    while True:
+        cls = op.__class__
+        if cls is Batch:
+            if op.calls:
+                return op
+            op = proto.send([])
+        elif cls is Compute:
+            if compute:
+                return op
+            op = proto.send(None)
+        else:
             raise TypeError(f"protocol yielded {op!r}, expected Batch or Compute")
-        op = proto.send(None)
-    return op
 
 
 def run_protocol(proto: Protocol[T], execute: Callable[[Batch], list]) -> T:

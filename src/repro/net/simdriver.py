@@ -51,17 +51,19 @@ from repro.net.sansio import (
     dispatch_call,
     one_call,
     plan_wire_groups,
+    step,
 )
 from repro.obs.spans import SIM_DOMAIN, current_op, make_span, new_span_id
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Process, Simulator
 from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
 #: the node-carrying calls that walk the provider's store
 _WALKS = frozenset(("meta.get_subtree", "meta.get_leaves"))
 
 
-class SimRpcExecutor(FaultInjection):
-    """Registry of simulated actors plus the protocol runner."""
+class SimRpcExecutor:
+    """Registry of simulated actors plus the batch executor every
+    :class:`SimDriver` of the cluster shares."""
 
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
@@ -83,59 +85,8 @@ class SimRpcExecutor(FaultInjection):
             raise ValueError(f"address {address!r} already registered")
         self._actors[address] = (actor, node, [0, 0])
 
-    def actor(self, address: Address) -> Actor:
-        return self._actors[address][0]
-
     def node_of(self, address: Address) -> SimNode:
         return self._actors[address][1]
-
-    def addresses(self) -> list[Address]:
-        return list(self._actors)
-
-    def telemetry(self, address: Address) -> dict[str, Any]:
-        """One actor's telemetry report, same shape as the real drivers'.
-
-        The recorded service times are *host* nanoseconds around the
-        handler body — useful for spotting hot handlers, unrelated to
-        simulated time (the ``nodes`` lane utilization accounts that). The wire
-        counters are the wire RPCs and sub-calls this actor served (a
-        failed address serves none).
-        """
-        from repro.obs.telemetry import telemetry_report
-
-        self._raise_if_failed(address)
-        actor, _, (wire_rpcs, sub_calls) = self._actors[address]
-        return telemetry_report(actor, wire_rpcs, sub_calls)
-
-    # -- protocol execution ----------------------------------------------
-
-    def run_protocol(
-        self, proto: Protocol[Any], client_node: SimNode
-    ) -> Generator[Event, Any, Any]:
-        """Generator suitable for ``sim.process(...)``: drives ``proto``."""
-        try:
-            op = next(proto)
-            while True:
-                cls = op.__class__
-                if cls is Batch:
-                    try:
-                        results = yield from self._execute_batch(client_node, op)
-                    except ReproError as exc:
-                        op = proto.throw(exc)
-                        continue
-                    op = proto.send(results)
-                    continue
-                if cls is Compute:
-                    cost = self.spec.compute_cost(op.key, op.units)
-                    if cost > 0:
-                        yield client_node.cpu.submit(cost)
-                    op = proto.send(None)
-                    continue
-                raise TypeError(
-                    f"protocol yielded {op!r}, expected Batch or Compute"
-                )
-        except StopIteration as stop:
-            return stop.value
 
     def _execute_batch(
         self, client_node: SimNode, batch: Batch
@@ -145,8 +96,6 @@ class SimRpcExecutor(FaultInjection):
         # Framing is shared with the threaded driver: both execute exactly
         # the groups `plan_wire_groups` plans.
         calls = batch.calls
-        if not calls:
-            return []
         groups = plan_wire_groups(calls, self.spec.aggregate)
 
         # Fast path: a single wire RPC — no fan-out machinery, and the
@@ -354,25 +303,71 @@ class SimRpcExecutor(FaultInjection):
         )
 
 
-class SimDriver:
-    """The driver of one simulated client node: ``run`` / ``call`` as on
-    every driver, plus ``drive`` for protocols that run inside another
-    simulated process (the concurrent-clients loops)."""
+class SimDriver(FaultInjection):
+    """The driver of one simulated client node: ``run`` / ``spawn`` /
+    ``call`` as on every driver, plus ``drive`` for protocols that run
+    inside another simulated process. The drivers of one executor share
+    its actors, served counters and failed addresses: a fault set through
+    any of them holds for every simulated client."""
 
     def __init__(self, executor: SimRpcExecutor, node: SimNode) -> None:
         self.executor = executor
         self.node = node
+        self._actors = executor._actors
+        self._down = executor._down
+
+    def addresses(self) -> list[Address]:
+        return list(self._actors)
+
+    def telemetry(self, address: Address) -> dict[str, Any]:
+        """One actor's telemetry report, same shape as the real drivers';
+        its service times are *host* nanoseconds around the handler body,
+        unrelated to simulated time."""
+        from repro.obs.telemetry import telemetry_report
+
+        self._raise_if_failed(address)
+        actor, _, (wire_rpcs, sub_calls) = self._actors[address]
+        return telemetry_report(actor, wire_rpcs, sub_calls)
+
+    def server_stats(self) -> dict[Address, tuple[int, int]]:
+        """Per-actor ``(wire_rpcs, sub_calls)`` served, as on every driver
+        with a wire layer."""
+        return {a: tuple(served) for a, (_, _, served) in self._actors.items()}
 
     def drive(self, proto: Protocol[Any]) -> Generator[Event, Any, Any]:
         """The process body running ``proto`` on this node, for
-        ``yield from`` inside a simulated process."""
-        return self.executor.run_protocol(proto, self.node)
+        ``yield from`` inside a simulated process: stepped by
+        :func:`~repro.net.sansio.step`, which hands each ``Compute`` back
+        to be charged to this node's CPU lane."""
+        executor, node = self.executor, self.node
+        try:
+            op = step(proto, compute=True)
+            while True:
+                if op.__class__ is Compute:
+                    cost = executor.spec.compute_cost(op.key, op.units)
+                    if cost > 0:
+                        yield node.cpu.submit(cost)
+                    op = step(proto, compute=True)
+                    continue
+                try:
+                    results = yield from executor._execute_batch(node, op)
+                except ReproError as exc:
+                    op = step(proto, error=exc, compute=True)
+                else:
+                    op = step(proto, results, compute=True)
+        except StopIteration as stop:
+            return stop.value
+
+    def spawn(self, proto: Protocol[Any]) -> Process:
+        """Start ``proto`` as a simulated process on this node; its
+        ``result()`` advances the simulation until it ends."""
+        proc = self.executor.sim.process(self.drive(proto), name=self.node.name)
+        proc.defuse()  # its error goes to ``result()``, not to a later run
+        return proc
 
     def run(self, proto: Protocol[Any]) -> Any:
-        """Run ``proto`` as a simulated process on this node, advancing the
-        simulation until the process ends; returns its value."""
-        sim = self.executor.sim
-        return sim.run(until=sim.process(self.drive(proto), name=self.node.name))
+        """Run ``proto`` to its end on this node; returns its value."""
+        return self.spawn(proto).result()
 
     def call(self, address: Address, method: str, args: tuple = ()) -> Any:
         """One-off RPC outside any protocol (inspection surfaces)."""

@@ -572,8 +572,6 @@ class ThreadedDriver(PeerRegistry):
         return run_protocol(proto, self._execute_batch)
 
     def _execute_batch(self, batch: Batch) -> list[Any]:
-        if not batch.calls:
-            return []
         latch = getattr(_caller, "latch", None)
         if latch is None:
             latch = _caller.latch = _BatchLatch()

@@ -151,9 +151,11 @@ class Process(Event):
         self.name = name
         sim._now.append(self._start)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
+    def result(self, timeout: float | None = None) -> Any:
+        """Run the simulation until this process ends and return its
+        value: a driver's ``spawn`` future (``timeout`` is wall-clock,
+        moot here)."""
+        return self.sim.run(until=self)
 
     def _start(self) -> None:
         self._advance(False, None)

@@ -24,8 +24,8 @@ SMALL_TOTAL = 4 * MB
 SMALL_PAGE = 4 * KB
 
 #: The deployment configurations the conformance suite certifies, by
-#: name: ``BUILDERS[name](spec)`` builds one (every entry but the
-#: simulator is a context-managed ``Deployment``).
+#: name: ``BUILDERS[name](spec)`` builds one, and every entry is a
+#: context-managed ``Deployment``.
 BUILDERS = {
     "inproc": build_inproc,
     "threaded": build_threaded,

@@ -50,7 +50,7 @@ class TestWorkloadRuns:
 
     def test_populate_window(self):
         dep, blob = self.make()
-        client = dep.client(0)
+        client = dep.client()
         versions = populate_window(client, blob, window=8 * MB, segment=2 * MB)
         assert versions == 4
         assert dep.vm.get_latest(blob) == 4
@@ -65,10 +65,10 @@ class TestWorkloadRuns:
     def test_run_concurrent_clients_read_cached_faster(self):
         dep, blob = self.make(1)
         picker = SegmentPicker(window=8 * MB, segment=2 * MB)
-        populate_window(dep.client(0), blob, 8 * MB, 2 * MB)
+        populate_window(dep.client(), blob, 8 * MB, 2 * MB)
         uncached = run_concurrent_clients(dep, blob, 1, 4, picker, kind="read")
         dep2, blob2 = self.make(1)
-        populate_window(dep2.client(0), blob2, 8 * MB, 2 * MB)
+        populate_window(dep2.client(), blob2, 8 * MB, 2 * MB)
         picker2 = SegmentPicker(window=8 * MB, segment=2 * MB)
         cached = run_concurrent_clients(
             dep2, blob2, 1, 4, picker2, kind="read", cached=True

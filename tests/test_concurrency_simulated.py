@@ -34,7 +34,7 @@ class TestConcurrentWritersSim:
         versions: list[int] = []
 
         def writer(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             for k in range(per):
                 res = yield from client.write_virtual(blob, (i * per + k) * PAGE, PAGE)
                 versions.append(res.version)
@@ -49,7 +49,7 @@ class TestConcurrentWritersSim:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             rng = substream(4, "sim-writer", i)
             for _ in range(4):
                 offset = int(rng.integers(0, 64)) * PAGE
@@ -68,12 +68,12 @@ class TestConcurrentWritersSim:
         observed: list[tuple[int, int]] = []
 
         def writer(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             for k in range(6):
                 yield from client.write_virtual(blob, (i * 6 + k) * PAGE, PAGE)
 
         def reader(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             for _ in range(12):
                 res = yield from client.read_virtual(blob, 0, PAGE)
                 observed.append((res.version, res.latest))
@@ -90,7 +90,7 @@ class TestConcurrentWritersSim:
             log = []
 
             def writer(i):
-                client = dep.async_client(i)
+                client = dep.async_client(index=i)
                 for k in range(3):
                     res = yield from client.write_virtual(blob, (i * 3 + k) * PAGE, PAGE)
                     log.append((round(dep.sim.now, 9), res.version))
@@ -110,7 +110,7 @@ class TestMetadataConsistencyUnderConcurrency:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             rng = substream(9, "weave", i)
             offset = int(rng.integers(0, 32)) * PAGE
             npages = int(rng.integers(1, 16))
@@ -121,7 +121,7 @@ class TestMetadataConsistencyUnderConcurrency:
         latest = dep.vm.get_latest(blob)
         assert latest == n
         # traverse every snapshot over the whole written window
-        client = dep.client(0)
+        client = dep.client()
         for version in range(1, latest + 1):
             res = client.read_virtual(blob, 0, 48 * PAGE, version=version)
             assert res.version == version  # traversal completed
@@ -133,7 +133,7 @@ class TestMetadataConsistencyUnderConcurrency:
         dep, blob = make(n)
 
         def writer(i):
-            client = dep.async_client(i)
+            client = dep.async_client(index=i)
             yield from client.write_virtual(blob, (i % 4) * PAGE, 2 * PAGE)
 
         procs = [dep.sim.process(writer(i)) for i in range(n)]

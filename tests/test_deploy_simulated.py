@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
-from repro.errors import VersionNotPublished
+from repro.errors import BlobNotFound, ConfigError, VersionNotPublished
+from repro.net.sansio import Batch, Call
 from repro.sim.network import ClusterSpec
 from repro.util.sizes import KB, MB, TB
 
@@ -39,11 +40,44 @@ class TestTopology:
         assert dep.executor.node_of("vm").role == "server"
 
 
+class TestDeploymentSurface:
+    def test_a_fault_through_any_driver_holds_for_every_client(self):
+        dep = make(clients=2)
+        assert dep.drivers[0] is dep.driver
+        dep.drivers[1].fail(("data", 0))
+        (error,) = dep.driver.run(_stats_of(("data", 0)))
+        assert error.error_type == "PeerUnavailable"
+        assert dep.metrics()["actors"]["data/0"] == {"down": str(error)}
+        dep.driver.heal(("data", 0))
+        (stats,) = dep.drivers[1].run(_stats_of(("data", 0)))
+        assert stats["provider_id"] == 0
+        # one executor counts for every driver: per-actor served counters
+        assert dep.drivers[1].server_stats() == dep.driver.server_stats()
+        assert dep.workload_stats()[("data", 0)] == (1, 1)
+
+    def test_add_data_provider_is_refused(self):
+        with make() as dep, pytest.raises(ConfigError, match="simulat"):
+            dep.add_data_provider()
+        assert dep.data_ids == [0, 1, 2, 3]
+
+    def test_a_failed_op_does_not_resurface_in_the_next(self):
+        dep = make()
+        client = dep.client()
+        with pytest.raises(BlobNotFound):
+            client.latest("no-such-blob")
+        assert dep.driver.call("vm", "vm.stats")["assigns"] == 0
+
+
+def _stats_of(address):
+    results = yield Batch([Call(address, f"{address[0]}.stats", allow_error=True)])
+    return results
+
+
 class TestFunctional:
     def test_write_read_roundtrip_virtual(self):
         dep = make()
         blob = dep.alloc_blob(1 * TB, PAGE)
-        client = dep.client(0)
+        client = dep.client()
         wres = client.write_virtual(blob, 0, 8 * PAGE)
         assert wres.version == 1 and wres.published
         rres = client.read_virtual(blob, 0, 8 * PAGE)
@@ -54,16 +88,16 @@ class TestFunctional:
     def test_unpublished_read_fails_in_sim(self):
         dep = make()
         blob = dep.alloc_blob(1 * TB, PAGE)
-        client = dep.client(0)
+        client = dep.client()
         with pytest.raises(VersionNotPublished):
             client.read_virtual(blob, 0, PAGE, version=3)
 
     def test_warm_cache_helper(self):
         dep = make()
         blob = dep.alloc_blob(1 * TB, PAGE)
-        writer = dep.client(0)
+        writer = dep.client()
         writer.write_virtual(blob, 0, 4 * PAGE)
-        reader = dep.client(1, cached=True)
+        reader = dep.client(index=1, cached=True)
         cached = dep.warm_client_cache(reader, blob)
         assert cached > 0
         res = reader.read_virtual(blob, 0, 4 * PAGE)
@@ -73,7 +107,7 @@ class TestFunctional:
     def test_warm_cache_requires_cache(self):
         dep = make()
         blob = dep.alloc_blob(1 * TB, PAGE)
-        client = dep.client(0, cached=False)
+        client = dep.client(cached=False)
         with pytest.raises(ValueError):
             dep.warm_client_cache(client, blob)
 
@@ -106,7 +140,7 @@ def trace_names(dep, op):
 class TestTimingSanity:
     def test_durations_positive_and_ordered(self):
         dep = make()
-        client = dep.client(0)
+        client = dep.client()
         blob = client.alloc(1 * TB, PAGE)
         _, small = timed(dep, lambda: client.write_virtual(blob, 0, PAGE))
         _, large = timed(dep, lambda: client.write_virtual(blob, 1 * MB, 64 * PAGE))
@@ -115,9 +149,9 @@ class TestTimingSanity:
     def test_cached_read_faster_than_uncached(self):
         dep = make()
         blob = dep.alloc_blob(1 * TB, PAGE)
-        writer = dep.client(0)
+        writer = dep.client()
         writer.write_virtual(blob, 0, 32 * PAGE)
-        reader = dep.client(1, cached=True)
+        reader = dep.client(index=1, cached=True)
         reader.open(blob)
         _, cold = timed(dep, lambda: reader.read_virtual(blob, 0, 32 * PAGE))
         _, warm = timed(dep, lambda: reader.read_virtual(blob, 0, 32 * PAGE))
@@ -127,7 +161,7 @@ class TestTimingSanity:
         """A traced op's rpc spans follow its batches in protocol order,
         inside its op span."""
         dep = make()
-        client = dep.client(0)
+        client = dep.client()
         blob = client.alloc(1 * TB, PAGE)
         write = trace_names(dep, lambda: client.write_virtual(blob, 0, 4 * PAGE))
         assert write == ["pm", "data", "vm", "meta", "vm"]
@@ -139,7 +173,7 @@ class TestTimingSanity:
         def read_time(latency):
             dep = make(cluster=ClusterSpec(latency=latency))
             blob = dep.alloc_blob(1 * TB, PAGE)
-            client = dep.client(0)
+            client = dep.client()
             client.write_virtual(blob, 0, PAGE)
             _, dur = timed(dep, lambda: client.read_virtual(blob, 0, PAGE))
             return dur
@@ -151,7 +185,7 @@ class TestTimingSanity:
         def mean_duration(n_clients):
             dep = make(n=2, clients=n_clients)
             blob = dep.alloc_blob(1 * TB, PAGE)
-            writer = dep.client(0)
+            writer = dep.client()
             writer.write_virtual(blob, 0, 64 * PAGE)
             durations = []
 
@@ -163,7 +197,7 @@ class TestTimingSanity:
                     durations.append(dep.sim.now - start)
 
             procs = [
-                dep.sim.process(loop(dep.async_client(i))) for i in range(n_clients)
+                dep.sim.process(loop(dep.async_client(index=i))) for i in range(n_clients)
             ]
             dep.sim.run(until=dep.sim.all_of(procs))
             return sum(durations) / len(durations)
@@ -174,7 +208,7 @@ class TestTimingSanity:
         def once():
             dep = make()
             blob = dep.alloc_blob(1 * TB, PAGE)
-            client = dep.client(0)
+            client = dep.client()
             client.write_virtual(blob, 0, 16 * PAGE)
             _, dur = timed(dep, lambda: client.read_virtual(blob, 0, 16 * PAGE))
             return dur

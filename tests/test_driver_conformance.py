@@ -21,9 +21,9 @@ configurations) and asserts:
   record), identical version chains (`vm.patches`), exact
   read-your-writes / snapshot equality against a reference replay model,
   and identical per-actor wire-RPC / sub-call counts on every driver
-  with a wire layer (the simulator's totals included);
-- **concurrent phase** (N clients, disjoint ranges; real threads on the
-  threaded driver, simulated processes on the simulator, a seeded
+  with a wire layer, the simulator included;
+- **concurrent phase** (N clients, disjoint ranges; every driver's
+  ``spawn`` — threads, coroutines or simulated processes —, a seeded
   linearization on inproc): identical page dictionaries (page key ->
   bytes, placement-independent), identical leaf page references,
   identical final blob bytes, per-driver prefix-replay serializability
@@ -37,7 +37,6 @@ timeouts and name the stalled worker instead of hanging the suite.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -49,7 +48,6 @@ from repro.core.protocol import (
     split_pages,
     write_protocol,
 )
-from repro.deploy.simulated import SimDeployment
 from repro.deploy.tcp import build_tcp
 from repro.errors import RemoteError
 from repro.metadata.tree import TreeGeometry
@@ -83,11 +81,10 @@ OTHER_DRIVERS = tuple(name for name in BUILDERS if name != "inproc")
 def across_table(phase):
     """``{name: phase(name, dep)}`` over every configuration of the table,
     each closed before the next is built, so only one cluster of OS
-    processes is ever alive at once (the simulator has nothing to close)."""
+    processes is ever alive at once."""
     results = {}
     for name, build in BUILDERS.items():
-        dep = build(SPEC)
-        with dep if hasattr(dep, "close") else nullcontext(dep):
+        with build(SPEC) as dep:
             if name == "tcp-remote":
                 # the paper's layout in full: no actor in the client parent
                 assert dep.in_parent_actors() == []
@@ -102,18 +99,11 @@ def run(dep, proto):
 
 def run_concurrently(dep, factories):
     """Run one client program per factory, concurrently where the
-    substrate has concurrency: simulated processes on the simulator,
-    ``driver.spawn`` (threads or coroutines) on threaded, tcp and aio.
-    Inproc has none: it executes whole programs in a seeded
-    linearization order (any serial order is a valid linearization of
-    programs touching disjoint ranges)."""
-    if isinstance(dep, SimDeployment):
-        procs = [
-            dep.sim.process(dep.drivers[i % len(dep.drivers)].drive(f()))
-            for i, f in enumerate(factories)
-        ]
-        dep.run()
-        return [p.value for p in procs]
+    substrate has concurrency: ``driver.spawn`` (threads, coroutines or
+    simulated processes) on every driver but inproc. Inproc has none: it
+    executes whole programs in a seeded linearization order (any serial
+    order is a valid linearization of programs touching disjoint
+    ranges)."""
     if not hasattr(dep.driver, "spawn"):
         order = list(range(len(factories)))
         random.Random(SEED ^ 0xABCD).shuffle(order)
@@ -130,6 +120,18 @@ def run_concurrently(dep, factories):
             stalled.append(f"program-{i}")
     assert not stalled, f"programs stalled: {stalled}"
     return results
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_named_client_round_trip(name):
+    """``dep.client(name)`` takes the client's name first on every
+    configuration, and that client writes and reads back."""
+    with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        client = dep.client("named")
+        assert client.name == "named"
+        blob_id = client.alloc(TOTAL, PAGE)
+        client.write(blob_id, b"n" * PAGE, PAGE)
+        assert client.read_bytes(blob_id, PAGE, PAGE) == b"n" * PAGE
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +245,8 @@ def _run_serial(name, dep):
     # act of measuring into the measured workload. ``workload_stats``
     # subtracts the build's own setup traffic (fully-remote control plane:
     # provider registration + the builder's registration poll).
-    if isinstance(dep, SimDeployment):
-        wire = dep.counters()
-    else:
-        wire = dep.workload_stats()
     return {
-        "wire": wire,
+        "wire": dep.workload_stats(),
         "blob_id": blob_id,
         "outcome": outcome,
         "patches": dep.vm.patches(blob_id),
@@ -286,9 +284,10 @@ def test_serial_workload_bit_identical_across_drivers(serial_results):
 
 def test_transport_batching_equivalent_sub_calls(serial_results):
     """The threaded, both TCP, the aio and the simulated drivers must issue
-    identical wire-RPC and sub-call counts for an identical serial
-    workload — all five execute exactly the groups `plan_wire_groups`
-    plans (shared framing); for the TCP and aio drivers the counts are
+    identical per-actor wire-RPC and sub-call counts for an identical
+    serial workload — all five execute exactly the groups
+    `plan_wire_groups` plans (shared framing); for the TCP and aio drivers
+    the counts are
     reported by the node agents themselves over the control channel. For
     the fully-remote configuration this also proves the vm/pm *workload*
     traffic is identical whether they are parent service threads or
@@ -298,17 +297,10 @@ def test_transport_batching_equivalent_sub_calls(serial_results):
     results = serial_results
     assert results["inproc"]["wire"] is None  # inproc has no wire layer
     threaded = results["threaded"]["wire"]
-    for name in ("tcp", "aio", "tcp-remote"):
+    for name in ("tcp", "aio", "tcp-remote", "simulated"):
         assert results[name]["wire"] == threaded, (
             f"{name} and threaded drivers framed the same workload differently"
         )
-    sim = results["simulated"]["wire"]
-    assert (
-        sum(r for r, _ in threaded.values()),
-        sum(c for _, c in threaded.values()),
-    ) == (sim["wire_rpcs"], sim["sub_calls"]), (
-        "threaded and simulated drivers framed the same workload differently"
-    )
 
 
 # ---------------------------------------------------------------------------

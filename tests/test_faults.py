@@ -127,15 +127,15 @@ def test_simulated_failover_read_keeps_its_duration():
     fails over at the cost it had when those providers were crashed
     inside the actors. The constants were measured on this scenario at
     commit a205ea1, with ``dep.data[1].crash()`` / ``dep.meta[2].crash()``
-    in place of the two ``executor.fail`` calls; the duration was measured
+    in place of the two ``driver.fail`` calls; the duration was measured
     again when a reader with no cache started receiving only the leaves of
     its subtree walk (no reply CPU for the walk's 14 inner nodes)."""
     dep = SimDeployment(DeploymentSpec(n_data=4, n_meta=4, replication=2))
     client = dep.client(cached=False)
     blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
     client.write_virtual(blob, 0, 8 * SMALL_PAGE)
-    dep.executor.fail(("data", 1))
-    dep.executor.fail(("meta", 2))
+    dep.driver.fail(("data", 1))
+    dep.driver.fail(("meta", 2))
     start = dep.now
     client.read_virtual(blob, 0, 8 * SMALL_PAGE)
     duration = dep.now - start

@@ -127,17 +127,17 @@ class TestSimClientModes:
         dep = SimDeployment(
             DeploymentSpec(n_data=2, n_meta=2, n_clients=3, cache_capacity=0)
         )
-        assert dep.client(0).cache is None  # spec default: disabled
-        assert dep.client(1, cached=True).cache is not None
-        assert dep.client(2, cached=False).cache is None
+        assert dep.client().cache is None  # spec default: disabled
+        assert dep.client(index=1, cached=True).cache is not None
+        assert dep.client(index=2, cached=False).cache is None
 
     def test_spec_cache_respected(self):
         dep = SimDeployment(
             DeploymentSpec(n_data=2, n_meta=2, n_clients=2, cache_capacity=64)
         )
-        client = dep.client(0)
+        client = dep.client()
         assert client.cache is not None
-        assert dep.client(1, cached=False).cache is None
+        assert dep.client(index=1, cached=False).cache is None
 
 
 class TestWriteTicket:

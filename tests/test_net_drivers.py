@@ -19,7 +19,7 @@ from repro.core.protocol import stat_protocol
 from repro.errors import RemoteError
 from repro.net.inproc import InprocDriver
 from repro.net.sansio import Batch, Call, Compute
-from repro.net.simdriver import SimRpcExecutor
+from repro.net.simdriver import SimDriver, SimRpcExecutor
 from repro.net.threaded import ThreadedDriver
 from repro.obs.metrics import render_metrics
 from repro.sim.engine import Simulator
@@ -78,7 +78,7 @@ class TestEquivalence:
         client = net.add_node("client", role="client")
         ex.register(("c", 0), Counter(), net.add_node("s0"))
         ex.register(("c", 1), Counter(), net.add_node("s1"))
-        proc = sim.process(ex.run_protocol(summing_protocol(), client))
+        proc = sim.process(SimDriver(ex, client).drive(summing_protocol()))
         return sim.run(until=proc)
 
     def test_all_drivers_agree(self):
@@ -102,7 +102,7 @@ class TestEquivalence:
         ex = SimRpcExecutor(sim, net)
         client = net.add_node("client", role="client")
         ex.register(("c", 0), Counter(), net.add_node("s0"))
-        proc = sim.process(ex.run_protocol(proto(), client))
+        proc = sim.process(SimDriver(ex, client).drive(proto()))
         assert sim.run(until=proc) == []
 
 
@@ -201,7 +201,7 @@ class TestSimDriver:
         return sim, ex, client, counter
 
     def run_proto(self, sim, ex, client, proto):
-        proc = sim.process(ex.run_protocol(proto, client))
+        proc = sim.process(SimDriver(ex, client).drive(proto))
         return sim.run(until=proc)
 
     def test_time_advances(self):
@@ -290,7 +290,7 @@ class TestSimDriver:
             yield Batch([Call("c", "add", (1,)) for _ in range(100)])
             return sim.now
 
-        procs = [sim.process(ex.run_protocol(proto(), c)) for c in clients]
+        procs = [sim.process(SimDriver(ex, c).drive(proto())) for c in clients]
         sim.run(until=sim.all_of(procs))
         service = 100 * spec.service_time("add") + spec.rpc_overhead
         # 4 clients' service must stack on the single server CPU lane
@@ -442,57 +442,55 @@ def test_fault_surface_contract(name):
     and an unregistered address is a ``KeyError``. On tcp, a failed
     group counts exactly as a killed agent's group does, and a scrape
     keeps every actor the killed agent did not host."""
-    dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
-    surface = dep.executor if name == "simulated" else dep.driver
+    with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        _fault_surface_contract(name, dep)
 
+
+def _fault_surface_contract(name, dep):
     def run(proto):
-        if name in ("inproc", "simulated"):
+        if name == "inproc":
             return dep.driver.run(proto)
         return dep.driver.spawn(proto).result(10)  # a hang fails the test
 
     live, failed = ("data", 0), ("data", 1)
-    try:
-        surface.fail(failed)
-        error, value = run(_stats(failed, live))
-        assert isinstance(error, RemoteError)
-        assert error.error_type == "PeerUnavailable"
-        assert value["provider_id"] == 0
-        surface.fail(("meta", 1))
-        assert [r.error_type for r in run(_stats(failed, ("meta", 1)))] == [
-            "PeerUnavailable"
-        ] * 2
-        actors = dep.metrics()["actors"]
-        assert actors["data/1"] == {"down": str(error)}
-        assert "methods" in actors["data/0"]
-        surface.heal(failed)
-        surface.heal(("meta", 1))
-        assert [r["provider_id"] for r in run(_stats(failed, live))] == [1, 0]
-        with pytest.raises(KeyError):
-            surface.fail(("data", 9))
-        if name != "tcp":
-            return
+    dep.driver.fail(failed)
+    error, value = run(_stats(failed, live))
+    assert isinstance(error, RemoteError)
+    assert error.error_type == "PeerUnavailable"
+    assert value["provider_id"] == 0
+    dep.driver.fail(("meta", 1))
+    assert [r.error_type for r in run(_stats(failed, ("meta", 1)))] == [
+        "PeerUnavailable"
+    ] * 2
+    actors = dep.metrics()["actors"]
+    assert actors["data/1"] == {"down": str(error)}
+    assert "methods" in actors["data/0"]
+    dep.driver.heal(failed)
+    dep.driver.heal(("meta", 1))
+    assert [r["provider_id"] for r in run(_stats(failed, live))] == [1, 0]
+    with pytest.raises(KeyError):
+        dep.driver.fail(("data", 9))
+    if name != "tcp":
+        return
 
-        def one_call():
-            before = dep.transport_stats()
-            (result,) = run(_stats(failed))
-            after = dep.transport_stats()
-            return result.error_type, {k: after[k] - before[k] for k in after}
+    def one_call():
+        before = dep.transport_stats()
+        (result,) = run(_stats(failed))
+        after = dep.transport_stats()
+        return result.error_type, {k: after[k] - before[k] for k in after}
 
-        surface.fail(failed)
-        injected = one_call()
-        surface.heal(failed)
-        dep.kill_agent(dep.agent_index_for(failed))
-        _wait_peer_down(dep, failed)
-        assert one_call() == injected
-        _wait_peer_down(dep, ("meta", 1))  # the same agent hosted it
-        metrics = dep.metrics()
-        actors = metrics["actors"]
-        assert actors["data/1"]["down"].startswith("PeerUnavailable: ")
-        assert actors["meta/1"]["down"].startswith("PeerUnavailable: ")
-        for kept in ("vm", "pm", "data/0", "meta/0"):
-            assert "methods" in actors[kept]
-        table = render_metrics(metrics)  # what repro.tools.metrics prints
-        assert "(down)" in table and actors["data/1"]["down"] in table
-    finally:
-        if name != "simulated":
-            dep.close()
+    dep.driver.fail(failed)
+    injected = one_call()
+    dep.driver.heal(failed)
+    dep.kill_agent(dep.agent_index_for(failed))
+    _wait_peer_down(dep, failed)
+    assert one_call() == injected
+    _wait_peer_down(dep, ("meta", 1))  # the same agent hosted it
+    metrics = dep.metrics()
+    actors = metrics["actors"]
+    assert actors["data/1"]["down"].startswith("PeerUnavailable: ")
+    assert actors["meta/1"]["down"].startswith("PeerUnavailable: ")
+    for kept in ("vm", "pm", "data/0", "meta/0"):
+        assert "methods" in actors[kept]
+    table = render_metrics(metrics)  # what repro.tools.metrics prints
+    assert "(down)" in table and actors["data/1"]["down"] in table

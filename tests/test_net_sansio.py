@@ -7,7 +7,10 @@ from repro.errors import RemoteError, VersionNotPublished
 from repro.net.message import estimate_size
 from repro.net.aio import AioDriver
 from repro.net.sansio import Batch, Call, Compute, dispatch_call, run_inproc
+from repro.net.simdriver import SimDriver, SimRpcExecutor
 from repro.net.threaded import ThreadedDriver
+from repro.sim.engine import Simulator
+from repro.sim.network import ClusterSpec, Network
 
 
 class Echo:
@@ -80,6 +83,14 @@ class _SteppingRule:
             return v
 
         assert self.run(proto()) == "ok"
+
+    def test_empty_batch_resumes_with_empty_list(self):
+        def proto():
+            empty = yield Batch([])
+            (v,) = yield Batch([Call("svc", "echo", (empty,))])
+            return v
+
+        assert self.run(proto()) == []
 
     def test_error_raised_at_yield_point(self):
         def proto():
@@ -171,3 +182,21 @@ class TestThreadedDriverRun(_OnARealDriver):
 
 class TestAioDriverRun(_OnARealDriver):
     driver_class = AioDriver
+
+
+class TestSimDriverRun(_SteppingRule):
+    """The rule on the simulator's driver, every actor on one server node
+    (the simulator prices a ``Compute``, so its key needs a cost)."""
+
+    @pytest.fixture(autouse=True)
+    def driver(self):
+        sim = Simulator()
+        net = Network(sim, ClusterSpec(compute={"anything": 1e-6}))
+        ex = SimRpcExecutor(sim, net)
+        server = net.add_node("server")
+        for address, actor in REG.items():
+            ex.register(address, actor, server)
+        self._driver = SimDriver(ex, net.add_node("client", role="client"))
+
+    def run(self, proto):
+        return self._driver.run(proto)

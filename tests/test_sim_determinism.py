@@ -23,7 +23,7 @@ def _run_mixed_workload() -> dict:
     blob = dep.alloc_blob(64 * MB, 64 * KB)
     picker = SegmentPicker(window=4 * MB, segment=1 * MB)
 
-    setup = dep.client(0, cached=False, name="populator")
+    setup = dep.client("populator", cached=False)
     populate_window(setup, blob, window=4 * MB, segment=1 * MB)
     write_done_at = dep.now
 
@@ -32,7 +32,7 @@ def _run_mixed_workload() -> dict:
     )
 
     # one traced read so its modeled span times are part of the fingerprint
-    reader = dep.client(1, cached=False, name="traced")
+    reader = dep.client("traced", index=1, cached=False)
     with dep.traced("read") as tid:
         result = reader.read_virtual(blob, 0, 1 * MB)
     trace = [

@@ -308,7 +308,7 @@ class TestSimSpans:
         )
 
     def run_traced(self, dep):
-        client = dep.client(0)
+        client = dep.client()
         blob = client.alloc(1 * TB, 64 * KB)
         dep.clear_spans()
         with dep.traced("sim-write") as tid:
@@ -345,9 +345,9 @@ class TestSimSpans:
         dep_plain, dep_traced = self.make(), self.make()
         blob_p = dep_plain.alloc_blob(1 * TB, 64 * KB)
         blob_t = dep_traced.alloc_blob(1 * TB, 64 * KB)
-        dep_plain.client(0).write_virtual(blob_p, 0, 8 * 64 * KB)
+        dep_plain.client().write_virtual(blob_p, 0, 8 * 64 * KB)
         with dep_traced.traced():
-            dep_traced.client(0).write_virtual(blob_t, 0, 8 * 64 * KB)
+            dep_traced.client().write_virtual(blob_t, 0, 8 * 64 * KB)
         assert dep_plain.sim.now == dep_traced.sim.now
 
 

@@ -754,7 +754,7 @@ def test_simulator_prices_a_subtree_reply_per_node_returned():
         n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
         meta_subtree_bytes=SMALL_TOTAL,
     ))
-    client = dep.client(0)
+    client = dep.client()
     blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
     client.write_virtual(blob, 0, 64 * SMALL_PAGE)
     spec = dep.network.spec
@@ -784,7 +784,7 @@ def test_simulator_prices_a_leaves_reply_per_node_walked_and_per_leaf_returned()
             meta_subtree_bytes=SMALL_TOTAL,
         ))
         spec = dep.network.spec
-        client = dep.client(0, cached=cached)
+        client = dep.client(cached=cached)
         blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
         client.write_virtual(blob, 0, 64 * SMALL_PAGE)
         served = sum(m.nodes_served for m in dep.meta.values())
@@ -808,7 +808,7 @@ def test_simulator_one_page_cacheless_read_receives_one_node():
     dep = SimDeployment(DeploymentSpec(
         n_data=2, n_meta=2, n_clients=1, cache_capacity=0,
     ))
-    client = dep.client(0)
+    client = dep.client()
     blob = client.alloc(1 * GB, SMALL_PAGE)
     client.write_virtual(blob, 40 * MB, 4 * SMALL_PAGE)
     proto, seen = observed(read_protocol(
@@ -829,7 +829,7 @@ def test_simulator_prices_a_shard_per_node_and_its_dht_latency_once():
             n_data=1, n_meta=1, n_clients=1, cache_capacity=0,
             meta_subtree_bytes=cut,
         ))
-        client = dep.client(0)
+        client = dep.client()
         blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
         result, elapsed[cut] = traced_phase(
             dep, lambda: client.write_virtual(blob, 0, 64 * SMALL_PAGE)

@@ -163,7 +163,7 @@ def test_threaded_metrics_reconcile(threaded_dep):
 def test_simulated_metrics_include_node_utilization():
     dep = SimDeployment(DeploymentSpec(n_data=2, n_meta=2, n_clients=1))
     blob = dep.alloc_blob(TOTAL, PAGE)
-    sim_client = dep.client(0)
+    sim_client = dep.client()
     sim_client.write_virtual(blob, 0, 8 * PAGE)
     sim_client.read_virtual(blob, 0, 8 * PAGE)
     metrics = dep.metrics()
@@ -179,12 +179,12 @@ def test_simulated_scrape_reconciles():
     checked like the live drivers': calls to a failed address reach no
     actor and are counted nowhere."""
     dep = SimDeployment(DeploymentSpec(n_data=2, n_meta=2, n_clients=1, replication=2))
-    client = dep.client(0)
+    client = dep.client()
     blob = client.alloc(TOTAL, PAGE)
     client.write_virtual(blob, 0, 8 * PAGE)
-    dep.executor.fail(("data", 1))
+    dep.driver.fail(("data", 1))
     client.read_virtual(blob, 0, 8 * PAGE)
-    dep.executor.heal(("data", 1))
+    dep.driver.heal(("data", 1))
     metrics = dep.metrics()
     touched = {
         name: entry for name, entry in metrics["actors"].items() if entry["calls"]

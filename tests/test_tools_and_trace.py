@@ -15,7 +15,7 @@ class TestSimTrace:
             DeploymentSpec(n_data=2, n_meta=2, n_clients=1, cache_capacity=0)
         )
         blob = dep.alloc_blob(1 * TB, 64 * KB)
-        client = dep.client(0)
+        client = dep.client()
         client.write_virtual(blob, 0, 16 * 64 * KB)
         client.read_virtual(blob, 0, 16 * 64 * KB)
         return dep
