@@ -36,7 +36,7 @@ def workload_us(w, n_ops: int, repeat: int, rng: random.Random) -> dict[str, flo
     blob, cache = vm.alloc(w.blob_size, w.pagesize), MetadataCache() if w.cache_capacity else None
 
     def live(calls):  # the vm and one metadata store answer; pm and data are canned
-        handle = {"vm": vm.handle, "meta": meta.handle, "pm": lambda m, args: [(0,)] * args[1],
+        handle = {"vm": vm.handle, "meta": meta.handle, "pm": lambda m, args: [(0,)] * args[3],
                   "data": lambda m, args: page if m == "data.get_page" else True}
         return [handle[c.method.partition(".")[0]](c.method, c.args) for c in calls]
 

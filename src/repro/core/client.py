@@ -44,7 +44,11 @@ _client_seq = itertools.count(1)
 
 
 class BlobClient:
-    """One logical client of the blob service."""
+    """One logical client of the blob service.
+
+    It carries no placement policy: the pm places each WRITE's pages by
+    its own strategy, and a READ whose page a rebalance moved asks the pm
+    where it went, so one client serves every deployment the same way."""
 
     def __init__(
         self,
@@ -53,15 +57,9 @@ class BlobClient:
         *,
         name: str | None = None,
         cache_capacity: int = DEFAULT_CAPACITY,
-        elastic: bool = False,
     ) -> None:
         self.driver = driver
         self.router = router
-        #: elastic-cluster mode (deployments with strategy="hash_ring"):
-        #: WRITEs allocate at each page's consistent-hash home and READs
-        #: fall back to the pm's relocation table when a rebalance moved
-        #: pages off the providers their metadata records
-        self.elastic = elastic
         self.name = name or f"client-{next(_client_seq)}"
         self.cache: MetadataCache | None = (
             MetadataCache(cache_capacity) if cache_capacity > 0 else None
@@ -215,7 +213,7 @@ class BlobClient:
         geom = yield from self._geometry(blob_id)
         return (yield from write_protocol(
             blob_id, geom, offset, pages(geom.pagesize), self.router,
-            fresh_write_uid(self.name), hashed_alloc=self.elastic,
+            fresh_write_uid(self.name),
         ))
 
     def _write_unaligned(
@@ -240,7 +238,7 @@ class BlobClient:
         geom = yield from self._geometry(blob_id)
         return (yield from read_protocol(
             blob_id, geom, offset, size, self.router, version=version,
-            cache=self.cache, locate_fallback=self.elastic, **how,
+            cache=self.cache, **how,
         ))
 
     def _read_bytes(

@@ -172,16 +172,11 @@ def write_protocol(
     payloads: Sequence[PagePayload],
     router: StaticRouter,
     write_uid: str,
-    hashed_alloc: bool = False,
 ) -> Proto:
     """The WRITE of paper §III.B; returns a :class:`WriteResult`.
 
-    ``hashed_alloc`` switches step 1 to the pm's consistent-hash
-    allocation (``pm.get_providers_hashed``): placement then depends only
-    on each page's key and the live provider set, which is what lets an
-    elastic cluster compute minimal migrations when membership changes.
-    Off by default — the paper's strategies and their wire behavior are
-    untouched.
+    Step 1 names the fresh pages (``write_uid``, first page, count) and
+    the pm places them by its own strategy (``pm.get_providers``).
 
     Its phases are its batches, so a traced WRITE's spans time them:
     Figure 3(b) plots building + storing the metadata, from the end of the
@@ -202,18 +197,9 @@ def write_protocol(
     first_page = offset // geom.pagesize
 
     # 1. ask the provider manager where the fresh pages should live
-    if hashed_alloc:
-        (groups,) = yield Batch(
-            [Call(
-                ADDR_PM,
-                "pm.get_providers_hashed",
-                (blob_id, write_uid, first_page, npages, geom.pagesize),
-            )]
-        )
-    else:
-        (groups,) = yield Batch(
-            [Call(ADDR_PM, "pm.get_providers", (blob_id, npages, geom.pagesize))]
-        )
+    (groups,) = yield Batch(
+        [Call(ADDR_PM, "pm.get_providers", (blob_id, write_uid, first_page, npages))]
+    )
 
     # 2. store all pages in parallel (every replica of every page at once)
     yield Compute("client.touch_page", npages)
@@ -272,7 +258,6 @@ def read_protocol(
     cache: MetadataCache | None = None,
     with_data: bool = True,
     out: Any | None = None,
-    locate_fallback: bool = False,
 ) -> Proto:
     """The READ of paper §III.B; returns a :class:`ReadResult`.
 
@@ -283,11 +268,12 @@ def read_protocol(
     READ that starts below the cut receives, and caches, nothing above it,
     and one with no ``cache`` receives only the leaves below the cut.
 
-    ``locate_fallback`` arms the elastic-cluster page fallback: when every
-    provider a tree node records answers PageMissing (the page was moved
-    by a rebalance after the node was published), the client asks the pm
-    where those pages went (``pm.locate``) and fetches from the current
-    holders. Zero extra RPCs while pages are where their metadata says.
+    Pages fall back to the pm's relocation table: when every provider a
+    tree node records fails (a rebalance moved the page after the node was
+    published), the client asks the pm where those pages went
+    (``pm.locate``) and fetches from the current holders. Zero extra RPCs
+    while pages are where their metadata says; a page the pm never moved
+    raises its own error after that one round trip.
 
     ``with_data=False`` runs the full metadata + page protocol but skips
     byte assembly (simulation benches; virtual payloads).
@@ -417,7 +403,7 @@ def read_protocol(
         level = below
 
     # 3. fetch the pages referenced by the leaves, in parallel
-    payloads = yield from _gather_pages(geom, leaves, locate_fallback)
+    payloads = yield from _gather_pages(geom, leaves)
     if leaves:
         yield Compute("client.touch_page", len(leaves))
 
@@ -559,15 +545,13 @@ def _join_pages(
 # ---------------------------------------------------------------------------
 
 
-def _gather_pages(
-    geom: TreeGeometry, leaves: list[TreeNode], locate_fallback: bool = False
-) -> Proto:
+def _gather_pages(geom: TreeGeometry, leaves: list[TreeNode]) -> Proto:
     """Fetch page payloads for leaves, falling back across page replicas.
 
-    With ``locate_fallback``, exhausting a leaf's recorded providers is
-    not final: the pm's relocation table is consulted once, in one batch
-    for all still-missing pages, and the fetch retried against the
-    current holders (the elastic-membership read path)."""
+    Exhausting a leaf's recorded providers is not final: the pm's
+    relocation table is consulted once, in one batch for all
+    still-missing pages, and the fetch retried against the current
+    holders (the elastic-membership read path)."""
 
     pagesize = geom.pagesize
 
@@ -588,10 +572,8 @@ def _gather_pages(
         )
 
     payloads = yield from gather_with_failover(
-        leaves, routes_for, call_for, tolerate_exhaust=locate_fallback
+        leaves, routes_for, call_for, tolerate_exhaust=True
     )
-    if not locate_fallback:
-        return payloads
     missing = [i for i, p in enumerate(payloads) if isinstance(p, RemoteError)]
     if not missing:
         return payloads

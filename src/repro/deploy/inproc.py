@@ -85,7 +85,6 @@ class Deployment:
             self.router,
             name=name,
             cache_capacity=self.spec.cache_capacity if capacity is None else capacity,
-            elastic=self.spec.strategy == "hash_ring",
         )
 
     def transport_stats(self) -> dict[str, int] | None:

@@ -3,8 +3,9 @@
 Pages are the unit of striping (paper §II): fixed-size, immutable, labeled
 by the write that created them. Data providers store pages in local memory;
 the provider manager tracks the live provider set and allocates one
-provider per fresh page of each WRITE, by round robin or, on an elastic
-cluster, by consistent hash (``strategies.STRATEGIES``).
+provider per fresh page of each WRITE (``pm.get_providers``), by its own
+rule: round robin or, on an elastic cluster, consistent hash
+(``strategies.STRATEGIES``).
 """
 
 from repro.providers.page import PageKey, PagePayload, page_key_for

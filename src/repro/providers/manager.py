@@ -8,14 +8,15 @@ tolerance item).
 
 RPC surface: the ``handle`` table at the end of :class:`ProviderManager`.
 
-Placement (:mod:`repro.providers.strategies`): keyless
-``pm.get_providers`` cycles a round-robin cursor over the sorted live set
-on every pm, the successors of each primary holding its replicas.
+Placement (:mod:`repro.providers.strategies`) is the pm's alone:
+``pm.get_providers`` is the one allocation verb, and a client names only
+the pages it writes. A ``round_robin`` pm cycles a cursor over the sorted
+live set; a ``hash_ring`` pm places each page at its consistent-hash home
+(:class:`~repro.providers.strategies.HashRing`, key ``(blob, write_uid,
+page)``). Either way the successors of each primary hold its replicas.
 
-Elastic membership (PR 7): on a ``hash_ring`` pm,
-``pm.get_providers_hashed`` places each page at its consistent-hash home
-(:class:`~repro.providers.strategies.HashRing`), so admitting or draining
-a provider implies a computable, minimal set of page moves. The pm plans
+Elastic membership (PR 7): on a ``hash_ring`` pm, admitting or draining a
+provider implies a computable, minimal set of page moves. The pm plans
 those moves from provider manifests (``pm.plan_rebalance``, whose
 ``drain`` empties one provider), journals the plan and every completed move
 (idempotent, resumable — a pm crash mid-rebalance recovers the plan from
@@ -27,13 +28,13 @@ allocations until their last replica is handed off and they deregister.
 Durability (PR 6): with a :class:`~repro.core.journal.Journal` attached,
 membership and allocation follow the WAL discipline of
 :class:`~repro.core.journal.Journaled`, the body it shares with the
-version manager. Allocation records log only the *inputs* (blob, page count,
-pagesize, and the live-provider list placement saw); replay re-drives
-placement, which reproduces the exact groups **and** the round-robin
-cursor for the next incarnation. Snapshots carry the cursor, and a
-``config`` record pins strategy/replication so a restart with different
-settings fails loudly (:class:`~repro.errors.ConfigError`) instead of
-silently desynchronizing placement.
+version manager. Allocation records log only the *inputs* (blob, write
+uid, first page, page count, and the live-provider list placement saw);
+replay re-drives placement, which reproduces the exact groups **and** the
+round-robin cursor for the next incarnation. Snapshots carry the cursor,
+and a ``config`` record pins strategy/replication so a restart with
+different settings fails loudly (:class:`~repro.errors.ConfigError`)
+instead of silently desynchronizing placement.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class ProviderManager(Journaled):
     """Tracks providers and allocates storage targets for fresh pages."""
 
     kind = "provider manager"
-    #: version 2: the round-robin cursor as an int, no load view
-    snapshot_format = "repro.pm/2"
+    #: version 3: one ``alloc`` record per WRITE,
+    #: ``(blob, write_uid, first_page, npages, live)``
+    snapshot_format = "repro.pm/3"
 
     def __init__(
         self,
@@ -73,7 +75,7 @@ class ProviderManager(Journaled):
         self.replication = replication
         self._ring = HashRing() if strategy == "hash_ring" else None
         self._providers: set[int] = set()
-        self._cursor = 0  # round-robin position of the next keyless page
+        self._cursor = 0  # round-robin position of the next page
         self.allocations = 0
         # elastic membership: pages whose holders differ from the groups
         # recorded in metadata (moved by a rebalance), the active
@@ -156,32 +158,48 @@ class ProviderManager(Journaled):
 
     # -- allocation ------------------------------------------------------
 
-    def _allocation(self, npages, pagesize) -> tuple[int, int, tuple[int, ...]]:
-        """Validate an allocation request: ``(npages, pagesize)`` as ints
-        and the providers eligible for fresh pages (registered, not
-        draining)."""
-        npages, pagesize = operator.index(npages), operator.index(pagesize)
-        if npages < 1:
-            raise ValueError(f"npages must be >= 1, got {npages}")
+    def get_providers(
+        self, blob_id: str, write_uid: str, first_page: int, npages: int
+    ) -> list[tuple[int, ...]]:
+        """Choose ``replication`` distinct providers for each fresh page of
+        one WRITE (pages ``first_page`` onward of ``write_uid``): ``npages``
+        tuples of ``replication`` provider ids, placed by this pm's
+        strategy over the providers registered and not draining."""
+        if type(write_uid) is not str:
+            raise TypeError(f"write_uid must be a str, got {write_uid!r}")
+        first_page, npages = operator.index(first_page), operator.index(npages)
+        if first_page < 0 or npages < 1:
+            raise ValueError(
+                f"need first_page >= 0 and npages >= 1, got {first_page}, {npages}"
+            )
         live = tuple(p for p in sorted(self._providers) if p not in self._draining)
         if len(live) < self.replication:
             raise NotEnoughProviders(
                 f"need {self.replication} providers, have {len(live)}"
             )
-        return npages, pagesize, live
-
-    def get_providers(
-        self, blob_id: str, npages: int, pagesize: int
-    ) -> list[tuple[int, ...]]:
-        """Choose ``replication`` distinct providers for each fresh page:
-        ``npages`` tuples of ``replication`` provider ids."""
         return self._log_and_apply(
-            ("alloc", blob_id, *self._allocation(npages, pagesize))
+            ("alloc", blob_id, write_uid, first_page, npages, live)
         )
 
     def _apply_alloc(
-        self, blob_id: str, npages: int, pagesize: int, live: tuple[int, ...]
+        self,
+        blob_id: str,
+        write_uid: str,
+        first_page: int,
+        npages: int,
+        live: tuple[int, ...],
     ) -> list[tuple[int, ...]]:
+        r = self.replication
+        self.allocations += npages
+        if self._ring is not None:
+            # each page at its consistent-hash home: placement depends only
+            # on the page key and the live set, so a membership change
+            # implies a computable set of page moves
+            place = self._ring.place_key
+            return [
+                tuple(place((blob_id, write_uid, first_page + i), live, r))
+                for i in range(npages)
+            ]
         m = len(live)
         groups: list[tuple[int, ...]] = []
         for _ in range(npages):
@@ -189,13 +207,10 @@ class ProviderManager(Journaled):
             # distinct and deterministic
             first = self._cursor % m
             self._cursor += 1
-            groups.append(
-                tuple(live[(first + step) % m] for step in range(self.replication))
-            )
-        self.allocations += npages
+            groups.append(tuple(live[(first + step) % m] for step in range(r)))
         return groups
 
-    # -- elastic membership: hash placement, rebalance, drain ------------
+    # -- elastic membership: rebalance, relocation, drain -----------------
 
     def _place_key(self):
         if self._ring is None:
@@ -205,45 +220,6 @@ class ProviderManager(Journaled):
                 "(strategy 'hash_ring')"
             )
         return self._ring.place_key
-
-    def get_providers_hashed(
-        self,
-        blob_id: str,
-        write_uid: str,
-        first_page: int,
-        npages: int,
-        pagesize: int,
-    ) -> list[tuple[int, ...]]:
-        """Hash-aware allocation: each page at its consistent-hash home.
-
-        Unlike :meth:`get_providers`, placement depends only on the page
-        key and the live set — not on allocation order — which is what
-        makes membership changes computable as page moves.
-        """
-        self._place_key()  # fail before journaling if not hash-aware
-        first_page = operator.index(first_page)
-        return self._log_and_apply(
-            ("alloch", blob_id, write_uid, first_page,
-             *self._allocation(npages, pagesize))
-        )
-
-    def _apply_alloch(
-        self,
-        blob_id: str,
-        write_uid: str,
-        first_page: int,
-        npages: int,
-        pagesize: int,
-        live: tuple[int, ...],
-    ) -> list[tuple[int, ...]]:
-        place = self._place_key()
-        live = sorted(live)
-        groups: list[tuple[int, ...]] = []
-        for i in range(npages):
-            key = (blob_id, write_uid, first_page + i)
-            groups.append(tuple(place(key, live, self.replication)))
-        self.allocations += npages
-        return groups
 
     def locate(self, keys: list) -> list[tuple[int, ...]]:
         """Current holders of pages a rebalance moved; ``()`` = not moved.
@@ -432,7 +408,6 @@ class ProviderManager(Journaled):
             "pm.deregister": deregister,
             "pm.providers": providers,
             "pm.config": config,
-            "pm.get_providers_hashed": get_providers_hashed,
             "pm.locate": locate,
             "pm.plan_rebalance": plan_rebalance,
             "pm.migration_done": migration_done,

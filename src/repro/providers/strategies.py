@@ -3,15 +3,17 @@
 The paper requires "some strategy that favors global load balancing"
 (§III.A). A pm runs one of two rules, named by :data:`STRATEGIES`:
 
-- ``round_robin`` — keyless allocation cycles a cursor over the sorted
-  live set, the uniform dispersal the paper's experiments rely on (a
-  segment of n pages lands on n distinct providers whenever n <= provider
-  count); the cursor lives in the pm (``pm.get_providers``);
-- ``hash_ring`` — additionally places each page key at its consistent-hash
-  home (:class:`HashRing`, ``pm.get_providers_hashed``), which elastic
-  membership needs to compute minimal page moves.
+- ``round_robin`` — allocation cycles a cursor over the sorted live set,
+  the uniform dispersal the paper's experiments rely on (a segment of n
+  pages lands on n distinct providers whenever n <= provider count); the
+  cursor lives in the pm;
+- ``hash_ring`` — places each page key at its consistent-hash home
+  (:class:`HashRing`), which elastic membership needs to compute minimal
+  page moves.
 
-Both are deterministic, so placement replays exactly from the pm's journal.
+The pm applies its rule inside its one allocation verb,
+``pm.get_providers``, so no client knows which rule it runs. Both rules
+are deterministic, so placement replays exactly from the pm's journal.
 """
 
 from __future__ import annotations

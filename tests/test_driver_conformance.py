@@ -470,7 +470,7 @@ KILL_AFTER_STEP = 5  # phase 1 = steps [0, 5), phase 2 = steps [5, 10)
 ELASTIC_SPEC = replace(SPEC, strategy="hash_ring")
 
 
-def durable_step_program(blob_id, router, states, step, elastic=False):
+def durable_step_program(blob_id, router, states, step):
     """One step of the durable workload: a seeded write plus snapshot reads.
 
     Unlike :func:`serial_program`, each step carries its *own* rng (seeded
@@ -478,9 +478,8 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
     plane kill+restart and still be byte-for-byte the workload an
     uninterrupted run executes. ``states`` is the caller-held replay model
     (reference bytes per version), appended to in place. Returns a list of
-    mismatch descriptions (empty = step verified). ``elastic`` runs the
-    same workload in elastic-cluster mode (consistent-hash allocation,
-    relocation-aware reads) for the elastic configuration."""
+    mismatch descriptions (empty = step verified). The pm's strategy
+    decides placement, so the same step runs the elastic configuration."""
     rng = random.Random(SEED ^ (0xD00B + step * 7919))
     errors = []
     npages = rng.choice((1, 1, 2, 4))
@@ -489,7 +488,7 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
 
     res = yield from write_protocol(
         blob_id, GEOM, offset, split_pages(data, PAGE), router,
-        f"durable-{step}", hashed_alloc=elastic,
+        f"durable-{step}",
     )
     if res.version != len(states):
         errors.append(
@@ -501,8 +500,7 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
 
     # read-your-writes on the just-published version
     snap = yield from read_protocol(
-        blob_id, GEOM, 0, TOTAL, router, version=res.version,
-        locate_fallback=elastic,
+        blob_id, GEOM, 0, TOTAL, router, version=res.version
     )
     if snap.data != states[res.version]:
         errors.append(f"step {step}: snapshot v{res.version} mismatch")
@@ -512,15 +510,13 @@ def durable_step_program(blob_id, router, states, step, elastic=False):
     v = rng.randrange(0, len(states))
     sz = rng.randrange(1, TOTAL)
     off = rng.randrange(0, TOTAL - sz)
-    part = yield from read_protocol(
-        blob_id, GEOM, off, sz, router, version=v, locate_fallback=elastic
-    )
+    part = yield from read_protocol(blob_id, GEOM, off, sz, router, version=v)
     if part.data != states[v][off : off + sz]:
         errors.append(f"step {step}: partial read of v{v} mismatch")
     return errors
 
 
-def _durable_run(dep, elastic, script, storage_untouched):
+def _durable_run(dep, script, storage_untouched):
     """Steps ``[0, KILL_AFTER_STEP)``, then ``script(dep, blob_id,
     states)`` (unless None), then the remaining steps; returns the run's
     fingerprint."""
@@ -530,7 +526,7 @@ def _durable_run(dep, elastic, script, storage_untouched):
         if step == KILL_AFTER_STEP and script is not None:
             script(dep, blob_id, states)
         errs = dep.driver.run(
-            durable_step_program(blob_id, dep.router, states, step, elastic)
+            durable_step_program(blob_id, dep.router, states, step)
         )
         assert errs == [], errs
     storage = None
@@ -562,12 +558,11 @@ def run_fault_script(spec, state_dir, script, *, storage_untouched=False):
     placement), metadata node records and version chains — and, with
     ``storage_untouched``, the storage actors' wire counters — must be
     bit-identical to an uninterrupted run of the same spec."""
-    elastic = spec.strategy == "hash_ring"
     runs = []
     for run_dir, run_script in ((None, None), (state_dir, script)):
         with build_tcp(spec, control_plane="agents", state_dir=run_dir) as dep:
             assert dep.in_parent_actors() == []
-            runs.append(_durable_run(dep, elastic, run_script, storage_untouched))
+            runs.append(_durable_run(dep, run_script, storage_untouched))
     ref, got = runs
     assert ref["latest"] == N_DURABLE_STEPS
     assert got["blob_id"] == ref["blob_id"]
@@ -613,10 +608,7 @@ def _verify_snapshots(dep, blob_id, states):
     metadata records)."""
     for v, want in enumerate(states):
         res = dep.driver.run(
-            read_protocol(
-                blob_id, GEOM, 0, TOTAL, dep.router, version=v,
-                locate_fallback=True,
-            )
+            read_protocol(blob_id, GEOM, 0, TOTAL, dep.router, version=v)
         )
         assert res.data == want, f"snapshot v{v} diverged"
 

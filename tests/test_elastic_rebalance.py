@@ -11,8 +11,12 @@ a live TCP cluster, bit-identical to static) lives in
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from repro.core import protocol
+from repro.core.client import BlobClient
 from repro.core.config import DeploymentSpec
 from repro.core.journal import Journal
 from repro.deploy.inproc import build_inproc
@@ -106,22 +110,20 @@ class TestHashedAllocation:
         membership changes computable as page moves."""
         a = make_pm()
         b = make_pm()
-        b.get_providers_hashed("warmup", "w0", 0, 7, PAGE)  # perturb b
-        assert a.get_providers_hashed("blob", "u1", 0, 16, PAGE) == (
-            b.get_providers_hashed("blob", "u1", 0, 16, PAGE)
+        b.get_providers("warmup", "w0", 0, 7)  # perturb b
+        assert a.get_providers("blob", "u1", 0, 16) == (
+            b.get_providers("blob", "u1", 0, 16)
         )
 
     def test_requires_hash_aware_strategy(self):
         pm = ProviderManager("round_robin")
         pm.register(0)
         with pytest.raises(ConfigError, match="not hash-aware"):
-            pm.get_providers_hashed("b", "u", 0, 1, PAGE)
-        with pytest.raises(ConfigError, match="not hash-aware"):
             pm.plan_rebalance([(0, [])])
 
     def test_replicated_groups_are_distinct(self):
         pm = make_pm(n=5, replication=3)
-        for group in pm.get_providers_hashed("b", "u", 0, 12, PAGE):
+        for group in pm.get_providers("b", "u", 0, 12):
             assert len(group) == 3 and len(set(group)) == 3
 
     def test_not_enough_providers(self):
@@ -129,13 +131,13 @@ class TestHashedAllocation:
         pm.register(1)
         pm.deregister(1)
         with pytest.raises(NotEnoughProviders):
-            pm.get_providers_hashed("b", "u", 0, 1, PAGE)
+            pm.get_providers("b", "u", 0, 1)
 
 
 class TestMigrationStateMachine:
     def manifests_for(self, pm, blob="b", uid="u", npages=8):
         """Fake provider manifests matching a hashed allocation."""
-        groups = pm.get_providers_hashed(blob, uid, 0, npages, PAGE)
+        groups = pm.get_providers(blob, uid, 0, npages)
         held: dict[int, list] = {p: [] for p in pm.providers()}
         for i, group in enumerate(groups):
             for p in group:
@@ -206,7 +208,7 @@ class TestMigrationStateMachine:
         manifests = self.manifests_for(pm)
         plan = pm.plan_rebalance(manifests, drain=2)
         assert pm.draining() == [2]
-        for group in pm.get_providers_hashed("b2", "u2", 0, 16, PAGE):
+        for group in pm.get_providers("b2", "u2", 0, 16):
             assert 2 not in group
         for i, *_ in list(plan["moves"]):
             pm.migration_done(plan["plan"], i)
@@ -299,3 +301,40 @@ class TestExecutorEndToEnd:
         after = self.placements(dep, blob)
         assert after == before  # deterministic placement, bit-identical
         assert client.read_bytes(blob, 0, 64 * KB) == bytes(range(256)) * 256
+
+
+@pytest.mark.parametrize(
+    "make_client",
+    [
+        pytest.param(lambda dep: dep.client("mover"), id="dep.client"),
+        pytest.param(
+            lambda dep: BlobClient(dep.driver, dep.router, name="mover"),
+            id="BlobClient",
+        ),
+    ],
+)
+def test_any_client_survives_a_rebalance(make_client, monkeypatch):
+    """The pm alone places pages: a client built straight from the
+    driver writes to the same hash homes as the deployment's own client,
+    so the joiner's rebalance moves the same pages and the READ finds
+    them. Each write uid is pinned, so both clients write the same keys
+    and the ring fixes the move count: one copy and one free per page
+    whose home changes."""
+    monkeypatch.setattr(protocol, "_uid_counter", itertools.count(1))
+    dep = build_inproc(DeploymentSpec(n_data=3, n_meta=2, strategy="hash_ring"))
+    client = make_client(dep)
+    blob = client.alloc(64 * KB, PAGE)
+    data = bytes(range(256)) * 256  # 16 pages
+    client.write(blob, data, 0)
+    new_id = dep.add_data_provider()
+    summary = execute_rebalance(dep.driver, sorted(dep.data))
+    assert summary["committed"]
+    ring = HashRing()
+    keys = [(blob, "mover#1", i) for i in range(16)]
+    moved = [
+        k for k in keys
+        if ring.place_key(k, [0, 1, 2]) != ring.place_key(k, [0, 1, 2, new_id])
+    ]
+    assert moved, "no page changes home: the move count shows nothing"
+    assert summary["executed"] == 2 * len(moved)
+    assert client.read_bytes(blob, 0, len(data)) == data

@@ -434,13 +434,13 @@ def test_pm_refuses_a_snapshot_of_another_layout(tmp_path, capsys):
     pm = ProviderManager(journal=Journal(pm_dir))
     for i in range(3):
         pm.register(i)
-    pm.get_providers("b", 4, PAGE)
+    pm.get_providers("b", "u", 0, 4)
     state = pm._snapshot()
     pm.close()
-    assert state["format"] == "repro.pm/2"
+    assert state["format"] == "repro.pm/3"
     untagged = {k: v for k, v in state.items() if k != "format"}
-    for stale, found in ((untagged, "None"), (dict(state, format="repro.pm/1"),
-                                              "'repro.pm/1'")):
+    for stale, found in ((untagged, "None"), (dict(state, format="repro.pm/2"),
+                                              "'repro.pm/2'")):
         journal = Journal(pm_dir)
         journal.open()
         journal.compact(stale)
@@ -468,20 +468,20 @@ class TestProviderManagerRecovery:
         for i in range(5):
             pm.register(i)
         pm.deregister(4)
-        first = pm.get_providers("b", 5, PAGE)
+        first = pm.get_providers("b", "u", 0, 5)
         pm.journal.close()  # crash
 
         ref = ProviderManager("round_robin")
         for i in range(5):
             ref.register(i)
         ref.deregister(4)
-        assert ref.get_providers("b", 5, PAGE) == first
+        assert ref.get_providers("b", "u", 0, 5) == first
 
         pm2 = self.make(tmp_path)
         assert pm2.providers() == [0, 1, 2, 3]
         # the round-robin cursor resumed: placement continues where the
         # dead incarnation stopped, not from provider 0
-        assert pm2.get_providers("b", 3, PAGE) == ref.get_providers("b", 3, PAGE)
+        assert pm2.get_providers("b", "v", 0, 3) == ref.get_providers("b", "v", 0, 3)
 
     @pytest.mark.parametrize(
         "strategy, replication",
@@ -540,7 +540,7 @@ def draining_pm(directory) -> tuple[ProviderManager, int]:
     for i in range(4):
         pm.register(i)
     manifests: dict[int, list] = {i: [] for i in range(4)}
-    for page, group in enumerate(pm.get_providers_hashed("b", "u", 0, 80, PAGE)):
+    for page, group in enumerate(pm.get_providers("b", "u", 0, 80)):
         for pid in group:
             manifests[pid].append((("b", "u", page), PAGE))
     plan = pm.plan_rebalance(sorted(manifests.items()), 3)
@@ -556,8 +556,16 @@ def draining_pm(directory) -> tuple[ProviderManager, int]:
             TypeError, id="vm.assign-float-size",
         ),
         pytest.param(
-            draining_pm, lambda pm, _: pm.get_providers("b", 2.0, 4096),
+            draining_pm, lambda pm, _: pm.get_providers("b", "u", 0, 2.0),
             TypeError, id="pm.get_providers-float-npages",
+        ),
+        pytest.param(
+            draining_pm, lambda pm, _: pm.get_providers("b", "u", "0", 2),
+            TypeError, id="pm.get_providers-str-first_page",
+        ),
+        pytest.param(
+            draining_pm, lambda pm, _: pm.get_providers("b", 7, 0, 2),
+            TypeError, id="pm.get_providers-int-write_uid",
         ),
         pytest.param(
             draining_pm, lambda pm, _: pm.register([1]),
@@ -710,18 +718,18 @@ class PmRestart(RestartMachine):
     @rule(
         method=st.sampled_from(
             ["pm.register", "pm.deregister",
-             "pm.get_providers", "pm.get_providers_hashed",
+             "pm.get_providers", "pm.get_providers",
              "pm.plan_rebalance", "pm.migration_done", "pm.migration_done",
              "pm.migration_commit"]
         ),
         pid=PIDS,
         first=COUNTS,
         npages=COUNTS,
-        pagesize=st.sampled_from([PAGE, PAGE, PAGE, 4096.0]),
+        uid=st.sampled_from(["u", "u", "u", b"u"]),
         index=st.one_of(st.integers(-1, 12), st.sampled_from([999, 1.0, "1", [1]])),
         live=st.booleans(),
     )
-    def rpc(self, method, pid, first, npages, pagesize, index, live) -> None:
+    def rpc(self, method, pid, first, npages, uid, index, live) -> None:
         """``live`` names the active plan and its first pending move;
         otherwise the plan id is the next one, which does not exist."""
         pending = self.actor.pending_rebalance()
@@ -729,11 +737,9 @@ class PmRestart(RestartMachine):
         if method in ("pm.register", "pm.deregister"):
             self.call(method, pid)
         elif method == "pm.get_providers":
-            self.call(method, "b", npages, pagesize)
-        elif method == "pm.get_providers_hashed":
-            groups = self.call(method, "b", "u", first, npages, pagesize)
+            groups = self.call(method, "b", uid, first, npages)
             for i, group in enumerate(groups or ()):
-                self.pages[("b", "u", first + i)] = group
+                self.pages[("b", uid, first + i)] = group
         elif method == "pm.plan_rebalance":
             manifests: dict[int, list] = {}
             for key, group in self.pages.items():

@@ -104,12 +104,12 @@ class TestStrategies:
 
     def test_round_robin_cycles(self):
         pm = self.pm(3)
-        assert pm.get_providers("b", 5, 4096) == [(0,), (1,), (2,), (0,), (1,)]
-        assert pm.get_providers("b", 2, 4096) == [(2,), (0,)]
-        assert self.pm(3).get_providers("b", 1, 4096) == [(0,)]
+        assert pm.get_providers("b", "u", 0, 5) == [(0,), (1,), (2,), (0,), (1,)]
+        assert pm.get_providers("b", "u", 0, 2) == [(2,), (0,)]
+        assert self.pm(3).get_providers("b", "u", 0, 1) == [(0,)]
 
     def test_round_robin_distinct_when_enough(self):
-        got = self.pm(8).get_providers("b", 4, 4096)
+        got = self.pm(8).get_providers("b", "u", 0, 4)
         assert len(set(got)) == 4
 
 
@@ -125,7 +125,7 @@ class TestProviderManager:
         pm = ProviderManager()
         for i in range(4):
             pm.register(i)
-        groups = pm.get_providers("b", 6, 4096)
+        groups = pm.get_providers("b", "u", 0, 6)
         assert len(groups) == 6
         assert all(len(g) == 1 for g in groups)
 
@@ -133,7 +133,7 @@ class TestProviderManager:
         pm = ProviderManager(replication=3)
         for i in range(5):
             pm.register(i)
-        groups = pm.get_providers("b", 4, 4096)
+        groups = pm.get_providers("b", "u", 0, 4)
         for g in groups:
             assert len(g) == 3
             assert len(set(g)) == 3
@@ -142,19 +142,19 @@ class TestProviderManager:
         pm = ProviderManager(replication=2)
         pm.register(0)
         with pytest.raises(NotEnoughProviders):
-            pm.get_providers("b", 1, 4096)
+            pm.get_providers("b", "u", 0, 1)
 
     def test_invalid_npages(self):
         pm = ProviderManager()
         pm.register(0)
         with pytest.raises(ValueError):
-            pm.get_providers("b", 0, 4096)
+            pm.get_providers("b", "u", 0, 0)
 
     def test_dispatch(self):
         pm = ProviderManager()
         assert pm.handle("pm.register", (7,)) == 1
         assert pm.handle("pm.providers", ()) == [7]
-        groups = pm.handle("pm.get_providers", ("b", 2, 4096))
+        groups = pm.handle("pm.get_providers", ("b", "u", 0, 2))
         assert len(groups) == 2
         for method in ("pm.nope", "pm.load_view"):
             with pytest.raises(ValueError, match="provider manager: unknown method"):
