@@ -1,7 +1,10 @@
 """Ablation A: lock-free versioning vs a global reader-writer lock.
 
-The design's raison d'être: the same cluster and striping, with the only
-difference being concurrency control. Under the global lock, concurrent
+The design's raison d'être. Both series run this system's own WRITE on
+the same simulated deployment; the locked series brackets every WRITE
+with a global RW lock (``bench.workloads.SimRWLock``, a 64 B request and
+grant to a lock-manager node and a 32 B release), so the lock's messages
+and the wait for it are the only difference. Under the lock, concurrent
 writers serialize end-to-end and per-writer bandwidth collapses as 1/n;
 the paper's design keeps it nearly flat.
 """
@@ -33,8 +36,8 @@ def test_ablation_lockfree(benchmark, publish, publish_json, profile):
     locked = fig.series_by_label("global RW lock").y
     n = fig.series_by_label("global RW lock").x
 
-    # single writer: both systems are within the same physical envelope
-    assert 0.5 < locked[0] / lockfree[0] < 2.0
+    # single writer: nothing to wait for, so the lock adds only its messages
+    assert 0.99 * lockfree[0] < locked[0] < lockfree[0]
 
     # the collapse: at the largest writer count the lock costs >= ~(n/2)x
     assert locked[-1] < lockfree[-1] / (n[-1] / 2)

@@ -13,7 +13,11 @@ from ``BENCHMARK.json``: *worse* (the change's median is worse than the
 parent's by more than the bound, or a larger share of operations failed),
 *unresolved* (the parent's own quartiles are further apart than the bound,
 and not every change run beats every parent run) or *no worse* — and
-exits 1 if anything is worse.
+exits 1 if anything is worse. Below the verdicts, a sign-test line per
+workload, seed and end-to-end metric reports the pairs the change lost
+and the one-sided sign-test p over the untied pairs ("change lost 5/5
+pairs, p = 0.031"): a change can lose every pair and still read *no
+worse* inside a wide bound. It is reported only, never a verdict.
 
 ``--claim METRIC`` also judges a gain on that metric, per ``--workload``
 and seed, over the untraced pairs in the file: *gain* when the change wins
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -72,7 +77,7 @@ def parse_run(stdout: str) -> dict:
 
 def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
     """Per (workload, seed, trace): each metric's median and quartiles per
-    side and the pairs the change won (ties count for neither)."""
+    side and the pairs the change won and lost (ties count for neither)."""
     cells: dict[tuple, dict[int, dict[str, dict]]] = {}
     for run in runs:
         key = (run["workload"], run["seed"], run["trace"])
@@ -89,10 +94,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
             sides = {side: [p[side]["metrics"][name] for p in pairs]
                      for side in ("parent", "change")}
             sign = -1 if better.get(name) == "lower" else 1
-            cell = {"change_wins": sum(
-                sign * c > sign * p
-                for p, c in zip(sides["parent"], sides["change"])
-            )}
+            pairwise = list(zip(sides["parent"], sides["change"]))
+            cell = {"change_wins": sum(sign * c > sign * p for p, c in pairwise),
+                    "change_losses": sum(sign * c < sign * p for p, c in pairwise)}
             for side, values in sides.items():
                 q1, _, q3 = (statistics.quantiles(values, n=4)
                              if len(values) > 1 else values * 3)
@@ -150,6 +154,30 @@ def report(summary: list[dict], bounds: dict[str, tuple[str, float]]) -> bool:
                   f"({sides}, {row['pairs']} pairs)")
             worse = worse or result == "worse"
     return worse
+
+
+def sign_test_p(lost: int, untied: int) -> float:
+    """One-sided sign-test p: the chance that a change no different from
+    its parent loses at least ``lost`` of ``untied`` pairs."""
+    return sum(math.comb(untied, k) for k in range(lost, untied + 1)) / 2**untied
+
+
+def report_streaks(summary: list[dict], bounds: dict[str, tuple[str, float]]) -> None:
+    """Print the sign-test line of every untraced row and end-to-end
+    metric: the pairs the change lost, out of the untied ones, and how
+    unlikely that many losses are by chance. Reported, never judged."""
+    for row in summary:
+        if row["trace"]:
+            continue
+        for name in bounds:
+            cell = row["metrics"].get(name)
+            if cell is None:
+                continue
+            lost = cell["change_losses"]
+            untied = lost + cell["change_wins"]
+            print(f"{row['workload']} seed={row['seed']} {name}: change lost "
+                  f"{lost}/{untied} pairs, p = {sign_test_p(lost, untied):.2g} "
+                  "(sign test, reported only)")
 
 
 def paired(runs: list[dict], workload: str, seed: int, metric: str):
@@ -251,7 +279,9 @@ def main(argv: list[str] | None = None) -> int:
                 doc["summary"] = summarize(doc["runs"], better)
                 out.write_text(json.dumps(doc, indent=1) + "\n")
     bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    worse = report(summarize(doc["runs"], better), bounds)
+    summary = summarize(doc["runs"], better)
+    worse = report(summary, bounds)
+    report_streaks(summary, bounds)
     not_met = False
     if args.claim:
         for workload in args.workload:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.baselines.locked import LockedClusterSim
 from repro.bench.workloads import (
     SegmentPicker,
+    SimRWLock,
     populate_window,
     run_concurrent_client_durations,
     run_concurrent_clients,
@@ -379,31 +379,39 @@ def ablation_lockfree(
     segment: int = 8 * MB,
     providers: int = 20,
 ) -> FigureData:
-    """Per-client WRITE bandwidth: this system vs a global RW lock."""
+    """Per-client WRITE bandwidth: this system vs the same WRITE under a
+    global RW lock.
+
+    Every lock-free point runs before every locked one: write uids come
+    from one process-wide counter, so this order leaves the lock-free
+    series exactly what it is without the locked runs.
+    """
     fig = FigureData(
         figure_id="Ablation A",
         title="Lock-free versioning vs global RW lock (writes)",
         xlabel="concurrent writers",
         ylabel="avg bandwidth per client (MB/s)",
-        notes="same striping and cluster model; only concurrency control differs",
     )
-    lockfree, locked = [], []
-    for n in client_counts:
-        dep = SimDeployment(paper_spec(providers, n))
-        blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
-        picker = SegmentPicker(segment=segment)
-        bw = run_concurrent_clients(dep, blob, n, iterations, picker, kind="write")
-        lockfree.append(sum(bw) / len(bw))
-        fig.absorb_counters(dep)
-
-        base = LockedClusterSim(
-            DeploymentSpec(n_data=providers, n_meta=1, n_clients=n)
-        )
-        bw2 = base.run_clients(n, iterations, segment, "write")
-        locked.append(sum(bw2) / len(bw2))
-        fig.absorb_counters(base)
-    fig.series.append(Series("lock-free (this system)", list(client_counts), lockfree))
-    fig.series.append(Series("global RW lock", list(client_counts), locked))
+    picker = SegmentPicker(segment=segment)
+    for label, locked in (("lock-free (this system)", False), ("global RW lock", True)):
+        ys = []
+        for n in client_counts:
+            dep = SimDeployment(paper_spec(providers, n))
+            blob = dep.alloc_blob(PAPER_TOTAL_SIZE, PAPER_PAGESIZE)
+            lock = SimRWLock(dep.sim) if locked else None
+            bw = run_concurrent_clients(
+                dep, blob, n, iterations, picker, kind="write", lock=lock
+            )
+            ys.append(sum(bw) / len(bw))
+            fig.absorb_counters(dep)
+        fig.series.append(Series(label, list(client_counts), ys))
+    free_first, locked_first = (series.y[0] for series in fig.series)
+    fig.notes = (
+        "both series run this system's WRITE on the same simulated deployment; "
+        "the locked one adds only the lock's three messages per op (64 B "
+        "request, 64 B grant, 32 B release) and the wait for the lock: "
+        f"{1 - locked_first / free_first:.2%} below lock-free at x={client_counts[0]}"
+    )
     return fig
 
 

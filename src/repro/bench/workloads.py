@@ -3,19 +3,25 @@
 Reproduces the paper's access patterns: single-client segment sweeps for
 the metadata-overhead experiments, and the concurrent-clients loop —
 "access various disjoint segments within a 1 GB interval of the data
-string in a 100-iteration loop" — for the throughput experiment.
+string in a 100-iteration loop" — for the throughput experiment. The same
+loop, given a :class:`SimRWLock`, runs every op under a global
+reader-writer lock: the conventional design the paper's lock-free writes
+are measured against (ablation bench A).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Literal
 
 from repro.core.client import AsyncBlobClient, BlobClient
 from repro.deploy.simulated import SimDeployment
-from repro.sim.engine import Event
+from repro.sim.engine import Event, Simulator
 from repro.util.rng import substream
 from repro.util.sizes import GB
+
+Kind = Literal["read", "write"]
 
 
 @dataclass
@@ -43,6 +49,54 @@ class SegmentPicker:
                 yield self.base + int(slot) * self.segment
 
 
+class SimRWLock:
+    """FIFO reader-writer lock on simulated time.
+
+    Requests are granted strictly in arrival order; consecutive readers at
+    the head of the queue are granted together (shared access), a writer
+    is granted alone.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._queue: deque[tuple[Kind, Event]] = deque()
+        self._active_readers = 0
+        self._writer_active = False
+        self.max_readers = 0
+
+    def acquire(self, kind: Kind) -> Event:
+        ev = self.sim.event()
+        self._queue.append((kind, ev))
+        self._drain()
+        return ev
+
+    def release(self, kind: Kind) -> None:
+        if kind == "write":
+            assert self._writer_active
+            self._writer_active = False
+        else:
+            assert self._active_readers > 0
+            self._active_readers -= 1
+        self._drain()
+
+    def _drain(self) -> None:
+        while self._queue:
+            kind, ev = self._queue[0]
+            if kind == "write":
+                if self._writer_active or self._active_readers:
+                    return
+                self._queue.popleft()
+                self._writer_active = True
+                ev.succeed(None)
+                return
+            if self._writer_active:
+                return
+            self._queue.popleft()
+            self._active_readers += 1
+            self.max_readers = max(self.max_readers, self._active_readers)
+            ev.succeed(None)
+
+
 def populate_window(
     client: BlobClient, blob_id: str, window: int, segment: int, base: int = 0
 ) -> int:
@@ -64,21 +118,43 @@ def client_access_loop(
     iterations: int,
     kind: str,
     durations: list[float],
+    lock: SimRWLock | None = None,
 ) -> Generator[Event, None, None]:
-    """Simulated process: one client's unsynchronized access loop.
+    """Simulated process: one client's access loop, unsynchronized unless
+    a ``lock`` is given.
 
-    Appends each operation's simulated duration to ``durations``.
+    With a lock, every op is bracketed by it, priced as messages through
+    the deployment's network to a ``lock-manager`` node (added on first
+    use): to acquire, a 64 B request, one ``rpc_overhead`` on that node's
+    CPU, the grant, a 64 B reply; to release, a 32 B one-way message, after
+    which the lock state changes. A writer holds the lock through its
+    whole WRITE (alloc, data, metadata, publication), so writers serialize
+    end to end while readers share it.
+
+    Appends each operation's simulated duration, lock wait included, to
+    ``durations``.
     """
+    if kind not in ("read", "write"):
+        raise ValueError(f"unknown access kind {kind!r}")
+    if lock is not None:
+        net, node = dep.network, dep.client_nodes[client_index]
+        lock_node = net.nodes.get("lock-manager") or net.add_node("lock-manager")
     offsets = picker.offsets(client_index)
     for _ in range(iterations):
         offset = next(offsets)
         start = dep.sim.now
+        if lock is not None:
+            yield from net.transfer(node, lock_node, 64)
+            yield lock_node.cpu.submit(net.spec.rpc_overhead)
+            yield lock.acquire(kind)
+            yield from net.transfer(lock_node, node, 64)
         if kind == "write":
             yield from client.write_virtual(blob_id, offset, picker.segment)
-        elif kind == "read":
-            yield from client.read_virtual(blob_id, offset, picker.segment)
         else:
-            raise ValueError(f"unknown access kind {kind!r}")
+            yield from client.read_virtual(blob_id, offset, picker.segment)
+        if lock is not None:
+            yield from net.transfer(node, lock_node, 32)
+            lock.release(kind)
         durations.append(dep.sim.now - start)
 
 
@@ -90,16 +166,18 @@ def run_concurrent_clients(
     picker: SegmentPicker,
     kind: str,
     cached: bool = False,
+    lock: SimRWLock | None = None,
 ) -> list[float]:
     """Run the paper's concurrent-clients experiment for one point.
 
     Returns per-client mean bandwidth in MB/s. ``cached=True`` gives each
     reader a metadata cache and a warm-up lap over every slot first (the
     paper's "Read (cached metadata)" series; the uncached series disables
-    caching entirely, the paper's worst case).
+    caching entirely, the paper's worst case). ``lock`` runs every op
+    under it (:func:`client_access_loop`).
     """
     per_client = run_concurrent_client_durations(
-        dep, blob_id, n_clients, iterations, picker, kind, cached=cached
+        dep, blob_id, n_clients, iterations, picker, kind, cached=cached, lock=lock
     )
     mb = picker.segment / (1 << 20)
     return [mb * len(ds) / sum(ds) for ds in per_client]
@@ -113,6 +191,7 @@ def run_concurrent_client_durations(
     picker: SegmentPicker,
     kind: str,
     cached: bool = False,
+    lock: SimRWLock | None = None,
 ) -> list[list[float]]:
     """The same experiment, returning every operation's simulated duration
     (seconds), one list per client in client order.
@@ -145,7 +224,8 @@ def run_concurrent_client_durations(
     procs = [
         dep.sim.process(
             client_access_loop(
-                dep, clients[i], blob_id, picker, i, iterations, kind, per_client[i]
+                dep, clients[i], blob_id, picker, i, iterations, kind,
+                per_client[i], lock,
             ),
             name=f"{kind}-loop-{i}",
         )

@@ -245,16 +245,13 @@ class SupernovaPipeline:
         # photometric noise of an aperture sum: sigma * aperture diameter
         aperture = 4
         noise_floor = self.model.spec.noise_sigma * (2 * aperture + 1) * 2.0
-        reference_cache: dict[Tile, np.ndarray] = {}
         for track in tracks:
-            ref = reference_cache.setdefault(
-                track.tile, self.read_tile(track.tile, 0).astype(np.float64)
-            )
             curve = np.empty(epochs)
             for epoch in range(epochs):
-                img = self.read_tile(track.tile, epoch)
-                diff = img.astype(np.float64) - ref
-                curve[epoch] = extract_flux(diff, track.x, track.y, aperture)
+                img = self.read_tile(track.tile, epoch).astype(np.float64)
+                if epoch == 0:
+                    ref = img  # the reference is epoch 0: one read serves both
+                curve[epoch] = extract_flux(img - ref, track.x, track.y, aperture)
             track.curve = curve
             track.label = classify_lightcurve(curve, noise_floor)
 

@@ -1,11 +1,19 @@
-"""Bench harness: workload generators and figure scaffolding."""
+"""Bench harness: workload generators, the global-lock bracket and figure
+scaffolding."""
 
 import pytest
 
 from repro.bench.figures import FigureData, Series, render_series_table
-from repro.bench.workloads import SegmentPicker, populate_window, run_concurrent_clients
+from repro.bench.workloads import (
+    SegmentPicker,
+    SimRWLock,
+    client_access_loop,
+    populate_window,
+    run_concurrent_clients,
+)
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
+from repro.sim.engine import Simulator
 from repro.util.sizes import KB, MB, TB
 
 PAGE = 64 * KB
@@ -80,6 +88,112 @@ class TestWorkloadRuns:
         picker = SegmentPicker(window=8 * MB, segment=2 * MB)
         with pytest.raises(ValueError):
             run_concurrent_clients(dep, blob, 1, 1, picker, kind="scan")
+
+
+class TestSimRWLock:
+    def test_readers_share(self):
+        sim = Simulator()
+        lock = SimRWLock(sim)
+        r1, r2 = lock.acquire("read"), lock.acquire("read")
+        sim.run()
+        assert r1.triggered and r2.triggered
+        assert lock.max_readers == 2
+
+    def test_writer_excludes_readers(self):
+        sim = Simulator()
+        lock = SimRWLock(sim)
+        w = lock.acquire("write")
+        r = lock.acquire("read")
+        sim.run()
+        assert w.triggered and not r.triggered
+        lock.release("write")
+        sim.run()
+        assert r.triggered
+
+    def test_fifo_no_starvation(self):
+        """A writer queued behind readers runs before later readers."""
+        sim = Simulator()
+        lock = SimRWLock(sim)
+        r1 = lock.acquire("read")
+        w = lock.acquire("write")
+        r2 = lock.acquire("read")
+        sim.run()
+        assert r1.triggered and not w.triggered and not r2.triggered
+        lock.release("read")
+        sim.run()
+        assert w.triggered and not r2.triggered
+        lock.release("write")
+        sim.run()
+        assert r2.triggered
+
+    def test_writers_serialize(self):
+        sim = Simulator()
+        lock = SimRWLock(sim)
+        w1, w2 = lock.acquire("write"), lock.acquire("write")
+        sim.run()
+        assert w1.triggered and not w2.triggered
+
+
+class TestLockedAccessLoop:
+    """This system's own READ / WRITE under a global RW lock: the
+    baseline of ablation bench A."""
+
+    WINDOW = 32 * MB
+
+    def deployment(self, n):
+        dep = SimDeployment(DeploymentSpec(n_data=8, n_meta=1, n_clients=n))
+        blob = dep.alloc_blob(1 * TB, PAGE)
+        populate_window(dep.client("populator"), blob, self.WINDOW, 4 * MB)
+        return dep, blob
+
+    def mean_bw(self, n, kind):
+        dep, blob = self.deployment(n)
+        picker = SegmentPicker(window=self.WINDOW, segment=4 * MB)
+        bws = run_concurrent_clients(
+            dep, blob, n, 5, picker, kind=kind, lock=SimRWLock(dep.sim)
+        )
+        return sum(bws) / len(bws)
+
+    def test_single_client_bandwidth_reasonable(self):
+        assert 40 < self.mean_bw(1, "write") < 120  # the cluster's envelope
+
+    def test_writer_bandwidth_collapses(self):
+        """The ablation headline: per-writer bandwidth ~ 1/n."""
+        b1, b4, b8 = (self.mean_bw(n, "write") for n in (1, 4, 8))
+        assert b4 < 0.4 * b1
+        assert b8 < 0.2 * b1
+
+    def test_reader_bandwidth_flat(self):
+        b1, b8 = self.mean_bw(1, "read"), self.mean_bw(8, "read")
+        assert b8 > 0.8 * b1  # shared lock: readers hardly degrade
+
+    def test_mixed_contention_blocks_readers(self):
+        """Unlike the paper's system, here a writer stalls all readers."""
+        dep, blob = self.deployment(3)
+        lock = SimRWLock(dep.sim)
+        clients = [dep.async_client(index=i, cached=False) for i in range(3)]
+        dep.sim.run(until=dep.sim.all_of(
+            [dep.sim.process(client.open(blob)) for client in clients]
+        ))
+        writes, reads = [], []
+        loops = [
+            client_access_loop(
+                dep, clients[0], blob, SegmentPicker(self.WINDOW, 32 * MB),
+                0, 1, "write", writes, lock,
+            ),
+            *(
+                client_access_loop(
+                    dep, clients[i], blob, SegmentPicker(self.WINDOW, 4 * MB),
+                    i, 1, "read", reads, lock,
+                )
+                for i in (1, 2)
+            ),
+        ]
+        dep.sim.run(until=dep.sim.all_of([dep.sim.process(loop) for loop in loops]))
+        (write_time,) = writes
+        # readers arrived after the writer: they waited out the write
+        assert len(reads) == 2
+        assert all(t > 0.5 * write_time for t in reads)
 
 
 class TestFigureScaffolding:

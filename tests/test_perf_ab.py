@@ -1,5 +1,6 @@
-"""scripts/perf_ab.py: the pair schedule, the output parser and the
-summary, on canned perfbench output — no cluster is launched."""
+"""scripts/perf_ab.py: the pair schedule, the output parser, the
+summary, the verdicts and the sign-test line, on canned perfbench output
+— no cluster is launched."""
 
 from __future__ import annotations
 
@@ -71,8 +72,10 @@ def test_summary_has_medians_quartiles_and_direction_aware_wins():
     assert ops["change_wins"] == 2  # higher is better
     assert ops["parent"]["median"] == 2400 and ops["change"]["median"] == 3700
     assert ops["parent"]["q1"] <= 2400 <= ops["parent"]["q3"]
+    assert ops["change_losses"] == 1
     rss = row["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 1  # lower is better; the tie counts for neither
+    assert rss["change_losses"] == 1
 
 
 BOUNDS = {"norm_ops_per_s": ("higher", 0.2), "peak_rss_mb": ("lower", 0.1)}
@@ -167,3 +170,31 @@ def test_report_prints_a_line_per_metric_and_flags_worse(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 + 3 + 3
     assert lines[-3].startswith("v seed=1 norm_ops_per_s: worse (parent 1000")
+
+
+def test_sign_test_p_is_one_sided_over_untied_pairs():
+    assert perf_ab.sign_test_p(5, 5) == 1 / 32
+    assert perf_ab.sign_test_p(0, 5) == 1.0
+    assert perf_ab.sign_test_p(4, 5) == 6 / 32  # 4 or 5 losses of 5
+    assert perf_ab.sign_test_p(0, 0) == 1.0  # every pair tied
+
+
+def test_report_streaks_prints_the_losses_inside_the_bound(capsys):
+    """Five lost pairs, each 5 % down, read *no worse* against a 20 %
+    bound; the sign-test line is what shows the streak."""
+    streak = _row([(1000, 950, 200, 200)] * 5)
+    mixed = dict(_row([(1000, 990, 200, 201), (1000, 1010, 200, 199),
+                       (1000, 1000, 200, 202)]), workload="v")
+    traced = dict(streak, trace=1)
+    assert perf_ab.verdict(streak, BOUNDS)["norm_ops_per_s"] == "no worse"
+    perf_ab.report_streaks([streak, mixed, traced], BOUNDS)
+    assert capsys.readouterr().out.splitlines() == [
+        "w seed=1 norm_ops_per_s: change lost 5/5 pairs, p = 0.031 "
+        "(sign test, reported only)",
+        "w seed=1 peak_rss_mb: change lost 0/0 pairs, p = 1 "
+        "(sign test, reported only)",
+        "v seed=1 norm_ops_per_s: change lost 1/2 pairs, p = 0.75 "
+        "(sign test, reported only)",
+        "v seed=1 peak_rss_mb: change lost 2/3 pairs, p = 0.5 "
+        "(sign test, reported only)",
+    ]

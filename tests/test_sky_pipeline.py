@@ -64,6 +64,17 @@ class TestCampaign:
         assert report.bytes_written == expected_write
         assert report.bytes_read > 0
 
+    def test_classification_reads_each_track_epoch_once(self, campaign_report):
+        """Scans read epoch e and the reference; a track's light curve
+        reads its tile once per epoch, the reference included."""
+        _, pipe, report = campaign_report
+        scan_reads = 2 * (EPOCHS - 1) * SPEC.n_tiles
+        track_reads = len(report.tracks) * EPOCHS
+        assert report.tracks
+        assert report.bytes_read == (
+            (scan_reads + track_reads) * pipe.mapping.tile_slot_bytes
+        )
+
 
 class TestSnapshotIsolation:
     def test_reading_old_epoch_after_new_writes(self):
