@@ -20,6 +20,7 @@ from repro.metadata.router import StaticRouter
 from repro.net.address import format_actor
 from repro.net.inproc import InprocDriver
 from repro.net.node import build_actor
+from repro.net.sansio import Driver, served_counts
 from repro.providers.data_provider import DataProvider
 from repro.providers.manager import ProviderManager
 from repro.version.manager import VersionManager
@@ -33,9 +34,8 @@ class Deployment:
     reads them directly."""
 
     spec: DeploymentSpec
-    #: InprocDriver, ThreadedDriver (threaded and TCP deployments),
-    #: AioDriver or SimDriver
-    driver: Any
+    #: InprocDriver, ThreadedDriver, AioDriver or SimDriver
+    driver: Driver
     router: StaticRouter
     vm: Any
     pm: Any
@@ -43,9 +43,9 @@ class Deployment:
     meta: dict[int, Any]
     #: ``metrics()["source"]``: which builder assembled the deployment
     source: str = "inproc"
-    #: per-actor ``(wire_rpcs, sub_calls)`` already served when the build
-    #: returned — the deployment's own setup traffic, which
-    #: :meth:`workload_stats` subtracts (empty where there was none)
+    #: :func:`~repro.net.sansio.served_counts` when the build returned —
+    #: the deployment's own setup traffic, which :meth:`workload_stats`
+    #: subtracts from the incarnation it was read of (empty if none)
     stats_base: dict = field(default_factory=dict)
     #: caller-side transport counters at build time (the builder's own
     #: calls); subtract from ``transport_stats()`` for workload-only counts
@@ -89,29 +89,27 @@ class Deployment:
 
     def transport_stats(self) -> dict[str, int] | None:
         """Caller-side transport counters
-        (:meth:`~repro.net.threaded.PeerRegistry.transport_stats`, one
-        implementation for every real driver); ``None`` on inproc and the
-        simulator, which have no caller-side transport."""
-        if not hasattr(self.driver, "transport_stats"):
-            return None
+        (:meth:`~repro.net.threaded.PeerRegistry.transport_stats`);
+        ``None`` on inproc and the simulator, which have none."""
         return self.driver.transport_stats()
 
     def workload_stats(self) -> dict | None:
         """Per-actor ``(wire_rpcs, sub_calls)`` with the deployment's own
         setup traffic (:attr:`stats_base`) subtracted — the counts the
         *workload* generated; ``None`` on inproc, which has no wire layer.
-        Telemetry/stats scrapes travel as controls and are invisible to
-        these counters, so scraping between two reads of this never
-        perturbs the difference."""
-        if not hasattr(self.driver, "server_stats"):
-            return None
-        return {
-            a: (
-                r - self.stats_base.get(a, (0, 0))[0],
-                c - self.stats_base.get(a, (0, 0))[1],
-            )
-            for a, (r, c) in self.driver.server_stats().items()
-        }
+        A base is subtracted only from the incarnation it was read of (a
+        restarted agent counts from zero). Scrapes travel as controls,
+        invisible to these counters, so one between two reads of this
+        never perturbs the difference."""
+        stats = {}
+        for address, (rpcs, calls, domain) in served_counts(self.driver).items():
+            if rpcs is None:
+                return None
+            base = self.stats_base.get(address)
+            if base is not None and base[2] == domain:
+                rpcs, calls = rpcs - base[0], calls - base[1]
+            stats[address] = (rpcs, calls)
+        return stats
 
     def metrics(self) -> dict:
         """The unified telemetry document (``repro.metrics/1``): per-actor
@@ -138,8 +136,7 @@ class Deployment:
         """Stop the driver's service threads (inproc has none), then close
         the vm and pm: journaled ones compact, as on a node agent's
         shutdown control, so the next incarnation replays nothing."""
-        if hasattr(self.driver, "close"):
-            self.driver.close()
+        self.driver.close()
         self.vm.close()
         self.pm.close()
 

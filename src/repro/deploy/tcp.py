@@ -57,6 +57,7 @@ from repro.errors import ConfigError
 from repro.metadata.router import StaticRouter
 from repro.net.address import CONTROL_ACTORS, ClusterMap, Endpoint, format_actor
 from repro.net.aio import AioDriver
+from repro.net.sansio import Driver, served_counts
 from repro.net.threaded import ThreadedDriver
 
 #: how long the builder waits for a launched agent's READY line
@@ -67,7 +68,7 @@ class _ActorProxy:
     """Parent-side view of one actor on a node agent: each inspection
     method is one RPC to it."""
 
-    def __init__(self, driver: Union[ThreadedDriver, AioDriver], address) -> None:
+    def __init__(self, driver: Driver, address) -> None:
         self._driver = driver
         self._address = address
 
@@ -277,7 +278,7 @@ class TcpDeployment(Deployment):
         deployments only): :meth:`client` with every method awaitable, on
         the deployment's event-loop driver. Any number of these can run
         concurrently as coroutines — the high-concurrency client tier."""
-        if not hasattr(self.driver, "drive"):
+        if not isinstance(self.driver, AioDriver):
             raise ConfigError(
                 "async_client() needs the aio driver; build the deployment "
                 "with build_tcp(..., client='aio')"
@@ -645,7 +646,7 @@ def build_tcp(
         meta={i: MetadataProviderProxy(driver, ("meta", i)) for i in range(spec.n_meta)},
         # telemetry controls are not counted as wire RPCs, so this snapshot
         # is itself invisible to the counters it baselines
-        stats_base=driver.server_stats(),
+        stats_base=served_counts(driver),
         transport_base=driver.transport_stats(),
         cluster_map=cluster_map,
         remote_control_plane=remote_cp,

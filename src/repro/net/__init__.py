@@ -24,8 +24,9 @@ drivers execute them:
   on the discrete-event cluster with full cost accounting, used by every
   benchmark.
 
-The drivers share aggregation semantics: sub-calls within one batch that
-target the same destination travel in a single wire RPC (paper §V.A).
+The drivers share one contract, :class:`~repro.net.sansio.Driver`, and
+aggregation semantics: sub-calls within one batch that target the same
+destination travel in a single wire RPC (paper §V.A).
 """
 
 from repro.net.sansio import Batch, Call, Compute, Protocol, run_inproc

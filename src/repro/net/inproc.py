@@ -3,7 +3,8 @@
 The simplest execution substrate: actors are plain objects in the current
 process and batches are executed sequentially. Used by functional tests,
 the examples, and the supernova pipeline, where correctness — not timing —
-is the point.
+is the point. A :class:`~repro.net.sansio.Driver` with no wire layer, so
+``server_stats`` counts ``None`` and ``transport_stats`` is ``None``.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ from typing import Any, Mapping
 from repro.net.sansio import (
     Actor,
     Address,
-    FaultInjection,
+    Driver,
     Protocol,
-    one_call,
     run_inproc,
 )
 from repro.obs.telemetry import telemetry_report
 
 
-class InprocDriver(FaultInjection):
+class InprocDriver(Driver):
     """Driver facade over :func:`repro.net.sansio.run_inproc`.
 
     Also the place where deployments register/unregister actors; the
@@ -44,9 +44,6 @@ class InprocDriver(FaultInjection):
     def addresses(self) -> list[Address]:
         return list(self._registry)
 
-    def actor(self, address: Address) -> Actor:
-        return self._registry[address]
-
     def telemetry(self, address: Address) -> dict[str, Any]:
         """One actor's telemetry report, same shape as the concurrent
         drivers' (this driver has no wire layer, so the wire counters are
@@ -57,7 +54,3 @@ class InprocDriver(FaultInjection):
     def run(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol to completion and return its value."""
         return run_inproc(proto, self._registry, self._down)
-
-    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
-        """One-off RPC outside any protocol (inspection surfaces)."""
-        return self.run(one_call(address, method, args))

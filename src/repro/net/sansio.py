@@ -18,7 +18,9 @@ Operations:
   buffers). Non-simulated drivers treat it as a no-op, because there the
   work is actually performed by the surrounding Python code.
 
-Every driver runs a protocol by one stepping rule, :func:`step`.
+Every driver runs a protocol by one stepping rule, :func:`step`, and
+answers one contract, :class:`Driver`; an in-parent service thread and
+a node agent serve a wire group by one body, :func:`serve_group`.
 
 Nothing else: a protocol never asks for the time. Every driver records
 the span schema (:mod:`repro.obs.spans`) around the batches of a traced
@@ -29,7 +31,7 @@ Failure semantics: a handler exception is wrapped in
 protocol's ``yield`` point. Calls created with ``allow_error=True`` instead
 deliver the error object in the result slot, which lets protocols implement
 fail-over (e.g. reading a page replica while a provider is down: a dead
-peer, or one :class:`FaultInjection` failed).
+peer, or one :meth:`Driver.fail` failed).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import (
 from repro.errors import RemoteError, ReproError
 from repro.net.address import format_actor
 from repro.net.message import estimate_size
+from repro.obs.spans import clear_server_context, set_server_context
 from repro.obs.telemetry import TELEMETRY_METHOD, telemetry_of
 
 Address = Hashable
@@ -194,16 +197,38 @@ def rpc_handler(kind: str, table: Mapping[str, Callable]) -> Callable:
     return _handle
 
 
-class FaultInjection:
-    """The fault surface every driver shares. After ``fail(address)``
-    every call to ``address`` answers ``RemoteError("PeerUnavailable")``
-    in its result slot, the error a dead TCP peer gives, without reaching
-    the actor; ``heal(address)`` restores service. A driver keeps the
-    failed addresses in ``_down`` (address -> reason) and consults it
-    where it resolves a destination. The fault is client-side: the
-    address is unreachable *from this driver*."""
+class Driver:
+    """What every driver answers. A subclass supplies ``addresses()``,
+    ``telemetry(address)`` and ``run(proto)``; on them this builds
+    ``call``, ``server_stats`` and the fault surface, and the defaults of
+    a driver with no caller-side transport (``transport_stats`` and
+    ``caller_rtt`` answer ``None``, ``close`` does nothing).
+
+    After ``fail(address)`` every call to ``address`` answers the dead-peer
+    error, ``RemoteError("PeerUnavailable")``, in its result slot without
+    reaching the actor, until ``heal(address)``. The failed addresses
+    (address -> reason) live in ``_down``, consulted where the driver
+    resolves a destination: the fault is client-side."""
 
     _down: dict[Address, str]
+
+    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
+        """One-off RPC outside any protocol (inspection surfaces)."""
+        return self.run(one_call(address, method, args))
+
+    def server_stats(self) -> dict[Address, tuple[Any, Any]]:
+        """Per-actor ``(wire_rpcs, sub_calls)`` served: :func:`served_counts`
+        without the clock domains."""
+        return {a: (r, c) for a, (r, c, _) in served_counts(self).items()}
+
+    def transport_stats(self) -> dict[str, int] | None:
+        return None
+
+    def caller_rtt(self) -> dict[str, Any] | None:
+        return None
+
+    def close(self) -> None:
+        pass
 
     def fail(self, address: Address) -> None:
         """Make a registered ``address`` unreachable until :meth:`heal`."""
@@ -219,6 +244,21 @@ class FaultInjection:
         reason = self._down.get(address)
         if reason is not None:
             raise RemoteError("PeerUnavailable", reason)
+
+
+def served_counts(driver: Driver) -> dict[Address, tuple[Any, Any, int]]:
+    """Per-actor ``(wire_rpcs, sub_calls, clock_domain)`` off every
+    actor's ``telemetry`` report (over the wire, as a control, for a
+    remote actor): a dead or failed peer raises its ``RemoteError``, a
+    driver with no wire layer (inproc) counts ``None``. The domain names
+    the serving process; a restarted agent is a new one, counting from
+    zero."""
+    counts = {}
+    for address in driver.addresses():
+        report = driver.telemetry(address)
+        domain = report["telemetry"]["clock_domain"]
+        counts[address] = (report["wire_rpcs"], report["sub_calls"], domain)
+    return counts
 
 
 def dispatch_call(actor: Actor, call: Call) -> Any:
@@ -245,6 +285,21 @@ def dispatch_call(actor: Actor, call: Call) -> Any:
     t1 = perf_counter_ns()
     telemetry_of(actor).record(call.method, t1 - t0, error, end_ns=t1)
     return result
+
+
+def serve_group(
+    actor: Actor, calls: Sequence[Call], context: Any, queue_ns: int,
+    nbytes: int,
+) -> list:
+    """Serve one wire group, returning its sub-calls' results in order,
+    under the server context (what serving spans and the slow-RPC log
+    read) of its envelope ``context`` (``(trace_id, parent_span_id)`` or
+    None), queue wait and request bytes."""
+    set_server_context(context, queue_ns, nbytes)
+    try:
+        return [dispatch_call(actor, call) for call in calls]
+    finally:
+        clear_server_context()
 
 
 def deliver(calls: Sequence[Call], results: list) -> list:
@@ -376,7 +431,7 @@ def run_inproc(
 ) -> T:
     """Execute a protocol by direct dispatch against actor objects; a
     call to an address in ``down`` (failed address -> reason, see
-    :class:`FaultInjection`) answers ``PeerUnavailable`` instead.
+    :meth:`Driver.fail`) answers ``PeerUnavailable`` instead.
 
     This is the reference driver: no parallelism, no timing — just the
     protocol semantics. Every other driver must be observationally

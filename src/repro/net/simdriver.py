@@ -22,6 +22,10 @@ accounting:
 ``Compute`` operations charge the client CPU lane using the calibrated
 per-unit costs in :class:`~repro.sim.network.ClusterSpec`.
 
+:class:`SimDriver` is a :class:`~repro.net.sansio.Driver` with no
+caller-side transport: ``transport_stats`` is ``None``, and
+``server_stats`` reads ``telemetry`` as on every driver.
+
 Hot-path notes: this driver executes every RPC of every benchmark figure,
 so the batch path is written for constant-factor speed — single-call and
 single-destination batches skip group bookkeeping entirely, multi-group
@@ -45,15 +49,15 @@ from repro.net.sansio import (
     Batch,
     Call,
     Compute,
-    FaultInjection,
+    Driver,
     Protocol,
     deliver,
     dispatch_call,
-    one_call,
     plan_wire_groups,
     step,
 )
 from repro.obs.spans import SIM_DOMAIN, current_op, make_span, new_span_id
+from repro.obs.telemetry import telemetry_report
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.network import PER_NODE_ROWS, Network, SimNode
 
@@ -303,7 +307,7 @@ class SimRpcExecutor:
         )
 
 
-class SimDriver(FaultInjection):
+class SimDriver(Driver):
     """The driver of one simulated client node: ``run`` / ``spawn`` /
     ``call`` as on every driver, plus ``drive`` for protocols that run
     inside another simulated process. The drivers of one executor share
@@ -323,16 +327,9 @@ class SimDriver(FaultInjection):
         """One actor's telemetry report, same shape as the real drivers';
         its service times are *host* nanoseconds around the handler body,
         unrelated to simulated time."""
-        from repro.obs.telemetry import telemetry_report
-
         self._raise_if_failed(address)
         actor, _, (wire_rpcs, sub_calls) = self._actors[address]
         return telemetry_report(actor, wire_rpcs, sub_calls)
-
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)`` served, as on every driver
-        with a wire layer."""
-        return {a: tuple(served) for a, (_, _, served) in self._actors.items()}
 
     def drive(self, proto: Protocol[Any]) -> Generator[Event, Any, Any]:
         """The process body running ``proto`` on this node, for
@@ -368,7 +365,3 @@ class SimDriver(FaultInjection):
     def run(self, proto: Protocol[Any]) -> Any:
         """Run ``proto`` to its end on this node; returns its value."""
         return self.spawn(proto).result()
-
-    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
-        """One-off RPC outside any protocol (inspection surfaces)."""
-        return self.run(one_call(address, method, args))

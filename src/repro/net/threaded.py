@@ -32,10 +32,12 @@ hot path allocates no locks, conditions or events per batch. The counters
 exposed by :meth:`PeerRegistry.transport_stats` make these bounds testable.
 
 :class:`PeerRegistry` is what this driver and the asyncio one
-(:mod:`repro.net.aio`) share: registration, health, fault injection, the
-scrape surface, destination resolution, the caller-side counters and the
-batch body. A driver supplies only how it waits for a batch and how it
-makes, asks and stops peers.
+(:mod:`repro.net.aio`) share: registration, health, the scrape surface,
+destination resolution, the caller-side counters and the batch body, on
+top of the :class:`~repro.net.sansio.Driver` every driver is. A driver
+supplies only how it waits for a batch and how it makes, asks and stops
+peers. A service thread serves a group as a node agent does, through
+:func:`~repro.net.sansio.serve_group`.
 """
 
 from __future__ import annotations
@@ -54,24 +56,17 @@ from repro.net.sansio import (
     Address,
     Batch,
     Call,
-    FaultInjection,
+    Driver,
     Protocol,
     deliver,
-    dispatch_call,
-    one_call,
     plan_wire_groups,
     run_protocol,
+    serve_group,
 )
 from repro.net.tcp import TcpPeer
 from repro.net.wire import CTL_TELEMETRY
 from repro.obs.hist import LatencyHistogram, merge_all
-from repro.obs.spans import (
-    clear_server_context,
-    current_op,
-    new_span_id,
-    record_group_spans,
-    set_server_context,
-)
+from repro.obs.spans import current_op, new_span_id, record_group_spans
 from repro.obs.telemetry import telemetry_report
 
 _SHUTDOWN = object()
@@ -182,11 +177,11 @@ class _ServerThread:
             # One inbox item == one wire RPC carrying aggregated sub-calls.
             self.served_rpcs += 1
             self.served_calls += len(calls)
-            set_server_context(trace, time.perf_counter_ns() - t_enq, 0)
-            try:
-                slot[0] = [dispatch_call(self.actor, call) for call in calls]
-            finally:
-                clear_server_context()
+            # a traced group's server spans carry its rpc span's bytes
+            nbytes = 0 if trace is None else sum(c.payload_bytes() for c in calls)
+            slot[0] = serve_group(
+                self.actor, calls, trace, time.perf_counter_ns() - t_enq, nbytes
+            )
             latch.group_done(gen)
 
     def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
@@ -209,7 +204,7 @@ class _ServerThread:
 
 
 class _FailedPeer(NamedTuple):
-    """What a failed address (:class:`~repro.net.sansio.FaultInjection`)
+    """What a failed address (:meth:`~repro.net.sansio.Driver.fail`)
     resolves to: a peer answering every group at submit with ``error``,
     as a :class:`~repro.net.tcp.TcpPeer` that is down does."""
 
@@ -224,7 +219,7 @@ class _FailedPeer(NamedTuple):
         return [slot[0]] * n_calls
 
 
-class PeerRegistry(FaultInjection):
+class PeerRegistry(Driver):
     """The address book and batch body every real driver keeps: in-parent
     actors on service threads (``_servers``), remote ones behind peers
     (``_remotes``), under ``_lock``, and the caller-side counters. A
@@ -378,16 +373,6 @@ class PeerRegistry(FaultInjection):
             raise KeyError(f"no actor registered at address {address!r}")
         return server.report()
 
-    def server_stats(self) -> dict[Address, tuple[int, int]]:
-        """Per-actor ``(wire_rpcs, sub_calls)``: the counters of every
-        actor's :meth:`telemetry` report (over the wire, as a control, for
-        a remote actor — raising ``RemoteError`` for a dead peer)."""
-        stats = {}
-        for address in self.addresses():
-            report = self.telemetry(address)
-            stats[address] = (report["wire_rpcs"], report["sub_calls"])
-        return stats
-
     def transport_stats(self) -> dict[str, int]:
         """Caller-side transport counters across every caller:
 
@@ -423,10 +408,6 @@ class PeerRegistry(FaultInjection):
             for kind, hist in list(tally.rtt.items()):
                 by_kind.setdefault(kind, []).append(hist)
         return {kind: merge_all(hists) for kind, hists in by_kind.items()}
-
-    def call(self, address: Address, method: str, args: tuple = ()) -> Any:
-        """One-off RPC outside any protocol (inspection surfaces)."""
-        return self.run(one_call(address, method, args))
 
     # -- execution -------------------------------------------------------
 

@@ -52,8 +52,7 @@ from repro.net.codec import (
     decode_body,
     encode_parts,
 )
-from repro.net.sansio import Actor, Address, Call, dispatch_call
-from repro.obs.spans import clear_server_context, set_server_context
+from repro.net.sansio import Actor, Address, Call, serve_group
 
 #: requested SO_SNDBUF/SO_RCVBUF: lets a full page batch leave the caller
 #: in one non-blocking sendall even while the peer is mid-computation
@@ -199,26 +198,26 @@ def serve_rpc(
     """Serve one ``("rpc", payload, trace)`` request: its sub-calls'
     results, in order.
 
-    The server context (what serving spans and the slow-RPC log read) is
-    opened per run, so in a coalesced frame every caller's sub-calls parent
-    to that caller's own rpc span, and a later run's queue wait includes
-    the runs served ahead of it.
+    Each caller's run of a coalesced frame (``trace`` a list of
+    ``(n_calls, context)``) is one :func:`~repro.net.sansio.serve_group`,
+    so its sub-calls parent to that caller's own rpc span, and a later
+    run's queue wait includes the runs served ahead of it.
     """
-    runs = trace if type(trace) is list else ((len(payload), trace),)
+    if type(trace) is not list:  # one caller's group: the common frame
+        calls = [Call(address, method, args) for method, args in payload]
+        return serve_group(actor, calls, trace, queue_ns, nbytes)
     results: list[Any] = []
     t0 = time.perf_counter_ns()
-    try:
-        for n_calls, context in runs:
-            set_server_context(
-                context, queue_ns + time.perf_counter_ns() - t0, nbytes
-            )
-            done = len(results)
-            results += [
-                dispatch_call(actor, Call(address, method, call_args))
-                for method, call_args in payload[done : done + n_calls]
-            ]
-    finally:
-        clear_server_context()
+    for n_calls, context in trace:
+        done = len(results)
+        calls = [
+            Call(address, method, args)
+            for method, args in payload[done : done + n_calls]
+        ]
+        results += serve_group(
+            actor, calls, context, queue_ns + time.perf_counter_ns() - t0,
+            nbytes,
+        )
     return results
 
 

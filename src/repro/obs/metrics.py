@@ -140,31 +140,13 @@ def actor_entry(report: Mapping[str, Any], name: str = "") -> dict[str, Any]:
     }
 
 
-def caller_rtt_rows(driver: Any) -> dict[str, Any] | None:
-    """The driver's caller-side RTT histograms as stats rows, or None for
-    drivers without a wire layer (``caller_rtt`` merges live caller
-    threads' histograms at call time, so a long-lived client's RTTs are
-    visible mid-run, not only after its thread retires)."""
-    caller_rtt = getattr(driver, "caller_rtt", None)
-    if caller_rtt is None:
-        return None
-    return {
-        kind: method_row(hist.to_wire())
-        for kind, hist in sorted(caller_rtt().items())
-    }
-
-
-def scrape_driver(
-    driver: Any, addresses: list | None = None, source: str = "live"
-) -> dict[str, Any]:
-    """Scrape every actor of a driver exposing ``telemetry(address)``.
+def scrape_driver(driver: Any, source: str = "live") -> dict[str, Any]:
+    """Scrape every actor of a :class:`~repro.net.sansio.Driver`.
     An unreachable actor (a dead or failed peer, or one that does not
     answer in time) is kept as ``{"down": reason}``: one down node never
     blanks the rest of the scrape."""
-    if addresses is None:
-        addresses = driver.addresses()
     actors = {}
-    for address in addresses:
+    for address in driver.addresses():
         name = format_actor(address)
         try:
             report = driver.telemetry(address)
@@ -173,9 +155,13 @@ def scrape_driver(
             continue
         actors[name] = actor_entry(report, name)
     doc = {"schema": METRICS_SCHEMA, "source": source, "actors": actors}
-    rtt = caller_rtt_rows(driver)
+    # merged from the live callers' histograms now: a long-lived client's
+    # RTTs show mid-run (None where no caller-side transport exists)
+    rtt = driver.caller_rtt()
     if rtt is not None:
-        doc["caller_rtt"] = rtt
+        doc["caller_rtt"] = {
+            kind: method_row(hist.to_wire()) for kind, hist in sorted(rtt.items())
+        }
     return doc
 
 

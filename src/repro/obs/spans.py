@@ -41,7 +41,8 @@ on the event loop with no hand-over):
   records an rpc span parented to the op span (:func:`record_group_spans`);
   with no operation open the envelope stays the 2-tuple (bit-identical
   wire traffic);
-- the *serving context* (:func:`set_server_context`): trace id, parent
+- the *serving context* (:func:`set_server_context`, opened only by
+  :func:`repro.net.sansio.serve_group`): trace id, parent
   span, measured queue wait and request bytes of the wire RPC a service
   thread or agent connection is dispatching — which is where the
   slow-RPC ring log (:mod:`repro.obs.telemetry`) gets its queue-wait vs
@@ -237,25 +238,15 @@ def clear_server_context() -> None:
 
 
 def server_context() -> tuple:
-    """``(trace_id, queue_wait_ns, request_bytes)`` of the RPC being
-    served here; falls back to the caller's open operation (the
-    same-thread drivers) with zero queue wait."""
+    """``(trace_id, queue_wait_ns, request_bytes, parent_span)`` of the RPC
+    being served here. On the same-thread drivers, where no envelope
+    exists, the caller's open operation stands in (its op span the
+    parent), with zero queue wait and bytes."""
     served = _SERVED.get()
     if served is not None:
-        return served[:3]
+        return served
     op = _OPEN_OP.get()
-    return (None, 0, 0) if op is None else (op.trace, 0, 0)
-
-
-def server_span_parent() -> int | None:
-    """The span id the RPC being served should parent to: the caller's
-    rpc-group span from the wire, or — on the same-thread drivers, where
-    no envelope exists — the caller's open operation span."""
-    served = _SERVED.get()
-    if served is not None:
-        return served[3]
-    op = _OPEN_OP.get()
-    return None if op is None else op.span
+    return (None, 0, 0, None) if op is None else (op.trace, 0, 0, op.span)
 
 
 def record_group_spans(

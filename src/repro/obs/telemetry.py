@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 from repro.obs import spans as _spans
 from repro.obs.hist import LatencyHistogram
-from repro.obs.spans import server_context, server_span_parent
+from repro.obs.spans import server_context
 
 logger = logging.getLogger("repro.obs")
 
@@ -120,13 +120,13 @@ class ActorTelemetry:
         hist.record(service_ns)
         if error:
             self.errors[method] = self.errors.get(method, 0) + 1
-        trace_id, queue_ns, nbytes = server_context()
+        trace_id, queue_ns, nbytes, parent = server_context()
         if trace_id is not None and end_ns:
             end_rel = _spans.to_span_ns(end_ns)
             self._record_span((
                 trace_id,
                 _spans.new_span_id(),
-                server_span_parent(),
+                parent,
                 method,
                 end_rel - service_ns,
                 end_rel,

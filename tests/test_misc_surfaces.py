@@ -68,7 +68,6 @@ class TestInprocDriverRegistry:
         actor = object()
         driver.register("x", actor)  # type: ignore[arg-type]
         assert driver.addresses() == ["x"]
-        assert driver.actor("x") is actor
         driver.unregister("x")
         assert driver.addresses() == []
         driver.unregister("x")  # idempotent

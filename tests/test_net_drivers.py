@@ -18,7 +18,7 @@ from repro.core.config import DeploymentSpec
 from repro.core.protocol import stat_protocol
 from repro.errors import RemoteError
 from repro.net.inproc import InprocDriver
-from repro.net.sansio import Batch, Call, Compute
+from repro.net.sansio import Batch, Call, Compute, Driver
 from repro.net.simdriver import SimDriver, SimRpcExecutor
 from repro.net.threaded import ThreadedDriver
 from repro.obs.metrics import render_metrics
@@ -433,17 +433,26 @@ def _wait_peer_down(dep, address, timeout=5.0):
         time.sleep(0.01)
 
 
-@pytest.mark.parametrize("name", ["inproc", "threaded", "tcp", "aio", "simulated"])
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_fault_surface_contract(name):
-    """``fail`` / ``heal`` mean one thing on every driver: a failed
+    """Every deployment's driver is a :class:`Driver` and answers its
+    contract: ``call``, ``server_stats``, ``transport_stats`` (``None``
+    exactly where no caller-side transport exists) and ``close``.
+    ``fail`` / ``heal`` mean one thing on every driver: a failed
     address answers ``PeerUnavailable`` in its own result slots (the
     rest of the batch is served), a batch to failed addresses only
-    returns, the scrape keeps it as ``down``, ``heal`` restores service
-    and an unregistered address is a ``KeyError``. On tcp, a failed
-    group counts exactly as a killed agent's group does, and a scrape
-    keeps every actor the killed agent did not host."""
+    returns, the scrape keeps it as ``down``, ``server_stats`` raises
+    its ``PeerUnavailable``, ``heal`` restores service and an
+    unregistered address is a ``KeyError``. On tcp, a failed group
+    counts exactly as a killed agent's group does, and a scrape keeps
+    every actor the killed agent did not host."""
     with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        assert isinstance(dep.driver, Driver)
+        assert dep.driver.call(("data", 0), "data.stats")["provider_id"] == 0
+        no_transport = name in ("inproc", "simulated")
+        assert (dep.transport_stats() is None) == no_transport
         _fault_surface_contract(name, dep)
+        dep.driver.close()
 
 
 def _fault_surface_contract(name, dep):
@@ -465,6 +474,8 @@ def _fault_surface_contract(name, dep):
     actors = dep.metrics()["actors"]
     assert actors["data/1"] == {"down": str(error)}
     assert "methods" in actors["data/0"]
+    with pytest.raises(RemoteError, match="PeerUnavailable"):
+        dep.driver.server_stats()
     dep.driver.heal(failed)
     dep.driver.heal(("meta", 1))
     assert [r["provider_id"] for r in run(_stats(failed, live))] == [1, 0]

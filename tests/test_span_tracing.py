@@ -149,6 +149,31 @@ class TestPrimitives:
         assert validate_span({**good, "extra": 1})
 
 
+@pytest.mark.parametrize(
+    "build", [build_threaded, build_tcp], ids=["threaded", "tcp"]
+)
+def test_in_parent_server_spans_carry_their_rpc_bytes(build):
+    """An in-parent vm/pm serves a group off its service thread's inbox,
+    not off a frame, yet each of its server spans records the request
+    bytes its parent rpc span records."""
+    with build(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)) as dep:
+        client = dep.client("span-bytes")
+        blob = client.alloc(TOTAL, PAGE)
+        CALLER.clear()
+        with trace_operation("in-parent-bytes"):
+            client.write(blob, b"\x04" * (2 * PAGE), 0)
+        spans = collect_spans(dep.metrics()) + CALLER.snapshot()
+    rpcs = {s["span"]: s for s in spans if s["kind"] == "rpc"}
+    served = [
+        s for s in spans if s["kind"] == "server" and s["actor"] in ("vm", "pm")
+    ]
+    assert {s["name"] for s in served} == {
+        "pm.get_providers", "vm.assign", "vm.complete"
+    }
+    for span in served:
+        assert span["bytes"] == rpcs[span["parent"]]["bytes"] > 0, span
+
+
 # ---------------------------------------------------------------------------
 # cross-process clock alignment (real node-agent OS processes)
 # ---------------------------------------------------------------------------

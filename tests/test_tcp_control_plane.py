@@ -116,6 +116,38 @@ def test_fully_remote_build_serves_with_zero_in_parent_actors():
     assert dep.agent_exitcodes() == [0] * 5
 
 
+def test_workload_stats_count_a_restarted_pm_from_its_new_incarnation(tmp_path):
+    """The build-time base is the registration traffic of the pm *process*
+    that served it: after a kill and restart, the new pm counts from zero,
+    so its workload counts stay non-negative and grow by exactly one
+    write's pm calls per write."""
+    dep = build_tcp(
+        DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0),
+        control_plane="agents",
+        state_dir=tmp_path,
+    )
+    try:
+        client = dep.client("pm-restart")
+        blob = client.alloc(TOTAL, PAGE)
+        before = dep.workload_stats()["pm"]
+        client.write(blob, fill(1), 0)
+        after = dep.workload_stats()["pm"]
+        one_write = (after[0] - before[0], after[1] - before[1])
+        assert one_write[0] > 0
+
+        index = dep.agent_index_for("pm")
+        dep.kill_agent(index)
+        dep.restart_agent(index)
+        assert dep.driver.peer("pm").wait_connected(timeout=15)
+        restarted = dep.workload_stats()["pm"]
+        assert min(restarted) >= 0, restarted
+        client.write(blob, fill(2), 0)
+        again = dep.workload_stats()["pm"]
+        assert (again[0] - restarted[0], again[1] - restarted[1]) == one_write
+    finally:
+        dep.close()
+
+
 def test_replica_failover_with_remote_control_plane():
     """Replica fail-over must survive a storage-agent death even when the
     pm that allocated the replicas lives on its own agent: the vm/pm
