@@ -6,11 +6,16 @@ round), then prints CPU µs per timed op for each thread of this process
 (``MainThread``, ``aio-driver``, ``actor-vm``, ``actor-pm``, ``recv-*``, ...)
 and for each agent process, from the nanosecond run time the scheduler
 keeps per thread (the first field of ``/proc/<pid>/task/<tid>/schedstat``),
-read before and after the timed rounds.
+read before and after the timed rounds. Beside it, ``slices_per_op`` is
+how many times per timed op the row's threads were put on a CPU (the
+third field): many short slices per op is a thread woken per request.
 
-``MainThread`` also runs the calibration kernel that brackets every round,
-so its row is not all client work. perfbench is only imported, never
-edited.
+The timed rounds run through the trial's own op runners, without the
+calibration kernel ``run_round`` brackets each round with, so
+``MainThread`` is client work only; set-up runs the kernel once and the
+warm-up round as ``perfbench/harness.py::run_trial`` does, so the timed
+rounds start from the benchmark's allocator state. perfbench is only
+imported, never edited.
 
 The ``gc`` rows are this process's cyclic collections during the timed
 rounds (thread CPU from each collection's ``gc.callbacks`` start to its
@@ -34,30 +39,45 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.harness import Trial, TrialConfig, pin_one_cpu  # noqa: E402
+from perfbench.refkernel import time_kernel  # noqa: E402
 
-def task_cpu_ns(pid: int) -> dict[int, int]:
-    """CPU time on the clock, in ns, of every thread of ``pid``."""
-    cpu_ns = {}
+def task_cpu(pid: int) -> dict[int, tuple[int, int]]:
+    """``(CPU ns on the clock, time slices run)`` of every thread of ``pid``."""
+    cpu = {}
     for tid in os.listdir(f"/proc/{pid}/task"):
         try:
             with open(f"/proc/{pid}/task/{tid}/schedstat") as fh:
-                cpu_ns[int(tid)] = int(fh.read().split()[0])
+                ns, _wait_ns, slices = fh.read().split()[:3]
         except FileNotFoundError:  # the thread exited since the listing
             continue
-    return cpu_ns
+        cpu[int(tid)] = (int(ns), int(slices))
+    return cpu
 
 
-def snapshot(trial: Trial) -> dict[str, int]:
-    """CPU ns per row: this process's threads by name, agents by actors."""
+def snapshot(trial: Trial) -> dict[str, tuple[int, int]]:
+    """``(CPU ns, slices)`` per row: this process's threads by name,
+    agents by actors."""
     names = {t.native_id: t.name for t in threading.enumerate()}
-    rows: dict[str, int] = {}
-    for tid, ns in task_cpu_ns(os.getpid()).items():
+    rows: dict[str, tuple[int, int]] = {}
+    for tid, (ns, slices) in task_cpu(os.getpid()).items():
         name = names.get(tid, f"tid-{tid}")
-        rows[name] = rows.get(name, 0) + ns
+        got_ns, got_slices = rows.get(name, (0, 0))
+        rows[name] = (got_ns + ns, got_slices + slices)
     for agent in trial.dep.agents:
         label = "agent " + "+".join(agent.actor_names)
-        rows[label] = sum(task_cpu_ns(agent.proc.pid).values())
+        threads = task_cpu(agent.proc.pid).values()
+        rows[label] = (sum(ns for ns, _ in threads), sum(s for _, s in threads))
     return rows
+
+
+def run_ops(trial: Trial, ops: list) -> None:
+    """One round's ops through the trial's op runners (the aio round or
+    one blocking op at a time), with no calibration kernel around them."""
+    if trial.aio:
+        trial._aio_round(ops, traced=False)
+    else:
+        for op in ops:
+            trial._run_op(op)
 
 
 class GcLedger:
@@ -100,11 +120,17 @@ def main(argv: list[str] | None = None) -> int:
         try:
             trial.launch()
             trial.populate()
-            trial.run_round(trial.plan.rounds[0])  # warm-up, not counted
+            # as perfbench's run_trial: one kernel run, then the warm-up
+            # round, both uncounted. Its 4 MiB buffers raise the
+            # allocator's mmap threshold, so the timed rounds reuse heap
+            # memory as the benchmark's do instead of faulting in fresh
+            # pages for every 1 MiB buffer (~480 minor faults per op)
+            time_kernel()
+            trial.run_round(trial.plan.rounds[0])
             before, ops0 = snapshot(trial), trial.attempted
             collections.active = True
             for ops in trial.plan.rounds[1:]:
-                trial.run_round(ops)
+                run_ops(trial, ops)
             collections.active = False
             after, n_ops = snapshot(trial), trial.attempted - ops0
         finally:
@@ -112,19 +138,24 @@ def main(argv: list[str] | None = None) -> int:
             trial.close()
     per_op = max(n_ops, 1)
     print(f"{args.workload} seed={args.seed}: {n_ops} timed ops, "
-          f"{trial.failed} failed; thread CPU from schedstat (ns); "
-          "MainThread includes the calibration kernel; the gc rows are "
+          f"{trial.failed} failed; thread CPU and slices from schedstat; "
+          "no calibration kernel in the timed rounds; the gc rows are "
           "inside the thread rows")
-    print(f"{'process / thread':<40} {'cpu_us_per_op':>14}")
-    for name in sorted(after, key=lambda k: after[k] - before.get(k, 0), reverse=True):
-        us = (after[name] - before.get(name, 0)) / 1e3 / per_op
-        print(f"{name:<40} {us:>14.1f}")
-    print(f"{'gc':<40} {sum(collections.cpu_ns) / 1e3 / per_op:>14.1f}")
+    print(f"{'process / thread':<40} {'cpu_us_per_op':>14} {'slices_per_op':>14}")
+    spent = {
+        name: [a - b for a, b in zip(after[name], before.get(name, (0, 0)))]
+        for name in after
+    }
+    for name in sorted(spent, key=lambda k: spent[k][0], reverse=True):
+        ns, slices = spent[name]
+        print(f"{name:<40} {ns / 1e3 / per_op:>14.1f} {slices / per_op:>14.2f}")
+    gc_us = sum(collections.cpu_ns) / 1e3 / per_op
+    print(f"{'gc':<40} {gc_us:>14.1f} {'-':>14}")
     for gen, (runs, ns, found) in enumerate(zip(
         collections.runs, collections.cpu_ns, collections.collected
     )):
         label = f"gc gen{gen} ({runs} runs, {found} collected)"
-        print(f"{label:<40} {ns / 1e3 / per_op:>14.1f}")
+        print(f"{label:<40} {ns / 1e3 / per_op:>14.1f} {'-':>14}")
     return 1 if trial.failed else 0
 
 

@@ -213,7 +213,7 @@ class BlobClient:
         geom = yield from self._geometry(blob_id)
         return (yield from write_protocol(
             blob_id, geom, offset, pages(geom.pagesize), self.router,
-            fresh_write_uid(self.name),
+            fresh_write_uid(self.name), self.cache,
         ))
 
     def _write_unaligned(
@@ -258,7 +258,7 @@ class BlobClient:
         geom = yield from self._geometry(blob_id)
         return (yield from gc_protocol(
             blob_id, geom, tuple(keep_versions), self.router,
-            tuple(data_ids), tuple(meta_ids),
+            tuple(data_ids), tuple(meta_ids), self.cache,
         ))
 
 

@@ -19,7 +19,10 @@ collected version is a typed ``NodeMissing`` — or, when the vm names the
 region root for it (``vm.resolve_read``) and a kept version still shares
 that whole subtree, that snapshot's exact bytes: such a READ never touches
 the collected blob root. Never wrong bytes, since nodes are immutable and
-version-addressed (a client with a warm cache could always do the same).
+version-addressed (another client whose warm cache still holds collected
+nodes can do the same). The collecting client's own metadata cache drops
+every node key the sweep frees, so it reads a collected version exactly as
+a cold client does.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import StaleWrite
+from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
@@ -54,8 +58,10 @@ def gc_protocol(
     router: StaticRouter,
     data_ids: tuple[int, ...],
     meta_ids: tuple[int, ...],
+    cache: MetadataCache | None = None,
 ):
-    """Sans-io GC protocol; returns :class:`GCStats`."""
+    """Sans-io GC protocol; returns :class:`GCStats`. Every node key it
+    frees leaves ``cache`` before the free is sent."""
     # -- guard: no writes may be in flight, and kept versions must exist --
     (stat,) = yield Batch([Call("vm", "vm.stat", (blob_id,))])
     _, _, latest = stat
@@ -108,6 +114,8 @@ def gc_protocol(
         if doomed:
             nodes_freed += len(doomed)
             free_calls.append(Call(("meta", m), "meta.free_nodes", (doomed,)))
+            if cache is not None:
+                cache.discard(doomed)
     if free_calls:
         yield Batch(free_calls)
 

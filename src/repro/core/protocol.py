@@ -8,7 +8,10 @@ WRITE: provider manager (allocation) → data providers (pages, parallel) →
 version manager (version + border refs: the only serialization) → metadata
 providers (nodes, one parallel batch: ``router.store_nodes`` sends each
 owner its co-located nodes in one ``meta.put_nodes``, the nodes above the
-router's cut one by one) → version manager (success report).
+router's cut one by one) → version manager (success report). Once the
+report returns, a client that keeps a metadata cache inserts the nodes it
+wove: they are the immutable nodes the providers now hold, so its own
+READs of that version find them there.
 
 READ: version manager (latest/validation, the only centralized touch — which
 also names, from its patch history, the version whose tree holds the root of
@@ -18,11 +21,13 @@ asked, the descent starts at the blob root: one parallel batch of
 ``meta.get_node`` per level above the cut, then the subtree batch — with
 ``subtree_bytes = 0`` nothing is below the cut and this is the paper's one
 batch per level) → data providers (pages, parallel). Three round trips at
-any depth. A READ whose client keeps a metadata cache asks each co-located
-key for its subtree (``meta.get_subtree``) and caches every node; one
-without a cache asks for the leaves only (``meta.get_leaves``: the same
-walk on the provider, only the leaves shipped), which go straight to the
-page fetch.
+any depth. A READ whose client keeps a metadata cache resolves each key
+from that cache first — it holds what the client's earlier READs received
+and what its completed WRITEs wove, so a read-your-write skips the metadata
+providers — and asks each missing co-located key for its subtree
+(``meta.get_subtree``), caching every node; one without a cache asks for
+the leaves only (``meta.get_leaves``: the same walk on the provider, only
+the leaves shipped), which go straight to the page fetch.
 
 Replica fail-over: with ``replication > 1`` every fetch tries the primary
 owner and falls back to successive replicas on failure; the final attempt
@@ -172,11 +177,17 @@ def write_protocol(
     payloads: Sequence[PagePayload],
     router: StaticRouter,
     write_uid: str,
+    cache: MetadataCache | None = None,
 ) -> Proto:
     """The WRITE of paper §III.B; returns a :class:`WriteResult`.
 
     Step 1 names the fresh pages (``write_uid``, first page, count) and
     the pm places them by its own strategy (``pm.get_providers``).
+
+    Once ``vm.complete`` has returned, the nodes this WRITE built go into
+    ``cache`` in one bulk insert; a WRITE any of whose batches raised
+    leaves it untouched. Providers are write-once per key (a conflicting
+    put raises), so every node a completed WRITE caches is the one stored.
 
     Its phases are its batches, so a traced WRITE's spans time them:
     Figure 3(b) plots building + storing the metadata, from the end of the
@@ -232,6 +243,8 @@ def write_protocol(
 
     # 5. report success; the VM publishes versions in order
     (latest,) = yield Batch([Call(ADDR_VM, "vm.complete", (blob_id, ticket.version))])
+    if cache is not None:
+        cache.put_many(nodes)
     return _write_result(
         blob_id=blob_id,
         version=ticket.version,

@@ -5,13 +5,18 @@ go stale — the cache needs no invalidation protocol, only an eviction
 policy. This is a direct payoff of the versioning design and the mechanism
 behind the "Read (cached metadata)" series of Figure 3(c): once a client has
 walked a subtree, re-reads within the same (or any sharing) version skip the
-metadata providers entirely. The paper's prototype accommodates 2**20 nodes;
-we default to the same capacity.
+metadata providers entirely. A cache also learns from its own client's
+completed WRITEs: the nodes a WRITE wove are exactly the ones the metadata
+providers now store (:meth:`MetadataCache.put_many`), so a read-your-write
+fetches no node. A GC ordered by the client drops the keys it frees
+(:meth:`MetadataCache.discard`), so the cache holds only live trees. The
+paper's prototype accommodates 2**20 nodes; we default to the same capacity.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Iterable
 
 from repro.metadata.node import NodeKey, TreeNode
 
@@ -50,6 +55,21 @@ class MetadataCache:
         elif len(nodes) >= self._capacity:
             nodes.popitem(last=False)
         nodes[key] = node
+
+    def put_many(self, new: Iterable[TreeNode]) -> None:
+        """Insert a WRITE's freshly built nodes in one bulk update, then
+        evict the least recently used ones if over capacity. Keys already
+        cached keep their recency (a WRITE's keys are new versions)."""
+        nodes = self._nodes
+        nodes.update((node.key, node) for node in new)
+        while len(nodes) > self._capacity:
+            nodes.popitem(last=False)
+
+    def discard(self, keys: Iterable[NodeKey]) -> None:
+        """Drop ``keys`` (those not cached are ignored): what a GC freed."""
+        pop = self._nodes.pop
+        for key in keys:
+            pop(key, None)
 
     def preload_from(self, other: "MetadataCache") -> None:
         """Bulk-adopt another cache's nodes: one C-level dict update — a

@@ -293,8 +293,9 @@ def serve_group(
 ) -> list:
     """Serve one wire group, returning its sub-calls' results in order,
     under the server context (what serving spans and the slow-RPC log
-    read) of its envelope ``context`` (``(trace_id, parent_span_id)`` or
-    None), queue wait and request bytes."""
+    read) of its envelope ``context`` (``(trace_id, parent_span_id,
+    request_bytes)`` or None), queue wait and request bytes — ``nbytes``
+    when untraced, else the context's own figure."""
     set_server_context(context, queue_ns, nbytes)
     try:
         return [dispatch_call(actor, call) for call in calls]

@@ -66,7 +66,7 @@ from repro.net.sansio import (
 from repro.net.tcp import TcpPeer
 from repro.net.wire import CTL_TELEMETRY
 from repro.obs.hist import LatencyHistogram, merge_all
-from repro.obs.spans import current_op, new_span_id, record_group_spans
+from repro.obs.spans import current_op, group_context, record_group_spans
 from repro.obs.telemetry import telemetry_report
 
 _SHUTDOWN = object()
@@ -177,10 +177,8 @@ class _ServerThread:
             # One inbox item == one wire RPC carrying aggregated sub-calls.
             self.served_rpcs += 1
             self.served_calls += len(calls)
-            # a traced group's server spans carry its rpc span's bytes
-            nbytes = 0 if trace is None else sum(c.payload_bytes() for c in calls)
             slot[0] = serve_group(
-                self.actor, calls, trace, time.perf_counter_ns() - t_enq, nbytes
+                self.actor, calls, trace, time.perf_counter_ns() - t_enq, 0
             )
             latch.group_done(gen)
 
@@ -458,26 +456,26 @@ class PeerRegistry(Driver):
         tally.sub_calls += len(calls)
         gen = latch.begin(len(groups))
         op = current_op()
-        span_ids = None if op is None else [new_span_id() for _ in groups]
+        contexts = None if op is None else [group_context(op, g) for g in groups]
         slots = [[None] for _ in groups]  # each group's one-element mailbox
         t_enq = time.perf_counter_ns()
         for k, group in enumerate(groups):
             targets[k].submit(
                 group, slots[k], latch, gen,
-                None if op is None else (op.trace, span_ids[k]),
+                None if contexts is None else contexts[k],
             )
         # close() set _closed before stopping any service thread, so if
         # it is still unset here every group above is queued ahead of
         # the shutdown; if set, a group may sit behind it, never served
         if self._closed:
             raise RuntimeError("driver is closed")
-        return calls, groups, targets, slots, op, span_ids, t_enq, tally
+        return calls, groups, targets, slots, op, contexts, t_enq, tally
 
     def _finish_batch(self, sent: tuple, wakeups: int) -> list[Any]:
         """Second half of a batch, once its latch released after
         ``wakeups`` notifies: count them, record RTT and spans, gather
         each group's values and deliver the results in call order."""
-        calls, groups, targets, slots, op, span_ids, t_enq, tally = sent
+        calls, groups, targets, slots, op, contexts, t_enq, tally = sent
         # One RTT sample per wire RPC; the batch completes as a unit, so
         # every group in it shares the batch round-trip time.
         t_done = time.perf_counter_ns()
@@ -491,7 +489,7 @@ class PeerRegistry(Driver):
                 hist = rtt[kind] = LatencyHistogram()
             hist.record(rtt_ns)
         if op is not None:
-            record_group_spans(op, span_ids, groups, t_enq, t_done)
+            record_group_spans(op, contexts, groups, t_enq, t_done)
         results: list[Any] = [None] * len(calls)
         for group, target, slot in zip(groups, targets, slots):
             values = target.reply_values(slot, len(group.calls))

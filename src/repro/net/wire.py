@@ -119,7 +119,7 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
         ("rpc", payload, runs)       several callers' groups in one frame
 
         payload = [(method, args), ...]
-        context = (trace_id, span_id)
+        context = (trace_id, span_id, request_bytes)
         runs    = [(n_calls, context | None), ...]   covering the payload
                   in order: positive counts summing to len(payload)
 
@@ -153,7 +153,7 @@ def parse_request(decoded: Any) -> tuple[str, Any, Any]:
 def _is_context(context: Any) -> bool:
     """True iff ``context`` is a trace context or None."""
     return context is None or (
-        type(context) is tuple and [type(x) for x in context] == [int, int]
+        type(context) is tuple and [type(x) for x in context] == [int, int, int]
     )
 
 
@@ -201,7 +201,10 @@ def serve_rpc(
     Each caller's run of a coalesced frame (``trace`` a list of
     ``(n_calls, context)``) is one :func:`~repro.net.sansio.serve_group`,
     so its sub-calls parent to that caller's own rpc span, and a later
-    run's queue wait includes the runs served ahead of it.
+    run's queue wait includes the runs served ahead of it. A traced run's
+    server spans record the request bytes its context carries, the ones
+    its caller's rpc span records; an untraced one keeps ``nbytes``, the
+    frame body length (what the slow-RPC log reads).
     """
     if type(trace) is not list:  # one caller's group: the common frame
         calls = [Call(address, method, args) for method, args in payload]

@@ -37,8 +37,9 @@ on the event loop with no hand-over):
 
 - the *open operation* (:func:`operation_scope`): trace id, op span id
   and a coverage mark. Every wire group a driver executes while it is
-  open carries ``(trace_id, span_id)`` as the envelope's third field and
-  records an rpc span parented to the op span (:func:`record_group_spans`);
+  open carries ``(trace_id, span_id, request_bytes)`` as the envelope's
+  third field and records an rpc span parented to the op span
+  (:func:`record_group_spans`);
   with no operation open the envelope stays the 2-tuple (bit-identical
   wire traffic);
 - the *serving context* (:func:`set_server_context`, opened only by
@@ -224,12 +225,18 @@ def current_op() -> Operation | None:
 
 
 def set_server_context(
-    context: tuple[int, int] | None, queue_ns: int, request_bytes: int
+    context: tuple[int, int, int] | None, queue_ns: int, request_bytes: int
 ) -> None:
-    """Open the serving-side context for the wire RPC being dispatched;
-    ``context`` is the envelope's ``(trace_id, parent_span_id)`` or None."""
-    trace_id, parent = context or (None, None)
-    _SERVED.set((trace_id, queue_ns, request_bytes, parent))
+    """Open the serving-side context for the wire RPC being dispatched.
+    ``context`` is the envelope's ``(trace_id, parent_span_id,
+    request_bytes)``, whose bytes are the ones the caller's rpc span
+    records, or None: then ``request_bytes`` stands (a node agent's
+    frame body length)."""
+    if context is None:
+        _SERVED.set((None, queue_ns, request_bytes, None))
+    else:
+        trace_id, parent, nbytes = context
+        _SERVED.set((trace_id, queue_ns, nbytes, parent))
 
 
 def clear_server_context() -> None:
@@ -249,9 +256,18 @@ def server_context() -> tuple:
     return (None, 0, 0, None) if op is None else (op.trace, 0, 0, op.span)
 
 
+def group_context(op: Operation, group: Any) -> tuple[int, int, int]:
+    """The trace context a wire group of ``op`` carries in its envelope:
+    ``(trace_id, rpc_span_id, request_bytes)``, the bytes being the sum
+    of its calls' ``payload_bytes()``."""
+    return (
+        op.trace, new_span_id(), sum(call.payload_bytes() for call in group.calls)
+    )
+
+
 def record_group_spans(
     op: Operation,
-    span_ids: list[int],
+    contexts: list[tuple[int, int, int]],
     groups: list,
     t_enq_ns: int,
     t_done_ns: int,
@@ -261,8 +277,9 @@ def record_group_spans(
     Every wire group of a batch shares the batch window — the drivers
     submit all groups before waiting and the batch completes as a unit,
     exactly the granularity at which the caller observes time. The span
-    ids are the ones that rode each group's wire envelope, so serving
-    spans parent to these. Timestamps arrive as absolute
+    ids and request bytes are the ones that rode each group's wire
+    envelope (:func:`group_context`), so serving spans parent to these
+    and record the same bytes. Timestamps arrive as absolute
     ``perf_counter_ns`` readings (the drivers' existing RTT clock).
 
     The client compute *between* batches (splitting pages, walking the
@@ -286,8 +303,7 @@ def record_group_spans(
                 )
             )
         op.mark = end
-    for sid, group in zip(span_ids, groups):
-        nbytes = sum(call.payload_bytes() for call in group.calls)
+    for (_, sid, nbytes), group in zip(contexts, groups):
         CALLER.record(
             make_span(
                 op.trace, sid, op.span, "rpc", format_actor(group.dest),

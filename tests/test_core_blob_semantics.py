@@ -164,8 +164,9 @@ class TestClientFacade:
         assert client.latest(blob) == 1
 
     def test_cache_effectiveness_on_reread(self, dep, blob):
+        # the writer's own cache already holds what it wrote: read cold
+        dep.client("writer").write(blob, pages(4, b"m"), 0)
         c = dep.client("cached-reader")
-        c.write(blob, pages(4, b"m"), 0)
         first = c.read(blob, 0, 4 * SMALL_PAGE)
         again = c.read(blob, 0, 4 * SMALL_PAGE)
         assert first.nodes_fetched > 0

@@ -36,6 +36,25 @@ class TestGC:
         with pytest.raises(NodeMissing):
             fresh.read(blob, 0, SMALL_PAGE, version=1)
 
+    def test_gc_purges_what_it_frees_from_the_collecting_cache(self, dep, client, blob):
+        """The collecting client's cache loses every node key the sweep
+        frees, so its READ of a collected version is the typed
+        ``NodeMissing`` a cold client gets — not a walk through cached
+        nodes to freed pages (``PageMissing``) or to pages a kept
+        version still shares (stale bytes)."""
+        setup_versions(client, blob, 3)
+        client.read(blob, 0, 2 * SMALL_PAGE, version=1)  # v1's nodes cached
+
+        def stored():
+            return {n.key for m in dep.meta.values() for n in m.iter_nodes(blob)}
+
+        before = stored()
+        client.gc(blob, [3], dep.data_ids, dep.meta_ids)
+        freed = before - stored()
+        assert freed and not any(key in client.cache for key in freed)
+        with pytest.raises(NodeMissing):
+            client.read(blob, 0, SMALL_PAGE, version=1)
+
     def test_keep_multiple_versions(self, dep, client, blob):
         contents = setup_versions(client, blob, 4)
         client.gc(blob, [2, 4], dep.data_ids, dep.meta_ids)

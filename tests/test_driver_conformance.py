@@ -51,6 +51,7 @@ from repro.core.protocol import (
 from repro.deploy.tcp import build_tcp
 from repro.errors import RemoteError
 from repro.metadata.tree import TreeGeometry
+from repro.net.sansio import Batch
 from repro.util.sizes import KB
 from repro.version.manager import LATEST
 from tests.conftest import BUILDERS
@@ -132,6 +133,98 @@ def test_named_client_round_trip(name):
         blob_id = client.alloc(TOTAL, PAGE)
         client.write(blob_id, b"n" * PAGE, PAGE)
         assert client.read_bytes(blob_id, PAGE, PAGE) == b"n" * PAGE
+
+
+def recorded(proto, calls):
+    """Wrap a protocol: append each batch's sorted method names to
+    ``calls`` (what it puts on the wire, one entry per round trip)."""
+    op = next(proto)
+    try:
+        while True:
+            if isinstance(op, Batch):
+                calls.append(sorted(c.method for c in op.calls))
+            op = proto.send((yield op))
+    except StopIteration as stop:
+        return stop.value
+
+
+def step_write(dep, proto, fail_at=None):
+    """Step a WRITE protocol by hand, each batch run on ``dep``'s driver;
+    a batch calling ``fail_at`` gets a ``RemoteError`` thrown at it
+    instead. Returns the nodes the WRITE stored and its outcome."""
+
+    def one(batch):
+        return (yield batch)
+
+    stored = []
+    op = next(proto)
+    try:
+        while True:
+            if not isinstance(op, Batch):  # a Compute marker: no reply
+                op = proto.send(None)
+                continue
+            methods = {c.method for c in op.calls}
+            if fail_at in methods:
+                op = proto.throw(RemoteError("PeerUnavailable", f"{fail_at} lost"))
+                continue
+            if methods & {"meta.put_nodes", "meta.put_node"}:
+                for c in op.calls:
+                    arg = c.args[0]
+                    stored += arg if isinstance(arg, list) else [arg]
+            op = proto.send(run(dep, one(op)))
+    except StopIteration as stop:
+        return stored, stop.value
+    except RemoteError as exc:
+        return stored, exc
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_a_cached_writer_reads_its_write_with_no_metadata_round_trip(name):
+    """A client's completed WRITE leaves the nodes it wove in its cache:
+    its READ of LATEST fetches no node — every node on the path is a
+    hit — and skips the metadata batch, while a cold client's READ of the
+    same range still walks the providers. A WRITE whose ``vm.complete``
+    batch fails caches nothing."""
+    with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        writer, cold = dep.client("writer"), dep.client("cold")
+        blob_id = writer.alloc(TOTAL, PAGE)
+        data = bytes(range(256)) * (3 * PAGE // 256)
+        writer.write(blob_id, data, PAGE)
+        geom = writer.open(blob_id)
+
+        def read(client):
+            calls = []
+            result = run(dep, recorded(read_protocol(
+                blob_id, geom, PAGE, 3 * PAGE, dep.router, cache=client.cache,
+            ), calls))
+            return result, calls
+
+        own, own_calls = read(writer)
+        far, far_calls = read(cold)
+        assert own.data == far.data == data
+        assert own.nodes_fetched == 0
+        assert own.cache_hits == far.nodes_fetched > 0
+        pages = ["data.get_page"] * 3
+        assert own_calls == [["vm.resolve_read"], pages]
+        assert far_calls[0] == own_calls[0] and far_calls[-1] == pages
+        assert len(far_calls) == 3 and set(far_calls[1]) == {"meta.get_subtree"}
+
+        # a WRITE whose report fails leaves the cache as it was...
+        cached = len(writer.cache)
+        stored, outcome = step_write(dep, write_protocol(
+            blob_id, geom, 0, split_pages(data[:PAGE], PAGE), dep.router,
+            "writer#failed", writer.cache,
+        ), fail_at="vm.complete")
+        assert isinstance(outcome, RemoteError) and stored
+        assert len(writer.cache) == cached
+        assert not any(node.key in writer.cache for node in stored)
+        # ...and the same steps with the report answered fill it
+        stored, outcome = step_write(dep, write_protocol(
+            blob_id, geom, 0, split_pages(data[:PAGE], PAGE), dep.router,
+            "writer#done", writer.cache,
+        ))
+        assert outcome.nodes_written == len(stored)
+        assert all(node.key in writer.cache for node in stored)
 
 
 # ---------------------------------------------------------------------------

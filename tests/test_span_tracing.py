@@ -17,6 +17,7 @@ Every blocking wait is wall-clock bounded (tests/conftest.py watchdog).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import os
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,7 @@ from repro.obs.spans import (
     SpanBuffer,
     make_span,
     new_span_id,
+    trace_async_operation,
     trace_operation,
 )
 from repro.util.sizes import KB, MB, TB
@@ -150,25 +153,46 @@ class TestPrimitives:
 
 
 @pytest.mark.parametrize(
-    "build", [build_threaded, build_tcp], ids=["threaded", "tcp"]
+    "build", [build_threaded, build_tcp, partial(build_tcp, client="aio")],
+    ids=["threaded", "tcp", "aio"],
 )
 def test_in_parent_server_spans_carry_their_rpc_bytes(build):
-    """An in-parent vm/pm serves a group off its service thread's inbox,
-    not off a frame, yet each of its server spans records the request
-    bytes its parent rpc span records."""
+    """Every server span records the request bytes its parent rpc span
+    records: an in-parent vm/pm's, served off its service thread's inbox
+    rather than a frame; an agent-hosted data or meta provider's, served
+    off a frame whose body length differs from the calls' payload bytes
+    (tcp); and each run's of a frame several traced writers' groups
+    coalesced into (aio), not the whole frame's."""
+    aio = isinstance(build, partial)
     with build(DeploymentSpec(n_data=2, n_meta=2, cache_capacity=0)) as dep:
         client = dep.client("span-bytes")
         blob = client.alloc(TOTAL, PAGE)
         CALLER.clear()
-        with trace_operation("in-parent-bytes"):
-            client.write(blob, b"\x04" * (2 * PAGE), 0)
+        if aio:
+            writers = [dep.async_client(f"span-bytes-{i}") for i in range(8)]
+            submitted = dep.transport_stats()["queue_submissions"]
+            served = sum(r for r, _ in dep.driver.server_stats().values())
+
+            async def write(i):
+                async with trace_async_operation(f"write-{i}"):
+                    await writers[i].write(blob, bytes([i + 1]) * PAGE, i * PAGE)
+
+            async def main():
+                await asyncio.gather(*(write(i) for i in range(len(writers))))
+
+            dep.driver.run_async(main(), timeout=30)
+            frames = sum(r for r, _ in dep.driver.server_stats().values()) - served
+            groups = dep.transport_stats()["queue_submissions"] - submitted
+            assert frames < groups, "no frame was coalesced"
+        else:
+            with trace_operation("span-bytes"):
+                client.write(blob, b"\x04" * (2 * PAGE), 0)
         spans = collect_spans(dep.metrics()) + CALLER.snapshot()
     rpcs = {s["span"]: s for s in spans if s["kind"] == "rpc"}
-    served = [
-        s for s in spans if s["kind"] == "server" and s["actor"] in ("vm", "pm")
-    ]
-    assert {s["name"] for s in served} == {
-        "pm.get_providers", "vm.assign", "vm.complete"
+    served = [s for s in spans if s["kind"] == "server"]
+    assert {s["name"] for s in served} >= {
+        "pm.get_providers", "data.put_page", "vm.assign", "meta.put_nodes",
+        "vm.complete",
     }
     for span in served:
         assert span["bytes"] == rpcs[span["parent"]]["bytes"] > 0, span

@@ -79,13 +79,17 @@ class BlobMachine(RuleBasedStateMachine):
         if not collected:
             return
         version = pick.choice(collected)
-        # a fresh client (no cache) must fail to traverse a collected tree
+        # a fresh client (empty cache) must fail to traverse a collected
+        # tree, and so must the machine's own: its GCs purged what they freed
         fresh = self.dep.client(f"fresh-{self.counter}-{version}")
-        try:
-            fresh.read(self.blob, offset, 1, version=version)
-        except NodeMissing:
-            return
-        raise AssertionError(f"collected version {version} still readable")
+        for reader in (fresh, self.client):
+            try:
+                reader.read(self.blob, offset, 1, version=version)
+            except NodeMissing:
+                continue
+            raise AssertionError(
+                f"collected version {version} still readable by {reader.name}"
+            )
 
     @rule()
     def read_future_version_fails(self) -> None:

@@ -595,7 +595,8 @@ def test_no_cut_never_issues_get_subtree():
     client = dep.client()
     blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
     client.write(blob, pages(8), 0)
-    client.read(blob, 0, 8 * SMALL_PAGE)
+    # a cold reader: the writer's cache already holds what it wrote
+    dep.client().read(blob, 0, 8 * SMALL_PAGE)
     assert all(m.subtree_gets == 0 for m in dep.meta.values())
     assert sum(m.gets for m in dep.meta.values()) > 0
 
@@ -784,9 +785,11 @@ def test_simulator_prices_a_leaves_reply_per_node_walked_and_per_leaf_returned()
             meta_subtree_bytes=SMALL_TOTAL,
         ))
         spec = dep.network.spec
-        client = dep.client(cached=cached)
-        blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
-        client.write_virtual(blob, 0, 64 * SMALL_PAGE)
+        writer = dep.client(cached=cached)
+        blob = writer.alloc(SMALL_TOTAL, SMALL_PAGE)
+        writer.write_virtual(blob, 0, 64 * SMALL_PAGE)
+        # a cold reader: the writer's cache already holds what it wrote
+        client = dep.client("reader", cached=cached)
         served = sum(m.nodes_served for m in dep.meta.values())
         proto, seen = observed(read_protocol(
             blob, client.open(blob), 0, 64 * SMALL_PAGE, dep.router,

@@ -49,11 +49,12 @@ MALFORMED = [
     ("rpc", [(None, ())]),  # method is not a name
     (3, ()),  # kind is not a name
     ("rpc", [], None, None),  # too long
-    # one group's trace context that is not (trace_id, span_id)
+    # one group's trace context that is not (trace_id, span_id, request_bytes)
     ("rpc", [("data.stats", ())], (7,)),
     ("rpc", [("data.stats", ())], "x"),
     ("rpc", [("data.stats", ())], 7),
-    ("rpc", [("data.stats", ())], (7, 9, 11)),
+    ("rpc", [("data.stats", ())], (7, 9)),
+    ("rpc", [("data.stats", ())], (7, 9, 11, 13)),
     # run lists (a coalesced frame's trace field) that do not cover the payload
     ("rpc", [("data.stats", ())], [(2, None)]),  # counts do not sum
     ("rpc", [("data.stats", ())], [(1, None), (0, None)]),  # zero count
@@ -62,12 +63,12 @@ MALFORMED = [
     ("rpc", [("data.stats", ())], [[1, None]]),  # run is not a pair
     ("rpc", [("data.stats", ())], [(1, "trace")]),  # bad context type
     ("rpc", [("data.stats", ())], [(1, 7)]),  # bare trace id, no span id
-    ("rpc", [("data.stats", ())], [(1, (7,))]),  # context is not (int, int)
-    ("rpc", [("data.stats", ())], [(1, (7, None))]),
+    ("rpc", [("data.stats", ())], [(1, (7,))]),  # context is not (int, int, int)
+    ("rpc", [("data.stats", ())], [(1, (7, 9, None))]),
 ]
 
 #: a well-formed coalesced frame: an untraced run, then two traced ones
-RUNS = ("rpc", [("data.stats", ())] * 4, [(2, None), (1, (7, 8)), (1, (7, 9))])
+RUNS = ("rpc", [("data.stats", ())] * 4, [(2, None), (1, (7, 8, 1)), (1, (7, 9, 1))])
 
 
 class RawBody(bytes):
@@ -144,8 +145,8 @@ def test_agent_answers_malformed_envelopes_typed_and_keeps_serving():
 
 
 def test_a_bad_single_group_trace_context_is_answered_typed():
-    """A lone group's third field gets the same ``(trace_id, span_id)``
-    check as a run's context: the request is refused typed, and the next
+    """A lone group's third field gets the same ``(trace_id, span_id,
+    request_bytes)`` check as a run's context: the request is refused typed, and the next
     one on the same connection is served (an unchecked ``(7,)`` used to
     kill the connection's pump with an ``IndexError``, unanswered)."""
     agent = NodeAgent({("data", 0): DataProvider(0)})
@@ -157,7 +158,7 @@ def test_a_bad_single_group_trace_context_is_answered_typed():
         seen = _exchange(sock, {
             0: ("hello", "data/0"),
             1: ("rpc", [("data.stats", ())], (7,)),
-            2: ("rpc", [("data.stats", ())], (7, 9)),
+            2: ("rpc", [("data.stats", ())], (7, 9, 11)),
         })
         assert isinstance(seen[1], RemoteError)
         assert seen[1].error_type == "WireProtocolError"

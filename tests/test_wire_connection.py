@@ -139,6 +139,7 @@ CONTEXTS = st.one_of(
     st.tuples(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**32),
     ),
 )
 
