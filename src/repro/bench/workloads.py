@@ -207,8 +207,7 @@ def run_concurrent_client_durations(
     ]
     # every client learns the geometry (one vm.stat) before the loops
     # start: the lanes idle out after, so no measured op contains it
-    opens = [dep.sim.process(client.open(blob_id)) for client in clients]
-    dep.sim.run(until=dep.sim.all_of(opens))
+    dep.sim.run(until=dep.sim.join(client.open(blob_id) for client in clients))
     if cached and kind == "read":
         # Steady-state cached reads: warm each client's cache out of band
         # (zero simulated time; the paper measures the warm regime). One
@@ -221,15 +220,12 @@ def run_concurrent_client_durations(
             assert client.cache is not None
             client.cache.preload_from(template)
     per_client: list[list[float]] = [[] for _ in range(n_clients)]
-    procs = [
-        dep.sim.process(
-            client_access_loop(
-                dep, clients[i], blob_id, picker, i, iterations, kind,
-                per_client[i], lock,
-            ),
-            name=f"{kind}-loop-{i}",
+    loops = dep.sim.join(
+        client_access_loop(
+            dep, clients[i], blob_id, picker, i, iterations, kind,
+            per_client[i], lock,
         )
         for i in range(n_clients)
-    ]
-    dep.sim.run(until=dep.sim.all_of(procs))
+    )
+    dep.sim.run(until=loops)
     return per_client

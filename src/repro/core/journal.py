@@ -217,39 +217,16 @@ class Journal:
         snap_state, snap_seqno = self._load_snapshot()
         wal = self.directory / WAL_NAME
         records: list[Any] = []
-        good_end = 0
         self._seqno = snap_seqno
         try:
             raw = wal.read_bytes()
         except FileNotFoundError:
             raw = b""
-        pos = 0
-        torn_reason = None
-        while pos < len(raw):
-            if pos + _HEADER.size > len(raw):
-                torn_reason = f"short header at byte {pos}"
-                break
-            length, crc = _HEADER.unpack_from(raw, pos)
-            if length < 8 or length > _MAX_RECORD:
-                torn_reason = f"implausible frame length {length} at byte {pos}"
-                break
-            body = raw[pos + _HEADER.size : pos + _HEADER.size + length]
-            if len(body) < length:
-                torn_reason = f"short body at byte {pos}"
-                break
-            if zlib.crc32(body) != crc:
-                torn_reason = f"checksum mismatch at byte {pos}"
-                break
-            seqno = int.from_bytes(body[:8], "little")
+        frames, good_end, torn_reason = _scan(raw)
+        for seqno, record in frames:
             if seqno > snap_seqno:
-                try:
-                    records.append(pickle.loads(body[8:]))
-                except Exception as exc:  # corrupt pickle inside a good crc
-                    torn_reason = f"undecodable record at byte {pos}: {exc}"
-                    break
+                records.append(record)
                 self._seqno = seqno
-            pos += _HEADER.size + length
-            good_end = pos
         self.truncated_bytes = len(raw) - good_end
         if torn_reason is not None:
             logger.warning(
@@ -378,16 +355,37 @@ class Journal:
             self._file = None
 
     def iter_frames(self) -> Iterator[tuple[int, Any]]:
-        """``(seqno, record)`` pairs currently in the log (tooling)."""
-        raw = (self.directory / WAL_NAME).read_bytes()
-        pos = 0
-        while pos + _HEADER.size <= len(raw):
-            length, crc = _HEADER.unpack_from(raw, pos)
-            body = raw[pos + _HEADER.size : pos + _HEADER.size + length]
-            if len(body) < length or zlib.crc32(body) != crc:
-                return
-            yield int.from_bytes(body[:8], "little"), pickle.loads(body[8:])
-            pos += _HEADER.size + length
+        """``(seqno, record)`` pairs of the log's clean prefix — the frames
+        :meth:`open` keeps, snapshot-covered ones included (tooling)."""
+        frames, _, _ = _scan((self.directory / WAL_NAME).read_bytes())
+        return iter(frames)
+
+
+def _scan(raw: bytes) -> tuple[list[tuple[int, Any]], int, str | None]:
+    """The one frame scanner: ``(frames, clean_end, torn_reason)`` of a
+    log image — its ``(seqno, record)`` frames up to the first torn one,
+    the byte offset where they end, and why the scan stopped early
+    (``None`` when the whole image is clean)."""
+    frames: list[tuple[int, Any]] = []
+    pos = 0
+    while pos < len(raw):
+        if pos + _HEADER.size > len(raw):
+            return frames, pos, f"short header at byte {pos}"
+        length, crc = _HEADER.unpack_from(raw, pos)
+        if length < 8 or length > _MAX_RECORD:
+            return frames, pos, f"implausible frame length {length} at byte {pos}"
+        body = raw[pos + _HEADER.size : pos + _HEADER.size + length]
+        if len(body) < length:
+            return frames, pos, f"short body at byte {pos}"
+        if zlib.crc32(body) != crc:
+            return frames, pos, f"checksum mismatch at byte {pos}"
+        try:
+            record = pickle.loads(body[8:])
+        except Exception as exc:  # corrupt pickle inside a good crc
+            return frames, pos, f"undecodable record at byte {pos}: {exc}"
+        frames.append((int.from_bytes(body[:8], "little"), record))
+        pos += _HEADER.size + length
+    return frames, pos, None
 
 
 class Journaled:

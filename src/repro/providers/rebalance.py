@@ -3,7 +3,7 @@
 The provider manager *plans* migrations (``pm.plan_rebalance``) and
 journals every completed move; this module is the *executor* that carries
 pages between providers. It speaks only through a driver's RPC surface
-(one mini-protocol per call), so the same code rebalances an in-process
+(one ``Driver.call`` per RPC), so the same code rebalances an in-process
 deployment, a threaded one, or a live TCP cluster — and it respects actor
 confinement (it never touches provider objects directly).
 
@@ -29,21 +29,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import PageMissing
-from repro.net.sansio import Batch, Call
-
-
-def _rpc(driver, address, method: str, args: tuple = ()):  # noqa: ANN001
-    def proto():
-        (result,) = yield Batch([Call(address, method, args)])
-        return result
-
-    return driver.run(proto())
 
 
 def collect_manifests(driver, provider_ids) -> list:
     """``[(pid, [(key, nbytes), ...]), ...]`` from every provider."""
     return [
-        (pid, _rpc(driver, ("data", pid), "data.manifest"))
+        (pid, driver.call(("data", pid), "data.manifest"))
         for pid in sorted(provider_ids)
     ]
 
@@ -51,15 +42,15 @@ def collect_manifests(driver, provider_ids) -> list:
 def _execute_move(driver, kind: str, key, src: int, dst: int | None) -> None:
     if kind == "copy":
         try:
-            payload = _rpc(driver, ("data", src), "data.get_page", (key,))
+            payload = driver.call(("data", src), "data.get_page", (key,))
         except PageMissing:
             # Resume path: the copy landed before the crash and the source
             # was since reclaimed — verify the destination holds the page.
-            _rpc(driver, ("data", dst), "data.get_page", (key,))
+            driver.call(("data", dst), "data.get_page", (key,))
             return
-        _rpc(driver, ("data", dst), "data.migrate_in", (key, payload))
+        driver.call(("data", dst), "data.migrate_in", (key, payload))
     else:  # free
-        _rpc(driver, ("data", src), "data.free_pages", ([key],))
+        driver.call(("data", src), "data.free_pages", ([key],))
 
 
 def execute_rebalance(
@@ -77,10 +68,10 @@ def execute_rebalance(
     ``limit_moves`` execution stops early and ``committed`` stays false —
     calling again resumes from the pm's journaled plan.
     """
-    plan = _rpc(driver, "pm", "pm.pending_rebalance")
+    plan = driver.call("pm", "pm.pending_rebalance")
     if plan is None:
         manifests = collect_manifests(driver, provider_ids)
-        plan = _rpc(driver, "pm", "pm.plan_rebalance", (manifests, drain))
+        plan = driver.call("pm", "pm.plan_rebalance", (manifests, drain))
     if plan is None:
         return {
             "plan": None, "executed": 0, "remaining": 0,
@@ -96,9 +87,9 @@ def execute_rebalance(
                 "drain": plan["drain"],
             }
         _execute_move(driver, kind, key, src, dst)
-        _rpc(driver, "pm", "pm.migration_done", (plan["plan"], index))
+        driver.call("pm", "pm.migration_done", (plan["plan"], index))
         executed += 1
-    _rpc(driver, "pm", "pm.migration_commit", (plan["plan"],))
+    driver.call("pm", "pm.migration_commit", (plan["plan"],))
     return {
         "plan": plan["plan"], "executed": executed, "remaining": 0,
         "committed": True, "drain": plan["drain"],
@@ -122,5 +113,5 @@ def drain_provider(
         driver, provider_ids, drain=provider_id, limit_moves=limit_moves
     )
     if summary["committed"]:
-        _rpc(driver, "pm", "pm.deregister", (provider_id,))
+        driver.call("pm", "pm.deregister", (provider_id,))
     return summary

@@ -11,20 +11,20 @@ function of the protocol rather than of the host interpreter.
 Layers:
 
 - :mod:`repro.sim.engine` — generator-based event loop (processes, timeouts,
-  event composition), in the style of SimPy but self-contained.
+  the ``Join`` fan-in), in the style of SimPy but self-contained.
 - :mod:`repro.sim.resources` — serialized rate lanes used to model CPUs
   and NICs.
 - :mod:`repro.sim.network` — cluster/node/NIC model plus the calibrated
   :class:`~repro.sim.network.ClusterSpec` constants.
 """
 
-from repro.sim.engine import AllOf, Event, Process, Simulator, Timeout
+from repro.sim.engine import Event, Join, Process, Simulator, Timeout
 from repro.sim.resources import RateLane
 from repro.sim.network import ClusterSpec, Network, SimNode
 
 __all__ = [
-    "AllOf",
     "Event",
+    "Join",
     "Process",
     "Simulator",
     "Timeout",

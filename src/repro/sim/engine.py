@@ -12,15 +12,18 @@ scheduling order (zero-delay work goes through a FIFO "now" queue that is
 drained before the time heap; delayed work is heap-ordered with a
 monotonically increasing sequence number breaking ties).
 
-Hot-path design notes (this engine executes hundreds of thousands of
-callbacks per benchmark figure, so constant factors matter):
+The special cases below are kept because each measured faster (this
+engine runs hundreds of thousands of callbacks per benchmark figure);
+undoing any one of them leaves every pinned simulated series
+bit-identical. Wall-time costs of undoing them, on a 2-CPU x86 host
+(ROADMAP, "calibration"):
 
-- zero-delay scheduling is a ``deque.append`` — no heap traffic;
+- zero-delay work is a ``deque.append`` on the FIFO "now" queue, drained
+  before the heap (one heap for everything: ~1 %);
 - a :class:`Timeout` is a single heap entry that dispatches its callbacks
-  directly when popped (no separate trigger-then-dispatch hop);
-- process resumption uses bound-method callbacks — no per-step closures;
-- :class:`Join` fans out over child generators with one counter and one
-  event total, replacing a full ``Process`` + ``AllOf`` per child.
+  directly when popped, and inlines ``Event.__init__`` (~2 % each);
+- :class:`Join`, the one fan-in, advances its child generators in place
+  rather than one now-queue hop later (~6 % on an 8-client figure).
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Inlined Event.__init__: timeouts are the engine's most-allocated
-        # object (every lane job and link delay is one), so skip the
-        # super() call.
+        # object (every lane job and link delay is one); super().__init__
+        # measured 1.5-3 % fewer events/s.
         self.sim = sim
         self._callbacks = []
         self._triggered = False
@@ -131,8 +134,8 @@ class Timeout(Event):
 
     def _fire(self) -> None:
         # Popped off the heap at exactly the due instant; the "now" queue is
-        # empty at that point, so dispatching inline is equivalent to (and
-        # half the bookkeeping of) a trigger-then-dispatch pair.
+        # empty at that point, so dispatching inline gives the same order
+        # as a trigger-then-dispatch pair at half the callbacks (~2 %).
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
@@ -140,25 +143,12 @@ class Timeout(Event):
         self._dispatch()
 
 
-class Process(Event):
-    """A running generator; as an Event it triggers on process completion."""
+class _Stepper:
+    """The one stepping body: resumes a generator with each event it
+    yields. A subclass holds the generator in ``_gen`` and hears how it
+    ended through ``_returned(value)`` / ``_raised(exc)``."""
 
-    __slots__ = ("_gen", "name")
-
-    def __init__(self, sim: "Simulator", gen: SimGenerator, name: str = "?") -> None:
-        super().__init__(sim)
-        self._gen = gen
-        self.name = name
-        sim._now.append(self._start)
-
-    def result(self, timeout: float | None = None) -> Any:
-        """Run the simulation until this process ends and return its
-        value: a driver's ``spawn`` future (``timeout`` is wall-clock,
-        moot here)."""
-        return self.sim.run(until=self)
-
-    def _start(self) -> None:
-        self._advance(False, None)
+    __slots__ = ()
 
     def _on_event(self, event: Event) -> None:
         if event._exc is None:
@@ -172,101 +162,81 @@ class Process(Event):
         try:
             target = gen.throw(arg) if throwing else gen.send(arg)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._returned(stop.value)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self.fail(exc)
+        except BaseException as exc:  # noqa: BLE001 - reported, not raised
+            self._raised(exc)
             return
         if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}, expected an Event"
-                )
+            self._raised(
+                SimulationError(f"{self!r} yielded {target!r}, expected an Event")
             )
             return
         target.add_callback(self._on_event)
 
 
-class AllOf(Event):
-    """Triggers when all child events have; value is their list of values.
+class Process(Event, _Stepper):
+    """A running generator; as an Event it triggers on process completion."""
 
-    The first child failure fails the whole composition (remaining failures
-    are defused so the run loop does not crash).
-    """
+    __slots__ = ("_gen", "name")
 
-    __slots__ = ("_pending", "_children")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+    def __init__(self, sim: "Simulator", gen: SimGenerator, name: str = "?") -> None:
         super().__init__(sim)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for ev in self._children:
-            ev.add_callback(self._on_child)
+        self._gen = gen
+        self.name = name
+        sim._now.append(self._start)
 
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            if not event.ok:
-                event.defuse()
-            return
-        if not event.ok:
-            event.defuse()
-            assert event._exc is not None
-            self.fail(event._exc)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([ev._value for ev in self._children])
+    def __repr__(self) -> str:
+        return f"process {self.name!r}"
+
+    def result(self, timeout: float | None = None) -> Any:
+        """Run the simulation until this process ends and return its
+        value: a driver's ``spawn`` future (``timeout`` is wall-clock,
+        moot here)."""
+        return self.sim.run(until=self)
+
+    def _start(self) -> None:
+        self._advance(False, None)
+
+    _returned = Event.succeed
+    _raised = Event.fail
 
 
-class _JoinChild:
+class _JoinChild(_Stepper):
     """Drives one generator of a :class:`Join`; not itself an event."""
 
-    __slots__ = ("join", "index", "gen")
+    __slots__ = ("join", "index", "_gen")
 
     def __init__(self, join: "Join", index: int, gen: SimGenerator) -> None:
         self.join = join
         self.index = index
-        self.gen = gen
+        self._gen = gen
 
-    def _on_event(self, event: Event) -> None:
-        if event._exc is None:
-            self._advance(False, event._value)
-        else:
-            event.defuse()
-            self._advance(True, event._exc)
+    def __repr__(self) -> str:
+        return f"join child {self.index}"
 
-    def _advance(self, throwing: bool, arg: Any) -> None:
-        gen = self.gen
-        try:
-            target = gen.throw(arg) if throwing else gen.send(arg)
-        except StopIteration as stop:
-            self.join._child_done(self.index, stop.value)
+    def _returned(self, value: Any) -> None:
+        join = self.join
+        if join._triggered:
             return
-        except BaseException as exc:  # noqa: BLE001 - fail the join
-            self.join._child_failed(exc)
-            return
-        if not isinstance(target, Event):
-            self.join._child_failed(
-                SimulationError(
-                    f"join child {self.index} yielded {target!r}, expected an Event"
-                )
-            )
-            return
-        target.add_callback(self._on_event)
+        join._results[self.index] = value
+        join._pending -= 1
+        if join._pending == 0:
+            join.succeed(join._results)
+
+    def _raised(self, exc: BaseException) -> None:
+        if not self.join._triggered:  # the first failure wins
+            self.join.fail(exc)
 
 
 class Join(Event):
-    """Counter-based fan-out/fan-in over child generators.
+    """The engine's one fan-out/fan-in: runs child generators to completion.
 
-    Functionally equivalent to spawning one :class:`Process` per generator
-    and gathering them with :class:`AllOf`, but allocates one event and one
-    counter total: each child is a lightweight cursor that resumes its
-    generator in place. Value is the list of child return values in
-    argument order; the first child failure fails the join (later failures
-    are swallowed, mirroring ``AllOf``'s defusing).
+    Value is the list of child return values in argument order; the first
+    child failure fails the join and later ones are swallowed. Each child
+    is a lightweight cursor (one counter and one event in all) that is
+    advanced *in place* from the constructor, where a :class:`Process`
+    would start one now-queue hop later (measured slower; module notes).
     """
 
     __slots__ = ("_results", "_pending")
@@ -281,19 +251,6 @@ class Join(Event):
             return
         for child in children:
             child._advance(False, None)
-
-    def _child_done(self, index: int, value: Any) -> None:
-        if self._triggered:
-            return
-        self._results[index] = value
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._results)
-
-    def _child_failed(self, exc: BaseException) -> None:
-        if self._triggered:
-            return  # first failure wins; later ones are moot
-        self.fail(exc)
 
 
 class Simulator:
@@ -329,9 +286,6 @@ class Simulator:
         self._processes_started += 1
         return Process(self, gen, name or f"proc-{self._processes_started}")
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def join(self, gens: Iterable[SimGenerator]) -> Join:
         return Join(self, gens)
 
@@ -340,41 +294,37 @@ class Simulator:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
 
-        Returns the event's value when ``until`` is an Event.
+        Returns the event's value when ``until`` is an Event; an Event
+        that can no longer fire raises :class:`SimulationError`.
         """
+        # One loop for all three: a bare deadline waits on an event that
+        # never fires, an awaited event on a deadline that never comes.
+        awaited = isinstance(until, Event)
+        stop = until if awaited else Event(self)
+        deadline = float("inf") if awaited or until is None else float(until)
         now_q = self._now
         queue = self._queue
         pop = heapq.heappop
         executed = 0
         try:
-            if isinstance(until, Event):
-                stop = until
-                while not stop._triggered:
-                    if now_q:
-                        fn = now_q.popleft()
-                    elif queue:
-                        when, _, fn = pop(queue)
-                        self.now = when
-                    else:
-                        raise SimulationError(
-                            "simulation queue drained before the awaited event fired"
-                        )
-                    executed += 1
-                    fn()
-                return stop.value
-            deadline = float("inf") if until is None else float(until)
-            while True:
+            while not stop._triggered:
                 if now_q:
                     fn = now_q.popleft()
                 elif queue and queue[0][0] <= deadline:
                     when, _, fn = pop(queue)
                     self.now = when
+                elif awaited:
+                    raise SimulationError(
+                        "simulation queue drained before the awaited event fired"
+                    )
                 else:
                     break
                 executed += 1
                 fn()
-            if until is not None:
-                self.now = max(self.now, deadline)
-            return None
         finally:
             self.events_processed += executed
+        if awaited:
+            return stop.value
+        if until is not None:
+            self.now = max(self.now, deadline)
+        return None

@@ -23,7 +23,7 @@ comparison (README.md, "Benchmarks").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from repro.sim.engine import Event, Simulator
@@ -138,6 +138,13 @@ class ClusterSpec:
     #: stream sub-calls to one destination in a single wire RPC (paper
     #: §V.A); False = naive one-RPC-per-call (ablation C)
     aggregate: bool = True
+    service_fixed: dict[str, float] = field(default_factory=_default_service_fixed)
+    client_reply_cpu: dict[str, float] = field(default_factory=_default_client_reply_cpu)
+    compute: dict[str, float] = field(default_factory=_default_compute)
+
+    #: default per-sub-call costs for methods absent from the tables
+    DEFAULT_SERVICE_TIME = 25e-6
+    DEFAULT_REPLY_CPU = 2e-6
 
     def tx_rate(self, role: str) -> float:
         """Effective transmit rate for a node role (client/server)."""
@@ -148,16 +155,6 @@ class ClusterSpec:
         """Effective receive rate for a node role (client/server)."""
         byte_cpu = self.client_rx_byte_cpu if role == "client" else self.server_rx_byte_cpu
         return 1.0 / (1.0 / self.bandwidth + byte_cpu)
-
-    def async_latency(self, method: str) -> float:
-        return self.service_async.get(method, 0.0)
-    service_fixed: dict[str, float] = field(default_factory=_default_service_fixed)
-    client_reply_cpu: dict[str, float] = field(default_factory=_default_client_reply_cpu)
-    compute: dict[str, float] = field(default_factory=_default_compute)
-
-    #: default per-sub-call costs for methods absent from the tables
-    DEFAULT_SERVICE_TIME = 25e-6
-    DEFAULT_REPLY_CPU = 2e-6
 
     def __post_init__(self) -> None:
         # Per-method cost rows, resolved once and memoized: the RPC hot path
@@ -177,21 +174,11 @@ class ClusterSpec:
             cache[method] = costs
         return costs
 
-    def service_time(self, method: str) -> float:
-        return self.service_fixed.get(method, self.DEFAULT_SERVICE_TIME)
-
-    def reply_cpu(self, method: str) -> float:
-        return self.client_reply_cpu.get(method, self.DEFAULT_REPLY_CPU)
-
     def compute_cost(self, key: str, units: float) -> float:
         try:
             return self.compute[key] * units
         except KeyError:
             raise KeyError(f"unknown compute cost key {key!r}") from None
-
-    def with_overrides(self, **kwargs: Any) -> "ClusterSpec":
-        """A copy with some constants replaced (used by ablation benches)."""
-        return replace(self, **kwargs)
 
 
 class SimNode:
@@ -231,9 +218,6 @@ class Network:
         node = SimNode(self.sim, name, self.spec, role)
         self.nodes[name] = node
         return node
-
-    def node(self, name: str) -> SimNode:
-        return self.nodes[name]
 
     def transfer(
         self, src: SimNode, dst: SimNode, nbytes: int

@@ -47,16 +47,8 @@ class RateLane:
         Both fold what used to be separate scheduled waits into a single
         event — the cornerstone of the 4-events-per-RPC hot path.
         """
-        if amount < 0:
-            raise ValueError(f"amount must be >= 0, got {amount}")
-        sim = self.sim
-        service = amount / self.rate
-        start = max(sim.now, self._free_at, not_before)
-        finish = start + service
-        self._free_at = finish
-        self.busy_time += service
-        self.jobs += 1
-        return Timeout(sim, finish - sim.now + extra_delay)
+        finish = self.push(amount, not_before)
+        return Timeout(self.sim, finish - self.sim.now + extra_delay)
 
     def push(self, amount: float, not_before: float = 0.0) -> float:
         """Queue work without creating an event; returns the finish time.
@@ -73,16 +65,6 @@ class RateLane:
         self.busy_time += service
         self.jobs += 1
         return finish
-
-    def delay_for(self, amount: float) -> float:
-        """Completion delay a job of ``amount`` would see if submitted now."""
-        start = max(self.sim.now, self._free_at)
-        return (start - self.sim.now) + amount / self.rate
-
-    @property
-    def backlog(self) -> float:
-        """Seconds of queued work remaining from ``sim.now``."""
-        return max(0.0, self._free_at - self.sim.now)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the lane spent busy."""

@@ -172,9 +172,7 @@ class TestLockedAccessLoop:
         dep, blob = self.deployment(3)
         lock = SimRWLock(dep.sim)
         clients = [dep.async_client(index=i, cached=False) for i in range(3)]
-        dep.sim.run(until=dep.sim.all_of(
-            [dep.sim.process(client.open(blob)) for client in clients]
-        ))
+        dep.sim.run(until=dep.sim.join(client.open(blob) for client in clients))
         writes, reads = [], []
         loops = [
             client_access_loop(
@@ -189,7 +187,7 @@ class TestLockedAccessLoop:
                 for i in (1, 2)
             ),
         ]
-        dep.sim.run(until=dep.sim.all_of([dep.sim.process(loop) for loop in loops]))
+        dep.sim.run(until=dep.sim.join(loops))
         (write_time,) = writes
         # readers arrived after the writer: they waited out the write
         assert len(reads) == 2

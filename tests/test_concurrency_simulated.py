@@ -39,8 +39,7 @@ class TestConcurrentWritersSim:
                 res = yield from client.write_virtual(blob, (i * per + k) * PAGE, PAGE)
                 versions.append(res.version)
 
-        procs = [dep.sim.process(writer(i)) for i in range(n)]
-        dep.sim.run(until=dep.sim.all_of(procs))
+        dep.sim.run(until=dep.sim.join(writer(i) for i in range(n)))
         assert sorted(versions) == list(range(1, n * per + 1))
         assert dep.vm.get_latest(blob) == n * per
 
@@ -56,8 +55,7 @@ class TestConcurrentWritersSim:
                 npages = int(rng.integers(1, 8))
                 yield from client.write_virtual(blob, offset, npages * PAGE)
 
-        procs = [dep.sim.process(writer(i)) for i in range(n)]
-        dep.sim.run(until=dep.sim.all_of(procs))
+        dep.sim.run(until=dep.sim.join(writer(i) for i in range(n)))
         assert dep.vm.get_latest(blob) == n * 4
         assert dep.vm.in_flight_versions(blob) == []
 
@@ -78,9 +76,8 @@ class TestConcurrentWritersSim:
                 res = yield from client.read_virtual(blob, 0, PAGE)
                 observed.append((res.version, res.latest))
 
-        procs = [dep.sim.process(writer(i)) for i in range(2)]
-        procs += [dep.sim.process(reader(i)) for i in (2, 3)]
-        dep.sim.run(until=dep.sim.all_of(procs))
+        gens = [writer(i) for i in range(2)] + [reader(i) for i in (2, 3)]
+        dep.sim.run(until=dep.sim.join(gens))
         for version, latest in observed:
             assert version <= latest
 
@@ -95,8 +92,7 @@ class TestConcurrentWritersSim:
                     res = yield from client.write_virtual(blob, (i * 3 + k) * PAGE, PAGE)
                     log.append((round(dep.sim.now, 9), res.version))
 
-            procs = [dep.sim.process(writer(i)) for i in range(16)]
-            dep.sim.run(until=dep.sim.all_of(procs))
+            dep.sim.run(until=dep.sim.join(writer(i) for i in range(16)))
             return log
 
         assert run() == run()
@@ -116,8 +112,7 @@ class TestMetadataConsistencyUnderConcurrency:
             npages = int(rng.integers(1, 16))
             yield from client.write_virtual(blob, offset, npages * PAGE)
 
-        procs = [dep.sim.process(writer(i)) for i in range(n)]
-        dep.sim.run(until=dep.sim.all_of(procs))
+        dep.sim.run(until=dep.sim.join(writer(i) for i in range(n)))
         latest = dep.vm.get_latest(blob)
         assert latest == n
         # traverse every snapshot over the whole written window
@@ -136,8 +131,7 @@ class TestMetadataConsistencyUnderConcurrency:
             client = dep.async_client(index=i)
             yield from client.write_virtual(blob, (i % 4) * PAGE, 2 * PAGE)
 
-        procs = [dep.sim.process(writer(i)) for i in range(n)]
-        dep.sim.run(until=dep.sim.all_of(procs))
+        dep.sim.run(until=dep.sim.join(writer(i) for i in range(n)))
         for provider in dep.meta.values():
             for key in provider.list_nodes(blob):
                 node = provider.get_node(key)

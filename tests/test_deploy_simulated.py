@@ -196,10 +196,9 @@ class TestTimingSanity:
                     yield from client.read_virtual(blob, 0, 64 * PAGE)
                     durations.append(dep.sim.now - start)
 
-            procs = [
-                dep.sim.process(loop(dep.async_client(index=i))) for i in range(n_clients)
-            ]
-            dep.sim.run(until=dep.sim.all_of(procs))
+            dep.sim.run(until=dep.sim.join(
+                loop(dep.async_client(index=i)) for i in range(n_clients)
+            ))
             return sum(durations) / len(durations)
 
         assert mean_duration(4) > mean_duration(1)

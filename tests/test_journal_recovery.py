@@ -91,6 +91,24 @@ class TestJournalFraming:
         j3 = Journal(tmp_path)
         assert j3.open()[1] == [("keep", 1), ("keep", 2)]
 
+    def test_iter_frames_stops_where_open_truncates(self, tmp_path):
+        """A crash can leave zeroed bytes past the last frame (a zero
+        length with a matching zero checksum): tooling reads the clean
+        prefix recovery keeps instead of raising on the empty pickle."""
+        j = Journal(tmp_path)
+        j.open()
+        j.append(("keep", 1))
+        j.append(("keep", 2))
+        j.close()
+        wal = tmp_path / "wal.log"
+        wal.write_bytes(wal.read_bytes() + bytes(16))
+        frames = list(Journal(tmp_path).iter_frames())
+        assert frames == [(1, ("keep", 1)), (2, ("keep", 2))]
+        j2 = Journal(tmp_path)
+        assert j2.open()[1] == [record for _, record in frames]
+        assert j2.truncated_bytes == 16
+        j2.close()
+
     def test_corrupted_record_body_stops_replay_at_prefix(self, tmp_path):
         j = Journal(tmp_path)
         j.open()

@@ -290,9 +290,8 @@ class TestSimDriver:
             yield Batch([Call("c", "add", (1,)) for _ in range(100)])
             return sim.now
 
-        procs = [sim.process(SimDriver(ex, c).drive(proto())) for c in clients]
-        sim.run(until=sim.all_of(procs))
-        service = 100 * spec.service_time("add") + spec.rpc_overhead
+        sim.run(until=sim.join(SimDriver(ex, c).drive(proto()) for c in clients))
+        service = 100 * spec.method_costs("add")[0] + spec.rpc_overhead
         # 4 clients' service must stack on the single server CPU lane
         assert sim.now >= 4 * service
 

@@ -9,6 +9,10 @@ workloads (not just toy timeouts) twice and require bit-identical results.
 
 from __future__ import annotations
 
+import itertools
+
+import pytest
+
 from repro.bench.workloads import SegmentPicker, populate_window, run_concurrent_clients
 from repro.core.config import DeploymentSpec
 from repro.deploy.simulated import SimDeployment
@@ -102,3 +106,22 @@ class TestEngineDeterminism:
         assert stats["sub_calls"] >= stats["wire_rpcs"]
         # two messages (request + response) per wire RPC
         assert stats["messages_sent"] == 2 * stats["wire_rpcs"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="write uids come from a process-global counter and their byte "
+    "length prices a simulated WRITE (ROADMAP: cluster-scoped write uids)",
+)
+def test_a_figure_does_not_depend_on_earlier_writes_in_the_process(monkeypatch):
+    from repro.bench.figures import tail_latency_quantiles
+    from repro.core import protocol
+
+    def series():
+        fig = tail_latency_quantiles(client_counts=(2,), iterations=3)
+        return {s.label: s.y for s in fig.series}
+
+    first = series()
+    monkeypatch.setattr(protocol, "_uid_counter", itertools.count(10**9))
+    assert series() == first

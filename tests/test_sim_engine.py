@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (
-    AllOf,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestClockAndTimeouts:
@@ -150,31 +146,62 @@ class TestProcesses:
             sim.run(until=orphan)
 
 
-class TestCompositions:
-    def test_all_of_gathers_in_order(self):
+class TestJoin:
+    def test_join_gathers_in_order(self):
         sim = Simulator()
-        a = sim.timeout(3.0, value="a")
-        b = sim.timeout(1.0, value="b")
-        all_ev = AllOf(sim, [a, b])
-        sim.run()
-        assert all_ev.value == ["a", "b"]
+
+        def child(delay, value):
+            yield sim.timeout(delay)
+            return value
+
+        join = sim.join([child(3.0, "a"), child(1.0, "b")])
+        assert sim.run(until=join) == ["a", "b"]
         assert sim.now == 3.0
 
-    def test_all_of_empty(self):
+    def test_join_empty(self):
         sim = Simulator()
-        ev = AllOf(sim, [])
-        sim.run()
-        assert ev.value == []
+        join = sim.join([])
+        assert sim.run(until=join) == []
+        assert sim.now == 0.0
 
-    def test_all_of_fails_fast(self):
+    def test_join_fails_fast(self):
         sim = Simulator()
-        bad = sim.event()
-        slow = sim.timeout(10.0)
-        all_ev = AllOf(sim, [bad, slow])
-        all_ev.defuse()
-        sim._schedule(1.0, lambda: bad.fail(RuntimeError("x")))
-        sim.run()
-        assert all_ev.triggered and not all_ev.ok
+
+        def bad():
+            yield sim.timeout(1.0)
+            raise RuntimeError("x")
+
+        def slow():
+            yield sim.timeout(10.0)
+
+        join = sim.join([bad(), slow()])
+        with pytest.raises(RuntimeError, match="x"):
+            sim.run(until=join)
+        assert sim.now == 1.0
+
+    def test_child_yielding_a_non_event_fails_the_join(self):
+        sim = Simulator()
+
+        def child():
+            yield 42  # type: ignore[misc]
+
+        join = sim.join([child()])
+        with pytest.raises(SimulationError, match="join child 0 yielded 42"):
+            sim.run(until=join)
+
+    def test_a_second_child_failure_is_swallowed(self):
+        sim = Simulator()
+
+        def fails_at(delay, msg):
+            yield sim.timeout(delay)
+            raise RuntimeError(msg)
+
+        join = sim.join([fails_at(1.0, "first"), fails_at(2.0, "second")])
+        join.defuse()
+        sim.run()  # the second failure neither raises nor replaces the first
+        assert sim.now == 2.0
+        with pytest.raises(RuntimeError, match="first"):
+            _ = join.value
 
 
 class TestDeterminism:
@@ -188,8 +215,7 @@ class TestDeterminism:
                     yield sim.timeout(0.5 * (i + 1))
                     log.append((sim.now, i, k))
 
-            procs = [sim.process(worker(i)) for i in range(3)]
-            sim.run(until=AllOf(sim, procs))
+            sim.run(until=sim.join(worker(i) for i in range(3)))
             return log
 
         assert build() == build()

@@ -1,5 +1,7 @@
 """Cluster/network model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -28,12 +30,13 @@ class TestClusterSpec:
 
     def test_service_time_defaults(self):
         spec = ClusterSpec()
-        assert spec.service_time("meta.put_node") > spec.service_time("meta.get_node")
-        assert spec.service_time("unknown.method") > 0
+        service = {m: spec.method_costs(m)[0] for m in ("meta.put_node", "meta.get_node")}
+        assert service["meta.put_node"] > service["meta.get_node"]
+        assert spec.method_costs("unknown.method")[0] > 0
 
     def test_reply_cpu_dominated_by_tree_nodes(self):
         spec = ClusterSpec()
-        assert spec.reply_cpu("meta.get_node") > spec.reply_cpu("data.get_page")
+        assert spec.method_costs("meta.get_node")[1] > spec.method_costs("data.get_page")[1]
 
     def test_compute_cost(self):
         spec = ClusterSpec()
@@ -43,23 +46,31 @@ class TestClusterSpec:
             spec.compute_cost("nope", 1)
 
     def test_with_overrides(self):
-        spec = ClusterSpec().with_overrides(latency=5e-3, aggregate=False)
+        base = ClusterSpec()
+        base.method_costs("meta.get_node")  # fill the memo before copying
+        spec = replace(
+            base, latency=5e-3, aggregate=False,
+            service_fixed={"meta.get_node": 1e-3},
+        )
         assert spec.latency == 5e-3
         assert spec.aggregate is False
+        # a copy prices from its own tables, not the original's memo
+        assert spec.method_costs("meta.get_node")[0] == 1e-3
         # original untouched (frozen dataclass semantics)
-        assert ClusterSpec().aggregate is True
+        assert base.aggregate is True
+        assert base.method_costs("meta.get_node")[0] == 45e-6
 
     def test_async_latency(self):
         spec = ClusterSpec()
-        assert spec.async_latency("meta.put_node") > 0
-        assert spec.async_latency("meta.get_node") == 0.0
+        assert spec.method_costs("meta.put_node")[2] > 0
+        assert spec.method_costs("meta.get_node")[2] == 0.0
 
 
 class TestNetwork:
     def test_node_registry(self):
         net = Network(Simulator())
         a = net.add_node("a")
-        assert net.node("a") is a
+        assert net.nodes["a"] is a
         with pytest.raises(ValueError):
             net.add_node("a")
 
@@ -101,8 +112,7 @@ class TestNetwork:
         src = net.add_node("src")
         dsts = [net.add_node(f"d{i}") for i in range(2)]
         nbytes = 10 << 20
-        procs = [sim.process(net.transfer(src, d, nbytes)) for d in dsts]
-        sim.run(until=sim.all_of(procs))
+        sim.run(until=sim.join(net.transfer(src, d, nbytes) for d in dsts))
         single = nbytes / spec.tx_rate("server")
         # both transfers must serialize on src.tx: ~2x one transfer time
         assert sim.now >= 2 * single
@@ -114,8 +124,7 @@ class TestNetwork:
         net = Network(sim, spec)
         pairs = [(net.add_node(f"s{i}"), net.add_node(f"d{i}")) for i in range(4)]
         nbytes = 10 << 20
-        procs = [sim.process(net.transfer(s, d, nbytes)) for s, d in pairs]
-        sim.run(until=sim.all_of(procs))
+        sim.run(until=sim.join(net.transfer(s, d, nbytes) for s, d in pairs))
         single = (
             nbytes / spec.tx_rate("server")
             + spec.latency

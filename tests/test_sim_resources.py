@@ -52,13 +52,6 @@ class TestRateLane:
         with pytest.raises(ValueError):
             RateLane(Simulator(), 0.0)
 
-    def test_backlog_and_delay_for(self):
-        sim = Simulator()
-        lane = RateLane(sim, rate=10.0)
-        lane.submit(20.0)
-        assert lane.backlog == pytest.approx(2.0)
-        assert lane.delay_for(10.0) == pytest.approx(3.0)
-
     def test_utilization(self):
         sim = Simulator()
         lane = RateLane(sim, rate=10.0)
@@ -78,7 +71,6 @@ class TestRateLane:
             for _ in range(10):
                 yield lane.submit(10.0)
 
-        procs = [sim.process(producer()) for _ in range(4)]
-        sim.run(until=sim.all_of(procs))
+        sim.run(until=sim.join(producer() for _ in range(4)))
         # total work = 4 * 10 * 10 = 400 units at rate 100 => exactly 4s
         assert sim.now == pytest.approx(4.0)

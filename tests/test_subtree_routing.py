@@ -759,7 +759,8 @@ def test_simulator_prices_a_subtree_reply_per_node_returned():
     blob = client.alloc(SMALL_TOTAL, SMALL_PAGE)
     client.write_virtual(blob, 0, 64 * SMALL_PAGE)
     spec = dep.network.spec
-    per_node = spec.service_time("meta.get_node") + spec.reply_cpu("meta.get_node")
+    service, reply, _ = spec.method_costs("meta.get_node")
+    per_node = service + reply
     points = []
     for npages in (1, 64):
         result, elapsed = traced_phase(
@@ -802,7 +803,7 @@ def test_simulator_prices_a_leaves_reply_per_node_walked_and_per_leaf_returned()
     (t_leaves, walked_leaves, n_leaves, walks_leaves) = phases[False]
     assert (walks_sub, walks_leaves) == (["meta.get_subtree"], ["meta.get_leaves"])
     assert walked == walked_leaves == n_sub > n_leaves == 64
-    service, reply = spec.service_time("meta.get_node"), spec.reply_cpu("meta.get_node")
+    service, reply, _ = spec.method_costs("meta.get_node")
     assert t_leaves >= walked * service + n_leaves * reply
     assert t_sub - t_leaves >= (n_sub - n_leaves) * reply
 
@@ -842,10 +843,9 @@ def test_simulator_prices_a_shard_per_node_and_its_dht_latency_once():
         assert provider.puts == result.nodes_written
     spec = dep.network.spec
     n = result.nodes_written
-    assert elapsed[SMALL_TOTAL] >= n * spec.service_time("meta.put_node")
-    assert elapsed[0] - elapsed[SMALL_TOTAL] >= (n - 1) * spec.async_latency(
-        "meta.put_node"
-    )
+    service, _, async_latency = spec.method_costs("meta.put_node")
+    assert elapsed[SMALL_TOTAL] >= n * service
+    assert elapsed[0] - elapsed[SMALL_TOTAL] >= (n - 1) * async_latency
 
 
 # ---------------------------------------------------------------------------
