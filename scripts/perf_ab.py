@@ -27,8 +27,13 @@ median, ``perfbench.noise.iqr_share``), else *not met* — and the script
 exits 2 on *not met* when nothing is worse.
 
 The base is materialised with ``git archive REV`` under ``--workdir``
-(default: the system temp directory), outside the repository; perfbench
-itself stays frozen and is used only through its command line.
+(default: the system temp directory), outside the repository, and the
+change is a fresh copy, made once per invocation beside it, of the files
+``git ls-files --cached --others --exclude-standard`` lists in this work
+tree: both sides run from trees made the same way, uncommitted and new
+files count, ignored ones do not, and edits made during the runs do not
+leak into them. perfbench itself stays frozen and is used only through
+its command line.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
@@ -235,6 +241,24 @@ def materialise(rev: str, workdir: Path) -> Path:
     return tree
 
 
+def snapshot(root: Path, workdir: Path) -> Path:
+    """A fresh ``change`` tree under ``workdir``: a copy of the files of the
+    work tree at ``root`` that git tracks or would track (not the ignored
+    ones)."""
+    tree = workdir / "change"
+    shutil.rmtree(tree, ignore_errors=True)
+    names = subprocess.check_output(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, text=True,
+    ).split("\0")
+    for name in filter(None, names):
+        source = root / name
+        if source.is_file():  # not a tracked file deleted from the work tree
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / name)
+    return tree
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent revision")
@@ -251,7 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trees = {"parent": materialise(args.base, Path(args.workdir)), "change": ROOT}
+    workdir = Path(args.workdir)
+    trees = {"parent": materialise(args.base, workdir),
+             "change": snapshot(ROOT, workdir)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     if args.claim is not None and args.claim not in better:
@@ -261,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     doc.update(base=args.base, command=" ".join(spec["command"]) +
                " --workload W --seed S --seconds N --trace T",
                method="alternating parent/change pairs, odd pairs change "
-               "first, one run at a time; parent = git archive of base")
+               "first, one run at a time; parent = git archive of base, change = "
+               "copy of the work tree's tracked and untracked, unignored files")
     for workload in args.workload:
         for seed in (int(s) for s in args.seeds.split(",")):
             first = 1 + max((r["pair"] for r in doc["runs"] if (

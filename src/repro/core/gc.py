@@ -6,10 +6,11 @@ Mark-and-sweep over the metadata graph:
 
 1. **guard** — refuse to run while writes are in flight (the paper's model
    orders GC from a quiescent client);
-2. **mark** — walk the segment trees of every kept version (shared subtrees
-   visited once), collecting reachable node keys and page keys; below the
-   router's cut a whole subtree arrives in one ``meta.get_subtree`` reply,
-   so the mark is one batch per level *above* the cut plus one;
+2. **mark** — one :func:`~repro.metadata.router.walk_tree` over the roots
+   of every kept version (shared subtrees visited once), collecting
+   reachable node keys and page keys; below the router's cut a whole
+   subtree arrives in one ``meta.get_subtree`` reply, so the mark is one
+   batch per level *above* the cut plus one;
 3. **sweep** — ask every provider for its key inventory for the blob and
    free everything unreachable.
 
@@ -28,15 +29,15 @@ a cold client does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import StaleWrite
 from repro.metadata.cache import MetadataCache
-from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter, fetch_nodes
+from repro.metadata.node import NodeKey
+from repro.metadata.router import StaticRouter, walk_tree
 from repro.metadata.tree import TreeGeometry
 from repro.net.sansio import Batch, Call
 from repro.providers.page import PageKey
+from repro.version.manager import LATEST
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +61,10 @@ def gc_protocol(
     meta_ids: tuple[int, ...],
     cache: MetadataCache | None = None,
 ):
-    """Sans-io GC protocol; returns :class:`GCStats`. Every node key it
-    frees leaves ``cache`` before the free is sent."""
+    """Sans-io GC protocol; returns :class:`GCStats`. ``LATEST`` among
+    ``keep_versions`` keeps the newest published version; any other
+    negative version is a ``ValueError`` before anything is freed. Every
+    node key it frees leaves ``cache`` before the free is sent."""
     # -- guard: no writes may be in flight, and kept versions must exist --
     (stat,) = yield Batch([Call("vm", "vm.stat", (blob_id,))])
     _, _, latest = stat
@@ -70,68 +73,35 @@ def gc_protocol(
         raise StaleWrite(
             f"blob {blob_id}: GC ordered while writes {in_flight} are in flight"
         )
-    keep = tuple(sorted({v for v in keep_versions if v >= 1}))
+    keep = tuple(sorted({latest if v == LATEST else v for v in keep_versions} - {0}))
     for v in keep:
+        if v < 0:
+            raise ValueError(f"blob {blob_id}: cannot keep negative version {v}")
         if v > latest:
             raise StaleWrite(
                 f"blob {blob_id}: cannot keep unpublished version {v} "
                 f"(latest is {latest})"
             )
 
-    # -- mark: BFS over the union of kept trees, shared subtrees once -----
-    live_nodes: dict[NodeKey, TreeNode] = {}
-    frontier = [NodeKey(blob_id, v, 0, geom.total_size) for v in keep]
-    while frontier:
-        for node in (yield from fetch_nodes(router, frontier, within=geom.root)):
-            live_nodes[node.key] = node
-        next_frontier: dict[NodeKey, None] = {}  # ordered, deduplicated
-        for key in frontier:
-            node = live_nodes[key]
-            if node.is_leaf:
-                continue
-            for child in node.child_keys():
-                # version 0 is the implicit zero subtree: nothing stored. A
-                # child already live was either expanded in an earlier
-                # round or arrived in a subtree reply — which is complete
-                # below its key, so its descendants are live too.
-                if child.version and child not in live_nodes:
-                    next_frontier[child] = None
-        frontier = list(next_frontier)
+    # -- mark: the union of kept trees, shared subtrees once ---------------
+    live_nodes = yield from walk_tree(
+        router, [NodeKey(blob_id, v, 0, geom.total_size) for v in keep], geom.root
+    )
     live_pages = {
         PageKey(blob_id, node.write_uid, geom.page_index(node.interval))
         for node in live_nodes.values()
         if node.is_leaf
     }
 
-    # -- sweep metadata -----------------------------------------------------
-    meta_lists = yield Batch(
-        [Call(("meta", m), "meta.list_nodes", (blob_id,)) for m in meta_ids]
+    # -- sweep metadata, then data -----------------------------------------
+    nodes_freed = yield from _sweep(
+        blob_id, [("meta", m) for m in meta_ids], "meta.list_nodes",
+        "meta.free_nodes", live_nodes, cache,
     )
-    nodes_freed = 0
-    free_calls = []
-    for m, keys in zip(meta_ids, meta_lists):
-        doomed = [k for k in keys if k not in live_nodes]
-        if doomed:
-            nodes_freed += len(doomed)
-            free_calls.append(Call(("meta", m), "meta.free_nodes", (doomed,)))
-            if cache is not None:
-                cache.discard(doomed)
-    if free_calls:
-        yield Batch(free_calls)
-
-    # -- sweep data ---------------------------------------------------------
-    data_lists = yield Batch(
-        [Call(("data", d), "data.list_pages", (blob_id,)) for d in data_ids]
+    pages_freed = yield from _sweep(
+        blob_id, [("data", d) for d in data_ids], "data.list_pages",
+        "data.free_pages", live_pages,
     )
-    pages_freed = 0
-    free_calls = []
-    for d, keys in zip(data_ids, data_lists):
-        doomed = [k for k in keys if k not in live_pages]
-        if doomed:
-            pages_freed += len(doomed)
-            free_calls.append(Call(("data", d), "data.free_pages", (doomed,)))
-    if free_calls:
-        yield Batch(free_calls)
 
     return GCStats(
         blob_id=blob_id,
@@ -141,3 +111,22 @@ def gc_protocol(
         nodes_freed=nodes_freed,
         pages_freed=pages_freed,
     )
+
+
+def _sweep(blob_id, owners, list_method, free_method, live, cache=None):
+    """List the blob's keys on every owner in one batch and free, in one
+    more, those not in ``live``; returns how many were freed. Freed keys
+    leave ``cache`` before the free is sent."""
+    listed = yield Batch([Call(owner, list_method, (blob_id,)) for owner in owners])
+    freed = 0
+    free_calls = []
+    for owner, keys in zip(owners, listed):
+        doomed = [k for k in keys if k not in live]
+        if doomed:
+            freed += len(doomed)
+            free_calls.append(Call(owner, free_method, (doomed,)))
+            if cache is not None:
+                cache.discard(doomed)
+    if free_calls:
+        yield Batch(free_calls)
+    return freed

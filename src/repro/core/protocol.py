@@ -568,51 +568,40 @@ def _gather_pages(geom: TreeGeometry, leaves: list[TreeNode]) -> Proto:
 
     pagesize = geom.pagesize
 
-    def key_for(leaf: TreeNode) -> PageKey:
-        blob_id, _, offset, _ = leaf.key
-        return PageKey(blob_id, leaf.write_uid, offset // pagesize)
+    # one item per page: (page key, the providers holding it)
+    def routes_for(item: tuple[PageKey, tuple[int, ...]]) -> tuple[Address, ...]:
+        return tuple(data_addr(p) for p in item[1])
 
-    def routes_for(leaf: TreeNode) -> tuple[Address, ...]:
-        return tuple(data_addr(p) for p in leaf.providers)
-
-    def call_for(leaf: TreeNode, owner: Address, last: bool) -> Call:
+    def call_for(item: tuple[PageKey, tuple[int, ...]], owner: Address, last: bool) -> Call:
         return Call(
             owner,
             "data.get_page",
-            (key_for(leaf),),
+            (item[0],),
             request_bytes=_GET_PAGE_REQ_BYTES,
             allow_error=not last,
         )
 
+    items = [
+        (PageKey(leaf.key.blob_id, leaf.write_uid, leaf.key.offset // pagesize),
+         leaf.providers)
+        for leaf in leaves
+    ]
     payloads = yield from gather_with_failover(
-        leaves, routes_for, call_for, tolerate_exhaust=True
+        items, routes_for, call_for, tolerate_exhaust=True
     )
     missing = [i for i, p in enumerate(payloads) if isinstance(p, RemoteError)]
     if not missing:
         return payloads
-    keys = [key_for(leaves[i]) for i in missing]
+    keys = [items[i][0] for i in missing]
     (located,) = yield Batch([Call(ADDR_PM, "pm.locate", (keys,))])
-    retry: list[tuple[int, tuple[int, ...]]] = []
     for i, holders in zip(missing, located):
         if not holders:
             # the pm never moved it: the original loss is the real story
             raise payloads[i].unwrap()
-        retry.append((i, holders))
-
-    def retry_routes(item: tuple[int, tuple[int, ...]]) -> tuple[Address, ...]:
-        return tuple(data_addr(p) for p in item[1])
-
-    def retry_call(item: tuple[int, tuple[int, ...]], owner: Address, last: bool) -> Call:
-        return Call(
-            owner,
-            "data.get_page",
-            (key_for(leaves[item[0]]),),
-            request_bytes=_GET_PAGE_REQ_BYTES,
-            allow_error=not last,
-        )
-
-    fetched = yield from gather_with_failover(retry, retry_routes, retry_call)
-    for (i, _holders), payload in zip(retry, fetched):
+    fetched = yield from gather_with_failover(
+        list(zip(keys, located)), routes_for, call_for
+    )
+    for i, payload in zip(missing, fetched):
         payloads[i] = payload
     return payloads
 

@@ -4,20 +4,18 @@ Operator tooling for the release: render a snapshot's segment tree as
 ASCII (with weaving links made visible — a child whose version differs
 from its parent's is a shared subtree), and quantify how much metadata
 successive snapshots share (the space-efficiency claim of paper §III.C).
+Both read one :func:`~repro.metadata.router.walk_tree` of the snapshot;
+``LATEST`` costs one ``client.latest`` call first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
 
 from repro.metadata.node import NodeKey, TreeNode
-from repro.metadata.router import StaticRouter, fetch_nodes
-from repro.metadata.tree import TreeGeometry
-from repro.net.sansio import Op
+from repro.metadata.router import walk_tree
 from repro.util.sizes import human_size
-
-Proto = Generator[Op, Any, Any]
+from repro.version.manager import LATEST
 
 
 @dataclass(frozen=True)
@@ -36,48 +34,6 @@ class SharingStats:
         return self.shared_nodes / self.total_nodes if self.total_nodes else 0.0
 
 
-def walk_tree_protocol(
-    blob_id: str,
-    geom: TreeGeometry,
-    version: int,
-    router: StaticRouter,
-    max_depth: int | None = None,
-) -> Proto:
-    """Fetch every reachable node of a snapshot (level order).
-
-    Returns ``list[tuple[depth, TreeNode | None]]`` where ``None`` marks an
-    implicit zero subtree. ``max_depth`` bounds the descent for huge blobs
-    (a bounded walk fetches level by level; an unbounded one takes whole
-    co-located subtrees in one ``meta.get_subtree`` reply each).
-    """
-    out: list[tuple[int, TreeNode | None, NodeKey | None]] = []
-    if version == 0:
-        return out
-    frontier = [NodeKey(blob_id, version, 0, geom.total_size)]
-    depth = 0
-    limit = geom.depth if max_depth is None else min(max_depth, geom.depth)
-    within = geom.root if max_depth is None else None
-    known: dict[NodeKey, TreeNode] = {}
-    while frontier and depth <= limit:
-        missing = [k for k in frontier if k not in known]
-        for node in (yield from fetch_nodes(router, missing, within=within)):
-            known[node.key] = node
-        next_frontier: list[NodeKey] = []
-        for key in frontier:
-            node = known[key]
-            out.append((depth, node, key))
-            if node.is_leaf or depth == limit:
-                continue
-            for child in node.child_keys():
-                if child.version == 0:
-                    out.append((depth + 1, None, child))
-                else:
-                    next_frontier.append(child)
-        frontier = next_frontier
-        depth += 1
-    return out
-
-
 class TreeInspector:
     """Blocking introspection facade over a client's driver."""
 
@@ -85,10 +41,29 @@ class TreeInspector:
         self.client = client
 
     def _walk(self, blob_id: str, version: int, max_depth: int | None):
-        geom = self.client.open(blob_id)
-        return self.client.driver.run(
-            walk_tree_protocol(blob_id, geom, version, self.client.router, max_depth)
-        )
+        """``(version, entries)`` with ``LATEST`` resolved: a ``(depth,
+        node, key)`` entry per reachable node down to ``max_depth``, and a
+        ``(depth, None, key)`` one per implicit zero subtree. A bounded
+        walk fetches level by level; an unbounded one takes whole
+        co-located subtrees in one ``meta.get_subtree`` reply each."""
+        client = self.client
+        geom = client.open(blob_id)
+        if version == LATEST:
+            version = client.latest(blob_id)
+        if max_depth is None:
+            floor, within = 0, geom.root
+        else:
+            floor, within = geom.total_size >> max_depth, None
+        root = NodeKey(blob_id, version, 0, geom.total_size)
+        nodes = client.driver.run(walk_tree(client.router, [root], within, floor))
+        entries: list[tuple[int, TreeNode | None, NodeKey]] = []
+        for key, node in nodes.items():
+            depth = geom.depth_of(key.interval)
+            entries.append((depth, node, key))
+            if not node.is_leaf and key.size > floor:
+                entries.extend((depth + 1, None, child)
+                               for child in node.child_keys() if not child.version)
+        return version, entries
 
     def dump(
         self, blob_id: str, version: int, max_depth: int | None = None
@@ -98,26 +73,24 @@ class TreeInspector:
         Shared subtrees (woven links into earlier versions) are annotated
         with the version they come from; zero subtrees render as ``(zeros)``.
         """
-        entries = self._walk(blob_id, version, max_depth)
+        version, entries = self._walk(blob_id, version, max_depth)
         if not entries:
             return f"{blob_id} v0: implicit all-zero string"
         lines = [f"{blob_id} v{version} segment tree:"]
         for depth, node, key in sorted(
             entries, key=lambda e: (e[2].offset, -e[2].size)
         ):
-            assert key is not None
             indent = "  " * depth
             span = f"[{key.offset}, +{human_size(key.size)})"
+            shared = "" if key.version == version else f"  <- v{key.version}"
             if node is None:
                 lines.append(f"{indent}{span} (zeros)")
             elif node.is_leaf:
-                shared = "" if key.version == version else f"  <- v{key.version}"
                 lines.append(
                     f"{indent}{span} page@providers{node.providers} "
                     f"uid={node.write_uid}{shared}"
                 )
             else:
-                shared = "" if key.version == version else f"  <- v{key.version}"
                 lines.append(
                     f"{indent}{span} children v{node.left_version}/"
                     f"v{node.right_version}{shared}"
@@ -125,9 +98,9 @@ class TreeInspector:
         return "\n".join(lines)
 
     def sharing_stats(self, blob_id: str, version: int) -> SharingStats:
-        entries = self._walk(blob_id, version, None)
-        real = [(d, n, k) for d, n, k in entries if n is not None]
-        own = sum(1 for _, _, k in real if k.version == version)
+        version, entries = self._walk(blob_id, version, None)
+        real = [k for _, n, k in entries if n is not None]
+        own = sum(1 for k in real if k.version == version)
         return SharingStats(
             blob_id=blob_id,
             version=version,

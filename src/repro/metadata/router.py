@@ -189,7 +189,7 @@ def fetch_nodes(
     leaves_only: bool = False,
 ) -> Protocol[list[TreeNode]]:
     """Fetch tree nodes, falling back across replicas on failure — the one
-    node-fetch step of every tree walker (READ, GC mark, inspect, diff).
+    node-fetch step of every tree walker (READ, :func:`walk_tree`, diff).
 
     Returns every node received, in ``keys`` order. With ``within``, a key
     below the router's cut is fetched with ``meta.get_subtree``: its owner
@@ -228,6 +228,38 @@ def fetch_nodes(
             nodes.extend(reply)
         else:
             nodes.append(reply)
+    return nodes
+
+
+def walk_tree(
+    router: StaticRouter,
+    roots: list[NodeKey],
+    within: Interval | None,
+    floor: int = 0,
+) -> Protocol[dict[NodeKey, TreeNode]]:
+    """Every stored node reachable from ``roots``, each fetched once — the
+    level-order walk behind GC's mark and ``inspect``.
+
+    One :func:`fetch_nodes` batch per level (with ``within``, a whole
+    co-located subtree per key, which is complete below its key, so what it
+    brought is not fetched again). Keys of size ``<= floor`` are not
+    expanded, and a version-0 key — the implicit zero subtree — is never
+    fetched: nothing is stored for it.
+    """
+    nodes: dict[NodeKey, TreeNode] = {}
+    frontier = [key for key in roots if key.version]
+    while frontier:
+        for node in (yield from fetch_nodes(router, frontier, within)):
+            nodes[node.key] = node
+        next_frontier: dict[NodeKey, None] = {}  # ordered, deduplicated
+        for key in frontier:
+            node = nodes[key]
+            if node.is_leaf or key.size <= floor:
+                continue
+            for child in node.child_keys():
+                if child.version and child not in nodes:
+                    next_frontier[child] = None
+        frontier = list(next_frontier)
     return nodes
 
 

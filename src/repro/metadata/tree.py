@@ -135,7 +135,8 @@ class TreeGeometry:
         return log2_exact(self.total_size) - log2_exact(iv.size)
 
     def count_visit_nodes(self, iv: Interval) -> int:
-        """Closed form |visit_intervals(iv)| (used for cost accounting)."""
+        """Closed form |visit_intervals(iv)|. Nothing in the library calls
+        it: it is the tests' oracle for the nodes a WRITE visits."""
         total = 0
         for depth in range(self.depth + 1):
             size = self.total_size >> depth

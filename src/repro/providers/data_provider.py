@@ -84,9 +84,6 @@ class DataProvider:
             )
         return payload
 
-    def has_page(self, key: PageKey) -> bool:
-        return key in self._pages
-
     def free_pages(self, keys: Iterable[PageKey]) -> int:
         """Drop pages (garbage collection); returns the number freed."""
         freed = 0

@@ -109,7 +109,7 @@ def canonical_cover(iv: Interval, pagesize: int) -> list[Interval]:
 
     The result is the unique minimal list of canonical intervals whose
     disjoint union equals ``iv``; it has at most ``2 * log2(size/pagesize)``
-    elements. Used by the garbage collector and by tests as an independent
+    elements. Nothing in the library calls it: it is the tests' independent
     oracle for tree traversals.
     """
     if iv.offset % pagesize or iv.size % pagesize:

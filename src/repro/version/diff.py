@@ -11,24 +11,23 @@ intersects it — i.e. the resolved writer version of the range differs
 between the snapshots. (A write of identical bytes still reports: this is
 structural diff, the one applications want for incremental reprocessing.)
 
+The walk is not :func:`~repro.metadata.router.walk_tree`, which fetches
+everything reachable from its roots: it walks ``(old key, new key)`` pairs
+level by level and expands only the pairs whose labels differ.
 ``diff_protocol`` is sans-io like every other protocol; ``changed_ranges``
 is the blocking client helper.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
 from repro.errors import VersionNotPublished
 from repro.metadata.cache import MetadataCache
 from repro.metadata.node import NodeKey, TreeNode
 from repro.metadata.router import StaticRouter, fetch_nodes
 from repro.metadata.tree import TreeGeometry
-from repro.net.sansio import Batch, Call, Op
+from repro.net.sansio import Batch, Call, Protocol
 from repro.util.intervals import Interval
-
-Proto = Generator[Op, Any, Any]
-
+from repro.version.manager import LATEST
 
 def diff_protocol(
     blob_id: str,
@@ -37,86 +36,62 @@ def diff_protocol(
     v_new: int,
     router: StaticRouter,
     cache: MetadataCache | None = None,
-) -> Proto:
+) -> Protocol[list[Interval]]:
     """Sans-io diff; returns a merged list of changed :class:`Interval`.
 
-    Both versions must be published. ``v_old`` may exceed ``v_new``; the
-    result is symmetric, so the arguments are normalized.
+    Both versions must be published (either may be ``LATEST``); the vm's
+    one ``vm.resolve_read`` reply checks ``v_new`` and names the latest
+    version ``v_old`` is checked against. The result is symmetric, so
+    ``v_old`` may exceed ``v_new``.
     """
-    if v_old > v_new:
-        v_old, v_new = v_new, v_old
     (resolved,) = yield Batch([Call("vm", "vm.resolve_read", (blob_id, v_new))])
-    effective, _latest = resolved
-    if effective != v_new:  # defensive; resolve_read raises on unpublished
-        raise VersionNotPublished(blob_id, v_new, effective)
+    v_new, latest = resolved
+    if v_old == LATEST:
+        v_old = latest
+    if not 0 <= v_old <= latest:
+        raise VersionNotPublished(blob_id, v_old, latest)
     if v_old == v_new:
         return []
 
     changed: list[Interval] = []
-    # frontier entries: (interval, old_ref, new_ref) with old_ref != new_ref
-    frontier: list[tuple[Interval, int, int]] = []
-    root = geom.root
-    # Resolved root references: the root node of snapshot v exists for
-    # every v >= 1; v == 0 is the implicit zero tree (reference 0).
-    frontier.append((root, v_old, v_new))
-
+    # (old key, new key) pairs over one interval, whose labels differ; a
+    # version-0 key is the implicit zero tree, whose children are zeros too
+    frontier = [(NodeKey(blob_id, v_old, 0, geom.total_size),
+                 NodeKey(blob_id, v_new, 0, geom.total_size))]
+    pagesize = geom.pagesize
     while frontier:
-        # fetch the internal nodes we must expand (both sides, deduped)
-        need: dict[NodeKey, TreeNode | None] = {}
-        for iv, old_ref, new_ref in frontier:
-            if geom.is_leaf(iv):
-                continue
-            for ref in (old_ref, new_ref):
-                if ref > 0:
-                    need.setdefault(NodeKey(blob_id, ref, iv.offset, iv.size))
-        keys = list(need)
+        if frontier[0][0].size == pagesize:  # one level at a time: leaves
+            changed.extend(old.interval for old, _ in frontier)
+            break
+        # both sides' nodes (no key repeats: one pair per interval), from
+        # the cache or node by node — no ``within``: the walk prunes by
+        # comparing child labels, which a provider's interval descent cannot
         fetched: dict[NodeKey, TreeNode] = {}
         to_fetch: list[NodeKey] = []
-        for key in keys:
+        for key in (key for pair in frontier for key in pair if key.version):
             node = cache.get(key) if cache is not None else None
-            if node is not None:
-                fetched[key] = node
-            else:
+            if node is None:
                 to_fetch.append(key)
-        # node by node (no ``within``): the walk prunes by comparing child
-        # references, which a provider's interval descent cannot do
+            else:
+                fetched[key] = node
         for node in (yield from fetch_nodes(router, to_fetch)):
             fetched[node.key] = node
             if cache is not None:
                 cache.put(node)
-
-        next_frontier: list[tuple[Interval, int, int]] = []
-        for iv, old_ref, new_ref in frontier:
-            assert old_ref != new_ref
-            if geom.is_leaf(iv):
-                changed.append(iv)
-                continue
-            old_children = _child_refs(fetched, blob_id, iv, old_ref)
-            new_children = _child_refs(fetched, blob_id, iv, new_ref)
-            for (child_iv, a), (_, b) in zip(old_children, new_children):
-                if a != b:
-                    next_frontier.append((child_iv, a, b))
-        frontier = next_frontier
+        frontier = [
+            (a, b)
+            for old, new in frontier
+            for a, b in zip(_children(fetched, old), _children(fetched, new))
+            if a.version != b.version
+        ]
 
     return merge_intervals(changed)
 
 
-def _child_refs(
-    fetched: dict[NodeKey, TreeNode],
-    blob_id: str,
-    iv: Interval,
-    ref: int,
-) -> list[tuple[Interval, int]]:
-    """Child (interval, version-reference) pairs for one side of the walk.
-
-    Reference 0 is the implicit zero tree: both children are reference 0.
-    """
-    left, right = iv.left_half(), iv.right_half()
-    if ref == 0:
-        return [(left, 0), (right, 0)]
-    node = fetched[NodeKey(blob_id, ref, iv.offset, iv.size)]
-    assert node.left_version is not None and node.right_version is not None
-    return [(left, node.left_version), (right, node.right_version)]
+def _children(fetched: dict[NodeKey, TreeNode], key: NodeKey):
+    """Both child keys of ``key``; those of the zero tree are zeros too."""
+    node = fetched[key] if key.version else TreeNode(key, 0, 0)
+    return node.child_keys()
 
 
 def merge_intervals(parts: list[Interval]) -> list[Interval]:

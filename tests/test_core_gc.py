@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NodeMissing, StaleWrite, VersionNotPublished
 from repro.util.sizes import KB
+from repro.version.manager import LATEST
 from tests.conftest import SMALL_PAGE, pages
 
 
@@ -74,6 +75,23 @@ class TestGC:
         client.write(blob, pages(1), 0)
         with pytest.raises(StaleWrite):
             client.gc(blob, [7], dep.data_ids, dep.meta_ids)
+
+    def test_gc_keeps_latest_as_the_newest_version(self, dep, client, blob):
+        contents = setup_versions(client, blob, 2)
+        stats = client.gc(blob, [LATEST], dep.data_ids, dep.meta_ids)
+        assert stats.kept_versions == (2,)
+        assert stats.pages_live == 2 and stats.pages_freed == 2
+        assert client.read_bytes(blob, 0, 2 * SMALL_PAGE) == contents[2]
+
+    def test_gc_refuses_other_negative_versions_before_freeing(
+        self, dep, client, blob
+    ):
+        contents = setup_versions(client, blob, 2)
+        pages_before = dep.total_pages_stored()
+        with pytest.raises(ValueError):
+            client.gc(blob, [2, -2], dep.data_ids, dep.meta_ids)
+        assert dep.total_pages_stored() == pages_before
+        assert client.read_bytes(blob, 0, 2 * SMALL_PAGE, version=1) == contents[1]
 
     def test_gc_stats_consistency(self, dep, client, blob):
         setup_versions(client, blob, 3)

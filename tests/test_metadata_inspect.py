@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metadata.inspect import TreeInspector
+from repro.version.manager import LATEST
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
 
 NPAGES = SMALL_TOTAL // SMALL_PAGE
@@ -69,3 +70,16 @@ class TestSharingStats:
             client.write(blob, pages(1, bytes([k])), (k % NPAGES) * SMALL_PAGE)
             stats = inspector.sharing_stats(blob, k)
             assert stats.own_nodes == small_geom.depth + 1
+
+
+class TestLatest:
+    def test_latest_reads_the_newest_snapshot(self, client, blob):
+        inspector = TreeInspector(client)
+        assert "all-zero" in inspector.dump(blob, LATEST)
+        client.write(blob, pages(2, b"a"), 0)
+        client.write(blob, pages(1, b"b"), 0)
+        assert inspector.sharing_stats(blob, LATEST) == inspector.sharing_stats(blob, 2)
+        assert inspector.dump(blob, LATEST) == inspector.dump(blob, 2)
+        assert inspector.dump(blob, LATEST, max_depth=1) == inspector.dump(
+            blob, 2, max_depth=1
+        )

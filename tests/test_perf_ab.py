@@ -1,11 +1,13 @@
 """scripts/perf_ab.py: the pair schedule, the output parser, the
 summary, the verdicts and the sign-test line, on canned perfbench output
-— no cluster is launched."""
+— no cluster is launched — and the copy of the work tree the change runs
+from."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perf_ab.py"
@@ -198,3 +200,23 @@ def test_report_streaks_prints_the_losses_inside_the_bound(capsys):
         "v seed=1 peak_rss_mb: change lost 2/3 pairs, p = 0.5 "
         "(sign test, reported only)",
     ]
+
+
+def test_the_change_tree_holds_new_files_and_omits_ignored_ones(tmp_path):
+    root = tmp_path / "repo"
+    (root / "pkg").mkdir(parents=True)
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "pkg" / "tracked.py").write_text("A = 1\n")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "."], cwd=root, check=True)
+    (root / "pkg" / "tracked.py").write_text("A = 2\n")  # uncommitted edit
+    (root / "pkg" / "new.py").write_text("B = 1\n")  # untracked, not ignored
+    (root / "run.log").write_text("noise\n")  # ignored
+    tree = perf_ab.snapshot(root, tmp_path / "work")
+    assert tree.parent == tmp_path / "work"
+    assert (tree / "pkg" / "tracked.py").read_text() == "A = 2\n"
+    assert (tree / "pkg" / "new.py").read_text() == "B = 1\n"
+    assert not (tree / "run.log").exists()
+    # made afresh per invocation: a file gone from the work tree is gone
+    (root / "pkg" / "new.py").unlink()
+    assert not (perf_ab.snapshot(root, tmp_path / "work") / "pkg" / "new.py").exists()

@@ -16,8 +16,8 @@ shard, not per tree level and not per node.
   batch, a node freed under a reader is a typed ``NodeMissing`` on every
   driver; a collected version reads as ``NodeMissing`` or its exact bytes;
 - the three other tree walkers (GC mark, inspect, diff) share the READ's
-  fetch helper: they survive a crashed primary, and a GC mark of a
-  depth-18 blob is 5 batches, not 19;
+  fetch helper: they survive a crashed primary, a GC mark or an inspect of
+  a depth-18 blob is 5 batches, not 19, and a diff one per level;
 - the counters reach ``meta.stats`` / ``vm.stats`` and the scrape.
 """
 
@@ -44,8 +44,9 @@ from repro.metadata.provider import MetadataProvider
 from repro.metadata.router import SUBTREE_BYTES
 from repro.net.sansio import Batch, Call, Compute
 from repro.obs.metrics import render_metrics, scrape_driver
+from repro.util.intervals import Interval
 from repro.util.sizes import GB, KB, MB
-from repro.version.diff import changed_ranges
+from repro.version.diff import changed_ranges, diff_protocol
 from repro.version.manager import LATEST, VersionManager
 from tests.conftest import BUILDERS, SMALL_PAGE, SMALL_TOTAL, pages
 
@@ -746,6 +747,45 @@ def test_gc_mark_of_a_depth_18_blob_is_5_batches_not_19():
     # 4 hashed levels above the 64 MiB cut + one get_subtree batch
     assert marks == {0: 19, SUBTREE_BYTES: 5}
     assert marks[SUBTREE_BYTES] <= 7
+
+
+def test_inspect_and_diff_of_a_depth_18_blob_keep_their_batch_counts(monkeypatch):
+    """The walkers' traffic, pinned on GC's depth-18 blob with no cache:
+    an unbounded inspect is one batch per level, or 4 hashed levels + one
+    ``get_subtree`` batch below the cut; ``max_depth=2`` is 3 levels; a
+    diff is the vm's reply + one batch per internal level, either way."""
+    counts = {}
+    for cut in (0, SUBTREE_BYTES):
+        dep = build_inproc(DeploymentSpec(n_data=4, n_meta=4, cache_capacity=0,
+                                          meta_subtree_bytes=cut))
+        client = dep.client()
+        blob = client.alloc(1 * GB, SMALL_PAGE)
+        geom = client.open(blob)
+        assert geom.depth == 18
+        client.write(blob, pages(4), 0)
+        client.write(blob, pages(2), 40 * MB)
+        inspector = TreeInspector(client)
+        run = client.driver.run
+        runs = []
+
+        def observed_run(proto):
+            proto, seen = observed(proto)
+            runs.append(seen)
+            return run(proto)
+
+        def meta_batches(action):
+            runs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(client.driver, "run", observed_run)
+                action()
+            return sum(seen["meta_batches"] for seen in runs)
+
+        unbounded = meta_batches(lambda: inspector.sharing_stats(blob, 2))
+        bounded = meta_batches(lambda: inspector.dump(blob, 2, max_depth=2))
+        proto, seen = observed(diff_protocol(blob, geom, 1, 2, dep.router))
+        assert run(proto) == [Interval(40 * MB, 2 * SMALL_PAGE)]
+        counts[cut] = (unbounded, bounded, seen["batches"], seen["meta_batches"])
+    assert counts == {0: (19, 3, 19, 18), SUBTREE_BYTES: (5, 3, 19, 18)}
 
 
 def test_simulator_prices_a_subtree_reply_per_node_returned():

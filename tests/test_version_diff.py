@@ -10,6 +10,7 @@ from repro.errors import VersionNotPublished
 from repro.util.intervals import Interval
 from repro.util.sizes import KB
 from repro.version.diff import changed_ranges, merge_intervals
+from repro.version.manager import LATEST
 from tests.conftest import SMALL_PAGE, SMALL_TOTAL, pages
 
 
@@ -77,6 +78,17 @@ class TestChangedRanges:
         client.write(blob, pages(1), 0)
         with pytest.raises(VersionNotPublished):
             changed_ranges(client, blob, 1, 9)
+
+    def test_latest_is_the_newest_version_on_either_side(self, client, blob):
+        client.write(blob, pages(1, b"a"), 0)
+        client.write(blob, pages(2, b"b"), 4 * SMALL_PAGE)
+        expected = [Interval(4 * SMALL_PAGE, 2 * SMALL_PAGE)]
+        assert changed_ranges(client, blob, 1, LATEST) == expected
+        assert changed_ranges(client, blob, LATEST, 1) == expected
+        assert changed_ranges(client, blob, LATEST, LATEST) == []
+        for v_old, v_new in ((9, LATEST), (LATEST, 9)):
+            with pytest.raises(VersionNotPublished):
+                changed_ranges(client, blob, v_old, v_new)
 
     def test_rewrite_of_same_range_reported(self, client, blob):
         """Structural semantics: rewriting identical bytes still reports."""
