@@ -3,12 +3,15 @@
 Where one perfbench trial's CPU goes: it builds the trial exactly as
 ``perfbench/run.py`` does (one CPU, the same cluster, populate and warm-up
 round), then prints CPU µs per timed op for each thread of this process
-(``MainThread``, ``aio-driver``, ``actor-vm``, ``actor-pm``, ``recv-*``, ...)
-and for each agent process, from the nanosecond run time the scheduler
-keeps per thread (the first field of ``/proc/<pid>/task/<tid>/schedstat``),
-read before and after the timed rounds. Beside it, ``slices_per_op`` is
-how many times per timed op the row's threads were put on a CPU (the
-third field): many short slices per op is a thread woken per request.
+(``MainThread``, ``aio-driver``, ``recv-*``, and ``actor-vm`` /
+``actor-pm`` on aio, ...) and for each agent process, from the
+nanosecond run time the scheduler keeps per thread (the first field of
+``/proc/<pid>/task/<tid>/schedstat``), read before and after the timed
+rounds. Beside it, ``slices_per_op`` is how many times per timed op the
+row's threads were put on a CPU (the third field): many short slices per
+op is a thread woken per request. ``minflt_per_op`` is the minor page
+faults the row's threads took per timed op (field 10 of
+``/proc/<pid>/task/<tid>/stat``): fresh memory touched per op.
 
 The timed rounds run through the trial's own op runners, without the
 calibration kernel ``run_round`` brackets each round with, so
@@ -41,32 +44,39 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.harness import Trial, TrialConfig, pin_one_cpu  # noqa: E402
 from perfbench.refkernel import time_kernel  # noqa: E402
 
-def task_cpu(pid: int) -> dict[int, tuple[int, int]]:
-    """``(CPU ns on the clock, time slices run)`` of every thread of ``pid``."""
+def task_cpu(pid: int) -> dict[int, tuple[int, int, int]]:
+    """``(CPU ns on the clock, time slices run, minor faults)`` of every
+    thread of ``pid``."""
     cpu = {}
     for tid in os.listdir(f"/proc/{pid}/task"):
         try:
             with open(f"/proc/{pid}/task/{tid}/schedstat") as fh:
                 ns, _wait_ns, slices = fh.read().split()[:3]
+            with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+                stat = fh.read()
         except FileNotFoundError:  # the thread exited since the listing
             continue
-        cpu[int(tid)] = (int(ns), int(slices))
+        # field 10; the name (field 2) may hold spaces, so count the
+        # fields after its closing parenthesis, which start at field 3
+        minflt = stat[stat.rindex(")") + 2:].split()[10 - 3]
+        cpu[int(tid)] = (int(ns), int(slices), int(minflt))
     return cpu
 
 
-def snapshot(trial: Trial) -> dict[str, tuple[int, int]]:
-    """``(CPU ns, slices)`` per row: this process's threads by name,
-    agents by actors."""
+def snapshot(trial: Trial) -> dict[str, tuple[int, int, int]]:
+    """``(CPU ns, slices, minor faults)`` per row: this process's threads
+    by name, agents by actors."""
     names = {t.native_id: t.name for t in threading.enumerate()}
-    rows: dict[str, tuple[int, int]] = {}
-    for tid, (ns, slices) in task_cpu(os.getpid()).items():
+    rows: dict[str, tuple[int, int, int]] = {}
+    for tid, counts in task_cpu(os.getpid()).items():
         name = names.get(tid, f"tid-{tid}")
-        got_ns, got_slices = rows.get(name, (0, 0))
-        rows[name] = (got_ns + ns, got_slices + slices)
+        rows[name] = tuple(
+            a + b for a, b in zip(rows.get(name, (0, 0, 0)), counts)
+        )
     for agent in trial.dep.agents:
         label = "agent " + "+".join(agent.actor_names)
         threads = task_cpu(agent.proc.pid).values()
-        rows[label] = (sum(ns for ns, _ in threads), sum(s for _, s in threads))
+        rows[label] = tuple(sum(column) for column in zip(*threads))
     return rows
 
 
@@ -141,21 +151,23 @@ def main(argv: list[str] | None = None) -> int:
           f"{trial.failed} failed; thread CPU and slices from schedstat; "
           "no calibration kernel in the timed rounds; the gc rows are "
           "inside the thread rows")
-    print(f"{'process / thread':<40} {'cpu_us_per_op':>14} {'slices_per_op':>14}")
+    print(f"{'process / thread':<40} {'cpu_us_per_op':>14} "
+          f"{'slices_per_op':>14} {'minflt_per_op':>14}")
     spent = {
-        name: [a - b for a, b in zip(after[name], before.get(name, (0, 0)))]
+        name: [a - b for a, b in zip(after[name], before.get(name, (0, 0, 0)))]
         for name in after
     }
     for name in sorted(spent, key=lambda k: spent[k][0], reverse=True):
-        ns, slices = spent[name]
-        print(f"{name:<40} {ns / 1e3 / per_op:>14.1f} {slices / per_op:>14.2f}")
+        ns, slices, minflt = spent[name]
+        print(f"{name:<40} {ns / 1e3 / per_op:>14.1f} {slices / per_op:>14.2f} "
+              f"{minflt / per_op:>14.2f}")
     gc_us = sum(collections.cpu_ns) / 1e3 / per_op
-    print(f"{'gc':<40} {gc_us:>14.1f} {'-':>14}")
+    print(f"{'gc':<40} {gc_us:>14.1f} {'-':>14} {'-':>14}")
     for gen, (runs, ns, found) in enumerate(zip(
         collections.runs, collections.cpu_ns, collections.collected
     )):
         label = f"gc gen{gen} ({runs} runs, {found} collected)"
-        print(f"{label:<40} {ns / 1e3 / per_op:>14.1f} {'-':>14}")
+        print(f"{label:<40} {ns / 1e3 / per_op:>14.1f} {'-':>14} {'-':>14}")
     return 1 if trial.failed else 0
 
 

@@ -7,9 +7,9 @@ it; ``build_tcp`` serves both the ``tcp`` and the ``aio`` driver:
 
 - :func:`~repro.deploy.inproc.build_inproc` — everything in one thread;
   the functional substrate for tests, examples and the sky pipeline.
-- :func:`~repro.deploy.threaded.build_threaded` — each actor on its own
-  service thread (the paper's one-process-per-node layout), real client
-  threads; validates concurrency/lock-freedom claims.
+- :func:`~repro.deploy.threaded.build_threaded` — each actor entered by
+  one thread at a time, under its own lock (the confinement a node agent
+  keeps), real client threads; validates concurrency/lock-freedom claims.
 - :func:`~repro.deploy.tcp.build_tcp` — provider actors behind node
   agents reached over real TCP connections: the cluster deployment,
   launched as loopback OS processes (CI; no shared GIL, so the

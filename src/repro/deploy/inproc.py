@@ -133,7 +133,7 @@ class Deployment:
         return new_id
 
     def close(self) -> None:
-        """Stop the driver's service threads (inproc has none), then close
+        """Close the driver (its peers and in-parent actors), then close
         the vm and pm: journaled ones compact, as on a node agent's
         shutdown control, so the next incarnation replays nothing."""
         self.driver.close()

@@ -18,7 +18,8 @@ Orthogonally, ``control_plane`` picks where the version manager and
 provider manager — the intentional serialization points, whose RPCs are
 tiny — live:
 
-- ``"parent"``: on dedicated service threads in the driver process (the
+- ``"parent"``: in the driver process, served on the calling thread under
+  each actor's lock (on a service thread each with ``client="aio"``; the
   historical tcp layout);
 - ``"agents"``: on their own node agents, dialed like any other remote
   actor — the paper's deployment, where the vm and pm get dedicated

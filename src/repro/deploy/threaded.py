@@ -1,4 +1,5 @@
-"""Threaded deployment: real concurrency, one service thread per actor.
+"""Threaded deployment: real concurrency, each actor entered by one
+caller thread at a time, under its own lock.
 
 This is the deployment used to *demonstrate* the paper's concurrency
 properties: readers and writers in arbitrary interleavings, writers

@@ -9,8 +9,8 @@ drivers execute them:
 - :class:`~repro.net.inproc.InprocDriver` — direct dispatch, for functional
   tests, examples and the application pipeline;
 - :class:`~repro.net.threaded.ThreadedDriver` — caller threads against two
-  kinds of actor: in-parent ones, one service thread each with queue
-  transports (real concurrency, used to validate lock-freedom), and
+  kinds of actor: in-parent ones, served on the calling thread under
+  each actor's lock (real concurrency, used to validate lock-freedom), and
   remote ones behind ``host:port`` node agents (:mod:`repro.net.node`),
   one OS process each on loopback or real hosts, reached through a
   :class:`~repro.net.tcp.TcpPeer`: length-prefixed pickle frames

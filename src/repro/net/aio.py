@@ -45,6 +45,14 @@ connected/down flags read by the sync facade — use a lock-guarded wake
 list (one ``call_soon_threadsafe`` per burst) and ``threading.Event``
 mirrors respectively.
 
+In-parent actors (``register``) keep a service thread each here
+(:class:`_ServerThread`, an ``actor-*`` thread behind a FIFO inbox), the
+one driver that has them: the loop must never block on an actor, so it
+queues a group and goes on, where the blocking driver serves the group on
+its calling thread. Each in-parent actor is still entered by one thread,
+so the only serialization point in the data path stays the version
+manager's service queue.
+
 Two client surfaces share the driver:
 
 - **async-native**: :meth:`AioDriver.drive` is an awaitable protocol
@@ -81,7 +89,9 @@ import asyncio
 import collections
 import concurrent.futures
 import contextvars
+import queue
 import threading
+import time
 from typing import Any, Callable, Mapping
 
 from repro.errors import RemoteError, ReproError
@@ -98,6 +108,7 @@ from repro.net.sansio import (
     Address,
     Protocol,
     WireGroup,
+    serve_group,
     step,
 )
 from repro.net.threaded import PeerRegistry, ProtocolFuture
@@ -114,6 +125,7 @@ from repro.net.wire import (
     why_lost,
 )
 from repro.obs.spans import trace_async_operation
+from repro.obs.telemetry import telemetry_report
 
 __all__ = [
     "AioDriver",
@@ -132,6 +144,56 @@ def __getattr__(name: str) -> Any:
 
         return AsyncBlobClient
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_SHUTDOWN = object()
+
+
+class _ServerThread:
+    """Service loop for one actor: processes aggregated wire groups FIFO."""
+
+    def __init__(self, address: Address, actor: Actor) -> None:
+        self.address = address
+        self.actor = actor
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.served_calls = 0
+        self.served_rpcs = 0
+        self._thread = threading.Thread(
+            target=self._loop, name=f"actor-{address}", daemon=True
+        )
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while True:
+            item = self.inbox.get()
+            if item is _SHUTDOWN:
+                return
+            calls, slot, latch, gen, trace, t_enq = item
+            # One inbox item == one wire RPC carrying aggregated sub-calls.
+            self.served_rpcs += 1
+            self.served_calls += len(calls)
+            slot[0] = serve_group(
+                self.actor, calls, trace, time.perf_counter_ns() - t_enq, 0
+            )
+            latch.group_done(gen)
+
+    def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
+        """Queue one wire group (a peer's contract: values in ``slot[0]``)."""
+        self.inbox.put((group.calls, slot, latch, gen, trace, time.perf_counter_ns()))
+
+    @staticmethod
+    def reply_values(slot: list, n_calls: int) -> list:
+        return slot[0]
+
+    def report(self) -> dict[str, Any]:
+        """The ``telemetry`` report: wire counters + service-time snapshot,
+        the shape a node agent's actor answers over the wire (read off
+        the service queue, so a scrape never perturbs the counters)."""
+        return telemetry_report(self.actor, self.served_rpcs, self.served_calls)
+
+    def stop(self) -> None:
+        self.inbox.put(_SHUTDOWN)
+        self._thread.join(timeout=10)
 
 
 class _Stepper:
@@ -657,6 +719,10 @@ class AioDriver(PeerRegistry):
                 pass
         coro.close()
         raise RuntimeError("driver is closed")
+
+    @staticmethod
+    def _new_server(address: Address, actor: Actor) -> _ServerThread:
+        return _ServerThread(address, actor)
 
     def _new_peer(self, address: Address, endpoint: Endpoint) -> AioPeer:
         async def make() -> AioPeer:  # peers are born on the loop

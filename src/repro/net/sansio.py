@@ -19,8 +19,8 @@ Operations:
   work is actually performed by the surrounding Python code.
 
 Every driver runs a protocol by one stepping rule, :func:`step`, and
-answers one contract, :class:`Driver`; an in-parent service thread and
-a node agent serve a wire group by one body, :func:`serve_group`.
+answers one contract, :class:`Driver`; an in-parent actor and a node
+agent serve a wire group by one body, :func:`serve_group`.
 
 Nothing else: a protocol never asks for the time. Every driver records
 the span schema (:mod:`repro.obs.spans`) around the batches of a traced

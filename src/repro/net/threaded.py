@@ -1,56 +1,60 @@
-"""Blocking driver: caller threads, in-parent service threads, TCP peers.
+"""Blocking driver: caller threads, in-parent actors, TCP peers.
 
 One driver runs every blocking deployment. An actor placed with
-``register`` runs its own service loop on an in-parent thread — data
-provider, metadata provider, version manager, provider manager — exactly
-like the paper's one-process-per-node deployment; an actor bound with
-``register_remote`` lives behind a ``host:port`` endpoint served by a
-node agent (:mod:`repro.net.node`), reached through a
+``register`` stays in this process and is served on the thread that
+submits its group, under the actor's lock — the confinement rule a node
+agent keeps for the actors it hosts (:mod:`repro.net.node`), so no
+service thread or inbox stands between a caller and an in-parent actor;
+an actor bound with ``register_remote`` lives behind a ``host:port``
+endpoint served by a node agent, reached through a
 :class:`~repro.net.tcp.TcpPeer`. Any number of client threads issue
 protocols against either kind concurrently. With only in-parent actors
 this is the threaded deployment; with remote ones, the TCP cluster
 (loopback agents or real hosts — only the endpoints in the
 :class:`~repro.net.address.ClusterMap` change).
 
-Because each in-parent actor is confined to a single service thread,
-actor code needs no internal locking; the *only* serialization point in
-the whole data path is the version manager's service queue — which is
-precisely the design the paper argues for. Throughput numbers from
-in-parent actors are not meaningful: they share the client's GIL, so
-only agents in their own OS processes are timed (README.md, "Timing
-needs separate processes"). Correctness under concurrency is what the
-threaded deployment shows.
+Because each in-parent actor is entered by one thread at a time, actor
+code needs no internal locking; the *only* serialization point in the
+whole data path is the version manager's lock — which is precisely the
+design the paper argues for. Throughput numbers from in-parent actors are
+not meaningful: they share the client's GIL, so only agents in their own
+OS processes are timed (README.md, "Timing needs separate processes").
+Correctness under concurrency is what the threaded deployment shows.
 
 Transport batching mirrors the simulated driver: both execute exactly the
 wire groups planned by :func:`repro.net.sansio.plan_wire_groups`, so a
-batch costs **one queue submission per destination** (one inbox item or
-one frame carrying all of that destination's sub-calls) and **at most one
-completion wakeup per batch** (the last destination to finish notifies the
-waiting caller; every other destination only decrements a counter). Caller
-threads reuse a thread-local :class:`_BatchLatch` across batches, so the
-hot path allocates no locks, conditions or events per batch. The counters
-exposed by :meth:`PeerRegistry.transport_stats` make these bounds testable.
+batch costs **one queue submission per destination** (one frame carrying
+all of that destination's sub-calls, or one in-parent group served in
+place) and **at most one completion wakeup per batch** (the last
+destination to finish releases the waiting caller; every other
+destination only decrements a counter). A batch sends its remote groups
+first and serves its in-parent ones after them, so their round trips
+overlap. Caller threads reuse a thread-local :class:`_BatchLatch` across
+batches — one lock, released by the last group and acquired by the
+caller — so the hot path allocates no locks, conditions or events per
+batch. The counters exposed by :meth:`PeerRegistry.transport_stats` make
+these bounds testable.
 
 :class:`PeerRegistry` is what this driver and the asyncio one
 (:mod:`repro.net.aio`) share: registration, health, the scrape surface,
 destination resolution, the caller-side counters and the batch body, on
 top of the :class:`~repro.net.sansio.Driver` every driver is. A driver
-supplies only how it waits for a batch and how it makes, asks and stops
-peers. A service thread serves a group as a node agent does, through
-:func:`~repro.net.sansio.serve_group`.
+supplies only how it waits for a batch, how it places an in-parent actor
+and how it makes, asks and stops peers. An in-parent group is served as
+a node agent serves one, through :func:`~repro.net.sansio.serve_group`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import queue
 import threading
 import time
 from typing import Any, Mapping, NamedTuple
 
 from repro.errors import RemoteError
 from repro.net.address import ClusterMap, Endpoint, parse_endpoint
+from repro.net.node import _ActorService
 from repro.net.sansio import (
     Actor,
     Address,
@@ -67,9 +71,10 @@ from repro.net.tcp import TcpPeer
 from repro.net.wire import CTL_TELEMETRY
 from repro.obs.hist import LatencyHistogram, merge_all
 from repro.obs.spans import current_op, group_context, record_group_spans
-from repro.obs.telemetry import telemetry_report
 
-_SHUTDOWN = object()
+#: how many protocols in a row a caller thread completes by itself before
+#: it lets other threads take the GIL (:meth:`_BatchLatch.done`)
+_INLINE_RUN = 2
 
 #: per caller thread: its :class:`_BatchLatch` (a thread waits on one batch
 #: at a time, whichever driver runs it, so one latch serves them all)
@@ -88,56 +93,94 @@ def dest_kind(dest: Address) -> str:
 
 
 class _BatchLatch:
-    """Reusable countdown latch owned by one caller thread.
+    """Reusable countdown latch owned by one caller thread: one lock,
+    held while a batch is pending, released by its last ``group_done``
+    and acquired by ``wait``.
 
-    A caller thread executes one batch at a time, so the same latch (and
-    its single lock) serves every batch that thread ever runs: ``begin``
-    arms it before any submission, service and receiver threads call
-    ``group_done`` once per wire group, and only the final decrement pays
-    a ``notify``.
+    A caller thread executes one batch at a time, so the same latch
+    serves every batch that thread ever runs: ``begin`` arms it before
+    any submission, the caller itself (in-parent groups, failed peers)
+    and receiver threads call ``group_done`` once per wire group, and
+    only the final decrement releases the lock. ``_guard`` keeps the
+    countdown whole when groups complete on several threads at once.
 
-    Every batch gets a fresh generation number, carried by its inbox items
-    and handed back by ``group_done``: if a caller unwinds out of ``wait``
-    (e.g. KeyboardInterrupt) with groups still queued, the next ``begin``
-    bumps the generation and the stale groups' completions are ignored
-    instead of corrupting the new batch's countdown. (Their result writes
-    land in the abandoned batch's results list, which nobody reads.)
+    Every batch gets a fresh generation number, carried with its groups
+    and handed back by ``group_done``: if a caller unwinds out of
+    ``wait`` (e.g. KeyboardInterrupt) with groups still in flight, the
+    next ``begin`` bumps the generation and the stale groups' completions
+    are ignored instead of corrupting the new batch's countdown. (Their
+    result writes land in the abandoned batch's results list, which
+    nobody reads.)
 
-    The latch counts the notifies it pays for the current batch; ``wait``
-    returns that count, which the driver adds to ``completion_wakeups``.
+    The latch counts the releases of the current batch — a group
+    completed twice counts twice, and never raises — and ``wait`` returns
+    that count, which the driver adds to ``completion_wakeups``.
     """
 
-    __slots__ = ("_cond", "_pending", "_gen", "_notifies")
+    __slots__ = (
+        "_lock", "_guard", "_pending", "_gen", "_releases", "_owner",
+        "_released_by", "_left", "_inline_run",
+    )
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._guard = threading.Lock()
         self._pending = 0
         self._gen = 0
-        self._notifies = 0
+        self._releases = 0
+        self._owner = threading.get_ident()
+        self._released_by = 0  # the thread that completed the batch
+        #: whether a batch of the current protocol was completed by another
+        #: thread, and how many protocols in a row were not (see ``done``)
+        self._left = False
+        self._inline_run = 0
 
     def begin(self, n_groups: int) -> int:
         """Arm for a new batch; returns the batch's generation stamp."""
-        with self._cond:
+        with self._guard:
+            # held, unless the completion of an abandoned batch released it
+            self._lock.acquire(blocking=False)
             self._gen += 1
             self._pending = n_groups
-            self._notifies = 0
+            self._releases = 0
+            if n_groups <= 0:
+                self._lock.release()  # nothing to wait for
         return self._gen
 
     def group_done(self, gen: int) -> None:
-        with self._cond:
+        with self._guard:
             if gen != self._gen:
                 return  # completion of an abandoned batch: ignore
             self._pending -= 1
             if self._pending <= 0:
-                self._notifies += 1
-                self._cond.notify()
+                self._releases += 1
+                self._released_by = threading.get_ident()
+                if self._lock.locked():
+                    self._lock.release()
 
     def wait(self) -> int:
-        """Block until the batch completes; returns the notifies it took."""
-        with self._cond:
-            while self._pending > 0:
-                self._cond.wait()
-            return self._notifies
+        """Block until the batch completes; returns the releases it took."""
+        self._lock.acquire()
+        if self._released_by != self._owner:
+            self._left = True
+        return self._releases
+
+    def done(self) -> None:
+        """A protocol ended on this thread. One whose every batch this
+        thread completed itself (its groups served here, or failed fast)
+        released the GIL nowhere, and a thread that runs such protocols
+        back to back keeps it for whole switch intervals while other
+        threads wait for it; so every ``_INLINE_RUN``-th in a row lets
+        them in, as a blocking wait or a socket send would."""
+        if self._left:
+            self._left = False
+            self._inline_run = 0
+            return
+        self._inline_run += 1
+        if self._inline_run >= _INLINE_RUN:
+            self._inline_run = 0
+            time.sleep(0)
 
 
 class _Tally:
@@ -154,51 +197,39 @@ class _Tally:
         self.rtt: dict[str, LatencyHistogram] = {}
 
 
-class _ServerThread:
-    """Service loop for one actor: processes aggregated wire groups FIFO."""
+class _InlineService(_ActorService):
+    """An in-parent actor, served on the thread that submits its group
+    under the actor's lock — the node agent's confinement rule, its
+    served counters and its ``report`` — so a caller never hands a group
+    to another thread. Once stopped it refuses every group."""
 
-    def __init__(self, address: Address, actor: Actor) -> None:
-        self.address = address
-        self.actor = actor
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self.served_calls = 0
-        self.served_rpcs = 0
-        self._thread = threading.Thread(
-            target=self._loop, name=f"actor-{address}", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            item = self.inbox.get()
-            if item is _SHUTDOWN:
-                return
-            calls, slot, latch, gen, trace, t_enq = item
-            # One inbox item == one wire RPC carrying aggregated sub-calls.
+    def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
+        """Serve one wire group (a peer's contract: values in ``slot[0]``);
+        the wait for the lock is the group's queue wait."""
+        calls = group.calls
+        t_enq = time.perf_counter_ns()
+        with self.lock:
+            if self.stopped:
+                raise RuntimeError("driver is closed")
             self.served_rpcs += 1
             self.served_calls += len(calls)
             slot[0] = serve_group(
                 self.actor, calls, trace, time.perf_counter_ns() - t_enq, 0
             )
-            latch.group_done(gen)
-
-    def submit(self, group: Any, slot: list, latch: Any, gen: int, trace: Any) -> None:
-        """Queue one wire group (a peer's contract: values in ``slot[0]``)."""
-        self.inbox.put((group.calls, slot, latch, gen, trace, time.perf_counter_ns()))
+        latch.group_done(gen)
 
     @staticmethod
     def reply_values(slot: list, n_calls: int) -> list:
         return slot[0]
 
-    def report(self) -> dict[str, Any]:
-        """The ``telemetry`` report: wire counters + service-time snapshot,
-        the shape a node agent's actor answers over the wire (read off
-        the service queue, so a scrape never perturbs the counters)."""
-        return telemetry_report(self.actor, self.served_rpcs, self.served_calls)
-
     def stop(self) -> None:
-        self.inbox.put(_SHUTDOWN)
-        self._thread.join(timeout=10)
+        # a group already inside the actor finishes first (waited for as
+        # long as a service thread's join was), since the actor may be
+        # closed next; a wedged one does not hold the teardown
+        held = self.lock.acquire(timeout=10)
+        self.stopped = True
+        if held:
+            self.lock.release()
 
 
 class _FailedPeer(NamedTuple):
@@ -219,12 +250,14 @@ class _FailedPeer(NamedTuple):
 
 class PeerRegistry(Driver):
     """The address book and batch body every real driver keeps: in-parent
-    actors on service threads (``_servers``), remote ones behind peers
-    (``_remotes``), under ``_lock``, and the caller-side counters. A
-    driver supplies how it waits for a batch (between
-    :meth:`_submit_batch` and :meth:`_finish_batch`) and how it makes,
-    asks and stops peers: ``_new_peer``, ``_control``, ``_stop_peers``.
-    A peer reads a remote group's values with ``reply_values``."""
+    actors (``_servers``), remote ones behind peers (``_remotes``), under
+    ``_lock``, and the caller-side counters. A driver supplies how it
+    waits for a batch (between :meth:`_submit_batch` and
+    :meth:`_finish_batch`), how it places an in-parent actor
+    (``_new_server``: served inline, or on a service thread) and how it
+    makes, asks and stops peers: ``_new_peer``, ``_control``,
+    ``_stop_peers``. A peer reads a remote group's values with
+    ``reply_values``."""
 
     def __init__(
         self,
@@ -235,7 +268,7 @@ class PeerRegistry(Driver):
         self._lock = threading.Lock()
         self._closed = False
         self._connect_timeout = connect_timeout
-        self._servers: dict[Address, _ServerThread] = {}
+        self._servers: dict[Address, Any] = {}
         self._remotes: dict[Address, Any] = {}
         #: addresses whose peer is being built (see register_remote)
         self._reserved: set[Address] = set()
@@ -266,10 +299,10 @@ class PeerRegistry(Driver):
     # -- registration ----------------------------------------------------
 
     def register(self, address: Address, actor: Actor) -> None:
-        """Place an actor on an in-parent service thread."""
+        """Place an actor in this process (see ``_new_server``)."""
         with self._lock:
             self._claim(address)
-            self._servers[address] = _ServerThread(address, actor)
+            self._servers[address] = self._new_server(address, actor)
 
     def register_remote(self, address: Address, endpoint: Endpoint | str) -> Any:
         """Bind ``address`` to a node-agent endpoint; dialing starts
@@ -357,7 +390,7 @@ class PeerRegistry(Driver):
 
     def telemetry(self, address: Address) -> dict[str, Any]:
         """One actor's telemetry report (wire counters + service-time
-        snapshot, :meth:`_ServerThread.report`), queried over the wire as
+        snapshot, ``report()``), queried over the wire as
         a *control* for remote actors — controls are not counted as wire
         RPCs, so scraping is invisible to the workload counters. A failed
         address raises its ``PeerUnavailable``, as a dead peer does."""
@@ -382,7 +415,7 @@ class PeerRegistry(Driver):
           sub-calls the actors served, whatever frames carried them);
         - ``completion_wakeups``: caller wake-ups, counted by the latch
           where it pays them — at most one per batch (a thread's latch
-          notifies only on the last wire group; an aio protocol's
+          is released only by the last wire group; an aio protocol's
           stepper resumes it once, in the callback that completes its
           last group).
 
@@ -410,8 +443,8 @@ class PeerRegistry(Driver):
     # -- execution -------------------------------------------------------
 
     def _resolve(self, groups: list) -> list[Any]:
-        """The target of each wire group — its peer or in-parent service
-        thread, both taking ``submit`` and answering ``reply_values`` —
+        """The target of each wire group — its peer or in-parent actor,
+        both taking ``submit`` and answering ``reply_values`` —
         all resolved before anything is submitted: an unknown address
         leaves no latch armed and no group in flight. A failed address
         resolves to a :class:`_FailedPeer`."""
@@ -436,11 +469,12 @@ class PeerRegistry(Driver):
     def _submit_batch(self, calls: tuple[Call, ...], latch: Any) -> tuple:
         """First half of a batch: plan one wire group per destination,
         resolve every destination, count, then hand each group to its
-        peer or in-parent service thread (under an open operation a
-        group's trace context rides its envelope). ``latch`` is armed
-        here and released by the last group; the caller waits on it and
-        passes the returned state, with the wake-ups ``wait`` returned, to
-        :meth:`_finish_batch`."""
+        peer or in-parent actor (under an open operation a group's trace
+        context rides its envelope): remote groups first, then the
+        groups served inline on this thread, so the remote round trips
+        overlap them. ``latch`` is armed here and released by the last
+        group; the caller waits on it and passes the returned state, with
+        the wake-ups ``wait`` returned, to :meth:`_finish_batch`."""
         # a closed driver's service threads have stopped: a group queued
         # to one would never complete, and its caller would wait forever
         if self._closed:
@@ -459,21 +493,31 @@ class PeerRegistry(Driver):
         contexts = None if op is None else [group_context(op, g) for g in groups]
         slots = [[None] for _ in groups]  # each group's one-element mailbox
         t_enq = time.perf_counter_ns()
-        for k, group in enumerate(groups):
+        inline = []  # served on this thread once the remote groups are sent
+        for k, target in enumerate(targets):
+            if type(target) is _InlineService:
+                inline.append(k)
+            else:
+                target.submit(
+                    groups[k], slots[k], latch, gen,
+                    None if contexts is None else contexts[k],
+                )
+        for k in inline:
             targets[k].submit(
-                group, slots[k], latch, gen,
+                groups[k], slots[k], latch, gen,
                 None if contexts is None else contexts[k],
             )
         # close() set _closed before stopping any service thread, so if
         # it is still unset here every group above is queued ahead of
         # the shutdown; if set, a group may sit behind it, never served
+        # (an inline actor refuses a group once stopped instead)
         if self._closed:
             raise RuntimeError("driver is closed")
         return calls, groups, targets, slots, op, contexts, t_enq, tally
 
     def _finish_batch(self, sent: tuple, wakeups: int) -> list[Any]:
         """Second half of a batch, once its latch released after
-        ``wakeups`` notifies: count them, record RTT and spans, gather
+        ``wakeups`` releases: count them, record RTT and spans, gather
         each group's values and deliver the results in call order."""
         calls, groups, targets, slots, op, contexts, t_enq, tally = sent
         # One RTT sample per wire RPC; the batch completes as a unit, so
@@ -502,7 +546,7 @@ class PeerRegistry(Driver):
     def close(self) -> None:
         """Orderly teardown: every remote actor gets the ``shutdown``
         control (its agent exits once all it hosts have), in-parent
-        service threads join."""
+        actors stop serving (an aio service thread joins)."""
         self._shutdown(send_shutdown=True)
 
     def abort(self) -> None:
@@ -532,7 +576,12 @@ class PeerRegistry(Driver):
 class ThreadedDriver(PeerRegistry):
     """Drives protocols from any number of caller threads against
     in-parent actors (``register``) and TCP-remote ones
-    (``register_remote``, one :class:`~repro.net.tcp.TcpPeer` each)."""
+    (``register_remote``, one :class:`~repro.net.tcp.TcpPeer` each).
+    An in-parent actor is served on the calling thread."""
+
+    @staticmethod
+    def _new_server(address: Address, actor: Actor) -> _InlineService:
+        return _InlineService(address, actor)
 
     def _new_peer(self, address: Address, endpoint: Endpoint) -> TcpPeer:
         return TcpPeer(address, endpoint, connect_timeout=self._connect_timeout)
@@ -548,14 +597,18 @@ class ThreadedDriver(PeerRegistry):
 
     def run(self, proto: Protocol[Any]) -> Any:
         """Execute a protocol; may be called concurrently from many threads."""
-        return run_protocol(proto, self._execute_batch)
-
-    def _execute_batch(self, batch: Batch) -> list[Any]:
         latch = getattr(_caller, "latch", None)
         if latch is None:
             latch = _caller.latch = _BatchLatch()
-        sent = self._submit_batch(batch.calls, latch)
-        return self._finish_batch(sent, latch.wait())
+
+        def execute(batch: Batch) -> list[Any]:
+            sent = self._submit_batch(batch.calls, latch)
+            return self._finish_batch(sent, latch.wait())
+
+        try:
+            return run_protocol(proto, execute)
+        finally:
+            latch.done()
 
     def spawn(self, proto: Protocol[Any]) -> "ProtocolFuture":
         """Run a protocol on a fresh thread; returns a waitable future."""

@@ -2,9 +2,10 @@
 
 One :class:`ActorTelemetry` rides on every actor object
 (:func:`telemetry_of` attaches it lazily at the first dispatched call).
-Because every driver confines an actor to one thread at a time — its
-service thread, or on a node agent whichever connection holds the actor's
-lock — the accumulator is strictly single-writer: no locks of its own on
+Because every driver confines an actor to one thread at a time — the
+caller thread that holds the actor's lock on the blocking driver, its
+service thread on aio, or on a node agent whichever connection holds the
+actor's lock — the accumulator is strictly single-writer: no locks of its own on
 the record path, which is what keeps telemetry cheap enough to stay
 default-on.
 

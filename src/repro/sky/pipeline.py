@@ -108,6 +108,10 @@ class SupernovaPipeline:
         self.epoch_versions: list[int] = []
         self.bytes_written = 0
         self.bytes_read = 0
+        #: each tile's decoded reference (epoch 0), kept after its first
+        #: read: the snapshot is pinned and immutable, so the copy is
+        #: never stale
+        self._references: dict[Tile, np.ndarray] = {}
 
     # -- observe -----------------------------------------------------------
 
@@ -182,7 +186,8 @@ class SupernovaPipeline:
         Tiles are independent — "the analysis itself is an embarrassingly
         parallel problem" (§I) — so with several worker clients the scan
         fans out over threads, reading pinned snapshots while later epochs
-        may still be written.
+        may still be written. A tile's reference is read once per
+        campaign, by the first scan that reaches it.
         """
         workers = workers or [self.client]
         tiles = self.mapping.all_tiles()
@@ -191,7 +196,11 @@ class SupernovaPipeline:
 
         def scan(client: BlobClient, share: list[Tile]) -> None:
             for tile in share:
-                reference = self.read_tile(tile, 0, client)
+                reference = self._references.get(tile)
+                if reference is None:
+                    reference = self._references[tile] = self.read_tile(
+                        tile, 0, client
+                    )
                 current = self.read_tile(tile, epoch, client)
                 diff = difference_image(current, reference)
                 cands = detect_sources(diff, self.threshold_sigma)

@@ -760,7 +760,8 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
     """The connection dies with a coalesced frame on the wire *and* groups
     still gathered in the outbox: every latch is released exactly once
     with ``PeerUnavailable``, later submits fail fast, and the connector's
-    redial resumes service."""
+    redial resumes service. The fail-fast call runs on the loop right
+    after the take-down, so the redial cannot come in between."""
 
     class Staller:
         def __init__(self):
@@ -802,6 +803,12 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
                 assert len(peer._outbox) == 2 and len(pending) == 1
                 peer._take_down(peer._conn.dropped)
                 assert not peer._outbox and not pending
+                # while down: fail fast, typed
+                assert not peer.connected
+                start = time.monotonic()
+                with pytest.raises(RemoteError):
+                    await driver.drive(_call_proto(cl.ADDR, "x"))
+                assert time.monotonic() - start < 2.0
                 return await asyncio.gather(
                     *in_flight, *gathered, return_exceptions=True
                 )
@@ -811,13 +818,8 @@ def test_peer_death_drains_frames_in_flight_and_the_outbox_exactly_once(monkeypa
             for result in results:
                 assert isinstance(result, RemoteError), result
                 assert result.error_type == "PeerUnavailable"
-            assert sorted(releases.values()) == [1] * 5
-            # while down: fail fast, typed (the redial may already have won)
-            if not peer.connected:
-                start = time.monotonic()
-                with pytest.raises(RemoteError):
-                    driver.call(cl.ADDR, "x")
-                assert time.monotonic() - start < 2.0
+            # the five drained groups and the fail-fast one: once each
+            assert sorted(releases.values()) == [1] * 6
         finally:
             cl.actor.release.set()
         assert peer.wait_connected(timeout=15), "connector did not redial"

@@ -1,6 +1,6 @@
-"""scripts/cpu_split.py: one smoke-shaped trial prints a CPU row (µs and
-scheduler slices per op) for the aio loop thread, one per agent and the
-client's cyclic collections."""
+"""scripts/cpu_split.py: one smoke-shaped trial prints a CPU row (µs,
+scheduler slices and minor page faults per op) for the aio loop thread,
+one per agent and the client's cyclic collections."""
 
 from __future__ import annotations
 
@@ -19,18 +19,26 @@ def test_smoke_trial_prints_the_loop_thread_and_every_agent():
     assert proc.returncode == 0, proc.stderr
     header, columns, *rows = proc.stdout.splitlines()
     assert "0 failed" in header and "schedstat" in header
-    assert columns.split()[-2:] == ["cpu_us_per_op", "slices_per_op"]
-    rows = [row.rsplit(None, 2) for row in rows]
-    names = [name.strip() for name, _, _ in rows]
+    assert columns.split()[-3:] == [
+        "cpu_us_per_op", "slices_per_op", "minflt_per_op"
+    ]
+    rows = [row.rsplit(None, 3) for row in rows]
+    names = [name.strip() for name, _, _, _ in rows]
     assert "aio-driver" in names
     assert sum(name.startswith("agent ") for name in names) == 4
     assert "gc" in names
     assert [name.split(" (")[0] for name in names if name.startswith("gc ")] == [
         "gc gen0", "gc gen1", "gc gen2"
     ]
-    assert all(float(us) >= 0 for _, us, _ in rows)
-    # the collector's rows have no slices of their own; every thread has
+    assert all(float(us) >= 0 for _, us, _, _ in rows)
+    # the collector's rows have no slices or faults of their own; every
+    # thread has
     assert all(
-        slices == "-" if name.startswith("gc") else float(slices) >= 0
-        for name, _, slices in rows
+        slices == minflt == "-" if name.startswith("gc")
+        else float(slices) >= 0 and float(minflt) >= 0
+        for name, _, slices, minflt in rows
     )
+    # the column is read, not left at zero: the trial touches fresh memory
+    assert sum(
+        float(minflt) for name, _, _, minflt in rows if not name.startswith("gc")
+    ) > 0

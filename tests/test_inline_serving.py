@@ -15,7 +15,12 @@ must keep:
 - **queue wait**: a request's ``queue_ns`` includes the requests served
   ahead of it from the same read;
 - **the thread inventory**: no client ``send-*`` thread, no per-actor
-  agent service thread.
+  agent service thread;
+- **in-parent actors**: the blocking driver serves an in-parent group on
+  the caller's own thread, after the batch's remote groups are sent, and
+  starts no ``actor-*`` thread; aio keeps one service thread per actor,
+  whose completions cross back to the loop; either way a batch wakes its
+  caller at most once.
 
 The stress tests shrink the interpreter's switch interval so threads
 interleave as often as they can, and every wait carries a timeout.
@@ -27,6 +32,9 @@ import sys
 import threading
 import time
 
+import pytest
+
+from repro.core.config import DeploymentSpec
 from repro.metadata.provider import MetadataProvider
 from repro.net.codec import MessageDecoder, encode_message
 from repro.net.node import NodeAgent, connect_and_handshake
@@ -36,6 +44,8 @@ from repro.net.wire import force_close, rpc_envelope
 from repro.providers.data_provider import DataProvider
 from repro.providers.page import PageKey, PagePayload
 from repro.util.sizes import KB
+from repro.version.manager import VersionManager
+from tests.conftest import BUILDERS
 
 JOIN_TIMEOUT = 60.0
 ADDR = ("data", 0)
@@ -307,3 +317,122 @@ def test_a_shut_down_actor_hangs_up_instead_of_serving():
         first.abort()
         second.abort()
         agent.close()
+
+
+def _actor_threads() -> set[str]:
+    return {t.name for t in threading.enumerate() if t.name.startswith("actor-")}
+
+
+def _spy_vm(monkeypatch) -> list[tuple[int, str]]:
+    """Record ``(thread ident, thread name)`` of every vm call served."""
+    served: list[tuple[int, str]] = []
+    handle = VersionManager.handle
+
+    def spy(self, method, args):
+        thread = threading.current_thread()
+        served.append((thread.ident, thread.name))
+        return handle(self, method, args)
+
+    monkeypatch.setattr(VersionManager, "handle", spy)
+    return served
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp"])
+def test_an_in_parent_group_is_served_on_the_callers_thread(name, monkeypatch):
+    served = _spy_vm(monkeypatch)
+    before = _actor_threads()
+    with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        assert _actor_threads() == before, "an actor-* thread was started"
+        blob = dep.client("main").alloc(16 * KB, 4 * KB)
+        callers: list[int] = []
+
+        def call() -> None:
+            callers.append(threading.get_ident())
+            dep.client("worker").latest(blob)
+
+        served.clear()
+        call()
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(JOIN_TIMEOUT)
+        assert not worker.is_alive()
+        assert [ident for ident, _ in served] == callers
+        assert callers[0] != callers[1]
+
+
+def test_aio_serves_an_in_parent_group_on_its_service_thread(monkeypatch):
+    served = _spy_vm(monkeypatch)
+    with BUILDERS["aio"](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        client = dep.client("main")
+        blob = client.alloc(16 * KB, 4 * KB)
+        served.clear()
+        version = client.latest(blob)  # the answer crossed back to the loop
+        assert version == 0
+        assert [name for _, name in served] == ["actor-vm"]
+        assert served[0][0] != threading.get_ident()
+        assert "actor-vm" in _actor_threads()
+
+
+def test_a_batch_sends_its_remote_groups_before_serving_in_parent_ones():
+    """The in-parent actor waits for the remote one to be entered: were
+    the remote group sent after the in-parent one was served, it would
+    time out waiting."""
+    remote = _Wedge()
+    agent = NodeAgent({ADDR: remote})
+    agent.start()
+    driver = ThreadedDriver()
+    here = ("meta", 0)
+
+    class AfterRemote:
+        def handle(self, method, args):
+            return remote.entered.wait(10)
+
+    try:
+        driver.register_remote(ADDR, agent.endpoint)
+        driver.register(here, AfterRemote())
+        driver.wait_connected(10)
+
+        def both():
+            saw_remote, _ = yield Batch(
+                [Call(here, "after.wait", ()), Call(ADDR, "wedge.park", ())]
+            )
+            return saw_remote
+
+        done = driver.spawn(both())
+        assert remote.entered.wait(10)
+        remote.release.set()
+        assert done.result(timeout=20) is True
+    finally:
+        remote.release.set()
+        driver.abort()
+        agent.close()
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp", "aio"])
+def test_a_batch_wakes_its_caller_at_most_once(name):
+    """Eight callers write their own pages and read the blob at once:
+    each batch wakes its caller at most once, every sub-call a caller
+    submitted was served exactly once, and the last snapshot holds every
+    caller's last page (a lost update on a latch or an actor's state
+    would break one of these)."""
+    with BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2)) as dep:
+        seed = dep.client("seed")
+        blob = seed.alloc(64 * KB, 4 * KB)
+
+        def page(i: int, r: int) -> bytes:
+            return bytes([i * 8 + r + 1]) * (4 * KB)
+
+        def write_read(i: int) -> None:
+            client = dep.client(f"c{i}")
+            for r in range(5):
+                client.write(blob, page(i, r), i * 4 * KB)
+                client.read_bytes(blob, 0, 32 * KB)
+
+        _run_threads(write_read, 8)
+        assert seed.read_bytes(blob, 0, 32 * KB) == b"".join(
+            page(i, 4) for i in range(8)
+        )
+        stats = dep.transport_stats()
+        assert 0 < stats["completion_wakeups"] <= stats["batches"]
+        served = dep.driver.server_stats()
+        assert sum(calls for _, calls in served.values()) == stats["sub_calls"]

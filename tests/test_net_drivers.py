@@ -344,9 +344,10 @@ def test_closed_deployment_refuses_a_spawn(name):
 
 
 class _ClosingInbox:
-    """A service thread's inbox whose first ``put`` lets a concurrent
-    ``close()`` finish first: the submission lands behind the shutdown of
-    a service thread that has already exited."""
+    """An aio service thread's inbox whose first ``put`` lets a concurrent
+    ``close()`` mark the driver closed first. The put runs on the loop,
+    which that ``close()`` needs in order to stop the peers, so it waits
+    for the mark, not for the close to end."""
 
     def __init__(self, inbox, dep):
         self._inbox = inbox
@@ -359,22 +360,55 @@ class _ClosingInbox:
     def put(self, item):
         if not self._raced:
             self._raced = True
-            closer = threading.Thread(target=self._dep.close)
-            closer.start()
-            closer.join(timeout=30)
+            threading.Thread(target=self._dep.close).start()
+            deadline = time.monotonic() + 30
+            while not self._dep.driver._closed and time.monotonic() < deadline:
+                time.sleep(0.001)
         self._inbox.put(item)
 
 
-@pytest.mark.parametrize("name", ["threaded", "tcp"])
+class _ClosingLock:
+    """An inline actor's lock whose first acquisition lets a concurrent
+    ``close()`` finish first: the caller reaches the actor after the
+    driver stopped it."""
+
+    def __init__(self, lock, dep):
+        self._lock = lock
+        self._dep = dep
+        self._raced = False
+
+    def __enter__(self):
+        if not self._raced:
+            self._raced = True
+            closer = threading.Thread(target=self._dep.close)
+            closer.start()
+            closer.join(timeout=30)
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+    def acquire(self, timeout=-1):
+        return self._lock.acquire(timeout=timeout)
+
+    def release(self):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("name", ["threaded", "tcp", "aio"])
 def test_close_racing_a_call_refuses_it(name):
-    """``close()`` between a batch's closed check and its submission to
-    an in-parent service thread: the call raises, it does not wait on a
-    service thread that stopped."""
+    """``close()`` between a batch's closed check and its group reaching
+    the in-parent vm — queued to an aio service thread, or served inline
+    on the caller's thread: the call raises, it does not wait on an actor
+    that stopped."""
     dep = BUILDERS[name](DeploymentSpec(n_data=2, n_meta=2))
     client = dep.client("racer")
     blob = client.alloc(MB, PAGE)
     server = dep.driver._servers["vm"]
-    server.inbox = _ClosingInbox(server.inbox, dep)
+    if name == "aio":
+        server.inbox = _ClosingInbox(server.inbox, dep)
+    else:
+        server.lock = _ClosingLock(server.lock, dep)
     outcome: list = []
 
     def call() -> None:

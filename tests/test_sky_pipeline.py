@@ -65,10 +65,11 @@ class TestCampaign:
         assert report.bytes_read > 0
 
     def test_classification_reads_each_track_epoch_once(self, campaign_report):
-        """Scans read epoch e and the reference; a track's light curve
-        reads its tile once per epoch, the reference included."""
+        """Scans read epoch e of every tile, and each tile's reference
+        once; a track's light curve reads its tile once per epoch, the
+        reference included."""
         _, pipe, report = campaign_report
-        scan_reads = 2 * (EPOCHS - 1) * SPEC.n_tiles
+        scan_reads = (EPOCHS - 1) * SPEC.n_tiles + SPEC.n_tiles
         track_reads = len(report.tracks) * EPOCHS
         assert report.tracks
         assert report.bytes_read == (

@@ -621,14 +621,29 @@ def test_an_in_parent_pm_is_touched_only_by_its_serving_thread(driver, monkeypat
     """A provider joining and a rebalance or drain reach an in-parent pm
     through the driver, as every client call does: its journal appends
     (``_apply_register``) and its provider-set walks (``pm.providers``)
-    run on ``actor-pm`` on a concurrent driver, never beside it on the
-    caller's thread. On inproc the caller's thread is the pm's."""
+    run on ``actor-pm`` on aio, never beside it on the caller's thread.
+    The blocking driver serves the pm on the calling thread under the
+    pm's lock, so there no two threads are ever inside the pm at once.
+    On inproc the caller's thread is the pm's."""
     seen: list[tuple[str, str]] = []
+    overlaps: list[str] = []
+    inside = threading.Lock()
     apply_register = ProviderManager._apply_register
+    handle = ProviderManager.handle
 
     def spy_register(self, provider_id):
         seen.append(("register", threading.current_thread().name))
         return apply_register(self, provider_id)
+
+    def spy_handle(self, method, args):
+        if not inside.acquire(blocking=False):
+            overlaps.append(method)
+            return handle(self, method, args)
+        try:
+            time.sleep(0.0002)  # stay inside while other threads arrive
+            return handle(self, method, args)
+        finally:
+            inside.release()
 
     class WatchedSet(set):
         def __iter__(self):
@@ -636,6 +651,7 @@ def test_an_in_parent_pm_is_touched_only_by_its_serving_thread(driver, monkeypat
             return super().__iter__()
 
     monkeypatch.setattr(ProviderManager, "_apply_register", spy_register)
+    monkeypatch.setattr(ProviderManager, "handle", spy_handle)
     spec = DeploymentSpec(n_data=2, n_meta=1, strategy="hash_ring",
                           cache_capacity=0)
     with BUILDERS[driver](spec) as dep:
@@ -651,9 +667,28 @@ def test_an_in_parent_pm_is_touched_only_by_its_serving_thread(driver, monkeypat
         else:
             new_id = dep.add_data_provider()
         assert client.read_bytes(blob, 0, 16 * PAGE) == fill(5) * 16
-    assert new_id == 2 and ("register", "MainThread" if driver == "inproc"
-                            else "actor-pm") in seen
-    assert {name for _, name in seen} == {
-        "MainThread" if driver == "inproc" else "actor-pm"
-    }
-    assert driver in ("inproc", "threaded") or ("iterate", "actor-pm") in seen
+        if driver != "inproc":  # concurrent callers, each on its own blob
+
+            def write_own(i: int) -> None:
+                writer = dep.client(f"writer{i}")
+                own = writer.alloc(4 * PAGE, PAGE)
+                for r in range(5):
+                    writer.write(own, fill(r) * 4, 0)
+
+            writers = [threading.Thread(target=write_own, args=(i,))
+                       for i in range(4)]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in writers)
+    assert overlaps == []
+    assert new_id == 2
+    if driver in ("inproc", "aio"):
+        pm_thread = "MainThread" if driver == "inproc" else "actor-pm"
+        assert ("register", pm_thread) in seen
+        assert {name for _, name in seen} == {pm_thread}
+        assert driver == "inproc" or ("iterate", "actor-pm") in seen
+    else:
+        assert "register" in {event for event, _ in seen}
+        assert driver == "threaded" or "iterate" in {event for event, _ in seen}

@@ -123,11 +123,15 @@ class TestTransportCounters:
         from repro.net import threaded
 
         group_done = threaded._BatchLatch.group_done
+        caller = threading.get_ident()
 
         def twice(latch, gen):
-            with latch._cond:  # both notifies before the caller resumes
-                group_done(latch, gen)
-                group_done(latch, gen)
+            # an in-parent group completes on the caller's own thread,
+            # so both releases land before its ``wait`` takes the lock
+            assert threading.get_ident() == caller
+            assert latch._lock.locked()
+            group_done(latch, gen)
+            group_done(latch, gen)
 
         monkeypatch.setattr(threaded._BatchLatch, "group_done", twice)
         with ThreadedDriver() as driver:
@@ -136,6 +140,40 @@ class TestTransportCounters:
             stats = driver.transport_stats()
         assert stats["batches"] == 1
         assert stats["completion_wakeups"] == 2
+
+    def test_a_caller_that_never_blocks_lets_other_threads_in(self, monkeypatch):
+        """A protocol whose every batch its caller completed by itself
+        released the GIL nowhere: every second such protocol in a row
+        sleeps 0 s, so threads waiting for the GIL get in; a batch
+        another thread completed (the caller blocked in ``wait``, or a
+        socket send released the GIL) starts the count again."""
+        from repro.net import threaded
+
+        yields: list[int] = []
+        monkeypatch.setattr(threaded.time, "sleep", yields.append)
+        latch = threaded._BatchLatch()
+
+        def protocol(batches: int) -> None:
+            for _ in range(batches):
+                latch.group_done(latch.begin(1))
+                latch.wait()
+            latch.done()
+
+        for batches in (1, 3, 1, 2, 1):
+            protocol(batches)
+        assert yields == [0, 0]
+        gen = latch.begin(1)
+        other = threading.Thread(target=latch.group_done, args=(gen,))
+        other.start()
+        other.join(10)
+        assert not other.is_alive()
+        latch.wait()
+        protocol(1)  # ends the protocol another thread took part in
+        assert yields == [0, 0]
+        protocol(1)
+        assert yields == [0, 0]  # the run restarted after the other thread
+        protocol(1)
+        assert yields == [0, 0, 0]
 
     def test_retired_caller_threads_fold_into_stats(self):
         """Counters of dead caller threads must survive their exit."""
